@@ -29,14 +29,16 @@
 //! batched query plan once and re-prices them per mode, instead of
 //! recomputing shapes and re-locating grid coordinates `|modes|` times.
 //!
-//! The outer `t_max` sweep runs its independent Eq. 2 solves on the rayon
-//! pool, in ascending candidate order, and exploits monotonicity for an
-//! exact early exit: the objective is bounded below by `(c-1)·t_max`, so
-//! once that ramp term alone reaches the best objective seen, no larger
-//! candidate can win and the sweep stops. The prune bound is seeded by a
-//! golden-section probe over the candidate index. Neither the parallelism
-//! nor the pruning changes which partition is selected; see
-//! [`Partitioner::partition_reference`] and the equivalence tests.
+//! The outer `t_max` sweep runs its Eq. 2 solves serially in ascending
+//! candidate order and exploits monotonicity for an exact early exit: the
+//! objective is bounded below by `(c-1)·t_max`, so once that ramp term
+//! alone reaches the best objective seen, no larger candidate can win and
+//! the sweep stops. The prune bound is seeded by a golden-section probe
+//! over the candidate index. Neither the probe nor the pruning changes
+//! which partition is selected; see [`Partitioner::partition_reference`]
+//! and the equivalence tests. The partitioner itself is single-threaded:
+//! planning parallelism lives one level up, in the planner's §7 sweep,
+//! which runs the recompute modes' partitions concurrently.
 //!
 //! Memory awareness: micro-batches whose estimated activation footprint
 //! exceeds the per-micro-batch limit are excluded from the recurrence, so
@@ -48,7 +50,6 @@ use dynapipe_cost::{CostModel, ShapeBatch};
 use dynapipe_data::Sample;
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{Bytes, MicroBatchShape, Micros, ModelArch};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -690,11 +691,13 @@ impl<'a> Partitioner<'a> {
         ranges
     }
 
-    /// The outer `t_max` sweep: candidates ascending, Eq. 2 solves on the
-    /// row index run in parallel chunks on the rayon pool, with the exact
-    /// monotonicity early-exit — once `(c-1)·t_max` alone reaches the
-    /// prune bound, no larger candidate can improve on it (the sum term is
-    /// non-negative).
+    /// The outer `t_max` sweep: one serial loop over the candidates in
+    /// ascending order, each an Eq. 2 solve on the row index, with the
+    /// exact monotonicity early-exit — once `(c-1)·t_max` alone reaches
+    /// the prune bound, no larger candidate can improve on it (the sum
+    /// term is non-negative). The sweep is serial on purpose: the planner
+    /// parallelizes one level up, across the §7 recompute modes, and a
+    /// second level would only split the same cores finer.
     ///
     /// Before the ascending sweep, a golden-section probe over the
     /// candidate *index* seeds the prune bound: the objective trades the
@@ -712,9 +715,9 @@ impl<'a> Partitioner<'a> {
     /// `obj >= (c-1)·t_max >= bound >= obj(t*)`, so it could neither win
     /// nor tie ahead of `t*` in the ascending order.
     ///
-    /// Selection is identical to the serial full sweep: results are folded
-    /// in ascending candidate order and a new best must be strictly
-    /// better, so ties keep the smallest candidate.
+    /// Selection is identical to the full sweep: results are folded in
+    /// ascending candidate order and a new best must be strictly better,
+    /// so ties keep the smallest candidate.
     fn sweep_tmax(
         &self,
         table: &SliceCosts,
@@ -730,20 +733,6 @@ impl<'a> Partitioner<'a> {
         let mut cache: Vec<Option<Option<(Micros, Vec<usize>)>>> = vec![None; candidates.len()];
         let mut prune_bound = f64::INFINITY;
         if candidates.len() >= 16 {
-            // Solve the opening bracket pair as one parallel wave — the
-            // bracket-narrowing iterations are inherently sequential, but
-            // this keeps the probe from paying two solve latencies up
-            // front on wide pools.
-            let (x1, x2) = golden_pair(0, candidates.len() - 1);
-            let pair: Vec<(usize, Option<(Micros, Vec<usize>)>)> = [x1, x2]
-                .par_iter()
-                .map(|&i| (i, rows.solve(n, candidates[i])))
-                .collect();
-            for (i, sol) in pair {
-                if cache[i].is_none() {
-                    cache[i] = Some(sol);
-                }
-            }
             // Stop once the bracket is a small fraction of the candidate
             // set: by then the bound sits near the basin floor, and the
             // ascending sweep resolves the exact argmin anyway.
@@ -762,36 +751,18 @@ impl<'a> Partitioner<'a> {
         }
 
         let mut best: Option<(Micros, Vec<usize>, Micros)> = None;
-        // Chunked so the early exit still bounds wasted work when the pool
-        // is wide: at most one chunk of solves beyond the stop point.
-        let chunk = (rayon::current_num_threads() * 2).max(4);
-        let mut lo = 0;
-        'sweep: while lo < candidates.len() {
-            if (c - 1.0) * candidates[lo] >= prune_bound {
-                // All remaining candidates are >= candidates[lo].
+        for (i, &t_max) in candidates.iter().enumerate() {
+            if (c - 1.0) * t_max >= prune_bound {
+                // All remaining candidates are >= t_max.
                 break;
             }
-            let hi = (lo + chunk).min(candidates.len());
-            let solved: Vec<Option<(Micros, Vec<usize>)>> = (lo..hi)
-                .into_par_iter()
-                .map(|i| match &cache[i] {
-                    Some(sol) => sol.clone(),
-                    None => rows.solve(n, candidates[i]),
-                })
-                .collect();
-            for (j, sol) in solved.into_iter().enumerate() {
-                let t_max = candidates[lo + j];
-                if (c - 1.0) * t_max >= prune_bound {
-                    break 'sweep;
-                }
-                let Some((sum, back)) = sol else { continue };
-                let obj = objective(t_max, sum);
-                prune_bound = prune_bound.min(obj);
-                if best.as_ref().is_none_or(|(b, _, _)| obj < *b) {
-                    best = Some((obj, back, t_max));
-                }
+            let sol = cache[i].take().unwrap_or_else(|| rows.solve(n, t_max));
+            let Some((sum, back)) = sol else { continue };
+            let obj = objective(t_max, sum);
+            prune_bound = prune_bound.min(obj);
+            if best.as_ref().is_none_or(|(b, _, _)| obj < *b) {
+                best = Some((obj, back, t_max));
             }
-            lo = hi;
         }
         best
     }
@@ -1091,8 +1062,8 @@ mod tests {
     }
 
     #[test]
-    fn pruned_parallel_sweep_matches_reference_exactly() {
-        // The early exit and the parallel chunking must never change the
+    fn pruned_sweep_matches_reference_exactly() {
+        // The golden probe and the early exit must never change the
         // selected partition: compare against the retained serial
         // full-sweep reference across mini-batch sizes, pipeline depths,
         // dp degrees and memory limits (tight limits exercise infeasible

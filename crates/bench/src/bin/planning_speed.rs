@@ -10,7 +10,12 @@
 //! * **optimized**: the production path: one mode-independent shape pass
 //!   shared across all recompute modes, batched deduplicated cost pricing
 //!   (one grid solve per mode against a shared query plan), and the
-//!   pruned parallel `t_max` sweep seeded by a golden-section probe.
+//!   pruned `t_max` sweep seeded by a golden-section probe.
+//!
+//! Each partition call is single-threaded (planning parallelism lives in
+//! the planner's §7 mode sweep, which this bench does not run), so
+//! `RAYON_NUM_THREADS` must not change the optimized time: at 2 threads it
+//! should be no slower than at 1.
 //!
 //! Emits `BENCH_planning.json` with `{serial_us, parallel_us, speedup}`
 //! plus per-model breakdowns including **distinct-shape counts** and
@@ -85,7 +90,7 @@ fn run_model(
     let stats1 = grid_query_stats();
 
     // Optimized: one shared shape pass + batched query plan per
-    // mini-batch, per-mode re-pricing, pruned parallel t_max sweep.
+    // mini-batch, per-mode re-pricing, pruned t_max sweep.
     let t1 = Instant::now();
     let mut fast_outcomes: Vec<Outcome> = Vec::new();
     let mut distinct_shapes = 0u64;

@@ -25,7 +25,15 @@
 //! `fig09_cluster`'s exported span trace through `trace_report`
 //! (parse → validate → reconcile → critical path), so a trace that
 //! stops reconciling with the counters also fails the sweep.
+//!
+//! The sibling binaries (`dynapipe-lint`, every figure bin and
+//! `trace_report`) run from the directory holding this executable. If any
+//! is missing there, `run_all` first builds them all with one
+//! `cargo build -p dynapipe-bench -p dynapipe-lint --bins` in its own
+//! profile (`--release` for the usual `target/release/run_all`), and
+//! exits nonzero with that command in the message if the build fails.
 
+use std::path::Path;
 use std::process::Command;
 
 const FIGURES: &[&str] = &[
@@ -46,10 +54,45 @@ const FIGURES: &[&str] = &[
     "planning_speed",
 ];
 
+/// Build the sibling binaries into `dir` unless they are all there
+/// already; exits the process if the build fails.
+fn ensure_siblings_built(dir: &Path) {
+    let missing = ["dynapipe-lint", "trace_report"]
+        .iter()
+        .chain(FIGURES)
+        .any(|name| {
+            !dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX))
+                .exists()
+        });
+    if !missing {
+        return;
+    }
+    let mut args = vec!["build"];
+    if dir.ends_with("release") {
+        args.push("--release");
+    }
+    args.extend(["-p", "dynapipe-bench", "-p", "dynapipe-lint", "--bins"]);
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
+    let command = format!("{cargo} {}", args.join(" "));
+    println!("run_all: sibling binaries missing; running `{command}`\n");
+    match Command::new(&cargo).args(&args).status() {
+        Ok(s) if s.success() => {}
+        Ok(s) => {
+            eprintln!("run_all: `{command}` exited with {s}");
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("run_all: could not launch `{command}`: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("exe dir");
+    ensure_siblings_built(dir);
     let mut failures = Vec::new();
     if smoke {
         println!("run_all --smoke: one capped iteration per bin\n");

@@ -1,19 +1,41 @@
 //! Offline stand-in for `rayon`: the data-parallel iterator subset the
 //! planning hot path uses (`par_iter` on slices, `into_par_iter` on
 //! ranges and vectors, `map`/`filter_map`/`collect`/`for_each`), executed
-//! on `std::thread::scope` with contiguous index-chunk splitting.
+//! on `std::thread::scope`.
+//!
+//! Scheduling is **dynamic claiming**: a parallel call with `T` threads
+//! spawns `T − 1` scoped workers and the calling thread works alongside
+//! them; every thread takes the next unclaimed index from one shared
+//! atomic counter until none is left. Uneven items therefore balance by
+//! themselves — with three items of cost `6, 5, 2` on two threads, one
+//! thread runs the `6` while the other runs `5` and then `2`, where
+//! contiguous chunking would pair `6 + 5` on one thread and leave the
+//! other idle after `2`.
 //!
 //! Semantics match rayon where it matters for the planner:
-//! * results are returned in input order regardless of thread count;
+//! * results are returned in input order regardless of thread count or
+//!   which thread claimed which index (each thread keeps its
+//!   `(index, result)` pairs and they are placed by index at the join);
 //! * closures run exactly once per element;
-//! * `ThreadPool::install` bounds the worker count for the enclosed call
-//!   (implemented as a thread-local cap rather than a persistent pool —
-//!   workers are scoped threads, so nothing leaks between calls).
+//! * `ThreadPool::install` bounds the worker count for the enclosed call,
+//!   and nested parallel calls inside a worker — or inside the calling
+//!   thread while it works — run serially, so total concurrency never
+//!   exceeds the bound. Both are a thread-local cap rather than a
+//!   persistent pool, restored by a drop guard so a panic cannot leave a
+//!   thread capped.
+//!
+//! There is deliberately no persistent pool: a scoped spawn + join
+//! measures ~30 µs on a 2-vCPU x86-64 VM, and the planner makes one
+//! parallel call per plan (its §7 recompute-mode sweep, several
+//! milliseconds of work), so the spawn is well under 1% of a plan and a
+//! pool's parking, wake-up and shutdown logic would buy nothing
+//! measurable.
 //!
 //! Thread count defaults to `std::thread::available_parallelism`, tunable
 //! via the `RAYON_NUM_THREADS` environment variable like real rayon.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
@@ -41,6 +63,26 @@ pub fn current_num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Sets this thread's `POOL_CAP` and restores the previous value on drop,
+/// including when the guarded code unwinds.
+struct CapGuard {
+    prev: usize,
+}
+
+impl CapGuard {
+    fn set(cap: usize) -> CapGuard {
+        CapGuard {
+            prev: POOL_CAP.with(|c| c.replace(cap)),
+        }
+    }
+}
+
+impl Drop for CapGuard {
+    fn drop(&mut self) {
+        POOL_CAP.with(|c| c.set(self.prev));
+    }
+}
+
 /// Evaluate `f(0..n)` in parallel, preserving index order in the output.
 fn run_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
@@ -48,37 +90,40 @@ where
     F: Fn(usize) -> U + Sync,
 {
     let threads = current_num_threads().min(n).max(1);
-    if threads == 1 || n <= 1 {
+    if threads == 1 {
         return (0..n).map(f).collect();
     }
-    let chunk = n.div_ceil(threads);
-    let mut parts: Vec<Vec<U>> = Vec::with_capacity(threads);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        // Real rayon runs nested parallel work on the same bounded pool.
+        // The shim's equivalent: each of the T threads holds one slot, so
+        // nested par_iter calls inside `f` run serially rather than
+        // multiplying the thread count past the pool/cap bound.
+        let _cap = CapGuard::set(1);
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                s.spawn(move || {
-                    // Real rayon runs nested parallel work on the same
-                    // bounded pool. The shim's equivalent: each of the N
-                    // workers claims one slot, so nested par_iter calls
-                    // inside `f` run serially rather than multiplying
-                    // the thread count past the pool/cap bound.
-                    POOL_CAP.with(|c| c.set(1));
-                    (lo..hi).map(f).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("rayon shim worker panicked"));
+        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        let mut parts = vec![work()];
+        for w in workers {
+            parts.push(w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        for (i, u) in parts.into_iter().flatten() {
+            slots[i] = Some(u);
         }
     });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    slots
+        .into_iter()
+        .map(|u| u.expect("every index is claimed exactly once"))
+        .collect()
 }
 
 /// A bounded worker pool: `install` caps the parallelism of everything the
@@ -96,10 +141,8 @@ impl ThreadPool {
 
     /// Run `f` with this pool's thread count governing parallel operations.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        let prev = POOL_CAP.with(|c| c.replace(self.num_threads));
-        let out = f();
-        POOL_CAP.with(|c| c.set(prev));
-        out
+        let _cap = CapGuard::set(self.num_threads);
+        f()
     }
 }
 
@@ -426,6 +469,81 @@ mod tests {
             "nested work exceeded the pool bound: peak {}",
             peak.load(Ordering::SeqCst)
         );
+    }
+
+    #[test]
+    fn cap_is_restored_when_the_closure_panics() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let before = current_num_threads();
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let r = catch_unwind(|| pool.install(|| panic!("panic inside install")));
+        assert!(r.is_err());
+        assert_eq!(current_num_threads(), before, "install leaked its cap");
+
+        pool.install(|| {
+            // Every item panics and each thread stops at its first panic,
+            // so with 8 items on 4 threads the calling thread is sure to
+            // claim (and unwind out of) at least one.
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                (0..8usize)
+                    .into_par_iter()
+                    .for_each(|_| panic!("panic inside par_iter"))
+            }));
+            assert!(r.is_err());
+            assert_eq!(current_num_threads(), 4, "par_iter leaked its cap");
+        });
+        assert_eq!(current_num_threads(), before);
+    }
+
+    #[test]
+    fn idle_thread_claims_the_items_behind_a_slow_one() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        // Item 0 blocks until the fast items 1 and 2 are done (or a
+        // timeout passes). Dynamic claiming hands both to the other
+        // thread; contiguous chunking would queue item 1 behind item 0.
+        let fast_done = AtomicUsize::new(0);
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let ran_on: Vec<std::thread::ThreadId> = pool.install(|| {
+            (0..3usize)
+                .into_par_iter()
+                .map(|i| {
+                    if i == 0 {
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while fast_done.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    } else {
+                        fast_done.fetch_add(1, Ordering::SeqCst);
+                    }
+                    std::thread::current().id()
+                })
+                .collect()
+        });
+        assert_ne!(ran_on[1], ran_on[0], "item 1 waited behind the slow item");
+        assert_ne!(ran_on[2], ran_on[0], "item 2 waited behind the slow item");
+    }
+
+    #[test]
+    fn calling_thread_evaluates_items() {
+        use std::sync::Barrier;
+        // Each item waits until both are running, so neither thread can
+        // claim both: the two threads of the call run one item each, and
+        // one of those threads must be the caller.
+        let both_running = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let ran_on: Vec<std::thread::ThreadId> = pool.install(|| {
+            (0..2usize)
+                .into_par_iter()
+                .map(|_| {
+                    both_running.wait();
+                    std::thread::current().id()
+                })
+                .collect()
+        });
+        assert!(ran_on.contains(&caller), "the caller evaluated no item");
+        assert_ne!(ran_on[0], ran_on[1]);
     }
 
     #[test]
