@@ -29,16 +29,19 @@
 //! batched query plan once and re-prices them per mode, instead of
 //! recomputing shapes and re-locating grid coordinates `|modes|` times.
 //!
-//! The outer `t_max` sweep runs its Eq. 2 solves serially in ascending
-//! candidate order and exploits monotonicity for an exact early exit: the
-//! objective is bounded below by `(c-1)·t_max`, so once that ramp term
-//! alone reaches the best objective seen, no larger candidate can win and
-//! the sweep stops. The prune bound is seeded by a golden-section probe
-//! over the candidate index. Neither the probe nor the pruning changes
-//! which partition is selected; see [`Partitioner::partition_reference`]
-//! and the equivalence tests. The partitioner itself is single-threaded:
-//! planning parallelism lives one level up, in the planner's §7 sweep,
-//! which runs the recompute modes' partitions concurrently.
+//! The outer `t_max` sweep is an exact bound-driven search that skips most
+//! Eq. 2 solves. It rests on one property: the minimum sum `S(t)` is
+//! non-increasing in `t_max`, bit for bit in floating point, because a
+//! larger bound admits a superset of slices and rounded `+`/`min` are
+//! monotone. Infeasibility is downward-closed for the same reason. So a
+//! solved candidate's sum bounds every smaller candidate's objective from
+//! below, and whole runs of candidates are discarded without a solve. The
+//! search returns the same partition as the full sweep in
+//! [`Partitioner::partition_reference`], including its smallest-`t_max`
+//! tie-break; see `Partitioner::sweep_tmax` and the equivalence tests.
+//! The partitioner itself is single-threaded: planning parallelism lives
+//! one level up, in the planner's §7 sweep, which runs the recompute
+//! modes' partitions concurrently.
 //!
 //! Memory awareness: micro-batches whose estimated activation footprint
 //! exceeds the per-micro-batch limit are excluded from the recurrence, so
@@ -53,6 +56,7 @@ use dynapipe_model::{Bytes, MicroBatchShape, Micros, ModelArch};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Partitioner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,22 +79,15 @@ pub struct DpConfig {
     /// planner-side analogue of the paper's fixed-interval sampling, tuned
     /// for the reproduction's single-process experiment sweeps.
     pub max_candidates: usize,
-    /// Bracket fraction at which the golden-section seed probe stops:
-    /// the probe narrows until the bracket spans fewer than
-    /// `(candidates / probe_stop_divisor).max(2)` candidates, then hands
-    /// its best objective to the ascending sweep as the prune bound.
-    /// Purely a performance knob — the sweep resolves the exact argmin
-    /// regardless, so the partition is bit-identical for any value
-    /// (pinned by `probe_stop_divisor_never_changes_the_partition`).
-    /// Default chosen by the `dp_partitioner/probe_stop_divisor` bench
-    /// sweep on the fig17 workload.
+    /// Has no effect: the `t_max` search it used to tune is gone. Kept
+    /// only so existing `DpConfig` literals that set it still compile; no
+    /// code reads it.
     pub probe_stop_divisor: usize,
 }
 
 impl DpConfig {
-    /// Shipped [`DpConfig::probe_stop_divisor`]: winner of the
-    /// `dp_partitioner/probe_stop_divisor` bench sweep (4/8/16/32/64)
-    /// on the fig17 workload.
+    /// Value of [`DpConfig::probe_stop_divisor`], which has no effect.
+    /// Kept only so existing `DpConfig` literals that name it compile.
     pub const PROBE_STOP_DIVISOR: usize = 16;
 
     /// Defaults matching the paper's evaluation settings.
@@ -170,7 +167,10 @@ impl ExtentDedup {
     /// Group index for an extent pair (inserting an empty group if new).
     fn group(&mut self, eff_in: usize, eff_tg: usize) -> usize {
         let next = self.ids.len() as u32;
-        let g = *self.groups.entry(extent_key(eff_in, eff_tg)).or_insert(next);
+        let g = *self
+            .groups
+            .entry(extent_key(eff_in, eff_tg))
+            .or_insert(next);
         if g == next {
             self.ids.push(Vec::new());
         }
@@ -267,9 +267,7 @@ impl SliceShapes {
                 let id = dedup.id_at(group, k, || {
                     let shape = match arch {
                         ModelArch::Gpt => MicroBatchShape::gpt(k + 1, max_in.max(1)),
-                        ModelArch::T5 => {
-                            MicroBatchShape::t5(k + 1, max_in.max(1), max_tg.max(1))
-                        }
+                        ModelArch::T5 => MicroBatchShape::t5(k + 1, max_in.max(1), max_tg.max(1)),
                     };
                     distinct.push(shape);
                     (distinct.len() - 1) as u32
@@ -355,205 +353,84 @@ impl SliceCosts {
     }
 }
 
-/// Feasible slice cells re-indexed per DP row (`end`), sorted by
-/// `(time, k)`. A solve for bound `t_max` then visits only the prefix of
-/// each row with `time <= t_max` (found by binary search) instead of
-/// scanning the full window width — most candidates in the ascending
-/// sweep are small, so their solves touch a fraction of the table.
-struct RowIndex {
-    /// Slice times, rows concatenated, each row ascending.
-    times: Vec<Micros>,
-    /// Matching slice start positions.
-    starts: Vec<u32>,
-    /// Matching window offsets `k` (for the reference tie-break).
-    ks: Vec<u16>,
-    /// Row boundaries: row `end` occupies `offsets[end-1]..offsets[end]`.
-    offsets: Vec<u32>,
+/// Eq. 2 solves run since process start, by every path (diagnostics).
+static EQ2_SOLVES: AtomicU64 = AtomicU64::new(0);
+
+/// Cumulative process-wide partitioner counters (diagnostics; relaxed
+/// atomics, exact for single-threaded phases).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct DpSolveStats {
+    /// Eq. 2 solves, one per `t_max` candidate evaluated.
+    pub eq2_solves: u64,
 }
 
-impl RowIndex {
-    fn build(table: &SliceCosts) -> RowIndex {
-        let n = table.n;
-        let mut times = Vec::new();
-        let mut starts = Vec::new();
-        let mut ks = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut row: Vec<(Micros, usize)> = Vec::with_capacity(table.width);
-        for end in 1..=n {
-            row.clear();
-            for k in 0..table.width.min(end) {
-                let idx = table.idx(end, k);
-                if table.feasible[idx] {
-                    row.push((table.time[idx], k));
-                }
-            }
-            // (time, k) order makes the per-row prefix-by-time contiguous
-            // while keeping the smallest-k tie-break reconstructible.
-            row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(t, k) in &row {
-                times.push(t);
-                starts.push((end - 1 - k) as u32);
-                ks.push(k as u16);
-            }
-            offsets.push(times.len() as u32);
-        }
-        RowIndex {
-            times,
-            starts,
-            ks,
-            offsets,
-        }
+/// Snapshot the process-wide partitioner counters.
+pub fn dp_solve_stats() -> DpSolveStats {
+    DpSolveStats {
+        eq2_solves: EQ2_SOLVES.load(Ordering::Relaxed),
     }
+}
 
-    /// Eq. 2 over the row index for one `t_max`. Produces exactly the
-    /// result of [`Partitioner::solve_for_tmax`]: the same minimum and
-    /// the same back-pointers (ties broken toward the smallest `k`, which
-    /// is the dense scan's first-strict-improvement order).
-    fn solve(&self, n: usize, t_max: Micros) -> Option<(Micros, Vec<usize>)> {
-        let mut f = vec![f64::INFINITY; n + 1];
-        let mut back = vec![usize::MAX; n + 1];
-        f[0] = 0.0;
-        for end in 1..=n {
-            let lo = self.offsets[end - 1] as usize;
-            let hi = self.offsets[end] as usize;
-            let m = self.times[lo..hi].partition_point(|&t| t <= t_max);
-            let mut best = f64::INFINITY;
-            let mut best_k = usize::MAX;
-            let mut best_start = usize::MAX;
-            for j in lo..lo + m {
-                let start = self.starts[j] as usize;
-                let cand = f[start] + self.times[j];
-                let k = self.ks[j] as usize;
-                if cand < best || (cand == best && k < best_k) {
-                    best = cand;
-                    best_k = k;
-                    best_start = start;
-                }
-            }
-            if best.is_finite() {
-                f[end] = best;
-                back[end] = best_start;
-            }
-        }
-        if f[n].is_finite() {
-            Some((f[n], back))
-        } else {
-            None
+impl DpSolveStats {
+    /// Counter deltas since an earlier snapshot (saturating, so a
+    /// snapshot pair taken out of order reads zero, not garbage).
+    pub fn since(&self, earlier: &DpSolveStats) -> DpSolveStats {
+        DpSolveStats {
+            eq2_solves: self.eq2_solves.saturating_sub(earlier.eq2_solves),
         }
     }
 }
 
-/// Golden ratio conjugate, (√5 − 1) / 2.
-const INVPHI: f64 = 0.618_033_988_749_895;
-
-/// The opening golden-section probe indices of the inclusive bracket
-/// `[a, b]`.
-fn golden_pair(a: usize, b: usize) -> (usize, usize) {
-    let probe_at = |frac: f64| a + ((b - a) as f64 * frac).round() as usize;
-    (probe_at(1.0 - INVPHI), probe_at(INVPHI))
-}
-
-/// Which side a golden-section pass keeps when its two probe values are
-/// exactly equal (a plateau step, including the both-infeasible `+inf`
-/// case, where the comparison carries no descent information).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PlateauBias {
-    /// Keep the left sub-bracket (the classic `f1 <= f2` rule).
-    Left,
-    /// Keep the right sub-bracket — drifts toward larger indices.
-    Right,
-}
-
-/// Outcome of one golden-section narrowing pass.
-struct GoldenPass {
-    /// Lowest evaluation seen.
-    best: f64,
-    /// Whether the pass *ended* on a plateau: its final probe pair was
-    /// exactly equal (the converged bracket carries no descent
-    /// information — including the both-infeasible `+inf` case), or the
-    /// pass never saw a finite value at all. A mid-pass tie that later
-    /// resolves into strict descent does not count: the pass found a
-    /// genuine basin and a restart would only re-solve candidates.
-    plateau: bool,
-}
-
-/// One golden-section narrowing pass over the inclusive index bracket
-/// `[a, b]`, minimizing `eval`. Narrows until the bracket is at most
-/// `stop` wide (or 32 iterations). Infeasible candidates evaluate to
-/// `+inf`, which steers the bracket toward the (larger, feasible) side —
-/// except when *both* probes are infeasible, where the comparison
-/// carries no direction and the `bias` decides.
-fn golden_pass(
-    mut a: usize,
-    mut b: usize,
-    stop: usize,
-    bias: PlateauBias,
-    eval: &mut dyn FnMut(usize) -> f64,
-) -> GoldenPass {
-    let (mut x1, mut x2) = golden_pair(a, b);
-    let mut f1 = eval(x1);
-    let mut f2 = eval(x2);
-    let mut best = f1.min(f2);
-    let mut iters = 0usize;
-    while b - a > stop && iters < 32 {
-        iters += 1;
-        let keep_left = match bias {
-            PlateauBias::Left => f1 <= f2,
-            PlateauBias::Right => f1 < f2,
-        };
-        if keep_left {
-            b = x2;
-            x2 = x1;
-            f2 = f1;
-            x1 = golden_pair(a, b).0;
-            f1 = eval(x1);
-            best = best.min(f1);
-        } else {
-            a = x1;
-            x1 = x2;
-            f1 = f2;
-            x2 = golden_pair(a, b).1;
-            f2 = eval(x2);
-            best = best.min(f2);
-        }
-    }
-    GoldenPass {
-        best,
-        plateau: f1 == f2 || !best.is_finite(),
-    }
-}
-
-/// Golden-section probe over candidate indices `0..n`: returns the lowest
-/// objective seen (a valid prune bound — any candidate's true objective
-/// is one; see [`Partitioner::sweep_tmax`]).
+/// Exact bound-driven search over ascending `candidates`: the index that
+/// minimizes `objective(t_max, sum)`, the smallest such index on ties,
+/// with its solve payload; `None` when no candidate is feasible.
 ///
-/// The objective is near-unimodal over the candidates, but plateaus —
-/// runs of exactly-equal evaluations, most importantly the `+inf` runs of
-/// wide infeasible prefixes on tight-memory configs — give the narrowing
-/// no descent direction, and the classic `f1 <= f2` rule then drifts
-/// monotonically left, potentially converging far from the basin. When a
-/// pass **ends** on a plateau (see [`GoldenPass::plateau`] — a mid-pass
-/// tie that resolves into strict descent found a genuine basin and
-/// triggers nothing), the probe **restarts from both bracket ends**: a
-/// second pass with the opposite plateau bias drifts right over the same
-/// range, so a basin hiding at either end of the plateau is reached by
-/// one of the two passes. The extra solves are cached and reused by the
-/// ascending sweep, and a weak bound only weakens pruning — never
-/// correctness.
-fn golden_probe(n: usize, stop: usize, eval: &mut dyn FnMut(usize) -> f64) -> f64 {
-    if n == 0 {
-        return f64::INFINITY;
+/// `solve(i)` runs Eq. 2 at `candidates[i]`. Its sum must be
+/// non-increasing in `i`, and infeasibility (`None`) closed downward;
+/// `objective` must be non-decreasing in both arguments. Then the sum
+/// solved at `j` makes `objective(candidates[i], sum_j)` a true lower
+/// bound on the objective of every `i < j`, and the search only bisects
+/// runs of unsolved candidates whose bound can still beat the incumbent.
+/// Each candidate is solved at most once.
+fn search_tmax<P>(
+    candidates: &[Micros],
+    objective: impl Fn(Micros, Micros) -> Micros,
+    mut solve: impl FnMut(usize) -> Option<(Micros, P)>,
+) -> Option<(usize, P)> {
+    let last = candidates.len().checked_sub(1)?;
+    // The largest bound admits every feasible slice: if it has no
+    // partition, no candidate has one.
+    let (sum, payload) = solve(last)?;
+    let (mut best_obj, mut best_idx, mut best) = (objective(candidates[last], sum), last, payload);
+    // Runs `lo..hi` of unsolved candidates, each bounded by the sum solved
+    // at `hi`.
+    let mut gaps: Vec<(usize, usize, Micros)> = vec![(0, last, sum)];
+    // Depth first, lower runs first; the order changes how many solves
+    // run, never the result.
+    while let Some((lo, hi, s)) = gaps.pop() {
+        // A candidate whose objective, or lower bound, is `v` can still win
+        // if `v` beats the incumbent, or ties it at a smaller index.
+        let can_win = |v: Micros, i: usize| v < best_obj || (v == best_obj && i < best_idx);
+        // The bound rises with `t_max`, so the members that can win form a
+        // prefix of the run: bisect it.
+        let live = (lo..hi)
+            .take_while(|&i| can_win(objective(candidates[i], s), i))
+            .count();
+        if live == 0 {
+            continue;
+        }
+        let mid = lo + (live - 1) / 2;
+        gaps.push((mid + 1, hi, s));
+        // If `mid` is infeasible, so is everything below it.
+        if let Some((sum, payload)) = solve(mid) {
+            let obj = objective(candidates[mid], sum);
+            if can_win(obj, mid) {
+                (best_obj, best_idx, best) = (obj, mid, payload);
+            }
+            gaps.push((lo, mid, sum));
+        }
     }
-    if n == 1 {
-        return eval(0);
-    }
-    let main = golden_pass(0, n - 1, stop, PlateauBias::Left, eval);
-    let mut bound = main.best;
-    if main.plateau {
-        bound = bound.min(golden_pass(0, n - 1, stop, PlateauBias::Right, eval).best);
-    }
-    bound
+    Some((best_idx, best))
 }
 
 impl<'a> Partitioner<'a> {
@@ -650,6 +527,7 @@ impl<'a> Partitioner<'a> {
     /// Run Eq. 2 for one `t_max`; returns (`f(N)`, split back-pointers) or
     /// `None` if no feasible partition exists under the bound.
     fn solve_for_tmax(&self, table: &SliceCosts, t_max: Micros) -> Option<(Micros, Vec<usize>)> {
+        EQ2_SOLVES.fetch_add(1, Ordering::Relaxed);
         let n = table.n;
         let mut f = vec![f64::INFINITY; n + 1];
         let mut back = vec![usize::MAX; n + 1];
@@ -691,80 +569,34 @@ impl<'a> Partitioner<'a> {
         ranges
     }
 
-    /// The outer `t_max` sweep: one serial loop over the candidates in
-    /// ascending order, each an Eq. 2 solve on the row index, with the
-    /// exact monotonicity early-exit — once `(c-1)·t_max` alone reaches
-    /// the prune bound, no larger candidate can improve on it (the sum
-    /// term is non-negative). The sweep is serial on purpose: the planner
-    /// parallelizes one level up, across the §7 recompute modes, and a
-    /// second level would only split the same cores finer.
+    /// The outer `t_max` sweep: the split back-pointers of the candidate
+    /// with the lowest objective `(c-1)·t_max + S(t_max)/|D|`, the
+    /// smallest `t_max` on ties, exactly as the full sweep of
+    /// [`Partitioner::partition_reference`] selects it.
     ///
-    /// Before the ascending sweep, a golden-section probe over the
-    /// candidate *index* seeds the prune bound: the objective trades the
-    /// ramp term `(c-1)·t_max` (increasing in `t_max`) against the sum
-    /// term (non-increasing), so it is near-unimodal over the candidates
-    /// and the probe narrows onto a low objective in `O(log n)` solves
-    /// instead of probing fixed fractions. On plateaus — equal probe
-    /// evaluations, including both-infeasible `+inf` brackets — the probe
-    /// restarts from both bracket ends with opposite drift directions
-    /// (see [`golden_probe`]). Any candidate's true objective
-    /// is a valid bound — non-unimodality can only weaken the bound, never
-    /// break correctness: the optimal candidate `t*` satisfies
-    /// `(c-1)·t* < obj(t*) <= bound` strictly (its sum term is positive),
-    /// so it is never pruned, and every pruned candidate has
-    /// `obj >= (c-1)·t_max >= bound >= obj(t*)`, so it could neither win
-    /// nor tie ahead of `t*` in the ascending order.
+    /// It solves only the candidates [`search_tmax`] cannot rule out. The
+    /// Eq. 2 minimum `S(t)` is non-increasing in `t_max` bit for bit: a
+    /// larger bound admits a superset of slices, and rounded `+` and `min`
+    /// are monotone. So once candidate `j` is solved, every unsolved
+    /// `i < j` has `obj(i) >= (c-1)·t_i + S(t_j)/|D|`, again in rounded
+    /// arithmetic. A candidate whose bound exceeds the incumbent cannot
+    /// win; one whose bound equals it can only tie, and a tie at a larger
+    /// index loses under the full sweep's strict-improvement fold. Neither
+    /// is solved, and every other candidate is, so the argmin and its
+    /// tie-break are exact. Infeasibility is downward-closed for the same
+    /// reason, so the largest candidate is solved first: if it has no
+    /// partition, the mini-batch has none.
     ///
-    /// Selection is identical to the full sweep: results are folded in
-    /// ascending candidate order and a new best must be strictly better,
-    /// so ties keep the smallest candidate.
-    fn sweep_tmax(
-        &self,
-        table: &SliceCosts,
-        candidates: &[Micros],
-    ) -> Option<(Micros, Vec<usize>, Micros)> {
+    /// The search is serial on purpose: the planner parallelizes one
+    /// level up, across the §7 recompute modes.
+    fn sweep_tmax(&self, table: &SliceCosts, candidates: &[Micros]) -> Option<Vec<usize>> {
         let c = self.cm.num_stages() as f64;
         let dp_deg = self.config.dp_degree.max(1) as f64;
-        let n = table.n;
-        let rows = RowIndex::build(table);
         let objective = |t_max: Micros, sum: Micros| (c - 1.0) * t_max + sum / dp_deg;
-
-        // Seed probes: solves are cached and reused by the main sweep.
-        let mut cache: Vec<Option<Option<(Micros, Vec<usize>)>>> = vec![None; candidates.len()];
-        let mut prune_bound = f64::INFINITY;
-        if candidates.len() >= 16 {
-            // Stop once the bracket is a small fraction of the candidate
-            // set: by then the bound sits near the basin floor, and the
-            // ascending sweep resolves the exact argmin anyway.
-            let divisor = self.config.probe_stop_divisor.max(1);
-            let stop = (candidates.len() / divisor).max(2);
-            let mut eval = |i: usize| -> Micros {
-                if cache[i].is_none() {
-                    cache[i] = Some(rows.solve(n, candidates[i]));
-                }
-                match cache[i].as_ref().expect("just filled") {
-                    Some((sum, _)) => objective(candidates[i], *sum),
-                    None => f64::INFINITY,
-                }
-            };
-            prune_bound = golden_probe(candidates.len(), stop, &mut eval);
-        }
-
-        let mut best: Option<(Micros, Vec<usize>, Micros)> = None;
-        for (i, &t_max) in candidates.iter().enumerate() {
-            if (c - 1.0) * t_max >= prune_bound {
-                // All remaining candidates are >= t_max.
-                break;
-            }
-            let sol = cache[i].take().unwrap_or_else(|| rows.solve(n, t_max));
-            let Some((sum, back)) = sol else { continue };
-            let obj = objective(t_max, sum);
-            prune_bound = prune_bound.min(obj);
-            if best.as_ref().is_none_or(|(b, _, _)| obj < *b) {
-                best = Some((obj, back, t_max));
-            }
-        }
-        best
+        let (_, back) = search_tmax(candidates, objective, |i| {
+            self.solve_for_tmax(table, candidates[i])
+        })?;
+        Some(back)
     }
 
     /// Assemble the final result from chosen split back-pointers.
@@ -850,11 +682,7 @@ impl<'a> Partitioner<'a> {
         debug_assert_eq!(shapes.arch(), self.cm.model.arch);
         debug_assert_eq!(fwd.fwd.len(), shapes.distinct.len());
         let table = self.cost_pass(shapes, fwd);
-        let candidates = self.candidates(&table);
-        if candidates.is_empty() {
-            return None;
-        }
-        let (_, back, _) = self.sweep_tmax(&table, &candidates)?;
+        let back = self.sweep_tmax(&table, &self.candidates(&table))?;
         Some(self.finish(ordered, &back))
     }
 
@@ -1063,8 +891,8 @@ mod tests {
 
     #[test]
     fn pruned_sweep_matches_reference_exactly() {
-        // The golden probe and the early exit must never change the
-        // selected partition: compare against the retained serial
+        // The bound-driven search must never change the selected
+        // partition: compare against the retained serial
         // full-sweep reference across mini-batch sizes, pipeline depths,
         // dp degrees and memory limits (tight limits exercise infeasible
         // candidates inside the sweep).
@@ -1074,10 +902,7 @@ mod tests {
             let cm = cm(pp);
             let mut samples = mixed(n, seed);
             sort_samples(cm.model.arch, &mut samples);
-            let limit = cm.mb_activation_max(
-                &MicroBatchShape::gpt(4, 6200),
-                RecomputeMode::None,
-            );
+            let limit = cm.mb_activation_max(&MicroBatchShape::gpt(4, 6200), RecomputeMode::None);
             for mb_memory_limit in [Bytes::MAX / 4, limit] {
                 let mut cfg = DpConfig::new(mb_memory_limit);
                 cfg.dp_degree = dp_degree;
@@ -1096,20 +921,14 @@ mod tests {
 
     #[test]
     fn probe_stop_divisor_never_changes_the_partition() {
-        // The probe-stop divisor moves the point where the golden-section
-        // probe hands off to the ascending sweep — a pure perf knob. Any
+        // The probe-stop divisor has no effect: no code reads it. Any
         // value must give a partition bit-identical to the serial
-        // full-sweep reference: divisor 1 stops the probe almost
-        // immediately (bracket < len), huge divisors drive the bracket
-        // down to the `.max(2)` floor.
+        // full-sweep reference.
         for (pp, n, seed, dp_degree) in [(4, 60, 2, 1), (16, 80, 3, 4)] {
             let cm = cm(pp);
             let mut samples = mixed(n, seed);
             sort_samples(cm.model.arch, &mut samples);
-            let limit = cm.mb_activation_max(
-                &MicroBatchShape::gpt(4, 6200),
-                RecomputeMode::None,
-            );
+            let limit = cm.mb_activation_max(&MicroBatchShape::gpt(4, 6200), RecomputeMode::None);
             for mb_memory_limit in [Bytes::MAX / 4, limit] {
                 let reference = {
                     let mut cfg = DpConfig::new(mb_memory_limit);
@@ -1245,71 +1064,119 @@ mod tests {
         assert!(long_mb.samples.iter().all(|s| s.input_len >= 4000));
     }
 
-    #[test]
-    fn golden_probe_escapes_right_edge_basin_on_plateau() {
-        // A plateau-shaped candidate set: flat objective with the true
-        // basin at the far right end. The classic `f1 <= f2` narrowing
-        // drifts left on the plateau and returns the plateau value; the
-        // both-ends restart must reach the basin.
-        let mut v = vec![10.0f64; 64];
-        for (d, x) in v[60..].iter_mut().enumerate() {
-            *x = 4.0 - d as f64; // 4, 3, 2, 1
+    /// The reference fold over a synthetic sweep: the smallest index
+    /// with the lowest objective.
+    fn exhaustive_argmin(
+        candidates: &[Micros],
+        sums: &[Option<Micros>],
+        objective: impl Fn(Micros, Micros) -> Micros,
+    ) -> Option<usize> {
+        let mut best: Option<(Micros, usize)> = None;
+        for (i, sum) in sums.iter().enumerate() {
+            let Some(sum) = *sum else { continue };
+            let obj = objective(candidates[i], sum);
+            if best.is_none_or(|(b, _)| obj < b) {
+                best = Some((obj, i));
+            }
         }
-        let left_only = golden_pass(0, 63, 2, PlateauBias::Left, &mut |i| v[i]);
-        assert!(left_only.plateau, "flat region must register as a plateau");
-        assert_eq!(
-            left_only.best, 10.0,
-            "single left-biased pass converges away from the right basin"
-        );
-        let bound = golden_probe(64, 2, &mut |i| v[i]);
-        assert!(
-            bound < 10.0,
-            "both-ends restart must reach the right-edge basin, got {bound}"
-        );
+        best.map(|(_, i)| i)
+    }
+
+    /// Synthetic non-increasing sweep over candidates `5, 10, 15, ...`:
+    /// `infeasible` leading `None`s, then sums built right to left from
+    /// `steps`. Step kind 0 is a plateau (equal sums); kind 1 raises the
+    /// sum by exactly what the ramp term drops, so the objective ties;
+    /// kind `k >= 2` raises it by `(k - 1) / 2` of that plus 5/4. Every
+    /// value is a small multiple of 5/4, so the objective is exact and
+    /// ties are real.
+    fn synthetic_sweep(
+        steps: &[u64],
+        infeasible: usize,
+        stages: f64,
+        dp: f64,
+    ) -> (Vec<Micros>, Vec<Option<Micros>>) {
+        let m = steps.len() + 1;
+        let candidates: Vec<Micros> = (1..=m).map(|i| 5.0 * i as f64).collect();
+        let tie_step = (stages - 1.0) * 5.0 * dp;
+        let mut sums = vec![None; m];
+        let mut sum = 10.0;
+        sums[m - 1] = Some(sum);
+        for i in (0..m - 1).rev() {
+            sum += match steps[i] {
+                0 => 0.0,
+                1 => tie_step,
+                k => tie_step * (k - 1) as f64 / 2.0 + 1.25,
+            };
+            sums[i] = Some(sum);
+        }
+        for s in sums.iter_mut().take(infeasible.min(m)) {
+            *s = None;
+        }
+        (candidates, sums)
+    }
+
+    /// Run the search over a synthetic sweep and check it against the
+    /// exhaustive fold: same argmin (payload included), and no candidate
+    /// solved twice, so at most `m` solves.
+    fn check_search(steps: &[u64], infeasible: usize, stages: f64, dp: f64) -> Result<(), String> {
+        let (candidates, sums) = synthetic_sweep(steps, infeasible, stages, dp);
+        let objective = |t: Micros, sum: Micros| (stages - 1.0) * t + sum / dp;
+        let mut solved = vec![0u32; candidates.len()];
+        let found = search_tmax(&candidates, objective, |i| {
+            solved[i] += 1;
+            sums[i].map(|sum| (sum, i))
+        });
+        let expect = exhaustive_argmin(&candidates, &sums, objective);
+        let case = format!("sums {sums:?}, c={stages}, dp={dp}");
+        if found.map(|(i, _)| i) != expect {
+            return Err(format!(
+                "{case}: search chose {found:?}, exhaustive {expect:?}"
+            ));
+        }
+        if let Some((i, payload)) = found {
+            if i != payload {
+                return Err(format!("{case}: payload {payload} of candidate {i}"));
+            }
+        }
+        if solved.iter().any(|&n| n > 1) {
+            return Err(format!("{case}: a candidate was solved twice: {solved:?}"));
+        }
+        Ok(())
     }
 
     #[test]
-    fn golden_probe_finds_feasible_side_of_infeasible_plateau() {
-        // Tight-memory configs produce wide infeasible (+inf) prefixes;
-        // with both opening probes infinite the comparison carries no
-        // direction and a single pass drifts left into the infeasible
-        // region. The restart's right-drifting pass must find the
-        // feasible tail.
-        let v: Vec<f64> = (0..96)
-            .map(|i| if i < 70 { f64::INFINITY } else { 100.0 - i as f64 })
-            .collect();
-        let left_only = golden_pass(0, 95, 2, PlateauBias::Left, &mut |i| v[i]);
-        assert!(left_only.plateau);
-        assert!(
-            left_only.best.is_infinite(),
-            "single pass stays in the infeasible prefix"
-        );
-        let bound = golden_probe(96, 2, &mut |i| v[i]);
-        assert!(
-            bound.is_finite(),
-            "restart must seed a finite bound from the feasible tail"
-        );
+    fn search_tmax_handles_one_and_two_candidates() {
+        // Every sweep shape at m ∈ {1, 2}: feasible or not, plateau, tie,
+        // strict descent.
+        for stages in [1.0, 2.0, 4.0] {
+            for dp in [1.0, 2.0] {
+                check_search(&[], 0, stages, dp).unwrap();
+                check_search(&[], 1, stages, dp).unwrap();
+                for step in 0..4 {
+                    for infeasible in 0..=2 {
+                        check_search(&[step], infeasible, stages, dp).unwrap();
+                    }
+                }
+            }
+        }
     }
 
-    #[test]
-    fn golden_probe_bound_is_a_true_objective_value() {
-        // The bound must always be some candidate's actual evaluation
-        // (it seeds exact pruning), for unimodal and plateaued sets alike.
-        let sets: Vec<Vec<f64>> = vec![
-            (0..64).map(|i| ((i as f64) - 20.0).powi(2)).collect(),
-            vec![7.0; 64],
-            (0..64)
-                .map(|i| if i < 30 { f64::INFINITY } else { i as f64 })
-                .collect(),
-        ];
-        for v in sets {
-            let bound = golden_probe(v.len(), 2, &mut |i| v[i]);
-            assert!(
-                v.iter().any(|&x| x == bound) || bound.is_infinite(),
-                "bound {bound} must be an actual evaluation"
-            );
-            let min = v.iter().copied().fold(f64::INFINITY, f64::min);
-            assert!(bound >= min, "bound can never undercut the true minimum");
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
+
+        /// Over non-increasing sweeps with infeasible prefixes, plateaus
+        /// and exact objective ties at different indices, the search picks
+        /// the exhaustive argmin with the smallest-index tie-break and
+        /// solves no candidate twice.
+        #[test]
+        fn search_tmax_matches_exhaustive_argmin(
+            steps in proptest::collection::vec(0u64..6, 0..60),
+            infeasible in 0usize..40,
+            stages in 1u64..9,
+            dp in 0u32..3,
+        ) {
+            let result = check_search(&steps, infeasible, stages as f64, (1u32 << dp) as f64);
+            proptest::prop_assert!(result.is_ok(), "{}", result.unwrap_err());
         }
     }
 

@@ -29,7 +29,10 @@ pub use baselines::{
     fixed_size_micro_batches, pack_samples, packed_micro_batches, token_based_micro_batches,
     PackedSequence,
 };
-pub use dp::{DpConfig, PartitionResult, Partitioner, SliceFwdCosts, SliceShapes};
+pub use dp::{
+    dp_solve_stats, DpConfig, DpSolveStats, PartitionResult, Partitioner, SliceFwdCosts,
+    SliceShapes,
+};
 pub use kk::karmarkar_karp;
 pub use metrics::{padding_efficiency, PaddingStats};
 pub use microbatch::MicroBatch;

@@ -4,9 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynapipe_batcher::{sort_samples, DpConfig, Partitioner, SliceFwdCosts};
-use dynapipe_model::memory::RecomputeMode;
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, Sample};
+use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 
 fn minibatch(tokens: usize) -> Vec<Sample> {
@@ -55,27 +55,6 @@ fn bench_partitioner(c: &mut Criterion) {
             |b, samples| {
                 let mut cfg = DpConfig::new(cm.min_activation_budget());
                 cfg.max_candidates = cands;
-                let p = Partitioner::new(&cm, cfg);
-                b.iter(|| {
-                    p.partition(std::hint::black_box(samples))
-                        .unwrap()
-                        .est_iteration_time
-                })
-            },
-        );
-    }
-    // Ablation: golden-section probe stop (the bracket fraction at which
-    // the seed probe hands its prune bound to the ascending sweep). The
-    // partition is bit-identical across the whole range (pure perf knob);
-    // the shipped default is `DpConfig::PROBE_STOP_DIVISOR`, the winner
-    // of this sweep on the fig17 workload.
-    for divisor in [4usize, 8, 16, 32, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("probe_stop_divisor", divisor),
-            &samples,
-            |b, samples| {
-                let mut cfg = DpConfig::new(cm.min_activation_budget());
-                cfg.probe_stop_divisor = divisor;
                 let p = Partitioner::new(&cm, cfg);
                 b.iter(|| {
                     p.partition(std::hint::black_box(samples))

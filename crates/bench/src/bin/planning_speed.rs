@@ -10,7 +10,8 @@
 //! * **optimized**: the production path: one mode-independent shape pass
 //!   shared across all recompute modes, batched deduplicated cost pricing
 //!   (one grid solve per mode against a shared query plan), and the
-//!   pruned `t_max` sweep seeded by a golden-section probe.
+//!   bound-driven `t_max` search, which runs Eq. 2 only for candidates
+//!   a solved neighbour's sum cannot rule out.
 //!
 //! Each partition call is single-threaded (planning parallelism lives in
 //! the planner's §7 mode sweep, which this bench does not run), so
@@ -18,15 +19,18 @@
 //! should be no slower than at 1.
 //!
 //! Emits `BENCH_planning.json` with `{serial_us, parallel_us, speedup}`
-//! plus per-model breakdowns including **distinct-shape counts** and
-//! **grid-query counters** (scalar queries vs batched points/cells), so
-//! pricing-layer regressions are visible in the artifact, not just the
-//! wall clock. Equivalence of the chosen partitions is checked on every
-//! measured mini-batch — the speed-up must never come from choosing
+//! plus per-model breakdowns including **distinct-shape counts**,
+//! **grid-query counters** (scalar queries vs batched points/cells) and
+//! **Eq. 2 solve counts** of both paths, so pricing-layer and search
+//! regressions are visible in the artifact, not just the wall clock.
+//! Equivalence of the chosen partitions is checked on every measured
+//! mini-batch — the speed-up must never come from choosing
 //! different partitions — and any divergence makes the bench exit
 //! nonzero after reporting every offending case.
 
-use dynapipe_batcher::{sort_samples, DpConfig, Partitioner, SliceFwdCosts};
+use dynapipe_batcher::{
+    dp_solve_stats, sort_samples, DpConfig, DpSolveStats, Partitioner, SliceFwdCosts,
+};
 use dynapipe_bench::{probe_minibatches, write_json, write_root_artifact, BenchOpts, Point};
 use dynapipe_cost::{grid_query_stats, CostModel, GridQueryStats, ProfileOptions};
 use dynapipe_data::{Dataset, Sample};
@@ -42,6 +46,8 @@ struct ModelRun {
     distinct_shapes: u64,
     serial_queries: GridQueryStats,
     opt_queries: GridQueryStats,
+    serial_solves: DpSolveStats,
+    opt_solves: DpSolveStats,
     divergences: usize,
 }
 
@@ -75,6 +81,7 @@ fn run_model(
     // Serial reference: rebuild the fused slice table per recompute mode,
     // full candidate sweep.
     let stats0 = grid_query_stats();
+    let solves0 = dp_solve_stats();
     let t0 = Instant::now();
     let mut serial_outcomes: Vec<Outcome> = Vec::new();
     for mb in &ordered {
@@ -88,9 +95,10 @@ fn run_model(
     }
     let serial_us = t0.elapsed().as_secs_f64() * 1e6;
     let stats1 = grid_query_stats();
+    let solves1 = dp_solve_stats();
 
     // Optimized: one shared shape pass + batched query plan per
-    // mini-batch, per-mode re-pricing, pruned t_max sweep.
+    // mini-batch, per-mode re-pricing, bound-driven t_max search.
     let t1 = Instant::now();
     let mut fast_outcomes: Vec<Outcome> = Vec::new();
     let mut distinct_shapes = 0u64;
@@ -108,6 +116,7 @@ fn run_model(
     }
     let parallel_us = t1.elapsed().as_secs_f64() * 1e6;
     let stats2 = grid_query_stats();
+    let solves2 = dp_solve_stats();
 
     let mut divergences = 0usize;
     for (i, (s, f)) in serial_outcomes.iter().zip(&fast_outcomes).enumerate() {
@@ -145,6 +154,8 @@ fn run_model(
     );
     let serial_queries = stats1.since(&stats0);
     let opt_queries = stats2.since(&stats1);
+    let serial_solves = solves1.since(&solves0);
+    let opt_solves = solves2.since(&solves1);
     println!(
         "        {} distinct shapes | serial {} scalar queries | optimized {} scalar + {} batched points -> {} cells",
         distinct_shapes,
@@ -153,6 +164,10 @@ fn run_model(
         opt_queries.batch_points,
         opt_queries.batch_cells,
     );
+    println!(
+        "        Eq. 2 solves: serial {} | optimized {}",
+        serial_solves.eq2_solves, opt_solves.eq2_solves,
+    );
     ModelRun {
         name,
         serial_us,
@@ -160,6 +175,8 @@ fn run_model(
         distinct_shapes,
         serial_queries,
         opt_queries,
+        serial_solves,
+        opt_solves,
         divergences,
     }
 }
@@ -186,7 +203,10 @@ fn main() {
     let serial_us: f64 = runs.iter().map(|r| r.serial_us).sum();
     let parallel_us: f64 = runs.iter().map(|r| r.parallel_us).sum();
     let speedup = serial_us / parallel_us;
-    println!("\n  total: {speedup:.2}x (threads: {})", rayon::current_num_threads());
+    println!(
+        "\n  total: {speedup:.2}x (threads: {})",
+        rayon::current_num_threads()
+    );
 
     let per_model = serde_json::Value::Object(
         runs.iter()
@@ -198,6 +218,10 @@ fn main() {
                     "optimized_batch_cells": r.opt_queries.batch_cells,
                     "optimized_batch_evals": r.opt_queries.batch_evals,
                 });
+                let eq2_solves = serde_json::json!({
+                    "serial": r.serial_solves.eq2_solves,
+                    "optimized": r.opt_solves.eq2_solves,
+                });
                 (
                     r.name.to_string(),
                     serde_json::json!({
@@ -206,6 +230,7 @@ fn main() {
                         "speedup": r.serial_us / r.parallel_us,
                         "distinct_shapes": r.distinct_shapes,
                         "grid_queries": grid_queries,
+                        "eq2_solves": eq2_solves,
                     }),
                 )
             })
