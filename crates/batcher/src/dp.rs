@@ -20,14 +20,18 @@
 //!    on sorted real-world batches most slices collapse onto a few
 //!    hundred distinct padded shapes;
 //! 2. a *mode-dependent cost pass* prices only the distinct shapes under a
-//!    given [`RecomputeMode`] and memory limit — as **one batched grid
-//!    solve** through [`dynapipe_cost::ShapeBatch`] (every distinct axis
-//!    coordinate located once, duplicate grid points collapsed) — then
-//!    scatters the costs back over the dense `(end, width)` grid.
+//!    given [`RecomputeMode`] and memory limit, then scatters the costs
+//!    back over the dense `(end, width)` grid. It queries only the grids
+//!    the mode changes — `recompute_extra` and `activation` — as one
+//!    batched solve each over the shared [`dynapipe_cost::ShapeBatch`].
 //!
-//! The §7 recompute sweep in the planner builds the shape pass and the
-//! batched query plan once and re-prices them per mode, instead of
-//! recomputing shapes and re-locating grid coordinates `|modes|` times.
+//! Between the two, [`SliceFwdCosts`] locates the distinct shapes' grid
+//! coordinates and prices every term no mode changes — the forward time
+//! and the backward pass's `bwd_time` and LM-head terms — once per
+//! mini-batch. The §7 recompute sweep in the planner builds the shape
+//! pass and this table once and runs only the cost pass per mode, instead
+//! of recomputing shapes, re-locating coordinates and re-querying the
+//! mode-independent grids `|modes|` times.
 //!
 //! The outer `t_max` sweep is an exact bound-driven search that skips most
 //! Eq. 2 solves. It rests on one property: the minimum sum `S(t)` is
@@ -49,7 +53,7 @@
 //! schedule's in-flight factor.
 
 use crate::microbatch::MicroBatch;
-use dynapipe_cost::{CostModel, ShapeBatch};
+use dynapipe_cost::{CostModel, ModeFreeCosts, ShapeBatch};
 use dynapipe_data::Sample;
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{Bytes, MicroBatchShape, Micros, ModelArch};
@@ -74,10 +78,14 @@ pub struct DpConfig {
     /// Data-parallel degree: 1 gives the pure Eq. 1 objective, larger
     /// values the hybrid objective with the sum term divided by `|D|`.
     pub dp_degree: usize,
-    /// Cap on the number of `t_max` candidates tried. When the 5 µs
-    /// resolution would produce more, the resolution is coarsened — the
+    /// Target number of `t_max` resolution steps across the feasible
+    /// slice-time range. When the 5 µs resolution would take more steps,
+    /// the resolution is coarsened to `range / max_candidates` — the
     /// planner-side analogue of the paper's fixed-interval sampling, tuned
-    /// for the reproduction's single-process experiment sweeps.
+    /// for the reproduction's single-process experiment sweeps. It is not
+    /// a hard cap: both ends of the range round up to a candidate, and
+    /// floating-point rounding can add one more, so up to
+    /// `max_candidates + 2` candidates can result.
     pub max_candidates: usize,
     /// Has no effect: the `t_max` search it used to tune is gone. Kept
     /// only so existing `DpConfig` literals that set it still compile; no
@@ -311,28 +319,39 @@ impl SliceShapes {
     }
 }
 
-/// Mode-independent forward times (`t_f`) per distinct slice shape — the
-/// second shareable table of the two-pass design — plus the batched grid
-/// query plan over those shapes. Forward cost does not depend on the
-/// recomputation mode, so the §7 sweep prices it once; the query plan's
-/// located coordinates are likewise mode-independent (every mode's grids
-/// share the profile's sampling axes), so each mode's cost pass re-prices
-/// the same plan instead of re-locating thousands of coordinates.
+/// The mode-independent table per distinct slice shape: the batched grid
+/// query plan over the shapes and every pricing term no recomputation
+/// mode changes — the forward time `t_f` and the backward pass's
+/// `bwd_time` and LM-head terms. The §7 sweep builds it once per
+/// mini-batch; each mode's cost pass then queries only that mode's
+/// `recompute_extra` and `activation` grids against the same plan
+/// (every mode's grids share the profile's sampling axes).
 pub struct SliceFwdCosts {
-    fwd: Vec<Micros>,
     /// Shared located grid coordinates of the distinct shapes.
     batch: ShapeBatch,
+    /// Mode-independent terms of the distinct shapes.
+    base: ModeFreeCosts,
 }
 
 impl SliceFwdCosts {
-    /// Locate the distinct shapes' grid coordinates once and price the
-    /// forward half of every distinct shape in one batched solve.
+    /// Locate the distinct shapes' grid coordinates once and price their
+    /// mode-independent terms in one batched solve.
     pub fn build(cm: &CostModel, shapes: &SliceShapes) -> SliceFwdCosts {
-        // Forward grids are identical across modes; `None` is arbitrary.
-        let pricer = cm.shape_pricer(RecomputeMode::None);
-        let batch = pricer.locate_batch(&shapes.distinct);
-        let fwd = pricer.mb_fwd_batch(&batch);
-        SliceFwdCosts { fwd, batch }
+        // The plan is identical across modes; `None` is arbitrary.
+        let batch = cm
+            .shape_pricer(RecomputeMode::None)
+            .locate_batch(&shapes.distinct);
+        Self::from_batch(cm, batch)
+    }
+
+    /// Price the mode-independent terms over an already-located plan of
+    /// a [`SliceShapes`]' distinct shapes — the second half of
+    /// [`SliceFwdCosts::build`], for callers that time the two apart.
+    pub fn from_batch(cm: &CostModel, batch: ShapeBatch) -> SliceFwdCosts {
+        // The mode-free terms are identical across modes; `None` is
+        // arbitrary.
+        let base = cm.shape_pricer(RecomputeMode::None).price_mode_free(&batch);
+        SliceFwdCosts { batch, base }
     }
 }
 
@@ -448,34 +467,40 @@ impl<'a> Partitioner<'a> {
     }
 
     /// The mode-dependent cost pass: price every distinct shape under this
-    /// partitioner's recompute mode and memory limit as **one batched
-    /// solve per mode**, then scatter onto the dense grid. Pricing goes
-    /// through [`dynapipe_cost::ShapePricer`]'s batched methods against
-    /// the shared query plan in `fwd` — bit-identical to per-shape
-    /// `mb_time`/`mb_activation_max` calls, with every grid coordinate
-    /// located once per mini-batch instead of once per shape per mode —
-    /// and reuses the shared mode-independent forward table, adding only
-    /// this mode's backward + recompute half (`t = t_f + t_b`, exactly
-    /// Eq. 1's sum).
-    fn cost_pass(&self, shapes: &SliceShapes, fwd: &SliceFwdCosts) -> SliceCosts {
+    /// partitioner's recompute mode and memory limit. Returns `t(M)` per
+    /// distinct shape (`f64::INFINITY` where infeasible) and whether it
+    /// fits the memory limit.
+    ///
+    /// Pricing goes through [`dynapipe_cost::ShapePricer`]'s batched
+    /// methods against the shared query plan in `fwd` — bit-identical to
+    /// per-shape `mb_time`/`mb_activation_max` calls. It reads the shared
+    /// mode-independent terms and queries only this mode's activation and
+    /// `recompute_extra` grids (`t = t_f + t_b`, exactly Eq. 1's sum).
+    fn price_shapes(&self, fwd: &SliceFwdCosts) -> (Vec<Micros>, Vec<bool>) {
         let limit = self.config.mb_memory_limit;
         let pricer = self.cm.shape_pricer(self.config.recompute);
         let act = pricer.mb_activation_max_batch(&fwd.batch);
         // Feasibility-masked backward solve: the scalar path never priced
-        // `t(M)` for memory-infeasible slices, so the batched solve skips
-        // their backward halves too — on tight-memory configs most of the
-        // shape table is infeasible and its backward pricing is dead work.
-        // (Forward halves live in the mode-independent `fwd` table shared
-        // across the §7 sweep; a shape infeasible under this mode may be
-        // feasible under another, so those stay unmasked.)
-        let shape_feasible: Vec<bool> = act.iter().map(|&a| a <= limit).collect();
-        let bwd = pricer.mb_bwd_batch_masked(&fwd.batch, &shape_feasible);
-        let mut shape_time = vec![f64::INFINITY; shapes.distinct.len()];
-        for i in 0..shapes.distinct.len() {
-            if shape_feasible[i] {
-                shape_time[i] = fwd.fwd[i] + bwd[i];
-            }
-        }
+        // `t(M)` for memory-infeasible slices, so this mode's recompute
+        // grids skip them too — on tight-memory configs most of the shape
+        // table is infeasible. (The mode-independent terms in `fwd` stay
+        // unmasked: a shape infeasible under this mode may be feasible
+        // under another.)
+        let feasible: Vec<bool> = act.iter().map(|&a| a <= limit).collect();
+        let bwd = pricer.mb_bwd_batch_masked(&fwd.batch, &fwd.base, &feasible);
+        let time = fwd
+            .base
+            .fwd()
+            .iter()
+            .zip(&bwd)
+            .zip(&feasible)
+            .map(|((&f, &b), &ok)| if ok { f + b } else { f64::INFINITY })
+            .collect();
+        (time, feasible)
+    }
+
+    /// Scatter per-distinct-shape costs onto the dense `(end, width)` grid.
+    fn scatter(shapes: &SliceShapes, shape_time: &[Micros], shape_feasible: &[bool]) -> SliceCosts {
         let mut time = vec![f64::INFINITY; shapes.cell.len()];
         let mut feasible = vec![false; shapes.cell.len()];
         for (idx, &id) in shapes.cell.iter().enumerate() {
@@ -492,12 +517,19 @@ impl<'a> Partitioner<'a> {
         }
     }
 
-    /// Collect candidate `t_max` values: every feasible slice time, rounded
-    /// up to the configured resolution, deduplicated, ascending.
-    fn candidates(&self, table: &SliceCosts) -> Vec<Micros> {
-        let mut res = self.config.tmax_resolution_us.max(1e-3);
+    /// Collect candidate `t_max` values: every feasible time rounded up to
+    /// the resolution, deduplicated, ascending — the same list
+    /// [`Partitioner::reference_candidates`] builds by sort + dedup.
+    ///
+    /// Every key `⌈t / res⌉` lies between the keys of the smallest and
+    /// largest feasible time, a range of at most `max_candidates + 2`
+    /// entries (see [`DpConfig::max_candidates`]), so a bitmap over that
+    /// range marks the present keys in one pass. The input is the
+    /// distinct shapes' times: every slice cell takes its shape's time, so
+    /// the key set is the cells'.
+    fn candidates(&self, time: &[Micros], feasible: &[bool]) -> Vec<Micros> {
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-        for (&t, &f) in table.time.iter().zip(&table.feasible) {
+        for (&t, &f) in time.iter().zip(feasible) {
             if f {
                 lo = lo.min(t);
                 hi = hi.max(t);
@@ -506,22 +538,26 @@ impl<'a> Partitioner<'a> {
         if !lo.is_finite() {
             return Vec::new();
         }
-        // Coarsen the resolution when the 5 µs default would generate more
-        // candidates than the configured cap.
+        // Coarsen the resolution when the configured one would take more
+        // than `max_candidates` steps across the range.
+        let mut res = self.config.tmax_resolution_us.max(1e-3);
         let cap = self.config.max_candidates.max(2);
         if (hi - lo) / res > cap as f64 {
             res = (hi - lo) / cap as f64;
         }
-        let mut keys: Vec<u64> = table
-            .time
-            .iter()
-            .zip(&table.feasible)
-            .filter(|&(_, &f)| f)
-            .map(|(&t, _)| (t / res).ceil() as u64)
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys.into_iter().map(|k| k as f64 * res).collect()
+        let key = |t: Micros| (t / res).ceil() as u64;
+        let k_lo = key(lo);
+        let mut present = vec![false; (key(hi) - k_lo + 1) as usize];
+        for (&t, &f) in time.iter().zip(feasible) {
+            if f {
+                present[(key(t) - k_lo) as usize] = true;
+            }
+        }
+        (k_lo..)
+            .zip(present)
+            .filter(|&(_, p)| p)
+            .map(|(k, _)| k as f64 * res)
+            .collect()
     }
 
     /// Run Eq. 2 for one `t_max`; returns (`f(N)`, split back-pointers) or
@@ -680,9 +716,11 @@ impl<'a> Partitioner<'a> {
             self.config.max_mb_samples.min(ordered.len()).max(1)
         );
         debug_assert_eq!(shapes.arch(), self.cm.model.arch);
-        debug_assert_eq!(fwd.fwd.len(), shapes.distinct.len());
-        let table = self.cost_pass(shapes, fwd);
-        let back = self.sweep_tmax(&table, &self.candidates(&table))?;
+        debug_assert_eq!(fwd.base.fwd().len(), shapes.distinct.len());
+        let (shape_time, shape_feasible) = self.price_shapes(fwd);
+        let candidates = self.candidates(&shape_time, &shape_feasible);
+        let table = Self::scatter(shapes, &shape_time, &shape_feasible);
+        let back = self.sweep_tmax(&table, &candidates)?;
         Some(self.finish(ordered, &back))
     }
 
@@ -732,7 +770,7 @@ impl<'a> Partitioner<'a> {
             width,
             n,
         };
-        let candidates = self.candidates(&table);
+        let candidates = self.reference_candidates(&table.time, &table.feasible);
         if candidates.is_empty() {
             return None;
         }
@@ -751,6 +789,39 @@ impl<'a> Partitioner<'a> {
         }
         let (_, back, _) = best?;
         Some(self.finish(ordered, &back))
+    }
+
+    /// The reference's candidate `t_max` values: every feasible slice
+    /// time, rounded up to the configured resolution (coarsened when the
+    /// range would take more than `max_candidates` steps), sorted and
+    /// deduplicated. The spec for [`Partitioner::candidates`]; kept
+    /// independent of it so the equivalence tests catch a change in the
+    /// candidate set.
+    fn reference_candidates(&self, time: &[Micros], feasible: &[bool]) -> Vec<Micros> {
+        let mut res = self.config.tmax_resolution_us.max(1e-3);
+        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+        for (&t, &f) in time.iter().zip(feasible) {
+            if f {
+                lo = lo.min(t);
+                hi = hi.max(t);
+            }
+        }
+        if !lo.is_finite() {
+            return Vec::new();
+        }
+        let cap = self.config.max_candidates.max(2);
+        if (hi - lo) / res > cap as f64 {
+            res = (hi - lo) / cap as f64;
+        }
+        let mut keys: Vec<u64> = time
+            .iter()
+            .zip(feasible)
+            .filter(|&(_, &f)| f)
+            .map(|(&t, _)| (t / res).ceil() as u64)
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter().map(|k| k as f64 * res).collect()
     }
 
     /// Exhaustive optimal partition for tiny inputs (test oracle): tries
@@ -951,6 +1022,99 @@ mod tests {
                     assert_eq!(fast.mb_times, reference.mb_times);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bucketed_candidates_match_sorted_reference() {
+        let cm = cm(4);
+        let partitioner = |res: Micros, cap: usize| {
+            let mut cfg = DpConfig::new(Bytes::MAX / 4);
+            cfg.tmax_resolution_us = res;
+            cfg.max_candidates = cap;
+            Partitioner::new(&cm, cfg)
+        };
+        // Scattered times over [100, 469.63], every seventh infeasible
+        // (priced as infinity, like the cost pass).
+        let spread: Vec<Micros> = (0..1000u64)
+            .map(|i| 100.0 + (i * 7919 % 1000) as f64 * 0.37)
+            .collect();
+        let some_out: Vec<bool> = (0..spread.len()).map(|i| i % 7 != 3).collect();
+        let with_inf = |t: &[Micros], f: &[bool]| -> Vec<Micros> {
+            t.iter()
+                .zip(f)
+                .map(|(&t, &ok)| if ok { t } else { f64::INFINITY })
+                .collect()
+        };
+        // Exact multiples of the resolution, and the next float above
+        // each, which rounds up into the following bucket.
+        let edges: Vec<Micros> = (20..60u64)
+            .flat_map(|k| {
+                let t = 5.0 * k as f64;
+                [t, f64::from_bits(t.to_bits() + 1)]
+            })
+            .collect();
+        // Coarsened to `range / 8` = 1250: times on the coarse bucket
+        // edges.
+        let coarse_edges: Vec<Micros> = (1..=9u64).map(|k| 1250.0 * k as f64).collect();
+        let cases = [
+            (
+                "uncoarsened",
+                5.0,
+                96,
+                with_inf(&spread, &some_out),
+                some_out.clone(),
+            ),
+            (
+                "coarsened",
+                0.5,
+                16,
+                with_inf(&spread, &some_out),
+                some_out.clone(),
+            ),
+            ("single key", 5.0, 96, vec![42.0; 9], vec![true; 9]),
+            (
+                "all infeasible",
+                5.0,
+                96,
+                vec![f64::INFINITY; 9],
+                vec![false; 9],
+            ),
+            (
+                "bucket edges",
+                5.0,
+                96,
+                edges.clone(),
+                vec![true; edges.len()],
+            ),
+            (
+                "coarse bucket edges",
+                5.0,
+                8,
+                coarse_edges.clone(),
+                vec![true; coarse_edges.len()],
+            ),
+        ];
+        for (name, res, cap, time, feasible) in cases {
+            let p = partitioner(res, cap);
+            let bucketed = p.candidates(&time, &feasible);
+            let reference = p.reference_candidates(&time, &feasible);
+            assert_eq!(
+                bucketed.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                "{name}: candidate sets differ"
+            );
+            assert_eq!(
+                reference.is_empty(),
+                name == "all infeasible",
+                "{name}: unexpected candidate count {}",
+                reference.len()
+            );
+            assert!(
+                reference.len() <= cap + 2,
+                "{name}: {} candidates",
+                reference.len()
+            );
         }
     }
 

@@ -65,13 +65,15 @@ fn bench_partitioner(c: &mut Criterion) {
         );
     }
     // The pricing layer in isolation: scalar per-shape grid queries vs
-    // one batched solve against a shared query plan (what the cost pass
-    // does per mode). Run on the distinct shapes of a 65k-token
+    // the batched split the cost pass uses — locate once, price the
+    // mode-independent terms once, then one activation and one recompute
+    // solve per mode. Run on the distinct shapes of a 65k-token
     // mini-batch.
     {
         let p = Partitioner::new(&cm, DpConfig::new(cm.min_activation_budget()));
         let shapes = p.shape_pass(&samples);
         let distinct = shapes.distinct_shapes().to_vec();
+        let all = vec![true; distinct.len()];
         group.bench_with_input(
             BenchmarkId::new("price_scalar", distinct.len()),
             &distinct,
@@ -87,7 +89,8 @@ fn bench_partitioner(c: &mut Criterion) {
                 })
             },
         );
-        // Cold: plan build (locate) + pricing, what a one-shot caller pays.
+        // Cold: plan build (locate) + mode-free + one mode's pricing, what
+        // a one-shot caller pays.
         group.bench_with_input(
             BenchmarkId::new("price_batched_cold", distinct.len()),
             &distinct,
@@ -95,32 +98,32 @@ fn bench_partitioner(c: &mut Criterion) {
                 let pricer = cm.shape_pricer(RecomputeMode::Selective);
                 b.iter(|| {
                     let batch = pricer.locate_batch(std::hint::black_box(distinct));
-                    let fwd = pricer.mb_fwd_batch(&batch);
-                    let bwd = pricer.mb_bwd_batch(&batch);
+                    let base = pricer.price_mode_free(&batch);
+                    let bwd = pricer.mb_bwd_batch_masked(&batch, &base, &all);
                     let act = pricer.mb_activation_max_batch(&batch);
                     let mut acc = 0.0f64;
                     for i in 0..distinct.len() {
-                        acc += fwd[i] + bwd[i] + act[i] as f64;
+                        acc += base.fwd()[i] + bwd[i] + act[i] as f64;
                     }
                     acc
                 })
             },
         );
-        // Warm: plan located once and re-priced, what each recompute mode
-        // of the §7 sweep pays after `SliceFwdCosts` built the plan.
+        // Warm: plan located and mode-free terms priced once, what each
+        // recompute mode of the §7 sweep pays after `SliceFwdCosts`.
         group.bench_with_input(
             BenchmarkId::new("price_batched_warm", distinct.len()),
             &distinct,
             |b, distinct| {
                 let pricer = cm.shape_pricer(RecomputeMode::Selective);
                 let batch = pricer.locate_batch(distinct);
+                let base = pricer.price_mode_free(&batch);
                 b.iter(|| {
-                    let fwd = pricer.mb_fwd_batch(std::hint::black_box(&batch));
-                    let bwd = pricer.mb_bwd_batch(&batch);
+                    let bwd = pricer.mb_bwd_batch_masked(std::hint::black_box(&batch), &base, &all);
                     let act = pricer.mb_activation_max_batch(&batch);
                     let mut acc = 0.0f64;
                     for i in 0..distinct.len() {
-                        acc += fwd[i] + bwd[i] + act[i] as f64;
+                        acc += base.fwd()[i] + bwd[i] + act[i] as f64;
                     }
                     acc
                 })
@@ -131,7 +134,7 @@ fn bench_partitioner(c: &mut Criterion) {
     // The §7 sweep's de-duplication win in isolation: one mini-batch, all
     // recompute modes. "rebuild" reruns the full two-pass build per mode
     // (what a context-free caller pays); "shared" reuses one shape pass
-    // and one forward table across the whole mode sweep (what
+    // and one mode-independent cost table across the whole mode sweep (what
     // `plan_iteration` pays via `PlanContext`).
     for (label, shared) in [("mode_sweep_rebuild", false), ("mode_sweep_shared", true)] {
         group.bench_with_input(BenchmarkId::new(label, 65536), &samples, |b, samples| {

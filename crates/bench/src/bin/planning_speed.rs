@@ -8,10 +8,13 @@
 //!   ([`Partitioner::partition_reference`]): per-mode slice-table rebuild,
 //!   full `t_max` candidate sweep, no parallelism, no pruning;
 //! * **optimized**: the production path: one mode-independent shape pass
-//!   shared across all recompute modes, batched deduplicated cost pricing
-//!   (one grid solve per mode against a shared query plan), and the
-//!   bound-driven `t_max` search, which runs Eq. 2 only for candidates
-//!   a solved neighbour's sum cannot rule out.
+//!   and one batched query plan shared across all recompute modes, the
+//!   mode-independent cost terms priced once per mini-batch, one batched
+//!   solve of each mode's own grids, and the bound-driven `t_max` search,
+//!   which runs Eq. 2 only for candidates a solved neighbour's sum cannot
+//!   rule out. Each step is timed separately — shape pass, locate,
+//!   mode-free pricing, and each mode's `partition_with_context` — so the
+//!   artifact shows the serial prefix the planner's mode sweep waits on.
 //!
 //! Each partition call is single-threaded (planning parallelism lives in
 //! the planner's §7 mode sweep, which this bench does not run), so
@@ -29,7 +32,7 @@
 //! nonzero after reporting every offending case.
 
 use dynapipe_batcher::{
-    dp_solve_stats, sort_samples, DpConfig, DpSolveStats, Partitioner, SliceFwdCosts,
+    dp_solve_stats, sort_samples, DpConfig, DpSolveStats, Partitioner, SliceFwdCosts, SliceShapes,
 };
 use dynapipe_bench::{probe_minibatches, write_json, write_root_artifact, BenchOpts, Point};
 use dynapipe_cost::{grid_query_stats, CostModel, GridQueryStats, ProfileOptions};
@@ -39,10 +42,55 @@ use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use std::ops::Range;
 use std::time::Instant;
 
+/// Time spent in each step of the optimized path, summed over the
+/// mini-batches (µs).
+#[derive(Default)]
+struct OptimizedSteps {
+    shape_pass_us: f64,
+    locate_us: f64,
+    mode_free_us: f64,
+    /// Per mode, in [`RecomputeMode::ALL`] order.
+    partition_us: [f64; 3],
+}
+
+impl OptimizedSteps {
+    fn total_us(&self) -> f64 {
+        self.shape_pass_us
+            + self.locate_us
+            + self.mode_free_us
+            + self.partition_us.iter().sum::<f64>()
+    }
+
+    fn to_json(&self) -> serde_json::Value {
+        let partition = serde_json::Value::Object(
+            RecomputeMode::ALL
+                .iter()
+                .zip(self.partition_us)
+                .map(|(mode, us)| (mode.label().to_string(), serde_json::json!(us)))
+                .collect(),
+        );
+        serde_json::json!({
+            "shape_pass_us": self.shape_pass_us,
+            "locate_us": self.locate_us,
+            "mode_free_us": self.mode_free_us,
+            "partition_us": partition,
+        })
+    }
+}
+
+/// Run `f`, adding its wall time to `acc` (µs).
+fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *acc += t.elapsed().as_secs_f64() * 1e6;
+    out
+}
+
 struct ModelRun {
     name: &'static str,
     serial_us: f64,
     parallel_us: f64,
+    steps: OptimizedSteps,
     distinct_shapes: u64,
     serial_queries: GridQueryStats,
     opt_queries: GridQueryStats,
@@ -97,24 +145,38 @@ fn run_model(
     let stats1 = grid_query_stats();
     let solves1 = dp_solve_stats();
 
-    // Optimized: one shared shape pass + batched query plan per
-    // mini-batch, per-mode re-pricing, bound-driven t_max search.
-    let t1 = Instant::now();
+    // Optimized: one shared shape pass, batched query plan and
+    // mode-independent cost table per mini-batch, per-mode pricing of the
+    // mode's own grids, bound-driven t_max search. Each step is timed on
+    // its own; `parallel_us` is their sum.
+    let mut steps = OptimizedSteps::default();
     let mut fast_outcomes: Vec<Outcome> = Vec::new();
     let mut distinct_shapes = 0u64;
     for mb in &ordered {
-        let shapes = Partitioner::new(&cm, dp_config(&cm, RecomputeMode::None)).shape_pass(mb);
+        let shapes = timed(&mut steps.shape_pass_us, || {
+            SliceShapes::build(
+                cm.model.arch,
+                mb,
+                dp_config(&cm, RecomputeMode::None).max_mb_samples,
+            )
+        });
         distinct_shapes += shapes.num_distinct_shapes() as u64;
-        let fwd = SliceFwdCosts::build(&cm, &shapes);
-        for mode in RecomputeMode::ALL {
+        let batch = timed(&mut steps.locate_us, || {
+            cm.shape_pricer(RecomputeMode::None)
+                .locate_batch(shapes.distinct_shapes())
+        });
+        let fwd = timed(&mut steps.mode_free_us, || {
+            SliceFwdCosts::from_batch(&cm, batch)
+        });
+        for (m, mode) in RecomputeMode::ALL.into_iter().enumerate() {
             let p = Partitioner::new(&cm, dp_config(&cm, mode));
-            fast_outcomes.push(
+            let outcome = timed(&mut steps.partition_us[m], || {
                 p.partition_with_context(&shapes, &fwd, mb)
-                    .map(|r| (r.est_iteration_time, r.ranges)),
-            );
+            });
+            fast_outcomes.push(outcome.map(|r| (r.est_iteration_time, r.ranges)));
         }
     }
-    let parallel_us = t1.elapsed().as_secs_f64() * 1e6;
+    let parallel_us = steps.total_us();
     let stats2 = grid_query_stats();
     let solves2 = dp_solve_stats();
 
@@ -168,10 +230,21 @@ fn run_model(
         "        Eq. 2 solves: serial {} | optimized {}",
         serial_solves.eq2_solves, opt_solves.eq2_solves,
     );
+    println!(
+        "        optimized steps, ms: shape pass {:.1} | locate {:.1} | mode-free {:.1} | \
+         partition none {:.1}, selective {:.1}, full {:.1}",
+        steps.shape_pass_us / 1e3,
+        steps.locate_us / 1e3,
+        steps.mode_free_us / 1e3,
+        steps.partition_us[0] / 1e3,
+        steps.partition_us[1] / 1e3,
+        steps.partition_us[2] / 1e3,
+    );
     ModelRun {
         name,
         serial_us,
         parallel_us,
+        steps,
         distinct_shapes,
         serial_queries,
         opt_queries,
@@ -228,6 +301,7 @@ fn main() {
                         "serial_us": r.serial_us,
                         "parallel_us": r.parallel_us,
                         "speedup": r.serial_us / r.parallel_us,
+                        "optimized_steps_us": r.steps.to_json(),
                         "distinct_shapes": r.distinct_shapes,
                         "grid_queries": grid_queries,
                         "eq2_solves": eq2_solves,

@@ -50,7 +50,8 @@ pub struct PlannerConfig {
     pub tmax_resolution_us: Micros,
     /// DP partitioner bound on samples per micro-batch.
     pub max_mb_samples: usize,
-    /// DP partitioner cap on `t_max` candidates.
+    /// DP partitioner target number of `t_max` candidates (not a hard
+    /// cap; see `DpConfig::max_candidates`).
     pub max_candidates: usize,
     /// Clusters for micro-batch reordering.
     pub reorder_clusters: usize,
@@ -151,9 +152,10 @@ pub struct DynaPipePlanner {
 /// Reusable per-mini-batch planning state shared across the §7
 /// recompute-mode sweep: the ordered samples, the activation budget, and
 /// the DP partitioner's mode-independent passes — the slice shape pass
-/// and the forward-cost table with its batched grid-query plan (every
-/// distinct shape's grid coordinates located once; each mode's cost pass
-/// re-prices that plan instead of re-locating).
+/// and the mode-independent cost table with its batched grid-query plan
+/// (every distinct shape's grid coordinates located, and its forward,
+/// backward and LM-head terms priced, once; each mode's cost pass queries
+/// only its own grids against that plan).
 pub struct PlanContext<'a> {
     /// The mini-batch, already ordered by the planner's strategy.
     pub ordered: &'a [Sample],
@@ -161,7 +163,7 @@ pub struct PlanContext<'a> {
     pub budget: Bytes,
     /// Shared shape pass over `ordered`.
     pub shapes: SliceShapes,
-    /// Shared mode-independent forward times and located grid-query plan
+    /// Shared mode-independent cost terms and located grid-query plan
     /// for the shape pass.
     pub fwd: SliceFwdCosts,
 }
@@ -191,7 +193,7 @@ impl DynaPipePlanner {
         }
         let mut samples = minibatch.to_vec();
         self.config.ordering.apply(cm.model.arch, &mut samples);
-        let budget = (cm.min_activation_budget() as f64 * self.config.memory_safety) as Bytes;
+        let budget = self.planning_budget();
         if budget == 0 {
             return Err(PlanError::Infeasible("no activation budget".into()));
         }
@@ -237,8 +239,8 @@ impl DynaPipePlanner {
     }
 
     /// Build the reusable planning context for an ordered mini-batch: runs
-    /// the DP partitioner's mode-independent shape pass once so the §7
-    /// sweep (and any caller comparing modes) shares it.
+    /// the DP partitioner's mode-independent shape pass and cost table
+    /// once so the §7 sweep (and any caller comparing modes) shares them.
     pub fn plan_context<'a>(&self, ordered: &'a [Sample], budget: Bytes) -> PlanContext<'a> {
         let shapes = SliceShapes::build(self.cm.model.arch, ordered, self.config.max_mb_samples);
         let fwd = SliceFwdCosts::build(&self.cm, &shapes);
@@ -393,7 +395,7 @@ pub fn plan_replica(
     reorder_clusters: usize,
 ) -> Result<ReplicaPlan, String> {
     let input = schedule_input_for(cm, shapes, mode, budget);
-    let (order, input, shapes): (Vec<usize>, ScheduleInput, Vec<MicroBatchShape>) = match kind {
+    let (input, shapes): (ScheduleInput, Vec<MicroBatchShape>) = match kind {
         ScheduleKind::Adaptive { reorder: true } if shapes.len() > 1 => {
             let (order, _) = reorder_micro_batches(
                 &input,
@@ -403,11 +405,10 @@ pub fn plan_replica(
             );
             let selected = input.select(&order);
             let sh = order.iter().map(|&i| shapes[i]).collect();
-            (order, selected, sh)
+            (selected, sh)
         }
-        _ => ((0..shapes.len()).collect(), input, shapes.to_vec()),
+        _ => (input, shapes.to_vec()),
     };
-    let _ = order;
     let schedule = match kind {
         ScheduleKind::OneFOneB => one_f_one_b(shapes.len(), cm.num_stages()),
         ScheduleKind::Adaptive { .. } => adaptive_schedule(&input),

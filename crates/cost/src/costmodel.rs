@@ -307,6 +307,12 @@ struct StageTerms {
 /// A resolved, mode-bound pricing view over a [`CostModel`], for hot loops
 /// that evaluate many [`MicroBatchShape`]s (see
 /// [`CostModel::shape_pricer`]).
+///
+/// The batched methods split a shape's price by what the mode changes:
+/// [`ShapePricer::price_mode_free`] prices the forward, backward and
+/// LM-head grids once per [`ShapeBatch`], and each mode then queries only
+/// its own `recompute_extra` ([`ShapePricer::mb_bwd_batch_masked`]) and
+/// `activation` ([`ShapePricer::mb_activation_max_batch`]) grids.
 pub struct ShapePricer<'a> {
     enc: LayerGrids<'a>,
     dec: LayerGrids<'a>,
@@ -328,15 +334,20 @@ pub struct ShapePricer<'a> {
 /// Those axes are shared by every recomputation mode's grids (forward,
 /// backward, per-mode recompute and activation profiles are all built over
 /// the same axes), so one `ShapeBatch` can be priced by pricers of
-/// *different* modes — the §7 recompute sweep locates once and re-prices
-/// per mode.
+/// *different* modes — the §7 recompute sweep locates once, prices the
+/// mode-independent terms once ([`ShapePricer::price_mode_free`]) and
+/// prices only each mode's own grids per mode.
+///
+/// Duplicate shapes are allowed. The encoder-side plan collapses
+/// duplicate grid points onto one cell; the decoder-side and LM-head
+/// plans evaluate each shape's point once per shape.
 pub struct ShapeBatch {
     /// Encoder-side plan over `(batch, enc_len, 0)`; `None` when no stage
     /// has encoder layers (the scalar path never queries those grids).
     enc: Option<crate::grid::BatchQuery>,
     /// Decoder-side plan over the decoder grid coordinates.
     dec: Option<crate::grid::BatchQuery>,
-    /// LM-head plan over `(target_tokens, 0, 0)`.
+    /// LM-head plan over `(target_tokens, 0, 0)`, one cell per shape.
     lm: crate::grid::BatchQuery,
     /// Padded token counts (the activation formula's shape term).
     padded_tokens: Vec<u64>,
@@ -354,6 +365,30 @@ impl ShapeBatch {
     /// Whether the batch holds no shapes.
     pub fn is_empty(&self) -> bool {
         self.empty.is_empty()
+    }
+}
+
+/// The recomputation-mode-independent pricing terms of a [`ShapeBatch`]
+/// (see [`ShapePricer::price_mode_free`]): `t_f(M)` per shape, and the
+/// parts of `t_b(M)` no mode changes — each layer side's `bwd_time` value
+/// and the LM head's backward time. A mode's backward pass
+/// ([`ShapePricer::mb_bwd_batch_masked`]) adds only its own
+/// `recompute_extra` values to these.
+pub struct ModeFreeCosts {
+    fwd: Vec<Micros>,
+    /// Per shape: the encoder-side `bwd_time` value (zeros when no stage
+    /// has encoder layers, as in the scalar path).
+    enc_bwd: Vec<f64>,
+    /// Per shape: the decoder-side `bwd_time` value.
+    dec_bwd: Vec<f64>,
+    /// Per shape: `backward_ratio × lm_head_fwd`, the LM head's backward.
+    lm_bwd: Vec<f64>,
+}
+
+impl ModeFreeCosts {
+    /// `t_f(M)` per shape, bit-identical to [`CostModel::mb_fwd`].
+    pub fn fwd(&self) -> &[Micros] {
+        &self.fwd
     }
 }
 
@@ -491,12 +526,13 @@ impl<'a> ShapePricer<'a> {
             .unwrap_or(0)
     }
 
-    /// Build the batched query plan for `shapes`: each distinct grid
-    /// coordinate located once, duplicate points collapsed (a big win for
-    /// T5, where many distinct padded shapes share their encoder-side
-    /// `(batch, enc_len)` point). The plan is mode-independent — see
-    /// [`ShapeBatch`] — and feeds [`ShapePricer::mb_fwd_batch`] /
-    /// [`ShapePricer::mb_bwd_batch`] /
+    /// Build the batched query plan for `shapes`. Encoder-side points
+    /// collapse onto distinct cells (a big win for T5, where many distinct
+    /// padded shapes share their `(batch, enc_len)` point); decoder-side
+    /// and LM-head points are evaluated once per shape. The plan is
+    /// mode-independent — see [`ShapeBatch`] — and feeds
+    /// [`ShapePricer::price_mode_free`] /
+    /// [`ShapePricer::mb_bwd_batch_masked`] /
     /// [`ShapePricer::mb_activation_max_batch`].
     pub fn locate_batch(&self, shapes: &[MicroBatchShape]) -> ShapeBatch {
         let enc = self.any_enc.then(|| {
@@ -516,9 +552,12 @@ impl<'a> ShapePricer<'a> {
                 (s.batch_size, q, kv)
             }))
         });
+        // Token counts collide across shapes only occasionally, and
+        // reach past the axis memo's direct range (batch × sequence
+        // length), so detecting duplicates costs more than it saves.
         let lm = self
             .lm_head_fwd
-            .plan_queries(shapes.iter().map(|s| (self.target_tokens(s), 0, 0)));
+            .plan_queries_distinct(shapes.iter().map(|s| (self.target_tokens(s), 0, 0)));
         ShapeBatch {
             enc,
             dec,
@@ -541,23 +580,26 @@ impl<'a> ShapePricer<'a> {
         }
     }
 
-    /// Batched [`ShapePricer::mb_fwd`]: element `i` is bit-identical to
-    /// `self.mb_fwd(&shapes[i])` for the shapes the batch was located on.
-    pub fn mb_fwd_batch(&self, batch: &ShapeBatch) -> Vec<Micros> {
+    /// Price the mode-independent terms of every shape in `batch` once:
+    /// `t_f(M)` (element `i` bit-identical to `self.mb_fwd(&shapes[i])`)
+    /// and the backward terms no recomputation mode changes. Any mode's
+    /// pricer gives the same table, and every mode's
+    /// [`ShapePricer::mb_bwd_batch_masked`] reads it, so the §7 sweep
+    /// queries the `fwd_time`, `bwd_time` and LM-head grids once per
+    /// mini-batch.
+    pub fn price_mode_free(&self, batch: &ShapeBatch) -> ModeFreeCosts {
         let n = batch.len();
-        let enc_fwd = Self::side_values(&batch.enc, n, |p| {
+        let eval = |g: &crate::grid::NdGrid, p: &crate::grid::BatchQuery| {
             let mut v = Vec::new();
-            self.enc.fwd.query_batch(p, &mut v);
+            g.query_batch(p, &mut v);
             v
-        });
-        let dec_fwd = Self::side_values(&batch.dec, n, |p| {
-            let mut v = Vec::new();
-            self.dec.fwd.query_batch(p, &mut v);
-            v
-        });
-        let mut lm = Vec::new();
-        self.lm_head_fwd.query_batch(&batch.lm, &mut lm);
-        (0..n)
+        };
+        let enc_fwd = Self::side_values(&batch.enc, n, |p| eval(self.enc.fwd, p));
+        let dec_fwd = Self::side_values(&batch.dec, n, |p| eval(self.dec.fwd, p));
+        let enc_bwd = Self::side_values(&batch.enc, n, |p| eval(self.enc.bwd, p));
+        let dec_bwd = Self::side_values(&batch.dec, n, |p| eval(self.dec.bwd, p));
+        let lm = eval(self.lm_head_fwd, &batch.lm);
+        let fwd = (0..n)
             .map(|i| {
                 if batch.empty[i] {
                     return 0.0;
@@ -578,83 +620,77 @@ impl<'a> ShapePricer<'a> {
                 }
                 fwd_max
             })
-            .collect()
+            .collect();
+        let lm_bwd = lm.iter().map(|&t| self.backward_ratio * t).collect();
+        ModeFreeCosts {
+            fwd,
+            enc_bwd,
+            dec_bwd,
+            lm_bwd,
+        }
     }
 
-    /// Batched [`ShapePricer::mb_bwd`] under this pricer's mode.
-    pub fn mb_bwd_batch(&self, batch: &ShapeBatch) -> Vec<Micros> {
-        self.bwd_batch_impl(batch, None)
-    }
-
-    /// Feasibility-masked [`ShapePricer::mb_bwd_batch`]: price the
-    /// backward (+ recompute) half only for shapes with `mask[i] == true`;
-    /// masked-out entries are `f64::INFINITY` poison values the caller
-    /// must never read. Unmasked entries are bit-identical to
-    /// [`ShapePricer::mb_bwd`].
+    /// `t_b(M)` under this pricer's mode for the shapes with
+    /// `mask[i] == true`; masked-out entries are `f64::INFINITY` poison
+    /// values the caller must never read. Unmasked entries are
+    /// bit-identical to [`ShapePricer::mb_bwd`].
     ///
-    /// This restores the scalar cost pass's short-circuit at the batched
-    /// layer: the scalar path never priced `t(M)` for memory-infeasible
-    /// slices, while the unmasked batched solve paid for every distinct
-    /// shape's backward grids — dead work on tight-memory configurations
-    /// where most of the shape table is infeasible. Grid cells referenced
-    /// only by masked shapes are skipped entirely (see
+    /// Only this mode's `recompute_extra` grids are queried; the
+    /// mode-independent `bwd_time` and LM-head terms come from `base`,
+    /// priced once over the same batch. The stage fold keeps the scalar
+    /// path's operand order: `layers × (bwd + recompute)` per side, then
+    /// the LM head's backward.
+    ///
+    /// The mask restores the scalar cost pass's short-circuit: the scalar
+    /// path never priced `t(M)` for memory-infeasible slices, so grid
+    /// cells referenced only by masked shapes are skipped (see
     /// [`crate::grid::NdGrid::query_batch_masked`]).
     ///
     /// # Panics
     ///
-    /// Panics if `mask.len() != batch.len()`.
-    pub fn mb_bwd_batch_masked(&self, batch: &ShapeBatch, mask: &[bool]) -> Vec<Micros> {
-        assert_eq!(mask.len(), batch.len(), "one mask entry per shape required");
-        self.bwd_batch_impl(batch, Some(mask))
-    }
-
-    /// The one backward-pricing core behind both batched variants: the
-    /// masked path differs only in which grid evaluation it uses and in
-    /// poisoning masked-out outputs, so the stage fold (the part that
-    /// must stay bit-identical to the scalar `mb_bwd`) exists once.
-    fn bwd_batch_impl(&self, batch: &ShapeBatch, mask: Option<&[bool]>) -> Vec<Micros> {
+    /// Panics if `mask` or `base` does not have one entry per shape of
+    /// `batch`.
+    pub fn mb_bwd_batch_masked(
+        &self,
+        batch: &ShapeBatch,
+        base: &ModeFreeCosts,
+        mask: &[bool],
+    ) -> Vec<Micros> {
         let n = batch.len();
-        let query = |g: &crate::grid::NdGrid, p: &crate::grid::BatchQuery, out: &mut Vec<f64>| {
-            match mask {
-                None => g.query_batch(p, out),
-                Some(m) => {
-                    g.query_batch_masked(p, m, out);
-                }
-            }
+        assert_eq!(mask.len(), n, "one mask entry per shape required");
+        assert_eq!(
+            base.fwd.len(),
+            n,
+            "mode-free costs priced over another batch"
+        );
+        let recompute = |g: &crate::grid::NdGrid, p: &crate::grid::BatchQuery| {
+            let mut v = Vec::new();
+            g.query_batch_masked(p, mask, &mut v);
+            v
         };
-        let enc_bwd = Self::side_values(&batch.enc, n, |p| {
-            let (mut b, mut r) = (Vec::new(), Vec::new());
-            query(self.enc.bwd, p, &mut b);
-            query(self.enc.recompute, p, &mut r);
-            b.iter().zip(&r).map(|(x, y)| x + y).collect()
-        });
-        let dec_bwd = Self::side_values(&batch.dec, n, |p| {
-            let (mut b, mut r) = (Vec::new(), Vec::new());
-            query(self.dec.bwd, p, &mut b);
-            query(self.dec.recompute, p, &mut r);
-            b.iter().zip(&r).map(|(x, y)| x + y).collect()
-        });
-        let mut lm = Vec::new();
-        query(self.lm_head_fwd, &batch.lm, &mut lm);
+        let enc_re = Self::side_values(&batch.enc, n, |p| recompute(self.enc.recompute, p));
+        let dec_re = Self::side_values(&batch.dec, n, |p| recompute(self.dec.recompute, p));
         (0..n)
             .map(|i| {
-                if mask.is_some_and(|m| !m[i]) {
+                if !mask[i] {
                     return f64::INFINITY;
                 }
                 if batch.empty[i] {
                     return 0.0;
                 }
+                let enc_bwd = base.enc_bwd[i] + enc_re[i];
+                let dec_bwd = base.dec_bwd[i] + dec_re[i];
                 let mut bwd_max = 0.0f64;
                 for st in &self.stages {
                     let mut bwd = 0.0;
                     if st.encoder_layers > 0 {
-                        bwd += st.encoder_layers as f64 * enc_bwd[i];
+                        bwd += st.encoder_layers as f64 * enc_bwd;
                     }
                     if st.decoder_layers > 0 {
-                        bwd += st.decoder_layers as f64 * dec_bwd[i];
+                        bwd += st.decoder_layers as f64 * dec_bwd;
                     }
                     if st.has_lm_head {
-                        bwd += self.backward_ratio * lm[i];
+                        bwd += base.lm_bwd[i];
                     }
                     bwd_max = bwd_max.max(bwd);
                 }
@@ -765,7 +801,8 @@ mod tests {
     fn masked_bwd_batch_matches_scalar_on_feasible_shapes() {
         // The feasibility-masked backward solve must price masked-in
         // shapes bit-identically to the scalar path and poison the rest —
-        // across every recomputation mode and both architectures.
+        // across every recomputation mode and both architectures, all
+        // modes reading one shared mode-free table.
         for cm in [gpt_cm(4), t5_cm(4)] {
             let shapes: Vec<MicroBatchShape> = match cm.model.arch {
                 ModelArch::Gpt => vec![
@@ -781,19 +818,15 @@ mod tests {
                     MicroBatchShape::t5(64, 100_000, 9000),
                 ],
             };
-            let batch = cm
-                .shape_pricer(RecomputeMode::None)
-                .locate_batch(&shapes);
+            let located = cm.shape_pricer(RecomputeMode::None);
+            let batch = located.locate_batch(&shapes);
+            let base = located.price_mode_free(&batch);
             // Mask patterns: drop the huge shape (the realistic
             // memory-infeasible case), drop everything, keep everything.
-            for mask in [
-                vec![true, true, true, false],
-                vec![false; 4],
-                vec![true; 4],
-            ] {
+            for mask in [vec![true, true, true, false], vec![false; 4], vec![true; 4]] {
                 for mode in RecomputeMode::ALL {
                     let pricer = cm.shape_pricer(mode);
-                    let masked = pricer.mb_bwd_batch_masked(&batch, &mask);
+                    let masked = pricer.mb_bwd_batch_masked(&batch, &base, &mask);
                     for (i, s) in shapes.iter().enumerate() {
                         if mask[i] {
                             assert_eq!(
@@ -803,10 +836,7 @@ mod tests {
                                 cm.model.arch
                             );
                         } else {
-                            assert!(
-                                masked[i].is_infinite(),
-                                "masked-out shape must be poisoned"
-                            );
+                            assert!(masked[i].is_infinite(), "masked-out shape must be poisoned");
                         }
                     }
                 }
@@ -860,38 +890,41 @@ mod tests {
 
     #[test]
     fn batched_pricing_bit_identical_to_scalar_across_modes() {
-        // One mode-independent ShapeBatch, priced by pricers of every
-        // recomputation mode, must reproduce the scalar per-shape methods
-        // exactly — this is the contract the DP partitioner's batched cost
-        // pass relies on.
+        // One mode-independent ShapeBatch and one mode-free table, priced
+        // by pricers of every recomputation mode, must reproduce the
+        // scalar per-shape methods exactly — this is the contract the DP
+        // partitioner's batched cost pass relies on. GPT's above-range
+        // shape takes the LM-head axis past the direct memo's range.
         for cm in [gpt_cm(4), t5_cm(4)] {
             let shapes: Vec<MicroBatchShape> = match cm.model.arch {
                 ModelArch::Gpt => vec![
                     MicroBatchShape::gpt(1, 37),
                     MicroBatchShape::gpt(3, 900),
                     MicroBatchShape::gpt(3, 900), // duplicate point
+                    MicroBatchShape::gpt(9, 300), // same target tokens
                     MicroBatchShape::empty(),
                     MicroBatchShape::gpt(64, 100_000), // above-range
                 ],
                 ModelArch::T5 => vec![
                     MicroBatchShape::t5(2, 512, 64),
                     MicroBatchShape::t5(2, 512, 96), // shared enc point
+                    MicroBatchShape::t5(4, 300, 48), // same target tokens
                     MicroBatchShape::t5(7, 3000, 333),
                     MicroBatchShape::empty(),
                     MicroBatchShape::t5(64, 100_000, 9000), // above-range
                 ],
             };
-            let batch = cm
-                .shape_pricer(RecomputeMode::None)
-                .locate_batch(&shapes);
+            let located = cm.shape_pricer(RecomputeMode::None);
+            let batch = located.locate_batch(&shapes);
+            let base = located.price_mode_free(&batch);
+            let all = vec![true; shapes.len()];
             for mode in RecomputeMode::ALL {
                 let pricer = cm.shape_pricer(mode);
-                let fwd = pricer.mb_fwd_batch(&batch);
-                let bwd = pricer.mb_bwd_batch(&batch);
+                let bwd = pricer.mb_bwd_batch_masked(&batch, &base, &all);
                 let act = pricer.mb_activation_max_batch(&batch);
                 for (i, s) in shapes.iter().enumerate() {
                     assert_eq!(
-                        fwd[i].to_bits(),
+                        base.fwd()[i].to_bits(),
                         pricer.mb_fwd(s).to_bits(),
                         "{:?} mode {mode:?} shape {i}: fwd diverged",
                         cm.model.arch
@@ -900,6 +933,12 @@ mod tests {
                         bwd[i].to_bits(),
                         pricer.mb_bwd(s).to_bits(),
                         "{:?} mode {mode:?} shape {i}: bwd diverged",
+                        cm.model.arch
+                    );
+                    assert_eq!(
+                        (base.fwd()[i] + bwd[i]).to_bits(),
+                        cm.mb_time(s, mode).to_bits(),
+                        "{:?} mode {mode:?} shape {i}: t(M) diverged",
                         cm.model.arch
                     );
                     assert_eq!(

@@ -7,9 +7,10 @@
 //!
 //! Two query paths exist: the scalar [`NdGrid::query`] and the batched
 //! [`BatchQuery`]/[`NdGrid::query_batch`] pair. A `BatchQuery` resolves
-//! many points against a set of axes up front — each distinct coordinate
-//! is located once per axis and duplicate points collapse onto one cell —
-//! and can then be evaluated against every grid sharing those axes
+//! many points against a set of axes up front — small coordinates are
+//! located once per distinct value, and [`BatchQuery::locate`] collapses
+//! duplicate points onto one cell — and can then be evaluated against
+//! every grid sharing those axes
 //! (forward, backward, recompute and activation profiles of one layer
 //! kind). Batched evaluation is bit-identical to calling `query` per
 //! point.
@@ -191,21 +192,22 @@ struct LocatedCell {
     f: [f64; 3],
 }
 
-/// Memoized [`Axis::locate`]: each distinct coordinate is located once.
-/// Small coordinate ranges use a direct-index slot table (no hashing at
-/// all); large ones fall back to a hash map.
+/// [`Axis::locate`] for one batch, memoized when the coordinates are
+/// small: up to [`DIRECT_MEMO_MAX`], each distinct coordinate is located
+/// once through a direct-index slot table. A wider axis (an LM head's
+/// token counts reach 128 × 4096) calls `Axis::locate` per point: one
+/// short binary search is cheaper than hashing the coordinate into a
+/// memo. Duplicate coordinates are allowed on both paths.
 struct AxisMemo<'a> {
     axis: &'a Axis,
     located: Vec<(u32, f64)>,
-    /// Direct-index path: `slots[x]` is the 1-based located slot of
-    /// coordinate `x` (0 = not yet located). Used when coordinates fit.
+    /// `slots[x]` is the 1-based located slot of coordinate `x` (0 = not
+    /// yet located); empty on degenerate and wide axes.
     slots: Vec<u32>,
-    by_coord: CoordMap<usize>,
 }
 
-/// Largest coordinate the direct-index memo path covers (a 256 KiB slot
-/// table at most; real coordinates — batch sizes, sequence lengths — are
-/// far smaller).
+/// Largest coordinate the direct-index memo covers (a 256 KiB slot table
+/// at most; batch sizes and sequence lengths are far smaller).
 const DIRECT_MEMO_MAX: usize = 1 << 16;
 
 impl<'a> AxisMemo<'a> {
@@ -218,7 +220,6 @@ impl<'a> AxisMemo<'a> {
             } else {
                 vec![0; max_coord + 1]
             },
-            by_coord: CoordMap::default(),
         }
     }
 
@@ -228,33 +229,29 @@ impl<'a> AxisMemo<'a> {
         if self.axis.is_degenerate() {
             return (0, 0.0);
         }
-        if !self.slots.is_empty() {
-            let slot = self.slots[x];
-            if slot != 0 {
-                return self.located[slot as usize - 1];
-            }
+        if self.slots.is_empty() {
             let (i, f) = self.axis.locate(x);
-            self.located.push((i as u32, f));
-            self.slots[x] = self.located.len() as u32;
             return (i as u32, f);
         }
-        let next = self.located.len() as u32;
-        let slot = *self.by_coord.entry(x).or_insert(next);
-        if slot == next {
-            let (i, f) = self.axis.locate(x);
-            self.located.push((i as u32, f));
+        let slot = self.slots[x];
+        if slot != 0 {
+            return self.located[slot as usize - 1];
         }
-        self.located[slot as usize]
+        let (i, f) = self.axis.locate(x);
+        self.located.push((i as u32, f));
+        self.slots[x] = self.located.len() as u32;
+        (i as u32, f)
     }
 }
 
 /// A batch of query points resolved once against a set of axes — the
 /// query plan of the batched interpolation path.
 ///
-/// Building a `BatchQuery` locates each distinct coordinate once per axis
-/// and collapses duplicate `(x0, x1, x2)` points onto a single cell; the
-/// plan records, per input point, which cell it reads. [`NdGrid::query_batch`]
-/// then evaluates each distinct cell exactly once and scatters the values
+/// Building a `BatchQuery` locates each coordinate (each distinct one
+/// once, on axes whose coordinates fit the direct memo) and, through
+/// [`BatchQuery::locate`], collapses duplicate `(x0, x1, x2)` points onto
+/// a single cell; the plan records, per input point, which cell it reads.
+/// [`NdGrid::query_batch`] then evaluates each distinct cell exactly once and scatters the values
 /// back in input order. Because the plan stores only indices and
 /// fractions, one plan serves every grid built over the same axes (a layer
 /// profile's forward/backward/recompute/activation grids), so the
@@ -294,12 +291,11 @@ impl BatchQuery {
         Self::locate_impl(a0, a1, a2, points, true)
     }
 
-    /// Like [`BatchQuery::locate`], for points the caller knows to be
-    /// pairwise distinct (e.g. coordinates derived injectively from an
-    /// already-deduplicated shape table): skips duplicate-cell detection
-    /// entirely, so each point maps to its own cell. If the assumption is
-    /// wrong the plan is still correct — coinciding cells are merely
-    /// evaluated more than once.
+    /// Like [`BatchQuery::locate`], without duplicate-cell detection:
+    /// each point maps to its own cell and is evaluated once per point.
+    /// Duplicate points are allowed. Use it where duplicates are rare or
+    /// cheaper to evaluate twice than to detect (e.g. coordinates derived
+    /// from an already-deduplicated shape table).
     pub fn locate_distinct(
         a0: &Axis,
         a1: &Axis,
@@ -619,8 +615,9 @@ impl NdGrid {
         BatchQuery::locate(&self.a0, &self.a1, &self.a2, points)
     }
 
-    /// Like [`NdGrid::plan_queries`], for points the caller knows are
-    /// pairwise distinct (see [`BatchQuery::locate_distinct`]).
+    /// Like [`NdGrid::plan_queries`], without duplicate-cell detection:
+    /// duplicate points are allowed, and each is evaluated once per point
+    /// (see [`BatchQuery::locate_distinct`]).
     pub fn plan_queries_distinct(
         &self,
         points: impl IntoIterator<Item = (usize, usize, usize)>,
@@ -775,7 +772,9 @@ mod tests {
             |b, s1, s2| (b * s1) as f64 * 1.37 + (s2 as f64).sqrt() * 0.11,
         );
         // In-range, on-grid, below-range and above-range (extrapolating)
-        // points, with duplicates to exercise the cell collapse.
+        // points, with duplicates to exercise the cell collapse. The last
+        // four reach coordinates above the direct memo's range on the
+        // first two axes, which then locate per point.
         let points = [
             (3usize, 100usize, 33usize),
             (1, 16, 16),
@@ -785,18 +784,31 @@ mod tests {
             (16, 256, 256),
             (5, 300, 4000),
             (3, 100, 33),
+            (70_000, 100, 33),
+            (3, 100_000, 33),
+            (70_000, 100, 33),
+            (3, 100_000, 33),
         ];
-        let batch = g.plan_queries(points.iter().copied());
-        assert_eq!(batch.num_points(), points.len());
-        assert_eq!(batch.num_cells(), points.len() - 2, "duplicates collapse");
-        let mut out = Vec::new();
-        g.query_batch(&batch, &mut out);
-        for (p, v) in points.iter().zip(&out) {
-            assert_eq!(
-                v.to_bits(),
-                g.query(p.0, p.1, p.2).to_bits(),
-                "point {p:?} diverged from scalar query"
-            );
+        let collapsed = g.plan_queries(points.iter().copied());
+        assert_eq!(collapsed.num_points(), points.len());
+        assert_eq!(
+            collapsed.num_cells(),
+            points.len() - 4,
+            "duplicates collapse"
+        );
+        let per_point = g.plan_queries_distinct(points.iter().copied());
+        assert_eq!(per_point.num_points(), points.len());
+        assert_eq!(per_point.num_cells(), points.len(), "one cell per point");
+        for batch in [&collapsed, &per_point] {
+            let mut out = Vec::new();
+            g.query_batch(batch, &mut out);
+            for (p, v) in points.iter().zip(&out) {
+                assert_eq!(
+                    v.to_bits(),
+                    g.query(p.0, p.1, p.2).to_bits(),
+                    "point {p:?} diverged from scalar query"
+                );
+            }
         }
     }
 
