@@ -6,14 +6,15 @@
 //!     CPU cores needed to fully overlap planning with training.
 //!
 //! Also demonstrates the worker-pool planner (§3) pushing plans through the
-//! instruction store.
+//! instruction store, on the store-backed plan-ahead runtime.
 
 use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
 use dynapipe_core::{
-    parallel::generate_plans_parallel, DynaPipePlanner, InstructionStore, PlannerConfig,
+    run_training_pipelined, DynaPipePlanner, PlanCodec, PlanDistribution, PlannerConfig, RunConfig,
+    RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::Dataset;
+use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use std::sync::Arc;
 
@@ -86,37 +87,48 @@ fn main() {
         }
     }
 
-    // Parallel planning demonstration (planner worker pool + store).
-    println!("\nworker-pool planning (GBS 65536, GPT):");
+    // Worker-pool planning demonstration: the store-backed runtime's
+    // planner pool pushes every plan into the instruction store.
+    println!("\nworker-pool planning through the instruction store (GBS 65536, GPT):");
     let cm = Arc::new(CostModel::build(
         hw.clone(),
         ModelConfig::gpt_6_7b(),
         ParallelConfig::new(1, 2, 4),
         &ProfileOptions::default(),
     ));
-    let planner = Arc::new(DynaPipePlanner::new(cm, PlannerConfig::default()));
-    let point = Point {
-        model: ModelConfig::gpt_6_7b(),
-        num_gpus: 8,
+    let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
+    let gbs = GlobalBatchConfig {
+        tokens_per_batch: 65536,
         max_seq_len: 4096,
-        gbs_tokens: 65536,
     };
-    let minibatches = probe_minibatches(&dataset, &point, 8);
+    let run = RunConfig {
+        max_iterations: Some(opts.capped(8, 2)),
+        ..Default::default()
+    };
     for workers in [1usize, 4] {
-        let store = InstructionStore::new();
-        let stats = generate_plans_parallel(
-            planner.clone(),
-            &minibatches,
-            workers,
-            &store,
-            dynapipe_core::PlanCodec::Binary,
+        let (report, stats) = run_training_pipelined(
+            &planner,
+            &dataset,
+            gbs,
+            run,
+            RuntimeConfig {
+                workers,
+                distribution: PlanDistribution::StoreBacked,
+                codec: PlanCodec::Flat,
+                ..Default::default()
+            },
         );
+        if let Some(e) = &report.failure {
+            println!("  {workers} worker(s): run stopped: {e}");
+        }
         println!(
-            "  {workers} worker(s): wall {:8.1} ms, cpu {:8.1} ms, effective speedup {:.2}x, {} plans stored",
-            stats.wall_us / 1e3,
-            stats.total_cpu_us() / 1e3,
-            stats.speedup(),
-            store.len()
+            "  {workers} worker(s): host wall {:8.1} ms, planning {:8.1} ms, exposed {:6.1} ms \
+             ({:.0}% hidden), {} plans stored",
+            stats.host_wall_us / 1e3,
+            stats.total_planning_us() / 1e3,
+            stats.exposed_planning_us() / 1e3,
+            stats.overlap_ratio() * 100.0,
+            stats.store.map_or(0, |s| s.pushes),
         );
     }
     println!(

@@ -62,10 +62,9 @@ use crate::report::{ChurnStats, ClusterReport, ExecutorHostStats, PlannerHostSta
 use crate::shard::{ShardMap, StorePlacement};
 use crate::topology::ClusterConfig;
 use dynapipe_core::driver::{record_iteration, IterationPlanner, RunConfig, RunReport};
-use dynapipe_core::planner::{IterationPlan, PlanError};
 use dynapipe_core::runtime::{
     decode_for_execution, execute_lowered, plan_lower_push_traced, record_sim_iteration,
-    CompleteOutcome, DuplicatePush, PlanAheadQueue, ReplicaParallelism, ReplicaPrograms,
+    CompleteOutcome, DuplicatePush, Executable, PlanAheadQueue, ReplicaParallelism, StorePush,
     TicketGuard, TicketTraceCtx, WaitOutcome,
 };
 use dynapipe_core::store::InstructionStore;
@@ -88,10 +87,7 @@ struct ClusterPlanned {
     /// Global worker index (maps to a planner host and to that worker's
     /// uplink connection).
     worker: usize,
-    plan_us: f64,
-    lower_us: f64,
-    serialize_us: f64,
-    blob_bytes: usize,
+    push: StorePush,
     /// Real µs since run start when the push completed.
     pushed_at_us: f64,
 }
@@ -99,7 +95,7 @@ struct ClusterPlanned {
 /// What the prefetcher hands the executor per iteration.
 struct ClaimedCluster {
     meta: ClusterPlanned,
-    outcome: Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>,
+    outcome: Executable,
     /// Real µs one host spends decoding its copy of the blob.
     decode_us: f64,
     /// Replica → executor-host placement in force for this iteration.
@@ -289,17 +285,12 @@ pub fn run_training_cluster_traced(
                         // (lane = the dead host).
                         if !membership.is_alive(host) {
                             queue.abandon(ticket.index, w);
-                            if sink.is_enabled() {
-                                let t = sink.now_us();
-                                sink.record(Span {
-                                    kind: SpanKind::TicketReissue,
-                                    iteration: ticket.index as i64,
-                                    lane: host as i64,
-                                    start_us: t,
-                                    end_us: t,
-                                    ..Span::default()
-                                });
-                            }
+                            sink.mark(Span {
+                                kind: SpanKind::TicketReissue,
+                                iteration: ticket.index as i64,
+                                lane: host as i64,
+                                ..Span::default()
+                            });
                             return;
                         }
                         // A scripted straggle delays this host's next
@@ -309,22 +300,16 @@ pub fn run_training_cluster_traced(
                         if let Some(delay) = membership.take_straggle(host) {
                             std::thread::sleep(delay);
                         }
+                        let ctx = TicketTraceCtx {
+                            sink,
+                            worker: w as i64,
+                            host: cluster.planner_global(host) as i64,
+                            shard: (ticket.index % cluster.num_shards()) as i64,
+                        };
                         // The claim is recorded only once the holder
                         // commits to planning (a dead host's claim is
                         // abandoned above, not a lifecycle event).
-                        if sink.is_enabled() {
-                            let t = sink.now_us();
-                            sink.record(Span {
-                                kind: SpanKind::TicketClaim,
-                                iteration: ticket.index as i64,
-                                lane: w as i64,
-                                host: cluster.planner_global(host) as i64,
-                                start_us: t,
-                                end_us: t,
-                                generation: ticket.generation,
-                                ..Span::default()
-                            });
-                        }
+                        sink.mark(ctx.span(&ticket, SpanKind::TicketClaim));
                         let guard = TicketGuard::new(queue, Some(store));
                         // Shared with the core runtime's store-backed
                         // worker: plan, lower owned, encode, push. Under
@@ -335,16 +320,9 @@ pub fn run_training_cluster_traced(
                             planner,
                             store,
                             cluster.codec,
-                            ticket.index,
-                            &ticket.batch,
+                            &ticket,
                             DuplicatePush::Discard,
-                            &TicketTraceCtx {
-                                sink,
-                                worker: w as i64,
-                                host: cluster.planner_global(host) as i64,
-                                shard: (ticket.index % cluster.num_shards()) as i64,
-                                generation: ticket.generation,
-                            },
+                            &ctx,
                         );
                         if push.discarded {
                             ledger
@@ -357,31 +335,18 @@ pub fn run_training_cluster_traced(
                             ticket.generation,
                             ClusterPlanned {
                                 worker: w,
-                                plan_us: push.plan_us,
-                                lower_us: push.lower_us,
-                                serialize_us: push.serialize_us,
-                                blob_bytes: push.blob_bytes,
+                                push,
                                 pushed_at_us: t0.elapsed().as_secs_f64() * 1e6,
                             },
                         );
                         guard.disarm();
-                        if sink.is_enabled() {
-                            let t = sink.now_us();
-                            sink.record(Span {
-                                kind: SpanKind::TicketComplete,
-                                iteration: ticket.index as i64,
-                                lane: w as i64,
-                                host: cluster.planner_global(host) as i64,
-                                start_us: t,
-                                end_us: t,
-                                // 1 when the queue accepted this
-                                // completion; 0 when it lost the churn
-                                // race to a re-issued generation.
-                                bytes: (outcome == CompleteOutcome::Accepted) as u64,
-                                generation: ticket.generation,
-                                ..Span::default()
-                            });
-                        }
+                        sink.mark(Span {
+                            // 1 when the queue accepted this completion;
+                            // 0 when it lost the churn race to a
+                            // re-issued generation.
+                            bytes: (outcome == CompleteOutcome::Accepted) as u64,
+                            ..ctx.span(&ticket, SpanKind::TicketComplete)
+                        });
                         if !membership.is_alive(host) {
                             return; // crashed mid-plan: stop claiming
                         }
@@ -418,31 +383,21 @@ pub fn run_training_cluster_traced(
                 // 2 straggle / 3 executor loss) and the affected host in
                 // `lane`; re-issues count against `tickets_reissued`.
                 let churn_span = |class: u64, affected: i64, it: usize| {
-                    if sink.is_enabled() {
-                        let t = sink.now_us();
-                        sink.record(Span {
-                            kind: SpanKind::ChurnAction,
-                            iteration: it as i64,
-                            lane: affected,
-                            start_us: t,
-                            end_us: t,
-                            generation: class,
-                            ..Span::default()
-                        });
-                    }
+                    sink.mark(Span {
+                        kind: SpanKind::ChurnAction,
+                        iteration: it as i64,
+                        lane: affected,
+                        generation: class,
+                        ..Span::default()
+                    });
                 };
                 let reissue_span = |iteration: i64, lane: i64| {
-                    if sink.is_enabled() {
-                        let t = sink.now_us();
-                        sink.record(Span {
-                            kind: SpanKind::TicketReissue,
-                            iteration,
-                            lane,
-                            start_us: t,
-                            end_us: t,
-                            ..Span::default()
-                        });
-                    }
+                    sink.mark(Span {
+                        kind: SpanKind::TicketReissue,
+                        iteration,
+                        lane,
+                        ..Span::default()
+                    });
                 };
                 let mut executor_alive = vec![true; cluster.executor_hosts];
                 let mut replica_host: Vec<usize> =
@@ -604,45 +559,35 @@ pub fn run_training_cluster_traced(
                             WaitOutcome::Planned(p) => break p,
                         }
                     };
-                    // Time the *decode* alone: the wait-for-arrival and
-                    // the store take model the fetch, which the timeline
-                    // already charges as downlink wire time.
-                    let s_take = sink.now_us();
-                    let taken = store.take_blocking(it, STORE_WAIT);
+                    // The counter times the *decode* alone: the
+                    // wait-for-arrival and the store take model the
+                    // fetch, which the timeline already charges as
+                    // downlink wire time.
+                    let store_span = |kind, bytes| Span {
+                        kind,
+                        iteration: it as i64,
+                        lane: shard_map.shard_of(it) as i64,
+                        host: cluster.executor_global(shard_host) as i64,
+                        bytes,
+                        ..Span::default()
+                    };
+                    let (taken, _) = sink.timed(
+                        || store.take_blocking(it, STORE_WAIT),
+                        |taken| {
+                            let blob = taken.as_ref().ok()?;
+                            Some(store_span(SpanKind::StoreTake, blob.len() as u64))
+                        },
+                    );
                     queue.advance(it); // blob out of the store: slot free
-                    let taken_at = sink.now_us();
-                    if sink.is_enabled() {
-                        if let Ok(blob) = &taken {
-                            sink.record(Span {
-                                kind: SpanKind::StoreTake,
-                                iteration: it as i64,
-                                lane: shard_map.shard_of(it) as i64,
-                                host: cluster.executor_global(shard_host) as i64,
-                                start_us: s_take,
-                                end_us: taken_at,
-                                bytes: blob.len() as u64,
-                                ..Span::default()
-                            });
-                        }
-                    }
-                    // lint:allow(wall-clock): decode timing for ExecutorHostStats.decode_us, a stats field only
-                    let t_decode = Instant::now();
-                    let decoded = taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
-                        decode_for_execution(cluster.codec, blob)
-                            .map_err(|e| format!("decode: {e}"))
-                    });
-                    let decode_us = t_decode.elapsed().as_secs_f64() * 1e6;
-                    if sink.is_enabled() && decoded.is_ok() {
-                        sink.record(Span {
-                            kind: SpanKind::Decode,
-                            iteration: it as i64,
-                            lane: shard_map.shard_of(it) as i64,
-                            host: cluster.executor_global(shard_host) as i64,
-                            start_us: taken_at,
-                            end_us: sink.now_us(),
-                            ..Span::default()
-                        });
-                    }
+                    let (decoded, decode_us) = sink.timed(
+                        || {
+                            taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
+                                decode_for_execution(cluster.codec, blob)
+                                    .map_err(|e| format!("decode: {e}"))
+                            })
+                        },
+                        |decoded| decoded.is_ok().then(|| store_span(SpanKind::Decode, 0)),
+                    );
                     let (iteration, outcome) = match decoded {
                         Ok(s) => s,
                         Err(e) => {
@@ -723,7 +668,7 @@ pub fn run_training_cluster_traced(
             };
 
             // --- Wire + per-host timeline ---------------------------------
-            let bytes = meta.blob_bytes as u64;
+            let bytes = meta.push.blob_bytes as u64;
             let p = worker_host[meta.worker];
             let shard = it % out.shards.len();
             let up = uplinks
@@ -737,28 +682,26 @@ pub fn run_training_cluster_traced(
             let up_busy = up.busy_until_us();
             let at_store = up.transmit(meta.pushed_at_us, bytes);
             let push_wire = up.wire_us() - up_before;
-            if sink.is_enabled() {
-                sink.record(Span {
-                    kind: SpanKind::LinkPush,
-                    iteration: it as i64,
-                    lane: meta.worker as i64,
-                    host: cluster.planner_global(p) as i64,
-                    start_us: meta.pushed_at_us,
-                    end_us: at_store,
-                    // FIFO queueing behind the worker's earlier pushes,
-                    // split out of the interval.
-                    wait_us: (up_busy - meta.pushed_at_us).max(0.0),
-                    bytes,
-                    src: cluster.planner_global(p) as i64,
-                    dst: cluster.executor_global(shard_host) as i64,
-                    ..Span::default()
-                });
-            }
+            sink.record(Span {
+                kind: SpanKind::LinkPush,
+                iteration: it as i64,
+                lane: meta.worker as i64,
+                host: cluster.planner_global(p) as i64,
+                start_us: meta.pushed_at_us,
+                end_us: at_store,
+                // FIFO queueing behind the worker's earlier pushes, split
+                // out of the interval.
+                wait_us: (up_busy - meta.pushed_at_us).max(0.0),
+                bytes,
+                src: cluster.planner_global(p) as i64,
+                dst: cluster.executor_global(shard_host) as i64,
+                ..Span::default()
+            });
             let ph = &mut out.planner_hosts[p];
             ph.plans_produced += 1;
-            ph.plan_us += meta.plan_us;
-            ph.lower_us += meta.lower_us;
-            ph.serialize_us += meta.serialize_us;
+            ph.plan_us += meta.push.plan_us;
+            ph.lower_us += meta.push.lower_us;
+            ph.serialize_us += meta.push.serialize_us;
             ph.bytes_pushed += bytes;
             ph.push_wire_us += push_wire;
             {
@@ -779,21 +722,19 @@ pub fn run_training_cluster_traced(
                 let before = link.wire_us();
                 let restore_busy = link.busy_until_us();
                 let restored = link.transmit(at_store, bytes);
-                if sink.is_enabled() {
-                    sink.record(Span {
-                        kind: SpanKind::LinkRestore,
-                        iteration: it as i64,
-                        lane: shard as i64,
-                        host: cluster.executor_global(shard_host) as i64,
-                        start_us: at_store,
-                        end_us: restored,
-                        wait_us: (restore_busy - at_store).max(0.0),
-                        bytes,
-                        src: cluster.executor_global(peer) as i64,
-                        dst: cluster.executor_global(shard_host) as i64,
-                        ..Span::default()
-                    });
-                }
+                sink.record(Span {
+                    kind: SpanKind::LinkRestore,
+                    iteration: it as i64,
+                    lane: shard as i64,
+                    host: cluster.executor_global(shard_host) as i64,
+                    start_us: at_store,
+                    end_us: restored,
+                    wait_us: (restore_busy - at_store).max(0.0),
+                    bytes,
+                    src: cluster.executor_global(peer) as i64,
+                    dst: cluster.executor_global(shard_host) as i64,
+                    ..Span::default()
+                });
                 let sh = &mut out.shards[shard];
                 sh.refetched_blobs += 1;
                 sh.refetch_bytes += bytes;
@@ -845,21 +786,19 @@ pub fn run_training_cluster_traced(
                     eh.bytes_fetched += bytes;
                     out.shards[shard].bytes_served += bytes;
                     remote_copies += 1;
-                    if sink.is_enabled() {
-                        sink.record(Span {
-                            kind: SpanKind::LinkFetch,
-                            iteration: it as i64,
-                            lane: h as i64,
-                            host: cluster.executor_global(h) as i64,
-                            start_us: at_shard,
-                            end_us: arrival,
-                            wait_us: (down_busy - at_shard).max(0.0),
-                            bytes,
-                            src: cluster.executor_global(shard_host) as i64,
-                            dst: cluster.executor_global(h) as i64,
-                            ..Span::default()
-                        });
-                    }
+                    sink.record(Span {
+                        kind: SpanKind::LinkFetch,
+                        iteration: it as i64,
+                        lane: h as i64,
+                        host: cluster.executor_global(h) as i64,
+                        start_us: at_shard,
+                        end_us: arrival,
+                        wait_us: (down_busy - at_shard).max(0.0),
+                        bytes,
+                        src: cluster.executor_global(shard_host) as i64,
+                        dst: cluster.executor_global(h) as i64,
+                        ..Span::default()
+                    });
                 }
                 eh.fetch_wire_us += fetch_wire;
                 out.shards[shard].fetch_wire_us += fetch_wire;
@@ -871,7 +810,7 @@ pub fn run_training_cluster_traced(
                 // the per-host ledger still reconciles bit-exactly.
                 let wait = (avail - vclock).max(0.0);
                 eh.exposed_us += wait;
-                if sink.is_enabled() && wait > 0.0 {
+                if wait > 0.0 {
                     sink.record(Span {
                         kind: SpanKind::ExposedWait,
                         iteration: it as i64,
@@ -892,7 +831,7 @@ pub fn run_training_cluster_traced(
             // every plan instantly available.
             let exposed = (end - vclock - exec.measured_time).max(0.0);
             out.exposed_us += exposed;
-            if sink.is_enabled() && exposed > 0.0 {
+            if exposed > 0.0 {
                 sink.record(Span {
                     kind: SpanKind::ExposedPlanning,
                     iteration: it as i64,
@@ -906,9 +845,9 @@ pub fn run_training_cluster_traced(
             vclock = end;
 
             out.exec_sim_us += exec.measured_time;
-            out.serialize_us += meta.serialize_us;
+            out.serialize_us += meta.push.serialize_us;
             out.decode_us += decode_us * spans.iter().filter(|s| s.is_finite()).count() as f64;
-            out.total_planning_us += meta.plan_us + meta.lower_us;
+            out.total_planning_us += meta.push.plan_us + meta.push.lower_us;
             if cluster.codec == dynapipe_core::PlanCodec::Flat {
                 // Every host that fetched a *remote* copy ran engines
                 // straight over the wire bytes; the shard owner's local
@@ -946,17 +885,11 @@ pub fn run_training_cluster_traced(
     // Workers joined: sweep speculative blobs past a failure. Each
     // swept blob is a discard, so the trace's StoreDiscard count keeps
     // matching the store's `discarded` counter.
-    let swept = store.clear_remaining();
-    if sink.is_enabled() {
-        let t = sink.now_us();
-        for _ in 0..swept {
-            sink.record(Span {
-                kind: SpanKind::StoreDiscard,
-                start_us: t,
-                end_us: t,
-                ..Span::default()
-            });
-        }
+    for _ in 0..store.clear_remaining() {
+        sink.mark(Span {
+            kind: SpanKind::StoreDiscard,
+            ..Span::default()
+        });
     }
     out.store = store.stats();
 

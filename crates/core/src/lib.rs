@@ -23,12 +23,11 @@
 //!   consumption, poison on planner crash, and per-shard counters — the
 //!   runtime's plan-distribution layer in
 //!   [`runtime::PlanDistribution::StoreBacked`] mode.
-//! * [`parallel`] — plan generation across worker threads (§8.5's
-//!   planning/executing overlap).
 //! * [`runtime`] — the pipelined plan-ahead runtime: a planner pool plans
 //!   iterations ahead of a bounded window while the executor runs the
-//!   current one, with a lowering stage in between; bit-identical to the
-//!   serial [`driver`] (the retained golden reference).
+//!   current one, with a lowering stage in between (§8.5's
+//!   planning/executing overlap); bit-identical to the serial [`driver`]
+//!   (the retained golden reference).
 //! * [`gridsearch`] — the paper's 3D-parallelism grid search.
 
 pub mod baseline;
@@ -36,7 +35,6 @@ pub mod codec;
 pub mod compile;
 pub mod driver;
 pub mod gridsearch;
-pub mod parallel;
 pub mod planner;
 pub mod runtime;
 pub mod store;
@@ -48,17 +46,15 @@ pub use codec::{
 pub use compile::{compile_replica, compile_replica_with, GroundTruth};
 pub use driver::{run_training, IterationPlanner, IterationRecord, RunConfig, RunReport};
 pub use gridsearch::{search_parallelism, CandidateScore};
-pub use parallel::{generate_plans_parallel, ParallelPlanStats};
 pub use planner::{
     DynaPipePlanner, IterationPlan, PlanContext, PlanError, PlannerConfig, ReplicaPlan,
     ScheduleKind,
 };
 pub use runtime::{
     decode_for_execution, plan_lower_push_traced, record_sim_iteration, run_training_pipelined,
-    run_training_pipelined_traced, CompiledIteration, CompleteOutcome, DuplicatePush,
-    IterationExecution, PlanAheadQueue, PlanDistribution, QueueChurn, ReplicaParallelism,
-    ReplicaPrograms, RuntimeConfig, RuntimeStats, Ticket, TicketGuard, TicketTraceCtx,
-    WaitOutcome,
+    run_training_pipelined_traced, CompleteOutcome, DuplicatePush, Executable, IterationExecution,
+    PlanAheadQueue, PlanDistribution, QueueChurn, ReplicaParallelism, ReplicaPrograms,
+    RuntimeConfig, RuntimeStats, Ticket, TicketGuard, TicketTraceCtx, WaitOutcome,
 };
 pub use store::{
     InstructionStore, PushOutcome, StoreConfig, StoreError, StoreStats, StoredLowered,

@@ -16,14 +16,14 @@
 //! * the **planner pool** pulls mini-batches from a streaming
 //!   [`BatchStream`] (the epoch is never materialized) and plans
 //!   iterations up to [`RuntimeConfig::plan_ahead`] ahead of the one being
-//!   executed, on the same bounded worker-pool mechanism as
-//!   [`crate::parallel::generate_plans_parallel`] (each worker caps its
-//!   nested rayon parallelism to its pool share; the planner's shared
-//!   [`crate::planner::PlanContext`] passes are reused per plan as usual);
+//!   executed (each worker caps its nested rayon parallelism to its pool
+//!   share; the planner's shared [`crate::planner::PlanContext`] passes
+//!   are reused per plan as usual);
 //! * the **lowering stage** sits between planner and engine: each
-//!   replica's [`dynapipe_comm::ExecutionPlan`] is compiled to shared
+//!   replica's [`dynapipe_comm::ExecutionPlan`] is compiled to
 //!   [`DeviceProgram`]s on the worker, so the executor never rebuilds
-//!   programs inline;
+//!   programs inline. Planning and lowering are one step, `plan_lower`,
+//!   shared by every distribution mode and by the cluster layer;
 //! * the **executor** consumes iterations strictly in order from the
 //!   bounded queue and runs each iteration's independent replica engines
 //!   in parallel.
@@ -216,39 +216,47 @@ impl ReplicaPrograms {
     }
 }
 
-/// One iteration after the lowering stage: the plan plus each replica's
-/// compiled device programs, ready for the engine.
-pub struct CompiledIteration {
-    /// The iteration plan the programs were lowered from.
-    pub plan: IterationPlan,
-    /// Per-replica device programs, shared with the engines that run them.
-    pub programs: Vec<ReplicaPrograms>,
-}
+/// An iteration ready for the engines: the plan plus each replica's
+/// device programs, or the planning failure the executor reports in its
+/// place.
+pub type Executable = Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>;
 
-/// Lower every replica of `plan` to simulator device programs (the
-/// lowering stage; pure, so programs are identical wherever lowering
-/// runs). One ground-truth memo serves all replicas: padding buckets
-/// repeat micro-batch shapes across replicas, so each distinct
+/// Lower every replica of `plan` to owned simulator device programs —
+/// the one lowering loop (pure, so programs are identical wherever
+/// lowering runs). One ground-truth memo serves all replicas: padding
+/// buckets repeat micro-batch shapes across replicas, so each distinct
 /// `(stage, shape)` is priced once per iteration, not once per replica
 /// (bit-identical either way — the memo returns the first evaluation).
-pub fn lower_replicas(cm: &CostModel, plan: &IterationPlan) -> Vec<Arc<Vec<DeviceProgram>>> {
+fn lower_owned(cm: &CostModel, plan: &IterationPlan) -> Vec<Vec<DeviceProgram>> {
     let truth = crate::compile::GroundTruth::new(cm);
     plan.replicas
         .iter()
-        .map(|r| Arc::new(crate::compile::compile_replica_with(&truth, &r.plan)))
+        .map(|r| crate::compile::compile_replica_with(&truth, &r.plan))
         .collect()
 }
 
-/// Lower an owned plan into a [`CompiledIteration`].
-pub fn lower_iteration(cm: &CostModel, plan: IterationPlan) -> CompiledIteration {
-    let programs = lower_replicas(cm, &plan)
-        .into_iter()
-        .map(ReplicaPrograms::Owned)
-        .collect();
-    CompiledIteration { plan, programs }
+/// [`lower_owned`] with each replica's programs shared behind an `Arc`,
+/// ready for the engines that run them.
+pub fn lower_replicas(cm: &CostModel, plan: &IterationPlan) -> Vec<Arc<Vec<DeviceProgram>>> {
+    lower_owned(cm, plan).into_iter().map(Arc::new).collect()
 }
 
-/// Distribution accounting of one [`plan_lower_push`] call.
+/// Hand a lowered outcome to the engines: owned programs are wrapped in
+/// `Arc`s, a planning failure passes through.
+fn into_executable(outcome: StoredOutcome) -> Executable {
+    match outcome {
+        StoredOutcome::Plan(StoredLowered { plan, programs }) => {
+            let programs = programs
+                .into_iter()
+                .map(|p| ReplicaPrograms::Owned(Arc::new(p)))
+                .collect();
+            Ok((plan, programs))
+        }
+        StoredOutcome::Failed(e) => Err(e),
+    }
+}
+
+/// Distribution accounting of one [`plan_lower_push_traced`] call.
 pub struct StorePush {
     /// Worker wall-clock spent planning (µs).
     pub plan_us: f64,
@@ -263,8 +271,8 @@ pub struct StorePush {
     pub discarded: bool,
 }
 
-/// How [`plan_lower_push`] treats a push that collides with an existing
-/// blob or tombstone for the same iteration.
+/// How [`plan_lower_push_traced`] treats a push that collides with an
+/// existing blob or tombstone for the same iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DuplicatePush {
     /// Panic — the single-attempt runtime never legitimately pushes an
@@ -277,42 +285,8 @@ pub enum DuplicatePush {
     Discard,
 }
 
-/// The store-backed planner-worker body, shared by the plan-ahead
-/// runtime and the cluster layer: plan the mini-batch, lower to *owned*
-/// programs (one ground-truth memo across replicas — the plans are
-/// about to cross the wire, so sharing `Arc`s buys nothing), encode with
-/// `codec` and push the blob keyed by `index` with put-side
-/// backpressure. Planning failures are pushed too ([`StoredOutcome::Failed`])
-/// so the executor reports them at exactly the serial iteration.
-///
-/// # Panics
-///
-/// If the push fails — window accounting means a healthy run never
-/// blocks long enough to time out, so failure is a crashed-counterpart
-/// signal. Callers hold a [`TicketGuard`], whose unwind poisons the
-/// queue and store instead of deadlocking the executor.
-pub fn plan_lower_push(
-    planner: &dyn IterationPlanner,
-    store: &InstructionStore,
-    codec: PlanCodec,
-    index: usize,
-    batch: &[Sample],
-    on_duplicate: DuplicatePush,
-) -> StorePush {
-    plan_lower_push_traced(
-        planner,
-        store,
-        codec,
-        index,
-        batch,
-        on_duplicate,
-        &TicketTraceCtx::untraced(),
-    )
-}
-
-/// Trace attribution for one planner-worker ticket: where
-/// [`plan_lower_push_traced`] records its phase spans. The untraced
-/// callers go through [`plan_lower_push`], which passes a disabled sink.
+/// Trace attribution for one planner worker's ticket: where the ticket
+/// phases record their spans.
 pub struct TicketTraceCtx<'a> {
     /// Recorder (may be disabled).
     pub sink: &'a TraceSink,
@@ -322,119 +296,135 @@ pub struct TicketTraceCtx<'a> {
     pub host: i64,
     /// Store shard the push lands on (-1 when single / unknown).
     pub shard: i64,
-    /// Ticket generation (re-issue count).
-    pub generation: u64,
 }
 
-/// The shared disabled sink behind [`TicketTraceCtx::untraced`] — a
-/// `TraceSink` is only `Default`-cheap, not `const`, so keep one.
-static UNTRACED: std::sync::OnceLock<TraceSink> = std::sync::OnceLock::new();
-
 impl TicketTraceCtx<'_> {
-    /// A context that records nothing.
-    pub fn untraced() -> TicketTraceCtx<'static> {
-        TicketTraceCtx {
-            sink: UNTRACED.get_or_init(TraceSink::disabled),
-            worker: -1,
-            host: -1,
-            shard: -1,
-            generation: 0,
+    /// A `Host`-domain span of `ticket` on this worker's lane; the
+    /// recorder fills in its clock.
+    pub fn span(&self, ticket: &Ticket, kind: SpanKind) -> Span {
+        Span {
+            kind,
+            iteration: ticket.index as i64,
+            lane: self.worker,
+            host: self.host,
+            generation: ticket.generation,
+            ..Span::default()
         }
     }
 }
 
-/// [`plan_lower_push`] with span recording: one `Host`-domain span per
-/// phase (plan / lower / encode+push), a `StorePush` marker, and a
-/// `StoreDiscard` marker when the push was dropped at the door as a
-/// re-issue duplicate.
+/// One ticket after the shared plan + lower step.
+struct LoweredTicket {
+    /// The lowered iteration with *owned* programs, or the planning
+    /// failure in its place.
+    outcome: StoredOutcome,
+    /// Worker wall-clock spent planning (µs).
+    plan_us: f64,
+    /// Worker wall-clock spent lowering (µs).
+    lower_us: f64,
+}
+
+/// The planner-worker step every runtime path shares: plan the ticket's
+/// mini-batch, then lower it to owned programs. Each phase is one
+/// [`TraceSink::timed`] call, so its `TicketPlan` / `TicketLower` span
+/// and the µs returned for the counters come from the same clock reads.
+/// Planning failures are kept as [`StoredOutcome::Failed`] so the
+/// executor reports them at exactly the serial iteration.
+fn plan_lower(
+    planner: &dyn IterationPlanner,
+    ticket: &Ticket,
+    ctx: &TicketTraceCtx<'_>,
+) -> LoweredTicket {
+    let (planned, plan_us) = ctx.sink.timed(
+        || planner.plan(&ticket.batch),
+        |_| Some(ctx.span(ticket, SpanKind::TicketPlan)),
+    );
+    let (outcome, lower_us) = ctx.sink.timed(
+        || match planned {
+            Ok(plan) => {
+                let programs = lower_owned(planner.cost_model(), &plan);
+                StoredOutcome::Plan(StoredLowered { plan, programs })
+            }
+            Err(e) => StoredOutcome::Failed(e),
+        },
+        |_| Some(ctx.span(ticket, SpanKind::TicketLower)),
+    );
+    LoweredTicket {
+        outcome,
+        plan_us,
+        lower_us,
+    }
+}
+
+/// The store-backed planner-worker body, shared by the plan-ahead
+/// runtime and the cluster layer: the shared `plan_lower` step (the
+/// plans are about to cross the wire, so they stay owned — sharing
+/// `Arc`s buys nothing), then encode with `codec` and push the blob
+/// keyed by the ticket's iteration with put-side backpressure. Records
+/// one `Host`-domain span per phase (plan / lower / encode+push), a
+/// `StorePush` marker, and a `StoreDiscard` marker when the push was
+/// dropped at the door as a re-issue duplicate.
+///
+/// # Panics
+///
+/// If the push fails — window accounting means a healthy run never
+/// blocks long enough to time out, so failure is a crashed-counterpart
+/// signal. Callers hold a [`TicketGuard`], whose unwind poisons the
+/// queue and store instead of deadlocking the executor.
 pub fn plan_lower_push_traced(
     planner: &dyn IterationPlanner,
     store: &InstructionStore,
     codec: PlanCodec,
-    index: usize,
-    batch: &[Sample],
+    ticket: &Ticket,
     on_duplicate: DuplicatePush,
     ctx: &TicketTraceCtx<'_>,
 ) -> StorePush {
-    let cm = planner.cost_model();
-    let ticket_span = |kind: SpanKind, start_us: f64, end_us: f64, bytes: u64| Span {
-        kind,
-        iteration: index as i64,
-        lane: ctx.worker,
-        host: ctx.host,
-        start_us,
-        end_us,
-        bytes,
-        generation: ctx.generation,
-        ..Span::default()
-    };
-    let s_plan = ctx.sink.now_us();
-    // lint:allow(wall-clock): plan timing for RuntimeStats.planning_us, a stats field only
-    let t_plan = Instant::now();
-    let planned = planner.plan(batch);
-    let plan_us = t_plan.elapsed().as_secs_f64() * 1e6;
-    ctx.sink
-        .record(ticket_span(SpanKind::TicketPlan, s_plan, ctx.sink.now_us(), 0));
-    let s_lower = ctx.sink.now_us();
-    // lint:allow(wall-clock): lowering timing for RuntimeStats stats fields only
-    let t_lower = Instant::now();
-    let outcome = match planned {
-        Ok(plan) => {
-            let truth = crate::compile::GroundTruth::new(cm);
-            let programs = plan
-                .replicas
-                .iter()
-                .map(|r| crate::compile::compile_replica_with(&truth, &r.plan))
-                .collect();
-            StoredOutcome::Plan(StoredLowered { plan, programs })
-        }
-        Err(e) => StoredOutcome::Failed(e),
-    };
-    let lower_us = t_lower.elapsed().as_secs_f64() * 1e6;
-    ctx.sink
-        .record(ticket_span(SpanKind::TicketLower, s_lower, ctx.sink.now_us(), 0));
-    let s_ser = ctx.sink.now_us();
-    // lint:allow(wall-clock): serialize timing for RuntimeStats.serialize_us, a stats field only
-    let t_ser = Instant::now();
-    let blob = StoredPlan {
-        iteration: index,
-        outcome,
-    }
-    .encode(codec);
-    let blob_bytes = blob.len();
-    let discarded = match on_duplicate {
-        DuplicatePush::Fail => {
-            store
-                .push_blocking(index, blob, STORE_WAIT)
-                .unwrap_or_else(|e| panic!("instruction store push failed: {e}"));
-            false
-        }
-        DuplicatePush::Discard => {
-            let outcome = store
-                .push_discarding(index, blob, STORE_WAIT)
-                .unwrap_or_else(|e| panic!("instruction store push failed: {e}"));
-            outcome == crate::store::PushOutcome::DiscardedDuplicate
-        }
-    };
-    let e_ser = ctx.sink.now_us();
-    ctx.sink
-        .record(ticket_span(SpanKind::TicketEncode, s_ser, e_ser, blob_bytes as u64));
-    ctx.sink.record(Span {
+    let lowered = plan_lower(planner, ticket, ctx);
+    let index = ticket.index;
+    let ((blob_bytes, discarded), serialize_us) = ctx.sink.timed(
+        || {
+            let blob = StoredPlan {
+                iteration: index,
+                outcome: lowered.outcome,
+            }
+            .encode(codec);
+            let blob_bytes = blob.len();
+            let discarded = match on_duplicate {
+                DuplicatePush::Fail => {
+                    store
+                        .push_blocking(index, blob, STORE_WAIT)
+                        .unwrap_or_else(|e| panic!("instruction store push failed: {e}"));
+                    false
+                }
+                DuplicatePush::Discard => {
+                    let outcome = store
+                        .push_discarding(index, blob, STORE_WAIT)
+                        .unwrap_or_else(|e| panic!("instruction store push failed: {e}"));
+                    outcome == crate::store::PushOutcome::DiscardedDuplicate
+                }
+            };
+            (blob_bytes, discarded)
+        },
+        |&(blob_bytes, _)| {
+            Some(Span {
+                bytes: blob_bytes as u64,
+                ..ctx.span(ticket, SpanKind::TicketEncode)
+            })
+        },
+    );
+    let store_span = |kind| Span {
         lane: ctx.shard,
         bytes: blob_bytes as u64,
-        ..ticket_span(SpanKind::StorePush, e_ser, e_ser, 0)
-    });
+        ..ctx.span(ticket, kind)
+    };
+    ctx.sink.mark(store_span(SpanKind::StorePush));
     if discarded {
-        ctx.sink.record(Span {
-            lane: ctx.shard,
-            bytes: blob_bytes as u64,
-            ..ticket_span(SpanKind::StoreDiscard, e_ser, e_ser, 0)
-        });
+        ctx.sink.mark(store_span(SpanKind::StoreDiscard));
     }
     StorePush {
-        plan_us,
-        lower_us,
-        serialize_us: t_ser.elapsed().as_secs_f64() * 1e6,
+        plan_us: lowered.plan_us,
+        lower_us: lowered.lower_us,
+        serialize_us,
         blob_bytes,
         discarded,
     }
@@ -583,11 +573,10 @@ pub fn execute_lowered(
 /// plan-metadata section is materialized. Both prefetchers (single-host
 /// and cluster) share this so the fetched-blob-to-engine boundary is
 /// identical by construction.
-#[allow(clippy::type_complexity)]
 pub fn decode_for_execution(
     codec: PlanCodec,
     blob: Arc<[u8]>,
-) -> Result<(usize, Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>), String> {
+) -> Result<(usize, Executable), String> {
     if codec == PlanCodec::Flat {
         let flat = FlatPlanRef::new(blob).map_err(|e| e.to_string())?;
         let it = flat.iteration();
@@ -602,48 +591,10 @@ pub fn decode_for_execution(
             .collect();
         return Ok((it, Ok((plan, programs))));
     }
+    // Engines will run over the owned, deserialized programs — nothing
+    // from the planner side of the boundary is referenced.
     let stored = StoredPlan::decode(codec, &blob).map_err(|e| e.to_string())?;
-    let outcome = match stored.outcome {
-        StoredOutcome::Plan(StoredLowered { plan, programs }) => {
-            // Engines will run over the owned, deserialized programs —
-            // nothing from the planner side of the boundary is referenced.
-            let programs = programs
-                .into_iter()
-                .map(|p| ReplicaPrograms::Owned(Arc::new(p)))
-                .collect();
-            Ok((plan, programs))
-        }
-        StoredOutcome::Failed(e) => Err(e),
-    };
-    Ok((stored.iteration, outcome))
-}
-
-/// What a worker hands the executor for one iteration: the payload
-/// itself (in-process) or a receipt for a blob parked in the store.
-enum PlannedPayload {
-    /// The lowered iteration, shared in-process.
-    InProcess(Box<Result<CompiledIteration, PlanError>>),
-    /// The outcome was serialized and pushed into the [`InstructionStore`]
-    /// keyed by this iteration; only the serialization accounting rides
-    /// the queue.
-    Stored {
-        /// Worker wall-clock spent encoding + pushing the blob (µs).
-        serialize_us: f64,
-        /// Size of the pushed wire blob.
-        blob_bytes: usize,
-    },
-}
-
-/// A planned (and lowered) iteration travelling through the plan-ahead
-/// queue.
-struct PlannedIteration {
-    payload: PlannedPayload,
-    /// Worker wall-clock spent planning (µs).
-    plan_us: f64,
-    /// Worker wall-clock spent lowering (µs).
-    lower_us: f64,
-    /// Host time since run start when the outcome landed in the queue (µs).
-    ready_at_us: f64,
+    Ok((stored.iteration, into_executable(stored.outcome)))
 }
 
 /// What the executor receives for an iteration index.
@@ -752,7 +703,7 @@ struct QueueState<T> {
 
 /// The bounded plan-ahead queue between a planner pool and an in-order
 /// executor, generic over the planned payload `T` (this runtime's
-/// [`PlannedIteration`]; the cluster layer's host-annotated receipt).
+/// [`ClaimedIteration`]; the cluster layer's host-annotated receipt).
 /// Claiming a ticket pulls the matching mini-batch from the
 /// stream under the queue lock, so ticket order always equals stream
 /// order; the window condition `next_ticket < next_consume + plan_ahead`
@@ -1147,18 +1098,25 @@ impl<T> Drop for TicketGuard<'_, T> {
     }
 }
 
-/// An iteration ready for execution, with its full distribution-path
-/// accounting — produced straight off the queue (in-process) or by the
-/// store-mode prefetcher (take + decode already paid).
+/// A planned (and lowered) iteration on its way to the executor, with
+/// its full distribution-path accounting. In-process it comes straight
+/// off the queue; store-backed, the queue carries only the accounting
+/// and the prefetcher fills in the take + decode.
 struct ClaimedIteration {
-    outcome: Result<CompiledIteration, PlanError>,
+    /// The executable iteration; `None` while its blob sits in the store.
+    outcome: Option<Executable>,
+    /// Worker wall-clock spent planning (µs).
     plan_us: f64,
+    /// Worker wall-clock spent lowering (µs).
     lower_us: f64,
     /// Host time since run start when the *executable* plan became
     /// available to the executor (store mode: after take + decode).
     ready_us: f64,
+    /// Worker wall-clock spent encoding + pushing the blob (µs).
     serialize_us: f64,
+    /// Size of the pushed wire blob.
     blob_bytes: usize,
+    /// Prefetcher wall-clock spent taking + decoding the blob (µs).
     deserialize_us: f64,
     /// Bytes the engines execute zero-copy, straight over the fetched
     /// wire blob ([`PlanCodec::Flat`] only; 0 otherwise).
@@ -1174,10 +1132,6 @@ enum Prefetched {
     Lost(String),
 }
 
-/// Execute one claimed iteration and fold it into the report and stats;
-/// returns `false` when the run must stop (planning or execution
-/// failure). Shared by both distribution modes so the fold — and thus
-/// the report — is identical by construction.
 /// Record one executed iteration's `Sim`-domain spans on the ideal
 /// simulated timeline (`sim_clock`): per-replica execution intervals,
 /// the gradient-sync tail, and (when the engines recorded op traces)
@@ -1241,20 +1195,26 @@ pub fn record_sim_iteration(
     });
 }
 
+/// Execute one claimed iteration and fold it into the report and stats;
+/// returns `false` when the run must stop (planning or execution
+/// failure). Shared by both distribution modes so the fold — and thus
+/// the report — is identical by construction.
 #[allow(clippy::too_many_arguments)]
 fn fold_claimed(
     cm: &CostModel,
     run: &RunConfig,
     it: usize,
     claimed: ClaimedIteration,
-    store_mode: bool,
     report: &mut RunReport,
     stats: &mut RuntimeStats,
     vclock: &mut f64,
     sink: &TraceSink,
     sim_clock: &mut f64,
 ) -> bool {
-    let compiled = match claimed.outcome {
+    let outcome = claimed
+        .outcome
+        .expect("the executor receives executable iterations");
+    let (plan, programs) = match outcome {
         Ok(c) => c,
         Err(e) => {
             report.failure = Some(format!("iteration {it}: {e}"));
@@ -1263,8 +1223,8 @@ fn fold_claimed(
     };
     let exec = match execute_lowered(
         cm,
-        &compiled.plan,
-        &compiled.programs,
+        &plan,
+        &programs,
         run,
         it,
         ReplicaParallelism::Parallel,
@@ -1299,7 +1259,7 @@ fn fold_claimed(
     stats.exec_sim_us.push(exec.measured_time);
     stats.exposed_us.push(exposed);
     stats.exec_host_us += exec.host_wall_us;
-    if store_mode {
+    if stats.distribution == PlanDistribution::StoreBacked {
         stats.serialize_us.push(claimed.serialize_us);
         stats.deserialize_us.push(claimed.deserialize_us);
         stats.blob_bytes.push(claimed.blob_bytes);
@@ -1308,7 +1268,7 @@ fn fold_claimed(
     record_iteration(
         report,
         cm,
-        &compiled.plan,
+        &plan,
         exec.measured_time,
         exec.peak_memory,
         exec.allocator_stall_us,
@@ -1516,8 +1476,8 @@ pub fn run_training_pipelined_traced(
     };
 
     // Nested parallelism budget per planner worker: the pool's threads are
-    // split across workers, mirroring how generate_plans_parallel's pool
-    // runs nested planning work within each worker's slot.
+    // split across workers, so each worker runs its nested planning work
+    // within its own slot.
     let nested_threads = (rayon::current_num_threads() / config.workers).max(1);
 
     std::thread::scope(|scope| {
@@ -1532,85 +1492,56 @@ pub fn run_training_pipelined_traced(
                     .expect("planner worker pool");
                 pool.install(|| {
                     while let Some(ticket) = queue.claim(stream, worker) {
-                        let (index, batch) = (ticket.index, &ticket.batch);
-                        let ticket_span = |kind: SpanKind, start_us: f64, end_us: f64| Span {
-                            kind,
-                            iteration: index as i64,
-                            lane: worker as i64,
+                        let ctx = TicketTraceCtx {
+                            sink,
+                            worker: worker as i64,
                             host: 0,
-                            start_us,
-                            end_us,
-                            generation: ticket.generation,
-                            ..Span::default()
+                            shard: 0,
                         };
-                        let claim_at = sink.now_us();
-                        sink.record(ticket_span(SpanKind::TicketClaim, claim_at, claim_at));
+                        sink.mark(ctx.span(&ticket, SpanKind::TicketClaim));
                         let guard = TicketGuard::new(queue, store);
                         // The lowering stage runs on the worker either
                         // way, so the executor receives ready-to-run
                         // programs.
-                        let planned = match store {
+                        let (outcome, plan_us, lower_us, serialize_us, blob_bytes) = match store {
                             None => {
-                                let s_plan = sink.now_us();
-                                // lint:allow(wall-clock): plan timing for RuntimeStats.planning_us, a stats field only
-                                let t_plan = Instant::now();
-                                let planned = planner.plan(batch);
-                                let plan_us = t_plan.elapsed().as_secs_f64() * 1e6;
-                                sink.record(ticket_span(
-                                    SpanKind::TicketPlan,
-                                    s_plan,
-                                    sink.now_us(),
-                                ));
-                                let s_lower = sink.now_us();
-                                // lint:allow(wall-clock): lowering timing for RuntimeStats stats fields only
-                                let t_lower = Instant::now();
-                                let outcome = planned.map(|p| lower_iteration(cm, p));
-                                let lower_us = t_lower.elapsed().as_secs_f64() * 1e6;
-                                sink.record(ticket_span(
-                                    SpanKind::TicketLower,
-                                    s_lower,
-                                    sink.now_us(),
-                                ));
-                                PlannedIteration {
-                                    payload: PlannedPayload::InProcess(Box::new(outcome)),
-                                    plan_us,
-                                    lower_us,
-                                    ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                                }
+                                let lowered = plan_lower(planner, &ticket, &ctx);
+                                let outcome = into_executable(lowered.outcome);
+                                (Some(outcome), lowered.plan_us, lowered.lower_us, 0.0, 0)
                             }
                             Some(store) => {
                                 let push = plan_lower_push_traced(
                                     planner,
                                     store,
                                     config.codec,
-                                    index,
-                                    batch,
+                                    &ticket,
                                     DuplicatePush::Fail,
-                                    &TicketTraceCtx {
-                                        sink,
-                                        worker: worker as i64,
-                                        host: 0,
-                                        shard: 0,
-                                        generation: ticket.generation,
-                                    },
+                                    &ctx,
                                 );
-                                PlannedIteration {
-                                    payload: PlannedPayload::Stored {
-                                        serialize_us: push.serialize_us,
-                                        blob_bytes: push.blob_bytes,
-                                    },
-                                    plan_us: push.plan_us,
-                                    lower_us: push.lower_us,
-                                    ready_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                                }
+                                (
+                                    None,
+                                    push.plan_us,
+                                    push.lower_us,
+                                    push.serialize_us,
+                                    push.blob_bytes,
+                                )
                             }
                         };
-                        let outcome = queue.complete(index, ticket.generation, planned);
-                        let done_at = sink.now_us();
-                        sink.record(Span {
+                        let planned = ClaimedIteration {
+                            outcome,
+                            plan_us,
+                            lower_us,
+                            ready_us: t0.elapsed().as_secs_f64() * 1e6,
+                            serialize_us,
+                            blob_bytes,
+                            deserialize_us: 0.0,
+                            flat_bytes: 0,
+                        };
+                        let outcome = queue.complete(ticket.index, ticket.generation, planned);
+                        sink.mark(Span {
                             // `bytes` flags acceptance: 1 accepted, 0 stale/cancelled.
                             bytes: (outcome == CompleteOutcome::Accepted) as u64,
-                            ..ticket_span(SpanKind::TicketComplete, done_at, done_at)
+                            ..ctx.span(&ticket, SpanKind::TicketComplete)
                         });
                         guard.disarm();
                     }
@@ -1631,181 +1562,128 @@ pub fn run_training_pipelined_traced(
         // taken, so window slots still count store occupancy.
         let mut vclock = 0.0f64;
         let mut sim_clock = 0.0f64;
-        match &store {
-            None => {
+        let prefetched = store.as_ref().map(|store| {
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Prefetched>(1);
+            let queue = &queue;
+            scope.spawn(move || {
                 for it in 0..cap {
                     let planned = match queue.wait_for(it) {
-                        WaitOutcome::EndOfEpoch => break,
-                        WaitOutcome::Cancelled => {
-                            unreachable!("only the executor cancels, after this loop")
+                        WaitOutcome::Cancelled => return,
+                        WaitOutcome::EndOfEpoch => {
+                            let _ = tx.send(Prefetched::EndOfEpoch);
+                            return;
                         }
                         WaitOutcome::Deadline => {
                             unreachable!("wait_for is unbounded")
                         }
                         WaitOutcome::Planned(p) => p,
                     };
+                    let store_span = |kind, bytes| Span {
+                        kind,
+                        iteration: it as i64,
+                        lane: 0,
+                        host: 0,
+                        bytes,
+                        ..Span::default()
+                    };
+                    let (taken, take_us) = sink.timed(
+                        || store.take_blocking(it, STORE_WAIT),
+                        |taken| {
+                            let blob = taken.as_ref().ok()?;
+                            Some(store_span(SpanKind::StoreTake, blob.len() as u64))
+                        },
+                    );
+                    let took = taken.is_ok();
+                    let (decoded, decode_us) = sink.timed(
+                        || {
+                            taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
+                                decode_for_execution(config.codec, blob)
+                                    .map_err(|e| format!("decode: {e}"))
+                            })
+                        },
+                        |_| took.then(|| store_span(SpanKind::Decode, 0)),
+                    );
+                    // Blob out of the store: the window slot is free.
                     queue.advance(it);
-                    let PlannedPayload::InProcess(outcome) = planned.payload else {
-                        unreachable!("in-process runs carry in-process payloads")
+                    let (iteration, outcome) = match decoded {
+                        Ok(s) => s,
+                        Err(e) => {
+                            // Losing a blob the queue promised is a
+                            // crashed counterpart / corrupt wire
+                            // blob, not a recoverable outcome.
+                            let _ = tx.send(Prefetched::Lost(format!(
+                                "instruction store lost iteration {it}: {e}"
+                            )));
+                            return;
+                        }
                     };
+                    debug_assert_eq!(iteration, it, "blob is self-describing");
                     let claimed = ClaimedIteration {
-                        outcome: *outcome,
-                        plan_us: planned.plan_us,
-                        lower_us: planned.lower_us,
-                        ready_us: planned.ready_at_us,
-                        serialize_us: 0.0,
-                        blob_bytes: 0,
-                        deserialize_us: 0.0,
-                        flat_bytes: 0,
+                        outcome: Some(outcome),
+                        ready_us: t0.elapsed().as_secs_f64() * 1e6,
+                        deserialize_us: take_us + decode_us,
+                        flat_bytes: if config.codec == PlanCodec::Flat {
+                            planned.blob_bytes
+                        } else {
+                            0
+                        },
+                        ..planned
                     };
-                    if !fold_claimed(
-                        cm,
-                        &run,
-                        it,
-                        claimed,
-                        false,
-                        &mut report,
-                        &mut stats,
-                        &mut vclock,
-                        sink,
-                        &mut sim_clock,
-                    ) {
-                        break;
+                    if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {
+                        return; // executor stopped consuming
                     }
                 }
-            }
-            Some(store) => {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<Prefetched>(1);
-                {
-                    let queue = &queue;
-                    scope.spawn(move || {
-                        for it in 0..cap {
-                            let planned = match queue.wait_for(it) {
-                                WaitOutcome::Cancelled => return,
-                                WaitOutcome::EndOfEpoch => {
-                                    let _ = tx.send(Prefetched::EndOfEpoch);
-                                    return;
-                                }
-                                WaitOutcome::Deadline => {
-                                    unreachable!("wait_for is unbounded")
-                                }
-                                WaitOutcome::Planned(p) => p,
-                            };
-                            let PlannedPayload::Stored {
-                                serialize_us,
-                                blob_bytes,
-                            } = planned.payload
-                            else {
-                                unreachable!("store-backed runs carry stored payloads")
-                            };
-                            let s_take = sink.now_us();
-                            // lint:allow(wall-clock): deserialize timing for RuntimeStats.deserialize_us, a stats field only
-                            let t_deser = Instant::now();
-                            let decoded = store
-                                .take_blocking(it, STORE_WAIT)
-                                .map_err(|e| format!("take: {e}"))
-                                .and_then(|blob| {
-                                    let taken_at = sink.now_us();
-                                    sink.record(Span {
-                                        kind: SpanKind::StoreTake,
-                                        iteration: it as i64,
-                                        lane: 0,
-                                        host: 0,
-                                        start_us: s_take,
-                                        end_us: taken_at,
-                                        bytes: blob.len() as u64,
-                                        ..Span::default()
-                                    });
-                                    let decoded = decode_for_execution(config.codec, blob)
-                                        .map_err(|e| format!("decode: {e}"));
-                                    sink.record(Span {
-                                        kind: SpanKind::Decode,
-                                        iteration: it as i64,
-                                        lane: 0,
-                                        host: 0,
-                                        start_us: taken_at,
-                                        end_us: sink.now_us(),
-                                        ..Span::default()
-                                    });
-                                    decoded
-                                });
-                            // Blob out of the store: the window slot is free.
-                            queue.advance(it);
-                            let (iteration, decoded) = match decoded {
-                                Ok(s) => s,
-                                Err(e) => {
-                                    // Losing a blob the queue promised is a
-                                    // crashed counterpart / corrupt wire
-                                    // blob, not a recoverable outcome.
-                                    let _ = tx.send(Prefetched::Lost(format!(
-                                        "instruction store lost iteration {it}: {e}"
-                                    )));
-                                    return;
-                                }
-                            };
-                            debug_assert_eq!(iteration, it, "blob is self-describing");
-                            let outcome = decoded.map(|(plan, programs)| {
-                                CompiledIteration { plan, programs }
-                            });
-                            let claimed = ClaimedIteration {
-                                outcome,
-                                plan_us: planned.plan_us,
-                                lower_us: planned.lower_us,
-                                ready_us: t0.elapsed().as_secs_f64() * 1e6,
-                                serialize_us,
-                                blob_bytes,
-                                deserialize_us: t_deser.elapsed().as_secs_f64() * 1e6,
-                                flat_bytes: if config.codec == PlanCodec::Flat {
-                                    blob_bytes
-                                } else {
-                                    0
-                                },
-                            };
-                            if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {
-                                return; // executor stopped consuming
-                            }
-                        }
-                        let _ = tx.send(Prefetched::EndOfEpoch);
-                    });
-                }
-                for it in 0..cap {
-                    match rx.recv() {
-                        Ok(Prefetched::EndOfEpoch) => break,
-                        Ok(Prefetched::Lost(e)) => {
-                            queue.cancel();
-                            panic!("{e}");
-                        }
-                        Err(_) => {
-                            // The prefetcher died without a message: a
-                            // planner worker panicked under it. Unblock the
-                            // pool and re-raise; the scope join surfaces
-                            // the original panic.
-                            queue.cancel();
-                            panic!("a planner worker panicked while planning ahead");
-                        }
-                        Ok(Prefetched::Iteration(claimed)) => {
-                            if !fold_claimed(
-                                cm,
-                                &run,
-                                it,
-                                *claimed,
-                                true,
-                                &mut report,
-                                &mut stats,
-                                &mut vclock,
-                                sink,
-                                &mut sim_clock,
-                            ) {
-                                break;
-                            }
-                        }
+                let _ = tx.send(Prefetched::EndOfEpoch);
+            });
+            rx
+        });
+        for it in 0..cap {
+            let claimed = match &prefetched {
+                None => match queue.wait_for(it) {
+                    WaitOutcome::EndOfEpoch => break,
+                    WaitOutcome::Cancelled => {
+                        unreachable!("only the executor cancels, after this loop")
                     }
-                }
-                // Executor done (epoch end, cap, or failure): releasing the
-                // channel unblocks a prefetcher stuck in `send`.
-                drop(rx);
+                    WaitOutcome::Deadline => unreachable!("wait_for is unbounded"),
+                    WaitOutcome::Planned(p) => {
+                        queue.advance(it);
+                        p
+                    }
+                },
+                Some(rx) => match rx.recv() {
+                    Ok(Prefetched::EndOfEpoch) => break,
+                    Ok(Prefetched::Lost(e)) => {
+                        queue.cancel();
+                        panic!("{e}");
+                    }
+                    Err(_) => {
+                        // The prefetcher died without a message: a planner
+                        // worker panicked under it. Unblock the pool and
+                        // re-raise; the scope join surfaces the original
+                        // panic.
+                        queue.cancel();
+                        panic!("a planner worker panicked while planning ahead");
+                    }
+                    Ok(Prefetched::Iteration(claimed)) => *claimed,
+                },
+            };
+            if !fold_claimed(
+                cm,
+                &run,
+                it,
+                claimed,
+                &mut report,
+                &mut stats,
+                &mut vclock,
+                sink,
+                &mut sim_clock,
+            ) {
+                break;
             }
         }
+        // Executor done (epoch end, cap, or failure): releasing the
+        // channel unblocks a prefetcher stuck in `send`.
+        drop(prefetched);
         stats.pipelined_wall_us = vclock;
         // Teardown: stop workers that are waiting on the window or about
         // to claim past a failure, and wake a prefetcher waiting on a
@@ -1816,17 +1694,13 @@ pub fn run_training_pipelined_traced(
     // Workers are joined: discard speculative blobs past a failure so the
     // store never leaks plans (they are counted as `discarded`).
     if let Some(store) = &store {
-        let swept = store.clear_remaining();
-        let swept_at = sink.now_us();
-        for _ in 0..swept {
+        for _ in 0..store.clear_remaining() {
             // Speculative blobs discarded at teardown, so the
             // store-discard span count matches `StoreStats::discarded`.
-            sink.record(Span {
+            sink.mark(Span {
                 kind: SpanKind::StoreDiscard,
                 lane: 0,
                 host: 0,
-                start_us: swept_at,
-                end_us: swept_at,
                 ..Span::default()
             });
         }

@@ -7,12 +7,13 @@
 //! fails the build if one of these stops being referenced by a test.
 
 use dynapipe_core::{
-    run_training_pipelined, DynaPipePlanner, PlanCodec, PlanDistribution,
-    PlannerConfig, RunConfig, RuntimeConfig,
+    run_training_pipelined, run_training_pipelined_traced, DynaPipePlanner, PlanCodec,
+    PlanDistribution, PlannerConfig, RunConfig, RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+use dynapipe_trace::{SpanKind, TraceSink};
 use std::sync::Arc;
 
 fn planner() -> DynaPipePlanner {
@@ -148,4 +149,74 @@ fn flat_codec_runs_report_zero_copy_bytes_per_iteration() {
     // section) are still measured per iteration under this label.
     assert_eq!(stats.deserialize_us.len(), iterations);
     assert!(stats.deserialize_us.iter().all(|&t| t >= 0.0));
+}
+
+#[test]
+fn ticket_spans_share_the_clock_reads_of_the_counters_they_shadow() {
+    // Measure once: each worker phase reads the clock once before and
+    // once after, and both the counter and the span come from those two
+    // reads. A span timed by separate clock reads drifts from its
+    // counter by ~1e-4 relative, far outside this bound.
+    let planner = planner();
+    let dataset = Dataset::flanv2(211, 400);
+    let iterations = 3usize;
+    let run = RunConfig {
+        max_iterations: Some(iterations),
+        ..Default::default()
+    };
+    for distribution in [PlanDistribution::InProcess, PlanDistribution::StoreBacked] {
+        let sink = TraceSink::bounded(1 << 16);
+        let (report, stats) = run_training_pipelined_traced(
+            &planner,
+            &dataset,
+            gbs(),
+            run,
+            RuntimeConfig {
+                plan_ahead: 2,
+                workers: 2,
+                distribution,
+                codec: PlanCodec::Flat,
+            },
+            &sink,
+        );
+        assert!(
+            report.feasible(),
+            "fixture must run clean: {:?}",
+            report.failure
+        );
+        let trace = sink.finish();
+        let span_us = |kind: SpanKind, it: usize| {
+            let spans: Vec<_> = trace
+                .of_kind(kind)
+                .filter(|s| s.iteration == it as i64)
+                .collect();
+            assert_eq!(
+                spans.len(),
+                1,
+                "{distribution:?}: one {kind:?} span for iteration {it}"
+            );
+            spans[0].end_us - spans[0].start_us
+        };
+        let agree = |span: f64, counter: f64, what: &str| {
+            assert!(
+                (span - counter).abs() <= 1e-9 * counter,
+                "{distribution:?} {what}: span {span} µs vs counter {counter} µs"
+            );
+        };
+        assert_eq!(stats.planning_us.len(), iterations);
+        for it in 0..iterations {
+            agree(
+                span_us(SpanKind::TicketPlan, it) + span_us(SpanKind::TicketLower, it),
+                stats.planning_us[it],
+                &format!("iteration {it} plan + lower"),
+            );
+            if distribution == PlanDistribution::StoreBacked {
+                agree(
+                    span_us(SpanKind::TicketEncode, it),
+                    stats.serialize_us[it],
+                    &format!("iteration {it} encode"),
+                );
+            }
+        }
+    }
 }

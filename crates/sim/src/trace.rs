@@ -78,42 +78,6 @@ pub fn render_gantt(events: &[TraceEvent], num_devices: usize, width: usize) -> 
         .join("\n")
 }
 
-/// Export a trace to Chrome trace-event JSON (load in `chrome://tracing`
-/// or Perfetto). Devices become process rows; forward, backward, allocator
-/// stalls and transfers get distinct names, with micro-batch ids as
-/// arguments.
-pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let name = match e.kind {
-            TraceKind::Forward => format!("fwd mb{}", e.label.micro_batch),
-            TraceKind::Backward => format!("bwd mb{}", e.label.micro_batch),
-            TraceKind::Transfer => format!("xfer tag{} -> dev{}", e.label.micro_batch, e.peer),
-            TraceKind::AllocStall => "alloc stall".to_string(),
-        };
-        let cat = match e.kind {
-            TraceKind::Forward | TraceKind::Backward => "compute",
-            TraceKind::Transfer => "comm",
-            TraceKind::AllocStall => "alloc",
-        };
-        // Complete ("X") events: timestamps and durations in microseconds.
-        out.push_str(&format!(
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{:.3},\
-             \"dur\":{:.3},\"pid\":0,\"tid\":{},\"args\":{{\"mb\":{},\"stage\":{}}}}}",
-            e.start,
-            e.duration(),
-            e.device,
-            e.label.micro_batch,
-            e.label.stage
-        ));
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,34 +116,5 @@ mod tests {
     #[test]
     fn duration_is_end_minus_start() {
         assert_eq!(ev(0, TraceKind::Forward, 0, 10.0, 35.0).duration(), 25.0);
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_one_entry_per_event() {
-        let events = vec![
-            ev(0, TraceKind::Forward, 3, 0.0, 50.0),
-            ev(1, TraceKind::Backward, 3, 60.0, 100.0),
-            TraceEvent {
-                device: 0,
-                peer: 1,
-                kind: TraceKind::Transfer,
-                label: OpLabel::new(7, 0, false),
-                start: 50.0,
-                end: 55.0,
-            },
-        ];
-        let json = to_chrome_trace(&events);
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
-        let arr = parsed.as_array().expect("array");
-        assert_eq!(arr.len(), 3);
-        assert_eq!(arr[0]["ph"], "X");
-        assert_eq!(arr[0]["tid"], 0);
-        assert_eq!(arr[1]["tid"], 1);
-        assert!(arr[2]["name"].as_str().unwrap().contains("xfer"));
-    }
-
-    #[test]
-    fn chrome_trace_empty() {
-        assert_eq!(to_chrome_trace(&[]), "[]");
     }
 }

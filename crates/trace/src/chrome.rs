@@ -4,7 +4,8 @@
 //! Mapping: one **pid** per host (`host` field; the Sim timeline gets
 //! its own pid 0 track, hosts are offset by 1), one **tid** per actor
 //! class + lane — planner workers, store shards, links (src→dst pair),
-//! decode/exposure per executor host, replicas on the sim track. All
+//! decode/exposure per executor host; on the sim track one per replica
+//! plus one per (replica, device) for engine ops. All
 //! spans become `"X"` complete events with byte/generation/wait
 //! payloads in `args`; `"M"` metadata events name the tracks.
 
@@ -23,9 +24,13 @@ fn pid(s: &Span) -> i64 {
 /// The tid a span renders under, plus a human track name.
 fn tid(s: &Span) -> (i64, String) {
     match s.kind {
-        SpanKind::IterExec | SpanKind::EngineOp => {
-            (1 + s.lane.max(0), format!("replica {}", s.lane.max(0)))
-        }
+        SpanKind::IterExec => (1 + s.lane.max(0), format!("replica {}", s.lane.max(0))),
+        // A pipeline device's ops overlap other devices' ops, so each
+        // (replica, device) pair gets its own track.
+        SpanKind::EngineOp => (
+            1000 * (1 + s.lane.max(0)) + s.src.max(0),
+            format!("replica {} dev {}", s.lane.max(0), s.src.max(0)),
+        ),
         SpanKind::IterSync => (0, "iteration sync".into()),
         SpanKind::TicketClaim
         | SpanKind::TicketPlan
@@ -135,5 +140,33 @@ mod tests {
             .expect("traceEvents array");
         // 2 spans + 2 process_name + 2 thread_name metadata events.
         assert_eq!(events.len(), 6);
+    }
+
+    #[test]
+    fn overlapping_engine_ops_on_different_devices_get_distinct_tracks() {
+        let sink = TraceSink::bounded(8);
+        for device in [0, 1] {
+            sink.record(Span {
+                kind: SpanKind::EngineOp,
+                domain: ClockDomain::Sim,
+                iteration: 0,
+                lane: 0,
+                start_us: 10.0,
+                end_us: 20.0,
+                src: device,
+                ..Span::default()
+            });
+        }
+        let text = to_chrome_trace(&sink.finish());
+        let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+        let tids: Vec<i64> = v["traceEvents"]
+            .as_array()
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e["ph"] == "X")
+            .map(|e| e["tid"].as_i64().expect("tid"))
+            .collect();
+        assert_eq!(tids.len(), 2);
+        assert_ne!(tids[0], tids[1], "overlapping ops share a track");
     }
 }

@@ -276,6 +276,24 @@ struct Ring {
     state: Mutex<RingState>,
 }
 
+impl Ring {
+    /// Host-clock µs of `t` since the ring's epoch.
+    fn us_at(&self, t: Instant) -> f64 {
+        micros(t.duration_since(self.epoch))
+    }
+}
+
+/// The recorder's one wall-clock source: the ring epoch and both reads
+/// of every timed phase come from here.
+fn host_clock() -> Instant {
+    // lint:allow(wall-clock): Host-domain span clock and phase durations; Host spans and the counters they feed are stats-only, excluded from sim_eq and behavior_eq
+    Instant::now()
+}
+
+fn micros(d: std::time::Duration) -> f64 {
+    d.as_secs_f64() * 1e6
+}
+
 /// Shared recorder handle. `Default`/[`TraceSink::disabled`] is a no-op
 /// (one `Option` check per span); [`TraceSink::bounded`] allocates one
 /// `Arc`-shared ring that every layer of a run appends into.
@@ -297,8 +315,7 @@ impl TraceSink {
         TraceSink {
             inner: Some(Arc::new(Ring {
                 cap,
-                // lint:allow(wall-clock): trace epoch for Host-domain span timestamps; Host spans are stats-only, excluded from sim_eq
-                epoch: Instant::now(),
+                epoch: host_clock(),
                 state: Mutex::new(RingState {
                     spans: Vec::new(),
                     counters: TraceCounters::default(),
@@ -313,12 +330,43 @@ impl TraceSink {
         self.inner.is_some()
     }
 
-    /// Host-clock µs since the sink was created (0.0 when disabled —
-    /// a disabled sink never reads the clock).
-    pub fn now_us(&self) -> f64 {
-        match &self.inner {
-            Some(ring) => ring.epoch.elapsed().as_secs_f64() * 1e6,
-            None => 0.0,
+    /// Run `work` as one timed Host phase. The clock is read exactly
+    /// twice, once before and once after the work; the returned µs is
+    /// their difference and feeds the caller's counter. When the sink is
+    /// enabled and `span` returns a span for the work's output, that span
+    /// is recorded with its start and end taken from the same two reads,
+    /// so the span's duration and the counter agree by construction. A
+    /// disabled sink still returns the duration and records nothing.
+    pub fn timed<T>(
+        &self,
+        work: impl FnOnce() -> T,
+        span: impl FnOnce(&T) -> Option<Span>,
+    ) -> (T, f64) {
+        let start = host_clock();
+        let out = work();
+        let end = host_clock();
+        if let Some(ring) = &self.inner {
+            if let Some(s) = span(&out) {
+                self.record(Span {
+                    start_us: ring.us_at(start),
+                    end_us: ring.us_at(end),
+                    ..s
+                });
+            }
+        }
+        (out, micros(end.duration_since(start)))
+    }
+
+    /// Record an instant span (`start_us == end_us == now`). A disabled
+    /// sink neither reads the clock nor records.
+    pub fn mark(&self, span: Span) {
+        if let Some(ring) = &self.inner {
+            let now = ring.us_at(host_clock());
+            self.record(Span {
+                start_us: now,
+                end_us: now,
+                ..span
+            });
         }
     }
 
@@ -582,11 +630,63 @@ mod tests {
     fn disabled_sink_is_free_and_empty() {
         let sink = TraceSink::disabled();
         assert!(!sink.is_enabled());
-        assert_eq!(sink.now_us(), 0.0);
         sink.record(span(SpanKind::StorePush, ClockDomain::Host, 0.0, 0.0));
         let t = sink.finish();
         assert!(t.spans.is_empty());
         assert_eq!(t.counters.spans_recorded, 0);
+    }
+
+    #[test]
+    fn disabled_timed_returns_a_duration_and_keeps_nothing() {
+        let sink = TraceSink::disabled();
+        let ((), us) = sink.timed(
+            || std::thread::sleep(std::time::Duration::from_millis(1)),
+            |_| Some(span(SpanKind::TicketPlan, ClockDomain::Host, 0.0, 0.0)),
+        );
+        assert!(us > 0.0, "the duration is measured without a ring: {us}");
+        sink.mark(span(SpanKind::TicketClaim, ClockDomain::Host, 0.0, 0.0));
+        assert!(sink.finish().spans.is_empty());
+    }
+
+    #[test]
+    fn timed_span_interval_is_the_returned_duration() {
+        let sink = TraceSink::bounded(8);
+        let (out, us) = sink.timed(
+            || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                7u64
+            },
+            |&bytes| {
+                Some(Span {
+                    bytes,
+                    ..span(SpanKind::TicketEncode, ClockDomain::Host, 0.0, 0.0)
+                })
+            },
+        );
+        assert_eq!(out, 7);
+        // Output-dependent skip: no span, but the duration still counts.
+        let (_, skipped_us) = sink.timed(|| (), |_| None);
+        assert!(skipped_us >= 0.0);
+        let t = sink.finish();
+        assert_eq!(t.spans.len(), 1);
+        let s = &t.spans[0];
+        assert_eq!((s.kind, s.bytes), (SpanKind::TicketEncode, 7));
+        assert!(s.start_us > 0.0 && us >= 1000.0);
+        let dur = s.end_us - s.start_us;
+        assert!(
+            (dur - us).abs() <= 1e-9 * us,
+            "span interval {dur} µs vs returned {us} µs"
+        );
+    }
+
+    #[test]
+    fn mark_records_an_instant() {
+        let sink = TraceSink::bounded(8);
+        sink.mark(span(SpanKind::StorePush, ClockDomain::Host, 5.0, 9.0));
+        let t = sink.finish();
+        assert_eq!(t.spans.len(), 1);
+        assert_eq!(t.spans[0].start_us, t.spans[0].end_us);
+        assert!(t.spans[0].start_us > 0.0);
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! instruction stream using the paper's instruction names (`ForwardPass`,
 //! `SendActStart`, `WaitRecvAct`, …), shows that plans serialize to JSON
 //! (they travel through the instruction store in the real system), executes
-//! the plan on the simulator, and writes a Chrome/Perfetto trace to
-//! `results/plan_inspector_trace.json`.
+//! the plan on the simulator, and writes a Chrome/Perfetto trace of its
+//! engine ops (one track per device) to `results/plan_inspector_trace.json`.
 //!
 //! Run with: `cargo run --release --example plan_inspector`
 
 use dynapipe_comm::ExecutionPlan;
-use dynapipe_core::compile_replica;
+use dynapipe_core::{compile_replica, record_sim_iteration, IterationExecution};
 use dynapipe_repro::prelude::*;
-use dynapipe_sim::trace::to_chrome_trace;
+use dynapipe_trace::{chrome::to_chrome_trace, TraceSink};
 use std::sync::Arc;
 
 fn main() {
@@ -80,7 +80,19 @@ fn main() {
             .map(|b| b / 1_000_000)
             .collect::<Vec<_>>()
     );
-    let trace = to_chrome_trace(&result.trace);
+    // The runtimes' engine-op adapter turns the simulator's trace into
+    // `EngineOp` spans on the Sim timeline.
+    let exec = IterationExecution {
+        measured_time: result.makespan,
+        peak_memory: result.peak_memory,
+        allocator_stall_us: result.allocator_stats.iter().map(|s| s.stall_us).sum(),
+        host_wall_us: result.host_wall_us,
+        replica_makespans: vec![result.makespan],
+        replica_traces: vec![result.trace],
+    };
+    let sink = TraceSink::bounded(1 << 20);
+    record_sim_iteration(&sink, 0, &exec, &mut 0.0);
+    let trace = to_chrome_trace(&sink.finish());
     std::fs::create_dir_all("results").ok();
     let path = "results/plan_inspector_trace.json";
     std::fs::write(path, trace).expect("write trace");
