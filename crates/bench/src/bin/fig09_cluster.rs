@@ -512,8 +512,8 @@ fn datacenter_cell_json(c: &DatacenterCell) -> serde_json::Value {
         ),
         ("bytes_fetched_total".to_string(), serde_json::json!(fetched)),
         ("bytes_pushed_total".to_string(), serde_json::json!(pushed)),
-        // Store scalars only: `per_shard` scales with host count and
-        // duplicates the capped `shards` sample below.
+        // Store-wide counters; per-shard placement counters are the
+        // capped `shards` sample below.
         (
             "store".to_string(),
             serde_json::Value::Object(vec![

@@ -65,7 +65,7 @@ use dynapipe_core::driver::{record_iteration, IterationPlanner, RunConfig, RunRe
 use dynapipe_core::runtime::{
     decode_for_execution, execute_lowered, plan_lower_push_traced, record_sim_iteration,
     CompleteOutcome, DuplicatePush, Executable, PlanAheadQueue, ReplicaParallelism, StorePush,
-    TicketGuard, TicketTraceCtx, WaitOutcome,
+    TicketGuard, TicketTraceCtx, WaitOutcome, STORE_WAIT,
 };
 use dynapipe_core::store::InstructionStore;
 use dynapipe_trace::{Span, SpanKind, TraceSink};
@@ -75,10 +75,6 @@ use dynapipe_sim::Link;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Crashed-counterpart bound for store waits (mirrors the core runtime):
-/// reaching it means a dead peer, not backpressure.
-const STORE_WAIT: Duration = Duration::from_secs(60);
 
 /// What a planner worker reports through the queue once its blob is in
 /// the store: the distribution accounting, annotated with the producing

@@ -8,9 +8,8 @@
 //! hosts` starts on host `s`, iteration `i`'s blob lives on shard
 //! `i % N`, so pushes and fetches fan out across the fabric and no
 //! single host carries the whole plan stream. (This is host-level
-//! *ownership* — distinct from the in-process `iteration % NUM_SHARDS`
-//! lock-contention sharding inside `dynapipe_core::store`, which both
-//! placements keep using.)
+//! *ownership*; both placements share the one in-process
+//! `dynapipe_core::store`.)
 //!
 //! Routing is **deterministic and snapshot-based**: the prefetcher — the
 //! one thread that applies churn events in iteration order — resolves

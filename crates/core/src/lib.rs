@@ -57,6 +57,6 @@ pub use runtime::{
     RuntimeConfig, RuntimeStats, Ticket, TicketGuard, TicketTraceCtx, WaitOutcome,
 };
 pub use store::{
-    InstructionStore, PushOutcome, StoreConfig, StoreError, StoreStats, StoredLowered,
+    InstructionStore, PushOutcome, StoreError, StoreStats, StoredLowered,
     StoredOutcome, StoredPlan,
 };

@@ -133,7 +133,7 @@ use std::time::{Duration, Instant};
 /// a pushing worker waits for a capacity slot the window accounting says
 /// is free. Reaching either is a crashed-counterpart signal, not normal
 /// backpressure — both paths fail loudly instead of deadlocking.
-const STORE_WAIT: Duration = Duration::from_secs(60);
+pub const STORE_WAIT: Duration = Duration::from_secs(60);
 
 /// How lowered plans travel from the planner pool to the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -6,7 +6,7 @@
 //! each compiled execution plan and push it keyed by iteration; executors
 //! prefetch plans ahead of execution, deserialize, and delete them on
 //! consumption. This module keeps every property that matters while
-//! replacing the transport with a sharded in-process map:
+//! replacing the transport with an in-process map behind one lock:
 //!
 //! * **keyed blobs** — plans travel as serialized [`StoredPlan`] wire
 //!   blobs (opaque byte strings), never as shared pointers, so the store
@@ -50,54 +50,41 @@
 //!   poisons the store from a planner worker's unwind path (mirroring the
 //!   plan-ahead queue's `TicketGuard`) so a crashed planner fails the
 //!   executor instead of deadlocking it;
-//! * **counters** — per-shard occupancy/bytes/hit/miss plus store-wide
+//! * **counters** — occupancy/bytes, their high-water marks and the
 //!   push/take/discard totals ([`StoreStats`]), surfaced through
 //!   `RuntimeStats` by the store-backed runtime.
 //!
+//! All of it — blobs, tombstones, the FIFO queue of blocked pushers, the
+//! poison reason and the counters — is one state behind one `Mutex`, and
+//! each blocking operation is one `Condvar` wait on a predicate over that
+//! state. The store never holds more than `plan_ahead` blobs and sees a
+//! few operations per iteration, so one lock costs nothing measurable,
+//! and every counter snapshot is consistent by construction.
+//!
 //! # Where the store lives
 //!
-//! The shards *here* are lock shards — a concurrency detail invisible
-//! outside this module. Where the store lives **on the cluster** is a
-//! separate axis, modeled entirely in the cluster layer
-//! (`dynapipe_cluster::shard`): a single store host (the paper's Redis
-//! deployment) or one store shard per executor host, with iteration
-//! `i`'s blob routed to shard `i % num_shards`. Either way every blob
-//! still flows through this one in-process store — placement changes
-//! *which fabric hops are priced and counted* (a byte is a wire byte
-//! only when it crosses hosts; the shard owner's local copy is free),
-//! never which bytes executors run.
-//!
-//! # Occupancy semantics
-//!
-//! [`InstructionStore::len`] reads a single atomic counter, not a sum of
-//! per-shard map sizes, so it can never return a torn multi-shard
-//! snapshot (the previous implementation took the shard read-locks one by
-//! one, so a concurrent push+take pair could be double- or zero-counted).
-//! The counter counts *slots*: a capacity reservation is taken before the
-//! shard insert and released on take, so `len()` may briefly include a
-//! push that is still copying its blob in — the same over-approximation a
-//! capacity-limited Redis would report mid-write. All counters reconcile
-//! exactly once the store is quiescent (pinned by the concurrency stress
-//! test).
+//! Where the store lives **on the cluster** is modeled entirely in the
+//! cluster layer (`dynapipe_cluster::shard`): a single store host (the
+//! paper's Redis deployment) or one store shard per executor host, with
+//! iteration `i`'s blob routed to shard `i % num_shards`. Either way
+//! every blob still flows through this one in-process store — placement
+//! changes *which fabric hops are priced and counted* (a byte is a wire
+//! byte only when it crosses hosts; the shard owner's local copy is
+//! free), never which bytes executors run.
 
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use crate::planner::{IterationPlan, PlanError};
 use dynapipe_sim::DeviceProgram;
-use std::sync::Arc;
-
-const NUM_SHARDS: usize = 16;
 
 /// Why a store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// A blob for this iteration is already stored; use
-    /// [`InstructionStore::replace`] for an intentional overwrite.
+    /// A blob for this iteration is already stored; a push never
+    /// overwrites.
     DuplicateKey(usize),
     /// This iteration's blob was already taken (tombstoned): the plan
     /// would be executed twice, or a late planner re-pushed stale work.
@@ -124,13 +111,16 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::DuplicateKey(it) => {
-                write!(f, "iteration {it} already stored (push is not replace)")
+                write!(f, "iteration {it} already stored (a push never overwrites)")
             }
             StoreError::Consumed(it) => {
                 write!(f, "iteration {it} already consumed (tombstoned)")
             }
             StoreError::Timeout { iteration, waited } => {
-                write!(f, "plan for iteration {iteration} not stored within {waited:?}")
+                write!(
+                    f,
+                    "plan for iteration {iteration} not stored within {waited:?}"
+                )
             }
             StoreError::CapacityTimeout { capacity, waited } => {
                 write!(f, "no free slot (capacity {capacity}) within {waited:?}")
@@ -152,330 +142,138 @@ pub enum PushOutcome {
     DiscardedDuplicate,
 }
 
-/// Store configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreConfig {
-    /// Maximum live blobs; `None` is unbounded. Pushing past the capacity
-    /// blocks ([`InstructionStore::push_blocking`]) until a take frees a
-    /// slot — explicit put-side backpressure.
-    pub capacity: Option<usize>,
-}
-
-/// What a shard slot holds.
+/// What a key's slot holds.
 enum Slot {
-    /// A serialized plan blob (opaque bytes), shared so `fetch` never
+    /// A serialized plan blob (opaque bytes), shared so a take never
     /// copies.
     Blob(Arc<[u8]>),
     /// The blob was consumed; the key must never be filled again.
     Tombstone,
 }
 
-/// One shard: a keyed slice of the store plus its local counters.
-struct Shard {
-    map: RwLock<BTreeMap<usize, Slot>>,
-    occupancy: AtomicUsize,
-    bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            map: RwLock::new(BTreeMap::new()),
-            occupancy: AtomicUsize::new(0),
-            bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Counters of one shard, as captured by [`InstructionStore::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardCounters {
-    /// Live blobs in this shard.
-    pub occupancy: usize,
-    /// Bytes of live blobs in this shard.
-    pub bytes: u64,
-    /// Lookups (fetch/take) that found a live blob.
-    pub hits: u64,
-    /// Lookups that found nothing (polls while a plan is in flight).
-    pub misses: u64,
-}
-
 /// A snapshot of the store's counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreStats {
-    /// Live blobs (slots) right now.
+    /// Live blobs right now.
     pub occupancy: usize,
     /// Bytes of live blobs right now.
     pub bytes: u64,
-    /// High-water mark of live slots.
+    /// High-water mark of live blobs.
     pub peak_occupancy: usize,
     /// High-water mark of live bytes.
     pub peak_bytes: u64,
-    /// Successful pushes (including replaces).
+    /// Pushes that reached the store, stored or discarded as duplicates.
     pub pushes: u64,
     /// Successful takes.
     pub takes: u64,
-    /// Blobs dropped unconsumed by [`InstructionStore::clear_remaining`]
-    /// (speculative plans discarded after a failure).
+    /// Duplicate pushes discarded by [`InstructionStore::push_discarding`]
+    /// plus blobs dropped unconsumed by
+    /// [`InstructionStore::clear_remaining`] (speculative plans discarded
+    /// after a failure).
     pub discarded: u64,
-    /// Per-shard breakdown.
-    pub per_shard: Vec<ShardCounters>,
 }
 
-impl StoreStats {
-    /// Total hits across shards.
-    pub fn hits(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.hits).sum()
-    }
-
-    /// Total misses across shards.
-    pub fn misses(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.misses).sum()
-    }
+/// Everything the store knows, guarded by its one lock.
+struct State {
+    slots: BTreeMap<usize, Slot>,
+    /// Tickets of pushers waiting for capacity, in arrival order; only
+    /// the head may take a freed slot. Fairness is load-bearing, not
+    /// polish: with a racy gate, a pusher that keeps arriving can steal
+    /// every freed slot from an earlier blocked pusher forever, and a
+    /// consumer waiting on that pusher's key then wedges the whole
+    /// pipeline (the concurrency stress test reproduces exactly this
+    /// without FIFO ordering).
+    queue: VecDeque<u64>,
+    next_ticket: u64,
+    poisoned: Option<String>,
+    stats: StoreStats,
 }
 
-/// Capacity-gate state, kept under the gate mutex. `reserved` is the
-/// source of truth for the capacity check; `queue` holds the tickets of
-/// blocked pushers in FIFO order. Fairness is load-bearing, not polish:
-/// with a racy gate, a pusher that keeps arriving can steal every freed
-/// slot from an earlier blocked pusher forever, and a consumer waiting
-/// on that pusher's key then wedges the whole pipeline (the concurrency
-/// stress test reproduces exactly this without FIFO ordering).
-struct GateState {
-    reserved: usize,
-    queue: std::collections::VecDeque<u64>,
-    next_id: u64,
-}
-
-/// Sharded, thread-safe plan store holding serialized blobs.
-pub struct InstructionStore {
-    shards: Vec<Shard>,
-    capacity: Option<usize>,
-    /// Mirror of `GateState::reserved` (reservations + live blobs),
-    /// readable without the gate lock; the source of truth for `len()`.
-    occupancy: AtomicUsize,
-    bytes: AtomicU64,
-    peak_occupancy: AtomicUsize,
-    peak_bytes: AtomicU64,
-    pushes: AtomicU64,
-    takes: AtomicU64,
-    discarded: AtomicU64,
-    poisoned: RwLock<Option<String>>,
-    /// Wait/notify for blocked pushers (FIFO capacity queue) and takers
-    /// (missing key). Notifiers lock briefly before `notify_all`, and
-    /// waiters re-check their condition under the lock, so wakeups are
-    /// never lost.
-    gate: Mutex<GateState>,
-    gate_cv: Condvar,
-}
-
-impl Default for InstructionStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl InstructionStore {
-    /// An empty, unbounded store.
-    pub fn new() -> Self {
-        Self::with_config(StoreConfig::default())
-    }
-
-    /// An empty store capped at `capacity` live blobs.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_config(StoreConfig {
-            capacity: Some(capacity),
-        })
-    }
-
-    /// An empty store with the given configuration.
-    pub fn with_config(config: StoreConfig) -> Self {
-        InstructionStore {
-            shards: (0..NUM_SHARDS).map(|_| Shard::new()).collect(),
-            capacity: config.capacity,
-            occupancy: AtomicUsize::new(0),
-            bytes: AtomicU64::new(0),
-            peak_occupancy: AtomicUsize::new(0),
-            peak_bytes: AtomicU64::new(0),
-            pushes: AtomicU64::new(0),
-            takes: AtomicU64::new(0),
-            discarded: AtomicU64::new(0),
-            poisoned: RwLock::new(None),
-            gate: Mutex::new(GateState {
-                reserved: 0,
-                queue: std::collections::VecDeque::new(),
-                next_id: 0,
-            }),
-            gate_cv: Condvar::new(),
-        }
-    }
-
-    fn shard(&self, iteration: usize) -> &Shard {
-        &self.shards[iteration % NUM_SHARDS]
-    }
-
+impl State {
     fn check_poison(&self) -> Result<(), StoreError> {
-        match &*self.poisoned.read() {
+        match &self.poisoned {
             Some(reason) => Err(StoreError::Poisoned(reason.clone())),
             None => Ok(()),
         }
     }
 
-    /// Lock the FIFO gate. A poisoned std mutex means a holder panicked
-    /// mid-gate; rather than pressing on with `into_inner`, the failure
-    /// is routed through the store's own poison class so every pending
-    /// and future operation reports [`StoreError::Poisoned`] instead of
-    /// panicking deeper in the pipeline.
-    fn lock_gate(&self) -> Result<std::sync::MutexGuard<'_, GateState>, StoreError> {
-        match self.gate.lock() {
-            Ok(g) => Ok(g),
-            Err(_) => Err(self.poison_gate()),
+    /// Why a push to `iteration` can never land, if it can't.
+    fn duplicate(&self, iteration: usize) -> Option<StoreError> {
+        match self.slots.get(&iteration)? {
+            Slot::Blob(_) => Some(StoreError::DuplicateKey(iteration)),
+            Slot::Tombstone => Some(StoreError::Consumed(iteration)),
         }
     }
 
-    /// Record gate poisoning in the store's failure class and wake all
-    /// waiters so nobody keeps blocking on a dead gate.
-    fn poison_gate(&self) -> StoreError {
-        const MSG: &str = "capacity gate mutex poisoned by a panicked holder";
-        {
-            let mut p = self.poisoned.write();
-            if p.is_none() {
-                *p = Some(MSG.to_string());
-            }
-        }
-        self.gate_cv.notify_all();
-        StoreError::Poisoned(MSG.to_string())
+    fn insert(&mut self, iteration: usize, blob: Arc<[u8]>) {
+        let st = &mut self.stats;
+        st.occupancy += 1;
+        st.bytes += blob.len() as u64;
+        st.peak_occupancy = st.peak_occupancy.max(st.occupancy);
+        st.peak_bytes = st.peak_bytes.max(st.bytes);
+        st.pushes += 1;
+        self.slots.insert(iteration, Slot::Blob(blob));
     }
 
-    fn notify(&self) {
-        // Empty critical section: a waiter holding the gate cannot race
-        // past its condition re-check before this notify lands. A
-        // poisoned gate already marked the store poisoned and woke all
-        // waiters, so there is nothing left to notify.
-        if let Ok(guard) = self.lock_gate() {
-            drop(guard);
-            self.gate_cv.notify_all();
-        }
-    }
-
-    fn bump_peak(&self, occ: usize) {
-        self.peak_occupancy.fetch_max(occ, Ordering::SeqCst);
-    }
-
-    /// Reserve one capacity slot, waiting until `deadline` if the store
-    /// is full. Blocked pushers are served strictly FIFO (see
-    /// [`GateState`]); callers release the reservation via
-    /// `release_slot` on error, or the eventual take does.
-    fn reserve_slot(&self, deadline: Option<Instant>) -> Result<(), StoreError> {
-        let Some(cap) = self.capacity else {
-            self.check_poison()?;
-            self.bump_peak(self.occupancy.fetch_add(1, Ordering::SeqCst) + 1);
-            return Ok(());
-        };
-        let mut g = self.lock_gate()?;
+    /// Consume `iteration`'s blob, leaving a tombstone; `Ok(None)` if it
+    /// has not arrived.
+    fn take(&mut self, iteration: usize) -> Result<Option<Arc<[u8]>>, StoreError> {
         self.check_poison()?;
-        if g.queue.is_empty() && g.reserved < cap {
-            g.reserved += 1;
-            self.bump_peak(self.occupancy.fetch_add(1, Ordering::SeqCst) + 1);
-            return Ok(());
-        }
-        let Some(dl) = deadline else {
-            // Non-blocking push at capacity (or behind waiters): report
-            // immediately.
-            return Err(StoreError::CapacityTimeout {
-                capacity: cap,
-                waited: Duration::ZERO,
-            });
+        let Some(slot) = self.slots.get_mut(&iteration) else {
+            return Ok(None);
         };
-        let ticket = g.next_id;
-        g.next_id += 1;
-        g.queue.push_back(ticket);
-        loop {
-            if let Err(e) = self.check_poison() {
-                g.queue.retain(|&t| t != ticket);
-                return Err(e);
+        match std::mem::replace(slot, Slot::Tombstone) {
+            Slot::Tombstone => Err(StoreError::Consumed(iteration)),
+            Slot::Blob(blob) => {
+                self.stats.occupancy -= 1;
+                self.stats.bytes -= blob.len() as u64;
+                self.stats.takes += 1;
+                Ok(Some(blob))
             }
-            if g.queue.front() == Some(&ticket) && g.reserved < cap {
-                g.queue.pop_front();
-                g.reserved += 1;
-                self.bump_peak(self.occupancy.fetch_add(1, Ordering::SeqCst) + 1);
-                drop(g);
-                // The next queued pusher may also be servable.
-                self.gate_cv.notify_all();
-                return Ok(());
-            }
-            // lint:allow(wall-clock): FIFO-gate deadline re-check; timeout surfaces as CapacityTimeout, not as different bytes
-            let now = Instant::now();
-            if now >= dl {
-                g.queue.retain(|&t| t != ticket);
-                drop(g);
-                // Our abandoned head slot may unblock the next ticket.
-                self.gate_cv.notify_all();
-                return Err(StoreError::CapacityTimeout {
-                    capacity: cap,
-                    waited: Duration::ZERO,
-                });
-            }
-            g = match self.gate_cv.wait_timeout(g, dl - now) {
-                Ok((guard, _)) => guard,
-                // The gate died while we waited: our queued ticket is
-                // unreachable, but so is everyone else's — the store is
-                // poisoned wholesale.
-                Err(_) => return Err(self.poison_gate()),
-            };
+        }
+    }
+}
+
+/// Thread-safe plan store holding serialized blobs, capped at a fixed
+/// number of live blobs.
+pub struct InstructionStore {
+    capacity: usize,
+    state: Mutex<State>,
+    /// Notified on every change a waiter may be waiting for: a blob
+    /// landed, a slot freed, the queue head moved, or the store was
+    /// poisoned.
+    changed: Condvar,
+}
+
+impl InstructionStore {
+    /// An empty store capped at `capacity` live blobs.
+    pub fn with_capacity(capacity: usize) -> Self {
+        InstructionStore {
+            capacity,
+            state: Mutex::new(State {
+                slots: BTreeMap::new(),
+                queue: VecDeque::new(),
+                next_ticket: 0,
+                poisoned: None,
+                stats: StoreStats::default(),
+            }),
+            changed: Condvar::new(),
         }
     }
 
-    fn release_slot(&self) {
-        if self.capacity.is_some() {
-            if let Ok(mut g) = self.lock_gate() {
-                g.reserved -= 1;
-            }
-        }
-        self.occupancy.fetch_sub(1, Ordering::SeqCst);
-        self.notify();
+    /// Lock the state. A poisoned std mutex means a holder panicked
+    /// mid-operation; rather than pressing on with `into_inner`, the
+    /// failure is routed through the store's own poison class, so every
+    /// pending and future operation reports [`StoreError::Poisoned`]
+    /// instead of panicking deeper in the pipeline.
+    fn lock(&self) -> Result<MutexGuard<'_, State>, StoreError> {
+        self.state.lock().map_err(|_| self.lock_poisoned())
     }
 
-    /// Insert `blob` at `iteration` after a slot has been reserved.
-    ///
-    /// Byte/occupancy counters are updated while the shard write lock is
-    /// still held: publishing the blob first would let a concurrent take
-    /// decrement counters the push has not incremented yet, wrapping the
-    /// unsigned atomics. (Gate operations stay outside the shard lock —
-    /// the taker wait path acquires gate → shard-read, so shard → gate
-    /// here would be a lock-order cycle.)
-    fn insert_reserved(&self, iteration: usize, blob: &[u8]) -> Result<(), StoreError> {
-        let shard = self.shard(iteration);
-        let nbytes = blob.len() as u64;
-        {
-            let mut map = shard.map.write();
-            match map.get(&iteration) {
-                Some(Slot::Blob(_)) => {
-                    drop(map);
-                    self.release_slot();
-                    return Err(StoreError::DuplicateKey(iteration));
-                }
-                Some(Slot::Tombstone) => {
-                    drop(map);
-                    self.release_slot();
-                    return Err(StoreError::Consumed(iteration));
-                }
-                None => {
-                    map.insert(iteration, Slot::Blob(Arc::from(blob)));
-                }
-            }
-            shard.occupancy.fetch_add(1, Ordering::SeqCst);
-            shard.bytes.fetch_add(nbytes, Ordering::SeqCst);
-            let total = self.bytes.fetch_add(nbytes, Ordering::SeqCst) + nbytes;
-            self.peak_bytes.fetch_max(total, Ordering::SeqCst);
-            self.pushes.fetch_add(1, Ordering::SeqCst);
-        }
-        self.notify(); // wake takers waiting on this key
-        Ok(())
+    /// Wake every waiter so nobody keeps blocking on a dead lock.
+    fn lock_poisoned(&self) -> StoreError {
+        self.changed.notify_all();
+        StoreError::Poisoned("instruction store lock poisoned by a panicked holder".to_string())
     }
 
     /// Push a serialized plan blob (planner side). Fails fast with
@@ -483,30 +281,20 @@ impl InstructionStore {
     /// [`StoreError::DuplicateKey`] if the key is live, and
     /// [`StoreError::Consumed`] if the key was already taken.
     pub fn push(&self, iteration: usize, blob: Vec<u8>) -> Result<(), StoreError> {
-        self.reserve_slot(None)?;
-        self.insert_reserved(iteration, &blob)
+        self.push_blocking(iteration, blob, Duration::ZERO)
     }
 
     /// Push with put-side backpressure: block up to `timeout` for a free
-    /// capacity slot, then insert like [`InstructionStore::push`].
+    /// capacity slot, then insert like [`InstructionStore::push`]. A
+    /// duplicate key fails at once, even while the store is full or the
+    /// pusher is queued.
     pub fn push_blocking(
         &self,
         iteration: usize,
         blob: Vec<u8>,
         timeout: Duration,
     ) -> Result<(), StoreError> {
-        // lint:allow(wall-clock): put-side backpressure deadline; bounds the wait, never the contents
-        let deadline = Instant::now() + timeout;
-        match self.reserve_slot(Some(deadline)) {
-            Ok(()) => self.insert_reserved(iteration, &blob),
-            Err(StoreError::CapacityTimeout { capacity, .. }) => {
-                Err(StoreError::CapacityTimeout {
-                    capacity,
-                    waited: timeout,
-                })
-            }
-            Err(e) => Err(e),
-        }
+        self.push_inner(iteration, blob, timeout, false).map(|_| ())
     }
 
     /// Push like [`InstructionStore::push_blocking`], but treat a
@@ -523,134 +311,67 @@ impl InstructionStore {
         blob: Vec<u8>,
         timeout: Duration,
     ) -> Result<PushOutcome, StoreError> {
-        match self.push_blocking(iteration, blob, timeout) {
-            Ok(()) => Ok(PushOutcome::Stored),
-            Err(StoreError::DuplicateKey(_)) | Err(StoreError::Consumed(_)) => {
-                self.pushes.fetch_add(1, Ordering::SeqCst);
-                self.discarded.fetch_add(1, Ordering::SeqCst);
-                Ok(PushOutcome::DiscardedDuplicate)
-            }
-            Err(e) => Err(e),
-        }
+        self.push_inner(iteration, blob, timeout, true)
     }
 
-    /// Replace the blob at `iteration` (explicit overwrite; the plain
-    /// `push` treats an existing key as an error). Returns the replaced
-    /// blob if the key was live. Replacing a consumed key is still an
-    /// error — a taken plan must stay taken.
-    pub fn replace(
+    /// Queue for a capacity slot behind every earlier blocked pusher,
+    /// leaving the queue as soon as the slot is ours, the key is filled
+    /// by another push, the store is poisoned, or `timeout` runs out.
+    fn push_inner(
         &self,
         iteration: usize,
         blob: Vec<u8>,
-    ) -> Result<Option<Arc<[u8]>>, StoreError> {
-        let shard = self.shard(iteration);
-        let nbytes = blob.len() as u64;
-        loop {
-            self.check_poison()?;
-            {
-                let mut map = shard.map.write();
-                match map.get(&iteration) {
-                    Some(Slot::Tombstone) => return Err(StoreError::Consumed(iteration)),
-                    Some(Slot::Blob(_)) => {
-                        let old = match map.insert(iteration, Slot::Blob(Arc::from(&blob[..]))) {
-                            Some(Slot::Blob(b)) => b,
-                            _ => unreachable!("checked live above"),
-                        };
-                        // Counters adjusted under the shard lock, like
-                        // `insert_reserved` (a concurrent take of the new
-                        // blob must never see its bytes unaccounted).
-                        let old_bytes = old.len() as u64;
-                        shard.bytes.fetch_add(nbytes, Ordering::SeqCst);
-                        shard.bytes.fetch_sub(old_bytes, Ordering::SeqCst);
-                        self.bytes.fetch_add(nbytes, Ordering::SeqCst);
-                        self.bytes.fetch_sub(old_bytes, Ordering::SeqCst);
-                        self.pushes.fetch_add(1, Ordering::SeqCst);
-                        drop(map);
-                        self.notify();
-                        return Ok(Some(old));
-                    }
-                    None => {} // fall through to the reserve + insert path
-                }
+        timeout: Duration,
+        discard_duplicate: bool,
+    ) -> Result<PushOutcome, StoreError> {
+        let blob: Arc<[u8]> = blob.into();
+        let capacity = self.capacity;
+        let mut s = self.lock()?;
+        let ticket = s.next_ticket;
+        s.next_ticket += 1;
+        s.queue.push_back(ticket);
+        let (mut s, wait) = self
+            .changed
+            .wait_timeout_while(s, timeout, |s| {
+                s.poisoned.is_none()
+                    && !s.slots.contains_key(&iteration)
+                    && (s.queue.front() != Some(&ticket) || s.stats.occupancy >= capacity)
+            })
+            .map_err(|_| self.lock_poisoned())?;
+        s.queue.retain(|&t| t != ticket);
+        // However the wait ended, the next queued pusher may now be the
+        // head, and a taker may be waiting for this key; both wake once
+        // the lock drops.
+        self.changed.notify_all();
+        s.check_poison()?;
+        if let Some(duplicate) = s.duplicate(iteration) {
+            if !discard_duplicate {
+                return Err(duplicate);
             }
-            // Absent: a fresh slot is needed, and the gate must not be
-            // taken under the shard lock (lock order is gate → shard on
-            // the wait paths). If a concurrent push lands the key between
-            // the check and the insert, insert_reserved reports
-            // DuplicateKey (releasing the reservation) — retry as a swap
-            // instead of surfacing the one error replace exists to avoid.
-            self.reserve_slot(None)?;
-            match self.insert_reserved(iteration, &blob) {
-                Ok(()) => return Ok(None),
-                Err(StoreError::DuplicateKey(_)) => continue,
-                Err(e) => return Err(e),
-            }
+            s.stats.pushes += 1;
+            s.stats.discarded += 1;
+            return Ok(PushOutcome::DiscardedDuplicate);
         }
-    }
-
-    /// Fetch a blob without consuming it (executor prefetch). A consumed
-    /// key reads as absent.
-    pub fn fetch(&self, iteration: usize) -> Option<Arc<[u8]>> {
-        let shard = self.shard(iteration);
-        let map = shard.map.read();
-        match map.get(&iteration) {
-            Some(Slot::Blob(b)) => {
-                let b = b.clone();
-                shard.hits.fetch_add(1, Ordering::SeqCst);
-                Some(b)
-            }
-            _ => {
-                shard.misses.fetch_add(1, Ordering::SeqCst);
-                None
-            }
+        if wait.timed_out() {
+            return Err(StoreError::CapacityTimeout {
+                capacity,
+                waited: timeout,
+            });
         }
-    }
-
-    fn take_inner(&self, iteration: usize, count_miss: bool) -> Result<Option<Arc<[u8]>>, StoreError> {
-        self.check_poison()?;
-        let shard = self.shard(iteration);
-        let taken = {
-            let mut map = shard.map.write();
-            match map.get(&iteration) {
-                Some(Slot::Blob(_)) => {
-                    let blob = match map.insert(iteration, Slot::Tombstone) {
-                        Some(Slot::Blob(b)) => b,
-                        _ => unreachable!("checked live above"),
-                    };
-                    // Counters adjusted under the shard lock, mirroring
-                    // `insert_reserved`; only the gate (release_slot)
-                    // waits until the lock is dropped — gate → shard is
-                    // the established order on the wait paths.
-                    let nbytes = blob.len() as u64;
-                    shard.occupancy.fetch_sub(1, Ordering::SeqCst);
-                    shard.bytes.fetch_sub(nbytes, Ordering::SeqCst);
-                    shard.hits.fetch_add(1, Ordering::SeqCst);
-                    self.bytes.fetch_sub(nbytes, Ordering::SeqCst);
-                    self.takes.fetch_add(1, Ordering::SeqCst);
-                    Some(blob)
-                }
-                Some(Slot::Tombstone) => return Err(StoreError::Consumed(iteration)),
-                None => None,
-            }
-        };
-        match taken {
-            Some(blob) => {
-                self.release_slot(); // frees the capacity slot + notifies
-                Ok(Some(blob))
-            }
-            None => {
-                if count_miss {
-                    shard.misses.fetch_add(1, Ordering::SeqCst);
-                }
-                Ok(None)
-            }
-        }
+        s.insert(iteration, blob);
+        Ok(PushOutcome::Stored)
     }
 
     /// Take (fetch and delete) a blob, leaving a tombstone — executor
     /// consumption. `Ok(None)` means the plan has not arrived yet;
     /// [`StoreError::Consumed`] means it was already taken.
     pub fn take(&self, iteration: usize) -> Result<Option<Arc<[u8]>>, StoreError> {
-        self.take_inner(iteration, true)
+        let taken = self.lock()?.take(iteration)?;
+        if taken.is_some() {
+            // The freed slot may admit a blocked pusher.
+            self.changed.notify_all();
+        }
+        Ok(taken)
     }
 
     /// Take with a bounded wait: block up to `timeout` for the blob to
@@ -663,38 +384,19 @@ impl InstructionStore {
         iteration: usize,
         timeout: Duration,
     ) -> Result<Arc<[u8]>, StoreError> {
-        // lint:allow(wall-clock): take-side bounded wait deadline; timeout is a counted failure, not behavior
-        let deadline = Instant::now() + timeout;
-        let mut first = true;
-        loop {
-            if let Some(blob) = self.take_inner(iteration, first)? {
-                return Ok(blob);
-            }
-            first = false;
-            let guard = self.lock_gate()?;
-            // Re-check under the gate so a push between our poll and the
-            // wait cannot be missed.
-            let present = matches!(
-                self.shard(iteration).map.read().get(&iteration),
-                Some(Slot::Blob(_))
-            );
-            if present {
-                continue;
-            }
-            self.check_poison()?;
-            // lint:allow(wall-clock): deadline re-check in the take wait loop; wall-clock only
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(StoreError::Timeout {
-                    iteration,
-                    waited: timeout,
-                });
-            }
-            match self.gate_cv.wait_timeout(guard, deadline - now) {
-                Ok((g, _)) => drop(g),
-                Err(_) => return Err(self.poison_gate()),
-            }
-        }
+        let s = self.lock()?;
+        let (mut s, _) = self
+            .changed
+            .wait_timeout_while(s, timeout, |s| {
+                s.poisoned.is_none() && !s.slots.contains_key(&iteration)
+            })
+            .map_err(|_| self.lock_poisoned())?;
+        let blob = s.take(iteration)?.ok_or(StoreError::Timeout {
+            iteration,
+            waited: timeout,
+        })?;
+        self.changed.notify_all();
+        Ok(blob)
     }
 
     /// Poison the store: every current and future blocking operation
@@ -702,49 +404,43 @@ impl InstructionStore {
     /// worker's unwind path so a crashed planner fails the executor
     /// instead of deadlocking its in-order wait.
     pub fn poison(&self, reason: &str) {
-        *self.poisoned.write() = Some(reason.to_string());
-        self.notify();
+        if let Ok(mut s) = self.lock() {
+            s.poisoned = Some(reason.to_string());
+        }
+        self.changed.notify_all();
     }
 
     /// Drop every remaining live blob (teardown after a failure: the
     /// speculative plans of never-executed iterations must not linger).
-    /// Returns how many blobs were discarded; they are counted in
-    /// [`StoreStats::discarded`].
+    /// Tombstones stay. Returns how many blobs were discarded; they are
+    /// counted in [`StoreStats::discarded`].
     pub fn clear_remaining(&self) -> usize {
-        let mut dropped = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.map.write();
-            let live: Vec<usize> = map
-                .iter()
-                .filter_map(|(k, v)| matches!(v, Slot::Blob(_)).then_some(*k))
-                .collect();
-            for k in live {
-                if let Some(Slot::Blob(b)) = map.remove(&k) {
-                    let nbytes = b.len() as u64;
-                    shard.occupancy.fetch_sub(1, Ordering::SeqCst);
-                    shard.bytes.fetch_sub(nbytes, Ordering::SeqCst);
-                    self.bytes.fetch_sub(nbytes, Ordering::SeqCst);
-                    dropped += 1;
-                }
+        let Ok(mut s) = self.lock() else {
+            return 0;
+        };
+        let s = &mut *s;
+        let mut freed = 0u64;
+        let before = s.slots.len();
+        s.slots.retain(|_, slot| match slot {
+            Slot::Blob(blob) => {
+                freed += blob.len() as u64;
+                false
             }
-        }
+            Slot::Tombstone => true,
+        });
+        let dropped = before - s.slots.len();
+        s.stats.occupancy -= dropped;
+        s.stats.bytes -= freed;
+        s.stats.discarded += dropped as u64;
         if dropped > 0 {
-            if self.capacity.is_some() {
-                if let Ok(mut g) = self.lock_gate() {
-                    g.reserved -= dropped;
-                }
-            }
-            self.occupancy.fetch_sub(dropped, Ordering::SeqCst);
-            self.discarded.fetch_add(dropped as u64, Ordering::SeqCst);
-            self.notify();
+            self.changed.notify_all();
         }
         dropped
     }
 
-    /// Live blobs (slots) currently stored — a single atomic read, never
-    /// a torn per-shard sum; see the module docs for the slot semantics.
+    /// Live blobs currently stored (0 once the lock is poisoned).
     pub fn len(&self) -> usize {
-        self.occupancy.load(Ordering::SeqCst)
+        self.lock().map_or(0, |s| s.stats.occupancy)
     }
 
     /// Whether the store holds no live blobs.
@@ -752,27 +448,9 @@ impl InstructionStore {
         self.len() == 0
     }
 
-    /// Snapshot every counter.
+    /// Snapshot every counter (all zero once the lock is poisoned).
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            occupancy: self.occupancy.load(Ordering::SeqCst),
-            bytes: self.bytes.load(Ordering::SeqCst),
-            peak_occupancy: self.peak_occupancy.load(Ordering::SeqCst),
-            peak_bytes: self.peak_bytes.load(Ordering::SeqCst),
-            pushes: self.pushes.load(Ordering::SeqCst),
-            takes: self.takes.load(Ordering::SeqCst),
-            discarded: self.discarded.load(Ordering::SeqCst),
-            per_shard: self
-                .shards
-                .iter()
-                .map(|s| ShardCounters {
-                    occupancy: s.occupancy.load(Ordering::SeqCst),
-                    bytes: s.bytes.load(Ordering::SeqCst),
-                    hits: s.hits.load(Ordering::SeqCst),
-                    misses: s.misses.load(Ordering::SeqCst),
-                })
-                .collect(),
-        }
+        self.lock().map(|s| s.stats.clone()).unwrap_or_default()
     }
 }
 
@@ -833,10 +511,7 @@ impl StoredPlan {
     /// — it rebuilds an owned plan for callers that need one. The
     /// runtime's flat hot path skips it and executes the blob in place
     /// via [`crate::codec::FlatPlanRef`].
-    pub fn decode(
-        codec: crate::codec::PlanCodec,
-        blob: &[u8],
-    ) -> Result<StoredPlan, serde::Error> {
+    pub fn decode(codec: crate::codec::PlanCodec, blob: &[u8]) -> Result<StoredPlan, serde::Error> {
         match codec {
             crate::codec::PlanCodec::Flat => {
                 Ok(crate::codec::FlatPlanRef::new(std::sync::Arc::from(blob))?.to_stored()?)
@@ -852,22 +527,33 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Capacity for tests that never exercise backpressure.
+    const ROOMY: usize = 1024;
+
     fn blob(i: usize) -> Vec<u8> {
         format!("{{\"plan\":{i}}}").into_bytes()
     }
 
     #[test]
-    fn push_fetch_take_roundtrip() {
-        let store = InstructionStore::new();
+    fn push_take_roundtrip() {
+        let store = InstructionStore::with_capacity(ROOMY);
         assert!(store.is_empty());
         store.push(3, blob(3)).expect("push 3 into empty store");
         store.push(4, blob(4)).expect("push 4 into empty store");
         assert_eq!(store.len(), 2);
-        assert!(store.fetch(3).is_some());
-        assert_eq!(store.len(), 2, "fetch does not consume");
-        assert_eq!(&*store.take(3).expect("take 3 after push").expect("blob 3 present"), blob(3).as_slice());
+        assert_eq!(
+            &*store
+                .take(3)
+                .expect("take 3 after push")
+                .expect("blob 3 present"),
+            blob(3).as_slice()
+        );
         assert_eq!(store.len(), 1);
-        assert!(store.fetch(99).is_none());
+        assert_eq!(
+            store.take(99),
+            Ok(None),
+            "an absent key reads as not yet arrived"
+        );
         let st = store.stats();
         assert_eq!(st.pushes, 2);
         assert_eq!(st.takes, 1);
@@ -875,38 +561,32 @@ mod tests {
     }
 
     #[test]
-    fn push_to_live_key_is_an_error_and_replace_is_explicit() {
+    fn push_to_live_key_is_an_error() {
         // Pinned: `push` must never silently overwrite (the old store
         // did — a duplicate planner ticket would clobber a plan).
-        let store = InstructionStore::new();
+        let store = InstructionStore::with_capacity(ROOMY);
         store.push(7, blob(7)).expect("push 7 into empty store");
-        assert_eq!(store.push(7, b"other".to_vec()), Err(StoreError::DuplicateKey(7)));
-        assert_eq!(&*store.fetch(7).expect("blob 7 live"), blob(7).as_slice(), "push must not clobber");
-        let old = store.replace(7, b"other".to_vec()).expect("replace live key");
-        assert_eq!(&*old.expect("replace returns the old blob"), blob(7).as_slice());
-        assert_eq!(&*store.fetch(7).expect("blob 7 live"), b"other");
-        assert_eq!(store.len(), 1);
-        // Replace of an absent key inserts.
-        assert!(store.replace(8, blob(8)).expect("replace absent key inserts").is_none());
-        assert_eq!(store.len(), 2);
-        // Byte accounting followed the replace.
         assert_eq!(
-            store.stats().bytes,
-            ("other".len() + blob(8).len()) as u64
+            store.push(7, b"other".to_vec()),
+            Err(StoreError::DuplicateKey(7))
+        );
+        assert_eq!(store.len(), 1);
+        assert_eq!(
+            &*store.take(7).expect("take 7").expect("blob 7 live"),
+            blob(7).as_slice(),
+            "push must not clobber"
         );
     }
 
     #[test]
     fn consumed_key_is_tombstoned() {
         // Pinned: taking leaves a tombstone; the key can never be
-        // resurrected by a late (stale) push or replaced.
-        let store = InstructionStore::new();
+        // resurrected by a late (stale) push.
+        let store = InstructionStore::with_capacity(ROOMY);
         store.push(5, blob(5)).expect("push 5 into empty store");
         assert!(store.take(5).expect("take 5 after push").is_some());
         assert_eq!(store.take(5), Err(StoreError::Consumed(5)));
         assert_eq!(store.push(5, blob(5)), Err(StoreError::Consumed(5)));
-        assert_eq!(store.replace(5, blob(5)), Err(StoreError::Consumed(5)));
-        assert!(store.fetch(5).is_none(), "tombstone reads as absent");
         assert_eq!(store.len(), 0);
     }
 
@@ -920,9 +600,8 @@ mod tests {
             Err(StoreError::CapacityTimeout { capacity: 1, .. })
         ));
         let st = store.clone();
-        let pusher = std::thread::spawn(move || {
-            st.push_blocking(1, blob(1), Duration::from_secs(30))
-        });
+        let pusher =
+            std::thread::spawn(move || st.push_blocking(1, blob(1), Duration::from_secs(30)));
         // The blocked pusher proceeds as soon as the slot frees.
         std::thread::sleep(Duration::from_millis(20));
         assert!(store.take(0).expect("take 0 frees the slot").is_some());
@@ -930,13 +609,78 @@ mod tests {
             .join()
             .expect("pusher thread")
             .expect("blocked push proceeds after take");
-        assert_eq!(&*store.fetch(1).expect("blob 1 live after blocked push"), blob(1).as_slice());
+        assert_eq!(
+            &*store
+                .take(1)
+                .expect("take 1")
+                .expect("blob 1 live after blocked push"),
+            blob(1).as_slice()
+        );
         assert_eq!(store.stats().peak_occupancy, 1);
     }
 
     #[test]
+    fn duplicate_push_into_full_store_fails_fast() {
+        // A push for a live or consumed key can never land, so it must
+        // not queue for a capacity slot it would never use: with a
+        // 200 ms budget against a full store, waiting first would
+        // surface as `CapacityTimeout` instead of the duplicate.
+        let wait = Duration::from_millis(200);
+        let store = InstructionStore::with_capacity(1);
+        store.push(0, blob(0)).expect("push 0 fills capacity 1");
+        assert_eq!(
+            store.push_blocking(0, blob(0), wait),
+            Err(StoreError::DuplicateKey(0))
+        );
+        assert_eq!(
+            store.push_discarding(0, blob(0), wait),
+            Ok(PushOutcome::DiscardedDuplicate)
+        );
+        assert!(store.take(0).expect("take 0").is_some());
+        store.push(1, blob(1)).expect("push 1 fills capacity 1");
+        assert_eq!(
+            store.push_blocking(0, blob(0), wait),
+            Err(StoreError::Consumed(0))
+        );
+        assert_eq!(
+            store.push_discarding(0, blob(0), wait),
+            Ok(PushOutcome::DiscardedDuplicate)
+        );
+        let st = store.stats();
+        assert_eq!((st.pushes, st.takes, st.discarded), (4, 1, 2));
+    }
+
+    #[test]
+    fn queued_pusher_leaves_when_its_twin_lands() {
+        // Two re-issue twins queue for the one slot of a full store. Once
+        // a take frees it, the first twin lands and the store is full
+        // again; the second must discard at once instead of waiting for
+        // a slot it would never use.
+        let store = Arc::new(InstructionStore::with_capacity(1));
+        store.push(0, blob(0)).expect("push 0 fills capacity 1");
+        let twins: Vec<_> = (0..2)
+            .map(|_| {
+                let st = store.clone();
+                std::thread::spawn(move || st.push_discarding(1, blob(1), Duration::from_secs(2)))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(store.take(0).expect("take 0 frees the slot").is_some());
+        let mut outcomes: Vec<_> = twins
+            .into_iter()
+            .map(|t| t.join().expect("twin thread").expect("twin push"))
+            .collect();
+        outcomes.sort_by_key(|o| *o == PushOutcome::DiscardedDuplicate);
+        assert_eq!(
+            outcomes,
+            [PushOutcome::Stored, PushOutcome::DiscardedDuplicate]
+        );
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
     fn take_blocking_times_out_on_missing_plan() {
-        let store = InstructionStore::new();
+        let store = InstructionStore::with_capacity(ROOMY);
         let err = store
             .take_blocking(42, Duration::from_millis(30))
             .unwrap_err();
@@ -945,7 +689,7 @@ mod tests {
 
     #[test]
     fn take_blocking_sees_concurrent_push() {
-        let store = Arc::new(InstructionStore::new());
+        let store = Arc::new(InstructionStore::with_capacity(ROOMY));
         let st = store.clone();
         let taker = std::thread::spawn(move || {
             st.take_blocking(9, Duration::from_secs(30))
@@ -959,7 +703,7 @@ mod tests {
 
     #[test]
     fn poison_fails_blocked_takers_and_future_ops() {
-        let store = Arc::new(InstructionStore::new());
+        let store = Arc::new(InstructionStore::with_capacity(ROOMY));
         let st = store.clone();
         let taker = std::thread::spawn(move || st.take_blocking(1, Duration::from_secs(30)));
         std::thread::sleep(Duration::from_millis(10));
@@ -968,13 +712,16 @@ mod tests {
             Err(StoreError::Poisoned(r)) => assert!(r.contains("died")),
             other => panic!("expected poison, got {other:?}"),
         }
-        assert!(matches!(store.push(2, blob(2)), Err(StoreError::Poisoned(_))));
+        assert!(matches!(
+            store.push(2, blob(2)),
+            Err(StoreError::Poisoned(_))
+        ));
         assert!(matches!(store.take(1), Err(StoreError::Poisoned(_))));
     }
 
     #[test]
     fn clear_remaining_discards_live_blobs_only() {
-        let store = InstructionStore::new();
+        let store = InstructionStore::with_capacity(ROOMY);
         for i in 0..6 {
             store.push(i, blob(i)).expect("seed pushes");
         }
@@ -985,20 +732,20 @@ mod tests {
         assert_eq!(st.discarded, 5);
         assert_eq!(st.bytes, 0);
         assert_eq!(st.occupancy, 0);
-        assert!(st.per_shard.iter().all(|s| s.occupancy == 0 && s.bytes == 0));
         // Tombstones survive the clear: key 2 stays consumed.
         assert_eq!(store.push(2, blob(2)), Err(StoreError::Consumed(2)));
     }
 
     #[test]
     fn concurrent_producers_and_consumers() {
-        let store = Arc::new(InstructionStore::new());
+        let store = Arc::new(InstructionStore::with_capacity(ROOMY));
         std::thread::scope(|s| {
             for w in 0..4usize {
                 let st = store.clone();
                 s.spawn(move || {
                     for i in (w..100).step_by(4) {
-                        st.push(i, blob(i)).expect("concurrent pushes hit distinct keys");
+                        st.push(i, blob(i))
+                            .expect("concurrent pushes hit distinct keys");
                     }
                 });
             }
@@ -1009,7 +756,10 @@ mod tests {
                 let st = store.clone();
                 s.spawn(move || {
                     for i in (w..100).step_by(4) {
-                        assert!(st.take(i).expect("concurrent takes hit live keys").is_some());
+                        assert!(st
+                            .take(i)
+                            .expect("concurrent takes hit live keys")
+                            .is_some());
                     }
                 });
             }
@@ -1017,6 +767,5 @@ mod tests {
         assert!(store.is_empty());
         let st = store.stats();
         assert_eq!((st.pushes, st.takes), (100, 100));
-        assert_eq!(st.hits(), 100);
     }
 }

@@ -84,7 +84,6 @@ impl LintConfig {
                 "QueueChurn",
                 "ChurnStats",
                 "StoreStats",
-                "ShardCounters",
                 "ShardStats",
                 "RuntimeStats",
                 "TraceCounters",

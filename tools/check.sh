@@ -16,4 +16,14 @@ cargo run --release -p dynapipe-lint
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+# perfbench/ is its own workspace, so the builds above never compile it;
+# build it here so a change to the crates' public API cannot break the
+# benchmark unnoticed. Building re-resolves its lock file, which is kept
+# as committed.
+echo "== build perfbench (release, offline) =="
+lock_backup="$(mktemp)"
+cp perfbench/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" perfbench/Cargo.lock; rm -f "$lock_backup"' EXIT
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "check.sh: all gates passed"
