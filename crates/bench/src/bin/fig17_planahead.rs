@@ -290,7 +290,8 @@ fn main() {
     );
     println!(
         "  zero-copy: flat {:.1} KB ({:.1}% of binary), serde {:.2} ms \
-         (engines run over the wire bytes; deserialize is validate-and-wrap)",
+         (engines run over the wire bytes; deserialize validates and wraps them, \
+         then rebuilds the plan metadata)",
         flat_blob_bytes as f64 / 1e3,
         100.0 * flat_blob_bytes as f64 / (binary_blob_bytes as f64).max(1.0),
         flat_serde_us / 1e3,

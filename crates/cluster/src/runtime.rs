@@ -9,8 +9,8 @@
 //!   [`PlanAheadQueue`] (ticket order == stream order), plan, lower to
 //!   *owned* programs, encode with the configured
 //!   [`dynapipe_core::PlanCodec`] and push the blob into the
-//!   [`InstructionStore`] — exactly the store-backed worker of the core
-//!   runtime, annotated with which host produced the plan.
+//!   [`InstructionStore`] — the same worker steps as the core runtime's
+//!   store-backed mode, annotated with which host produced the plan.
 //! * **The store** lives where [`crate::StorePlacement`] says: on
 //!   executor host 0 (the paper's Redis placement), or sharded one
 //!   shard per executor host with iteration `i` owned by shard
@@ -27,11 +27,30 @@
 //!   teleporting.
 //! * **Executor hosts** — each data-parallel replica runs on host
 //!   `r % executor_hosts`. The replica engines are the same
-//!   [`execute_lowered`] fold as the serial driver (worst makespan,
-//!   per-stage max peaks, stalls summed in replica order), so the
-//!   [`RunReport`] is bit-identical by construction; the per-replica
-//!   makespans are additionally grouped per host to build each host's
-//!   timeline.
+//!   [`execute_lowered`](dynapipe_core::runtime::execute_lowered) fold
+//!   as the serial driver (worst makespan, per-stage max peaks, stalls
+//!   summed in replica order), so the [`RunReport`] is bit-identical by
+//!   construction; the per-replica makespans are additionally grouped
+//!   per host to build each host's timeline.
+//!
+//! # Code layout
+//!
+//! The plan-distribution protocol has one implementation, in
+//! [`dynapipe_core::runtime`], shared with the core runtime's
+//! store-backed mode: the worker's ticket lifecycle, the prefetch step
+//! (take, free the window slot, decode), the executor's receive,
+//! execute-or-record-failure and the teardown sweep. What only the
+//! cluster has lives in three parts here, and
+//! [`run_training_cluster_traced`] is setup, spawn, the executor loop and
+//! the totals:
+//!
+//! * `ClusterRun::planner_worker` — one worker's membership checks
+//!   (crash, straggle, join) around the shared ticket lifecycle;
+//! * `Prefetcher` — the executor-side prefetcher, which is also the churn
+//!   event loop and owns the churn state (executor liveness, replica
+//!   placement, shard map, pending restores);
+//! * `ExecutorTimeline` — the timeline below as a plain struct, folding
+//!   one executed iteration at a time into the [`ClusterReport`].
 //!
 //! # Timeline semantics
 //!
@@ -63,16 +82,16 @@ use crate::shard::{ShardMap, StorePlacement};
 use crate::topology::ClusterConfig;
 use dynapipe_core::driver::{record_iteration, IterationPlanner, RunConfig, RunReport};
 use dynapipe_core::runtime::{
-    decode_for_execution, execute_lowered, plan_lower_push_traced, record_sim_iteration,
-    CompleteOutcome, DuplicatePush, Executable, PlanAheadQueue, ReplicaParallelism, StorePush,
-    TicketGuard, TicketTraceCtx, WaitOutcome, STORE_WAIT,
+    execute_or_fail, plan_lower_push_traced, prefetch_blob, receive_prefetched,
+    record_sim_iteration, run_planner_worker, serve_ticket, sweep_store, DuplicatePush, Executable,
+    IterationExecution, PlanAheadQueue, Prefetched, StorePush, TicketTraceCtx, WaitOutcome,
 };
 use dynapipe_core::store::InstructionStore;
-use dynapipe_trace::{Span, SpanKind, TraceSink};
-use dynapipe_batcher::PaddingStats;
 use dynapipe_data::{BatchStream, Dataset, GlobalBatchConfig};
 use dynapipe_sim::Link;
+use dynapipe_trace::{Span, SpanKind, TraceSink};
 use std::collections::BTreeMap;
+use std::sync::mpsc::SyncSender;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -80,18 +99,19 @@ use std::time::{Duration, Instant};
 /// the store: the distribution accounting, annotated with the producing
 /// worker — the payload itself travels only through the store.
 struct ClusterPlanned {
-    /// Global worker index (maps to a planner host and to that worker's
-    /// uplink connection).
+    /// Global worker index (maps to that worker's uplink connection).
     worker: usize,
+    /// Planner host the worker runs on.
+    host: usize,
     push: StorePush,
     /// Real µs since run start when the push completed.
     pushed_at_us: f64,
 }
 
-/// What the prefetcher hands the executor per iteration.
-struct ClaimedCluster {
+/// How one iteration's blob reached the executor hosts: the
+/// [`ExecutorTimeline`]'s input, assembled by the prefetcher.
+struct Fetched {
     meta: ClusterPlanned,
-    outcome: Executable,
     /// Real µs one host spends decoding its copy of the blob.
     decode_us: f64,
     /// Replica → executor-host placement in force for this iteration.
@@ -128,12 +148,680 @@ pub fn placed_host(placement: &[usize], replica: usize) -> Result<usize, String>
     })
 }
 
-enum Prefetched {
-    Iteration(Box<ClaimedCluster>),
-    EndOfEpoch,
-    /// The store lost a blob the queue promised (crashed counterpart /
-    /// corrupt wire blob).
-    Lost(String),
+/// Workers per planner host: the configured hosts, then one entry per
+/// scripted join.
+fn host_workers(cluster: &ClusterConfig) -> Vec<usize> {
+    let mut hosts = vec![cluster.workers_per_host; cluster.planner_hosts];
+    hosts.extend(cluster.churn.joining_hosts());
+    hosts
+}
+
+/// A report with every planner host, executor host and shard listed and
+/// nothing counted yet.
+fn empty_cluster_report(cluster: &ClusterConfig) -> ClusterReport {
+    let shards = ShardMap::new(cluster.placement, cluster.executor_hosts);
+    ClusterReport {
+        topology: cluster.label(),
+        codec: cluster.codec.label().to_string(),
+        placement: cluster.placement.label().to_string(),
+        fabric: cluster.fabric.label(),
+        plan_ahead: cluster.plan_ahead,
+        shards: shards
+            .owners()
+            .iter()
+            .enumerate()
+            .map(|(shard, &owner)| ShardStats {
+                shard,
+                owner,
+                ..Default::default()
+            })
+            .collect(),
+        planner_hosts: host_workers(cluster)
+            .into_iter()
+            .enumerate()
+            .map(|(host, workers)| PlannerHostStats {
+                host,
+                workers,
+                ..Default::default()
+            })
+            .collect(),
+        executor_hosts: (0..cluster.executor_hosts)
+            .map(|host| ExecutorHostStats {
+                host,
+                ..Default::default()
+            })
+            .collect(),
+        ..Default::default()
+    }
+}
+
+/// What every thread of one cluster run shares.
+struct ClusterRun<'a> {
+    cluster: ClusterConfig,
+    sink: &'a TraceSink,
+    /// Iteration cap of the run.
+    cap: usize,
+    queue: PlanAheadQueue<ClusterPlanned>,
+    store: InstructionStore,
+    membership: Membership,
+    /// Planner host of each global worker.
+    worker_host: Vec<usize>,
+    /// Churn counters the workers and the prefetcher bump.
+    ledger: Mutex<ChurnStats>,
+    /// Run start, the clock of `pushed_at_us` and `host_wall_us`.
+    t0: Instant,
+}
+
+impl<'a> ClusterRun<'a> {
+    fn new(cluster: ClusterConfig, cap: usize, sink: &'a TraceSink) -> Self {
+        // Planner-host roster: the configured hosts plus one slot per
+        // scripted join. Joined hosts' worker threads are spawned up front
+        // but parked behind the membership gate, so a join event activates
+        // them instantly (and deterministically — no mid-run thread spawn
+        // racing the claim loop).
+        let hosts = host_workers(&cluster);
+        ClusterRun {
+            worker_host: hosts
+                .iter()
+                .enumerate()
+                .flat_map(|(h, &n)| std::iter::repeat_n(h, n))
+                .collect(),
+            membership: Membership::new(cluster.planner_hosts, hosts.len() - cluster.planner_hosts),
+            queue: PlanAheadQueue::new(cluster.plan_ahead, cap),
+            // Window slots count store occupancy (ticket held from push to
+            // take), so the capacity is a hard backstop, not an active gate.
+            store: InstructionStore::with_capacity(cluster.plan_ahead),
+            ledger: Mutex::default(),
+            // lint:allow(wall-clock): host wall-clock for ClusterReport.host_wall_us, excluded from behavior_eq
+            t0: Instant::now(),
+            cluster,
+            sink,
+            cap,
+        }
+    }
+
+    /// Record a churn action: the event class in `generation` (0 crash /
+    /// 1 join / 2 straggle / 3 executor loss), the affected host in
+    /// `lane`.
+    fn mark_churn(&self, class: u64, host: usize, it: usize) {
+        self.sink.mark(Span {
+            kind: SpanKind::ChurnAction,
+            iteration: it as i64,
+            lane: host as i64,
+            generation: class,
+            ..Span::default()
+        });
+    }
+
+    /// Record one queue re-issue (each counts against `tickets_reissued`).
+    fn mark_reissue(&self, iteration: i64, lane: i64) {
+        self.sink.mark(Span {
+            kind: SpanKind::TicketReissue,
+            iteration,
+            lane,
+            ..Span::default()
+        });
+    }
+
+    /// The planner-worker body of global worker `w`: the shared ticket
+    /// lifecycle, wrapped in this worker's host membership checks.
+    fn planner_worker<D: std::ops::Deref<Target = Dataset>>(
+        &self,
+        planner: &dyn IterationPlanner,
+        stream: &BatchStream<D>,
+        w: usize,
+        threads: usize,
+    ) {
+        let host = self.worker_host[w];
+        // Scripted-join hosts park here until their event fires.
+        if !self.membership.wait_active(host) {
+            return;
+        }
+        run_planner_worker(&self.queue, stream, w, threads, |ticket| {
+            // A crash takes effect at the claim boundary: the dead host's
+            // worker hands the ticket straight back for the survivors.
+            // The abandon bumps the queue's `reissued` counter, so it
+            // records a re-issue span like the crash sweep (lane = the
+            // dead host).
+            if !self.membership.is_alive(host) {
+                self.queue.abandon(ticket.index, w);
+                self.mark_reissue(ticket.index as i64, host as i64);
+                return false;
+            }
+            // A scripted straggle delays this host's next attempt
+            // *before* planning starts — the window the executor's
+            // re-issue deadline is built to detect.
+            if let Some(delay) = self.membership.take_straggle(host) {
+                std::thread::sleep(delay);
+            }
+            let ctx = TicketTraceCtx {
+                sink: self.sink,
+                worker: w as i64,
+                host: self.cluster.planner_global(host) as i64,
+                shard: (ticket.index % self.cluster.num_shards()) as i64,
+            };
+            serve_ticket(&self.queue, Some(&self.store), &ticket, &ctx, || {
+                // Under churn an iteration may race two byte-identical
+                // blobs (straggler vs re-issue): whichever lands second
+                // is discarded at the store door.
+                let push = plan_lower_push_traced(
+                    planner,
+                    &self.store,
+                    self.cluster.codec,
+                    &ticket,
+                    DuplicatePush::Discard,
+                    &ctx,
+                );
+                if push.discarded {
+                    self.ledger
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .duplicate_blobs_discarded += 1;
+                }
+                ClusterPlanned {
+                    worker: w,
+                    host,
+                    push,
+                    pushed_at_us: self.t0.elapsed().as_secs_f64() * 1e6,
+                }
+            });
+            self.membership.is_alive(host) // crashed mid-plan: stop claiming
+        });
+    }
+}
+
+/// The executor-side prefetcher: takes each blob in order and decodes it
+/// ahead of execution (one decode stands in for the per-host decodes,
+/// which would run in parallel on identical bytes), then hands it over a
+/// bounded channel.
+///
+/// It is also the **churn event loop**: the one thread that observes
+/// iteration boundaries strictly in order, so scripted events key off
+/// its progress — applied before the wait for the keyed iteration's
+/// plan — and it owns the churn state. The placement in force is
+/// snapshotted per iteration for the executor's accounting (the
+/// prefetcher runs ahead, so the executor must not read live placement
+/// state).
+struct Prefetcher<'r, 'a> {
+    run: &'r ClusterRun<'a>,
+    executor_alive: Vec<bool>,
+    /// Replica → executor host, re-placed on executor loss.
+    replica_host: Vec<usize>,
+    shard_map: ShardMap,
+    /// Iteration → surviving peer that must restore the blob to its
+    /// shard's new owner (owner died mid-flight).
+    pending_recovery: BTreeMap<usize, usize>,
+}
+
+impl<'r, 'a> Prefetcher<'r, 'a> {
+    fn new(run: &'r ClusterRun<'a>, dp: usize) -> Self {
+        let cluster = &run.cluster;
+        Prefetcher {
+            run,
+            executor_alive: vec![true; cluster.executor_hosts],
+            replica_host: (0..dp).map(|r| cluster.executor_host_of(r)).collect(),
+            shard_map: ShardMap::new(cluster.placement, cluster.executor_hosts),
+            pending_recovery: BTreeMap::new(),
+        }
+    }
+
+    /// Prefetch every iteration in order into `tx`, until the epoch
+    /// ends, the run is cancelled, a blob is lost or the executor stops
+    /// consuming.
+    fn prefetch_all(mut self, tx: SyncSender<Prefetched<(Fetched, Executable)>>) {
+        let run = self.run;
+        for it in 0..run.cap {
+            for ev in run.cluster.churn.events_at(it) {
+                self.apply_churn(it, ev);
+            }
+            let placement = self.replica_host.clone();
+            let shard_host = self.shard_map.host_of(it);
+            let recover_from = self.pending_recovery.remove(&it);
+            let meta = match self.wait_planned(it) {
+                WaitOutcome::Planned(meta) => meta,
+                WaitOutcome::EndOfEpoch => break,
+                WaitOutcome::Cancelled | WaitOutcome::Deadline => return,
+            };
+            // The decode alone is the host cost: the wait and the take
+            // model the fetch, which the timeline charges as wire time.
+            let (outcome, _, decode_us) = match prefetch_blob(
+                &run.queue,
+                &run.store,
+                run.cluster.codec,
+                it,
+                run.sink,
+                self.shard_map.shard_of(it) as i64,
+                run.cluster.executor_global(shard_host) as i64,
+            ) {
+                Ok(fetched) => fetched,
+                Err(lost) => {
+                    let _ = tx.send(Prefetched::Lost(lost));
+                    return;
+                }
+            };
+            let fetched = Fetched {
+                meta,
+                decode_us,
+                placement,
+                shard_host,
+                recover_from,
+            };
+            if tx
+                .send(Prefetched::Iteration(Box::new((fetched, outcome))))
+                .is_err()
+            {
+                return; // executor stopped consuming
+            }
+        }
+        let _ = tx.send(Prefetched::EndOfEpoch);
+    }
+
+    /// Wait for iteration `it`'s plan. Each expiry of the re-issue
+    /// deadline suspects the holder and re-issues the ticket to the next
+    /// healthy claimant, then keeps waiting (first completion wins).
+    fn wait_planned(&self, it: usize) -> WaitOutcome<ClusterPlanned> {
+        let run = self.run;
+        loop {
+            match run
+                .queue
+                .wait_for_deadline(it, run.cluster.reissue_deadline)
+            {
+                WaitOutcome::Deadline => {
+                    run.ledger
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .deadline_expiries += 1;
+                    let min_age = run
+                        .cluster
+                        .reissue_deadline
+                        .expect("Deadline implies a deadline was set");
+                    if run.queue.reissue(it, min_age) {
+                        run.mark_reissue(it as i64, -1);
+                    }
+                }
+                outcome => return outcome,
+            }
+        }
+    }
+
+    /// Apply one scripted churn event due at iteration `it`, counting it
+    /// in the ledger as applied or ignored.
+    fn apply_churn(&mut self, it: usize, ev: &ChurnEvent) {
+        let run = self.run;
+        let cluster = &run.cluster;
+        let mut led = run.ledger.lock().unwrap_or_else(|e| e.into_inner());
+        match ev {
+            ChurnEvent::PlannerCrash { host } => {
+                if run.membership.crash(*host) {
+                    led.events_applied += 1;
+                    led.planner_crashes += 1;
+                    run.mark_churn(0, *host, it);
+                    // Everything the dead host's workers held goes back
+                    // to the survivors.
+                    let n = run
+                        .queue
+                        .reissue_claimed_by(|w| run.worker_host[w] == *host);
+                    for _ in 0..n {
+                        // Claimed-but-unplanned tickets are unknown here:
+                        // -1 iteration, lane = the dead host.
+                        run.mark_reissue(-1, *host as i64);
+                    }
+                } else {
+                    led.events_ignored += 1;
+                }
+            }
+            ChurnEvent::PlannerJoin { .. } => {
+                if let Some(joined) = run.membership.activate_next() {
+                    led.events_applied += 1;
+                    led.planner_joins += 1;
+                    run.mark_churn(1, joined, it);
+                } else {
+                    led.events_ignored += 1;
+                }
+            }
+            ChurnEvent::Straggle { host, delay_ms } => {
+                if run
+                    .membership
+                    .straggle(*host, Duration::from_millis(*delay_ms))
+                {
+                    led.events_applied += 1;
+                    led.straggles += 1;
+                    run.mark_churn(2, *host, it);
+                } else {
+                    led.events_ignored += 1;
+                }
+            }
+            ChurnEvent::ExecutorLoss { host } => {
+                let survivors: Vec<usize> = (0..cluster.executor_hosts)
+                    .filter(|&h| h != *host && self.executor_alive[h])
+                    .collect();
+                // Under the single placement host 0 holds the whole
+                // store; losing it (or the last survivor under either
+                // placement) is fail-stop, not churn. A dead/unknown host
+                // is a no-op. Under the sharded placement *any* host may
+                // go — its shards re-own onto survivors.
+                let store_protected = cluster.placement == StorePlacement::Single && *host == 0;
+                if store_protected
+                    || *host >= cluster.executor_hosts
+                    || !self.executor_alive[*host]
+                    || survivors.is_empty()
+                {
+                    led.events_ignored += 1;
+                    return;
+                }
+                self.executor_alive[*host] = false;
+                led.events_applied += 1;
+                led.executor_losses += 1;
+                run.mark_churn(3, *host, it);
+                // Re-place the lost host's replicas round-robin onto the
+                // survivors; their plans re-distribute from the store over
+                // the survivors' own downlinks from here on.
+                for (r, h) in self.replica_host.iter_mut().enumerate() {
+                    if *h == *host {
+                        *h = survivors[r % survivors.len()];
+                        led.replicas_moved += 1;
+                    }
+                }
+                // Sharded store recovery: only the dead host's shards move
+                // (surviving assignments are stable), and any blob that
+                // may already sit on the dead owner — conservatively, the
+                // whole plan-ahead window from here — is restored from a
+                // surviving peer before its fetches replay.
+                let lost_shards: Vec<usize> = self
+                    .shard_map
+                    .owners()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &o)| o == *host)
+                    .map(|(s, _)| s)
+                    .collect();
+                if lost_shards.is_empty() {
+                    return;
+                }
+                led.shards_moved += self.shard_map.reassign_lost(*host, &survivors);
+                let window_end = it.saturating_add(cluster.plan_ahead).min(run.cap);
+                for j in it..window_end {
+                    let s = self.shard_map.shard_of(j);
+                    if !lost_shards.contains(&s) {
+                        continue;
+                    }
+                    let new_owner = self.shard_map.owner(s);
+                    // The lowest surviving host that is not the new owner
+                    // holds the replica; a sole survivor already owns it.
+                    if let Some(&peer) = survivors.iter().find(|&&h| h != new_owner) {
+                        self.pending_recovery.insert(j, peer);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The executor hosts' training timeline — the recurrence in the module
+/// doc — as a plain struct: it owns every link a blob crosses and the
+/// `sync_end` clock, and folds one executed iteration at a time into a
+/// [`ClusterReport`]. No threads and no host clock, so it is unit-tested
+/// directly.
+struct ExecutorTimeline<'c> {
+    cluster: &'c ClusterConfig,
+    /// One uplink *connection* per planner worker × destination shard
+    /// host. A worker's pushes are ordered in time, so the FIFO math
+    /// replays exactly; a per-host shared link would be replayed in
+    /// iteration order, which races push order across workers and would
+    /// charge phantom queueing.
+    uplinks: BTreeMap<(usize, usize), Link>,
+    /// One link per shard-host → executor-host pair out of the store (a
+    /// host colocated with the owning shard rides the fabric's free
+    /// same-host link), and per peer → new-owner restore. Fetch-side
+    /// links are legitimately FIFO in iteration order: the executor
+    /// demands blobs in order, so fetch i+1 cannot start before fetch i
+    /// finishes on that pair's link. Connections are created lazily from
+    /// the fabric — a pair that never carries a blob never exists.
+    interlinks: BTreeMap<(usize, usize), Link>,
+    /// When the previous iteration's gradient sync ended (µs).
+    sync_end: f64,
+}
+
+impl<'c> ExecutorTimeline<'c> {
+    fn new(cluster: &'c ClusterConfig) -> Self {
+        ExecutorTimeline {
+            cluster,
+            uplinks: BTreeMap::new(),
+            interlinks: BTreeMap::new(),
+            sync_end: 0.0,
+        }
+    }
+
+    /// Fold executed iteration `it` into `out`: replay its push, any
+    /// restore and every fetch over the links, advance `sync_end`, and
+    /// count the wire, exposure and per-host totals with their spans.
+    fn fold_iteration(
+        &mut self,
+        out: &mut ClusterReport,
+        sink: &TraceSink,
+        it: usize,
+        fetched: &Fetched,
+        exec: &IterationExecution,
+        dp_sync_time: f64,
+    ) {
+        let cluster = self.cluster;
+        let Fetched {
+            meta,
+            decode_us,
+            placement,
+            shard_host,
+            recover_from,
+        } = fetched;
+        let (decode_us, shard_host) = (*decode_us, *shard_host);
+        let bytes = meta.push.blob_bytes as u64;
+        let (planner, shard_global) = (
+            cluster.planner_global(meta.host),
+            cluster.executor_global(shard_host),
+        );
+        let shard = it % out.shards.len();
+
+        // --- Push: worker → owning shard's host ---------------------------
+        let up = self
+            .uplinks
+            .entry((meta.worker, shard_host))
+            .or_insert_with(|| cluster.fabric.connect(planner, shard_global));
+        let up_before = up.wire_us();
+        let up_busy = up.busy_until_us();
+        let at_store = up.transmit(meta.pushed_at_us, bytes);
+        let push_wire = up.wire_us() - up_before;
+        sink.record(Span {
+            kind: SpanKind::LinkPush,
+            iteration: it as i64,
+            lane: meta.worker as i64,
+            host: planner as i64,
+            start_us: meta.pushed_at_us,
+            end_us: at_store,
+            // FIFO queueing behind the worker's earlier pushes, split out
+            // of the interval.
+            wait_us: (up_busy - meta.pushed_at_us).max(0.0),
+            bytes,
+            src: planner as i64,
+            dst: shard_global as i64,
+            ..Span::default()
+        });
+        let ph = &mut out.planner_hosts[meta.host];
+        ph.plans_produced += 1;
+        ph.plan_us += meta.push.plan_us;
+        ph.lower_us += meta.push.lower_us;
+        ph.serialize_us += meta.push.serialize_us;
+        ph.bytes_pushed += bytes;
+        ph.push_wire_us += push_wire;
+        let sh = &mut out.shards[shard];
+        sh.owner = shard_host;
+        sh.blobs_stored += 1;
+        sh.bytes_pushed += bytes;
+        sh.push_wire_us += push_wire;
+
+        // --- Post-loss restore: the shard's previous owner died with this
+        // blob in flight, so a surviving peer streams its replica to the
+        // new owner before any fetch can start. ---------------------------
+        let at_shard = match *recover_from {
+            None => at_store,
+            Some(peer) => {
+                let link = self
+                    .interlinks
+                    .entry((peer, shard_host))
+                    .or_insert_with(|| cluster.fabric.connect(peer, shard_host));
+                let before = link.wire_us();
+                let restore_busy = link.busy_until_us();
+                let restored = link.transmit(at_store, bytes);
+                sink.record(Span {
+                    kind: SpanKind::LinkRestore,
+                    iteration: it as i64,
+                    lane: shard as i64,
+                    host: shard_global as i64,
+                    start_us: at_store,
+                    end_us: restored,
+                    wait_us: (restore_busy - at_store).max(0.0),
+                    bytes,
+                    src: cluster.executor_global(peer) as i64,
+                    dst: shard_global as i64,
+                    ..Span::default()
+                });
+                let sh = &mut out.shards[shard];
+                sh.refetched_blobs += 1;
+                sh.refetch_bytes += bytes;
+                sh.fetch_wire_us += link.wire_us() - before;
+                out.churn.blobs_refetched += 1;
+                out.churn.refetch_bytes += bytes;
+                restored
+            }
+        };
+
+        // --- Fetch + run: hosts with at least one replica this iteration
+        // fetch the blob and run their share. -----------------------------
+        let mut spans = vec![f64::NEG_INFINITY; cluster.executor_hosts];
+        for (r, &makespan) in exec.replica_makespans.iter().enumerate() {
+            // Placement under churn: the snapshot the prefetcher took when
+            // it fetched this iteration (initially `r % executor_hosts`;
+            // re-placed on executor loss). A snapshot that fails to cover
+            // a replica is a hard error — the silent static fallback it
+            // replaces could route to a churn-killed host.
+            let h = placed_host(placement, r).expect("short placement snapshot");
+            spans[h] = spans[h].max(makespan);
+            if !out.executor_hosts[h].replicas.contains(&r) {
+                out.executor_hosts[h].replicas.push(r);
+            }
+        }
+        let prev_end = self.sync_end;
+        let mut sync_end = f64::NEG_INFINITY;
+        let mut remote_copies = 0u64;
+        for (h, &span) in spans.iter().enumerate() {
+            if span == f64::NEG_INFINITY {
+                continue; // no replica landed here this iteration
+            }
+            let link = self
+                .interlinks
+                .entry((shard_host, h))
+                .or_insert_with(|| cluster.fabric.connect(shard_host, h));
+            let down_before = link.wire_us();
+            let down_busy = link.busy_until_us();
+            let arrival = link.transmit(at_shard, bytes);
+            let fetch_wire = link.wire_us() - down_before;
+            let avail = arrival + decode_us;
+            let eh = &mut out.executor_hosts[h];
+            // The wire-byte rule (see report.rs): only copies that cross
+            // hosts count — the shard owner's replicas read host memory.
+            // The trace obeys the same rule: a LinkFetch span exists iff
+            // the copy crossed hosts, so Σ span bytes reconciles against
+            // `bytes_fetched`.
+            if h != shard_host {
+                eh.bytes_fetched += bytes;
+                out.shards[shard].bytes_served += bytes;
+                remote_copies += 1;
+                sink.record(Span {
+                    kind: SpanKind::LinkFetch,
+                    iteration: it as i64,
+                    lane: h as i64,
+                    host: cluster.executor_global(h) as i64,
+                    start_us: at_shard,
+                    end_us: arrival,
+                    wait_us: (down_busy - at_shard).max(0.0),
+                    bytes,
+                    src: shard_global as i64,
+                    dst: cluster.executor_global(h) as i64,
+                    ..Span::default()
+                });
+            }
+            eh.fetch_wire_us += fetch_wire;
+            out.shards[shard].fetch_wire_us += fetch_wire;
+            eh.decode_us += decode_us;
+            // The span carries the exact ledger term in `wait_us`
+            // (start/end have float residue; the counter does not), and
+            // zero terms are skipped — adding +0.0 to a non-negative
+            // accumulator cannot change its bits, so the per-host ledger
+            // still reconciles bit-exactly.
+            let wait = (avail - prev_end).max(0.0);
+            eh.exposed_us += wait;
+            if wait > 0.0 {
+                sink.record(Span {
+                    kind: SpanKind::ExposedWait,
+                    iteration: it as i64,
+                    lane: h as i64,
+                    host: cluster.executor_global(h) as i64,
+                    start_us: prev_end,
+                    end_us: avail,
+                    wait_us: wait,
+                    ..Span::default()
+                });
+            }
+            eh.busy_us += span;
+            let start = prev_end.max(avail);
+            sync_end = sync_end.max(start + span);
+        }
+        let end = sync_end + dp_sync_time;
+        // How much later the sync finished than it would have with every
+        // plan instantly available.
+        let exposed = (end - prev_end - exec.measured_time).max(0.0);
+        out.exposed_us += exposed;
+        if exposed > 0.0 {
+            sink.record(Span {
+                kind: SpanKind::ExposedPlanning,
+                iteration: it as i64,
+                start_us: prev_end,
+                end_us: prev_end + exposed,
+                wait_us: exposed,
+                ..Span::default()
+            });
+        }
+        self.sync_end = end;
+
+        out.exec_sim_us += exec.measured_time;
+        out.serialize_us += meta.push.serialize_us;
+        out.decode_us += decode_us * spans.iter().filter(|s| s.is_finite()).count() as f64;
+        out.total_planning_us += meta.push.plan_us + meta.push.lower_us;
+        if cluster.codec == dynapipe_core::PlanCodec::Flat {
+            // Every host that fetched a *remote* copy ran engines straight
+            // over the wire bytes; the shard owner's local copy is host
+            // memory, not wire (the wire-byte rule — an earlier revision
+            // counted it here but not in bytes_fetched, so the two could
+            // never reconcile).
+            out.flat_wire_bytes += bytes * remote_copies;
+        }
+        out.iterations += 1;
+    }
+
+    /// Close the timeline into `out`: the cluster wall and the link
+    /// totals.
+    fn finish(self, out: &mut ClusterReport) {
+        out.cluster_wall_us = self.sync_end;
+        out.total_wire_us = self.uplinks.values().map(Link::wire_us).sum::<f64>()
+            + self.interlinks.values().map(Link::wire_us).sum::<f64>();
+        // The busiest single directed host-pair link — local links never
+        // count bytes, so this is a pure wire quantity.
+        out.max_link_bytes = self
+            .uplinks
+            .values()
+            .chain(self.interlinks.values())
+            .map(Link::bytes)
+            .max()
+            .unwrap_or(0);
+    }
 }
 
 /// Run (a prefix of) one training epoch on the simulated multi-host
@@ -169,691 +857,38 @@ pub fn run_training_cluster_traced(
     sink: &TraceSink,
 ) -> (RunReport, ClusterReport) {
     let cm = planner.cost_model();
-    let cluster = cluster.normalized(cm.parallel.dp);
     let cap = run.max_iterations.unwrap_or(usize::MAX);
     let stream = BatchStream::new(dataset, gbs);
-    let queue: PlanAheadQueue<ClusterPlanned> = PlanAheadQueue::new(cluster.plan_ahead, cap);
-    // Window slots count store occupancy (ticket held from push to take),
-    // so the capacity is a hard backstop, not an active gate.
-    let store = InstructionStore::with_capacity(cluster.plan_ahead);
-    // lint:allow(wall-clock): host wall-clock for ClusterReport.host_wall_us, excluded from behavior_eq
-    let t0 = Instant::now();
-
-    // Planner-host roster: the configured hosts plus one slot per
-    // scripted join. Joined hosts' worker threads are spawned up front
-    // but parked behind the membership gate, so a join event activates
-    // them instantly (and deterministically — no mid-run thread spawn
-    // racing the claim loop).
-    let script = cluster.churn.clone();
-    let mut host_workers: Vec<usize> = vec![cluster.workers_per_host; cluster.planner_hosts];
-    host_workers.extend(script.joining_hosts());
-    let worker_host: Vec<usize> = host_workers
-        .iter()
-        .enumerate()
-        .flat_map(|(h, &n)| std::iter::repeat(h).take(n))
-        .collect();
-    let membership = Membership::new(cluster.planner_hosts, host_workers.len() - cluster.planner_hosts);
-    let ledger: Mutex<ChurnStats> = Mutex::new(ChurnStats::default());
-
-    let mut report = RunReport {
-        planner: planner.label(),
-        records: Vec::new(),
-        total_tokens: 0,
-        total_time_us: 0.0,
-        padding: PaddingStats::default(),
-        failure: None,
-    };
-    let initial_shards = ShardMap::new(cluster.placement, cluster.executor_hosts);
-    let mut out = ClusterReport {
-        topology: cluster.label(),
-        codec: cluster.codec.label().to_string(),
-        placement: cluster.placement.label().to_string(),
-        fabric: cluster.fabric.label(),
-        plan_ahead: cluster.plan_ahead,
-        shards: initial_shards
-            .owners()
-            .iter()
-            .enumerate()
-            .map(|(s, &owner)| ShardStats {
-                shard: s,
-                owner,
-                ..Default::default()
-            })
-            .collect(),
-        planner_hosts: host_workers
-            .iter()
-            .enumerate()
-            .map(|(h, &workers)| PlannerHostStats {
-                host: h,
-                workers,
-                ..Default::default()
-            })
-            .collect(),
-        executor_hosts: (0..cluster.executor_hosts)
-            .map(|h| ExecutorHostStats {
-                host: h,
-                ..Default::default()
-            })
-            .collect(),
-        ..Default::default()
-    };
-
-    // One uplink *connection* per planner worker × destination shard
-    // host (a worker's pushes are ordered in time, so the FIFO math
-    // replays exactly; a per-host shared link would be replayed in
-    // iteration order, which races push order across workers and would
-    // charge phantom queueing), and one link per shard-host → executor-
-    // host pair out of the store; a host colocated with the owning
-    // shard rides the fabric's free same-host link. Fetch-side links
-    // are legitimately FIFO in iteration order: the executor demands
-    // blobs in order, so fetch i+1 cannot start before fetch i finishes
-    // on that pair's link. Connections are created lazily from the
-    // fabric — a pair that never carries a blob never exists.
-    let mut uplinks: BTreeMap<(usize, usize), Link> = BTreeMap::new();
-    let mut interlinks: BTreeMap<(usize, usize), Link> = BTreeMap::new();
-
+    let shared = ClusterRun::new(cluster.normalized(cm.parallel.dp), cap, sink);
+    let cluster = &shared.cluster;
+    let mut report = RunReport::empty(planner.label());
+    let mut out = empty_cluster_report(cluster);
+    let mut timeline = ExecutorTimeline::new(cluster);
     let nested_threads = (rayon::current_num_threads() / cluster.total_workers().max(1)).max(1);
 
     std::thread::scope(|scope| {
-        for (w, &host) in worker_host.iter().enumerate() {
-            let queue = &queue;
-            let stream = &stream;
-            let store = &store;
-            let membership = &membership;
-            let ledger = &ledger;
-            let cluster = &cluster;
-            scope.spawn(move || {
-                // Scripted-join hosts park here until their event fires.
-                if !membership.wait_active(host) {
-                    return;
-                }
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(nested_threads)
-                    .build()
-                    .expect("planner worker pool");
-                pool.install(|| {
-                    while let Some(ticket) = queue.claim(stream, w) {
-                        // A crash takes effect at the claim boundary:
-                        // the dead host's worker hands the ticket
-                        // straight back for the survivors. The abandon
-                        // bumps the queue's `reissued` counter, so it
-                        // records a re-issue span like the crash sweep
-                        // (lane = the dead host).
-                        if !membership.is_alive(host) {
-                            queue.abandon(ticket.index, w);
-                            sink.mark(Span {
-                                kind: SpanKind::TicketReissue,
-                                iteration: ticket.index as i64,
-                                lane: host as i64,
-                                ..Span::default()
-                            });
-                            return;
-                        }
-                        // A scripted straggle delays this host's next
-                        // attempt *before* planning starts — the window
-                        // the executor's re-issue deadline is built to
-                        // detect.
-                        if let Some(delay) = membership.take_straggle(host) {
-                            std::thread::sleep(delay);
-                        }
-                        let ctx = TicketTraceCtx {
-                            sink,
-                            worker: w as i64,
-                            host: cluster.planner_global(host) as i64,
-                            shard: (ticket.index % cluster.num_shards()) as i64,
-                        };
-                        // The claim is recorded only once the holder
-                        // commits to planning (a dead host's claim is
-                        // abandoned above, not a lifecycle event).
-                        sink.mark(ctx.span(&ticket, SpanKind::TicketClaim));
-                        let guard = TicketGuard::new(queue, Some(store));
-                        // Shared with the core runtime's store-backed
-                        // worker: plan, lower owned, encode, push. Under
-                        // churn an iteration may race two byte-identical
-                        // blobs (straggler vs re-issue): whichever lands
-                        // second is discarded at the store door.
-                        let push = plan_lower_push_traced(
-                            planner,
-                            store,
-                            cluster.codec,
-                            &ticket,
-                            DuplicatePush::Discard,
-                            &ctx,
-                        );
-                        if push.discarded {
-                            ledger
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .duplicate_blobs_discarded += 1;
-                        }
-                        let outcome = queue.complete(
-                            ticket.index,
-                            ticket.generation,
-                            ClusterPlanned {
-                                worker: w,
-                                push,
-                                pushed_at_us: t0.elapsed().as_secs_f64() * 1e6,
-                            },
-                        );
-                        guard.disarm();
-                        sink.mark(Span {
-                            // 1 when the queue accepted this completion;
-                            // 0 when it lost the churn race to a
-                            // re-issued generation.
-                            bytes: (outcome == CompleteOutcome::Accepted) as u64,
-                            ..ctx.span(&ticket, SpanKind::TicketComplete)
-                        });
-                        if !membership.is_alive(host) {
-                            return; // crashed mid-plan: stop claiming
-                        }
-                    }
-                });
-            });
+        for w in 0..shared.worker_host.len() {
+            let (shared, stream) = (&shared, &stream);
+            scope.spawn(move || shared.planner_worker(planner, stream, w, nested_threads));
         }
-
-        // Executor-side prefetcher: take each blob in order, decode it
-        // ahead of execution (one decode stands in for the per-host
-        // decodes, which would run in parallel on identical bytes), and
-        // hand the executable plan over a bounded channel.
-        //
-        // The prefetcher is also the **churn event loop**: it is the one
-        // thread that observes iteration boundaries strictly in order,
-        // so scripted events key off its progress — applied before the
-        // wait for the keyed iteration's plan, and the placement in
-        // force is snapshotted per iteration for the executor's
-        // accounting (the prefetcher runs ahead, so the executor must
-        // not read live placement state).
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Prefetched>(1);
-        {
-            let queue = &queue;
-            let store = &store;
-            let membership = &membership;
-            let ledger = &ledger;
-            let script = &script;
-            let worker_host = &worker_host;
-            let cluster = &cluster;
-            let dp = cm.parallel.dp.max(1);
-            scope.spawn(move || {
-                // Instant Host-domain markers: churn actions carry the
-                // event class in `generation` (0 crash / 1 join /
-                // 2 straggle / 3 executor loss) and the affected host in
-                // `lane`; re-issues count against `tickets_reissued`.
-                let churn_span = |class: u64, affected: i64, it: usize| {
-                    sink.mark(Span {
-                        kind: SpanKind::ChurnAction,
-                        iteration: it as i64,
-                        lane: affected,
-                        generation: class,
-                        ..Span::default()
-                    });
-                };
-                let reissue_span = |iteration: i64, lane: i64| {
-                    sink.mark(Span {
-                        kind: SpanKind::TicketReissue,
-                        iteration,
-                        lane,
-                        ..Span::default()
-                    });
-                };
-                let mut executor_alive = vec![true; cluster.executor_hosts];
-                let mut replica_host: Vec<usize> =
-                    (0..dp).map(|r| cluster.executor_host_of(r)).collect();
-                let mut shard_map = ShardMap::new(cluster.placement, cluster.executor_hosts);
-                // Iteration → surviving peer that must restore the blob
-                // to its shard's new owner (owner died mid-flight).
-                let mut pending_recovery: BTreeMap<usize, usize> = BTreeMap::new();
-                for it in 0..cap {
-                    // --- Scripted churn due at this iteration ---------
-                    for ev in script.events_at(it) {
-                        let mut led = ledger.lock().unwrap_or_else(|e| e.into_inner());
-                        match ev {
-                            ChurnEvent::PlannerCrash { host } => {
-                                if membership.crash(*host) {
-                                    led.events_applied += 1;
-                                    led.planner_crashes += 1;
-                                    churn_span(0, *host as i64, it);
-                                    // Everything the dead host's workers
-                                    // held goes back to the survivors.
-                                    let n =
-                                        queue.reissue_claimed_by(|w| worker_host[w] == *host);
-                                    for _ in 0..n {
-                                        // Claimed-but-unplanned tickets
-                                        // are unknown here: -1 iteration,
-                                        // lane = the dead host.
-                                        reissue_span(-1, *host as i64);
-                                    }
-                                } else {
-                                    led.events_ignored += 1;
-                                }
-                            }
-                            ChurnEvent::PlannerJoin { .. } => {
-                                if let Some(joined) = membership.activate_next() {
-                                    led.events_applied += 1;
-                                    led.planner_joins += 1;
-                                    churn_span(1, joined as i64, it);
-                                } else {
-                                    led.events_ignored += 1;
-                                }
-                            }
-                            ChurnEvent::Straggle { host, delay_ms } => {
-                                if membership
-                                    .straggle(*host, Duration::from_millis(*delay_ms))
-                                {
-                                    led.events_applied += 1;
-                                    led.straggles += 1;
-                                    churn_span(2, *host as i64, it);
-                                } else {
-                                    led.events_ignored += 1;
-                                }
-                            }
-                            ChurnEvent::ExecutorLoss { host } => {
-                                let survivors: Vec<usize> = (0..cluster.executor_hosts)
-                                    .filter(|&h| h != *host && executor_alive[h])
-                                    .collect();
-                                // Under the single placement host 0
-                                // holds the whole store; losing it (or
-                                // the last survivor under either
-                                // placement) is fail-stop, not churn. A
-                                // dead/unknown host is a no-op. Under
-                                // the sharded placement *any* host may
-                                // go — its shards re-own onto survivors.
-                                let store_protected = cluster.placement
-                                    == StorePlacement::Single
-                                    && *host == 0;
-                                if store_protected
-                                    || *host >= cluster.executor_hosts
-                                    || !executor_alive[*host]
-                                    || survivors.is_empty()
-                                {
-                                    led.events_ignored += 1;
-                                } else {
-                                    executor_alive[*host] = false;
-                                    led.events_applied += 1;
-                                    led.executor_losses += 1;
-                                    churn_span(3, *host as i64, it);
-                                    // Re-place the lost host's replicas
-                                    // round-robin onto the survivors;
-                                    // their plans re-distribute from the
-                                    // store over the survivors' own
-                                    // downlinks from here on.
-                                    for (r, h) in replica_host.iter_mut().enumerate() {
-                                        if *h == *host {
-                                            *h = survivors[r % survivors.len()];
-                                            led.replicas_moved += 1;
-                                        }
-                                    }
-                                    // Sharded store recovery: only the
-                                    // dead host's shards move (surviving
-                                    // assignments are stable), and any
-                                    // blob that may already sit on the
-                                    // dead owner — conservatively, the
-                                    // whole plan-ahead window from here —
-                                    // is restored from a surviving peer
-                                    // before its fetches replay.
-                                    let lost_shards: Vec<usize> = shard_map
-                                        .owners()
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(_, &o)| o == *host)
-                                        .map(|(s, _)| s)
-                                        .collect();
-                                    if !lost_shards.is_empty() {
-                                        led.shards_moved +=
-                                            shard_map.reassign_lost(*host, &survivors);
-                                        let window_end =
-                                            it.saturating_add(cluster.plan_ahead).min(cap);
-                                        for j in it..window_end {
-                                            let s = shard_map.shard_of(j);
-                                            if !lost_shards.contains(&s) {
-                                                continue;
-                                            }
-                                            let new_owner = shard_map.owner(s);
-                                            // The lowest surviving host
-                                            // that is not the new owner
-                                            // holds the replica; a sole
-                                            // survivor already owns it.
-                                            if let Some(&peer) = survivors
-                                                .iter()
-                                                .find(|&&h| h != new_owner)
-                                            {
-                                                pending_recovery.insert(j, peer);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let placement = replica_host.clone();
-                    let shard_host = shard_map.host_of(it);
-                    let recover_from = pending_recovery.remove(&it);
-
-                    // --- Bounded wait + straggler re-issue ------------
-                    let meta = loop {
-                        match queue.wait_for_deadline(it, cluster.reissue_deadline) {
-                            WaitOutcome::Cancelled => return,
-                            WaitOutcome::EndOfEpoch => {
-                                let _ = tx.send(Prefetched::EndOfEpoch);
-                                return;
-                            }
-                            WaitOutcome::Deadline => {
-                                // The plan is overdue: suspect the
-                                // holder and re-issue the ticket to the
-                                // next healthy claimant, then keep
-                                // waiting (first completion wins).
-                                let mut led =
-                                    ledger.lock().unwrap_or_else(|e| e.into_inner());
-                                led.deadline_expiries += 1;
-                                drop(led);
-                                let min_age = cluster
-                                    .reissue_deadline
-                                    .expect("Deadline implies a deadline was set");
-                                if queue.reissue(it, min_age) {
-                                    reissue_span(it as i64, -1);
-                                }
-                            }
-                            WaitOutcome::Planned(p) => break p,
-                        }
-                    };
-                    // The counter times the *decode* alone: the
-                    // wait-for-arrival and the store take model the
-                    // fetch, which the timeline already charges as
-                    // downlink wire time.
-                    let store_span = |kind, bytes| Span {
-                        kind,
-                        iteration: it as i64,
-                        lane: shard_map.shard_of(it) as i64,
-                        host: cluster.executor_global(shard_host) as i64,
-                        bytes,
-                        ..Span::default()
-                    };
-                    let (taken, _) = sink.timed(
-                        || store.take_blocking(it, STORE_WAIT),
-                        |taken| {
-                            let blob = taken.as_ref().ok()?;
-                            Some(store_span(SpanKind::StoreTake, blob.len() as u64))
-                        },
-                    );
-                    queue.advance(it); // blob out of the store: slot free
-                    let (decoded, decode_us) = sink.timed(
-                        || {
-                            taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
-                                decode_for_execution(cluster.codec, blob)
-                                    .map_err(|e| format!("decode: {e}"))
-                            })
-                        },
-                        |decoded| decoded.is_ok().then(|| store_span(SpanKind::Decode, 0)),
-                    );
-                    let (iteration, outcome) = match decoded {
-                        Ok(s) => s,
-                        Err(e) => {
-                            let _ = tx.send(Prefetched::Lost(format!(
-                                "instruction store lost iteration {it}: {e}"
-                            )));
-                            return;
-                        }
-                    };
-                    debug_assert_eq!(iteration, it, "blob is self-describing");
-                    let claimed = ClaimedCluster {
-                        meta,
-                        outcome,
-                        decode_us,
-                        placement,
-                        shard_host,
-                        recover_from,
-                    };
-                    if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {
-                        return; // executor stopped consuming
-                    }
-                }
-                let _ = tx.send(Prefetched::EndOfEpoch);
-            });
-        }
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let prefetcher = Prefetcher::new(&shared, cm.parallel.dp.max(1));
+        scope.spawn(move || prefetcher.prefetch_all(tx));
 
         // The executor: strictly in order on the caller thread, folding
-        // the per-host timelines as it goes.
-        let mut vclock = 0.0f64;
-        // Sim-domain clock: the ideal back-to-back timeline the executed
-        // iterations would occupy with every plan instantly available.
+        // the per-host timelines as it goes. The Sim-domain clock is the
+        // ideal back-to-back timeline the executed iterations would
+        // occupy with every plan instantly available.
         let mut sim_clock = 0.0f64;
-        let mut refetched_blobs = 0u64;
-        let mut refetched_bytes = 0u64;
         for it in 0..cap {
-            let claimed = match rx.recv() {
-                Ok(Prefetched::EndOfEpoch) => break,
-                Ok(Prefetched::Lost(e)) => {
-                    queue.cancel();
-                    panic!("{e}");
-                }
-                Err(_) => {
-                    // Prefetcher died without a message: a planner worker
-                    // panicked under it; unblock the pool and re-raise.
-                    queue.cancel();
-                    panic!("a planner worker panicked while planning ahead");
-                }
-                Ok(Prefetched::Iteration(c)) => c,
+            let Some((fetched, outcome)) = receive_prefetched(&rx, &shared.queue) else {
+                break;
             };
-            let ClaimedCluster {
-                meta,
-                outcome,
-                decode_us,
-                placement,
-                shard_host,
-                recover_from,
-            } = *claimed;
-            let (plan, programs) = match outcome {
-                Ok(x) => x,
-                Err(e) => {
-                    report.failure = Some(format!("iteration {it}: {e}"));
-                    break;
-                }
+            let Some((plan, exec)) = execute_or_fail(cm, &run, it, outcome, &mut report) else {
+                break;
             };
-            let exec = match execute_lowered(
-                cm,
-                &plan,
-                &programs,
-                &run,
-                it,
-                ReplicaParallelism::Parallel,
-            ) {
-                Ok(x) => x,
-                Err(e) => {
-                    report.failure = Some(format!("iteration {it}: {e}"));
-                    break;
-                }
-            };
-
-            // --- Wire + per-host timeline ---------------------------------
-            let bytes = meta.push.blob_bytes as u64;
-            let p = worker_host[meta.worker];
-            let shard = it % out.shards.len();
-            let up = uplinks
-                .entry((meta.worker, shard_host))
-                .or_insert_with(|| {
-                    cluster
-                        .fabric
-                        .connect(cluster.planner_global(p), cluster.executor_global(shard_host))
-                });
-            let up_before = up.wire_us();
-            let up_busy = up.busy_until_us();
-            let at_store = up.transmit(meta.pushed_at_us, bytes);
-            let push_wire = up.wire_us() - up_before;
-            sink.record(Span {
-                kind: SpanKind::LinkPush,
-                iteration: it as i64,
-                lane: meta.worker as i64,
-                host: cluster.planner_global(p) as i64,
-                start_us: meta.pushed_at_us,
-                end_us: at_store,
-                // FIFO queueing behind the worker's earlier pushes, split
-                // out of the interval.
-                wait_us: (up_busy - meta.pushed_at_us).max(0.0),
-                bytes,
-                src: cluster.planner_global(p) as i64,
-                dst: cluster.executor_global(shard_host) as i64,
-                ..Span::default()
-            });
-            let ph = &mut out.planner_hosts[p];
-            ph.plans_produced += 1;
-            ph.plan_us += meta.push.plan_us;
-            ph.lower_us += meta.push.lower_us;
-            ph.serialize_us += meta.push.serialize_us;
-            ph.bytes_pushed += bytes;
-            ph.push_wire_us += push_wire;
-            {
-                let sh = &mut out.shards[shard];
-                sh.owner = shard_host;
-                sh.blobs_stored += 1;
-                sh.bytes_pushed += bytes;
-                sh.push_wire_us += push_wire;
-            }
-
-            // Post-loss restore: the shard's previous owner died with
-            // this blob in flight, so a surviving peer streams its
-            // replica to the new owner before any fetch can start.
-            let at_shard = if let Some(peer) = recover_from {
-                let link = interlinks
-                    .entry((peer, shard_host))
-                    .or_insert_with(|| cluster.fabric.connect(peer, shard_host));
-                let before = link.wire_us();
-                let restore_busy = link.busy_until_us();
-                let restored = link.transmit(at_store, bytes);
-                sink.record(Span {
-                    kind: SpanKind::LinkRestore,
-                    iteration: it as i64,
-                    lane: shard as i64,
-                    host: cluster.executor_global(shard_host) as i64,
-                    start_us: at_store,
-                    end_us: restored,
-                    wait_us: (restore_busy - at_store).max(0.0),
-                    bytes,
-                    src: cluster.executor_global(peer) as i64,
-                    dst: cluster.executor_global(shard_host) as i64,
-                    ..Span::default()
-                });
-                let sh = &mut out.shards[shard];
-                sh.refetched_blobs += 1;
-                sh.refetch_bytes += bytes;
-                sh.fetch_wire_us += link.wire_us() - before;
-                refetched_blobs += 1;
-                refetched_bytes += bytes;
-                restored
-            } else {
-                at_store
-            };
-
-            // Hosts with at least one replica this iteration fetch the
-            // blob and run their share.
-            let mut spans = vec![f64::NEG_INFINITY; cluster.executor_hosts];
-            for (r, &makespan) in exec.replica_makespans.iter().enumerate() {
-                // Placement under churn: the snapshot the prefetcher took
-                // when it fetched this iteration (initially
-                // `r % executor_hosts`; re-placed on executor loss). A
-                // snapshot that fails to cover a replica is a hard error
-                // — the silent static fallback it replaces could route
-                // to a churn-killed host.
-                let h = placed_host(&placement, r).expect("short placement snapshot");
-                spans[h] = spans[h].max(makespan);
-                if !out.executor_hosts[h].replicas.contains(&r) {
-                    out.executor_hosts[h].replicas.push(r);
-                }
-            }
-            let mut sync_end = f64::NEG_INFINITY;
-            let mut remote_copies = 0u64;
-            for (h, &span) in spans.iter().enumerate() {
-                if span == f64::NEG_INFINITY {
-                    continue; // no replica landed here this iteration
-                }
-                let link = interlinks
-                    .entry((shard_host, h))
-                    .or_insert_with(|| cluster.fabric.connect(shard_host, h));
-                let down_before = link.wire_us();
-                let down_busy = link.busy_until_us();
-                let arrival = link.transmit(at_shard, bytes);
-                let fetch_wire = link.wire_us() - down_before;
-                let avail = arrival + decode_us;
-                let eh = &mut out.executor_hosts[h];
-                // The wire-byte rule (see report.rs): only copies that
-                // cross hosts count — the shard owner's replicas read
-                // host memory. The trace obeys the same rule: a
-                // LinkFetch span exists iff the copy crossed hosts, so
-                // Σ span bytes reconciles against `bytes_fetched`.
-                if h != shard_host {
-                    eh.bytes_fetched += bytes;
-                    out.shards[shard].bytes_served += bytes;
-                    remote_copies += 1;
-                    sink.record(Span {
-                        kind: SpanKind::LinkFetch,
-                        iteration: it as i64,
-                        lane: h as i64,
-                        host: cluster.executor_global(h) as i64,
-                        start_us: at_shard,
-                        end_us: arrival,
-                        wait_us: (down_busy - at_shard).max(0.0),
-                        bytes,
-                        src: cluster.executor_global(shard_host) as i64,
-                        dst: cluster.executor_global(h) as i64,
-                        ..Span::default()
-                    });
-                }
-                eh.fetch_wire_us += fetch_wire;
-                out.shards[shard].fetch_wire_us += fetch_wire;
-                eh.decode_us += decode_us;
-                // The span carries the exact ledger term in `wait_us`
-                // (start/end have float residue; the counter does not),
-                // and zero terms are skipped — adding +0.0 to a
-                // non-negative accumulator cannot change its bits, so
-                // the per-host ledger still reconciles bit-exactly.
-                let wait = (avail - vclock).max(0.0);
-                eh.exposed_us += wait;
-                if wait > 0.0 {
-                    sink.record(Span {
-                        kind: SpanKind::ExposedWait,
-                        iteration: it as i64,
-                        lane: h as i64,
-                        host: cluster.executor_global(h) as i64,
-                        start_us: vclock,
-                        end_us: avail,
-                        wait_us: wait,
-                        ..Span::default()
-                    });
-                }
-                eh.busy_us += span;
-                let start = vclock.max(avail);
-                sync_end = sync_end.max(start + span);
-            }
-            let end = sync_end + plan.dp_sync_time;
-            // How much later the sync finished than it would have with
-            // every plan instantly available.
-            let exposed = (end - vclock - exec.measured_time).max(0.0);
-            out.exposed_us += exposed;
-            if exposed > 0.0 {
-                sink.record(Span {
-                    kind: SpanKind::ExposedPlanning,
-                    iteration: it as i64,
-                    start_us: vclock,
-                    end_us: vclock + exposed,
-                    wait_us: exposed,
-                    ..Span::default()
-                });
-            }
+            timeline.fold_iteration(&mut out, sink, it, &fetched, &exec, plan.dp_sync_time);
             record_sim_iteration(sink, it, &exec, &mut sim_clock);
-            vclock = end;
-
-            out.exec_sim_us += exec.measured_time;
-            out.serialize_us += meta.push.serialize_us;
-            out.decode_us += decode_us * spans.iter().filter(|s| s.is_finite()).count() as f64;
-            out.total_planning_us += meta.push.plan_us + meta.push.lower_us;
-            if cluster.codec == dynapipe_core::PlanCodec::Flat {
-                // Every host that fetched a *remote* copy ran engines
-                // straight over the wire bytes; the shard owner's local
-                // copy is host memory, not wire (the wire-byte rule —
-                // an earlier revision counted it here but not in
-                // bytes_fetched, so the two could never reconcile).
-                out.flat_wire_bytes += bytes * remote_copies;
-            }
-            out.iterations += 1;
-
             record_iteration(
                 &mut report,
                 cm,
@@ -863,52 +898,35 @@ pub fn run_training_cluster_traced(
                 exec.allocator_stall_us,
             );
         }
-        out.cluster_wall_us = vclock;
-        {
-            let mut led = ledger.lock().unwrap_or_else(|e| e.into_inner());
-            led.blobs_refetched = refetched_blobs;
-            led.refetch_bytes = refetched_bytes;
-        }
         // Teardown: stop workers waiting on the window or about to claim
         // past a failure, wake a prefetcher stuck on a plan that will
         // never come, and release the workers of scripted-join hosts
         // whose event never fired.
-        queue.cancel();
-        membership.shutdown();
+        shared.queue.cancel();
+        shared.membership.shutdown();
         drop(rx);
     });
 
-    // Workers joined: sweep speculative blobs past a failure. Each
-    // swept blob is a discard, so the trace's StoreDiscard count keeps
-    // matching the store's `discarded` counter.
-    for _ in 0..store.clear_remaining() {
-        sink.mark(Span {
-            kind: SpanKind::StoreDiscard,
-            ..Span::default()
-        });
-    }
-    out.store = store.stats();
-
-    // Fold the queue's churn counters into the ledger.
-    let mut churn = ledger.into_inner().unwrap_or_else(|e| e.into_inner());
-    let qc = queue.churn_stats();
-    churn.tickets_reissued = qc.reissued;
-    churn.stale_completions = qc.stale_completions;
-    out.churn = churn;
+    // Workers joined: sweep speculative blobs past a failure, then fold
+    // the queue's churn counters and the workers' and prefetcher's ledger
+    // in next to the timeline's restore counts.
+    out.store = sweep_store(&shared.store, sink);
+    let qc = shared.queue.churn_stats();
+    out.churn = ChurnStats {
+        tickets_reissued: qc.reissued,
+        stale_completions: qc.stale_completions,
+        blobs_refetched: out.churn.blobs_refetched,
+        refetch_bytes: out.churn.refetch_bytes,
+        ..shared
+            .ledger
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+    };
+    timeline.finish(&mut out);
 
     // Cluster totals. Host pipeline cost counts every host's decode (each
     // fetching host burns its own CPU on its copy).
     out.total_planning_us += out.serialize_us + out.decode_us;
-    out.total_wire_us = uplinks.values().map(Link::wire_us).sum::<f64>()
-        + interlinks.values().map(Link::wire_us).sum::<f64>();
-    // The busiest single directed host-pair link — local links never
-    // count bytes, so this is a pure wire quantity.
-    out.max_link_bytes = uplinks
-        .values()
-        .chain(interlinks.values())
-        .map(Link::bytes)
-        .max()
-        .unwrap_or(0);
     let pushed: u64 = out.planner_hosts.iter().map(|h| h.bytes_pushed).sum();
     out.wire_bytes = pushed
         + out
@@ -942,13 +960,183 @@ pub fn run_training_cluster_traced(
             1.0
         };
     }
-    out.host_wall_us = t0.elapsed().as_secs_f64() * 1e6;
+    out.host_wall_us = shared.t0.elapsed().as_secs_f64() * 1e6;
     (report, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynapipe_core::PlanCodec;
+    use dynapipe_sim::{Fabric, LinkModel};
+
+    /// An executed iteration with the given replica makespans.
+    fn executed(makespans: &[f64], dp_sync_time: f64) -> IterationExecution {
+        IterationExecution {
+            measured_time: makespans.iter().copied().fold(0.0, f64::max) + dp_sync_time,
+            peak_memory: Vec::new(),
+            allocator_stall_us: 0.0,
+            host_wall_us: 0.0,
+            replica_makespans: makespans.to_vec(),
+            replica_traces: vec![Vec::new(); makespans.len()],
+        }
+    }
+
+    /// A `bytes`-sized blob pushed by worker 0 of planner host 0.
+    fn fetched(
+        bytes: usize,
+        pushed_at_us: f64,
+        decode_us: f64,
+        placement: &[usize],
+        shard_host: usize,
+        recover_from: Option<usize>,
+    ) -> Fetched {
+        let push = StorePush {
+            plan_us: 0.0,
+            lower_us: 0.0,
+            serialize_us: 0.0,
+            blob_bytes: bytes,
+            discarded: false,
+        };
+        Fetched {
+            meta: ClusterPlanned {
+                worker: 0,
+                host: 0,
+                push,
+                pushed_at_us,
+            },
+            decode_us,
+            placement: placement.to_vec(),
+            shard_host,
+            recover_from,
+        }
+    }
+
+    /// A uniform fabric whose 4 KB blob takes 459.6 µs per hop.
+    fn slow_fabric() -> Fabric {
+        Fabric::uniform(LinkModel::new(50.0, 10.0).expect("valid link")).expect("valid fabric")
+    }
+
+    #[test]
+    fn timeline_on_a_free_fabric_advances_by_exactly_the_iteration_time() {
+        let cluster = ClusterConfig {
+            executor_hosts: 2,
+            fabric: Fabric::free(),
+            ..Default::default()
+        };
+        let mut out = empty_cluster_report(&cluster);
+        let mut timeline = ExecutorTimeline::new(&cluster);
+        let mut expected = 0.0f64;
+        for (it, makespans) in [[100.0, 250.0], [75.5, 60.25], [300.0, 300.0]]
+            .iter()
+            .enumerate()
+        {
+            let exec = executed(makespans, 12.5);
+            let blob = fetched(4096, 0.0, 0.0, &[0, 1], 0, None);
+            timeline.fold_iteration(&mut out, &TraceSink::disabled(), it, &blob, &exec, 12.5);
+            expected += exec.measured_time;
+            assert_eq!(
+                timeline.sync_end.to_bits(),
+                expected.to_bits(),
+                "iteration {it}"
+            );
+        }
+        assert_eq!(out.exposed_us, 0.0);
+        assert!(out.executor_hosts.iter().all(|h| h.exposed_us == 0.0));
+        assert_eq!(out.iterations, 3);
+    }
+
+    #[test]
+    fn timeline_charges_only_remote_copies_and_exposes_the_late_host() {
+        // Single placement: executor host 0 holds the store.
+        let cluster = ClusterConfig {
+            executor_hosts: 2,
+            codec: PlanCodec::Flat,
+            fabric: slow_fabric(),
+            ..Default::default()
+        };
+        let sink = TraceSink::bounded(64);
+        let mut out = empty_cluster_report(&cluster);
+        let mut timeline = ExecutorTimeline::new(&cluster);
+        // The push and the remote fetch link, replayed by hand.
+        let mut up = cluster.fabric.connect(cluster.planner_global(0), 0);
+        let mut down = cluster.fabric.connect(0, 1);
+        let (bytes, decode_us) = (4096u64, 3.0);
+        for it in 0..2 {
+            let prev = timeline.sync_end;
+            let pushed_at = 10.0 * it as f64;
+            let avail = down.transmit(up.transmit(pushed_at, bytes), bytes) + decode_us;
+            let blob = fetched(bytes as usize, pushed_at, decode_us, &[0, 1], 0, None);
+            let exec = executed(&[100.0, 100.0], 5.0);
+            timeline.fold_iteration(&mut out, &sink, it, &blob, &exec, 5.0);
+            let remote_wait = sink
+                .finish()
+                .of_kind(SpanKind::ExposedWait)
+                .find(|s| s.iteration == it as i64 && s.lane == 1)
+                .map(|s| s.wait_us.to_bits());
+            assert_eq!(
+                remote_wait,
+                Some((avail - prev).to_bits()),
+                "iteration {it}"
+            );
+        }
+        // The shard host's own copies are host memory: no wire bytes and
+        // no fetch spans.
+        assert_eq!(out.executor_hosts[0].bytes_fetched, 0);
+        assert_eq!(out.executor_hosts[1].bytes_fetched, 2 * bytes);
+        assert_eq!(out.flat_wire_bytes, 2 * bytes);
+        let trace = sink.finish();
+        assert_eq!(trace.of_kind(SpanKind::LinkFetch).count(), 2);
+        assert!(trace.of_kind(SpanKind::LinkFetch).all(|s| s.lane == 1));
+    }
+
+    #[test]
+    fn restore_hop_delays_the_fetch_and_counts_one_refetch() {
+        // Shard 0's owner died: host 1 owns it now, and surviving peer
+        // host 2 restores iteration 0's blob to it.
+        let cluster = ClusterConfig {
+            executor_hosts: 3,
+            placement: StorePlacement::Sharded,
+            fabric: slow_fabric(),
+            ..Default::default()
+        };
+        let sink = TraceSink::bounded(64);
+        let mut out = empty_cluster_report(&cluster);
+        let mut timeline = ExecutorTimeline::new(&cluster);
+        let bytes = 4096u64;
+        let exec = executed(&[100.0, 100.0, 100.0], 5.0);
+        let blob = fetched(bytes as usize, 0.0, 0.0, &[1, 1, 2], 1, Some(2));
+        timeline.fold_iteration(&mut out, &sink, 0, &blob, &exec, 5.0);
+        let trace = sink.finish();
+        let restores: Vec<&Span> = trace.of_kind(SpanKind::LinkRestore).collect();
+        assert_eq!(restores.len(), 1);
+        let (at_store, at_shard) = (restores[0].start_us, restores[0].end_us);
+        assert!(at_shard > at_store, "the restore hop takes wire time");
+        // Host 2's fetch waits for the restored blob; host 1 reads its own.
+        let fetches: Vec<&Span> = trace.of_kind(SpanKind::LinkFetch).collect();
+        assert_eq!(fetches.len(), 1);
+        assert_eq!((fetches[0].lane, fetches[0].start_us), (2, at_shard));
+        assert_eq!(
+            (out.churn.blobs_refetched, out.churn.refetch_bytes),
+            (1, bytes)
+        );
+        assert_eq!(
+            (out.shards[0].refetched_blobs, out.shards[0].refetch_bytes),
+            (1, bytes)
+        );
+        // Iteration 1 (shard 1, owned by host 1) needs no restore.
+        let blob = fetched(bytes as usize, 0.0, 0.0, &[1, 1, 2], 1, None);
+        timeline.fold_iteration(&mut out, &sink, 1, &blob, &exec, 5.0);
+        assert_eq!(
+            (out.churn.blobs_refetched, out.churn.refetch_bytes),
+            (1, bytes)
+        );
+        assert_eq!(out.shards.iter().map(|s| s.refetched_blobs).sum::<u64>(), 1);
+        assert_eq!(
+            out.shards.iter().map(|s| s.refetch_bytes).sum::<u64>(),
+            bytes
+        );
+    }
 
     #[test]
     fn short_placement_snapshot_is_a_hard_error() {

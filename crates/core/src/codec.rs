@@ -23,11 +23,10 @@
 //! * [`PlanCodec::Flat`] — a fixed-width little-endian **arena** in which
 //!   the wire format *is* the program: decoding is validating the header
 //!   plus offset tables once and wrapping the `Arc<[u8]>` in typed
-//!   accessor structs ([`FlatPlanRef`], [`FlatProgramRef`],
-//!   [`FlatInstrRef`]) that read fields by offset. No tree build, no
-//!   owned copy, and no `unsafe` — every read is an explicit
-//!   bounds-checked `from_le_bytes`, the same discipline as the Binary
-//!   codec's raw-bits `f64` handling. The simulator executes straight
+//!   accessor structs ([`FlatPlanRef`], [`FlatReplicaRef`]) that read
+//!   fields by offset. No tree build, no owned copy, and no `unsafe` —
+//!   every read is an explicit bounds-checked `from_le_bytes`, the same
+//!   discipline as the Binary codec's raw-bits `f64` handling. The simulator executes straight
 //!   over the blob through `dynapipe_sim::InstructionSource`.
 //!
 //! # Flat layout (version 1)
@@ -366,11 +365,8 @@ impl<'a> BinaryDecoder<'a> {
                 Ok(Value::I64(((z >> 1) as i64) ^ -((z & 1) as i64)))
             }
             T_F64 => {
-                let bits = u64::from_le_bytes(
-                    self.take(8)?
-                        .try_into()
-                        .expect("take(8) returns 8 bytes"),
-                );
+                let bits =
+                    u64::from_le_bytes(self.take(8)?.try_into().expect("take(8) returns 8 bytes"));
                 Ok(Value::F64(f64::from_bits(bits)))
             }
             T_STR | T_STR_REF => {
@@ -474,7 +470,10 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::BadMagic => write!(f, "not a flat plan blob (bad magic)"),
             CodecError::BadVersion(v) => {
-                write!(f, "unsupported flat plan version {v} (expected {FLAT_VERSION})")
+                write!(
+                    f,
+                    "unsupported flat plan version {v} (expected {FLAT_VERSION})"
+                )
             }
             CodecError::Truncated { what, at } => {
                 write!(f, "flat blob truncated reading {what} at byte {at}")
@@ -570,7 +569,10 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
     let mut ops_seen = 0usize;
     for replica in programs {
         for prog in replica {
-            put_u32(&mut out, as_u32(recs_off + FLAT_REC * ops_seen, "ops offset"));
+            put_u32(
+                &mut out,
+                as_u32(recs_off + FLAT_REC * ops_seen, "ops offset"),
+            );
             put_u32(&mut out, as_u32(prog.ops.len(), "ops count"));
             ops_seen += prog.ops.len();
         }
@@ -599,7 +601,11 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
                 (KIND_COMPUTE, label, duration.to_bits(), a_loc, f_loc)
             }
             SimOp::CommStart {
-                peer, bytes, tag, label, ..
+                peer,
+                bytes,
+                tag,
+                label,
+                ..
             } => (KIND_COMM_START, label, *peer as u64, *bytes, *tag),
             SimOp::CommWait { tag, label } => (KIND_COMM_WAIT, label, *tag, 0, 0),
         };
@@ -636,10 +642,9 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
 ///
 /// [`FlatPlanRef::new`] checks the header and walks every offset table
 /// and instruction record once — O(records), allocation-free — so that
-/// the accessors below ([`FlatReplicaRef`] → [`FlatProgramRef`] →
-/// [`FlatInstrRef`]) can read by offset without ever going out of
-/// bounds. The blob stays behind the `Arc` the store handed out; nothing
-/// is copied or tree-built.
+/// the accessors below and [`FlatReplicaRef`]'s instruction reads never
+/// go out of bounds. The blob stays behind the `Arc` the store handed
+/// out; nothing is copied or tree-built.
 #[derive(Debug, Clone)]
 pub struct FlatPlanRef {
     blob: Arc<[u8]>,
@@ -657,90 +662,161 @@ impl FlatPlanRef {
     pub fn new(blob: Arc<[u8]>) -> Result<FlatPlanRef, CodecError> {
         let b: &[u8] = &blob;
         match rd_u8(b, 0) {
-            None => return Err(CodecError::Truncated { what: "magic", at: 0 }),
+            None => {
+                return Err(CodecError::Truncated {
+                    what: "magic",
+                    at: 0,
+                })
+            }
             Some(FLAT_MAGIC) => {}
             Some(_) => return Err(CodecError::BadMagic),
         }
         match rd_u8(b, 1) {
-            None => return Err(CodecError::Truncated { what: "version", at: 1 }),
+            None => {
+                return Err(CodecError::Truncated {
+                    what: "version",
+                    at: 1,
+                })
+            }
             Some(FLAT_VERSION) => {}
             Some(v) => return Err(CodecError::BadVersion(v)),
         }
         if b.len() < FLAT_HEADER {
-            return Err(CodecError::Truncated { what: "header", at: b.len() });
+            return Err(CodecError::Truncated {
+                what: "header",
+                at: b.len(),
+            });
         }
-        let outcome_tag = rd_u8(b, 2).ok_or(CodecError::Truncated { what: "outcome", at: 2 })?;
+        let outcome_tag = rd_u8(b, 2).ok_or(CodecError::Truncated {
+            what: "outcome",
+            at: 2,
+        })?;
         if outcome_tag > 1 {
-            return Err(CodecError::Corrupt { what: "outcome tag", at: 2 });
+            return Err(CodecError::Corrupt {
+                what: "outcome tag",
+                at: 2,
+            });
         }
-        let total_len = rd_u64(b, 3).ok_or(CodecError::Truncated { what: "total_len", at: 3 })?;
+        let total_len = rd_u64(b, 3).ok_or(CodecError::Truncated {
+            what: "total_len",
+            at: 3,
+        })?;
         if total_len != b.len() as u64 {
             return Err(CodecError::Corrupt {
                 what: "total_len does not match blob length",
                 at: 3,
             });
         }
-        let iteration = rd_u64(b, 11).ok_or(CodecError::Truncated { what: "iteration", at: 11 })?;
-        let plan_off = rd_u32(b, 19).ok_or(CodecError::Truncated { what: "plan_off", at: 19 })?
-            as usize;
-        let plan_len = rd_u32(b, 23).ok_or(CodecError::Truncated { what: "plan_len", at: 23 })?
-            as usize;
-        let replicas = rd_u32(b, 27).ok_or(CodecError::Truncated { what: "replicas", at: 27 })?
-            as usize;
-        let dir_off = rd_u32(b, 31).ok_or(CodecError::Truncated { what: "dir_off", at: 31 })?
-            as usize;
+        let iteration = rd_u64(b, 11).ok_or(CodecError::Truncated {
+            what: "iteration",
+            at: 11,
+        })?;
+        let plan_off = rd_u32(b, 19).ok_or(CodecError::Truncated {
+            what: "plan_off",
+            at: 19,
+        })? as usize;
+        let plan_len = rd_u32(b, 23).ok_or(CodecError::Truncated {
+            what: "plan_len",
+            at: 23,
+        })? as usize;
+        let replicas = rd_u32(b, 27).ok_or(CodecError::Truncated {
+            what: "replicas",
+            at: 27,
+        })? as usize;
+        let dir_off = rd_u32(b, 31).ok_or(CodecError::Truncated {
+            what: "dir_off",
+            at: 31,
+        })? as usize;
         let len = b.len() as u64;
         if plan_off < FLAT_HEADER || plan_off as u64 + plan_len as u64 > len {
-            return Err(CodecError::Corrupt { what: "plan section range", at: 19 });
+            return Err(CodecError::Corrupt {
+                what: "plan section range",
+                at: 19,
+            });
         }
         if outcome_tag == 0 && replicas != 0 {
-            return Err(CodecError::Corrupt { what: "failed outcome with replicas", at: 27 });
+            return Err(CodecError::Corrupt {
+                what: "failed outcome with replicas",
+                at: 27,
+            });
         }
         // Walk the directory, validating every program's record range and
         // every record's kind and side-table ranges.
         if dir_off as u64 + 4 * replicas as u64 > len {
-            return Err(CodecError::Corrupt { what: "directory range", at: 31 });
+            return Err(CodecError::Corrupt {
+                what: "directory range",
+                at: 31,
+            });
         }
         let mut total_devs = 0usize;
         for r in 0..replicas {
-            let ndev = rd_u32(b, dir_off + 4 * r)
-                .ok_or(CodecError::Truncated { what: "device count", at: dir_off + 4 * r })?;
+            let ndev = rd_u32(b, dir_off + 4 * r).ok_or(CodecError::Truncated {
+                what: "device count",
+                at: dir_off + 4 * r,
+            })?;
             total_devs += ndev as usize;
         }
         let entries_off = dir_off + 4 * replicas;
         if entries_off as u64 + 8 * total_devs as u64 > len {
-            return Err(CodecError::Corrupt { what: "program directory range", at: dir_off });
+            return Err(CodecError::Corrupt {
+                what: "program directory range",
+                at: dir_off,
+            });
         }
         for e in 0..total_devs {
             let at = entries_off + 8 * e;
-            let ops_off = rd_u32(b, at)
-                .ok_or(CodecError::Truncated { what: "ops offset", at })? as u64;
-            let ops = rd_u32(b, at + 4)
-                .ok_or(CodecError::Truncated { what: "ops count", at })? as u64;
+            let ops_off = rd_u32(b, at).ok_or(CodecError::Truncated {
+                what: "ops offset",
+                at,
+            })? as u64;
+            let ops = rd_u32(b, at + 4).ok_or(CodecError::Truncated {
+                what: "ops count",
+                at,
+            })? as u64;
             if ops_off + FLAT_REC as u64 * ops > len {
-                return Err(CodecError::Corrupt { what: "record range", at });
+                return Err(CodecError::Corrupt {
+                    what: "record range",
+                    at,
+                });
             }
             for i in 0..ops {
                 let rec = (ops_off + FLAT_REC as u64 * i) as usize;
-                let kind = rd_u8(b, rec)
-                    .ok_or(CodecError::Truncated { what: "record kind", at: rec })?;
+                let kind = rd_u8(b, rec).ok_or(CodecError::Truncated {
+                    what: "record kind",
+                    at: rec,
+                })?;
                 match kind {
                     KIND_COMPUTE => {
-                        let a_loc = rd_u64(b, rec + 18)
-                            .ok_or(CodecError::Truncated { what: "allocs locator", at: rec })?;
-                        let f_loc = rd_u64(b, rec + 26)
-                            .ok_or(CodecError::Truncated { what: "frees locator", at: rec })?;
+                        let a_loc = rd_u64(b, rec + 18).ok_or(CodecError::Truncated {
+                            what: "allocs locator",
+                            at: rec,
+                        })?;
+                        let f_loc = rd_u64(b, rec + 26).ok_or(CodecError::Truncated {
+                            what: "frees locator",
+                            at: rec,
+                        })?;
                         let (a_off, a_n) = (a_loc & 0xFFFF_FFFF, a_loc >> 32);
                         let (f_off, f_n) = (f_loc & 0xFFFF_FFFF, f_loc >> 32);
                         if a_off + FLAT_ALLOC as u64 * a_n > len {
-                            return Err(CodecError::Corrupt { what: "allocs range", at: rec });
+                            return Err(CodecError::Corrupt {
+                                what: "allocs range",
+                                at: rec,
+                            });
                         }
                         if f_off + FLAT_FREE as u64 * f_n > len {
-                            return Err(CodecError::Corrupt { what: "frees range", at: rec });
+                            return Err(CodecError::Corrupt {
+                                what: "frees range",
+                                at: rec,
+                            });
                         }
                     }
                     KIND_COMM_START | KIND_COMM_WAIT => {}
-                    _ => return Err(CodecError::Corrupt { what: "record kind", at: rec }),
+                    _ => {
+                        return Err(CodecError::Corrupt {
+                            what: "record kind",
+                            at: rec,
+                        })
+                    }
                 }
             }
         }
@@ -765,18 +841,16 @@ impl FlatPlanRef {
         self.outcome_tag == 0
     }
 
-    /// Total blob size in bytes.
-    pub fn blob_len(&self) -> usize {
-        self.blob.len()
-    }
-
     /// Materialize the [`IterationPlan`] metadata section. This is the
     /// only tree decode on the flat path, and it covers the small
     /// metadata subtree only — the instruction records (the bulk of the
     /// bytes) are executed in place and never materialized.
     pub fn plan(&self) -> Result<IterationPlan, CodecError> {
         if self.outcome_tag != 1 {
-            return Err(CodecError::Corrupt { what: "plan() on failed outcome", at: 2 });
+            return Err(CodecError::Corrupt {
+                what: "plan() on failed outcome",
+                at: 2,
+            });
         }
         let section = &self.blob[self.plan_off..self.plan_off + self.plan_len];
         let v = PlanCodec::Binary
@@ -788,7 +862,10 @@ impl FlatPlanRef {
     /// Materialize the [`PlanError`] of a failed outcome.
     pub fn failure(&self) -> Result<PlanError, CodecError> {
         if self.outcome_tag != 0 {
-            return Err(CodecError::Corrupt { what: "failure() on plan outcome", at: 2 });
+            return Err(CodecError::Corrupt {
+                what: "failure() on plan outcome",
+                at: 2,
+            });
         }
         let section = &self.blob[self.plan_off..self.plan_off + self.plan_len];
         let v = PlanCodec::Binary
@@ -910,21 +987,6 @@ pub struct FlatReplicaRef {
     ndev: usize,
 }
 
-impl FlatReplicaRef {
-    /// Handle on device `d`'s program, or `None` past the end.
-    pub fn device(&self, d: usize) -> Option<FlatProgramRef> {
-        if d >= self.ndev {
-            return None;
-        }
-        let at = self.entries_off + 8 * d;
-        Some(FlatProgramRef {
-            blob: Arc::clone(&self.blob),
-            ops_off: rd_u32(&self.blob, at)? as usize,
-            ops: rd_u32(&self.blob, at + 4)? as usize,
-        })
-    }
-}
-
 impl InstructionSource for FlatReplicaRef {
     fn num_devices(&self) -> usize {
         self.ndev
@@ -944,98 +1006,11 @@ impl InstructionSource for FlatReplicaRef {
         let at = self.entries_off + 8 * device;
         let ops_off = rd_u32(&self.blob, at)? as usize;
         let ops = rd_u32(&self.blob, at + 4)? as usize;
-        instr_view(&self.blob, ops_off, ops, pc)
-    }
-}
-
-/// One device's program, read in place from a validated flat blob.
-/// Implements [`InstructionSource`] as a single-device source, so an
-/// engine can run one wire-format program directly.
-#[derive(Debug, Clone)]
-pub struct FlatProgramRef {
-    blob: Arc<[u8]>,
-    ops_off: usize,
-    ops: usize,
-}
-
-impl FlatProgramRef {
-    /// Number of ops.
-    pub fn len(&self) -> usize {
-        self.ops
-    }
-
-    /// Whether the program has no ops.
-    pub fn is_empty(&self) -> bool {
-        self.ops == 0
-    }
-
-    /// Typed accessor for record `pc`, or `None` past the end.
-    pub fn instr(&self, pc: usize) -> Option<FlatInstrRef<'_>> {
-        if pc >= self.ops {
+        if pc >= ops {
             return None;
         }
-        Some(FlatInstrRef {
-            blob: &self.blob,
-            off: self.ops_off + FLAT_REC * pc,
-        })
+        record_view(&self.blob, ops_off + FLAT_REC * pc)
     }
-}
-
-impl InstructionSource for FlatProgramRef {
-    fn num_devices(&self) -> usize {
-        1
-    }
-
-    fn num_ops(&self, device: usize) -> usize {
-        if device == 0 {
-            self.ops
-        } else {
-            0
-        }
-    }
-
-    fn op_view(&self, device: usize, pc: usize) -> Option<OpView<'_>> {
-        if device != 0 {
-            return None;
-        }
-        instr_view(&self.blob, self.ops_off, self.ops, pc)
-    }
-}
-
-/// One 34-byte instruction record, read field-by-field at its offset.
-#[derive(Debug, Clone, Copy)]
-pub struct FlatInstrRef<'a> {
-    blob: &'a [u8],
-    off: usize,
-}
-
-impl<'a> FlatInstrRef<'a> {
-    /// The record's kind byte (0 = Compute, 1 = CommStart, 2 = CommWait).
-    pub fn kind(&self) -> Option<u8> {
-        rd_u8(self.blob, self.off)
-    }
-
-    /// The op label (micro-batch, stage, direction).
-    pub fn label(&self) -> Option<OpLabel> {
-        Some(OpLabel {
-            micro_batch: rd_u32(self.blob, self.off + 2)?,
-            stage: rd_u32(self.blob, self.off + 6)?,
-            is_backward: rd_u8(self.blob, self.off + 1)? & FLAG_BACKWARD != 0,
-        })
-    }
-
-    /// The executable [`OpView`] of this record.
-    pub fn view(&self) -> Option<OpView<'a>> {
-        record_view(self.blob, self.off)
-    }
-}
-
-/// Decode record `pc` of a program whose records start at `ops_off`.
-fn instr_view(blob: &[u8], ops_off: usize, ops: usize, pc: usize) -> Option<OpView<'_>> {
-    if pc >= ops {
-        return None;
-    }
-    record_view(blob, ops_off + FLAT_REC * pc)
 }
 
 /// Project the 34-byte record at `off` into an [`OpView`] whose
@@ -1338,14 +1313,11 @@ mod tests {
         }
         assert!(replica.op_view(0, 3).is_none());
         assert_eq!(replica.alloc_size(0, 1), Some(4096));
-        // Per-device handles and per-instruction accessors agree.
-        let dev0 = replica.device(0).expect("device 0");
-        assert_eq!(dev0.len(), 3);
-        let instr = dev0.instr(2).expect("third record");
-        assert_eq!(instr.kind(), Some(0));
-        assert!(instr.label().expect("label").is_backward);
-        assert!(matches!(instr.view(), Some(OpView::Compute { .. })));
-        assert!(dev0.instr(3).is_none());
+        // The third record of device 0 is a backward Compute.
+        match replica.op_view(0, 2) {
+            Some(OpView::Compute { label, .. }) => assert!(label.is_backward),
+            other => panic!("expected Compute, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1370,7 +1342,10 @@ mod tests {
         for cut in 0..blob.len() {
             let err = FlatPlanRef::new(Arc::from(&blob[..cut])).expect_err("truncated");
             assert!(
-                matches!(err, CodecError::Truncated { .. } | CodecError::Corrupt { .. }),
+                matches!(
+                    err,
+                    CodecError::Truncated { .. } | CodecError::Corrupt { .. }
+                ),
                 "truncation at {cut} gave {err:?}"
             );
         }

@@ -121,6 +121,18 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report of a run with no iterations yet, by planner `planner`.
+    pub fn empty(planner: String) -> RunReport {
+        RunReport {
+            planner,
+            records: Vec::new(),
+            total_tokens: 0,
+            total_time_us: 0.0,
+            padding: PaddingStats::default(),
+            failure: None,
+        }
+    }
+
     /// Training throughput in non-padding tokens per second — the paper's
     /// headline metric.
     pub fn throughput(&self) -> f64 {
@@ -294,14 +306,7 @@ pub fn run_training(
     run: RunConfig,
 ) -> RunReport {
     let cm = planner.cost_model();
-    let mut report = RunReport {
-        planner: planner.label(),
-        records: Vec::new(),
-        total_tokens: 0,
-        total_time_us: 0.0,
-        padding: PaddingStats::default(),
-        failure: None,
-    };
+    let mut report = RunReport::empty(planner.label());
     for (it, minibatch) in GlobalBatchIter::new(dataset, gbs).enumerate() {
         if let Some(cap) = run.max_iterations {
             if it >= cap {

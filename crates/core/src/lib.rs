@@ -40,9 +40,7 @@ pub mod runtime;
 pub mod store;
 
 pub use baseline::{BaselineKind, BaselinePlanner};
-pub use codec::{
-    encode_flat, CodecError, FlatInstrRef, FlatPlanRef, FlatProgramRef, FlatReplicaRef, PlanCodec,
-};
+pub use codec::{encode_flat, CodecError, FlatPlanRef, FlatReplicaRef, PlanCodec};
 pub use compile::{compile_replica, compile_replica_with, GroundTruth};
 pub use driver::{run_training, IterationPlanner, IterationRecord, RunConfig, RunReport};
 pub use gridsearch::{search_parallelism, CandidateScore};
@@ -54,7 +52,7 @@ pub use runtime::{
     decode_for_execution, plan_lower_push_traced, record_sim_iteration, run_training_pipelined,
     run_training_pipelined_traced, CompleteOutcome, DuplicatePush, Executable, IterationExecution,
     PlanAheadQueue, PlanDistribution, QueueChurn, ReplicaParallelism, ReplicaPrograms,
-    RuntimeConfig, RuntimeStats, Ticket, TicketGuard, TicketTraceCtx, WaitOutcome,
+    RuntimeConfig, RuntimeStats, Ticket, TicketTraceCtx, WaitOutcome,
 };
 pub use store::{
     InstructionStore, PushOutcome, StoreError, StoreStats, StoredLowered,

@@ -94,7 +94,7 @@
 //! distinct failure classes:
 //!
 //! * **poison (fail-stop)** — a planner worker *panics*: its unwind path
-//!   ([`TicketGuard`]) poisons the queue (and store, when store-backed),
+//!   (`TicketGuard`) poisons the queue (and store, when store-backed),
 //!   every blocked party re-raises, and the run dies at exactly the
 //!   iteration the serial driver would have died at. A panic means the
 //!   planning computation itself is broken; retrying it elsewhere would
@@ -118,14 +118,16 @@ use crate::codec::{FlatPlanRef, FlatReplicaRef, PlanCodec};
 use crate::driver::{record_iteration, IterationPlanner, RunConfig, RunReport};
 use crate::planner::{IterationPlan, PlanError};
 use crate::store::{InstructionStore, StoreStats, StoredLowered, StoredOutcome, StoredPlan};
-use dynapipe_batcher::PaddingStats;
 use dynapipe_cost::CostModel;
 use dynapipe_data::{BatchStream, Dataset, GlobalBatchConfig, Sample};
 use dynapipe_model::{Bytes, Micros};
-use dynapipe_sim::{DeviceProgram, Engine, EngineConfig, JitterConfig, SimResult, TraceEvent, TraceKind};
+use dynapipe_sim::{
+    DeviceProgram, Engine, EngineConfig, JitterConfig, SimResult, TraceEvent, TraceKind,
+};
 use dynapipe_trace::{ClockDomain, Span, SpanKind, TraceSink};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -209,9 +211,7 @@ impl ReplicaPrograms {
     pub fn num_devices(&self) -> usize {
         match self {
             ReplicaPrograms::Owned(p) => p.len(),
-            ReplicaPrograms::Flat(f) => {
-                dynapipe_sim::InstructionSource::num_devices(f)
-            }
+            ReplicaPrograms::Flat(f) => dynapipe_sim::InstructionSource::num_devices(f),
         }
     }
 }
@@ -369,8 +369,8 @@ fn plan_lower(
 ///
 /// If the push fails — window accounting means a healthy run never
 /// blocks long enough to time out, so failure is a crashed-counterpart
-/// signal. Callers hold a [`TicketGuard`], whose unwind poisons the
-/// queue and store instead of deadlocking the executor.
+/// signal. Callers run it inside [`serve_ticket`], whose guard poisons
+/// the queue and store on unwind instead of deadlocking the executor.
 pub fn plan_lower_push_traced(
     planner: &dyn IterationPlanner,
     store: &InstructionStore,
@@ -509,12 +509,8 @@ pub fn execute_lowered(
     let run_replica = |ri: usize| -> Result<SimResult, String> {
         let config = replica_engine_config(cm, run, iteration_index, ri);
         match &programs[ri] {
-            ReplicaPrograms::Owned(p) => {
-                Engine::with_shared(config, p.clone()).run()
-            }
-            ReplicaPrograms::Flat(f) => {
-                Engine::from_source(config, f.clone()).run()
-            }
+            ReplicaPrograms::Owned(p) => Engine::with_shared(config, p.clone()).run(),
+            ReplicaPrograms::Flat(f) => Engine::from_source(config, f.clone()).run(),
         }
         .map_err(|e| e.to_string())
     };
@@ -549,8 +545,10 @@ pub fn execute_lowered(
             }
         }
         ReplicaParallelism::Parallel => {
-            let results: Vec<Result<SimResult, String>> =
-                (0..programs.len()).into_par_iter().map(run_replica).collect();
+            let results: Vec<Result<SimResult, String>> = (0..programs.len())
+                .into_par_iter()
+                .map(run_replica)
+                .collect();
             for result in results {
                 fold(result?);
             }
@@ -610,8 +608,8 @@ pub enum WaitOutcome<T> {
     /// A bounded [`PlanAheadQueue::wait_for_deadline`] gave up waiting:
     /// the plan is still outstanding after the deadline. The caller
     /// decides what that means — typically a straggler/crash suspicion
-    /// followed by [`PlanAheadQueue::reissue`]. The plain
-    /// [`PlanAheadQueue::wait_for`] never returns this.
+    /// followed by [`PlanAheadQueue::reissue`]. An unbounded wait never
+    /// returns this.
     Deadline,
 }
 
@@ -803,8 +801,8 @@ impl<T> PlanAheadQueue<T> {
                     batch: e.batch.clone(),
                 });
             }
-            let drained = st.next_ticket >= self.cap
-                || st.epoch_len.is_some_and(|len| st.next_ticket >= len);
+            let drained =
+                st.next_ticket >= self.cap || st.epoch_len.is_some_and(|len| st.next_ticket >= len);
             if drained {
                 // Nothing fresh to claim — but a ticket still in flight
                 // may yet come back for re-issue (crash/straggle), so
@@ -962,29 +960,19 @@ impl<T> PlanAheadQueue<T> {
     /// fully claimed (store-backed, that is after the blob is taken, so
     /// window slots count store occupancy).
     ///
-    /// # Panics
-    ///
-    /// Re-raises if a planner worker panicked: its claimed ticket will
-    /// never arrive, and waiting on would deadlock (the worker's own
-    /// panic surfaces when the scope joins it).
-    pub fn wait_for(&self, index: usize) -> WaitOutcome<T> {
-        match self.wait_for_deadline(index, None) {
-            WaitOutcome::Deadline => unreachable!("unbounded wait cannot time out"),
-            outcome => outcome,
-        }
-    }
-
-    /// [`PlanAheadQueue::wait_for`] with a bounded wait: returns
+    /// A `Some(deadline)` bounds the wait: it returns
     /// [`WaitOutcome::Deadline`] if the plan is still outstanding after
     /// `deadline` — the fail-stop alternative was an executor that hangs
     /// forever on a planner that dies without panicking. The caller
     /// typically responds with [`PlanAheadQueue::reissue`] and waits
     /// again. `None` waits unboundedly.
-    pub fn wait_for_deadline(
-        &self,
-        index: usize,
-        deadline: Option<Duration>,
-    ) -> WaitOutcome<T> {
+    ///
+    /// # Panics
+    ///
+    /// Re-raises if a planner worker panicked: its claimed ticket will
+    /// never arrive, and waiting on would deadlock (the worker's own
+    /// panic surfaces when the scope joins it).
+    pub fn wait_for_deadline(&self, index: usize, deadline: Option<Duration>) -> WaitOutcome<T> {
         // lint:allow(wall-clock): bounded-wait deadline; first-completion-wins keeps results bit-identical
         let give_up = deadline.map(|d| Instant::now() + d);
         let mut st = self.lock();
@@ -1063,7 +1051,7 @@ impl<T> PlanAheadQueue<T> {
 /// and, store-backed, the store, so an executor blocked in
 /// `take_blocking` fails too — so the executor re-raises and the panic
 /// propagates through the scope join.
-pub struct TicketGuard<'a, T> {
+struct TicketGuard<'a, T> {
     queue: &'a PlanAheadQueue<T>,
     store: Option<&'a InstructionStore>,
     armed: bool,
@@ -1072,7 +1060,7 @@ pub struct TicketGuard<'a, T> {
 impl<'a, T> TicketGuard<'a, T> {
     /// Arm a guard for a freshly claimed ticket; pass the store when the
     /// run is store-backed so a panic poisons it too.
-    pub fn new(queue: &'a PlanAheadQueue<T>, store: Option<&'a InstructionStore>) -> Self {
+    fn new(queue: &'a PlanAheadQueue<T>, store: Option<&'a InstructionStore>) -> Self {
         TicketGuard {
             queue,
             store,
@@ -1082,7 +1070,7 @@ impl<'a, T> TicketGuard<'a, T> {
 
     /// Disarm after the ticket was completed: the worker fulfilled its
     /// promise, so an unwind past this point poisons nothing.
-    pub fn disarm(mut self) {
+    fn disarm(mut self) {
         self.armed = false;
     }
 }
@@ -1096,6 +1084,169 @@ impl<T> Drop for TicketGuard<'_, T> {
             self.queue.poison();
         }
     }
+}
+
+/// The planner-worker body both pooled runtimes share: on a nested rayon
+/// pool of `threads` (this worker's share of the global pool), claim
+/// tickets as `worker` until the queue has nothing left, handing each to
+/// `serve`. `serve` returning `false` stops this worker early (a cluster
+/// host that crashed).
+pub fn run_planner_worker<T, D: std::ops::Deref<Target = Dataset>>(
+    queue: &PlanAheadQueue<T>,
+    stream: &BatchStream<D>,
+    worker: usize,
+    threads: usize,
+    mut serve: impl FnMut(Ticket) -> bool,
+) {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("planner worker pool");
+    pool.install(|| {
+        while let Some(ticket) = queue.claim(stream, worker) {
+            if !serve(ticket) {
+                return;
+            }
+        }
+    });
+}
+
+/// One claimed ticket's lifecycle, shared by every runtime: mark the
+/// claim, arm a `TicketGuard` (given the store when the run is
+/// store-backed, so a panic in `produce` poisons it too), deliver what
+/// `produce` returns, disarm, then mark the completion with `bytes` = 1
+/// when the queue accepted it and 0 when it was stale or cancelled.
+pub fn serve_ticket<T>(
+    queue: &PlanAheadQueue<T>,
+    store: Option<&InstructionStore>,
+    ticket: &Ticket,
+    ctx: &TicketTraceCtx<'_>,
+    produce: impl FnOnce() -> T,
+) {
+    ctx.sink.mark(ctx.span(ticket, SpanKind::TicketClaim));
+    let guard = TicketGuard::new(queue, store);
+    let outcome = queue.complete(ticket.index, ticket.generation, produce());
+    guard.disarm();
+    ctx.sink.mark(Span {
+        bytes: (outcome == CompleteOutcome::Accepted) as u64,
+        ..ctx.span(ticket, SpanKind::TicketComplete)
+    });
+}
+
+/// The prefetch step both store-backed runtimes share, for iteration
+/// `it`: take its blob (bounded wait; one `StoreTake` span on success),
+/// free its window slot — the blob has left the store, so window slots
+/// count store occupancy — then decode it (one `Decode` span, only when
+/// the decode succeeds). The spans carry store shard `lane` and global
+/// `host`. Returns the executable plus the take and the decode µs. A
+/// failed take or decode is a crashed counterpart or a corrupt wire
+/// blob, not a recoverable outcome: it comes back as the lost-blob
+/// message the executor re-raises.
+pub fn prefetch_blob<T>(
+    queue: &PlanAheadQueue<T>,
+    store: &InstructionStore,
+    codec: PlanCodec,
+    it: usize,
+    sink: &TraceSink,
+    lane: i64,
+    host: i64,
+) -> Result<(Executable, f64, f64), String> {
+    let span = |kind, bytes| Span {
+        kind,
+        iteration: it as i64,
+        lane,
+        host,
+        bytes,
+        ..Span::default()
+    };
+    let (taken, take_us) = sink.timed(
+        || store.take_blocking(it, STORE_WAIT),
+        |taken| Some(span(SpanKind::StoreTake, taken.as_ref().ok()?.len() as u64)),
+    );
+    queue.advance(it);
+    let lost = |e: String| format!("instruction store lost iteration {it}: {e}");
+    let blob = taken.map_err(|e| lost(format!("take: {e}")))?;
+    let (decoded, decode_us) = sink.timed(
+        || decode_for_execution(codec, blob),
+        |decoded| decoded.is_ok().then(|| span(SpanKind::Decode, 0)),
+    );
+    let (iteration, outcome) = decoded.map_err(|e| lost(format!("decode: {e}")))?;
+    debug_assert_eq!(iteration, it, "blob is self-describing");
+    Ok((outcome, take_us, decode_us))
+}
+
+/// What a store-backed prefetcher hands the executor.
+pub enum Prefetched<T> {
+    /// The next iteration, decoded ahead of execution.
+    Iteration(Box<T>),
+    /// The epoch ended.
+    EndOfEpoch,
+    /// The store lost a blob the queue promised; the executor re-raises
+    /// the message.
+    Lost(String),
+}
+
+/// The executor's receive from a store-backed prefetcher: the next
+/// iteration, or `None` at the end of the epoch.
+///
+/// # Panics
+///
+/// On a lost blob, or on a prefetcher that died without a message (a
+/// planner worker panicked under it). `queue` is cancelled first, so the
+/// planner pool unblocks and the scope join surfaces the original panic.
+pub fn receive_prefetched<T, Q>(
+    rx: &Receiver<Prefetched<T>>,
+    queue: &PlanAheadQueue<Q>,
+) -> Option<T> {
+    let lost = match rx.recv() {
+        Ok(Prefetched::Iteration(next)) => return Some(*next),
+        Ok(Prefetched::EndOfEpoch) => return None,
+        Ok(Prefetched::Lost(e)) => e,
+        Err(_) => "a planner worker panicked while planning ahead".to_string(),
+    };
+    queue.cancel();
+    panic!("{lost}");
+}
+
+/// Run a received iteration on the engines, or record why it cannot
+/// run: a planning failure or an engine error stops the run at `it`
+/// (`None`) with the serial driver's message in `report.failure`.
+pub fn execute_or_fail(
+    cm: &CostModel,
+    run: &RunConfig,
+    it: usize,
+    outcome: Executable,
+    report: &mut RunReport,
+) -> Option<(IterationPlan, IterationExecution)> {
+    let executed = outcome
+        .map_err(|e| e.to_string())
+        .and_then(|(plan, programs)| {
+            let exec =
+                execute_lowered(cm, &plan, &programs, run, it, ReplicaParallelism::Parallel)?;
+            Ok((plan, exec))
+        });
+    match executed {
+        Ok(done) => Some(done),
+        Err(e) => {
+            report.failure = Some(format!("iteration {it}: {e}"));
+            None
+        }
+    }
+}
+
+/// The teardown sweep of a store-backed run, once its workers joined:
+/// discard the speculative blobs left past a failure, so the store never
+/// leaks plans, and return the final counters. Each swept blob marks one
+/// `StoreDiscard` span carrying no shard, so the trace keeps matching
+/// [`StoreStats::discarded`].
+pub fn sweep_store(store: &InstructionStore, sink: &TraceSink) -> StoreStats {
+    for _ in 0..store.clear_remaining() {
+        sink.mark(Span {
+            kind: SpanKind::StoreDiscard,
+            ..Span::default()
+        });
+    }
+    store.stats()
 }
 
 /// A planned (and lowered) iteration on its way to the executor, with
@@ -1121,15 +1272,6 @@ struct ClaimedIteration {
     /// Bytes the engines execute zero-copy, straight over the fetched
     /// wire blob ([`PlanCodec::Flat`] only; 0 otherwise).
     flat_bytes: usize,
-}
-
-/// What the store-mode prefetcher hands the executor.
-enum Prefetched {
-    Iteration(Box<ClaimedIteration>),
-    EndOfEpoch,
-    /// The store lost a blob the queue promised (crashed counterpart /
-    /// corrupt wire blob); the executor re-raises the message.
-    Lost(String),
 }
 
 /// Record one executed iteration's `Sim`-domain spans on the ideal
@@ -1180,7 +1322,11 @@ pub fn record_sim_iteration(
                     TraceKind::AllocStall => 3,
                 },
                 src: e.device as i64,
-                dst: if e.peer == usize::MAX { -1 } else { e.peer as i64 },
+                dst: if e.peer == usize::MAX {
+                    -1
+                } else {
+                    e.peer as i64
+                },
                 ..Span::default()
             });
         }
@@ -1214,26 +1360,8 @@ fn fold_claimed(
     let outcome = claimed
         .outcome
         .expect("the executor receives executable iterations");
-    let (plan, programs) = match outcome {
-        Ok(c) => c,
-        Err(e) => {
-            report.failure = Some(format!("iteration {it}: {e}"));
-            return false;
-        }
-    };
-    let exec = match execute_lowered(
-        cm,
-        &plan,
-        &programs,
-        run,
-        it,
-        ReplicaParallelism::Parallel,
-    ) {
-        Ok(x) => x,
-        Err(e) => {
-            report.failure = Some(format!("iteration {it}: {e}"));
-            return false;
-        }
+    let Some((plan, exec)) = execute_or_fail(cm, run, it, outcome, report) else {
+        return false;
     };
     // Overlap accounting on the training timeline: the virtual clock
     // waits until the executable plan is ready — store-backed, that
@@ -1436,14 +1564,7 @@ pub fn run_training_pipelined_traced(
     // lint:allow(wall-clock): host wall-clock for RuntimeStats.host_wall_us, excluded from behavior_eq
     let t0 = Instant::now();
 
-    let mut report = RunReport {
-        planner: planner.label(),
-        records: Vec::new(),
-        total_tokens: 0,
-        total_time_us: 0.0,
-        padding: PaddingStats::default(),
-        failure: None,
-    };
+    let mut report = RunReport::empty(planner.label());
     let mut stats = RuntimeStats {
         planning_us: Vec::new(),
         exec_sim_us: Vec::new(),
@@ -1470,9 +1591,7 @@ pub fn run_training_pipelined_traced(
     // than unbounded growth.
     let store = match config.distribution {
         PlanDistribution::InProcess => None,
-        PlanDistribution::StoreBacked => {
-            Some(InstructionStore::with_capacity(config.plan_ahead))
-        }
+        PlanDistribution::StoreBacked => Some(InstructionStore::with_capacity(config.plan_ahead)),
     };
 
     // Nested parallelism budget per planner worker: the pool's threads are
@@ -1486,23 +1605,16 @@ pub fn run_training_pipelined_traced(
             let stream = &stream;
             let store = store.as_ref();
             scope.spawn(move || {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(nested_threads)
-                    .build()
-                    .expect("planner worker pool");
-                pool.install(|| {
-                    while let Some(ticket) = queue.claim(stream, worker) {
-                        let ctx = TicketTraceCtx {
-                            sink,
-                            worker: worker as i64,
-                            host: 0,
-                            shard: 0,
-                        };
-                        sink.mark(ctx.span(&ticket, SpanKind::TicketClaim));
-                        let guard = TicketGuard::new(queue, store);
-                        // The lowering stage runs on the worker either
-                        // way, so the executor receives ready-to-run
-                        // programs.
+                run_planner_worker(queue, stream, worker, nested_threads, |ticket| {
+                    let ctx = TicketTraceCtx {
+                        sink,
+                        worker: worker as i64,
+                        host: 0,
+                        shard: 0,
+                    };
+                    // The lowering stage runs on the worker either way,
+                    // so the executor receives ready-to-run programs.
+                    serve_ticket(queue, store, &ticket, &ctx, || {
                         let (outcome, plan_us, lower_us, serialize_us, blob_bytes) = match store {
                             None => {
                                 let lowered = plan_lower(planner, &ticket, &ctx);
@@ -1527,7 +1639,7 @@ pub fn run_training_pipelined_traced(
                                 )
                             }
                         };
-                        let planned = ClaimedIteration {
+                        ClaimedIteration {
                             outcome,
                             plan_us,
                             lower_us,
@@ -1536,15 +1648,9 @@ pub fn run_training_pipelined_traced(
                             blob_bytes,
                             deserialize_us: 0.0,
                             flat_bytes: 0,
-                        };
-                        let outcome = queue.complete(ticket.index, ticket.generation, planned);
-                        sink.mark(Span {
-                            // `bytes` flags acceptance: 1 accepted, 0 stale/cancelled.
-                            bytes: (outcome == CompleteOutcome::Accepted) as u64,
-                            ..ctx.span(&ticket, SpanKind::TicketComplete)
-                        });
-                        guard.disarm();
-                    }
+                        }
+                    });
+                    true
                 });
             });
         }
@@ -1558,66 +1664,28 @@ pub fn run_training_pipelined_traced(
         // paper's executor-side prefetch: deserialization overlaps the
         // previous iteration's execution instead of sitting on the
         // critical path (only iteration 0's decode is unavoidably
-        // exposed). The window slot is released only after the blob is
-        // taken, so window slots still count store occupancy.
+        // exposed).
         let mut vclock = 0.0f64;
         let mut sim_clock = 0.0f64;
         let prefetched = store.as_ref().map(|store| {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Prefetched>(1);
+            let (tx, rx) = std::sync::mpsc::sync_channel(1);
             let queue = &queue;
             scope.spawn(move || {
                 for it in 0..cap {
-                    let planned = match queue.wait_for(it) {
-                        WaitOutcome::Cancelled => return,
-                        WaitOutcome::EndOfEpoch => {
-                            let _ = tx.send(Prefetched::EndOfEpoch);
-                            return;
-                        }
-                        WaitOutcome::Deadline => {
-                            unreachable!("wait_for is unbounded")
-                        }
+                    let planned = match queue.wait_for_deadline(it, None) {
                         WaitOutcome::Planned(p) => p,
+                        WaitOutcome::EndOfEpoch => break,
+                        // An unbounded wait never reaches its deadline.
+                        WaitOutcome::Cancelled | WaitOutcome::Deadline => return,
                     };
-                    let store_span = |kind, bytes| Span {
-                        kind,
-                        iteration: it as i64,
-                        lane: 0,
-                        host: 0,
-                        bytes,
-                        ..Span::default()
-                    };
-                    let (taken, take_us) = sink.timed(
-                        || store.take_blocking(it, STORE_WAIT),
-                        |taken| {
-                            let blob = taken.as_ref().ok()?;
-                            Some(store_span(SpanKind::StoreTake, blob.len() as u64))
-                        },
-                    );
-                    let took = taken.is_ok();
-                    let (decoded, decode_us) = sink.timed(
-                        || {
-                            taken.map_err(|e| format!("take: {e}")).and_then(|blob| {
-                                decode_for_execution(config.codec, blob)
-                                    .map_err(|e| format!("decode: {e}"))
-                            })
-                        },
-                        |_| took.then(|| store_span(SpanKind::Decode, 0)),
-                    );
-                    // Blob out of the store: the window slot is free.
-                    queue.advance(it);
-                    let (iteration, outcome) = match decoded {
-                        Ok(s) => s,
-                        Err(e) => {
-                            // Losing a blob the queue promised is a
-                            // crashed counterpart / corrupt wire
-                            // blob, not a recoverable outcome.
-                            let _ = tx.send(Prefetched::Lost(format!(
-                                "instruction store lost iteration {it}: {e}"
-                            )));
-                            return;
-                        }
-                    };
-                    debug_assert_eq!(iteration, it, "blob is self-describing");
+                    let (outcome, take_us, decode_us) =
+                        match prefetch_blob(queue, store, config.codec, it, sink, 0, 0) {
+                            Ok(fetched) => fetched,
+                            Err(lost) => {
+                                let _ = tx.send(Prefetched::Lost(lost));
+                                return;
+                            }
+                        };
                     let claimed = ClaimedIteration {
                         outcome: Some(outcome),
                         ready_us: t0.elapsed().as_secs_f64() * 1e6,
@@ -1639,32 +1707,19 @@ pub fn run_training_pipelined_traced(
         });
         for it in 0..cap {
             let claimed = match &prefetched {
-                None => match queue.wait_for(it) {
-                    WaitOutcome::EndOfEpoch => break,
-                    WaitOutcome::Cancelled => {
-                        unreachable!("only the executor cancels, after this loop")
-                    }
-                    WaitOutcome::Deadline => unreachable!("wait_for is unbounded"),
+                None => match queue.wait_for_deadline(it, None) {
                     WaitOutcome::Planned(p) => {
                         queue.advance(it);
                         p
                     }
+                    WaitOutcome::EndOfEpoch => break,
+                    WaitOutcome::Cancelled | WaitOutcome::Deadline => {
+                        unreachable!("only the executor cancels, and the wait is unbounded")
+                    }
                 },
-                Some(rx) => match rx.recv() {
-                    Ok(Prefetched::EndOfEpoch) => break,
-                    Ok(Prefetched::Lost(e)) => {
-                        queue.cancel();
-                        panic!("{e}");
-                    }
-                    Err(_) => {
-                        // The prefetcher died without a message: a planner
-                        // worker panicked under it. Unblock the pool and
-                        // re-raise; the scope join surfaces the original
-                        // panic.
-                        queue.cancel();
-                        panic!("a planner worker panicked while planning ahead");
-                    }
-                    Ok(Prefetched::Iteration(claimed)) => *claimed,
+                Some(rx) => match receive_prefetched(rx, &queue) {
+                    Some(claimed) => claimed,
+                    None => break,
                 },
             };
             if !fold_claimed(
@@ -1691,21 +1746,7 @@ pub fn run_training_pipelined_traced(
         queue.cancel();
     });
 
-    // Workers are joined: discard speculative blobs past a failure so the
-    // store never leaks plans (they are counted as `discarded`).
-    if let Some(store) = &store {
-        for _ in 0..store.clear_remaining() {
-            // Speculative blobs discarded at teardown, so the
-            // store-discard span count matches `StoreStats::discarded`.
-            sink.mark(Span {
-                kind: SpanKind::StoreDiscard,
-                lane: 0,
-                host: 0,
-                ..Span::default()
-            });
-        }
-        stats.store = Some(store.stats());
-    }
+    stats.store = store.as_ref().map(|store| sweep_store(store, sink));
     stats.host_wall_us = t0.elapsed().as_secs_f64() * 1e6;
     stats.max_plans_resident = queue.max_ready();
     (report, stats)
@@ -1756,9 +1797,15 @@ mod tests {
             let serial =
                 execute_lowered(&cm, &plan, &programs, &run, it, ReplicaParallelism::Serial)
                     .unwrap();
-            let parallel =
-                execute_lowered(&cm, &plan, &programs, &run, it, ReplicaParallelism::Parallel)
-                    .unwrap();
+            let parallel = execute_lowered(
+                &cm,
+                &plan,
+                &programs,
+                &run,
+                it,
+                ReplicaParallelism::Parallel,
+            )
+            .unwrap();
             assert_eq!(
                 serial.measured_time.to_bits(),
                 parallel.measured_time.to_bits()
@@ -1964,8 +2011,11 @@ mod tests {
         assert!(Arc::ptr_eq(&t0.batch, &t1.batch), "same mini-batch");
 
         // The healthy attempt completes; the executor unblocks.
-        assert_eq!(queue.complete(0, t1.generation, 7), CompleteOutcome::Accepted);
-        match queue.wait_for(0) {
+        assert_eq!(
+            queue.complete(0, t1.generation, 7),
+            CompleteOutcome::Accepted
+        );
+        match queue.wait_for_deadline(0, None) {
             WaitOutcome::Planned(v) => assert_eq!(v, 7),
             _ => panic!("accepted completion must reach the executor"),
         }
@@ -1995,8 +2045,11 @@ mod tests {
         let t0 = queue.claim(&stream, 0).expect("fresh ticket");
         assert!(queue.reissue(t0.index, Duration::ZERO), "spurious re-issue");
         // Original completes first, with its now-outdated generation.
-        assert_eq!(queue.complete(t0.index, t0.generation, 5), CompleteOutcome::Accepted);
-        match queue.wait_for(0) {
+        assert_eq!(
+            queue.complete(t0.index, t0.generation, 5),
+            CompleteOutcome::Accepted
+        );
+        match queue.wait_for_deadline(0, None) {
             WaitOutcome::Planned(v) => assert_eq!(v, 5),
             _ => panic!("first completion must win"),
         }
@@ -2020,8 +2073,8 @@ mod tests {
         let t0 = queue.claim(&stream, 0).expect("fresh ticket");
         queue.abandon(t0.index, 0);
         queue.abandon(t0.index, 9); // wrong owner: must not double-queue
-        // The cap is exhausted, but the abandoned ticket is in flight:
-        // the claim must serve it rather than draining the pool.
+                                    // The cap is exhausted, but the abandoned ticket is in flight:
+                                    // the claim must serve it rather than draining the pool.
         let t1 = queue.claim(&stream, 1).expect("abandoned ticket re-served");
         assert_eq!((t1.index, t1.generation), (0, 1));
         // The dead original owner's late abandon must not invalidate the
@@ -2049,10 +2102,75 @@ mod tests {
         assert_eq!((r0.index, r0.generation), (a.index, 1));
         assert_eq!((r1.index, r1.generation), (b.index, 1));
         // The survivor's own ticket was untouched.
-        assert_eq!(queue.complete(c.index, c.generation, 1), CompleteOutcome::Accepted);
+        assert_eq!(
+            queue.complete(c.index, c.generation, 1),
+            CompleteOutcome::Accepted
+        );
         assert_eq!(queue.complete(r0.index, 1, 1), CompleteOutcome::Accepted);
         assert_eq!(queue.complete(r1.index, 1, 1), CompleteOutcome::Accepted);
         assert_eq!(queue.churn_stats().reissued, 2);
+    }
+
+    #[test]
+    fn prefetch_step_reports_a_failed_take_as_a_lost_blob() {
+        let queue: PlanAheadQueue<()> = PlanAheadQueue::new(2, 4);
+        let store = InstructionStore::with_capacity(2);
+        store.poison("injected");
+        let err = prefetch_blob(
+            &queue,
+            &store,
+            PlanCodec::Json,
+            0,
+            &TraceSink::disabled(),
+            0,
+            0,
+        )
+        .expect_err("a poisoned store loses the blob");
+        assert!(
+            err.starts_with("instruction store lost iteration 0: take: "),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn prefetch_step_reports_a_corrupt_blob_without_a_decode_span() {
+        for codec in [PlanCodec::Json, PlanCodec::Binary, PlanCodec::Flat] {
+            let queue: PlanAheadQueue<()> = PlanAheadQueue::new(2, 4);
+            let store = InstructionStore::with_capacity(2);
+            store
+                .push(0, b"not a plan blob".to_vec())
+                .expect("an empty store accepts a push");
+            let sink = TraceSink::bounded(16);
+            let err = prefetch_blob(&queue, &store, codec, 0, &sink, 0, 0)
+                .expect_err("a corrupt blob is lost");
+            let label = codec.label();
+            assert!(
+                err.starts_with("instruction store lost iteration 0: decode: "),
+                "{label}: {err}"
+            );
+            let trace = sink.finish();
+            assert_eq!(trace.of_kind(SpanKind::StoreTake).count(), 1, "{label}");
+            assert_eq!(trace.of_kind(SpanKind::Decode).count(), 0, "{label}");
+        }
+    }
+
+    #[test]
+    fn receive_step_cancels_the_queue_before_re_raising_a_lost_blob() {
+        let dataset = Dataset::flanv2(49, 200);
+        let stream = BatchStream::new(&dataset, gbs());
+        let queue: PlanAheadQueue<u32> = PlanAheadQueue::new(2, 4);
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        tx.send(Prefetched::<u32>::Lost("lost iteration 3".to_string()))
+            .expect("the receiver is alive");
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            receive_prefetched(&rx, &queue)
+        }))
+        .expect_err("a lost blob must re-raise");
+        assert_eq!(
+            raised.downcast_ref::<String>().map(String::as_str),
+            Some("lost iteration 3")
+        );
+        assert!(queue.claim(&stream, 0).is_none(), "the queue was cancelled");
     }
 
     #[test]
