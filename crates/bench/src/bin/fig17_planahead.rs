@@ -232,10 +232,16 @@ fn main() {
     }
 
     let serial_wall_us: f64 = outcomes.iter().map(|o| o.serial_wall_us).sum();
-    let pipelined_wall_us: f64 = outcomes.iter().map(|o| o.in_process.pipelined_wall_us).sum();
+    let pipelined_wall_us: f64 = outcomes
+        .iter()
+        .map(|o| o.in_process.pipelined_wall_us)
+        .sum();
     let exposed_planning_us: f64 = outcomes.iter().map(|o| o.in_process.exposed_us).sum();
     let hidden_planning_us: f64 = outcomes.iter().map(|o| o.in_process.hidden_us).sum();
-    let total_planning_us: f64 = outcomes.iter().map(|o| o.in_process.total_planning_us).sum();
+    let total_planning_us: f64 = outcomes
+        .iter()
+        .map(|o| o.in_process.total_planning_us)
+        .sum();
     let overlap_ratio = if total_planning_us > 0.0 {
         hidden_planning_us / total_planning_us
     } else {
@@ -290,8 +296,8 @@ fn main() {
     );
     println!(
         "  zero-copy: flat {:.1} KB ({:.1}% of binary), serde {:.2} ms \
-         (engines run over the wire bytes; deserialize validates and wraps them, \
-         then rebuilds the plan metadata)",
+         (engines run over the wire bytes; deserialize validates and wraps them \
+         and reads the fixed-width summary)",
         flat_blob_bytes as f64 / 1e3,
         100.0 * flat_blob_bytes as f64 / (binary_blob_bytes as f64).max(1.0),
         flat_serde_us / 1e3,
@@ -317,7 +323,10 @@ fn main() {
             .collect(),
     );
     let out = serde_json::Value::Object(vec![
-        ("serial_wall_us".to_string(), serde_json::json!(serial_wall_us)),
+        (
+            "serial_wall_us".to_string(),
+            serde_json::json!(serial_wall_us),
+        ),
         (
             "pipelined_wall_us".to_string(),
             serde_json::json!(pipelined_wall_us),
@@ -330,7 +339,10 @@ fn main() {
             "hidden_planning_us".to_string(),
             serde_json::json!(hidden_planning_us),
         ),
-        ("overlap_ratio".to_string(), serde_json::json!(overlap_ratio)),
+        (
+            "overlap_ratio".to_string(),
+            serde_json::json!(overlap_ratio),
+        ),
         (
             "store_pipelined_wall_us".to_string(),
             serde_json::json!(store_wall_us),
@@ -425,9 +437,7 @@ fn main() {
     // The binary codec's whole purpose is smaller blobs; bytes are
     // deterministic, so this gate holds in smoke runs too.
     if binary_blob_bytes > json_blob_bytes {
-        eprintln!(
-            "error: binary wire ({binary_blob_bytes} B) exceeds JSON ({json_blob_bytes} B)"
-        );
+        eprintln!("error: binary wire ({binary_blob_bytes} B) exceeds JSON ({json_blob_bytes} B)");
         failed = true;
     }
     // The flat arena trades nesting for fixed-width records; bytes are

@@ -884,15 +884,15 @@ pub fn run_training_cluster_traced(
             let Some((fetched, outcome)) = receive_prefetched(&rx, &shared.queue) else {
                 break;
             };
-            let Some((plan, exec)) = execute_or_fail(cm, &run, it, outcome, &mut report) else {
+            let Some((summary, exec)) = execute_or_fail(cm, &run, it, outcome, &mut report) else {
                 break;
             };
-            timeline.fold_iteration(&mut out, sink, it, &fetched, &exec, plan.dp_sync_time);
+            timeline.fold_iteration(&mut out, sink, it, &fetched, &exec, summary.dp_sync_time);
             record_sim_iteration(sink, it, &exec, &mut sim_clock);
             record_iteration(
                 &mut report,
                 cm,
-                &plan,
+                &summary,
                 exec.measured_time,
                 exec.peak_memory,
                 exec.allocator_stall_us,

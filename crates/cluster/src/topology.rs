@@ -40,7 +40,9 @@ pub struct ClusterConfig {
     /// Bounded plan-ahead window shared by the whole planner pool, also
     /// the store's capacity (≥ 1).
     pub plan_ahead: usize,
-    /// Wire codec for every plan blob on every hop.
+    /// Wire codec for every plan blob on every hop. Defaults to
+    /// [`PlanCodec::Flat`]: executor hosts run the fetched bytes in
+    /// place and read only the blob's fixed-width summary of the plan.
     pub codec: PlanCodec,
     /// Host-pair α-β cost matrix for every hop. [`Fabric::free`]
     /// degenerates the topology to free transport (useful as an A/B
@@ -189,7 +191,12 @@ mod tests {
         }
         .normalized(2);
         assert_eq!(
-            (c.planner_hosts, c.workers_per_host, c.executor_hosts, c.plan_ahead),
+            (
+                c.planner_hosts,
+                c.workers_per_host,
+                c.executor_hosts,
+                c.plan_ahead
+            ),
             (1, 1, 2, 1)
         );
         assert_eq!(c.executor_host_of(0), 0);

@@ -20,16 +20,34 @@
 //!   varint back-reference. Plan blobs are dominated by repeated object
 //!   keys and enum tags (`"duration"`, `"Compute"`, …), which is exactly
 //!   what the table collapses. Decoding never touches the JSON parser.
-//! * [`PlanCodec::Flat`] — a fixed-width little-endian **arena** in which
-//!   the wire format *is* the program: decoding is validating the header
-//!   plus offset tables once and wrapping the `Arc<[u8]>` in typed
-//!   accessor structs ([`FlatPlanRef`], [`FlatReplicaRef`]) that read
-//!   fields by offset. No tree build, no owned copy, and no `unsafe` —
-//!   every read is an explicit bounds-checked `from_le_bytes`, the same
-//!   discipline as the Binary codec's raw-bits `f64` handling. The simulator executes straight
+//! * [`PlanCodec::Flat`] — the default: a fixed-width little-endian
+//!   **arena** in which the wire format *is* the program. Decoding is
+//!   validating the header, the summary and the offset tables once and
+//!   wrapping the `Arc<[u8]>` in typed accessor structs ([`FlatPlanRef`],
+//!   [`FlatReplicaRef`]) that read fields by offset. No tree build, no
+//!   owned copy, and no `unsafe` — every read is an explicit
+//!   bounds-checked `from_le_bytes`, the same discipline as the Binary
+//!   codec's raw-bits `f64` handling. The simulator executes straight
 //!   over the blob through `dynapipe_sim::InstructionSource`.
 //!
-//! # Flat layout (version 1)
+//! # What "decode" means
+//!
+//! The executor needs the programs plus an
+//! [`IterationSummary`] of the plan (what `execute_summarized` and
+//! `record_iteration` read), never the plan tree. Its decode,
+//! `runtime::decode_executable`, is per codec:
+//!
+//! * Json / Binary: parse the whole blob into an owned
+//!   [`crate::store::StoredPlan`], then derive the summary from the plan;
+//! * Flat: [`FlatPlanRef::new`] (validation), [`FlatPlanRef::summary`]
+//!   (a fixed-width read) and one [`FlatReplicaRef`] per replica. The
+//!   plan section is not read.
+//!
+//! `runtime::decode_for_execution` is that decode plus the plan itself
+//! (on flat, [`FlatPlanRef::plan`] rebuilds it from the plan section),
+//! for callers that inspect plans.
+//!
+//! # Flat layout (version 2)
 //!
 //! All integers are **little-endian** and fixed width; offsets are
 //! absolute byte positions in the blob, `u32` (a blob is < 4 GiB by
@@ -40,7 +58,7 @@
 //! ```text
 //! header (35 bytes):
 //!   0      magic      u8   = 0xF7 (outside ASCII and ≠ Binary's 0xB1)
-//!   1      version    u8   = 1
+//!   1      version    u8   = 2
 //!   2      outcome    u8   0 = Failed, 1 = Plan
 //!   3..11  total_len  u64  must equal the blob length (truncation check)
 //!   11..19 iteration  u64
@@ -49,9 +67,22 @@
 //!   27..31 replicas   u32  number of data-parallel replicas
 //!   31..35 dir_off    u32  program directory
 //!
-//! plan section: the plan/error subtree in the Binary codec's layout
-//!   (self-describing metadata is where Binary shines; the hot path —
-//!   instruction records — never routes through it).
+//! summary (outcome = 1 only, at byte 35; 93 + 8 × stages bytes):
+//!   0      recompute          u8   index in RecomputeMode::ALL
+//!   1..9   est_iteration_time u64  ┐
+//!   9..17  dp_sync_time       u64  │ f64 bits
+//!   17..25 planning_time_us   u64  ┘
+//!   25..33 num_micro_batches  u64
+//!   33..41 actual_tokens      u64
+//!   41..89 padding            6 × u64  actual, padded, enc_actual,
+//!                                      enc_padded, dec_actual, dec_padded
+//!   89..93 stages             u32
+//!   93..   est_peak_memory    stages × u64  per-stage max over replicas
+//!
+//! plan section (at plan_off = the end of the summary, or 35 for a
+//!   failed outcome): the plan/error subtree in the Binary codec's
+//!   layout. Only inspectors, tests and re-encodes read it; the executor
+//!   reads the summary instead.
 //!
 //! directory (at dir_off):
 //!   replicas × u32           per-replica device counts
@@ -75,11 +106,12 @@
 //! ```
 //!
 //! **Versioning:** any incompatible change bumps the version byte and
-//! decoders reject other versions — same rule as Binary. The `total_len`
-//! field plus full offset-table validation in [`FlatPlanRef::new`] means
-//! a truncated or bit-flipped blob yields a typed [`CodecError`], never a
-//! panic or out-of-bounds read; accessors on a successfully validated
-//! blob are in-bounds by construction.
+//! decoders reject other versions — same rule as Binary (version 2 added
+//! the summary section). The `total_len` field plus full summary and
+//! offset-table validation in [`FlatPlanRef::new`] means a truncated or
+//! bit-flipped blob yields a typed [`CodecError`], never a panic or
+//! out-of-bounds read; accessors on a successfully validated blob are
+//! in-bounds by construction.
 //!
 //! The tree codecs route through [`Value`], so *what* is encoded is
 //! decided once by the `Serialize` impls; the codec only decides *how
@@ -87,12 +119,16 @@
 //! structurally instead (handled by `StoredPlan::encode`/`decode`). The
 //! property suite in `tests/serialization.rs` pins all three codecs
 //! (cross-decode equal, re-encode bitwise, engine runs over decoded —
-//! or wrapped — programs bit-identical), and the `fig09_cluster` /
-//! `fig17_planahead` benches fail CI if Binary stops beating JSON on
-//! bytes or Flat stops beating Binary on decode time.
+//! or wrapped — programs bit-identical; the flat summary equals the one
+//! derived from the plan), and the `fig09_cluster` / `fig17_planahead`
+//! benches fail CI if Binary stops beating JSON on bytes or Flat's
+//! executor decode stops beating Binary's.
 
+use crate::driver::IterationSummary;
 use crate::planner::{IterationPlan, PlanError};
 use crate::store::{StoredLowered, StoredOutcome, StoredPlan};
+use dynapipe_batcher::PaddingStats;
+use dynapipe_model::RecomputeMode;
 use dynapipe_sim::{
     AllocsRef, CommDir, DeviceProgram, FreesRef, InstructionSource, OpLabel, OpView, SimOp,
 };
@@ -100,17 +136,20 @@ use serde::{Error, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Which wire encoding a [`crate::store::StoredPlan`] blob uses.
+/// Which wire encoding a [`crate::store::StoredPlan`] blob uses. The
+/// default is [`PlanCodec::Flat`], the only codec whose executor decode
+/// reads neither the plan tree nor an owned copy of the programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanCodec {
-    /// Self-describing JSON text (UTF-8 bytes).
-    #[default]
+    /// Self-describing JSON text (UTF-8 bytes); the human-readable
+    /// reference.
     Json,
     /// Length-prefixed binary with string interning; see module docs.
     Binary,
     /// Fixed-width LE arena executed in place by typed accessors; see
     /// module docs. Encodes [`crate::store::StoredPlan`] structurally
-    /// rather than through the [`Value`] tree.
+    /// rather than through the [`Value`] tree. The default.
+    #[default]
     Flat,
 }
 
@@ -419,9 +458,11 @@ impl<'a> BinaryDecoder<'a> {
 /// magic, so the three codecs can never misparse each other's output.
 const FLAT_MAGIC: u8 = 0xF7;
 /// Flat layout version, bumped on any incompatible change.
-const FLAT_VERSION: u8 = 1;
+const FLAT_VERSION: u8 = 2;
 /// Fixed header size.
 const FLAT_HEADER: usize = 35;
+/// Fixed part of the summary section; `stages` × u64 peaks follow it.
+const FLAT_SUMMARY: usize = 93;
 /// Bytes per instruction record.
 const FLAT_REC: usize = 34;
 /// Bytes per `(id, bytes)` alloc side-table entry.
@@ -530,19 +571,22 @@ fn pack_loc(off: usize, count: usize) -> u64 {
 /// are a pure function of the plan (side tables are emitted in record
 /// order), so re-encoding a decoded blob is bit-identical.
 pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
-    let (tag, plan_bytes, programs): (u8, Vec<u8>, &[Vec<DeviceProgram>]) = match &plan.outcome {
-        StoredOutcome::Plan(lowered) => (
-            1,
-            PlanCodec::Binary.encode_value(&serde::Serialize::to_value(&lowered.plan)),
-            &lowered.programs,
-        ),
-        StoredOutcome::Failed(e) => (
-            0,
-            PlanCodec::Binary.encode_value(&serde::Serialize::to_value(e)),
-            &[],
-        ),
-    };
-    let plan_off = FLAT_HEADER;
+    let (tag, summary, plan_bytes, programs): (u8, Vec<u8>, Vec<u8>, &[Vec<DeviceProgram>]) =
+        match &plan.outcome {
+            StoredOutcome::Plan(lowered) => (
+                1,
+                encode_summary(&IterationSummary::of(&lowered.plan)),
+                PlanCodec::Binary.encode_value(&serde::Serialize::to_value(&lowered.plan)),
+                &lowered.programs,
+            ),
+            StoredOutcome::Failed(e) => (
+                0,
+                Vec::new(),
+                PlanCodec::Binary.encode_value(&serde::Serialize::to_value(e)),
+                &[],
+            ),
+        };
+    let plan_off = FLAT_HEADER + summary.len();
     let dir_off = plan_off + plan_bytes.len();
     let total_devs: usize = programs.iter().map(|r| r.len()).sum();
     let recs_off = dir_off + 4 * programs.len() + 8 * total_devs;
@@ -560,6 +604,7 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
     put_u32(&mut out, as_u32(programs.len(), "replica count"));
     put_u32(&mut out, as_u32(dir_off, "directory offset"));
     debug_assert_eq!(out.len(), FLAT_HEADER);
+    out.extend_from_slice(&summary);
     out.extend_from_slice(&plan_bytes);
 
     // Directory: device counts, then (ops_off, ops_count) replica-major.
@@ -638,13 +683,46 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
     out
 }
 
+/// The summary section of a planned outcome (see the module docs).
+fn encode_summary(s: &IterationSummary) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FLAT_SUMMARY + 8 * s.est_peak_memory.len());
+    let mode = RecomputeMode::ALL
+        .iter()
+        .position(|&m| m == s.recompute)
+        .expect("RecomputeMode::ALL lists every mode");
+    out.push(mode as u8);
+    put_u64(&mut out, s.est_iteration_time.to_bits());
+    put_u64(&mut out, s.dp_sync_time.to_bits());
+    put_u64(&mut out, s.planning_time_us.to_bits());
+    put_u64(&mut out, s.num_micro_batches as u64);
+    put_u64(&mut out, s.actual_tokens);
+    let p = &s.padding;
+    for v in [
+        p.actual_tokens,
+        p.padded_tokens,
+        p.enc_actual,
+        p.enc_padded,
+        p.dec_actual,
+        p.dec_padded,
+    ] {
+        put_u64(&mut out, v);
+    }
+    put_u32(&mut out, as_u32(s.est_peak_memory.len(), "stage count"));
+    debug_assert_eq!(out.len(), FLAT_SUMMARY);
+    for &peak in &s.est_peak_memory {
+        put_u64(&mut out, peak);
+    }
+    out
+}
+
 /// A validated flat blob: the zero-copy decode result.
 ///
-/// [`FlatPlanRef::new`] checks the header and walks every offset table
-/// and instruction record once — O(records), allocation-free — so that
-/// the accessors below and [`FlatReplicaRef`]'s instruction reads never
-/// go out of bounds. The blob stays behind the `Arc` the store handed
-/// out; nothing is copied or tree-built.
+/// [`FlatPlanRef::new`] checks the header and the summary section and
+/// walks every offset table and instruction record once — O(records),
+/// allocation-free — so that the accessors below and
+/// [`FlatReplicaRef`]'s instruction reads never go out of bounds. The
+/// blob stays behind the `Arc` the store handed out; nothing is copied
+/// or tree-built.
 #[derive(Debug, Clone)]
 pub struct FlatPlanRef {
     blob: Arc<[u8]>,
@@ -728,7 +806,32 @@ impl FlatPlanRef {
             at: 31,
         })? as usize;
         let len = b.len() as u64;
-        if plan_off < FLAT_HEADER || plan_off as u64 + plan_len as u64 > len {
+        // The summary section sits between the header and the plan
+        // section, and only a planned outcome has one.
+        let summary_end = if outcome_tag == 1 {
+            let at = FLAT_HEADER + FLAT_SUMMARY - 4;
+            let stages = rd_u32(b, at).ok_or(CodecError::Truncated {
+                what: "summary stage count",
+                at,
+            })?;
+            let end = (FLAT_HEADER + FLAT_SUMMARY) as u64 + 8 * stages as u64;
+            if end > len {
+                return Err(CodecError::Corrupt {
+                    what: "summary stage count runs past the blob",
+                    at,
+                });
+            }
+            if rd_u8(b, FLAT_HEADER).map_or(true, |m| m as usize >= RecomputeMode::ALL.len()) {
+                return Err(CodecError::Corrupt {
+                    what: "summary recompute mode",
+                    at: FLAT_HEADER,
+                });
+            }
+            end
+        } else {
+            FLAT_HEADER as u64
+        };
+        if plan_off as u64 != summary_end || plan_off as u64 + plan_len as u64 > len {
             return Err(CodecError::Corrupt {
                 what: "plan section range",
                 at: 19,
@@ -841,10 +944,59 @@ impl FlatPlanRef {
         self.outcome_tag == 0
     }
 
-    /// Materialize the [`IterationPlan`] metadata section. This is the
-    /// only tree decode on the flat path, and it covers the small
-    /// metadata subtree only — the instruction records (the bulk of the
-    /// bytes) are executed in place and never materialized.
+    /// Read the fixed-width [`IterationSummary`] section: everything the
+    /// executor reads of the plan, without touching the plan section.
+    pub fn summary(&self) -> Result<IterationSummary, CodecError> {
+        if self.outcome_tag != 1 {
+            return Err(CodecError::Corrupt {
+                what: "summary() on failed outcome",
+                at: 2,
+            });
+        }
+        let b: &[u8] = &self.blob;
+        let u64_at = |rel: usize| {
+            rd_u64(b, FLAT_HEADER + rel).ok_or(CodecError::Truncated {
+                what: "summary",
+                at: FLAT_HEADER + rel,
+            })
+        };
+        let f64_at = |rel: usize| u64_at(rel).map(f64::from_bits);
+        let corrupt = |what, rel| CodecError::Corrupt {
+            what,
+            at: FLAT_HEADER + rel,
+        };
+        let recompute = rd_u8(b, FLAT_HEADER)
+            .and_then(|m| RecomputeMode::ALL.get(m as usize).copied())
+            .ok_or(corrupt("summary recompute mode", 0))?;
+        let num_micro_batches =
+            usize::try_from(u64_at(25)?).map_err(|_| corrupt("summary micro-batch count", 25))?;
+        let stages = rd_u32(b, FLAT_HEADER + FLAT_SUMMARY - 4)
+            .ok_or(corrupt("summary stage count", FLAT_SUMMARY - 4))?;
+        Ok(IterationSummary {
+            recompute,
+            est_iteration_time: f64_at(1)?,
+            dp_sync_time: f64_at(9)?,
+            planning_time_us: f64_at(17)?,
+            num_micro_batches,
+            actual_tokens: u64_at(33)?,
+            padding: PaddingStats {
+                actual_tokens: u64_at(41)?,
+                padded_tokens: u64_at(49)?,
+                enc_actual: u64_at(57)?,
+                enc_padded: u64_at(65)?,
+                dec_actual: u64_at(73)?,
+                dec_padded: u64_at(81)?,
+            },
+            est_peak_memory: (0..stages as usize)
+                .map(|j| u64_at(FLAT_SUMMARY + 8 * j))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// Materialize the [`IterationPlan`] metadata section: the only tree
+    /// decode on the flat path, which the executor never makes (it reads
+    /// [`FlatPlanRef::summary`]). The instruction records (the bulk of
+    /// the bytes) are executed in place and never materialized.
     pub fn plan(&self) -> Result<IterationPlan, CodecError> {
         if self.outcome_tag != 1 {
             return Err(CodecError::Corrupt {
@@ -1312,7 +1464,6 @@ mod tests {
             other => panic!("expected CommStart, got {other:?}"),
         }
         assert!(replica.op_view(0, 3).is_none());
-        assert_eq!(replica.alloc_size(0, 1), Some(4096));
         // The third record of device 0 is a backward Compute.
         match replica.op_view(0, 2) {
             Some(OpView::Compute { label, .. }) => assert!(label.is_backward),

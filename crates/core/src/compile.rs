@@ -342,6 +342,55 @@ mod tests {
     }
 
     #[test]
+    fn lowered_programs_never_allocate_an_id_twice_on_a_device() {
+        // The engine charges each free to the caching allocator with the
+        // size the memory tracker removes. That equals the size of the
+        // id's first allocation on the device only because lowering
+        // never reuses an id there, freed or not.
+        let toy = cm();
+        let mut lowered: Vec<Vec<DeviceProgram>> = (1..=8)
+            .map(|m| compile_replica(&toy, &toy_plan(&toy, m)))
+            .collect();
+        let cm = std::sync::Arc::new(CostModel::build(
+            HardwareModel::a100_cluster(),
+            ModelConfig::gpt_3_35b(),
+            ParallelConfig::new(2, 1, 2),
+            &ProfileOptions::coarse(),
+        ));
+        let planner = crate::planner::DynaPipePlanner::new(cm.clone(), Default::default());
+        let dataset = dynapipe_data::Dataset::flanv2(83, 300);
+        let gbs = dynapipe_data::GlobalBatchConfig {
+            tokens_per_batch: 16384,
+            max_seq_len: 2048,
+        };
+        for mut batch in dynapipe_data::GlobalBatchIter::new(&dataset, gbs).take(3) {
+            dynapipe_batcher::sort_samples(cm.model.arch, &mut batch);
+            for mode in RecomputeMode::ALL {
+                let Ok(plan) = planner.plan_with_mode(&batch, planner.planning_budget(), mode)
+                else {
+                    continue;
+                };
+                for r in &plan.replicas {
+                    lowered.push(compile_replica(&cm, &r.plan));
+                }
+            }
+        }
+        assert!(lowered.len() > 8, "no planner plan was feasible");
+        for programs in &lowered {
+            for (d, p) in programs.iter().enumerate() {
+                let mut seen = std::collections::HashSet::new();
+                for op in &p.ops {
+                    if let SimOp::Compute { allocs, .. } = op {
+                        for a in allocs {
+                            assert!(seen.insert(a.id), "device {d} allocates id {} twice", a.id);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn compiled_programs_run_on_the_simulator() {
         let cm = cm();
         let plan = toy_plan(&cm, 4);
@@ -410,7 +459,10 @@ mod tests {
         let (hits, misses) = memoized.memo_stats();
         // 8 shape slots over 3 distinct shapes × 2 batch sizes → 6
         // distinct keys; round 2 and the repeats in round 1 must hit.
-        assert!(hits > misses, "memo never engaged: {hits} hits / {misses} misses");
+        assert!(
+            hits > misses,
+            "memo never engaged: {hits} hits / {misses} misses"
+        );
         assert_eq!(reference.memo_stats(), (0, 0), "reference must not memoize");
 
         // And the full lowering path: memoized programs == reference
@@ -421,10 +473,8 @@ mod tests {
         assert_eq!(fast, slow);
         for (pf, ps) in fast.iter().zip(&slow) {
             for (of, os) in pf.ops.iter().zip(&ps.ops) {
-                if let (
-                    SimOp::Compute { duration: df, .. },
-                    SimOp::Compute { duration: ds, .. },
-                ) = (of, os)
+                if let (SimOp::Compute { duration: df, .. }, SimOp::Compute { duration: ds, .. }) =
+                    (of, os)
                 {
                     assert_eq!(df.to_bits(), ds.to_bits());
                 }

@@ -11,11 +11,11 @@
 //! construction — only the orchestration differs.
 
 use crate::planner::{IterationPlan, PlanError};
-use crate::runtime::{execute_lowered, lower_replicas, ReplicaParallelism};
+use crate::runtime::{execute_summarized, lower_replicas, ReplicaParallelism};
 use dynapipe_batcher::PaddingStats;
 use dynapipe_cost::CostModel;
 use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};
-use dynapipe_model::{Bytes, Micros};
+use dynapipe_model::{Bytes, Micros, RecomputeMode};
 use dynapipe_sim::{AllocatorMode, JitterConfig};
 use serde::{Deserialize, Serialize};
 
@@ -101,6 +101,62 @@ pub struct IterationRecord {
     pub recompute: String,
     /// Total allocator stall time across devices (µs).
     pub allocator_stall_us: Micros,
+}
+
+/// What executing and recording one iteration reads of its plan. A flat
+/// wire blob carries it as a fixed-width section ahead of the plan
+/// section, so an executor never rebuilds the [`IterationPlan`] tree;
+/// everywhere else it is [`IterationSummary::of`] the plan in hand.
+#[derive(Debug, Clone)]
+pub struct IterationSummary {
+    /// Recomputation mode chosen.
+    pub recompute: RecomputeMode,
+    /// Planner-estimated iteration time (µs).
+    pub est_iteration_time: Micros,
+    /// Data-parallel gradient synchronization time (µs).
+    pub dp_sync_time: Micros,
+    /// Wall-clock planning time (µs).
+    pub planning_time_us: f64,
+    /// Micro-batches across replicas.
+    pub num_micro_batches: usize,
+    /// Non-padding tokens in the mini-batch.
+    pub actual_tokens: u64,
+    /// Padding statistics of the chosen micro-batching.
+    pub padding: PaddingStats,
+    /// Per stage, the largest `est_peak_memory` over replicas (a replica
+    /// with a shorter list counts 0); as long as the longest list.
+    pub est_peak_memory: Vec<Bytes>,
+}
+
+impl IterationSummary {
+    /// The summary of `plan`.
+    pub fn of(plan: &IterationPlan) -> IterationSummary {
+        let stages = plan
+            .replicas
+            .iter()
+            .map(|r| r.est_peak_memory.len())
+            .max()
+            .unwrap_or(0);
+        let est_peak_memory = (0..stages)
+            .map(|j| {
+                plan.replicas
+                    .iter()
+                    .map(|r| r.est_peak_memory.get(j).copied().unwrap_or(0))
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        IterationSummary {
+            recompute: plan.recompute,
+            est_iteration_time: plan.est_iteration_time,
+            dp_sync_time: plan.dp_sync_time,
+            planning_time_us: plan.planning_time_us,
+            num_micro_batches: plan.num_micro_batches,
+            actual_tokens: plan.actual_tokens,
+            padding: plan.padding,
+            est_peak_memory,
+        }
+    }
 }
 
 /// A completed (or failed) training run.
@@ -287,15 +343,19 @@ pub fn simulate_iteration(
         .into_iter()
         .map(crate::runtime::ReplicaPrograms::Owned)
         .collect();
-    let exec = execute_lowered(
+    let exec = execute_summarized(
         cm,
-        plan,
+        &IterationSummary::of(plan),
         &programs,
         run,
         iteration_index,
         ReplicaParallelism::Serial,
     )?;
-    Ok((exec.measured_time, exec.peak_memory, exec.allocator_stall_us))
+    Ok((
+        exec.measured_time,
+        exec.peak_memory,
+        exec.allocator_stall_us,
+    ))
 }
 
 /// Run (a prefix of) one training epoch.
@@ -327,7 +387,8 @@ pub fn run_training(
                 break;
             }
         };
-        record_iteration(&mut report, cm, &plan, measured, peaks, stall);
+        let summary = IterationSummary::of(&plan);
+        record_iteration(&mut report, cm, &summary, measured, peaks, stall);
     }
     report
 }
@@ -339,35 +400,26 @@ pub fn run_training(
 pub fn record_iteration(
     report: &mut RunReport,
     cm: &CostModel,
-    plan: &IterationPlan,
+    summary: &IterationSummary,
     measured: Micros,
     peaks: Vec<Bytes>,
     stall: Micros,
 ) {
-    let est_peak: Vec<Bytes> = {
-        let c = cm.num_stages();
-        (0..c)
-            .map(|j| {
-                plan.replicas
-                    .iter()
-                    .map(|r| r.est_peak_memory.get(j).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect()
-    };
-    report.total_tokens += plan.actual_tokens;
+    let est_peak: Vec<Bytes> = (0..cm.num_stages())
+        .map(|j| summary.est_peak_memory.get(j).copied().unwrap_or(0))
+        .collect();
+    report.total_tokens += summary.actual_tokens;
     report.total_time_us += measured;
-    accumulate_padding(&mut report.padding, &plan.padding);
+    accumulate_padding(&mut report.padding, &summary.padding);
     report.records.push(IterationRecord {
-        est_time: plan.est_iteration_time,
+        est_time: summary.est_iteration_time,
         measured_time: measured,
         est_peak,
         measured_peak: peaks,
-        planning_time_us: plan.planning_time_us,
-        actual_tokens: plan.actual_tokens,
-        num_micro_batches: plan.num_micro_batches,
-        recompute: plan.recompute.label().to_string(),
+        planning_time_us: summary.planning_time_us,
+        actual_tokens: summary.actual_tokens,
+        num_micro_batches: summary.num_micro_batches,
+        recompute: summary.recompute.label().to_string(),
         allocator_stall_us: stall,
     });
 }

@@ -42,17 +42,20 @@ pub mod store;
 pub use baseline::{BaselineKind, BaselinePlanner};
 pub use codec::{encode_flat, CodecError, FlatPlanRef, FlatReplicaRef, PlanCodec};
 pub use compile::{compile_replica, compile_replica_with, GroundTruth};
-pub use driver::{run_training, IterationPlanner, IterationRecord, RunConfig, RunReport};
+pub use driver::{
+    run_training, IterationPlanner, IterationRecord, IterationSummary, RunConfig, RunReport,
+};
 pub use gridsearch::{search_parallelism, CandidateScore};
 pub use planner::{
     DynaPipePlanner, IterationPlan, PlanContext, PlanError, PlannerConfig, ReplicaPlan,
     ScheduleKind,
 };
 pub use runtime::{
-    decode_for_execution, plan_lower_push_traced, record_sim_iteration, run_training_pipelined,
-    run_training_pipelined_traced, CompleteOutcome, DuplicatePush, Executable, IterationExecution,
-    PlanAheadQueue, PlanDistribution, QueueChurn, ReplicaParallelism, ReplicaPrograms,
-    RuntimeConfig, RuntimeStats, Ticket, TicketTraceCtx, WaitOutcome,
+    decode_executable, decode_for_execution, plan_lower_push_traced, record_sim_iteration,
+    run_training_pipelined, run_training_pipelined_traced, CompleteOutcome, DuplicatePush,
+    Executable, IterationExecution, PlanAheadQueue, PlanDistribution, QueueChurn,
+    ReplicaParallelism, ReplicaPrograms, RuntimeConfig, RuntimeStats, Ticket, TicketTraceCtx,
+    WaitOutcome,
 };
 pub use store::{
     InstructionStore, PushOutcome, StoreError, StoreStats, StoredLowered,

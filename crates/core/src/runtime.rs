@@ -41,8 +41,9 @@
 //!   [`crate::store::StoredPlan`] wire blob and pushes it into an
 //!   [`InstructionStore`] keyed by iteration; an executor-side
 //!   **prefetcher** takes each blob in order (bounded wait), decodes it
-//!   ahead of execution, and hands the executor engines over the owned
-//!   programs — Fig. 9's push / prefetch / delete-on-consumption cycle.
+//!   ahead of execution, and hands the executor the plan's summary plus
+//!   the programs (on the default flat codec, views over the blob
+//!   itself) — Fig. 9's push / prefetch / delete-on-consumption cycle.
 //!   This models the process boundary of a multi-host planner pool:
 //!   nothing survives the hop except what the wire format carries.
 //!   The bounded window's slots count store occupancy — a worker holds
@@ -114,8 +115,8 @@
 //!   cluster layer (`dynapipe-cluster`) drives this path; the
 //!   single-host runtime keeps the unbounded wait.
 
-use crate::codec::{FlatPlanRef, FlatReplicaRef, PlanCodec};
-use crate::driver::{record_iteration, IterationPlanner, RunConfig, RunReport};
+use crate::codec::{CodecError, FlatPlanRef, FlatReplicaRef, PlanCodec};
+use crate::driver::{record_iteration, IterationPlanner, IterationSummary, RunConfig, RunReport};
 use crate::planner::{IterationPlan, PlanError};
 use crate::store::{InstructionStore, StoreStats, StoredLowered, StoredOutcome, StoredPlan};
 use dynapipe_cost::CostModel;
@@ -164,8 +165,10 @@ pub struct RuntimeConfig {
     pub distribution: PlanDistribution,
     /// Wire codec for [`PlanDistribution::StoreBacked`] blobs (ignored
     /// in-process). All codecs are bit-exact; they differ in bytes and
-    /// decode time (see [`crate::codec`]) — [`PlanCodec::Flat`] blobs are
-    /// executed zero-copy, straight over the wire bytes.
+    /// decode time (see [`crate::codec`]). The default,
+    /// [`PlanCodec::Flat`], is executed zero-copy, straight over the wire
+    /// bytes, and its executor decode reads only the blob's fixed-width
+    /// summary of the plan.
     pub codec: PlanCodec,
 }
 
@@ -216,10 +219,11 @@ impl ReplicaPrograms {
     }
 }
 
-/// An iteration ready for the engines: the plan plus each replica's
+/// An iteration ready for the engines: the summary of its plan (or, for
+/// callers that inspect it, the whole plan as `M`) plus each replica's
 /// device programs, or the planning failure the executor reports in its
 /// place.
-pub type Executable = Result<(IterationPlan, Vec<ReplicaPrograms>), PlanError>;
+pub type Executable<M = IterationSummary> = Result<(M, Vec<ReplicaPrograms>), PlanError>;
 
 /// Lower every replica of `plan` to owned simulator device programs —
 /// the one lowering loop (pure, so programs are identical wherever
@@ -241,16 +245,20 @@ pub fn lower_replicas(cm: &CostModel, plan: &IterationPlan) -> Vec<Arc<Vec<Devic
     lower_owned(cm, plan).into_iter().map(Arc::new).collect()
 }
 
-/// Hand a lowered outcome to the engines: owned programs are wrapped in
-/// `Arc`s, a planning failure passes through.
-fn into_executable(outcome: StoredOutcome) -> Executable {
+/// Hand a lowered outcome to the engines: the plan is reduced to `meta`
+/// of it, owned programs are wrapped in `Arc`s, a planning failure passes
+/// through.
+fn into_executable<M>(
+    outcome: StoredOutcome,
+    meta: impl FnOnce(IterationPlan) -> M,
+) -> Executable<M> {
     match outcome {
         StoredOutcome::Plan(StoredLowered { plan, programs }) => {
             let programs = programs
                 .into_iter()
                 .map(|p| ReplicaPrograms::Owned(Arc::new(p)))
                 .collect();
-            Ok((plan, programs))
+            Ok((meta(plan), programs))
         }
         StoredOutcome::Failed(e) => Err(e),
     }
@@ -493,9 +501,7 @@ pub struct IterationExecution {
     pub replica_traces: Vec<Vec<TraceEvent>>,
 }
 
-/// Execute one lowered iteration's replicas and fold the results exactly
-/// as the serial driver does: worst makespan, per-stage max peaks, summed
-/// stalls, first failure in replica order.
+/// [`execute_summarized`] for a caller holding the whole plan.
 pub fn execute_lowered(
     cm: &CostModel,
     plan: &IterationPlan,
@@ -505,6 +511,21 @@ pub fn execute_lowered(
     mode: ReplicaParallelism,
 ) -> Result<IterationExecution, String> {
     debug_assert_eq!(plan.replicas.len(), programs.len());
+    let summary = IterationSummary::of(plan);
+    execute_summarized(cm, &summary, programs, run, iteration_index, mode)
+}
+
+/// Execute one lowered iteration's replicas and fold the results exactly
+/// as the serial driver does: worst makespan, per-stage max peaks, summed
+/// stalls, first failure in replica order.
+pub fn execute_summarized(
+    cm: &CostModel,
+    summary: &IterationSummary,
+    programs: &[ReplicaPrograms],
+    run: &RunConfig,
+    iteration_index: usize,
+    mode: ReplicaParallelism,
+) -> Result<IterationExecution, String> {
     let c = cm.num_stages();
     let run_replica = |ri: usize| -> Result<SimResult, String> {
         let config = replica_engine_config(cm, run, iteration_index, ri);
@@ -556,43 +577,67 @@ pub fn execute_lowered(
     }
     drop(fold);
     exec.replica_makespans = makespans;
-    exec.measured_time = worst_makespan + plan.dp_sync_time;
+    exec.measured_time = worst_makespan + summary.dp_sync_time;
     Ok(exec)
 }
 
-/// Decode a fetched wire blob into its executable form: the iteration
-/// index it carries, plus either the plan with per-replica programs or
-/// the planner failure stored in its place.
+/// The executor decode: a fetched wire blob into its executable form —
+/// the iteration index it carries, plus either the plan's summary with
+/// per-replica programs or the planner failure stored in its place.
 ///
 /// Tree codecs ([`PlanCodec::Json`], [`PlanCodec::Binary`]) materialize
-/// owned programs. [`PlanCodec::Flat`] validates the arena once and
-/// hands back [`ReplicaPrograms::Flat`] views over the very same bytes —
-/// the engines execute straight over the wire blob; only the small
-/// plan-metadata section is materialized. Both prefetchers (single-host
-/// and cluster) share this so the fetched-blob-to-engine boundary is
+/// the owned plan and programs and derive the summary from the plan.
+/// [`PlanCodec::Flat`] validates the arena once, reads the fixed-width
+/// summary section, and hands back [`ReplicaPrograms::Flat`] views over
+/// the very same bytes — the engines execute straight over the wire blob
+/// and the plan section is never read. Both prefetchers (single-host and
+/// cluster) share this, so the fetched-blob-to-engine boundary is
 /// identical by construction.
+pub fn decode_executable(codec: PlanCodec, blob: Arc<[u8]>) -> Result<(usize, Executable), String> {
+    decode_with(codec, blob, FlatPlanRef::summary, |p| {
+        IterationSummary::of(&p)
+    })
+}
+
+/// [`decode_executable`] with the whole [`IterationPlan`] in place of its
+/// summary (on the flat path, rebuilt by [`FlatPlanRef::plan`]) — for
+/// callers that inspect the plan, not for the executor.
 pub fn decode_for_execution(
     codec: PlanCodec,
     blob: Arc<[u8]>,
-) -> Result<(usize, Executable), String> {
+) -> Result<(usize, Executable<IterationPlan>), String> {
+    decode_with(codec, blob, FlatPlanRef::plan, |p| p)
+}
+
+/// The one decode behind [`decode_executable`] and
+/// [`decode_for_execution`]: a flat blob is validated once by
+/// [`FlatPlanRef::new`] and `flat_meta` reads what the caller wants of
+/// its metadata; a tree blob is decoded whole and `tree_meta` reduces
+/// its plan.
+fn decode_with<M>(
+    codec: PlanCodec,
+    blob: Arc<[u8]>,
+    flat_meta: impl FnOnce(&FlatPlanRef) -> Result<M, CodecError>,
+    tree_meta: impl FnOnce(IterationPlan) -> M,
+) -> Result<(usize, Executable<M>), String> {
     if codec == PlanCodec::Flat {
         let flat = FlatPlanRef::new(blob).map_err(|e| e.to_string())?;
         let it = flat.iteration();
         if flat.is_failed() {
             return Ok((it, Err(flat.failure().map_err(|e| e.to_string())?)));
         }
-        let plan = flat.plan().map_err(|e| e.to_string())?;
+        let meta = flat_meta(&flat).map_err(|e| e.to_string())?;
         let programs = flat
             .replicas()
             .into_iter()
             .map(ReplicaPrograms::Flat)
             .collect();
-        return Ok((it, Ok((plan, programs))));
+        return Ok((it, Ok((meta, programs))));
     }
     // Engines will run over the owned, deserialized programs — nothing
     // from the planner side of the boundary is referenced.
     let stored = StoredPlan::decode(codec, &blob).map_err(|e| e.to_string())?;
-    Ok((stored.iteration, into_executable(stored.outcome)))
+    Ok((stored.iteration, into_executable(stored.outcome, tree_meta)))
 }
 
 /// What the executor receives for an iteration index.
@@ -1136,8 +1181,9 @@ pub fn serve_ticket<T>(
 /// The prefetch step both store-backed runtimes share, for iteration
 /// `it`: take its blob (bounded wait; one `StoreTake` span on success),
 /// free its window slot — the blob has left the store, so window slots
-/// count store occupancy — then decode it (one `Decode` span, only when
-/// the decode succeeds). The spans carry store shard `lane` and global
+/// count store occupancy — then make the executor decode,
+/// [`decode_executable`] (one `Decode` span, only when the decode
+/// succeeds). The spans carry store shard `lane` and global
 /// `host`. Returns the executable plus the take and the decode µs. A
 /// failed take or decode is a crashed counterpart or a corrupt wire
 /// blob, not a recoverable outcome: it comes back as the lost-blob
@@ -1167,7 +1213,7 @@ pub fn prefetch_blob<T>(
     let lost = |e: String| format!("instruction store lost iteration {it}: {e}");
     let blob = taken.map_err(|e| lost(format!("take: {e}")))?;
     let (decoded, decode_us) = sink.timed(
-        || decode_for_execution(codec, blob),
+        || decode_executable(codec, blob),
         |decoded| decoded.is_ok().then(|| span(SpanKind::Decode, 0)),
     );
     let (iteration, outcome) = decoded.map_err(|e| lost(format!("decode: {e}")))?;
@@ -1217,13 +1263,19 @@ pub fn execute_or_fail(
     it: usize,
     outcome: Executable,
     report: &mut RunReport,
-) -> Option<(IterationPlan, IterationExecution)> {
+) -> Option<(IterationSummary, IterationExecution)> {
     let executed = outcome
         .map_err(|e| e.to_string())
-        .and_then(|(plan, programs)| {
-            let exec =
-                execute_lowered(cm, &plan, &programs, run, it, ReplicaParallelism::Parallel)?;
-            Ok((plan, exec))
+        .and_then(|(summary, programs)| {
+            let exec = execute_summarized(
+                cm,
+                &summary,
+                &programs,
+                run,
+                it,
+                ReplicaParallelism::Parallel,
+            )?;
+            Ok((summary, exec))
         });
     match executed {
         Ok(done) => Some(done),
@@ -1360,7 +1412,7 @@ fn fold_claimed(
     let outcome = claimed
         .outcome
         .expect("the executor receives executable iterations");
-    let Some((plan, exec)) = execute_or_fail(cm, run, it, outcome, report) else {
+    let Some((summary, exec)) = execute_or_fail(cm, run, it, outcome, report) else {
         return false;
     };
     // Overlap accounting on the training timeline: the virtual clock
@@ -1396,7 +1448,7 @@ fn fold_claimed(
     record_iteration(
         report,
         cm,
-        &plan,
+        &summary,
         exec.measured_time,
         exec.peak_memory,
         exec.allocator_stall_us,
@@ -1618,7 +1670,8 @@ pub fn run_training_pipelined_traced(
                         let (outcome, plan_us, lower_us, serialize_us, blob_bytes) = match store {
                             None => {
                                 let lowered = plan_lower(planner, &ticket, &ctx);
-                                let outcome = into_executable(lowered.outcome);
+                                let outcome =
+                                    into_executable(lowered.outcome, |p| IterationSummary::of(&p));
                                 (Some(outcome), lowered.plan_us, lowered.lower_us, 0.0, 0)
                             }
                             Some(store) => {

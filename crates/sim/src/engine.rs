@@ -178,7 +178,11 @@ impl SimResult {
             if (a.hits, a.misses, a.defrags) != (b.hits, b.misses, b.defrags) {
                 return Err(format!("allocator_stats[{d}] counters diverged"));
             }
-            f64_eq(&format!("allocator_stats[{d}].stall_us"), a.stall_us, b.stall_us)?;
+            f64_eq(
+                &format!("allocator_stats[{d}].stall_us"),
+                a.stall_us,
+                b.stall_us,
+            )?;
         }
         Ok(())
     }
@@ -251,10 +255,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `config.memory_limits` does not match the device count.
-    pub fn with_shared(
-        config: EngineConfig,
-        programs: std::sync::Arc<Vec<DeviceProgram>>,
-    ) -> Self {
+    pub fn with_shared(config: EngineConfig, programs: std::sync::Arc<Vec<DeviceProgram>>) -> Self {
         Engine::from_source(config, programs)
     }
 }
@@ -449,11 +450,12 @@ impl<S: InstructionSource> Engine<S> {
                             end,
                         });
                     }
+                    // Validation rejects a free of a dead id, so every
+                    // free returns the size of the id's live allocation.
                     for id in frees.iter() {
-                        if let Some(bytes) = self.programs.alloc_size(d, id) {
+                        if let Some(bytes) = devs[d].mem.free(id) {
                             devs[d].alloc.charge_free(bytes);
                         }
-                        devs[d].mem.free(id);
                     }
                     let dev = &mut devs[d];
                     dev.busy += stall + dur;

@@ -73,12 +73,13 @@ impl MemoryTracker {
         Ok(())
     }
 
-    /// Release a buffer by id. Unknown ids are ignored (double free of an
-    /// OOM-failed alloc is not fatal in the simulator).
-    pub fn free(&mut self, id: AllocId) {
-        if let Some(b) = self.live.remove(&id) {
-            self.in_use -= b;
-        }
+    /// Release a buffer by id and return its size. Unknown ids are
+    /// ignored and return `None` (double free of an OOM-failed alloc is
+    /// not fatal in the simulator).
+    pub fn free(&mut self, id: AllocId) -> Option<Bytes> {
+        let b = self.live.remove(&id)?;
+        self.in_use -= b;
+        Some(b)
     }
 
     /// Bytes currently allocated.
@@ -214,7 +215,7 @@ mod tests {
         t.alloc(2, 50).unwrap();
         assert_eq!(t.in_use(), 90);
         assert_eq!(t.peak(), 90);
-        t.free(1);
+        assert_eq!(t.free(1), Some(40), "free returns the size it removes");
         assert_eq!(t.in_use(), 50);
         assert_eq!(t.peak(), 90, "peak is a high-water mark");
         t.alloc(3, 50).unwrap();
@@ -235,7 +236,7 @@ mod tests {
     #[test]
     fn tracker_ignores_unknown_free() {
         let mut t = MemoryTracker::new(10);
-        t.free(99);
+        assert_eq!(t.free(99), None);
         assert_eq!(t.in_use(), 0);
     }
 

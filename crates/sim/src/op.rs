@@ -390,17 +390,6 @@ pub trait InstructionSource {
     /// View of op `pc` on `device`, or `None` past the program's end.
     fn op_view(&self, device: usize, pc: usize) -> Option<OpView<'_>>;
 
-    /// Size of alloc id `id` on `device` (allocator cache accounting when
-    /// the buffer is freed).
-    fn alloc_size(&self, device: usize, id: AllocId) -> Option<Bytes> {
-        (0..self.num_ops(device)).find_map(|pc| match self.op_view(device, pc)? {
-            OpView::Compute { allocs, .. } => {
-                allocs.iter().find(|a| a.id == id).map(|a| a.bytes)
-            }
-            _ => None,
-        })
-    }
-
     /// Validate `device`'s program (see [`DeviceProgram::validate`]).
     fn validate_device(&self, device: usize) -> Result<(), String> {
         validate_views((0..self.num_ops(device)).filter_map(|pc| self.op_view(device, pc)))
@@ -522,12 +511,13 @@ mod tests {
             frees: vec![],
             label: lbl(),
         });
-        p.push(SimOp::CommWait { tag: 3, label: lbl() });
+        p.push(SimOp::CommWait {
+            tag: 3,
+            label: lbl(),
+        });
         let src = std::sync::Arc::new(vec![p]);
         assert_eq!(src.num_devices(), 1);
         assert_eq!(src.num_ops(0), 2);
-        assert_eq!(src.alloc_size(0, 1), Some(100));
-        assert_eq!(src.alloc_size(0, 2), None);
         assert!(matches!(
             src.op_view(0, 1),
             Some(OpView::CommWait { tag: 3, .. })

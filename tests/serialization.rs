@@ -11,13 +11,14 @@
 //! engine over the deserialized programs must run bit-identically to one
 //! over the original shared-`Arc` programs. The flat codec additionally
 //! pins the zero-copy execution path (engines over [`FlatPlanRef`]
-//! views of the raw wire bytes) and its corruption contract: truncated
-//! or bit-flipped blobs yield a typed [`dynapipe_core::CodecError`],
-//! never a panic or an out-of-bounds read.
+//! views of the raw wire bytes), its fixed-width [`IterationSummary`]
+//! (bit-equal to the one derived from the plan), and its corruption
+//! contract: truncated or bit-flipped blobs yield a typed
+//! [`dynapipe_core::CodecError`], never a panic or an out-of-bounds read.
 
 use dynapipe_core::{
-    compile_replica, runtime::replica_engine_config, FlatPlanRef, PlanCodec, RunConfig,
-    StoredLowered, StoredOutcome, StoredPlan,
+    compile_replica, decode_executable, runtime::replica_engine_config, CodecError, FlatPlanRef,
+    IterationSummary, PlanCodec, RunConfig, StoredLowered, StoredOutcome, StoredPlan,
 };
 use dynapipe_repro::prelude::*;
 use dynapipe_sim::{DeviceProgram, InstructionSource, OpLabel, SimOp};
@@ -149,8 +150,59 @@ fn empty_plan() -> dynapipe_core::IterationPlan {
     }
 }
 
+/// Field-by-field equality, floats by bit pattern (`PartialEq` alone
+/// would accept 0.0 vs -0.0).
+fn assert_summary_bits(a: &IterationSummary, b: &IterationSummary) {
+    assert_eq!(a.recompute, b.recompute);
+    for (x, y) in [
+        (a.est_iteration_time, b.est_iteration_time),
+        (a.dp_sync_time, b.dp_sync_time),
+        (a.planning_time_us, b.planning_time_us),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+    assert_eq!(a.num_micro_batches, b.num_micro_batches);
+    assert_eq!(a.actual_tokens, b.actual_tokens);
+    assert_eq!(a.padding, b.padding);
+    assert_eq!(a.est_peak_memory, b.est_peak_memory);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    #[test]
+    fn flat_summary_equals_the_plans_bit_for_bit(
+        samples in arb_samples(24, 1024),
+        planner_idx in 0usize..3,
+        mode_idx in 0usize..3,
+        iteration in 0usize..1000,
+    ) {
+        let Some((_, lowered)) = lower_case(planner_idx, mode_idx, samples) else {
+            return Ok(());
+        };
+        let expected = IterationSummary::of(&lowered.plan);
+        let stages = lowered.plan.replicas[0].est_peak_memory.len();
+        prop_assert_eq!(expected.est_peak_memory.len(), stages);
+        let stored = StoredPlan { iteration, outcome: StoredOutcome::Plan(lowered) };
+        let wire: Arc<[u8]> = Arc::from(stored.encode(PlanCodec::Flat));
+        let flat = FlatPlanRef::new(wire.clone()).expect("flat blob validates");
+        assert_summary_bits(&flat.summary().expect("planned outcome"), &expected);
+        // Every codec's executor decode hands the engines the same
+        // summary: the flat one read in place, the tree ones derived from
+        // the decoded plan.
+        for codec in PlanCodec::ALL {
+            let blob: Arc<[u8]> = Arc::from(stored.encode(codec));
+            match decode_executable(codec, blob) {
+                Ok((it, Ok((summary, programs)))) => {
+                    prop_assert_eq!(it, iteration);
+                    prop_assert_eq!(programs.len(), flat.num_replicas());
+                    assert_summary_bits(&summary, &expected);
+                }
+                Ok((_, Err(e))) => panic!("encoded a plan, decoded failure {e}"),
+                Err(e) => panic!("{} executor decode failed: {e}", codec.label()),
+            }
+        }
+    }
 
     #[test]
     fn stored_plan_roundtrip_is_bitwise_in_both_codecs(
@@ -299,6 +351,7 @@ proptest! {
             .expect_err("a truncated blob must not validate");
         prop_assert!(!err.to_string().is_empty());
         prop_assert!(StoredPlan::decode(PlanCodec::Flat, &wire[..cut]).is_err());
+        prop_assert!(decode_executable(PlanCodec::Flat, Arc::from(&wire[..cut])).is_err());
         // A single bit flip either fails validation (typed error) or
         // decodes to *some* value — a flip inside a payload field (a
         // duration, an alloc size) changes data without breaking the
@@ -308,6 +361,20 @@ proptest! {
         let fi = flip_sel % flipped.len();
         flipped[fi] ^= 1 << bit;
         if let Ok(fp) = FlatPlanRef::new(Arc::from(flipped.as_slice())) {
+            // The summary reads back typed: a flip in a value field
+            // (a time, a counter, a peak) moves the value, never the
+            // section's shape — its 93 fixed bytes after the 35-byte
+            // header plus one u64 per stage stay inside the blob.
+            match fp.summary() {
+                Ok(summary) => prop_assert!(
+                    35 + 93 + 8 * summary.est_peak_memory.len() <= flipped.len()
+                ),
+                Err(e) => prop_assert!(matches!(
+                    e,
+                    CodecError::Truncated { .. } | CodecError::Corrupt { .. }
+                )),
+            }
+            let _ = decode_executable(PlanCodec::Flat, Arc::from(flipped.as_slice()));
             let _ = fp.plan();
             let _ = fp.failure();
             for view in fp.replicas() {
@@ -373,6 +440,79 @@ proptest! {
             }
             other => panic!("unexpected op view {other:?}"),
         }
+    }
+}
+
+#[test]
+fn flat_summary_stage_count_past_the_blob_is_rejected() {
+    let (cm, plan) = plan_one();
+    let programs = plan
+        .replicas
+        .iter()
+        .map(|r| compile_replica(&cm, &r.plan))
+        .collect();
+    let wire = StoredPlan {
+        iteration: 3,
+        outcome: StoredOutcome::Plan(StoredLowered { plan, programs }),
+    }
+    .encode(PlanCodec::Flat);
+    // The stage count is the u32 at bytes 89..93 of the summary, which
+    // starts right after the 35-byte header (codec module docs).
+    let at = 35 + 89;
+    let stages = u32::from_le_bytes(wire[at..at + 4].try_into().unwrap());
+    assert_eq!(stages, 4, "one peak per pipeline stage");
+    let past = (wire.len() / 8) as u32;
+    for bad in [past, u32::MAX] {
+        let mut corrupt = wire.clone();
+        corrupt[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        assert!(
+            matches!(
+                FlatPlanRef::new(Arc::from(corrupt.as_slice())),
+                Err(CodecError::Corrupt { at: err_at, .. }) if err_at == at
+            ),
+            "stage count {bad} must be rejected at byte {at}"
+        );
+        assert!(decode_executable(PlanCodec::Flat, Arc::from(corrupt.as_slice())).is_err());
+    }
+}
+
+#[test]
+fn flat_is_the_default_codec_and_every_suite_loops_all_codecs() {
+    assert_eq!(PlanCodec::default(), PlanCodec::Flat);
+    assert_eq!(RuntimeConfig::default().codec, PlanCodec::Flat);
+    assert_eq!(
+        dynapipe_repro::cluster::ClusterConfig::default().codec,
+        PlanCodec::Flat
+    );
+    // The default only picks the runtimes' codec; the equivalence suites
+    // keep pinning every codec against the serial oracle.
+    assert_eq!(
+        PlanCodec::ALL,
+        [PlanCodec::Json, PlanCodec::Binary, PlanCodec::Flat]
+    );
+    for (suite, source) in [
+        (
+            "runtime_equivalence",
+            include_str!("../crates/core/tests/runtime_equivalence.rs"),
+        ),
+        (
+            "cluster_equivalence",
+            include_str!("../crates/cluster/tests/cluster_equivalence.rs"),
+        ),
+        (
+            "churn_equivalence",
+            include_str!("../crates/cluster/tests/churn_equivalence.rs"),
+        ),
+        (
+            "shard_routing",
+            include_str!("../crates/cluster/tests/shard_routing.rs"),
+        ),
+        ("serialization", include_str!("serialization.rs")),
+    ] {
+        assert!(
+            source.contains("for codec in PlanCodec::ALL"),
+            "{suite} no longer loops every codec"
+        );
     }
 }
 

@@ -16,7 +16,16 @@ rustfmt --check --edition 2021 \
     crates/cluster/src/runtime.rs \
     crates/core/src/codec.rs \
     crates/core/src/store.rs \
-    crates/core/tests/store_stress.rs
+    crates/core/tests/store_stress.rs \
+    crates/core/src/driver.rs \
+    crates/core/src/compile.rs \
+    crates/cluster/src/topology.rs \
+    crates/sim/src/engine.rs \
+    crates/sim/src/memory.rs \
+    crates/sim/src/op.rs \
+    crates/bench/src/bin/fig09_cluster.rs \
+    crates/bench/src/bin/fig17_planahead.rs \
+    tests/serialization.rs
 
 echo "== build (release, -D warnings) =="
 cargo build --release --workspace
