@@ -337,19 +337,11 @@ impl SliceFwdCosts {
     /// Locate the distinct shapes' grid coordinates once and price their
     /// mode-independent terms in one batched solve.
     pub fn build(cm: &CostModel, shapes: &SliceShapes) -> SliceFwdCosts {
-        // The plan is identical across modes; `None` is arbitrary.
+        // The plan and the mode-free terms are identical across modes;
+        // `None` is arbitrary.
         let batch = cm
             .shape_pricer(RecomputeMode::None)
             .locate_batch(&shapes.distinct);
-        Self::from_batch(cm, batch)
-    }
-
-    /// Price the mode-independent terms over an already-located plan of
-    /// a [`SliceShapes`]' distinct shapes — the second half of
-    /// [`SliceFwdCosts::build`], for callers that time the two apart.
-    pub fn from_batch(cm: &CostModel, batch: ShapeBatch) -> SliceFwdCosts {
-        // The mode-free terms are identical across modes; `None` is
-        // arbitrary.
         let base = cm.shape_pricer(RecomputeMode::None).price_mode_free(&batch);
         SliceFwdCosts { batch, base }
     }

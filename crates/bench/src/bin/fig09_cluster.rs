@@ -22,8 +22,8 @@
 //! codec under a scripted worst-of-every-class [`ChurnScript`] — a
 //! straggler, a planner crash, a planner join, and an executor-host
 //! loss — with a re-issue deadline armed, and reports the recovery
-//! counters ([`dynapipe_cluster::ChurnStats`]) plus `churn_overhead_us`
-//! against the undisturbed arm of the same topology and codec. Events
+//! counters ([`dynapipe_cluster::ChurnStats`]) beside the wall of its
+//! undisturbed twin, the matrix arm of the same topology and codec. Events
 //! are keyed at `min(k, iters-1)` so a capped 1-iteration smoke run
 //! still fires every one of them.
 //!
@@ -37,9 +37,10 @@
 //! for sharding: under the single placement the store host's links
 //! concentrate the entire plan stream; sharding must spread it.
 //!
-//! Emits `BENCH_cluster.json` with per-topology cluster walls, overlap
-//! ratios, per-host breakdowns, per-codec bytes / decode time, the
-//! churn arms, and the datacenter sweep, and **exits nonzero** if
+//! Writes `results/fig09_cluster.json` — per model, every matrix and
+//! churn arm's [`ClusterReport`] and the controlled codec measurement,
+//! then the datacenter sweep with per-host lists capped — and **exits
+//! nonzero** if
 //!
 //! 1. any topology's `RunReport` diverges from the serial driver
 //!    (`behavior_eq` — the golden invariant), **including the churned
@@ -52,7 +53,9 @@
 //!    container they measure the scheduler, not the codec), or
 //! 4. recovery cost is unbounded: a churned arm's wall exceeds
 //!    `3 × undisturbed + 5 s` (the slack covers the injected straggle
-//!    sleep and scheduler noise on a small container), or
+//!    sleep and scheduler noise on a small container), or a churned arm
+//!    has no undisturbed matrix arm of the same topology and codec to
+//!    compare against, or
 //! 5. the flat codec stops being zero-copy: its controlled executor
 //!    decode (`decode_executable`, exactly what the prefetcher runs per
 //!    fetched blob) must stay under **0.2×** the binary codec's, and its
@@ -66,7 +69,7 @@
 //!    **strictly fewer** bytes than the single store host serves over
 //!    its downlink (`Σ bytes_fetched` across the other executor hosts).
 
-use dynapipe_bench::{write_json, write_root_artifact, BenchOpts};
+use dynapipe_bench::{write_json, BenchOpts};
 use dynapipe_cluster::{
     run_training_cluster, run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig,
     ClusterReport, StorePlacement,
@@ -80,19 +83,23 @@ use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::Fabric;
 use dynapipe_trace::{chrome::to_chrome_trace, sim_eq, Trace, TraceSink};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+#[derive(Serialize)]
 struct Arm {
     stats: ClusterReport,
     divergence: Option<String>,
 }
 
+#[derive(Serialize)]
 struct ChurnArm {
     stats: ClusterReport,
     divergence: Option<String>,
-    undisturbed_wall_us: f64,
-    churn_overhead_us: f64,
+    /// Wall of the matrix arm with the same topology and codec; `None`
+    /// (a gate failure) if the matrix has no such arm.
+    undisturbed_wall_us: Option<f64>,
 }
 
 /// Controlled per-model codec measurement: one real lowered plan blob,
@@ -102,6 +109,7 @@ struct ChurnArm {
 /// for Flat, header/summary/record validation, the fixed-width summary
 /// read and wrapping the `Arc<[u8]>`, after which engines run straight
 /// over the wire bytes. That asymmetry is the point of the comparison.
+#[derive(Serialize)]
 struct CodecBench {
     json_bytes: usize,
     binary_bytes: usize,
@@ -165,6 +173,7 @@ fn codec_microbench(
     }
 }
 
+#[derive(Serialize)]
 struct ModelOutcome {
     name: &'static str,
     iterations: usize,
@@ -283,11 +292,9 @@ fn run_model(
             let undisturbed_wall_us = arms
                 .iter()
                 .find(|a| a.stats.topology == label && a.stats.codec == stats.codec)
-                .map(|a| a.stats.cluster_wall_us)
-                .unwrap_or(serial_wall_us);
+                .map(|a| a.stats.cluster_wall_us);
             ChurnArm {
                 divergence: serial.behavior_eq(&report).err(),
-                churn_overhead_us: stats.cluster_wall_us - undisturbed_wall_us,
                 undisturbed_wall_us,
                 stats,
             }
@@ -307,20 +314,67 @@ fn run_model(
 /// One cell of the datacenter sweep: a placement × codec deployment at
 /// one executor-host count over the rack-structured fabric, optionally
 /// with a scripted shard-owner loss.
+#[derive(Clone, Serialize)]
 struct DatacenterCell {
-    stats: ClusterReport,
-    divergence: Option<String>,
     churned: bool,
+    /// The full report; the artifact's copy is [`DatacenterPoint::truncated`].
+    stats: ClusterReport,
+    /// Σ `bytes_fetched` over every executor host.
+    bytes_fetched: u64,
+    /// Σ `bytes_pushed` over every planner host.
+    bytes_pushed: u64,
+    /// Entries cut from `stats.executor_hosts` / `stats.shards` (zero
+    /// until truncated).
+    executor_hosts_omitted: usize,
+    shards_omitted: usize,
+    divergence: Option<String>,
+}
+
+impl DatacenterCell {
+    fn new(stats: ClusterReport, divergence: Option<String>, churned: bool) -> Self {
+        DatacenterCell {
+            churned,
+            bytes_fetched: stats.executor_hosts.iter().map(|h| h.bytes_fetched).sum(),
+            bytes_pushed: stats.planner_hosts.iter().map(|h| h.bytes_pushed).sum(),
+            executor_hosts_omitted: 0,
+            shards_omitted: 0,
+            stats,
+            divergence,
+        }
+    }
 }
 
 /// The datacenter sweep at one executor-host count, with its own serial
 /// oracle (the workload changes with `dp = host count`).
+#[derive(Clone, Serialize)]
 struct DatacenterPoint {
     hosts: usize,
     iterations: usize,
     serial_feasible: bool,
     serial_wall_us: f64,
     cells: Vec<DatacenterCell>,
+}
+
+/// Per-host entries kept per datacenter cell in the artifact. The
+/// O(100)-host sweep would otherwise serialize every `ExecutorHostStats`
+/// and `ShardStats` of every cell (~28k lines of artifact); the cell's
+/// totals plus the first few hosts as a sample are enough to read it.
+const DC_HOST_JSON_CAP: usize = 8;
+
+impl DatacenterPoint {
+    /// A copy for the artifact, with each cell's per-host lists cut to
+    /// [`DC_HOST_JSON_CAP`] entries. The gates read the full point.
+    fn truncated(&self) -> DatacenterPoint {
+        let mut p = self.clone();
+        for c in &mut p.cells {
+            let s = &mut c.stats;
+            c.executor_hosts_omitted = s.executor_hosts.len().saturating_sub(DC_HOST_JSON_CAP);
+            c.shards_omitted = s.shards.len().saturating_sub(DC_HOST_JSON_CAP);
+            s.executor_hosts.truncate(DC_HOST_JSON_CAP);
+            s.shards.truncate(DC_HOST_JSON_CAP);
+        }
+        p
+    }
 }
 
 const DC_HOSTS_PER_RACK: usize = 8;
@@ -380,11 +434,11 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                         ..Default::default()
                     };
                     let (report, stats) = run_training_cluster(&planner, dataset, gbs, run, cfg);
-                    cells.push(DatacenterCell {
-                        divergence: serial.behavior_eq(&report).err(),
+                    cells.push(DatacenterCell::new(
                         stats,
-                        churned: false,
-                    });
+                        serial.behavior_eq(&report).err(),
+                        false,
+                    ));
                 }
                 // The churned cell loses a store-shard owner mid-run —
                 // host 0 itself under the sharded placement (only the
@@ -411,11 +465,11 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                     ..Default::default()
                 };
                 let (report, stats) = run_training_cluster(&planner, dataset, gbs, run, cfg);
-                cells.push(DatacenterCell {
-                    divergence: serial.behavior_eq(&report).err(),
+                cells.push(DatacenterCell::new(
                     stats,
-                    churned: true,
-                });
+                    serial.behavior_eq(&report).err(),
+                    true,
+                ));
             }
             DatacenterPoint {
                 hosts,
@@ -430,120 +484,6 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
             }
         })
         .collect()
-}
-
-/// Per-host detail kept per datacenter cell in `BENCH_cluster.json`.
-/// The O(100)-host sweep used to serialize every `ExecutorHostStats`
-/// and `ShardStats` of every cell (~28k lines of artifact); the gates
-/// only need per-cell totals, so the artifact now carries summaries
-/// plus the first few hosts as a sample.
-const DC_HOST_JSON_CAP: usize = 8;
-
-/// One datacenter cell as artifact JSON: every gated quantity in full
-/// (placement, codec, churn flag, wall, busiest link, fetched-byte
-/// total, divergence), per-cell rollups, and per-host arrays capped at
-/// [`DC_HOST_JSON_CAP`] entries with an explicit `omitted` count.
-fn datacenter_cell_json(c: &DatacenterCell) -> serde_json::Value {
-    let s = &c.stats;
-    let fetched: u64 = s.executor_hosts.iter().map(|h| h.bytes_fetched).sum();
-    let pushed: u64 = s.planner_hosts.iter().map(|h| h.bytes_pushed).sum();
-    let cap_array = |n: usize, full: serde_json::Value| -> (serde_json::Value, usize) {
-        match full {
-            serde_json::Value::Array(mut v) => {
-                let omitted = v.len().saturating_sub(n);
-                v.truncate(n);
-                (serde_json::Value::Array(v), omitted)
-            }
-            other => (other, 0),
-        }
-    };
-    let (executor_hosts, executors_omitted) =
-        cap_array(DC_HOST_JSON_CAP, serde_json::to_value(&s.executor_hosts));
-    let (shards, shards_omitted) = cap_array(DC_HOST_JSON_CAP, serde_json::to_value(&s.shards));
-    serde_json::Value::Object(vec![
-        ("topology".to_string(), serde_json::json!(s.topology)),
-        ("placement".to_string(), serde_json::json!(s.placement)),
-        ("codec".to_string(), serde_json::json!(s.codec)),
-        ("fabric".to_string(), serde_json::json!(s.fabric)),
-        ("churned".to_string(), serde_json::json!(c.churned)),
-        ("iterations".to_string(), serde_json::json!(s.iterations)),
-        (
-            "cluster_wall_us".to_string(),
-            serde_json::json!(s.cluster_wall_us),
-        ),
-        (
-            "serial_wall_us".to_string(),
-            serde_json::json!(s.serial_wall_us),
-        ),
-        ("exec_sim_us".to_string(), serde_json::json!(s.exec_sim_us)),
-        ("exposed_us".to_string(), serde_json::json!(s.exposed_us)),
-        (
-            "overlap_ratio".to_string(),
-            serde_json::json!(s.overlap_ratio),
-        ),
-        ("wire_bytes".to_string(), serde_json::json!(s.wire_bytes)),
-        (
-            "flat_wire_bytes".to_string(),
-            serde_json::json!(s.flat_wire_bytes),
-        ),
-        (
-            "max_link_bytes".to_string(),
-            serde_json::json!(s.max_link_bytes),
-        ),
-        (
-            "total_wire_us".to_string(),
-            serde_json::json!(s.total_wire_us),
-        ),
-        (
-            "mean_blob_bytes".to_string(),
-            serde_json::json!(s.mean_blob_bytes),
-        ),
-        (
-            "bytes_fetched_total".to_string(),
-            serde_json::json!(fetched),
-        ),
-        ("bytes_pushed_total".to_string(), serde_json::json!(pushed)),
-        // Store-wide counters; per-shard placement counters are the
-        // capped `shards` sample below.
-        (
-            "store".to_string(),
-            serde_json::Value::Object(vec![
-                ("pushes".to_string(), serde_json::json!(s.store.pushes)),
-                ("takes".to_string(), serde_json::json!(s.store.takes)),
-                (
-                    "discarded".to_string(),
-                    serde_json::json!(s.store.discarded),
-                ),
-                (
-                    "peak_occupancy".to_string(),
-                    serde_json::json!(s.store.peak_occupancy),
-                ),
-                (
-                    "peak_bytes".to_string(),
-                    serde_json::json!(s.store.peak_bytes),
-                ),
-            ]),
-        ),
-        ("churn".to_string(), serde_json::to_value(&s.churn)),
-        (
-            "planner_hosts".to_string(),
-            serde_json::to_value(&s.planner_hosts),
-        ),
-        ("executor_hosts".to_string(), executor_hosts),
-        (
-            "executor_hosts_omitted".to_string(),
-            serde_json::json!(executors_omitted),
-        ),
-        ("shards".to_string(), shards),
-        (
-            "shards_omitted".to_string(),
-            serde_json::json!(shards_omitted),
-        ),
-        (
-            "report_divergence".to_string(),
-            serde_json::json!(c.divergence.clone().unwrap_or_default()),
-        ),
-    ])
 }
 
 /// Span capacity for the trace arm's bounded ring: ample for the small
@@ -675,6 +615,15 @@ fn run_trace_arm(dataset: &Dataset, opts: &BenchOpts) -> (Vec<String>, Option<Tr
     (failures, export)
 }
 
+#[derive(Serialize)]
+struct Artifact {
+    decode_reps: usize,
+    models: Vec<ModelOutcome>,
+    dc_hosts_per_rack: usize,
+    dc_oversubscription: f64,
+    datacenter: Vec<DatacenterPoint>,
+}
+
 fn main() {
     let opts = BenchOpts::default();
     let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples_at_least(6000));
@@ -726,7 +675,9 @@ fn main() {
                 o.name,
                 c.stats.topology,
                 c.stats.codec,
-                c.churn_overhead_us.max(0.0) / 1e3,
+                c.undisturbed_wall_us
+                    .map_or(0.0, |u| (c.stats.cluster_wall_us - u).max(0.0))
+                    / 1e3,
                 ch.events_applied,
                 ch.tickets_reissued,
                 ch.stale_completions,
@@ -748,7 +699,6 @@ fn main() {
     let datacenter = run_datacenter(&dataset, &opts);
     for p in &datacenter {
         for c in &p.cells {
-            let fetched: u64 = c.stats.executor_hosts.iter().map(|h| h.bytes_fetched).sum();
             println!(
                 "  {:>5} {:>8} {:>7} {:>6} | {:>12.1} {:>13.1} {:>13.1}",
                 p.hosts,
@@ -757,7 +707,7 @@ fn main() {
                 if c.churned { "loss" } else { "-" },
                 c.stats.cluster_wall_us / 1e3,
                 c.stats.max_link_bytes as f64 / 1e3,
-                fetched as f64 / 1e3,
+                c.bytes_fetched as f64 / 1e3,
             );
         }
     }
@@ -807,193 +757,6 @@ fn main() {
         flat_decode_us / 1e3,
     );
 
-    let per_model = serde_json::Value::Object(
-        outcomes
-            .iter()
-            .map(|o| {
-                (
-                    o.name.to_string(),
-                    serde_json::Value::Object(vec![
-                        ("iterations".to_string(), serde_json::json!(o.iterations)),
-                        (
-                            "serial_wall_us".to_string(),
-                            serde_json::json!(o.serial_wall_us),
-                        ),
-                        (
-                            "codec_bench".to_string(),
-                            serde_json::Value::Object(vec![
-                                (
-                                    "json_bytes".to_string(),
-                                    serde_json::json!(o.codec_bench.json_bytes),
-                                ),
-                                (
-                                    "binary_bytes".to_string(),
-                                    serde_json::json!(o.codec_bench.binary_bytes),
-                                ),
-                                (
-                                    "flat_bytes".to_string(),
-                                    serde_json::json!(o.codec_bench.flat_bytes),
-                                ),
-                                (
-                                    "json_decode_us".to_string(),
-                                    serde_json::json!(o.codec_bench.json_decode_us),
-                                ),
-                                (
-                                    "binary_decode_us".to_string(),
-                                    serde_json::json!(o.codec_bench.binary_decode_us),
-                                ),
-                                (
-                                    "flat_decode_us".to_string(),
-                                    serde_json::json!(o.codec_bench.flat_decode_us),
-                                ),
-                                ("decode_reps".to_string(), serde_json::json!(DECODE_REPS)),
-                            ]),
-                        ),
-                        (
-                            "arms".to_string(),
-                            serde_json::Value::Array(
-                                o.arms
-                                    .iter()
-                                    .map(|a| {
-                                        let mut v = match serde_json::to_value(&a.stats) {
-                                            serde_json::Value::Object(m) => m,
-                                            _ => unreachable!("reports are objects"),
-                                        };
-                                        v.push((
-                                            "report_divergence".to_string(),
-                                            serde_json::json!(a
-                                                .divergence
-                                                .clone()
-                                                .unwrap_or_default()),
-                                        ));
-                                        serde_json::Value::Object(v)
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                        (
-                            "churn_arms".to_string(),
-                            serde_json::Value::Array(
-                                o.churn_arms
-                                    .iter()
-                                    .map(|c| {
-                                        let mut v = match serde_json::to_value(&c.stats) {
-                                            serde_json::Value::Object(m) => m,
-                                            _ => unreachable!("reports are objects"),
-                                        };
-                                        v.push((
-                                            "undisturbed_wall_us".to_string(),
-                                            serde_json::json!(c.undisturbed_wall_us),
-                                        ));
-                                        v.push((
-                                            "churn_overhead_us".to_string(),
-                                            serde_json::json!(c.churn_overhead_us),
-                                        ));
-                                        v.push((
-                                            "report_divergence".to_string(),
-                                            serde_json::json!(c
-                                                .divergence
-                                                .clone()
-                                                .unwrap_or_default()),
-                                        ));
-                                        serde_json::Value::Object(v)
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let churn_overhead_us: f64 = outcomes
-        .iter()
-        .flat_map(|o| o.churn_arms.iter())
-        .map(|c| c.churn_overhead_us.max(0.0))
-        .sum();
-    let out = serde_json::Value::Object(vec![
-        ("iterations".to_string(), serde_json::json!(iters)),
-        (
-            "json_blob_bytes".to_string(),
-            serde_json::json!(json_blob_bytes),
-        ),
-        (
-            "binary_blob_bytes".to_string(),
-            serde_json::json!(binary_blob_bytes),
-        ),
-        (
-            "flat_blob_bytes".to_string(),
-            serde_json::json!(flat_blob_bytes),
-        ),
-        (
-            "binary_to_json_bytes_ratio".to_string(),
-            serde_json::json!(binary_blob_bytes / json_blob_bytes.max(1.0)),
-        ),
-        (
-            "flat_to_binary_bytes_ratio".to_string(),
-            serde_json::json!(flat_blob_bytes / binary_blob_bytes.max(1.0)),
-        ),
-        (
-            "json_decode_us".to_string(),
-            serde_json::json!(json_decode_us),
-        ),
-        (
-            "binary_decode_us".to_string(),
-            serde_json::json!(binary_decode_us),
-        ),
-        (
-            "flat_decode_us".to_string(),
-            serde_json::json!(flat_decode_us),
-        ),
-        (
-            "flat_to_binary_decode_ratio".to_string(),
-            serde_json::json!(flat_decode_us / binary_decode_us.max(1e-9)),
-        ),
-        (
-            "churn_overhead_us".to_string(),
-            serde_json::json!(churn_overhead_us),
-        ),
-        (
-            "threads".to_string(),
-            serde_json::json!(rayon::current_num_threads()),
-        ),
-        ("per_model".to_string(), per_model),
-        (
-            "datacenter".to_string(),
-            serde_json::Value::Array(
-                datacenter
-                    .iter()
-                    .map(|p| {
-                        serde_json::Value::Object(vec![
-                            ("hosts".to_string(), serde_json::json!(p.hosts)),
-                            ("iterations".to_string(), serde_json::json!(p.iterations)),
-                            (
-                                "hosts_per_rack".to_string(),
-                                serde_json::json!(DC_HOSTS_PER_RACK),
-                            ),
-                            (
-                                "oversubscription".to_string(),
-                                serde_json::json!(DC_OVERSUBSCRIPTION),
-                            ),
-                            (
-                                "serial_wall_us".to_string(),
-                                serde_json::json!(p.serial_wall_us),
-                            ),
-                            (
-                                "cells".to_string(),
-                                serde_json::Value::Array(
-                                    p.cells.iter().map(datacenter_cell_json).collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    write_root_artifact(&opts, "BENCH_cluster.json", &out);
-    write_json("fig09_cluster", &out);
-
     // Hard checks: the golden invariant (churned arms included), the
     // codec acceptance bar, bounded recovery cost, and the trace arm's
     // determinism + reconciliation contract.
@@ -1024,7 +787,16 @@ fn main() {
                 );
                 failed = true;
             }
-            let bound = c.undisturbed_wall_us * 3.0 + 5e6;
+            let Some(undisturbed_wall_us) = c.undisturbed_wall_us else {
+                eprintln!(
+                    "error: {} churned {}/{} has no undisturbed matrix arm to measure \
+                     recovery cost against",
+                    o.name, c.stats.topology, c.stats.codec
+                );
+                failed = true;
+                continue;
+            };
+            let bound = undisturbed_wall_us * 3.0 + 5e6;
             if c.stats.cluster_wall_us > bound {
                 eprintln!(
                     "error: {} churned {}/{} recovery cost is unbounded: {:.0} µs wall \
@@ -1104,12 +876,7 @@ fn main() {
                     // The single store host's downlink: every byte the
                     // other executor hosts fetch comes off host 0's NIC
                     // (its own replicas read local copies, uncounted).
-                    let downlink: u64 = single
-                        .stats
-                        .executor_hosts
-                        .iter()
-                        .map(|h| h.bytes_fetched)
-                        .sum();
+                    let downlink = single.bytes_fetched;
                     if sharded.stats.max_link_bytes >= downlink {
                         eprintln!(
                             "error: datacenter {}h/{}: sharded busiest link carries \
@@ -1135,6 +902,16 @@ fn main() {
             }
         }
     }
+    write_json(
+        "fig09_cluster",
+        &Artifact {
+            decode_reps: DECODE_REPS,
+            models: outcomes,
+            dc_hosts_per_rack: DC_HOSTS_PER_RACK,
+            dc_oversubscription: DC_OVERSUBSCRIPTION,
+            datacenter: datacenter.iter().map(DatacenterPoint::truncated).collect(),
+        },
+    );
     if failed {
         std::process::exit(1);
     }

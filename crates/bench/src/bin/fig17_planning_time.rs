@@ -5,16 +5,13 @@
 //! (b) Ratio of planning time to simulated iteration time — the number of
 //!     CPU cores needed to fully overlap planning with training.
 //!
-//! Also demonstrates the worker-pool planner (§3) pushing plans through the
-//! instruction store, on the store-backed plan-ahead runtime.
+//! The store-backed worker-pool planner (§3) that overlaps this planning
+//! with execution is `fig17_planahead`'s subject.
 
 use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
-use dynapipe_core::{
-    run_training_pipelined, DynaPipePlanner, PlanCodec, PlanDistribution, PlannerConfig, RunConfig,
-    RuntimeConfig,
-};
+use dynapipe_core::{DynaPipePlanner, PlannerConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig};
+use dynapipe_data::Dataset;
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use std::sync::Arc;
 
@@ -87,50 +84,6 @@ fn main() {
         }
     }
 
-    // Worker-pool planning demonstration: the store-backed runtime's
-    // planner pool pushes every plan into the instruction store.
-    println!("\nworker-pool planning through the instruction store (GBS 65536, GPT):");
-    let cm = Arc::new(CostModel::build(
-        hw.clone(),
-        ModelConfig::gpt_6_7b(),
-        ParallelConfig::new(1, 2, 4),
-        &ProfileOptions::default(),
-    ));
-    let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
-    let gbs = GlobalBatchConfig {
-        tokens_per_batch: 65536,
-        max_seq_len: 4096,
-    };
-    let run = RunConfig {
-        max_iterations: Some(opts.capped(8, 2)),
-        ..Default::default()
-    };
-    for workers in [1usize, 4] {
-        let (report, stats) = run_training_pipelined(
-            &planner,
-            &dataset,
-            gbs,
-            run,
-            RuntimeConfig {
-                workers,
-                distribution: PlanDistribution::StoreBacked,
-                codec: PlanCodec::Flat,
-                ..Default::default()
-            },
-        );
-        if let Some(e) = &report.failure {
-            println!("  {workers} worker(s): run stopped: {e}");
-        }
-        println!(
-            "  {workers} worker(s): host wall {:8.1} ms, planning {:8.1} ms, exposed {:6.1} ms \
-             ({:.0}% hidden), {} plans stored",
-            stats.host_wall_us / 1e3,
-            stats.total_planning_us() / 1e3,
-            stats.exposed_planning_us() / 1e3,
-            stats.overlap_ratio() * 100.0,
-            stats.store.map_or(0, |s| s.pushes),
-        );
-    }
     println!(
         "\nShape check (paper Fig. 17): planning time grows with GBS (the DP\n\
          dominates); the planning/iteration ratio stays far below 1, so planning\n\

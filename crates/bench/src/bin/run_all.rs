@@ -4,27 +4,24 @@
 //! Results land in `results/*.json`; console output shows each figure's
 //! table and its expected-shape note.
 //!
-//! A full (default) sweep deliberately regenerates the trend-tracked
-//! root artifacts too (`BENCH_planning.json`, `BENCH_runtime.json`) —
-//! running a bin *is* regenerating its artifact, same as invoking it
-//! directly, so only run the full sweep on the machine class whose
-//! numbers you want recorded.
+//! The bins reproduce paper figures on simulated time and write only
+//! under `results/` (gitignored); host performance is measured by the
+//! repo benchmark (`perfbench`), not here.
 //!
 //! `--smoke` runs one capped iteration of every bench bin (tiny dataset,
 //! one simulated iteration, workload floors dropped via
 //! `DYNAPIPE_BENCH_SMOKE=1`) so CI can catch bin bit-rot — a binary that
 //! panics, diverges from its reference, or stops emitting its artifact —
 //! in minutes instead of a full regeneration run. Divergence checks
-//! (`planning_speed`, `fig17_planahead`) still run and still fail the
-//! sweep — including `fig17_planahead`'s store-backed arms across all
-//! three wire codecs (`json`/`binary`/`flat`, the last executing
-//! engines straight over the wire bytes) and `fig09_cluster`'s
-//! topology × codec matrix with its flat decode/bytes gates, so
-//! plan-serialization bit-rot in any codec fails CI; smoke runs never
-//! touch the root artifacts. After the figures, the sweep round-trips
-//! `fig09_cluster`'s exported span trace through `trace_report`
-//! (parse → validate → reconcile → critical path), so a trace that
-//! stops reconciling with the counters also fails the sweep.
+//! still run and still fail the sweep — including `fig17_planahead`'s
+//! store-backed arms across all three wire codecs (`json`/`binary`/
+//! `flat`, the last executing engines straight over the wire bytes) and
+//! `fig09_cluster`'s topology × codec matrix with its flat decode/bytes
+//! gates, so plan-serialization bit-rot in any codec fails CI. After the
+//! figures, the sweep round-trips `fig09_cluster`'s exported span trace
+//! through `trace_report` (parse → validate → reconcile → critical
+//! path), so a trace that stops reconciling with the counters also fails
+//! the sweep.
 //!
 //! The sibling binaries (`dynapipe-lint`, every figure bin and
 //! `trace_report`) run from the directory holding this executable. If any
@@ -51,7 +48,6 @@ const FIGURES: &[&str] = &[
     "fig17_planahead",
     "fig18_cost_model_accuracy",
     "ablation_recompute",
-    "planning_speed",
 ];
 
 /// Build the sibling binaries into `dir` unless they are all there

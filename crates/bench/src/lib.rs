@@ -81,8 +81,8 @@ impl BenchOpts {
         }
     }
 
-    /// Dataset size with a per-bin floor — bins that need a big dataset
-    /// for stable numbers (e.g. the planning benches) apply their floor
+    /// Dataset size with a per-bin floor — bins whose workload draws many
+    /// 65k-token mini-batches (the Fig. 9/17 bins) apply their floor
     /// here; smoke mode drops it so `run_all --smoke` stays cheap.
     pub fn dataset_samples_at_least(&self, floor: usize) -> usize {
         if self.smoke {
@@ -390,26 +390,6 @@ pub fn run_point(
             ..Default::default()
         },
     )
-}
-
-/// Write a canonical trend-tracked artifact at the repo root (e.g.
-/// `BENCH_planning.json`, `BENCH_runtime.json`) — unless this is a smoke
-/// run, whose toy-workload numbers must never clobber the tracked ones.
-pub fn write_root_artifact<T: Serialize>(opts: &BenchOpts, name: &str, value: &T) {
-    if opts.smoke {
-        println!("  (smoke: {name} left untouched)");
-        return;
-    }
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(name, &s) {
-                eprintln!("warning: could not write {name}: {e}");
-            } else {
-                println!("  -> {name}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
 }
 
 /// Write a JSON result file under `results/`.

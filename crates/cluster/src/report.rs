@@ -1,5 +1,5 @@
 //! Per-host rollups of a cluster run — the data behind
-//! `BENCH_cluster.json`.
+//! `fig09_cluster`'s artifact and gates.
 //!
 //! # The wire-byte rule
 //!

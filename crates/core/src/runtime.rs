@@ -1457,8 +1457,8 @@ fn fold_claimed(
 }
 
 /// Timing breakdown of a pipelined run — the data behind
-/// `BENCH_runtime.json` and the paper's "planning is fully overlapped"
-/// argument. All `_us` values are microseconds; see the module docs for
+/// `fig17_planahead`'s rows and the paper's "planning is fully
+/// overlapped" argument. All `_us` values are microseconds; see the module docs for
 /// the training-timeline semantics.
 #[derive(Debug, Clone)]
 pub struct RuntimeStats {

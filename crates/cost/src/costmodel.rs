@@ -183,11 +183,6 @@ impl CostModel {
             .unwrap_or(0)
     }
 
-    /// Static model-state bytes on stage `s`.
-    pub fn stage_static_bytes(&self, s: usize) -> Bytes {
-        self.static_bytes[s]
-    }
-
     /// Device memory left for activations on stage `s`, saturating at zero.
     pub fn activation_budget(&self, s: usize) -> Bytes {
         self.hw.device_memory.saturating_sub(self.static_bytes[s])
@@ -218,11 +213,6 @@ impl CostModel {
             ModelArch::Gpt => shape.batch_size * shape.enc_len,
             ModelArch::T5 => shape.batch_size * shape.dec_len,
         }
-    }
-
-    /// Access the raw profile database (for Fig. 3-style layer studies).
-    pub fn profile_db(&self) -> &ProfileDb {
-        &self.db
     }
 
     /// Build a [`ShapePricer`] for `mode`: a resolved view of the profile

@@ -50,21 +50,6 @@ pub fn grid_query_stats() -> GridQueryStats {
     }
 }
 
-impl GridQueryStats {
-    /// Counter deltas since an earlier snapshot. Saturating: the scalar
-    /// counter's cheap load+store pair can move backward under concurrent
-    /// scalar queriers, and a garbage near-`u64::MAX` delta (or a debug
-    /// overflow panic) must not escape into artifacts.
-    pub fn since(&self, earlier: &GridQueryStats) -> GridQueryStats {
-        GridQueryStats {
-            scalar: self.scalar.saturating_sub(earlier.scalar),
-            batch_points: self.batch_points.saturating_sub(earlier.batch_points),
-            batch_cells: self.batch_cells.saturating_sub(earlier.batch_cells),
-            batch_evals: self.batch_evals.saturating_sub(earlier.batch_evals),
-        }
-    }
-}
-
 /// Multiply-xor hasher for integer-keyed hot-loop maps: keys are small or
 /// already well-mixed integers (axis coordinates, packed points, packed
 /// shape extents), so SipHash's DoS resistance is wasted overhead.

@@ -26,11 +26,6 @@ impl ModelArch {
             ModelArch::T5 => "T5",
         }
     }
-
-    /// Whether samples carry a separate decoder (target) sequence.
-    pub fn is_encoder_decoder(self) -> bool {
-        matches!(self, ModelArch::T5)
-    }
 }
 
 /// A transformer model configuration (one row of Table 1).

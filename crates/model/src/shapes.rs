@@ -59,11 +59,6 @@ impl MicroBatchShape {
         self.batch_size as u64 * (self.enc_len + self.dec_len) as u64
     }
 
-    /// Tokens per sample after padding.
-    pub fn tokens_per_sample(&self) -> usize {
-        self.enc_len + self.dec_len
-    }
-
     /// Bytes of the activation tensor leaving a stage of the given kind,
     /// headed to the next pipeline stage.
     ///

@@ -25,6 +25,15 @@ rustfmt --check --edition 2021 \
     crates/sim/src/op.rs \
     crates/bench/src/bin/fig09_cluster.rs \
     crates/bench/src/bin/fig17_planahead.rs \
+    crates/bench/src/bin/fig17_planning_time.rs \
+    crates/bench/src/bin/run_all.rs \
+    crates/bench/src/lib.rs \
+    crates/batcher/src/dp.rs \
+    crates/batcher/tests/solve_count.rs \
+    crates/model/src/config.rs \
+    crates/model/src/shapes.rs \
+    crates/cost/src/costmodel.rs \
+    crates/cluster/src/report.rs \
     tests/serialization.rs
 
 echo "== build (release, -D warnings) =="
