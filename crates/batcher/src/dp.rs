@@ -17,21 +17,19 @@
 //!    updates the running padded extents and the dedup lookup in O(1)
 //!    amortized (extents change rarely on sorted batches, and while they
 //!    are unchanged the shape id is a direct table index, not a hash) —
-//!    on sorted real-world batches most slices collapse onto a few
-//!    hundred distinct padded shapes;
-//! 2. a *mode-dependent cost pass* prices only the distinct shapes under a
-//!    given [`RecomputeMode`] and memory limit, then scatters the costs
-//!    back over the dense `(end, width)` grid. It queries only the grids
-//!    the mode changes — `recompute_extra` and `activation` — as one
-//!    batched solve each over the shared [`dynapipe_cost::ShapeBatch`].
+//!    on sorted real-world batches the slices collapse onto far fewer
+//!    distinct padded shapes;
+//! 2. a *pricing pass* ([`SliceFwdCosts`]) prices the distinct shapes
+//!    under **every** [`RecomputeMode`] at once: it locates each shape's
+//!    grid coordinates once and, in that one visit, evaluates the
+//!    forward, backward, and every mode's `recompute_extra` and
+//!    `activation` grids ([`dynapipe_cost::ShapePricer::price_every_mode`]).
 //!
-//! Between the two, [`SliceFwdCosts`] locates the distinct shapes' grid
-//! coordinates and prices every term no mode changes — the forward time
-//! and the backward pass's `bwd_time` and LM-head terms — once per
-//! mini-batch. The §7 recompute sweep in the planner builds the shape
-//! pass and this table once and runs only the cost pass per mode, instead
-//! of recomputing shapes, re-locating coordinates and re-querying the
-//! mode-independent grids `|modes|` times.
+//! Each mode's partition then only compares the priced activation against
+//! its memory limit and scatters the times over the dense `(end, width)`
+//! grid. The §7 recompute sweep in the planner builds both passes once per
+//! mini-batch and runs only that per mode, instead of recomputing shapes,
+//! re-locating coordinates and re-walking the grids `|modes|` times.
 //!
 //! The outer `t_max` sweep is an exact bound-driven search that skips most
 //! Eq. 2 solves. It rests on one property: the minimum sum `S(t)` is
@@ -53,7 +51,7 @@
 //! schedule's in-flight factor.
 
 use crate::microbatch::MicroBatch;
-use dynapipe_cost::{CostModel, ModeFreeCosts, ShapeBatch};
+use dynapipe_cost::{CostModel, ModePrices};
 use dynapipe_data::Sample;
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{Bytes, MicroBatchShape, Micros, ModelArch};
@@ -143,11 +141,33 @@ pub struct Partitioner<'a> {
 /// Sentinel shape id for dense cells outside the valid `(end, k)` domain.
 const NO_SHAPE: u32 = u32::MAX;
 
-/// Shape-dedup map keyed on packed extents; hashed with the cost crate's
-/// shared multiply-xor [`dynapipe_cost::grid::CoordHasher`] (SipHash's
-/// DoS resistance is wasted overhead in this hot loop).
-type ShapeIdMap =
-    HashMap<u64, u32, std::hash::BuildHasherDefault<dynapipe_cost::grid::CoordHasher>>;
+/// Multiply-xor hasher for the shape-dedup map: its keys are packed
+/// integer extents, so SipHash's DoS resistance is wasted overhead in this
+/// hot loop.
+#[derive(Default)]
+struct ExtentHasher(u64);
+
+impl std::hash::Hasher for ExtentHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        // splitmix64-style finalizer over the previous state.
+        let mut z = self.0 ^ x.wrapping_mul(0x9E3779B97F4A7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
+/// Shape-dedup map keyed on packed extents.
+type ShapeIdMap = HashMap<u64, u32, std::hash::BuildHasherDefault<ExtentHasher>>;
 
 /// Pack padded extents (input, target) into one u64 key.
 fn extent_key(eff_in: usize, eff_tg: usize) -> u64 {
@@ -166,9 +186,13 @@ fn extent_key(eff_in: usize, eff_tg: usize) -> u64 {
 struct ExtentDedup {
     /// `extent_key(eff_in, eff_tg)` → index into `ids`.
     groups: ShapeIdMap,
+    /// Per extent group: its padded extents `(eff_in, eff_tg)`.
+    extents: Vec<(usize, usize)>,
     /// Per extent group: shape ids indexed by `k` (batch size − 1), grown
     /// on demand; [`NO_SHAPE`] marks batch sizes not yet assigned.
     ids: Vec<Vec<u32>>,
+    /// Number of shape ids assigned.
+    len: u32,
 }
 
 impl ExtentDedup {
@@ -181,21 +205,40 @@ impl ExtentDedup {
             .or_insert(next);
         if g == next {
             self.ids.push(Vec::new());
+            self.extents.push((eff_in, eff_tg));
         }
         g as usize
     }
 
-    /// Shape id of batch size `k + 1` within `group`, assigning a fresh id
-    /// via `assign` on first use.
-    fn id_at(&mut self, group: usize, k: usize, assign: impl FnOnce() -> u32) -> u32 {
+    /// Shape id of batch size `k + 1` within `group`, assigning the next
+    /// id on first use.
+    fn id_at(&mut self, group: usize, k: usize) -> u32 {
         let row = &mut self.ids[group];
         if row.len() <= k {
             row.resize(k + 1, NO_SHAPE);
         }
         if row[k] == NO_SHAPE {
-            row[k] = assign();
+            row[k] = self.len;
+            self.len += 1;
         }
         row[k]
+    }
+
+    /// The shape of every assigned id, in id order, in one allocation of
+    /// exactly their number (the table is the shape pass's largest).
+    fn shapes(&self, arch: ModelArch) -> Vec<MicroBatchShape> {
+        let mut shapes = vec![MicroBatchShape::gpt(0, 0); self.len as usize];
+        for (row, &(eff_in, eff_tg)) in self.ids.iter().zip(&self.extents) {
+            for (k, &id) in row.iter().enumerate() {
+                if id != NO_SHAPE {
+                    shapes[id as usize] = match arch {
+                        ModelArch::Gpt => MicroBatchShape::gpt(k + 1, eff_in),
+                        ModelArch::T5 => MicroBatchShape::t5(k + 1, eff_in, eff_tg),
+                    };
+                }
+            }
+        }
+        shapes
     }
 }
 
@@ -245,7 +288,6 @@ impl SliceShapes {
              including GPT's input+target, fit the packed extent keys)"
         );
         let mut cell = vec![NO_SHAPE; n * width];
-        let mut distinct: Vec<MicroBatchShape> = Vec::new();
         let mut dedup = ExtentDedup::default();
         for end in 1..=n {
             // Per-row incremental extents: the slice covering `end-1-k..end`
@@ -272,20 +314,12 @@ impl SliceShapes {
                     };
                     group = dedup.group(eff_in, eff_tg);
                 }
-                let id = dedup.id_at(group, k, || {
-                    let shape = match arch {
-                        ModelArch::Gpt => MicroBatchShape::gpt(k + 1, max_in.max(1)),
-                        ModelArch::T5 => MicroBatchShape::t5(k + 1, max_in.max(1), max_tg.max(1)),
-                    };
-                    distinct.push(shape);
-                    (distinct.len() - 1) as u32
-                });
-                cell[(end - 1) * width + k] = id;
+                cell[(end - 1) * width + k] = dedup.id_at(group, k);
             }
         }
         SliceShapes {
             cell,
-            distinct,
+            distinct: dedup.shapes(arch),
             width,
             n,
             arch,
@@ -302,7 +336,7 @@ impl SliceShapes {
         self.width
     }
 
-    /// Number of distinct padded slice shapes (the cost pass prices only
+    /// Number of distinct padded slice shapes (the pricing pass prices only
     /// these).
     pub fn num_distinct_shapes(&self) -> usize {
         self.distinct.len()
@@ -319,36 +353,31 @@ impl SliceShapes {
     }
 }
 
-/// The mode-independent table per distinct slice shape: the batched grid
-/// query plan over the shapes and every pricing term no recomputation
-/// mode changes — the forward time `t_f` and the backward pass's
-/// `bwd_time` and LM-head terms. The §7 sweep builds it once per
-/// mini-batch; each mode's cost pass then queries only that mode's
-/// `recompute_extra` and `activation` grids against the same plan
-/// (every mode's grids share the profile's sampling axes).
+/// The pricing pass over a [`SliceShapes`]: every distinct slice shape's
+/// micro-batch time `t(M) = t_f + t_b` and activation bytes under every
+/// recomputation mode, priced in one visit per shape of its grid cells (see
+/// [`dynapipe_cost::ShapePricer::price_every_mode`]). The §7 sweep builds
+/// it once per mini-batch; each mode's partition reads its own column and
+/// applies its own memory limit. (The name predates the pricing of every
+/// mode here; it stays because benchmark tooling builds it by name.)
 pub struct SliceFwdCosts {
-    /// Shared located grid coordinates of the distinct shapes.
-    batch: ShapeBatch,
-    /// Mode-independent terms of the distinct shapes.
-    base: ModeFreeCosts,
+    /// Every mode's unmasked time and activation per distinct shape.
+    prices: ModePrices,
 }
 
 impl SliceFwdCosts {
-    /// Locate the distinct shapes' grid coordinates once and price their
-    /// mode-independent terms in one batched solve.
+    /// Price the distinct shapes under every recomputation mode in one
+    /// pass.
     pub fn build(cm: &CostModel, shapes: &SliceShapes) -> SliceFwdCosts {
-        // The plan and the mode-free terms are identical across modes;
-        // `None` is arbitrary.
-        let batch = cm
-            .shape_pricer(RecomputeMode::None)
-            .locate_batch(&shapes.distinct);
-        let base = cm.shape_pricer(RecomputeMode::None).price_mode_free(&batch);
-        SliceFwdCosts { batch, base }
+        SliceFwdCosts {
+            prices: cm.shape_pricer().price_every_mode(&shapes.distinct),
+        }
     }
 }
 
 /// Per-(end, width) slice costs for one recomputation mode, stored densely
-/// for the DP inner loop — the output of the mode-dependent cost pass.
+/// for the DP inner loop — one mode's column of the pricing pass,
+/// scattered over the slices.
 struct SliceCosts {
     /// `time[(j-1) * width + k]` = t(M over samples `j-1-k .. j`).
     time: Vec<Micros>,
@@ -458,35 +487,25 @@ impl<'a> Partitioner<'a> {
         SliceShapes::build(self.cm.model.arch, ordered, self.config.max_mb_samples)
     }
 
-    /// The mode-dependent cost pass: price every distinct shape under this
-    /// partitioner's recompute mode and memory limit. Returns `t(M)` per
-    /// distinct shape (`f64::INFINITY` where infeasible) and whether it
-    /// fits the memory limit.
-    ///
-    /// Pricing goes through [`dynapipe_cost::ShapePricer`]'s batched
-    /// methods against the shared query plan in `fwd` — bit-identical to
-    /// per-shape `mb_time`/`mb_activation_max` calls. It reads the shared
-    /// mode-independent terms and queries only this mode's activation and
-    /// `recompute_extra` grids (`t = t_f + t_b`, exactly Eq. 1's sum).
+    /// This partitioner's column of the pricing pass: `t(M)` per distinct
+    /// shape under its recompute mode (`f64::INFINITY` where infeasible)
+    /// and whether the shape fits its memory limit — bit-identical to
+    /// per-shape `mb_time`/`mb_activation_max` calls.
     fn price_shapes(&self, fwd: &SliceFwdCosts) -> (Vec<Micros>, Vec<bool>) {
         let limit = self.config.mb_memory_limit;
-        let pricer = self.cm.shape_pricer(self.config.recompute);
-        let act = pricer.mb_activation_max_batch(&fwd.batch);
-        // Feasibility-masked backward solve: the scalar path never priced
-        // `t(M)` for memory-infeasible slices, so this mode's recompute
-        // grids skip them too — on tight-memory configs most of the shape
-        // table is infeasible. (The mode-independent terms in `fwd` stay
-        // unmasked: a shape infeasible under this mode may be feasible
-        // under another.)
-        let feasible: Vec<bool> = act.iter().map(|&a| a <= limit).collect();
-        let bwd = pricer.mb_bwd_batch_masked(&fwd.batch, &fwd.base, &feasible);
-        let time = fwd
-            .base
-            .fwd()
+        let mode = self.config.recompute;
+        let feasible: Vec<bool> = fwd
+            .prices
+            .activation(mode)
             .iter()
-            .zip(&bwd)
+            .map(|&a| a <= limit)
+            .collect();
+        let time = fwd
+            .prices
+            .time(mode)
+            .iter()
             .zip(&feasible)
-            .map(|((&f, &b), &ok)| if ok { f + b } else { f64::INFINITY })
+            .map(|(&t, &ok)| if ok { t } else { f64::INFINITY })
             .collect();
         (time, feasible)
     }
@@ -676,7 +695,7 @@ impl<'a> Partitioner<'a> {
     }
 
     /// Partition using a shared, precomputed shape pass (builds the
-    /// forward table internally; use
+    /// pricing pass internally; use
     /// [`Partitioner::partition_with_context`] to also share that across
     /// modes, as the §7 sweep does).
     pub fn partition_with_shapes(
@@ -687,9 +706,9 @@ impl<'a> Partitioner<'a> {
         self.partition_with_context(shapes, &SliceFwdCosts::build(self.cm, shapes), ordered)
     }
 
-    /// Partition using the shared mode-independent passes (slice shapes
-    /// and forward times). The §7 sweep builds both once per mini-batch
-    /// and calls this once per recompute mode.
+    /// Partition using the shared passes (slice shapes and every mode's
+    /// prices). The §7 sweep builds both once per mini-batch and calls
+    /// this once per recompute mode.
     ///
     /// The passes must cover exactly `ordered` with this partitioner's
     /// `max_mb_samples` and the cost model's architecture.
@@ -708,7 +727,7 @@ impl<'a> Partitioner<'a> {
             self.config.max_mb_samples.min(ordered.len()).max(1)
         );
         debug_assert_eq!(shapes.arch(), self.cm.model.arch);
-        debug_assert_eq!(fwd.base.fwd().len(), shapes.distinct.len());
+        debug_assert_eq!(fwd.prices.len(), shapes.distinct.len());
         let (shape_time, shape_feasible) = self.price_shapes(fwd);
         let candidates = self.candidates(&shape_time, &shape_feasible);
         let table = Self::scatter(shapes, &shape_time, &shape_feasible);
@@ -879,6 +898,15 @@ mod tests {
         CostModel::build(
             HardwareModel::a100_cluster(),
             ModelConfig::gpt_6_7b(),
+            ParallelConfig::new(1, 1, pp),
+            &ProfileOptions::coarse(),
+        )
+    }
+
+    fn t5_cm(pp: usize) -> CostModel {
+        CostModel::build(
+            HardwareModel::a100_cluster(),
+            ModelConfig::t5_11b(),
             ParallelConfig::new(1, 1, pp),
             &ProfileOptions::coarse(),
         )
@@ -1136,6 +1164,50 @@ mod tests {
                     assert_eq!(a.est_iteration_time, b.est_iteration_time);
                 }
                 (a, b) => assert_eq!(a.is_none(), b.is_none(), "mode {:?}", mode),
+            }
+        }
+    }
+
+    #[test]
+    fn price_shapes_matches_scalar_pricing_under_every_limit() {
+        // Each mode's column of the one pricing pass must price every
+        // distinct shape exactly as the scalar path does: `cm.mb_time` bit
+        // for bit where `cm.mb_activation_max` fits the limit, infinity and
+        // infeasible where it does not — on GPT and T5, under a loose, a
+        // tight and a zero limit.
+        for cm in [cm(4), t5_cm(4)] {
+            let mut samples = mixed(40, 7);
+            sort_samples(cm.model.arch, &mut samples);
+            let shapes = SliceShapes::build(cm.model.arch, &samples, 16);
+            let fwd = SliceFwdCosts::build(&cm, &shapes);
+            let distinct = shapes.distinct_shapes();
+            let tight = cm.mb_activation_max(&distinct[distinct.len() / 2], RecomputeMode::None);
+            for limit in [Bytes::MAX / 4, tight, 0] {
+                let mut infeasible = [0usize; 3];
+                for (m, mode) in RecomputeMode::ALL.into_iter().enumerate() {
+                    let mut cfg = DpConfig::new(limit);
+                    cfg.recompute = mode;
+                    let (time, feasible) = Partitioner::new(&cm, cfg).price_shapes(&fwd);
+                    assert_eq!(time.len(), distinct.len());
+                    for (i, s) in distinct.iter().enumerate() {
+                        let case = format!("{:?} {mode:?} limit {limit} shape {i}", cm.model.arch);
+                        let fits = cm.mb_activation_max(s, mode) <= limit;
+                        assert_eq!(feasible[i], fits, "{case}: feasibility diverged");
+                        let expect = if fits {
+                            cm.mb_time(s, mode)
+                        } else {
+                            f64::INFINITY
+                        };
+                        assert_eq!(time[i].to_bits(), expect.to_bits(), "{case}: time");
+                        infeasible[m] += usize::from(!fits);
+                    }
+                }
+                let none_out = infeasible[0];
+                match limit {
+                    0 => assert_eq!(none_out, distinct.len()),
+                    l if l == tight => assert!(none_out > 0 && none_out < distinct.len()),
+                    _ => assert_eq!(infeasible, [0; 3]),
+                }
             }
         }
     }

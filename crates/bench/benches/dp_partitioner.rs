@@ -64,68 +64,41 @@ fn bench_partitioner(c: &mut Criterion) {
             },
         );
     }
-    // The pricing layer in isolation: scalar per-shape grid queries vs
-    // the batched split the cost pass uses — locate once, price the
-    // mode-independent terms once, then one activation and one recompute
-    // solve per mode. Run on the distinct shapes of a 65k-token
-    // mini-batch.
+    // The pricing layer in isolation: scalar per-shape grid queries for
+    // one mode vs the batched pass the DP's pricing uses, which prices
+    // every recompute mode in one visit per shape. Run on the distinct
+    // shapes of a 65k-token mini-batch.
     {
         let p = Partitioner::new(&cm, DpConfig::new(cm.min_activation_budget()));
         let shapes = p.shape_pass(&samples);
         let distinct = shapes.distinct_shapes().to_vec();
-        let all = vec![true; distinct.len()];
         group.bench_with_input(
             BenchmarkId::new("price_scalar", distinct.len()),
             &distinct,
             |b, distinct| {
-                let pricer = cm.shape_pricer(RecomputeMode::Selective);
+                let mode = RecomputeMode::Selective;
                 b.iter(|| {
                     let mut acc = 0.0f64;
                     for s in std::hint::black_box(distinct) {
-                        acc += pricer.mb_fwd(s) + pricer.mb_bwd(s);
-                        acc += pricer.mb_activation_max(s) as f64;
+                        acc += cm.mb_time(s, mode) + cm.mb_activation_max(s, mode) as f64;
                     }
                     acc
                 })
             },
         );
-        // Cold: plan build (locate) + mode-free + one mode's pricing, what
-        // a one-shot caller pays.
+        // Every mode's prices in one pass, what `SliceFwdCosts::build`
+        // pays once per mini-batch; one mode's sum keeps the pass alive.
         group.bench_with_input(
-            BenchmarkId::new("price_batched_cold", distinct.len()),
+            BenchmarkId::new("price_every_mode", distinct.len()),
             &distinct,
             |b, distinct| {
-                let pricer = cm.shape_pricer(RecomputeMode::Selective);
+                let pricer = cm.shape_pricer();
                 b.iter(|| {
-                    let batch = pricer.locate_batch(std::hint::black_box(distinct));
-                    let base = pricer.price_mode_free(&batch);
-                    let bwd = pricer.mb_bwd_batch_masked(&batch, &base, &all);
-                    let act = pricer.mb_activation_max_batch(&batch);
-                    let mut acc = 0.0f64;
-                    for i in 0..distinct.len() {
-                        acc += base.fwd()[i] + bwd[i] + act[i] as f64;
-                    }
-                    acc
-                })
-            },
-        );
-        // Warm: plan located and mode-free terms priced once, what each
-        // recompute mode of the §7 sweep pays after `SliceFwdCosts`.
-        group.bench_with_input(
-            BenchmarkId::new("price_batched_warm", distinct.len()),
-            &distinct,
-            |b, distinct| {
-                let pricer = cm.shape_pricer(RecomputeMode::Selective);
-                let batch = pricer.locate_batch(distinct);
-                let base = pricer.price_mode_free(&batch);
-                b.iter(|| {
-                    let bwd = pricer.mb_bwd_batch_masked(std::hint::black_box(&batch), &base, &all);
-                    let act = pricer.mb_activation_max_batch(&batch);
-                    let mut acc = 0.0f64;
-                    for i in 0..distinct.len() {
-                        acc += base.fwd()[i] + bwd[i] + act[i] as f64;
-                    }
-                    acc
+                    let prices = pricer.price_every_mode(std::hint::black_box(distinct));
+                    let mode = RecomputeMode::Selective;
+                    let time: f64 = prices.time(mode).iter().sum();
+                    let act: f64 = prices.activation(mode).iter().map(|&a| a as f64).sum();
+                    time + act
                 })
             },
         );
@@ -134,7 +107,7 @@ fn bench_partitioner(c: &mut Criterion) {
     // The §7 sweep's de-duplication win in isolation: one mini-batch, all
     // recompute modes. "rebuild" reruns the full two-pass build per mode
     // (what a context-free caller pays); "shared" reuses one shape pass
-    // and one mode-independent cost table across the whole mode sweep (what
+    // and one pricing pass across the whole mode sweep (what
     // `plan_iteration` pays via `PlanContext`).
     for (label, shared) in [("mode_sweep_rebuild", false), ("mode_sweep_shared", true)] {
         group.bench_with_input(BenchmarkId::new(label, 65536), &samples, |b, samples| {

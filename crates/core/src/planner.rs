@@ -6,10 +6,20 @@
 //! Karmarkar–Karp, optionally reorder micro-batches by execution-time
 //! clusters, schedule with 1F1B or the memory-aware adaptive schedule (§5),
 //! plan communication (§6), and verify the result deadlock-free.
+//!
+//! The §7 sweep is split in two. *Scoring* runs every mode, in parallel,
+//! as far as its estimated iteration time: partition, balance, schedule
+//! and evaluate. *Finishing* plans communication and verifies, and runs
+//! only for the mode the planner keeps: modes are finished in (estimate,
+//! mode index) order until one verifies. That is the plan that finishing
+//! every mode and folding them in mode order would give, and on failure
+//! the same error, except that a mode is not finished once a replica of it
+//! fails to score: such a mode reports the scoring error even if an
+//! earlier replica of it would not have finished.
 
 use dynapipe_batcher::{
-    karmarkar_karp, DpConfig, MicroBatch, OrderingStrategy, PaddingStats, Partitioner,
-    SliceFwdCosts, SliceShapes,
+    karmarkar_karp, DpConfig, OrderingStrategy, PaddingStats, Partitioner, SliceFwdCosts,
+    SliceShapes,
 };
 use dynapipe_comm::{plan_communication, verify_deadlock_free, ExecutionPlan, PlanInputs};
 use dynapipe_cost::CostModel;
@@ -17,8 +27,8 @@ use dynapipe_data::Sample;
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{Bytes, MicroBatchShape, Micros};
 use dynapipe_schedule::{
-    adaptive_schedule, evaluate_schedule, one_f_one_b, reorder_micro_batches, ReorderConfig,
-    Schedule, ScheduleInput,
+    adaptive_schedule, evaluate_schedule, one_f_one_b, reorder_with_schedule, ReorderConfig,
+    Schedule, ScheduleInput, Timeline,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -151,11 +161,10 @@ pub struct DynaPipePlanner {
 
 /// Reusable per-mini-batch planning state shared across the §7
 /// recompute-mode sweep: the ordered samples, the activation budget, and
-/// the DP partitioner's mode-independent passes — the slice shape pass
-/// and the mode-independent cost table with its batched grid-query plan
-/// (every distinct shape's grid coordinates located, and its forward,
-/// backward and LM-head terms priced, once; each mode's cost pass queries
-/// only its own grids against that plan).
+/// the DP partitioner's two shared passes — the slice shape pass and the
+/// pricing pass, which prices every distinct shape under every
+/// recomputation mode in one visit of its located grid cells. Each mode's
+/// partition only applies its memory limit to its own prices.
 pub struct PlanContext<'a> {
     /// The mini-batch, already ordered by the planner's strategy.
     pub ordered: &'a [Sample],
@@ -163,9 +172,69 @@ pub struct PlanContext<'a> {
     pub budget: Bytes,
     /// Shared shape pass over `ordered`.
     pub shapes: SliceShapes,
-    /// Shared mode-independent cost terms and located grid-query plan
-    /// for the shape pass.
+    /// Every recomputation mode's time and activation per distinct shape
+    /// of the shape pass.
     pub fwd: SliceFwdCosts,
+}
+
+/// One recomputation mode's plan, scored: partitioned, balanced,
+/// scheduled and evaluated, with communication not yet planned. It holds
+/// everything §7 compares modes on and everything finishing needs.
+struct ScoredMode {
+    recompute: RecomputeMode,
+    replicas: Vec<ScoredReplica>,
+    est_iteration_time: Micros,
+    dp_sync_time: Micros,
+    padding: PaddingStats,
+    num_micro_batches: usize,
+    actual_tokens: u64,
+}
+
+/// One replica's schedule, scored: what [`plan_replica`] builds before it
+/// plans communication.
+struct ScoredReplica {
+    /// Micro-batch shapes in injection order.
+    shapes: Vec<MicroBatchShape>,
+    schedule: Schedule,
+    timeline: Timeline,
+    peaks: Vec<Bytes>,
+}
+
+/// §7's choice over scored modes: finish modes in ascending estimate, the
+/// lower mode index first on equal estimates, until one finishes.
+///
+/// `scores` holds one entry per mode in mode order: its estimate and
+/// payload, or the error that stopped its scoring. The result is the
+/// first finished plan; if no mode finishes, the error of the highest
+/// mode index. That is what finishing every mode and folding them in mode
+/// order with a strict `<` on the estimates gives, because a mode's
+/// estimate does not depend on finishing it. Estimates are finite and
+/// never `-0.0` (makespans fold up from `0.0`), so the ascending order is
+/// that fold's order. `Err(None)` means there were no modes.
+fn finish_best<S, P, E>(
+    scores: Vec<Result<(Micros, S), E>>,
+    mut finish: impl FnMut(S) -> Result<P, E>,
+) -> Result<P, Option<E>> {
+    let mut errors: Vec<Option<E>> = Vec::with_capacity(scores.len());
+    let mut scored = Vec::new();
+    for (mode, score) in scores.into_iter().enumerate() {
+        match score {
+            Ok((est, payload)) => {
+                scored.push((est, mode, payload));
+                errors.push(None);
+            }
+            Err(e) => errors.push(Some(e)),
+        }
+    }
+    // A stable sort keeps mode order among equal estimates.
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for (_, mode, payload) in scored {
+        match finish(payload) {
+            Ok(plan) => return Ok(plan),
+            Err(e) => errors[mode] = Some(e),
+        }
+    }
+    Err(errors.into_iter().flatten().last())
 }
 
 impl DynaPipePlanner {
@@ -197,44 +266,38 @@ impl DynaPipePlanner {
         if budget == 0 {
             return Err(PlanError::Infeasible("no activation budget".into()));
         }
-        let mut last_err = String::from("no recompute mode attempted");
-        // §7 dynamic recomputation: re-plan under every recomputation
-        // scheme and keep the plan with the best estimated iteration time.
+        // §7 dynamic recomputation: plan under every recomputation scheme
+        // and keep the plan with the best estimated iteration time.
         // Cheaper modes store more activations, which caps micro-batch
         // sizes — on activation-heavy models (T5's huge FFN), paying
         // recomputation to unlock larger micro-batches is a net win, so
         // "first feasible" would be wrong.
         //
-        // The modes are independent, so the sweep runs on the rayon pool;
-        // each mode re-prices the context's shared slice shape pass
-        // instead of rebuilding it. Results are folded in mode order with
-        // a strict comparison, so the selected plan is the same as the
-        // serial sweep's (ties keep the cheapest-in-time-order mode).
+        // Score, then finish: the modes are scored independently on the
+        // rayon pool, each reading the context's shared shape and pricing
+        // passes; after the join only the chosen mode plans communication
+        // and verifies (the next best if it fails; see `finish_best`).
         let ctx = self.plan_context(&samples, budget);
-        let mut best: Option<IterationPlan> = None;
-        let outcomes: Vec<Result<IterationPlan, (RecomputeMode, String)>> = RecomputeMode::ALL
+        let scores: Vec<Result<(Micros, ScoredMode), String>> = RecomputeMode::ALL
             .par_iter()
-            .map(|&mode| self.plan_with_mode_ctx(&ctx, mode).map_err(|e| (mode, e)))
+            .map(|&mode| {
+                self.score_mode(&ctx, mode)
+                    .map(|s| (s.est_iteration_time, s))
+                    .map_err(|e| format!("{} recomputation: {e}", mode.label()))
+            })
             .collect();
-        for outcome in outcomes {
-            match outcome {
-                Ok(candidate) => {
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| candidate.est_iteration_time < b.est_iteration_time)
-                    {
-                        best = Some(candidate);
-                    }
-                }
-                Err((mode, e)) => last_err = format!("{} recomputation: {e}", mode.label()),
-            }
-        }
-        match best {
-            Some(mut plan) => {
+        let chosen = finish_best(scores, |scored| {
+            let label = scored.recompute.label();
+            finish_mode(cm, scored).map_err(|e| format!("{label} recomputation: {e}"))
+        });
+        match chosen {
+            Ok(mut plan) => {
                 plan.planning_time_us = t0.elapsed().as_secs_f64() * 1e6;
                 Ok(plan)
             }
-            None => Err(PlanError::Infeasible(last_err)),
+            Err(last_err) => Err(PlanError::Infeasible(
+                last_err.unwrap_or_else(|| "no recompute mode attempted".into()),
+            )),
         }
     }
 
@@ -253,26 +316,22 @@ impl DynaPipePlanner {
     }
 
     /// Plan the (already ordered) samples under one fixed recomputation
-    /// mode. Exposed for the recomputation ablation; builds a fresh
-    /// context — `plan_iteration` sweeps all modes through
-    /// [`DynaPipePlanner::plan_with_mode_ctx`] over one shared context.
+    /// mode: score it, then finish it. Exposed for the recomputation
+    /// ablation; builds a fresh context.
     pub fn plan_with_mode(
         &self,
         ordered: &[Sample],
         budget: Bytes,
         mode: RecomputeMode,
     ) -> Result<IterationPlan, String> {
-        self.plan_with_mode_ctx(&self.plan_context(ordered, budget), mode)
+        let scored = self.score_mode(&self.plan_context(ordered, budget), mode)?;
+        finish_mode(&self.cm, scored)
     }
 
-    /// Plan one recomputation mode against a shared [`PlanContext`]: the
-    /// DP partitioner re-prices the context's slice shape pass under
-    /// `mode` instead of rebuilding it.
-    pub fn plan_with_mode_ctx(
-        &self,
-        ctx: &PlanContext<'_>,
-        mode: RecomputeMode,
-    ) -> Result<IterationPlan, String> {
+    /// Score one recomputation mode against a shared [`PlanContext`]:
+    /// partition (re-pricing nothing: the context priced every mode),
+    /// balance across replicas, and schedule and evaluate each replica.
+    fn score_mode(&self, ctx: &PlanContext<'_>, mode: RecomputeMode) -> Result<ScoredMode, String> {
         let cm = &*self.cm;
         let ordered = ctx.ordered;
         let budget = ctx.budget;
@@ -299,36 +358,39 @@ impl DynaPipePlanner {
             .ok_or_else(|| "no feasible micro-batch split".to_string())?;
         // Balance micro-batches across data-parallel replicas.
         let groups = karmarkar_karp(&partition.mb_times, cm.parallel.dp);
-        let mut replicas = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let mut idx = group.clone();
-            idx.sort_unstable();
-            let mbs: Vec<&MicroBatch> = idx.iter().map(|&i| &partition.micro_batches[i]).collect();
-            let shapes: Vec<MicroBatchShape> =
-                mbs.iter().map(|mb| mb.shape(cm.model.arch)).collect();
-            replicas.push(plan_replica(
-                cm,
-                &shapes,
-                mode,
-                self.config.schedule,
-                budget,
-                self.config.reorder_clusters,
-            )?);
-        }
+        let replicas = groups
+            .iter()
+            .map(|group| {
+                let mut idx = group.clone();
+                idx.sort_unstable();
+                let shapes: Vec<MicroBatchShape> = idx
+                    .iter()
+                    .map(|&i| partition.micro_batches[i].shape(cm.model.arch))
+                    .collect();
+                score_replica(
+                    cm,
+                    &shapes,
+                    mode,
+                    self.config.schedule,
+                    budget,
+                    self.config.reorder_clusters,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let dp_sync_time = dp_sync_time(cm);
-        let est_iteration_time =
-            replicas.iter().map(|r| r.est_makespan).fold(0.0, f64::max) + dp_sync_time;
-        let padding = PaddingStats::from_micro_batches(&partition.micro_batches, cm.model.arch);
-        let actual_tokens: u64 = ordered.iter().map(|s| s.total_tokens() as u64).sum();
-        Ok(IterationPlan {
-            num_micro_batches: partition.num_micro_batches(),
-            replicas,
+        let est_iteration_time = replicas
+            .iter()
+            .map(|r| r.timeline.times.makespan)
+            .fold(0.0, f64::max)
+            + dp_sync_time;
+        Ok(ScoredMode {
             recompute: mode,
+            replicas,
             est_iteration_time,
             dp_sync_time,
-            padding,
-            actual_tokens,
-            planning_time_us: 0.0,
+            padding: PaddingStats::from_micro_batches(&partition.micro_batches, cm.model.arch),
+            num_micro_batches: partition.num_micro_batches(),
+            actual_tokens: ordered.iter().map(|s| s.total_tokens() as u64).sum(),
         })
     }
 
@@ -394,24 +456,45 @@ pub fn plan_replica(
     budget: Bytes,
     reorder_clusters: usize,
 ) -> Result<ReplicaPlan, String> {
+    let scored = score_replica(cm, shapes, mode, kind, budget, reorder_clusters)?;
+    finish_replica(cm, scored, mode)
+}
+
+/// Schedule and evaluate one replica: [`plan_replica`] up to
+/// communication planning.
+fn score_replica(
+    cm: &CostModel,
+    shapes: &[MicroBatchShape],
+    mode: RecomputeMode,
+    kind: ScheduleKind,
+    budget: Bytes,
+    reorder_clusters: usize,
+) -> Result<ScoredReplica, String> {
     let input = schedule_input_for(cm, shapes, mode, budget);
-    let (input, shapes): (ScheduleInput, Vec<MicroBatchShape>) = match kind {
-        ScheduleKind::Adaptive { reorder: true } if shapes.len() > 1 => {
-            let (order, _) = reorder_micro_batches(
-                &input,
-                &ReorderConfig {
-                    num_clusters: reorder_clusters,
-                },
-            );
-            let selected = input.select(&order);
-            let sh = order.iter().map(|&i| shapes[i]).collect();
-            (selected, sh)
-        }
-        _ => (input, shapes.to_vec()),
+    // The reorder search builds and evaluates the winning order's
+    // schedule; keep it rather than build it again. With no winner the
+    // identity order is scheduled below, as the search reports it.
+    let reordered = match kind {
+        ScheduleKind::Adaptive { reorder: true } if shapes.len() > 1 => reorder_with_schedule(
+            &input,
+            &ReorderConfig {
+                num_clusters: reorder_clusters,
+            },
+        ),
+        _ => None,
     };
-    let schedule = match kind {
-        ScheduleKind::OneFOneB => one_f_one_b(shapes.len(), cm.num_stages()),
-        ScheduleKind::Adaptive { .. } => adaptive_schedule(&input),
+    let (input, shapes, schedule, timeline) = match reordered {
+        Some(r) => {
+            let sh = r.order.iter().map(|&i| shapes[i]).collect();
+            (r.input, sh, r.schedule, Some(r.timeline))
+        }
+        None => {
+            let schedule = match kind {
+                ScheduleKind::OneFOneB => one_f_one_b(shapes.len(), cm.num_stages()),
+                ScheduleKind::Adaptive { .. } => adaptive_schedule(&input),
+            };
+            (input, shapes.to_vec(), schedule, None)
+        }
     };
     // Memory feasibility: the adaptive schedule honours limits by
     // construction; 1F1B must be checked.
@@ -424,9 +507,27 @@ pub fn plan_replica(
             ));
         }
     }
-    let timeline = evaluate_schedule(&schedule, &input)?;
+    let timeline = match timeline {
+        Some(t) => t,
+        None => evaluate_schedule(&schedule, &input)?,
+    };
+    Ok(ScoredReplica {
+        shapes,
+        schedule,
+        timeline,
+        peaks,
+    })
+}
+
+/// Plan communication for a scored replica and verify it.
+fn finish_replica(
+    cm: &CostModel,
+    scored: ScoredReplica,
+    mode: RecomputeMode,
+) -> Result<ReplicaPlan, String> {
     let c = cm.num_stages();
-    let boundary_bytes: Vec<Vec<Bytes>> = shapes
+    let boundary_bytes: Vec<Vec<Bytes>> = scored
+        .shapes
         .iter()
         .map(|sh| {
             (0..c.saturating_sub(1))
@@ -435,19 +536,40 @@ pub fn plan_replica(
         })
         .collect();
     let plan = plan_communication(&PlanInputs {
-        schedule: &schedule,
-        timeline: &timeline,
+        schedule: &scored.schedule,
+        timeline: &scored.timeline,
         boundary_bytes: &boundary_bytes,
-        shapes: &shapes,
+        shapes: &scored.shapes,
         recompute: mode,
     });
     plan.validate()?;
     verify_deadlock_free(&plan).map_err(|e| e.to_string())?;
     Ok(ReplicaPlan {
-        est_makespan: timeline.times.makespan,
-        est_peak_memory: peaks,
+        est_makespan: scored.timeline.times.makespan,
+        est_peak_memory: scored.peaks,
         plan,
-        schedule,
+        schedule: scored.schedule,
+    })
+}
+
+/// Finish a scored mode: plan communication for and verify every replica,
+/// in order.
+fn finish_mode(cm: &CostModel, scored: ScoredMode) -> Result<IterationPlan, String> {
+    let mode = scored.recompute;
+    let replicas = scored
+        .replicas
+        .into_iter()
+        .map(|r| finish_replica(cm, r, mode))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(IterationPlan {
+        replicas,
+        recompute: mode,
+        est_iteration_time: scored.est_iteration_time,
+        dp_sync_time: scored.dp_sync_time,
+        padding: scored.padding,
+        num_micro_batches: scored.num_micro_batches,
+        actual_tokens: scored.actual_tokens,
+        planning_time_us: 0.0,
     })
 }
 
@@ -490,6 +612,131 @@ mod tests {
     fn minibatch(n: usize) -> Vec<Sample> {
         let d = Dataset::flanv2(17, n);
         d.samples.iter().map(|s| s.truncated(2048)).collect()
+    }
+
+    /// One synthetic mode: the error that stops its scoring, or its
+    /// estimate and whether it finishes.
+    #[derive(Clone, Copy, Debug)]
+    enum Synthetic {
+        ScoreFails,
+        Scored(Micros, bool),
+    }
+
+    fn synthetic_scores(modes: &[Synthetic]) -> Vec<Result<(Micros, usize), String>> {
+        modes
+            .iter()
+            .enumerate()
+            .map(|(m, s)| match *s {
+                Synthetic::ScoreFails => Err(format!("mode {m} does not score")),
+                Synthetic::Scored(est, _) => Ok((est, m)),
+            })
+            .collect()
+    }
+
+    /// Run `finish_best` over synthetic modes, recording the order in
+    /// which modes are finished.
+    fn run_finish_best(modes: &[Synthetic]) -> (Result<usize, Option<String>>, Vec<usize>) {
+        let mut finished = Vec::new();
+        let chosen = finish_best(synthetic_scores(modes), |m| {
+            finished.push(m);
+            match modes[m] {
+                Synthetic::Scored(_, true) => Ok(m),
+                _ => Err(format!("mode {m} does not finish")),
+            }
+        });
+        (chosen, finished)
+    }
+
+    /// Finishing every mode and folding in mode order, keeping a later
+    /// plan only on a strictly lower estimate, and the last error.
+    fn mode_order_fold(modes: &[Synthetic]) -> Result<usize, Option<String>> {
+        let mut best: Option<(Micros, usize)> = None;
+        let mut last_err = None;
+        for (m, s) in modes.iter().enumerate() {
+            match *s {
+                Synthetic::ScoreFails => last_err = Some(format!("mode {m} does not score")),
+                Synthetic::Scored(_, false) => last_err = Some(format!("mode {m} does not finish")),
+                Synthetic::Scored(est, true) => {
+                    if best.is_none_or(|(b, _)| est < b) {
+                        best = Some((est, m));
+                    }
+                }
+            }
+        }
+        best.map(|(_, m)| m).ok_or(last_err)
+    }
+
+    #[test]
+    fn best_scored_mode_that_fails_to_finish_yields_to_the_next() {
+        use Synthetic::*;
+        // Mode 1 scores best but fails to finish; mode 2 is next by
+        // estimate, mode 0 is never finished.
+        let modes = [Scored(9.0, true), Scored(3.0, false), Scored(5.0, true)];
+        let (chosen, finished) = run_finish_best(&modes);
+        assert_eq!(chosen, Ok(2));
+        assert_eq!(finished, [1, 2]);
+    }
+
+    #[test]
+    fn equal_estimates_go_to_the_lower_mode_index() {
+        use Synthetic::*;
+        let modes = [ScoreFails, Scored(4.0, true), Scored(4.0, true)];
+        let (chosen, finished) = run_finish_best(&modes);
+        assert_eq!(chosen, Ok(1));
+        assert_eq!(finished, [1]);
+        // A tie whose lower index fails to finish goes to the higher one.
+        let modes = [Scored(4.0, false), Scored(4.0, true), Scored(2.0, false)];
+        let (chosen, finished) = run_finish_best(&modes);
+        assert_eq!(chosen, Ok(1));
+        assert_eq!(finished, [2, 0, 1]);
+    }
+
+    #[test]
+    fn when_every_mode_fails_the_last_modes_error_is_reported() {
+        use Synthetic::*;
+        let modes = [Scored(1.0, false), Scored(2.0, false), ScoreFails];
+        assert_eq!(
+            run_finish_best(&modes).0,
+            Err(Some("mode 2 does not score".into()))
+        );
+        let modes = [ScoreFails, Scored(2.0, false), Scored(1.0, false)];
+        assert_eq!(
+            run_finish_best(&modes).0,
+            Err(Some("mode 2 does not finish".into()))
+        );
+        assert_eq!(run_finish_best(&[]).0, Err(None));
+    }
+
+    #[test]
+    fn finish_best_matches_the_mode_order_fold_exhaustively() {
+        // Every combination of three modes that fail to score, or score
+        // one of two estimates and finish or not: the same plan or error
+        // as finishing every mode and folding in mode order, with each
+        // mode finished at most once and none after the chosen one.
+        use Synthetic::*;
+        let kinds = [
+            ScoreFails,
+            Scored(1.0, true),
+            Scored(1.0, false),
+            Scored(2.0, true),
+            Scored(2.0, false),
+        ];
+        for a in kinds {
+            for b in kinds {
+                for c in kinds {
+                    let modes = [a, b, c];
+                    let (chosen, finished) = run_finish_best(&modes);
+                    assert_eq!(chosen, mode_order_fold(&modes), "{modes:?}");
+                    let mut once = finished.clone();
+                    once.sort_unstable();
+                    once.dedup();
+                    assert_eq!(once.len(), finished.len(), "{modes:?}: finished twice");
+                    if let Ok(m) = chosen {
+                        assert_eq!(finished.last(), Some(&m), "{modes:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -128,8 +128,9 @@ use dynapipe_sim::{
 use dynapipe_trace::{ClockDomain, Span, SpanKind, TraceSink};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long the executor waits for a blob the queue says was pushed, and
@@ -1651,13 +1652,33 @@ pub fn run_training_pipelined_traced(
     // within its own slot.
     let nested_threads = (rayon::current_num_threads() / config.workers).max(1);
 
+    // Thread order. glibc gives a new thread the malloc arena that an
+    // exited thread released last, and keeps the top of a thread's arena
+    // resident (`malloc_trim` trims only the main arena's top). So the
+    // long-lived threads start in a fixed order — the planner workers,
+    // then, once one of them has allocated, the prefetcher — and leave in
+    // the reverse, each joined before the next is released. Every run
+    // then takes up each role's arena where the last run left it, and the
+    // resident set does not depend on which thread happened to start or
+    // exit first.
     std::thread::scope(|scope| {
+        let mut release_workers = Release::default();
+        let mut release_prefetcher = Release::default();
+
+        // A worker holding a ticket has allocated: its arena is taken.
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel::<()>();
+        let mut workers = Vec::with_capacity(config.workers);
         for worker in 0..config.workers {
             let queue = &queue;
             let stream = &stream;
             let store = store.as_ref();
-            scope.spawn(move || {
+            let held = release_workers.hold();
+            let mut claimed = Some(claimed_tx.clone());
+            workers.push(scope.spawn(move || {
                 run_planner_worker(queue, stream, worker, nested_threads, |ticket| {
+                    if let Some(claimed) = claimed.take() {
+                        let _ = claimed.send(());
+                    }
                     let ctx = TicketTraceCtx {
                         sink,
                         worker: worker as i64,
@@ -1705,59 +1726,73 @@ pub fn run_training_pipelined_traced(
                     });
                     true
                 });
-            });
+                held.wait();
+            }));
         }
+        drop(claimed_tx);
+
+        // Store-backed, a **prefetcher** thread runs between the queue
+        // and the executor — it takes each blob in order, decodes it,
+        // then hands the executable plan over a small bounded channel.
+        // That is the paper's executor-side prefetch: deserialization
+        // overlaps the previous iteration's execution instead of sitting
+        // on the critical path (only iteration 0's decode is unavoidably
+        // exposed).
+        let (prefetched, prefetcher) = store
+            .as_ref()
+            .map(|store| {
+                let (tx, rx) = std::sync::mpsc::sync_channel(1);
+                let queue = &queue;
+                let held = release_prefetcher.hold();
+                // Until a worker holds a ticket, or every worker is gone.
+                let _ = claimed_rx.recv();
+                let handle = scope.spawn(move || {
+                    // Owning `tx`, the loop closes the channel when it ends.
+                    let prefetch_all = move || {
+                        for it in 0..cap {
+                            let planned = match queue.wait_for_deadline(it, None) {
+                                WaitOutcome::Planned(p) => p,
+                                WaitOutcome::EndOfEpoch => break,
+                                // An unbounded wait never reaches its deadline.
+                                WaitOutcome::Cancelled | WaitOutcome::Deadline => return,
+                            };
+                            let (outcome, take_us, decode_us) =
+                                match prefetch_blob(queue, store, config.codec, it, sink, 0, 0) {
+                                    Ok(fetched) => fetched,
+                                    Err(lost) => {
+                                        let _ = tx.send(Prefetched::Lost(lost));
+                                        return;
+                                    }
+                                };
+                            let claimed = ClaimedIteration {
+                                outcome: Some(outcome),
+                                ready_us: t0.elapsed().as_secs_f64() * 1e6,
+                                deserialize_us: take_us + decode_us,
+                                flat_bytes: if config.codec == PlanCodec::Flat {
+                                    planned.blob_bytes
+                                } else {
+                                    0
+                                },
+                                ..planned
+                            };
+                            if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {
+                                return; // executor stopped consuming
+                            }
+                        }
+                        let _ = tx.send(Prefetched::EndOfEpoch);
+                    };
+                    prefetch_all();
+                    held.wait();
+                });
+                (rx, handle)
+            })
+            .unzip();
 
         // The executor: consume strictly in order on the caller thread.
-        //
-        // In-process, the payload comes straight off the queue. Store-
-        // backed, a **prefetcher** thread runs between the queue and the
-        // executor — it takes each blob in order, decodes it, then hands
-        // the executable plan over a small bounded channel. That is the
-        // paper's executor-side prefetch: deserialization overlaps the
-        // previous iteration's execution instead of sitting on the
-        // critical path (only iteration 0's decode is unavoidably
-        // exposed).
+        // In-process, the payload comes straight off the queue;
+        // store-backed, from the prefetcher.
         let mut vclock = 0.0f64;
         let mut sim_clock = 0.0f64;
-        let prefetched = store.as_ref().map(|store| {
-            let (tx, rx) = std::sync::mpsc::sync_channel(1);
-            let queue = &queue;
-            scope.spawn(move || {
-                for it in 0..cap {
-                    let planned = match queue.wait_for_deadline(it, None) {
-                        WaitOutcome::Planned(p) => p,
-                        WaitOutcome::EndOfEpoch => break,
-                        // An unbounded wait never reaches its deadline.
-                        WaitOutcome::Cancelled | WaitOutcome::Deadline => return,
-                    };
-                    let (outcome, take_us, decode_us) =
-                        match prefetch_blob(queue, store, config.codec, it, sink, 0, 0) {
-                            Ok(fetched) => fetched,
-                            Err(lost) => {
-                                let _ = tx.send(Prefetched::Lost(lost));
-                                return;
-                            }
-                        };
-                    let claimed = ClaimedIteration {
-                        outcome: Some(outcome),
-                        ready_us: t0.elapsed().as_secs_f64() * 1e6,
-                        deserialize_us: take_us + decode_us,
-                        flat_bytes: if config.codec == PlanCodec::Flat {
-                            planned.blob_bytes
-                        } else {
-                            0
-                        },
-                        ..planned
-                    };
-                    if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {
-                        return; // executor stopped consuming
-                    }
-                }
-                let _ = tx.send(Prefetched::EndOfEpoch);
-            });
-            rx
-        });
         for it in 0..cap {
             let claimed = match &prefetched {
                 None => match queue.wait_for_deadline(it, None) {
@@ -1797,12 +1832,49 @@ pub fn run_training_pipelined_traced(
         // to claim past a failure, and wake a prefetcher waiting on a
         // plan that will never come.
         queue.cancel();
+        // Then release the threads in the reverse of their start order.
+        drop(release_prefetcher);
+        prefetcher.into_iter().for_each(join_or_resume);
+        drop(release_workers);
+        workers.into_iter().for_each(join_or_resume);
     });
 
     stats.store = store.as_ref().map(|store| sweep_store(store, sink));
     stats.host_wall_us = t0.elapsed().as_secs_f64() * 1e6;
     stats.max_plans_resident = queue.max_ready();
     (report, stats)
+}
+
+/// Join a scoped thread, re-raising its panic on the joining thread.
+fn join_or_resume(handle: ScopedJoinHandle<'_, ()>) {
+    if let Err(panic) = handle.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// A one-shot release: each [`Release::hold`] hands a thread a [`Held`]
+/// whose `wait` blocks until the `Release` is dropped — by its owner, or
+/// by unwinding, so a panic never strands a held thread.
+#[derive(Default)]
+struct Release(Vec<Sender<()>>);
+
+impl Release {
+    fn hold(&mut self) -> Held {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.0.push(tx);
+        Held(rx)
+    }
+}
+
+/// A thread's side of a [`Release`].
+struct Held(Receiver<()>);
+
+impl Held {
+    /// Block until the release is dropped.
+    fn wait(self) {
+        // Nothing is ever sent: `recv` returns once the sender is gone.
+        let _ = self.0.recv();
+    }
 }
 
 #[cfg(test)]
@@ -2267,5 +2339,42 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("store-backed run must terminate, not deadlock");
         assert!(panicked, "worker panic must propagate to the caller");
+    }
+
+    #[test]
+    fn held_threads_leave_only_when_released() {
+        let mut release = Release::default();
+        let held = release.hold();
+        let (left_tx, left) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            held.wait();
+            let _ = left_tx.send(());
+        });
+        let waited = left.recv_timeout(Duration::from_millis(50));
+        assert!(waited.is_err(), "a held thread waits for its release");
+        drop(release);
+        left.recv_timeout(Duration::from_secs(60))
+            .expect("a released thread leaves");
+    }
+
+    #[test]
+    fn unwinding_owner_releases_held_threads() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let panicked = std::panic::catch_unwind(|| {
+                std::thread::scope(|scope| {
+                    let mut release = Release::default();
+                    let held = release.hold();
+                    scope.spawn(move || held.wait());
+                    panic!("owner fails before releasing");
+                })
+            })
+            .is_err();
+            let _ = tx.send(panicked);
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scope must end, not wait on a held thread forever");
+        assert!(panicked);
     }
 }

@@ -6,6 +6,7 @@
 //! of Eq. 1 (taken on the bottleneck stage), activation memory per stage,
 //! and the per-stage activation budget left after static model state.
 
+use crate::grid::{GridSet, NdGrid};
 use crate::profile::{ProfileDb, ProfileOptions};
 use dynapipe_model::config::{ModelArch, ModelConfig};
 use dynapipe_model::hardware::{HardwareModel, LayerKind};
@@ -215,22 +216,23 @@ impl CostModel {
         }
     }
 
-    /// Build a [`ShapePricer`] for `mode`: a resolved view of the profile
-    /// grids and stage structure for pricing many shapes in a tight loop
-    /// (the DP partitioner's slice-table cost pass). Produces bit-identical
+    /// Build a [`ShapePricer`]: a resolved view of every mode's profile
+    /// grids and the stage structure, for pricing many shapes in a tight
+    /// loop (the DP partitioner's pricing pass). Produces bit-identical
     /// results to [`CostModel::mb_time`] / [`CostModel::mb_activation_max`]
     /// — the same grid queries and accumulation order — with the per-call
     /// profile lookups and stage walks hoisted out.
-    pub fn shape_pricer(&self, mode: RecomputeMode) -> ShapePricer<'_> {
+    pub fn shape_pricer(&self) -> ShapePricer<'_> {
         let (ek, dk) = self.kinds();
-        let midx = ProfileDb::mode_index(mode);
         let resolve = |kind: LayerKind| {
             let p = &self.db.layers[&kind];
             LayerGrids {
-                fwd: &p.fwd_time,
-                bwd: &p.bwd_time,
-                recompute: &p.recompute_extra[midx],
-                activation: &p.activation[midx],
+                grids: std::array::from_fn(|g| match g {
+                    FWD => &p.fwd_time,
+                    BWD => &p.bwd_time,
+                    g if g < ACT => &p.recompute_extra[g - RECOMPUTE],
+                    g => &p.activation[g - ACT],
+                }),
                 decoder_coords: kind == LayerKind::T5Decoder,
             }
         };
@@ -242,15 +244,18 @@ impl CostModel {
             stages: self
                 .distinct_stages
                 .iter()
-                .map(|&s| {
+                .fold(Vec::new(), |mut terms, &s| {
                     let st = self.layout.stage(s);
-                    StageTerms {
+                    let t = StageTerms {
                         encoder_layers: st.encoder_layers,
                         decoder_layers: st.decoder_layers,
                         has_lm_head: st.has_lm_head,
+                    };
+                    if !terms.contains(&t) {
+                        terms.push(t);
                     }
-                })
-                .collect(),
+                    terms
+                }),
             gpt_target: matches!(self.model.arch, ModelArch::Gpt),
             any_enc: self
                 .distinct_stages
@@ -266,12 +271,27 @@ impl CostModel {
     }
 }
 
-/// Resolved grid references for one layer kind under a fixed mode.
+/// Number of recomputation modes (the length of [`RecomputeMode::ALL`]).
+const NUM_MODES: usize = RecomputeMode::ALL.len();
+
+/// Index of the forward-time grid in [`LayerGrids::grids`].
+const FWD: usize = 0;
+/// Index of the backward-time grid.
+const BWD: usize = 1;
+/// Index of the first mode's `recompute_extra` grid; mode `m`'s is at
+/// `RECOMPUTE + m`.
+const RECOMPUTE: usize = 2;
+/// Index of the first mode's `activation` grid; mode `m`'s is at
+/// `ACT + m`.
+const ACT: usize = RECOMPUTE + NUM_MODES;
+/// Grids per layer kind: forward, backward, and every mode's recompute
+/// and activation grids.
+const LAYER_GRIDS: usize = ACT + NUM_MODES;
+
+/// Resolved grid references for one layer kind, every mode's included.
 struct LayerGrids<'a> {
-    fwd: &'a crate::grid::NdGrid,
-    bwd: &'a crate::grid::NdGrid,
-    recompute: &'a crate::grid::NdGrid,
-    activation: &'a crate::grid::NdGrid,
+    /// Indexed by [`FWD`], [`BWD`], [`RECOMPUTE`]` + m` and [`ACT`]` + m`.
+    grids: [&'a NdGrid; LAYER_GRIDS],
     /// T5 decoder layers interpolate over (dec_len, enc_len); everything
     /// else over (enc_len, 0).
     decoder_coords: bool,
@@ -285,28 +305,55 @@ impl<'a> LayerGrids<'a> {
             (shape.enc_len, 0)
         }
     }
+
+    /// A grid set over every grid of the layer kind, its memos sized to
+    /// the coordinates `shapes` reach.
+    fn grid_set(&self, shapes: &[MicroBatchShape]) -> GridSet<'a, LAYER_GRIDS> {
+        let max = |f: &dyn Fn(&MicroBatchShape) -> usize| shapes.iter().map(f).max().unwrap_or(0);
+        GridSet::new(
+            self.grids,
+            [
+                max(&|s| s.batch_size),
+                max(&|s| self.coords(s).0),
+                max(&|s| self.coords(s).1),
+            ],
+        )
+    }
+
+    /// Every grid's value at `shape`'s point, read through `set`; zeros
+    /// when the side has no layers (no set), as in the scalar path.
+    fn values(
+        &self,
+        set: &mut Option<GridSet<'a, LAYER_GRIDS>>,
+        shape: &MicroBatchShape,
+    ) -> [f64; LAYER_GRIDS] {
+        match set {
+            Some(set) => {
+                let (q, kv) = self.coords(shape);
+                set.query(shape.batch_size, q, kv)
+            }
+            None => [0.0; LAYER_GRIDS],
+        }
+    }
 }
 
-/// Per-distinct-stage layer counts.
+/// The layer counts of a stage, as pricing sees them. A pricer keeps one
+/// per distinct value: stages with equal terms price to the same bits, and
+/// a repeated value never changes a max over stages.
+#[derive(PartialEq)]
 struct StageTerms {
     encoder_layers: usize,
     decoder_layers: usize,
     has_lm_head: bool,
 }
 
-/// A resolved, mode-bound pricing view over a [`CostModel`], for hot loops
-/// that evaluate many [`MicroBatchShape`]s (see
-/// [`CostModel::shape_pricer`]).
-///
-/// The batched methods split a shape's price by what the mode changes:
-/// [`ShapePricer::price_mode_free`] prices the forward, backward and
-/// LM-head grids once per [`ShapeBatch`], and each mode then queries only
-/// its own `recompute_extra` ([`ShapePricer::mb_bwd_batch_masked`]) and
-/// `activation` ([`ShapePricer::mb_activation_max_batch`]) grids.
+/// A resolved pricing view over a [`CostModel`] for tables of
+/// [`MicroBatchShape`]s (see [`CostModel::shape_pricer`] and
+/// [`ShapePricer::price_every_mode`]).
 pub struct ShapePricer<'a> {
     enc: LayerGrids<'a>,
     dec: LayerGrids<'a>,
-    lm_head_fwd: &'a crate::grid::NdGrid,
+    lm_head_fwd: &'a NdGrid,
     backward_ratio: f64,
     stages: Vec<StageTerms>,
     gpt_target: bool,
@@ -316,69 +363,39 @@ pub struct ShapePricer<'a> {
     tp: u64,
 }
 
-/// Located grid coordinates for a batch of [`MicroBatchShape`]s — the
-/// shape-level face of the cost layer's batched query plan (see
-/// [`ShapePricer::locate_batch`]).
-///
-/// The plan depends only on the shapes and the profile's sampling axes.
-/// Those axes are shared by every recomputation mode's grids (forward,
-/// backward, per-mode recompute and activation profiles are all built over
-/// the same axes), so one `ShapeBatch` can be priced by pricers of
-/// *different* modes — the §7 recompute sweep locates once, prices the
-/// mode-independent terms once ([`ShapePricer::price_mode_free`]) and
-/// prices only each mode's own grids per mode.
-///
-/// Duplicate shapes are allowed. The encoder-side plan collapses
-/// duplicate grid points onto one cell; the decoder-side and LM-head
-/// plans evaluate each shape's point once per shape.
-pub struct ShapeBatch {
-    /// Encoder-side plan over `(batch, enc_len, 0)`; `None` when no stage
-    /// has encoder layers (the scalar path never queries those grids).
-    enc: Option<crate::grid::BatchQuery>,
-    /// Decoder-side plan over the decoder grid coordinates.
-    dec: Option<crate::grid::BatchQuery>,
-    /// LM-head plan over `(target_tokens, 0, 0)`, one cell per shape.
-    lm: crate::grid::BatchQuery,
-    /// Padded token counts (the activation formula's shape term).
-    padded_tokens: Vec<u64>,
-    /// Shapes with `batch_size == 0` short-circuit to zero cost, exactly
-    /// like the scalar methods.
-    empty: Vec<bool>,
+/// Every recomputation mode's price of each shape of a table (see
+/// [`ShapePricer::price_every_mode`]): the micro-batch time
+/// `t(M) = t_f(M) + t_b(M)` of Eq. 1 and the worst-case per-stage
+/// activation bytes. Times are unmasked: comparing the activation against
+/// a memory limit is the caller's.
+pub struct ModePrices {
+    /// Per mode (in [`RecomputeMode::ALL`] order), per shape: `t(M)`.
+    time: [Vec<Micros>; NUM_MODES],
+    /// Per mode, per shape: worst-case activation bytes.
+    activation: [Vec<Bytes>; NUM_MODES],
 }
 
-impl ShapeBatch {
-    /// Number of shapes in the batch.
+impl ModePrices {
+    /// Number of shapes priced.
     pub fn len(&self) -> usize {
-        self.empty.len()
+        self.time[0].len()
     }
 
-    /// Whether the batch holds no shapes.
+    /// Whether no shape was priced.
     pub fn is_empty(&self) -> bool {
-        self.empty.is_empty()
+        self.len() == 0
     }
-}
 
-/// The recomputation-mode-independent pricing terms of a [`ShapeBatch`]
-/// (see [`ShapePricer::price_mode_free`]): `t_f(M)` per shape, and the
-/// parts of `t_b(M)` no mode changes — each layer side's `bwd_time` value
-/// and the LM head's backward time. A mode's backward pass
-/// ([`ShapePricer::mb_bwd_batch_masked`]) adds only its own
-/// `recompute_extra` values to these.
-pub struct ModeFreeCosts {
-    fwd: Vec<Micros>,
-    /// Per shape: the encoder-side `bwd_time` value (zeros when no stage
-    /// has encoder layers, as in the scalar path).
-    enc_bwd: Vec<f64>,
-    /// Per shape: the decoder-side `bwd_time` value.
-    dec_bwd: Vec<f64>,
-    /// Per shape: `backward_ratio × lm_head_fwd`, the LM head's backward.
-    lm_bwd: Vec<f64>,
-}
+    /// `t(M)` of each shape under `mode`, bit-identical to
+    /// [`CostModel::mb_time`].
+    pub fn time(&self, mode: RecomputeMode) -> &[Micros] {
+        &self.time[ProfileDb::mode_index(mode)]
+    }
 
-impl ModeFreeCosts {
-    /// `t_f(M)` per shape, bit-identical to [`CostModel::mb_fwd`].
-    pub fn fwd(&self) -> &[Micros] {
-        &self.fwd
+    /// Worst-case activation bytes of each shape under `mode`, equal to
+    /// [`CostModel::mb_activation_max`].
+    pub fn activation(&self, mode: RecomputeMode) -> &[Bytes] {
+        &self.activation[ProfileDb::mode_index(mode)]
     }
 }
 
@@ -391,341 +408,87 @@ impl<'a> ShapePricer<'a> {
         }
     }
 
-    /// `t_f(M)` of Eq. 1 — identical to `cm.mb_fwd(shape)`. This half is
-    /// recomputation-mode independent, so the §7 sweep computes it once
-    /// per shape and shares it across modes.
+    /// Price every shape of `shapes` under every recomputation mode in one
+    /// pass. Element `i` of mode `m`'s time is bit-identical to
+    /// `cm.mb_time(&shapes[i], m)`, and of its activation to
+    /// `cm.mb_activation_max(&shapes[i], m)`.
     ///
-    /// The per-layer grid queries are hoisted out of the stage loop —
-    /// stages of one deployment differ only in layer counts and the LM
-    /// head, so each stage's sum reuses the same queried values (the exact
-    /// values `stage_fwd` queries per stage).
-    pub fn mb_fwd(&self, shape: &MicroBatchShape) -> Micros {
-        if shape.batch_size == 0 {
-            return 0.0;
-        }
-        let (eq, ekv) = self.enc.coords(shape);
-        let (dq, dkv) = self.dec.coords(shape);
-        let b = shape.batch_size;
-        let enc_fwd = if self.any_enc {
-            self.enc.fwd.query(b, eq, ekv)
-        } else {
-            0.0
+    /// Each layer side's grid coordinates depend only on the shape, and
+    /// every mode's grids share the profile's sampling axes, so each shape
+    /// is located once per side and every grid of the side — forward,
+    /// backward, and each mode's `recompute_extra` and `activation` — is
+    /// read in that one visit (a [`GridSet`]), with nothing stored per
+    /// point. The stage folds keep the scalar path's operand order:
+    /// `layers × (bwd + recompute)` per side, then the LM head's backward.
+    pub fn price_every_mode(&self, shapes: &[MicroBatchShape]) -> ModePrices {
+        let n = shapes.len();
+        let mut enc_set = self.any_enc.then(|| self.enc.grid_set(shapes));
+        let mut dec_set = self.any_dec.then(|| self.dec.grid_set(shapes));
+        let max_target = shapes.iter().map(|s| self.target_tokens(s)).max();
+        let mut lm = GridSet::new([self.lm_head_fwd], [max_target.unwrap_or(0), 0, 0]);
+        let mut prices = ModePrices {
+            time: std::array::from_fn(|_| Vec::with_capacity(n)),
+            activation: std::array::from_fn(|_| Vec::with_capacity(n)),
         };
-        let dec_fwd = if self.any_dec {
-            self.dec.fwd.query(b, dq, dkv)
-        } else {
-            0.0
-        };
-        let lm_head = self.lm_head_fwd.query(self.target_tokens(shape), 0, 0);
-        let mut fwd_max = 0.0f64;
-        for st in &self.stages {
-            let mut fwd = 0.0;
-            if st.encoder_layers > 0 {
-                fwd += st.encoder_layers as f64 * enc_fwd;
+        for shape in shapes {
+            if shape.batch_size == 0 {
+                for m in 0..NUM_MODES {
+                    prices.time[m].push(0.0);
+                    prices.activation[m].push(0);
+                }
+                continue;
             }
-            if st.decoder_layers > 0 {
-                fwd += st.decoder_layers as f64 * dec_fwd;
-            }
-            if st.has_lm_head {
-                fwd += lm_head;
-            }
-            fwd_max = fwd_max.max(fwd);
-        }
-        fwd_max
-    }
-
-    /// `t_b(M)` of Eq. 1 — identical to `cm.mb_bwd(shape, mode)`.
-    pub fn mb_bwd(&self, shape: &MicroBatchShape) -> Micros {
-        if shape.batch_size == 0 {
-            return 0.0;
-        }
-        let (eq, ekv) = self.enc.coords(shape);
-        let (dq, dkv) = self.dec.coords(shape);
-        let b = shape.batch_size;
-        let enc_bwd = if self.any_enc {
-            self.enc.bwd.query(b, eq, ekv) + self.enc.recompute.query(b, eq, ekv)
-        } else {
-            0.0
-        };
-        let dec_bwd = if self.any_dec {
-            self.dec.bwd.query(b, dq, dkv) + self.dec.recompute.query(b, dq, dkv)
-        } else {
-            0.0
-        };
-        let mut bwd_max = 0.0f64;
-        let mut lm_head_bwd = None;
-        for st in &self.stages {
-            let mut bwd = 0.0;
-            if st.encoder_layers > 0 {
-                bwd += st.encoder_layers as f64 * enc_bwd;
-            }
-            if st.decoder_layers > 0 {
-                bwd += st.decoder_layers as f64 * dec_bwd;
-            }
-            if st.has_lm_head {
-                bwd += *lm_head_bwd.get_or_insert_with(|| {
-                    self.backward_ratio * self.lm_head_fwd.query(self.target_tokens(shape), 0, 0)
-                });
-            }
-            bwd_max = bwd_max.max(bwd);
-        }
-        bwd_max
-    }
-
-    /// `t(M)` of Eq. 1 — identical to `cm.mb_time(shape, mode)`.
-    pub fn mb_time(&self, shape: &MicroBatchShape) -> Micros {
-        self.mb_fwd(shape) + self.mb_bwd(shape)
-    }
-
-    /// Worst-case per-stage activation bytes — identical to
-    /// `cm.mb_activation_max(shape, mode)`.
-    pub fn mb_activation_max(&self, shape: &MicroBatchShape) -> Bytes {
-        if shape.batch_size == 0 {
-            return 0;
-        }
-        let (eq, ekv) = self.enc.coords(shape);
-        let (dq, dkv) = self.dec.coords(shape);
-        let b = shape.batch_size;
-        let enc_act = if self.any_enc {
-            self.enc.activation.query(b, eq, ekv)
-        } else {
-            0.0
-        };
-        let dec_act = if self.any_dec {
-            self.dec.activation.query(b, dq, dkv)
-        } else {
-            0.0
-        };
-        // Same operand values and division order as `stage_activation`'s
-        // `padded_tokens * hidden * ACT_DTYPE_BYTES / tp` (integer division
-        // must not be re-associated).
-        let input = shape.padded_tokens() * self.hidden_act_bytes / self.tp;
-        self.stages
-            .iter()
-            .map(|st| {
-                let mut bytes = 0.0f64;
+            let enc = self.enc.values(&mut enc_set, shape);
+            let dec = self.dec.values(&mut dec_set, shape);
+            let [lm] = lm.query(self.target_tokens(shape), 0, 0);
+            let lm_bwd = self.backward_ratio * lm;
+            let enc_bwd: [f64; NUM_MODES] = std::array::from_fn(|m| enc[BWD] + enc[RECOMPUTE + m]);
+            let dec_bwd: [f64; NUM_MODES] = std::array::from_fn(|m| dec[BWD] + dec[RECOMPUTE + m]);
+            // Same operand values and division order as `stage_activation`
+            // (integer division must not be re-associated).
+            let input = shape.padded_tokens() * self.hidden_act_bytes / self.tp;
+            // One walk of the stages folds `t_f` and every mode's `t_b` and
+            // activation, each in the scalar methods' operand order.
+            let mut fwd_max = 0.0f64;
+            let mut bwd_max = [0.0f64; NUM_MODES];
+            let mut act_max: [Bytes; NUM_MODES] = [0; NUM_MODES];
+            for st in &self.stages {
+                let (e, d) = (st.encoder_layers as f64, st.decoder_layers as f64);
+                let mut fwd = 0.0;
                 if st.encoder_layers > 0 {
-                    bytes += st.encoder_layers as f64 * enc_act;
+                    fwd += e * enc[FWD];
                 }
                 if st.decoder_layers > 0 {
-                    bytes += st.decoder_layers as f64 * dec_act;
+                    fwd += d * dec[FWD];
                 }
-                bytes as Bytes + input
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Build the batched query plan for `shapes`. Encoder-side points
-    /// collapse onto distinct cells (a big win for T5, where many distinct
-    /// padded shapes share their `(batch, enc_len)` point); decoder-side
-    /// and LM-head points are evaluated once per shape. The plan is
-    /// mode-independent — see [`ShapeBatch`] — and feeds
-    /// [`ShapePricer::price_mode_free`] /
-    /// [`ShapePricer::mb_bwd_batch_masked`] /
-    /// [`ShapePricer::mb_activation_max_batch`].
-    pub fn locate_batch(&self, shapes: &[MicroBatchShape]) -> ShapeBatch {
-        let enc = self.any_enc.then(|| {
-            let g = self.enc.fwd;
-            g.plan_queries(shapes.iter().map(|s| {
-                let (q, kv) = self.enc.coords(s);
-                (s.batch_size, q, kv)
-            }))
-        });
-        // Decoder-side coordinates are an injective image of the shape
-        // triple, and callers price deduplicated shape tables, so skip the
-        // (useless there) duplicate-cell detection.
-        let dec = self.any_dec.then(|| {
-            let g = self.dec.fwd;
-            g.plan_queries_distinct(shapes.iter().map(|s| {
-                let (q, kv) = self.dec.coords(s);
-                (s.batch_size, q, kv)
-            }))
-        });
-        // Token counts collide across shapes only occasionally, and
-        // reach past the axis memo's direct range (batch × sequence
-        // length), so detecting duplicates costs more than it saves.
-        let lm = self
-            .lm_head_fwd
-            .plan_queries_distinct(shapes.iter().map(|s| (self.target_tokens(s), 0, 0)));
-        ShapeBatch {
-            enc,
-            dec,
-            lm,
-            padded_tokens: shapes.iter().map(MicroBatchShape::padded_tokens).collect(),
-            empty: shapes.iter().map(|s| s.batch_size == 0).collect(),
-        }
-    }
-
-    /// Evaluate one layer side's per-shape values, or a shared zero vector
-    /// when the deployment has no such layers (the scalar paths use 0.0).
-    fn side_values(
-        plan: &Option<crate::grid::BatchQuery>,
-        n: usize,
-        eval: impl FnOnce(&crate::grid::BatchQuery) -> Vec<f64>,
-    ) -> Vec<f64> {
-        match plan {
-            Some(p) => eval(p),
-            None => vec![0.0; n],
-        }
-    }
-
-    /// Price the mode-independent terms of every shape in `batch` once:
-    /// `t_f(M)` (element `i` bit-identical to `self.mb_fwd(&shapes[i])`)
-    /// and the backward terms no recomputation mode changes. Any mode's
-    /// pricer gives the same table, and every mode's
-    /// [`ShapePricer::mb_bwd_batch_masked`] reads it, so the §7 sweep
-    /// queries the `fwd_time`, `bwd_time` and LM-head grids once per
-    /// mini-batch.
-    pub fn price_mode_free(&self, batch: &ShapeBatch) -> ModeFreeCosts {
-        let n = batch.len();
-        let eval = |g: &crate::grid::NdGrid, p: &crate::grid::BatchQuery| {
-            let mut v = Vec::new();
-            g.query_batch(p, &mut v);
-            v
-        };
-        let enc_fwd = Self::side_values(&batch.enc, n, |p| eval(self.enc.fwd, p));
-        let dec_fwd = Self::side_values(&batch.dec, n, |p| eval(self.dec.fwd, p));
-        let enc_bwd = Self::side_values(&batch.enc, n, |p| eval(self.enc.bwd, p));
-        let dec_bwd = Self::side_values(&batch.dec, n, |p| eval(self.dec.bwd, p));
-        let lm = eval(self.lm_head_fwd, &batch.lm);
-        let fwd = (0..n)
-            .map(|i| {
-                if batch.empty[i] {
-                    return 0.0;
+                if st.has_lm_head {
+                    fwd += lm;
                 }
-                let mut fwd_max = 0.0f64;
-                for st in &self.stages {
-                    let mut fwd = 0.0;
-                    if st.encoder_layers > 0 {
-                        fwd += st.encoder_layers as f64 * enc_fwd[i];
-                    }
-                    if st.decoder_layers > 0 {
-                        fwd += st.decoder_layers as f64 * dec_fwd[i];
-                    }
-                    if st.has_lm_head {
-                        fwd += lm[i];
-                    }
-                    fwd_max = fwd_max.max(fwd);
-                }
-                fwd_max
-            })
-            .collect();
-        let lm_bwd = lm.iter().map(|&t| self.backward_ratio * t).collect();
-        ModeFreeCosts {
-            fwd,
-            enc_bwd,
-            dec_bwd,
-            lm_bwd,
-        }
-    }
-
-    /// `t_b(M)` under this pricer's mode for the shapes with
-    /// `mask[i] == true`; masked-out entries are `f64::INFINITY` poison
-    /// values the caller must never read. Unmasked entries are
-    /// bit-identical to [`ShapePricer::mb_bwd`].
-    ///
-    /// Only this mode's `recompute_extra` grids are queried; the
-    /// mode-independent `bwd_time` and LM-head terms come from `base`,
-    /// priced once over the same batch. The stage fold keeps the scalar
-    /// path's operand order: `layers × (bwd + recompute)` per side, then
-    /// the LM head's backward.
-    ///
-    /// The mask restores the scalar cost pass's short-circuit: the scalar
-    /// path never priced `t(M)` for memory-infeasible slices, so grid
-    /// cells referenced only by masked shapes are skipped (see
-    /// [`crate::grid::NdGrid::query_batch_masked`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask` or `base` does not have one entry per shape of
-    /// `batch`.
-    pub fn mb_bwd_batch_masked(
-        &self,
-        batch: &ShapeBatch,
-        base: &ModeFreeCosts,
-        mask: &[bool],
-    ) -> Vec<Micros> {
-        let n = batch.len();
-        assert_eq!(mask.len(), n, "one mask entry per shape required");
-        assert_eq!(
-            base.fwd.len(),
-            n,
-            "mode-free costs priced over another batch"
-        );
-        let recompute = |g: &crate::grid::NdGrid, p: &crate::grid::BatchQuery| {
-            let mut v = Vec::new();
-            g.query_batch_masked(p, mask, &mut v);
-            v
-        };
-        let enc_re = Self::side_values(&batch.enc, n, |p| recompute(self.enc.recompute, p));
-        let dec_re = Self::side_values(&batch.dec, n, |p| recompute(self.dec.recompute, p));
-        (0..n)
-            .map(|i| {
-                if !mask[i] {
-                    return f64::INFINITY;
-                }
-                if batch.empty[i] {
-                    return 0.0;
-                }
-                let enc_bwd = base.enc_bwd[i] + enc_re[i];
-                let dec_bwd = base.dec_bwd[i] + dec_re[i];
-                let mut bwd_max = 0.0f64;
-                for st in &self.stages {
+                fwd_max = fwd_max.max(fwd);
+                for m in 0..NUM_MODES {
                     let mut bwd = 0.0;
+                    let mut bytes = 0.0f64;
                     if st.encoder_layers > 0 {
-                        bwd += st.encoder_layers as f64 * enc_bwd;
+                        bwd += e * enc_bwd[m];
+                        bytes += e * enc[ACT + m];
                     }
                     if st.decoder_layers > 0 {
-                        bwd += st.decoder_layers as f64 * dec_bwd;
+                        bwd += d * dec_bwd[m];
+                        bytes += d * dec[ACT + m];
                     }
                     if st.has_lm_head {
-                        bwd += base.lm_bwd[i];
+                        bwd += lm_bwd;
                     }
-                    bwd_max = bwd_max.max(bwd);
+                    bwd_max[m] = bwd_max[m].max(bwd);
+                    act_max[m] = act_max[m].max(bytes as Bytes + input);
                 }
-                bwd_max
-            })
-            .collect()
-    }
-
-    /// Batched [`ShapePricer::mb_activation_max`] under this pricer's mode.
-    pub fn mb_activation_max_batch(&self, batch: &ShapeBatch) -> Vec<Bytes> {
-        let n = batch.len();
-        let enc_act = Self::side_values(&batch.enc, n, |p| {
-            let mut v = Vec::new();
-            self.enc.activation.query_batch(p, &mut v);
-            v
-        });
-        let dec_act = Self::side_values(&batch.dec, n, |p| {
-            let mut v = Vec::new();
-            self.dec.activation.query_batch(p, &mut v);
-            v
-        });
-        (0..n)
-            .map(|i| {
-                if batch.empty[i] {
-                    return 0;
-                }
-                // Same operand values and division order as the scalar
-                // path (integer division must not be re-associated).
-                let input = batch.padded_tokens[i] * self.hidden_act_bytes / self.tp;
-                self.stages
-                    .iter()
-                    .map(|st| {
-                        let mut bytes = 0.0f64;
-                        if st.encoder_layers > 0 {
-                            bytes += st.encoder_layers as f64 * enc_act[i];
-                        }
-                        if st.decoder_layers > 0 {
-                            bytes += st.decoder_layers as f64 * dec_act[i];
-                        }
-                        bytes as Bytes + input
-                    })
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect()
+            }
+            for m in 0..NUM_MODES {
+                prices.time[m].push(fwd_max + bwd_max[m]);
+                prices.activation[m].push(act_max[m]);
+            }
+        }
+        prices
     }
 }
 
@@ -788,53 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_bwd_batch_matches_scalar_on_feasible_shapes() {
-        // The feasibility-masked backward solve must price masked-in
-        // shapes bit-identically to the scalar path and poison the rest —
-        // across every recomputation mode and both architectures, all
-        // modes reading one shared mode-free table.
-        for cm in [gpt_cm(4), t5_cm(4)] {
-            let shapes: Vec<MicroBatchShape> = match cm.model.arch {
-                ModelArch::Gpt => vec![
-                    MicroBatchShape::gpt(1, 37),
-                    MicroBatchShape::gpt(3, 900),
-                    MicroBatchShape::empty(),
-                    MicroBatchShape::gpt(64, 100_000),
-                ],
-                ModelArch::T5 => vec![
-                    MicroBatchShape::t5(2, 512, 64),
-                    MicroBatchShape::t5(2, 512, 96),
-                    MicroBatchShape::empty(),
-                    MicroBatchShape::t5(64, 100_000, 9000),
-                ],
-            };
-            let located = cm.shape_pricer(RecomputeMode::None);
-            let batch = located.locate_batch(&shapes);
-            let base = located.price_mode_free(&batch);
-            // Mask patterns: drop the huge shape (the realistic
-            // memory-infeasible case), drop everything, keep everything.
-            for mask in [vec![true, true, true, false], vec![false; 4], vec![true; 4]] {
-                for mode in RecomputeMode::ALL {
-                    let pricer = cm.shape_pricer(mode);
-                    let masked = pricer.mb_bwd_batch_masked(&batch, &base, &mask);
-                    for (i, s) in shapes.iter().enumerate() {
-                        if mask[i] {
-                            assert_eq!(
-                                masked[i].to_bits(),
-                                pricer.mb_bwd(s).to_bits(),
-                                "{:?} mode {mode:?} shape {i}: masked bwd diverged",
-                                cm.model.arch
-                            );
-                        } else {
-                            assert!(masked[i].is_infinite(), "masked-out shape must be poisoned");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn activation_budget_subtracts_static_state() {
         let cm = gpt_cm(4);
         for s in 0..4 {
@@ -880,11 +596,12 @@ mod tests {
 
     #[test]
     fn batched_pricing_bit_identical_to_scalar_across_modes() {
-        // One mode-independent ShapeBatch and one mode-free table, priced
-        // by pricers of every recomputation mode, must reproduce the
-        // scalar per-shape methods exactly — this is the contract the DP
-        // partitioner's batched cost pass relies on. GPT's above-range
-        // shape takes the LM-head axis past the direct memo's range.
+        // One table of shapes, priced under every recomputation mode in
+        // one pass, must reproduce the scalar
+        // per-shape methods exactly — this is the contract the DP
+        // partitioner's cost pass relies on. GPT's above-range shape takes
+        // the LM-head axis past the direct memo's range; the empty shape
+        // prices to zero.
         for cm in [gpt_cm(4), t5_cm(4)] {
             let shapes: Vec<MicroBatchShape> = match cm.model.arch {
                 ModelArch::Gpt => vec![
@@ -904,39 +621,25 @@ mod tests {
                     MicroBatchShape::t5(64, 100_000, 9000), // above-range
                 ],
             };
-            let located = cm.shape_pricer(RecomputeMode::None);
-            let batch = located.locate_batch(&shapes);
-            let base = located.price_mode_free(&batch);
-            let all = vec![true; shapes.len()];
+            let prices = cm.shape_pricer().price_every_mode(&shapes);
+            assert_eq!(prices.len(), shapes.len());
             for mode in RecomputeMode::ALL {
-                let pricer = cm.shape_pricer(mode);
-                let bwd = pricer.mb_bwd_batch_masked(&batch, &base, &all);
-                let act = pricer.mb_activation_max_batch(&batch);
                 for (i, s) in shapes.iter().enumerate() {
+                    let (t, act) = (prices.time(mode)[i], prices.activation(mode)[i]);
+                    let case = format!("{:?} mode {mode:?} shape {i}", cm.model.arch);
                     assert_eq!(
-                        base.fwd()[i].to_bits(),
-                        pricer.mb_fwd(s).to_bits(),
-                        "{:?} mode {mode:?} shape {i}: fwd diverged",
-                        cm.model.arch
-                    );
-                    assert_eq!(
-                        bwd[i].to_bits(),
-                        pricer.mb_bwd(s).to_bits(),
-                        "{:?} mode {mode:?} shape {i}: bwd diverged",
-                        cm.model.arch
-                    );
-                    assert_eq!(
-                        (base.fwd()[i] + bwd[i]).to_bits(),
+                        t.to_bits(),
                         cm.mb_time(s, mode).to_bits(),
-                        "{:?} mode {mode:?} shape {i}: t(M) diverged",
-                        cm.model.arch
+                        "{case}: t(M) diverged"
                     );
                     assert_eq!(
-                        act[i],
-                        pricer.mb_activation_max(s),
-                        "{:?} mode {mode:?} shape {i}: activation diverged",
-                        cm.model.arch
+                        act,
+                        cm.mb_activation_max(s, mode),
+                        "{case}: activation diverged"
                     );
+                    if s.batch_size == 0 {
+                        assert_eq!((t, act), (0.0, 0), "{case}");
+                    }
                 }
             }
         }

@@ -5,19 +5,14 @@
 //! for up to three axes (micro-batch size × query length × context length);
 //! 2D and 1D grids use degenerate trailing axes.
 //!
-//! Two query paths exist: the scalar [`NdGrid::query`] and the batched
-//! [`BatchQuery`]/[`NdGrid::query_batch`] pair. A `BatchQuery` resolves
-//! many points against a set of axes up front — small coordinates are
-//! located once per distinct value, and [`BatchQuery::locate`] collapses
-//! duplicate points onto one cell — and can then be evaluated against
-//! every grid sharing those axes
-//! (forward, backward, recompute and activation profiles of one layer
-//! kind). Batched evaluation is bit-identical to calling `query` per
-//! point.
+//! Besides the scalar [`NdGrid::query`], a [`GridSet`] serves many points
+//! against grids that share their axes (the forward, backward, recompute
+//! and activation profiles of one layer kind): it locates each point once,
+//! small coordinates once per distinct value, and reads every grid of the
+//! set in that one visit. It is bit-identical to calling `query` per point
+//! on each grid.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative process-wide grid-query counters (diagnostics; relaxed
@@ -27,60 +22,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct GridQueryStats {
     /// Scalar [`NdGrid::query`] calls.
     pub scalar: u64,
-    /// Points requested across all [`BatchQuery`] builds.
-    pub batch_points: u64,
-    /// Distinct located cells across all [`BatchQuery`] builds.
+    /// Points queried through [`GridSet`]s, the batched path.
     pub batch_cells: u64,
-    /// Cell evaluations across all [`NdGrid::query_batch`] calls.
-    pub batch_evals: u64,
 }
 
 static SCALAR_QUERIES: AtomicU64 = AtomicU64::new(0);
-static BATCH_POINTS: AtomicU64 = AtomicU64::new(0);
 static BATCH_CELLS: AtomicU64 = AtomicU64::new(0);
-static BATCH_EVALS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot the process-wide grid-query counters.
 pub fn grid_query_stats() -> GridQueryStats {
     GridQueryStats {
         scalar: SCALAR_QUERIES.load(Ordering::Relaxed),
-        batch_points: BATCH_POINTS.load(Ordering::Relaxed),
         batch_cells: BATCH_CELLS.load(Ordering::Relaxed),
-        batch_evals: BATCH_EVALS.load(Ordering::Relaxed),
     }
 }
-
-/// Multiply-xor hasher for integer-keyed hot-loop maps: keys are small or
-/// already well-mixed integers (axis coordinates, packed points, packed
-/// shape extents), so SipHash's DoS resistance is wasted overhead.
-/// Shared with the batcher's shape-dedup maps.
-#[derive(Default)]
-pub struct CoordHasher(u64);
-
-impl std::hash::Hasher for CoordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        // splitmix64-style finalizer over the previous state.
-        let mut z = self.0 ^ x.wrapping_mul(0x9E3779B97F4A7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        self.0 = z ^ (z >> 31);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-}
-
-type CoordMap<K> = HashMap<K, u32, BuildHasherDefault<CoordHasher>>;
 
 /// One sampling axis: a sorted list of sampled coordinate values.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -167,17 +122,50 @@ impl Axis {
     }
 }
 
-/// One query point resolved against a set of axes: the lower bracketing
-/// index, the clamped upper index, and the interpolation fraction per axis
-/// — everything [`NdGrid::query`] derives per call, precomputed.
-#[derive(Debug, Clone, Copy)]
+/// One query point resolved against a set of axes: the flat data offsets
+/// of the cell's eight corners and the interpolation fraction per axis —
+/// what [`NdGrid::query`] derives per call. The offsets hold on every grid
+/// sharing the axes, because they fix the data layout.
 struct LocatedCell {
-    i: [u32; 3],
-    j: [u32; 3],
+    corners: [u32; 8],
     f: [f64; 3],
 }
 
-/// [`Axis::locate`] for one batch, memoized when the coordinates are
+/// Flat data offsets of the eight corners of the cell with lower indices
+/// `i` and upper indices `j`, on a grid whose last two axes have `len1`
+/// and `len2` samples, in the order [`trilinear`] reads them: axis 0
+/// varies fastest, then axis 1, then axis 2.
+fn corner_offsets(i: [usize; 3], j: [usize; 3], len1: usize, len2: usize) -> [usize; 8] {
+    let at = |x0: usize, x1: usize, x2: usize| (x0 * len1 + x1) * len2 + x2;
+    [
+        at(i[0], i[1], i[2]),
+        at(j[0], i[1], i[2]),
+        at(i[0], j[1], i[2]),
+        at(j[0], j[1], i[2]),
+        at(i[0], i[1], j[2]),
+        at(j[0], i[1], j[2]),
+        at(i[0], j[1], j[2]),
+        at(j[0], j[1], j[2]),
+    ]
+}
+
+/// The trilinear kernel over a cell's corner values (in
+/// [`corner_offsets`] order) and fractions. The scalar path calls it, and
+/// a grid set runs its operations lane by lane, so both are bit-identical
+/// by construction (same operands, same operation order).
+#[inline]
+fn trilinear(v: [f64; 8], f: [f64; 3]) -> f64 {
+    let lerp = |a: f64, b: f64, t: f64| a + (b - a) * t;
+    let c00 = lerp(v[0], v[1], f[0]);
+    let c10 = lerp(v[2], v[3], f[0]);
+    let c01 = lerp(v[4], v[5], f[0]);
+    let c11 = lerp(v[6], v[7], f[0]);
+    let c0 = lerp(c00, c10, f[1]);
+    let c1 = lerp(c01, c11, f[1]);
+    lerp(c0, c1, f[2])
+}
+
+/// [`Axis::locate`] for one grid set, memoized when the coordinates are
 /// small: up to [`DIRECT_MEMO_MAX`], each distinct coordinate is located
 /// once through a direct-index slot table. A wider axis (an LM head's
 /// token counts reach 128 × 4096) calls `Axis::locate` per point: one
@@ -187,7 +175,8 @@ struct AxisMemo<'a> {
     axis: &'a Axis,
     located: Vec<(u32, f64)>,
     /// `slots[x]` is the 1-based located slot of coordinate `x` (0 = not
-    /// yet located); empty on degenerate and wide axes.
+    /// yet located); empty on degenerate and wide axes. Coordinates past
+    /// its end take the wide-axis path.
     slots: Vec<u32>,
 }
 
@@ -214,7 +203,7 @@ impl<'a> AxisMemo<'a> {
         if self.axis.is_degenerate() {
             return (0, 0.0);
         }
-        if self.slots.is_empty() {
+        if x >= self.slots.len() {
             let (i, f) = self.axis.locate(x);
             return (i as u32, f);
         }
@@ -229,157 +218,141 @@ impl<'a> AxisMemo<'a> {
     }
 }
 
-/// A batch of query points resolved once against a set of axes — the
-/// query plan of the batched interpolation path.
-///
-/// Building a `BatchQuery` locates each coordinate (each distinct one
-/// once, on axes whose coordinates fit the direct memo) and, through
-/// [`BatchQuery::locate`], collapses duplicate `(x0, x1, x2)` points onto
-/// a single cell; the plan records, per input point, which cell it reads.
-/// [`NdGrid::query_batch`] then evaluates each distinct cell exactly once and scatters the values
-/// back in input order. Because the plan stores only indices and
-/// fractions, one plan serves every grid built over the same axes (a layer
-/// profile's forward/backward/recompute/activation grids), so the
-/// per-point binary searches are paid once per batch instead of once per
-/// grid per point.
-#[derive(Debug, Clone)]
-pub struct BatchQuery {
-    cells: Vec<LocatedCell>,
-    /// Per input point: index into `cells`.
-    point_cell: Vec<u32>,
-    /// Fingerprint of the axes the plan was located against — sample
-    /// count plus first/last sample per axis (guards misuse: cached
-    /// bracketing indices and fractions are only valid on grids sharing
-    /// the axes).
-    axis_prints: [(usize, usize, usize); 3],
+/// Locates points against three axes through one [`AxisMemo`] each.
+struct Locator<'a> {
+    memos: [AxisMemo<'a>; 3],
+    lens: [usize; 3],
 }
 
-/// The misuse-guard fingerprint of one axis.
-fn axis_print(a: &Axis) -> (usize, usize, usize) {
-    (a.len(), a.values[0], *a.values.last().expect("non-empty"))
-}
-
-impl BatchQuery {
-    /// Resolve `points` against `(a0, a1, a2)`. The resulting plan may be
-    /// evaluated on any [`NdGrid`] whose axes have the same sample layout.
+impl<'a> Locator<'a> {
+    /// A locator over `axes` whose memos cover coordinates up to `max`
+    /// (larger ones are located unmemoized).
     ///
-    /// Points that resolve to the same cell are collapsed; coordinates on
-    /// degenerate axes never distinguish cells (every query lands on the
-    /// single sample with fraction 0, so the interpolation arithmetic —
-    /// and therefore the bit pattern of the result — is identical).
-    pub fn locate(
-        a0: &Axis,
-        a1: &Axis,
-        a2: &Axis,
-        points: impl IntoIterator<Item = (usize, usize, usize)>,
-    ) -> BatchQuery {
-        Self::locate_impl(a0, a1, a2, points, true)
-    }
-
-    /// Like [`BatchQuery::locate`], without duplicate-cell detection:
-    /// each point maps to its own cell and is evaluated once per point.
-    /// Duplicate points are allowed. Use it where duplicates are rare or
-    /// cheaper to evaluate twice than to detect (e.g. coordinates derived
-    /// from an already-deduplicated shape table).
-    pub fn locate_distinct(
-        a0: &Axis,
-        a1: &Axis,
-        a2: &Axis,
-        points: impl IntoIterator<Item = (usize, usize, usize)>,
-    ) -> BatchQuery {
-        Self::locate_impl(a0, a1, a2, points, false)
-    }
-
-    fn locate_impl(
-        a0: &Axis,
-        a1: &Axis,
-        a2: &Axis,
-        points: impl IntoIterator<Item = (usize, usize, usize)>,
-        dedup: bool,
-    ) -> BatchQuery {
-        let pts: Vec<(usize, usize, usize)> = points.into_iter().collect();
-        // Effective coordinates: a degenerate axis contributes nothing to
-        // cell identity.
-        let eff = |x: usize, ax: &Axis| if ax.is_degenerate() { 0 } else { x };
-        let (mut max0, mut max1, mut max2) = (0usize, 0usize, 0usize);
-        for &(x0, x1, x2) in &pts {
-            max0 = max0.max(eff(x0, a0));
-            max1 = max1.max(eff(x1, a1));
-            max2 = max2.max(eff(x2, a2));
+    /// # Panics
+    ///
+    /// Panics if a grid over the axes has more samples than a `u32`
+    /// offset addresses.
+    fn new(axes: [&'a Axis; 3], max: [usize; 3]) -> Self {
+        let lens = axes.map(Axis::len);
+        assert!(
+            lens[0] * lens[1] * lens[2] <= u32::MAX as usize,
+            "grid too large for 32-bit cell offsets"
+        );
+        Locator {
+            memos: [0, 1, 2].map(|k| AxisMemo::new(axes[k], max[k])),
+            lens,
         }
-        let bits = |m: usize| (usize::BITS - m.leading_zeros()) as u32;
-        let (b0, b1) = (bits(max0), bits(max1));
-        let mut m0 = AxisMemo::new(a0, max0);
-        let mut m1 = AxisMemo::new(a1, max1);
-        let mut m2 = AxisMemo::new(a2, max2);
-        let mut cells: Vec<LocatedCell> = Vec::with_capacity(pts.len());
-        let mut point_cell: Vec<u32> = Vec::with_capacity(pts.len());
-        let clamp = |i: u32, len: usize| ((i as usize + 1).min(len - 1)) as u32;
-        let mut locate_cell = |p: (usize, usize, usize)| {
-            let (i0, f0) = m0.locate(p.0);
-            let (i1, f1) = m1.locate(p.1);
-            let (i2, f2) = m2.locate(p.2);
-            LocatedCell {
-                i: [i0, i1, i2],
-                j: [clamp(i0, a0.len()), clamp(i1, a1.len()), clamp(i2, a2.len())],
-                f: [f0, f1, f2],
-            }
-        };
-        if !dedup {
-            for &p in &pts {
-                point_cell.push(cells.len() as u32);
-                cells.push(locate_cell(p));
-            }
-        } else if b0 + b1 + bits(max2) <= u64::BITS {
-            // Effective coordinates pack into one u64 key: dedup through a
-            // dense integer map (cheap hash, cache-friendly entries).
-            let mut by_key: CoordMap<u64> = CoordMap::with_capacity_and_hasher(
-                pts.len(),
-                BuildHasherDefault::default(),
-            );
-            for &p in &pts {
-                let key = eff(p.0, a0) as u64
-                    | (eff(p.1, a1) as u64) << b0
-                    | (eff(p.2, a2) as u64) << (b0 + b1);
-                let next = cells.len() as u32;
-                let id = *by_key.entry(key).or_insert(next);
-                if id == next {
-                    cells.push(locate_cell(p));
-                }
-                point_cell.push(id);
-            }
+    }
+
+    fn cell(&mut self, p: (usize, usize, usize)) -> LocatedCell {
+        let (i0, f0) = self.memos[0].locate(p.0);
+        let (i1, f1) = self.memos[1].locate(p.1);
+        let (i2, f2) = self.memos[2].locate(p.2);
+        let i = [i0 as usize, i1 as usize, i2 as usize];
+        let j = [0, 1, 2].map(|k| (i[k] + 1).min(self.lens[k] - 1));
+        LocatedCell {
+            corners: corner_offsets(i, j, self.lens[1], self.lens[2]).map(|o| o as u32),
+            f: [f0, f1, f2],
+        }
+    }
+}
+
+/// `N` grids over the same axes, queried together: one query locates its
+/// point once and reads each corner's values for all grids side by side,
+/// interpolating them lane by lane. Values are bit-identical to
+/// [`NdGrid::query`] on each grid.
+///
+/// A set memoizes coordinate location but keeps no per-point state: it
+/// suits a stream of points each queried once, such as the rows of an
+/// already-deduplicated shape table.
+pub struct GridSet<'g, const N: usize> {
+    locator: Locator<'g>,
+    /// `data[offset][g]` is grid `g`'s sample at flat offset `offset`.
+    data: Vec<[f64; N]>,
+    /// Whether axis 1 is degenerate: its upper corners are its lower ones.
+    flat1: bool,
+    /// Whether axis 2 is degenerate.
+    flat2: bool,
+    /// Points queried, added to the process-wide count when the set is
+    /// dropped.
+    queried: u64,
+}
+
+impl<'g, const N: usize> GridSet<'g, N> {
+    /// A set over `grids`, memoizing coordinates up to `max` per axis
+    /// (larger coordinates are located unmemoized).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N == 0` or the grids do not share their axes.
+    pub fn new(grids: [&'g NdGrid; N], max: [usize; 3]) -> Self {
+        let first = grids.first().expect("a grid set needs at least one grid");
+        assert!(
+            grids
+                .iter()
+                .all(|g| (&g.a0, &g.a1, &g.a2) == (&first.a0, &first.a1, &first.a2)),
+            "grids of a set must share their axes"
+        );
+        GridSet {
+            locator: Locator::new([&first.a0, &first.a1, &first.a2], max),
+            data: (0..first.data.len())
+                .map(|o| std::array::from_fn(|g| grids[g].data[o]))
+                .collect(),
+            flat1: first.a1.is_degenerate(),
+            flat2: first.a2.is_degenerate(),
+            queried: 0,
+        }
+    }
+
+    /// Every grid's interpolated value at `(x0, x1, x2)`, in the order
+    /// the grids were given.
+    ///
+    /// Each lane runs [`trilinear`]'s operations in its order. On a
+    /// degenerate axis the upper corners are the lower ones, so the lerps
+    /// that would repeat an earlier lerp on the same operands reuse its
+    /// result instead — the same bits, computed once.
+    #[inline]
+    pub fn query(&mut self, x0: usize, x1: usize, x2: usize) -> [f64; N] {
+        self.queried += 1;
+        let c = self.locator.cell((x0, x1, x2));
+        let v = |k: usize| &self.data[c.corners[k] as usize];
+        let [f0, f1, f2] = c.f;
+        let c00 = lerp_lanes(v(0), v(1), f0);
+        let c10 = if self.flat1 {
+            c00
         } else {
-            let mut by_point: CoordMap<(usize, usize, usize)> =
-                CoordMap::with_capacity_and_hasher(pts.len(), BuildHasherDefault::default());
-            for &p in &pts {
-                let key = (eff(p.0, a0), eff(p.1, a1), eff(p.2, a2));
-                let next = cells.len() as u32;
-                let id = *by_point.entry(key).or_insert(next);
-                if id == next {
-                    cells.push(locate_cell(p));
-                }
-                point_cell.push(id);
-            }
-        }
-        BATCH_POINTS.fetch_add(point_cell.len() as u64, Ordering::Relaxed);
-        BATCH_CELLS.fetch_add(cells.len() as u64, Ordering::Relaxed);
-        BatchQuery {
-            cells,
-            point_cell,
-            axis_prints: [axis_print(a0), axis_print(a1), axis_print(a2)],
-        }
+            lerp_lanes(v(2), v(3), f0)
+        };
+        let c0 = lerp_lanes(&c00, &c10, f1);
+        let c1 = if self.flat2 {
+            c0
+        } else {
+            let c01 = lerp_lanes(v(4), v(5), f0);
+            let c11 = if self.flat1 {
+                c01
+            } else {
+                lerp_lanes(v(6), v(7), f0)
+            };
+            lerp_lanes(&c01, &c11, f1)
+        };
+        lerp_lanes(&c0, &c1, f2)
     }
+}
 
-    /// Number of input points (the length of every evaluation's output).
-    pub fn num_points(&self) -> usize {
-        self.point_cell.len()
+impl<const N: usize> Drop for GridSet<'_, N> {
+    fn drop(&mut self) {
+        BATCH_CELLS.fetch_add(self.queried, Ordering::Relaxed);
     }
+}
 
-    /// Number of distinct located cells (grid evaluations per
-    /// [`NdGrid::query_batch`] call).
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
+/// [`trilinear`]'s lerp, lane by lane.
+#[inline]
+fn lerp_lanes<const N: usize>(a: &[f64; N], b: &[f64; N], t: f64) -> [f64; N] {
+    let mut out = [0.0; N];
+    for g in 0..N {
+        out[g] = a[g] + (b[g] - a[g]) * t;
     }
+    out
 }
 
 /// A dense 3-axis grid of `f64` samples with multilinear interpolation.
@@ -413,10 +386,6 @@ impl NdGrid {
         NdGrid { a0, a1, a2, data }
     }
 
-    fn at(&self, i0: usize, i1: usize, i2: usize) -> f64 {
-        self.data[(i0 * self.a1.len() + i1) * self.a2.len() + i2]
-    }
-
     /// Multilinearly interpolated value at `(x0, x1, x2)`. Queries below
     /// an axis's first sample clamp to it; queries above the last sample
     /// *extrapolate linearly* along the top segment (see [`Axis::locate`]
@@ -438,176 +407,8 @@ impl NdGrid {
         let j0 = (i0 + 1).min(self.a0.len() - 1);
         let j1 = (i1 + 1).min(self.a1.len() - 1);
         let j2 = (i2 + 1).min(self.a2.len() - 1);
-        self.interpolate(i0, i1, i2, j0, j1, j2, f0, f1, f2)
-    }
-
-    /// The shared trilinear kernel: both query paths funnel through this,
-    /// so batched evaluation is bit-identical to scalar queries by
-    /// construction (same operands, same operation order).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn interpolate(
-        &self,
-        i0: usize,
-        i1: usize,
-        i2: usize,
-        j0: usize,
-        j1: usize,
-        j2: usize,
-        f0: f64,
-        f1: f64,
-        f2: f64,
-    ) -> f64 {
-        let lerp = |a: f64, b: f64, t: f64| a + (b - a) * t;
-        let c00 = lerp(self.at(i0, i1, i2), self.at(j0, i1, i2), f0);
-        let c10 = lerp(self.at(i0, j1, i2), self.at(j0, j1, i2), f0);
-        let c01 = lerp(self.at(i0, i1, j2), self.at(j0, i1, j2), f0);
-        let c11 = lerp(self.at(i0, j1, j2), self.at(j0, j1, j2), f0);
-        let c0 = lerp(c00, c10, f1);
-        let c1 = lerp(c01, c11, f1);
-        lerp(c0, c1, f2)
-    }
-
-    /// Evaluate every point of `batch` against this grid, appending one
-    /// value per input point (in input order) to `out`. Each distinct cell
-    /// is evaluated once and scattered to the points sharing it. Values
-    /// are bit-identical to calling [`NdGrid::query`] per point, including
-    /// the above-range extrapolation behavior.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid's axes do not have the sample counts the batch
-    /// was located against.
-    pub fn query_batch(&self, batch: &BatchQuery, out: &mut Vec<f64>) {
-        assert_eq!(
-            batch.axis_prints,
-            [
-                axis_print(&self.a0),
-                axis_print(&self.a1),
-                axis_print(&self.a2)
-            ],
-            "batch was located against differently-shaped axes"
-        );
-        BATCH_EVALS.fetch_add(batch.cells.len() as u64, Ordering::Relaxed);
-        let vals: Vec<f64> = batch
-            .cells
-            .iter()
-            .map(|c| {
-                self.interpolate(
-                    c.i[0] as usize,
-                    c.i[1] as usize,
-                    c.i[2] as usize,
-                    c.j[0] as usize,
-                    c.j[1] as usize,
-                    c.j[2] as usize,
-                    c.f[0],
-                    c.f[1],
-                    c.f[2],
-                )
-            })
-            .collect();
-        out.reserve(batch.point_cell.len());
-        out.extend(batch.point_cell.iter().map(|&id| vals[id as usize]));
-    }
-
-    /// Feasibility-masked [`NdGrid::query_batch`]: evaluate only the
-    /// points with `mask[i] == true`, appending one value per input point
-    /// (in input order) to `out`. Masked-out points receive
-    /// `f64::INFINITY` (a poison value — callers skip them), and cells
-    /// referenced *only* by masked points are never interpolated, so the
-    /// evaluation cost scales with the unmasked subset. Unmasked values
-    /// are bit-identical to [`NdGrid::query`] / [`NdGrid::query_batch`].
-    ///
-    /// This is the grid-level face of the cost pass's feasibility mask:
-    /// backward halves of memory-infeasible shapes are dead work (the DP
-    /// never reads them), so the batched solve skips their cells exactly
-    /// as the scalar path skipped their queries.
-    ///
-    /// Returns the number of cells actually interpolated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mask.len()` differs from the batch's point count, or if
-    /// the grid's axes do not match the batch (as in `query_batch`).
-    pub fn query_batch_masked(
-        &self,
-        batch: &BatchQuery,
-        mask: &[bool],
-        out: &mut Vec<f64>,
-    ) -> usize {
-        assert_eq!(
-            batch.axis_prints,
-            [
-                axis_print(&self.a0),
-                axis_print(&self.a1),
-                axis_print(&self.a2)
-            ],
-            "batch was located against differently-shaped axes"
-        );
-        assert_eq!(
-            mask.len(),
-            batch.point_cell.len(),
-            "one mask entry per batch point required"
-        );
-        let mut needed = vec![false; batch.cells.len()];
-        let mut num_needed = 0u64;
-        for (p, &cell) in batch.point_cell.iter().enumerate() {
-            if mask[p] && !needed[cell as usize] {
-                needed[cell as usize] = true;
-                num_needed += 1;
-            }
-        }
-        BATCH_EVALS.fetch_add(num_needed, Ordering::Relaxed);
-        let vals: Vec<f64> = batch
-            .cells
-            .iter()
-            .zip(&needed)
-            .map(|(c, &n)| {
-                if !n {
-                    return f64::INFINITY;
-                }
-                self.interpolate(
-                    c.i[0] as usize,
-                    c.i[1] as usize,
-                    c.i[2] as usize,
-                    c.j[0] as usize,
-                    c.j[1] as usize,
-                    c.j[2] as usize,
-                    c.f[0],
-                    c.f[1],
-                    c.f[2],
-                )
-            })
-            .collect();
-        out.reserve(batch.point_cell.len());
-        out.extend(
-            batch
-                .point_cell
-                .iter()
-                .enumerate()
-                .map(|(p, &id)| if mask[p] { vals[id as usize] } else { f64::INFINITY }),
-        );
-        num_needed as usize
-    }
-
-    /// Resolve `points` against this grid's own axes (see
-    /// [`BatchQuery::locate`]; the plan is reusable on any grid sharing
-    /// the axes).
-    pub fn plan_queries(
-        &self,
-        points: impl IntoIterator<Item = (usize, usize, usize)>,
-    ) -> BatchQuery {
-        BatchQuery::locate(&self.a0, &self.a1, &self.a2, points)
-    }
-
-    /// Like [`NdGrid::plan_queries`], without duplicate-cell detection:
-    /// duplicate points are allowed, and each is evaluated once per point
-    /// (see [`BatchQuery::locate_distinct`]).
-    pub fn plan_queries_distinct(
-        &self,
-        points: impl IntoIterator<Item = (usize, usize, usize)>,
-    ) -> BatchQuery {
-        BatchQuery::locate_distinct(&self.a0, &self.a1, &self.a2, points)
+        let corners = corner_offsets([i0, i1, i2], [j0, j1, j2], self.a1.len(), self.a2.len());
+        trilinear(corners.map(|o| self.data[o]), [f0, f1, f2])
     }
 
     /// Number of stored samples.
@@ -749,129 +550,62 @@ mod tests {
     }
 
     #[test]
-    fn batched_queries_bit_identical_to_scalar() {
-        let g = NdGrid::build(
-            Axis::pow2(1, 16),
-            Axis::pow2(16, 256),
-            Axis::pow2(16, 256),
-            |b, s1, s2| (b * s1) as f64 * 1.37 + (s2 as f64).sqrt() * 0.11,
-        );
-        // In-range, on-grid, below-range and above-range (extrapolating)
-        // points, with duplicates to exercise the cell collapse. The last
-        // four reach coordinates above the direct memo's range on the
-        // first two axes, which then locate per point.
-        let points = [
-            (3usize, 100usize, 33usize),
-            (1, 16, 16),
-            (0, 0, 0),
-            (64, 1000, 17),
-            (3, 100, 33),
-            (16, 256, 256),
-            (5, 300, 4000),
-            (3, 100, 33),
-            (70_000, 100, 33),
-            (3, 100_000, 33),
-            (70_000, 100, 33),
-            (3, 100_000, 33),
-        ];
-        let collapsed = g.plan_queries(points.iter().copied());
-        assert_eq!(collapsed.num_points(), points.len());
-        assert_eq!(
-            collapsed.num_cells(),
-            points.len() - 4,
-            "duplicates collapse"
-        );
-        let per_point = g.plan_queries_distinct(points.iter().copied());
-        assert_eq!(per_point.num_points(), points.len());
-        assert_eq!(per_point.num_cells(), points.len(), "one cell per point");
-        for batch in [&collapsed, &per_point] {
-            let mut out = Vec::new();
-            g.query_batch(batch, &mut out);
-            for (p, v) in points.iter().zip(&out) {
-                assert_eq!(
-                    v.to_bits(),
-                    g.query(p.0, p.1, p.2).to_bits(),
-                    "point {p:?} diverged from scalar query"
-                );
+    fn grid_set_reads_every_grid_like_scalar_queries() {
+        // One visit per point prices every grid sharing the axes,
+        // bit-identically to scalar queries at each point: repeats,
+        // below-range and above-range points included, on full 3-D axes
+        // and with degenerate axis 1 and/or 2 (whose repeated lerps are
+        // computed once).
+        let full = || Axis::pow2(16, 256);
+        for (a1, a2) in [
+            (full(), full()),
+            (full(), Axis::singleton()),
+            (Axis::singleton(), full()),
+            (Axis::singleton(), Axis::singleton()),
+        ] {
+            let a0 = Axis::pow2(1, 16);
+            let grids: Vec<NdGrid> = [1.37, -0.5, 9.0]
+                .into_iter()
+                .map(|k| {
+                    NdGrid::build(a0.clone(), a1.clone(), a2.clone(), |b, s1, s2| {
+                        (b * s1) as f64 * k + (s2 as f64).sqrt() * 0.11 + b as f64 / 3.0
+                    })
+                })
+                .collect();
+            // The last two reach coordinates past the direct memo's range.
+            let points = [
+                (3usize, 100usize, 33usize),
+                (1, 16, 16),
+                (0, 0, 0),
+                (3, 100, 33),
+                (64, 1000, 17),
+                (5, 300, 4000),
+                (70_000, 100, 33),
+                (3, 100_000, 33),
+            ];
+            // Memos sized to the other coordinates, and sized below some
+            // (coordinates past a memo locate unmemoized); each set queried
+            // twice over so the second pass reads the memos.
+            for max in [[64, 1000, 4000], [4, 50, 20]] {
+                let mut set = GridSet::new([&grids[0], &grids[1], &grids[2]], max);
+                for _ in 0..2 {
+                    for p in &points {
+                        for (g, v) in grids.iter().zip(set.query(p.0, p.1, p.2)) {
+                            assert_eq!(
+                                v.to_bits(),
+                                g.query(p.0, p.1, p.2).to_bits(),
+                                "point {p:?} diverged from scalar query"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn masked_batch_matches_scalar_on_unmasked_and_skips_dead_cells() {
-        let g = NdGrid::build(
-            Axis::pow2(1, 16),
-            Axis::pow2(16, 256),
-            Axis::pow2(16, 256),
-            |b, s1, s2| (b * s1) as f64 * 1.37 + (s2 as f64).sqrt() * 0.11,
-        );
-        let points = [
-            (3usize, 100usize, 33usize),
-            (1, 16, 16),
-            (64, 1000, 17),
-            (3, 100, 33), // duplicate of point 0 (shared cell)
-            (5, 300, 4000),
-            (16, 256, 256),
-        ];
-        let batch = g.plan_queries(points.iter().copied());
-        // Mask out points 1 and 4; point 3 shares its cell with unmasked
-        // point 0, so that cell must still be evaluated.
-        let mask = [true, false, true, true, false, true];
-        let mut out = Vec::new();
-        let evals = g.query_batch_masked(&batch, &mask, &mut out);
-        assert_eq!(out.len(), points.len());
-        for (i, p) in points.iter().enumerate() {
-            if mask[i] {
-                assert_eq!(
-                    out[i].to_bits(),
-                    g.query(p.0, p.1, p.2).to_bits(),
-                    "unmasked point {p:?} diverged from scalar query"
-                );
-            } else {
-                assert!(out[i].is_infinite(), "masked point must be poisoned");
-            }
-        }
-        // 4 distinct unmasked points share 3 distinct cells (0 and 3
-        // collapse); the 2 masked points' private cells are never touched.
-        assert_eq!(evals, 3, "only cells reachable from unmasked points");
-    }
-
-    #[test]
-    fn fully_masked_batch_evaluates_nothing() {
-        let g = NdGrid::build(
-            Axis::pow2(1, 8),
-            Axis::singleton(),
-            Axis::singleton(),
-            |b, _, _| b as f64,
-        );
-        let batch = g.plan_queries([(2usize, 0usize, 0usize), (5, 0, 0)]);
-        let mut out = Vec::new();
-        assert_eq!(g.query_batch_masked(&batch, &[false, false], &mut out), 0);
-        assert!(out.iter().all(|v| v.is_infinite()));
-    }
-
-    #[test]
-    fn batch_plan_reusable_across_grids_sharing_axes() {
-        let a0 = Axis::pow2(1, 8);
-        let a1 = Axis::pow2(32, 128);
-        let f = NdGrid::build(a0.clone(), a1.clone(), Axis::singleton(), |b, s, _| {
-            (b * s) as f64
-        });
-        let gdata = NdGrid::build(a0, a1, Axis::singleton(), |b, s, _| (b + s) as f64);
-        let points = [(3usize, 48usize, 0usize), (20, 999, 0)];
-        let batch = f.plan_queries(points.iter().copied());
-        let (mut of, mut og) = (Vec::new(), Vec::new());
-        f.query_batch(&batch, &mut of);
-        gdata.query_batch(&batch, &mut og);
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(of[i].to_bits(), f.query(p.0, p.1, p.2).to_bits());
-            assert_eq!(og[i].to_bits(), gdata.query(p.0, p.1, p.2).to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "differently-shaped axes")]
-    fn query_batch_rejects_mismatched_axes() {
+    #[should_panic(expected = "must share their axes")]
+    fn grid_set_rejects_grids_on_other_axes() {
         let g1 = NdGrid::build(
             Axis::pow2(1, 8),
             Axis::singleton(),
@@ -884,8 +618,6 @@ mod tests {
             Axis::singleton(),
             |b, _, _| b as f64,
         );
-        let batch = g1.plan_queries([(2usize, 0usize, 0usize)]);
-        let mut out = Vec::new();
-        g2.query_batch(&batch, &mut out);
+        let _ = GridSet::new([&g1, &g2], [0; 3]);
     }
 }

@@ -19,7 +19,7 @@ pub mod grid;
 pub mod iteration;
 pub mod profile;
 
-pub use costmodel::{CostModel, ModeFreeCosts, ShapeBatch, ShapePricer};
-pub use grid::{grid_query_stats, Axis, BatchQuery, GridQueryStats, NdGrid};
+pub use costmodel::{CostModel, ModePrices, ShapePricer};
+pub use grid::{grid_query_stats, Axis, GridQueryStats, GridSet, NdGrid};
 pub use iteration::{iteration_time, iteration_time_dp};
 pub use profile::{ProfileDb, ProfileOptions};

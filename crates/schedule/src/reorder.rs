@@ -8,8 +8,8 @@
 //! makespan.
 
 use crate::adaptive::adaptive_schedule;
-use crate::timeline::evaluate_schedule;
-use crate::types::ScheduleInput;
+use crate::timeline::{evaluate_schedule, Timeline};
+use crate::types::{Schedule, ScheduleInput};
 use dynapipe_model::Micros;
 use serde::{Deserialize, Serialize};
 
@@ -26,11 +26,27 @@ impl Default for ReorderConfig {
     }
 }
 
+/// The winning order of the cluster-permutation search, with everything
+/// choosing it built (see [`reorder_with_schedule`]).
+#[derive(Debug, Clone)]
+pub struct Reordered {
+    /// The permutation: indices into the original input's micro-batches.
+    pub order: Vec<usize>,
+    /// The input with its micro-batches in `order`.
+    pub input: ScheduleInput,
+    /// The adaptive schedule of `input`.
+    pub schedule: Schedule,
+    /// `schedule` evaluated on `input`.
+    pub timeline: Timeline,
+}
+
 /// Find a good micro-batch injection order.
 ///
 /// Returns the permutation (indices into `input`'s micro-batches) whose
 /// adaptive-schedule makespan is smallest among all permutations of the
-/// execution-time clusters, together with that makespan.
+/// execution-time clusters, together with that makespan. When no
+/// permutation's schedule evaluates, the order is the identity and the
+/// makespan infinite.
 pub fn reorder_micro_batches(
     input: &ScheduleInput,
     config: &ReorderConfig,
@@ -38,6 +54,22 @@ pub fn reorder_micro_batches(
     let m = input.num_micro_batches();
     if m == 0 {
         return (Vec::new(), 0.0);
+    }
+    match reorder_with_schedule(input, config) {
+        Some(best) => (best.order, best.timeline.times.makespan),
+        None => ((0..m).collect(), f64::INFINITY),
+    }
+}
+
+/// [`reorder_micro_batches`]' search, keeping the winner's reordered
+/// input, adaptive schedule and timeline, so a caller that goes on to
+/// schedule the winning order need not build them again. `None` when
+/// there are no micro-batches or no permutation's schedule evaluates to a
+/// finite makespan.
+pub fn reorder_with_schedule(input: &ScheduleInput, config: &ReorderConfig) -> Option<Reordered> {
+    let m = input.num_micro_batches();
+    if m == 0 {
+        return None;
     }
     let k = config.num_clusters.clamp(1, 4).min(m);
     // Sort micro-batches by predicted time, then split into k quantile
@@ -55,7 +87,7 @@ pub fn reorder_micro_batches(
     }
     clusters.retain(|c| !c.is_empty());
 
-    let mut best_order: Option<Vec<usize>> = None;
+    let mut best: Option<Reordered> = None;
     let mut best_makespan = f64::INFINITY;
     for perm in permutations(clusters.len()) {
         let order: Vec<usize> = perm
@@ -64,18 +96,20 @@ pub fn reorder_micro_batches(
             .collect();
         let selected = input.select(&order);
         let schedule = adaptive_schedule(&selected);
-        let Ok(tl) = evaluate_schedule(&schedule, &selected) else {
+        let Ok(timeline) = evaluate_schedule(&schedule, &selected) else {
             continue;
         };
-        if tl.times.makespan < best_makespan {
-            best_makespan = tl.times.makespan;
-            best_order = Some(order);
+        if timeline.times.makespan < best_makespan {
+            best_makespan = timeline.times.makespan;
+            best = Some(Reordered {
+                order,
+                input: selected,
+                schedule,
+                timeline,
+            });
         }
     }
-    (
-        best_order.unwrap_or_else(|| (0..m).collect()),
-        best_makespan,
-    )
+    best
 }
 
 /// All permutations of `0..n` (n ≤ 4 in practice: at most 24).
@@ -104,6 +138,7 @@ fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynapipe_model::Bytes;
 
     fn variable_input(m: usize, c: usize) -> ScheduleInput {
         let mut input = ScheduleInput::uniform(m, c, 10.0, 20.0, 1);
@@ -157,6 +192,37 @@ mod tests {
         let (order, makespan) = reorder_micro_batches(&input, &ReorderConfig::default());
         assert!(order.is_empty());
         assert_eq!(makespan, 0.0);
+    }
+
+    #[test]
+    fn kept_winner_is_what_rebuilding_the_order_gives() {
+        // The winner's input, schedule and timeline must equal a rebuild
+        // from its order, and its order and makespan must be the plain
+        // search's. Uneven activations under a tight limit make the
+        // adaptive schedule depend on the order, so a schedule kept from
+        // another order would differ.
+        let mut input = variable_input(13, 4);
+        for (i, act) in input.act.iter_mut().enumerate() {
+            act.fill(10 + 30 * ((i * 7919) % 10) as Bytes);
+        }
+        input.mem_limit = vec![400; 4];
+        let cfg = ReorderConfig::default();
+        let best = reorder_with_schedule(&input, &cfg).unwrap();
+        let (order, makespan) = reorder_micro_batches(&input, &cfg);
+        assert_eq!(best.order, order);
+        assert_eq!(best.timeline.times.makespan.to_bits(), makespan.to_bits());
+        let selected = input.select(&order);
+        let schedule = adaptive_schedule(&selected);
+        let timeline = evaluate_schedule(&schedule, &selected).unwrap();
+        assert_eq!(best.input, selected);
+        assert_eq!(best.schedule, schedule);
+        assert_eq!(best.timeline, timeline);
+        assert_ne!(
+            adaptive_schedule(&input),
+            schedule,
+            "the input must make the schedule order-dependent"
+        );
+        assert!(reorder_with_schedule(&ScheduleInput::uniform(0, 2, 1.0, 1.0, 1), &cfg).is_none());
     }
 
     #[test]

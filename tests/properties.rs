@@ -5,7 +5,7 @@ use dynapipe_batcher::{
     karmarkar_karp, pack_samples, sort_samples, tsp_order, DpConfig, MicroBatch, Partitioner,
 };
 use dynapipe_comm::{naive_plan, plan_communication, verify_deadlock_free, PlanInputs};
-use dynapipe_cost::{Axis, CostModel, NdGrid, ProfileOptions};
+use dynapipe_cost::{Axis, CostModel, GridSet, NdGrid, ProfileOptions};
 use dynapipe_data::Sample;
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{
@@ -205,38 +205,44 @@ proptest! {
         raw1 in proptest::collection::vec(1usize..5000, 1..8),
         raw2 in proptest::collection::vec(1usize..5000, 1..8),
         coeffs in (0.1f64..10.0, 0.1f64..10.0, 0.1f64..10.0),
+        memo in (0usize..8000, 0usize..8000, 0usize..8000),
         points in proptest::collection::vec(
             (0usize..8000, 0usize..8000, 0usize..8000),
             1..40,
         ),
     ) {
-        // Random axes (sorted, deduplicated), random sample data, random
-        // query points including below-range (clamping) and above-range
-        // (extrapolating) coordinates: the batched path must reproduce the
-        // scalar `NdGrid::query` bit for bit.
+        // Random axes (sorted, deduplicated; a single sample makes an axis
+        // degenerate), random sample data, random query points including
+        // below-range (clamping) and above-range (extrapolating)
+        // coordinates, and random memo bounds (coordinates past one locate
+        // unmemoized): a grid set, the batched path pricing runs, must
+        // reproduce the scalar `NdGrid::query` of each of its grids bit
+        // for bit.
         let axis = |mut v: Vec<usize>| {
             v.sort_unstable();
             v.dedup();
             Axis::new(v)
         };
+        let (a0, a1, a2) = (axis(raw0), axis(raw1), axis(raw2));
         let (ca, cb, cc) = coeffs;
-        let g = NdGrid::build(axis(raw0), axis(raw1), axis(raw2), |x0, x1, x2| {
-            ca * x0 as f64 + cb * (x1 as f64).sqrt() + cc * (x0 * x2) as f64
+        let grids = [1.0, -0.5, 3.0].map(|k| {
+            NdGrid::build(a0.clone(), a1.clone(), a2.clone(), |x0, x1, x2| {
+                k * ca * x0 as f64 + cb * (x1 as f64).sqrt() + cc * (x0 * x2) as f64
+            })
         });
-        let batch = g.plan_queries(points.iter().copied());
-        prop_assert_eq!(batch.num_points(), points.len());
-        prop_assert!(batch.num_cells() <= batch.num_points());
-        let mut out = Vec::new();
-        g.query_batch(&batch, &mut out);
-        for (p, v) in points.iter().zip(&out) {
-            let scalar = g.query(p.0, p.1, p.2);
-            prop_assert!(
-                v.to_bits() == scalar.to_bits(),
-                "point {:?}: batched {} vs scalar {}",
-                p,
-                v,
-                scalar
-            );
+        let mut set = GridSet::new([&grids[0], &grids[1], &grids[2]], [memo.0, memo.1, memo.2]);
+        for p in &points {
+            let values = set.query(p.0, p.1, p.2);
+            for (g, v) in grids.iter().zip(values) {
+                let scalar = g.query(p.0, p.1, p.2);
+                prop_assert!(
+                    v.to_bits() == scalar.to_bits(),
+                    "point {:?}: batched {} vs scalar {}",
+                    p,
+                    v,
+                    scalar
+                );
+            }
         }
     }
 

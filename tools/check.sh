@@ -33,6 +33,12 @@ rustfmt --check --edition 2021 \
     crates/model/src/config.rs \
     crates/model/src/shapes.rs \
     crates/cost/src/costmodel.rs \
+    crates/cost/src/grid.rs \
+    crates/cost/src/lib.rs \
+    crates/core/src/planner.rs \
+    crates/schedule/src/reorder.rs \
+    crates/schedule/src/lib.rs \
+    crates/bench/benches/dp_partitioner.rs \
     crates/cluster/src/report.rs \
     tests/serialization.rs
 
@@ -44,6 +50,11 @@ cargo run --release -p dynapipe-lint
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
+
+# The workspace build above compiles no bench target; build them so a
+# change to the crates' API cannot break a bench unnoticed.
+echo "== build benches (no run) =="
+cargo bench --offline --no-run -p dynapipe-bench
 
 # perfbench/ is its own workspace, so the builds above never compile it;
 # build it here so a change to the crates' public API cannot break the
