@@ -138,7 +138,7 @@ struct Fetched {
 /// `r % executor_hosts` assignment, which can point at a host a churn
 /// script already killed — the replica's time would be accounted to a
 /// dead host's timeline without any test noticing.)
-pub fn placed_host(placement: &[usize], replica: usize) -> Result<usize, String> {
+fn placed_host(placement: &[usize], replica: usize) -> Result<usize, String> {
     placement.get(replica).copied().ok_or_else(|| {
         format!(
             "placement snapshot covers {} replicas but replica {replica} needs a host; \
@@ -1144,6 +1144,7 @@ mod tests {
         // re-placing replica 0 onto host 0 but (wrongly) missing
         // replica 1 used to fall back to the static `r % hosts`
         // assignment — routing replica 1 straight back to dead host 1.
+        assert_eq!(placed_host(&[0, 0], 0), Ok(0));
         assert_eq!(placed_host(&[0, 0], 1), Ok(0));
         let err = placed_host(&[0], 1).expect_err("short snapshot must be rejected");
         assert!(err.contains("replica 1"), "{err}");

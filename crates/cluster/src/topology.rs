@@ -136,11 +136,6 @@ impl ClusterConfig {
         self.planner_hosts * self.workers_per_host
     }
 
-    /// Which planner host worker `w` runs on.
-    pub fn planner_host_of(&self, worker: usize) -> usize {
-        worker / self.workers_per_host
-    }
-
     /// Which executor host data-parallel replica `r` runs on.
     pub fn executor_host_of(&self, replica: usize) -> usize {
         replica % self.executor_hosts
@@ -208,9 +203,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.total_workers(), 6);
-        assert_eq!(c.planner_host_of(0), 0);
-        assert_eq!(c.planner_host_of(2), 0);
-        assert_eq!(c.planner_host_of(3), 1);
         assert_eq!(c.label(), "2p×3w→1e");
     }
 

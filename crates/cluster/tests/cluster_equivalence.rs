@@ -8,222 +8,117 @@
 //! multi-executor), wire codec (JSON / binary / flat), store placement
 //! (single vs sharded), fabric (free, uniform, slow, rack-structured),
 //! jitter, dp>1, baselines, and a failure-mid-epoch run whose
-//! speculative blobs must be swept. It also pins the **wire-byte
-//! rule** (see `report.rs`): local copies appear in no wire counter, so
-//! on the flat codec `flat_wire_bytes` must reconcile exactly with
-//! `Σ bytes_fetched`.
+//! speculative blobs must be swept. Every cell also pins the wire-byte
+//! rule (see `report.rs`) and the Sim timeline of the in-process run;
+//! the shared checks live in `common/mod.rs`.
 
-use dynapipe_cluster::{
-    run_training_cluster, run_training_cluster_traced, ClusterConfig, ClusterReport,
-    StorePlacement,
-};
-use dynapipe_core::{
-    run_training, BaselineKind, BaselinePlanner, DynaPipePlanner, IterationPlanner, PlanCodec,
-    PlannerConfig, RunConfig, RunReport,
-};
-use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig, Sample};
-use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+mod common;
+
+use common::{cluster_per_codec, topology, Cell, Scenario};
+use dynapipe_cluster::{ClusterConfig, ClusterReport, StorePlacement};
+use dynapipe_core::{PlanCodec, RunConfig};
+use dynapipe_data::Dataset;
+use dynapipe_model::HardwareModel;
 use dynapipe_sim::{Fabric, JitterConfig, LinkModel};
-use dynapipe_trace::{sim_eq, Trace, TraceSink};
-use std::sync::Arc;
-
-/// Large enough that no matrix cell ever drops a span — a dropped span
-/// would (correctly) fail `reconcile`, but the failure should then mean
-/// a real accounting bug, not an undersized ring.
-const TRACE_CAP: usize = 1 << 20;
-
-fn cost_model(pp: usize, dp: usize) -> Arc<CostModel> {
-    Arc::new(CostModel::build(
-        HardwareModel::a100_cluster(),
-        ModelConfig::gpt_3_35b(),
-        ParallelConfig::new(dp, 1, pp),
-        &ProfileOptions::coarse(),
-    ))
-}
-
-fn gbs(tokens: usize) -> GlobalBatchConfig {
-    GlobalBatchConfig {
-        tokens_per_batch: tokens,
-        max_seq_len: 2048,
-    }
-}
 
 /// The topology × codec × placement × fabric matrix every scenario runs
 /// through.
-fn topologies() -> Vec<ClusterConfig> {
-    let slow = LinkModel::new(
-        500.0, 10.0, // 10 bytes/µs: a 300 KB blob costs ~30 ms
-    )
-    .expect("slow link model is valid");
-    let mut out = Vec::new();
-    for codec in PlanCodec::ALL {
-        // Degenerate single host, free links: must match the plain
-        // store-backed runtime's behavior exactly.
-        out.push(ClusterConfig {
-            planner_hosts: 1,
-            workers_per_host: 1,
-            executor_hosts: 1,
-            plan_ahead: 2,
-            codec,
+fn matrix() -> Vec<Cell> {
+    // 10 bytes/µs: a 300 KB blob costs ~30 ms.
+    let slow = LinkModel::new(500.0, 10.0).expect("slow link model is valid");
+    let configs = [
+        // Degenerate single host, free links: the plain store-backed
+        // runtime's deployment.
+        ClusterConfig {
             fabric: Fabric::free(),
-            ..Default::default()
-        });
+            ..topology(1, 1, 1, 2)
+        },
         // Multi-planner, multi-executor over the default (a100
         // inter-node) uniform fabric.
-        out.push(ClusterConfig {
-            planner_hosts: 2,
-            workers_per_host: 2,
-            executor_hosts: 2,
-            plan_ahead: 3,
-            codec,
-            ..Default::default()
-        });
+        topology(2, 2, 2, 3),
         // A link slow enough that wire time dominates: exposure may be
         // large, behavior must not budge. (Window 3: a worker becomes
         // eligible to claim speculatively well before a failure can
         // cancel the pool — the failure test relies on it.)
-        out.push(ClusterConfig {
-            planner_hosts: 3,
-            workers_per_host: 1,
-            executor_hosts: 2,
-            plan_ahead: 3,
-            codec,
+        ClusterConfig {
             fabric: Fabric::uniform(slow).expect("slow fabric is valid"),
-            ..Default::default()
-        });
+            ..topology(3, 1, 2, 3)
+        },
         // Sharded store on a rack-structured fabric: pushes and fetches
         // fan out across shard owners, cross-rack hops oversubscribed.
-        out.push(ClusterConfig {
-            planner_hosts: 2,
-            workers_per_host: 1,
-            executor_hosts: 2,
-            plan_ahead: 3,
-            codec,
+        ClusterConfig {
             placement: StorePlacement::Sharded,
             fabric: ClusterConfig::datacenter_fabric(&HardwareModel::a100_cluster(), 2, 4.0),
-            ..Default::default()
-        });
-    }
-    out
+            ..topology(2, 1, 2, 3)
+        },
+    ];
+    let name = |c: &ClusterConfig| format!("{}/{}", c.label(), c.placement.label());
+    configs
+        .into_iter()
+        .flat_map(|c| cluster_per_codec(&name(&c), c))
+        .collect()
 }
 
-fn assert_cluster_matrix(
-    planner: &dyn IterationPlanner,
-    dataset: &Dataset,
-    gbs: GlobalBatchConfig,
-    run: RunConfig,
-    serial: &RunReport,
-) -> Vec<ClusterReport> {
-    let mut reports = Vec::new();
-    // The Sim-domain span timeline is derived purely from the
-    // behavior-pinned execution results, so it must be bit-identical
-    // across every topology × codec × placement cell: pin every cell's
-    // trace against the first.
-    let mut pinned: Option<Trace> = None;
-    for cluster in topologies() {
-        let label = format!(
-            "{}/{}/{}",
-            cluster.label(),
-            cluster.codec.label(),
-            cluster.placement.label()
-        );
-        let plan_ahead = cluster.plan_ahead;
-        let sink = TraceSink::bounded(TRACE_CAP);
-        let (report, stats) =
-            run_training_cluster_traced(planner, dataset, gbs, run, cluster, &sink);
-        serial
-            .behavior_eq(&report)
-            .unwrap_or_else(|e| panic!("{label} diverged from serial: {e}"));
-        let mut trace = sink.finish();
-        trace.meta = stats.trace_meta(&label);
-        trace
-            .validate()
-            .unwrap_or_else(|e| panic!("{label}: trace validation: {e}"));
-        trace
-            .reconcile()
-            .unwrap_or_else(|e| panic!("{label}: trace reconciliation: {e}"));
-        match &pinned {
-            Some(first) => sim_eq(first, &trace)
-                .unwrap_or_else(|e| panic!("{label}: Sim timeline diverged from first cell: {e}")),
-            None => pinned = Some(trace),
-        }
-        // Store hygiene in every topology: no orphaned blobs, occupancy
-        // bounded by the window.
-        assert_eq!(stats.store.occupancy, 0, "{label}: orphaned blobs");
-        assert_eq!(stats.store.bytes, 0, "{label}: leaked bytes");
-        assert!(
-            stats.store.peak_occupancy <= plan_ahead.max(1),
-            "{label}: store peak {} exceeded window",
-            stats.store.peak_occupancy
-        );
-        // The wire-byte rule reconciles across counters (the regression
-        // this matrix pins: flat_wire_bytes used to count the store
-        // host's local copy while bytes_fetched excluded it). Zero-copy
-        // execution happens exactly over the remote copies on the flat
-        // codec, and never on the tree codecs.
-        let fetched: u64 = stats.executor_hosts.iter().map(|h| h.bytes_fetched).sum();
-        if stats.codec == "flat" {
-            assert_eq!(
-                stats.flat_wire_bytes, fetched,
-                "{label}: flat_wire_bytes must reconcile with Σ bytes_fetched"
-            );
-        } else {
-            assert_eq!(stats.flat_wire_bytes, 0, "{label}: tree codecs never run zero-copy");
-        }
-        // Shard accounting reconciles with the host-level counters under
-        // both placements.
-        let served: u64 = stats.shards.iter().map(|s| s.bytes_served).sum();
-        assert_eq!(served, fetched, "{label}: shards serve exactly what hosts fetch");
-        let shard_pushed: u64 = stats.shards.iter().map(|s| s.bytes_pushed).sum();
-        let host_pushed: u64 = stats.planner_hosts.iter().map(|h| h.bytes_pushed).sum();
-        assert_eq!(shard_pushed, host_pushed, "{label}: every pushed byte lands on a shard");
-        let stored: u64 = stats.shards.iter().map(|s| s.blobs_stored).sum();
-        assert_eq!(stored as usize, stats.iterations, "{label}: one blob per iteration");
-        for (i, s) in stats.shards.iter().enumerate() {
-            assert_eq!(s.shard, i, "{label}: shard index is positional");
-            assert!(
-                s.owner < stats.executor_hosts.len(),
-                "{label}: shard owner must be an executor host"
-            );
-        }
-        // The busiest link cannot carry more than everything that
-        // crossed any wire.
-        assert!(
-            stats.max_link_bytes <= host_pushed + fetched,
-            "{label}: max_link_bytes {} exceeds total wire traffic",
-            stats.max_link_bytes
-        );
-        reports.push(stats);
-    }
-    reports
+/// Free links against a crawling network (one full second per hop).
+fn slow_link_cells() -> Vec<Cell> {
+    let base = ClusterConfig {
+        codec: PlanCodec::Binary,
+        fabric: Fabric::free(),
+        ..topology(2, 1, 1, 2)
+    };
+    let crawl = LinkModel::new(1e6, 1.0).expect("crawl link is valid");
+    let slow = ClusterConfig {
+        fabric: Fabric::uniform(crawl).expect("crawl fabric is valid"),
+        ..base.clone()
+    };
+    vec![Cell::cluster("fast", base), Cell::cluster("slow", slow)]
+}
+
+fn zero_cap_cell() -> Cell {
+    Cell::cluster("default", ClusterConfig::default())
+}
+
+/// One topology, JSON then binary.
+fn json_binary_cells() -> Vec<Cell> {
+    let config = |codec| ClusterConfig {
+        codec,
+        ..topology(1, 2, 1, 2)
+    };
+    let json = Cell::cluster("json", config(PlanCodec::Json));
+    vec![json, Cell::cluster("binary", config(PlanCodec::Binary))]
+}
+
+#[test]
+fn matrix_covers_every_codec_and_keeps_its_cell_count() {
+    // Four scenarios run the matrix; three tests run their own cells.
+    let mut cells: Vec<Cell> = (0..4).flat_map(|_| matrix()).collect();
+    cells.extend(slow_link_cells());
+    cells.push(zero_cap_cell());
+    cells.extend(json_binary_cells());
+    common::assert_codec_coverage(&cells, 53);
 }
 
 #[test]
 fn jittered_runs_are_bit_identical_across_topologies() {
-    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
-    let dataset = Dataset::flanv2(211, 500);
     let run = RunConfig {
-        max_iterations: Some(3),
         jitter: Some(JitterConfig {
             sigma: 0.08,
             seed: 0xC10C,
         }),
-        ..Default::default()
+        ..common::run(3)
     };
-    let serial = run_training(&planner, &dataset, gbs(16384), run);
-    assert!(serial.feasible(), "fixture must run clean: {:?}", serial.failure);
-    let reports = assert_cluster_matrix(&planner, &dataset, gbs(16384), run, &serial);
-    for r in &reports {
+    let sc = common::scenario(1, (211, 500), 16384, run).clean();
+    for out in sc.assert_cells(&matrix()) {
+        let r = out.cluster();
         assert_eq!(r.iterations, 3);
         // Every planner host's production reconciles with the store
         // counters; every executed iteration crossed the wire.
         let produced: usize = r.planner_hosts.iter().map(|h| h.plans_produced).sum();
-        assert_eq!(produced, 3, "{}: all plans accounted to a host", r.topology);
+        assert_eq!(produced, 3, "{}: all plans accounted to a host", out.name);
         assert_eq!(r.store.pushes, 3);
         assert_eq!(r.store.takes, 3);
         assert!(r.mean_blob_bytes > 0.0);
-        assert!((0.0..=1.0).contains(&r.overlap_ratio), "{}", r.topology);
+        assert!((0.0..=1.0).contains(&r.overlap_ratio), "{}", out.name);
         for eh in &r.executor_hosts {
             assert!((0.0..=1.0).contains(&eh.overlap_ratio));
         }
@@ -232,236 +127,114 @@ fn jittered_runs_are_bit_identical_across_topologies() {
 
 #[test]
 fn data_parallel_replicas_split_across_executor_hosts() {
-    let planner = DynaPipePlanner::new(cost_model(2, 2), PlannerConfig::default());
-    let dataset = Dataset::flanv2(223, 600);
     let run = RunConfig {
-        max_iterations: Some(3),
         jitter: None,
-        ..Default::default()
+        ..common::run(3)
     };
-    let serial = run_training(&planner, &dataset, gbs(32768), run);
-    assert!(serial.feasible(), "{:?}", serial.failure);
-    let reports = assert_cluster_matrix(&planner, &dataset, gbs(32768), run, &serial);
+    let sc = common::scenario(2, (223, 600), 32768, run).clean();
     // In the 2-executor topologies, replica 0 runs on host 0 and
     // replica 1 on host 1. Under the single placement only host 1 pays
     // fetch wire bytes (host 0 is colocated with the store); under the
     // sharded placement ownership alternates per iteration, so *both*
     // hosts fetch remotely for the iterations they don't own.
-    for r in reports.iter().filter(|r| r.executor_hosts.len() == 2) {
-        assert_eq!(r.executor_hosts[0].replicas, vec![0]);
-        assert_eq!(r.executor_hosts[1].replicas, vec![1]);
-        if r.placement == "single" {
-            assert_eq!(r.executor_hosts[0].bytes_fetched, 0, "{}", r.topology);
-        } else {
-            assert!(
-                r.executor_hosts[0].bytes_fetched > 0,
-                "{}: host 0 fetches the iterations shard 1 owns",
-                r.topology
-            );
+    for out in sc.assert_cells(&matrix()) {
+        let (hosts, name) = (&out.cluster().executor_hosts, &out.name);
+        if hosts.len() != 2 {
+            continue;
         }
-        assert!(r.executor_hosts[1].bytes_fetched > 0, "{}", r.topology);
-        assert!(r.executor_hosts[0].busy_us > 0.0);
-        assert!(r.executor_hosts[1].busy_us > 0.0);
+        assert_eq!(hosts[0].replicas, vec![0]);
+        assert_eq!(hosts[1].replicas, vec![1]);
+        // Under sharding, host 0 fetches the iterations shard 1 owns.
+        let host0_remote = out.cluster().placement != "single";
+        assert_eq!(hosts[0].bytes_fetched > 0, host0_remote, "{name}");
+        assert!(hosts[1].bytes_fetched > 0, "{name}");
+        assert!(hosts[0].busy_us > 0.0);
+        assert!(hosts[1].busy_us > 0.0);
     }
 }
 
 #[test]
 fn slow_links_expose_wire_time_without_changing_behavior() {
     // A/B on the same workload: free links vs a crawling network. The
-    // behavior is pinned by the matrix; here we check the timeline
-    // *does* respond to the link model — bytes genuinely cost time.
-    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
-    let dataset = Dataset::flanv2(227, 500);
-    let run = RunConfig {
-        max_iterations: Some(3),
-        ..Default::default()
-    };
-    let serial = run_training(&planner, &dataset, gbs(16384), run);
-    let base = ClusterConfig {
-        planner_hosts: 2,
-        workers_per_host: 1,
-        executor_hosts: 1,
-        plan_ahead: 2,
-        codec: PlanCodec::Binary,
-        fabric: Fabric::free(),
-        ..Default::default()
-    };
-    let (fast_report, fast) =
-        run_training_cluster(&planner, &dataset, gbs(16384), run, base.clone());
-    let (slow_report, slow) = run_training_cluster(
-        &planner,
-        &dataset,
-        gbs(16384),
-        run,
-        ClusterConfig {
-            fabric: Fabric::uniform(
-                LinkModel::new(1e6 /* one full second per hop */, 1.0)
-                    .expect("crawl link is valid"),
-            )
-            .expect("crawl fabric is valid"),
-            ..base
-        },
-    );
-    serial.behavior_eq(&fast_report).unwrap();
-    serial.behavior_eq(&slow_report).unwrap();
+    // behavior is pinned by the shared checks; here the timeline must
+    // *respond* to the link model — bytes genuinely cost time.
+    let sc = common::scenario(1, (227, 500), 16384, common::run(3));
+    let outs = sc.assert_cells(&slow_link_cells());
+    let (fast, slow) = (outs[0].cluster(), outs[1].cluster());
     assert_eq!(fast.total_wire_us, 0.0, "local links are free");
-    assert!(
-        slow.total_wire_us > 1e6,
-        "slow links must accumulate wire time: {}",
-        slow.total_wire_us
-    );
-    assert!(
-        slow.cluster_wall_us > fast.cluster_wall_us,
-        "wire latency must appear on the training timeline: {} vs {}",
-        slow.cluster_wall_us,
-        fast.cluster_wall_us
-    );
-    assert!(
-        slow.exposed_us > fast.exposed_us,
-        "a second of latency per blob cannot be fully hidden"
-    );
+    let wire = slow.total_wire_us;
+    assert!(wire > 1e6, "slow links must accumulate wire time: {wire}");
+    // Wire latency appears on the training timeline, and a second of
+    // latency per blob cannot be fully hidden.
+    assert!(slow.cluster_wall_us > fast.cluster_wall_us);
+    assert!(slow.exposed_us > fast.exposed_us);
     // Wire time is attributed to the shard that carried the blob (one
     // shard here — single placement), on both sides of the store.
-    let slow_shard_wire: f64 = slow
-        .shards
-        .iter()
-        .map(|s| s.push_wire_us + s.fetch_wire_us)
-        .sum();
+    let shard_wire = |r: &ClusterReport| -> f64 {
+        let per_shard = r.shards.iter().map(|s| s.push_wire_us + s.fetch_wire_us);
+        per_shard.sum()
+    };
+    let wire = shard_wire(slow);
     assert!(
-        slow_shard_wire > 1e6,
-        "shard wire attribution must see the slow hops: {slow_shard_wire}"
+        wire > 1e6,
+        "shard wire attribution must see the slow hops: {wire}"
     );
-    let fast_shard_wire: f64 = fast
-        .shards
-        .iter()
-        .map(|s| s.push_wire_us + s.fetch_wire_us)
-        .sum();
-    assert_eq!(fast_shard_wire, 0.0, "free fabric: no shard wire time");
+    assert_eq!(shard_wire(fast), 0.0, "free fabric: no shard wire time");
 }
 
 #[test]
 fn baseline_planners_run_on_the_cluster_too() {
-    let planner = BaselinePlanner::new(
-        cost_model(2, 1),
-        BaselineKind::Packing {
-            max_seq_len: 2048,
-            max_target_len: 256,
-            mb_size: 1,
-        },
+    let (dataset, gbs, run) = (
+        Dataset::flanv2(229, 400),
+        common::gbs(16384),
+        common::run(2),
     );
-    let dataset = Dataset::flanv2(229, 400);
-    let run = RunConfig {
-        max_iterations: Some(2),
-        ..Default::default()
-    };
-    let serial = run_training(&planner, &dataset, gbs(16384), run);
-    assert_cluster_matrix(&planner, &dataset, gbs(16384), run, &serial);
+    let sc = Scenario::new(common::packing(), dataset, gbs, run);
+    sc.assert_cells(&matrix());
 }
 
 #[test]
 fn failure_mid_epoch_stops_every_topology_at_the_same_iteration() {
-    // The monster-sample fixture from the core harness: planning fails a
-    // few iterations in, each topology must stop with exactly the serial
-    // failure and sweep its speculative blobs.
-    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
-    let mut dataset = Dataset::flanv2(109, 400);
-    dataset.samples[130] = Sample {
-        id: 130,
-        task: 0,
-        input_len: 2_000_000,
-        target_len: 512,
-    };
-    let gbs = GlobalBatchConfig {
-        tokens_per_batch: 16384,
-        max_seq_len: 4_000_000,
-    };
-    let run = RunConfig {
-        max_iterations: Some(20),
-        ..Default::default()
-    };
-    let serial = run_training(&planner, &dataset, gbs, run);
-    assert!(serial.failure.is_some(), "fixture must fail mid-epoch");
-    assert!(!serial.records.is_empty());
-    let reports = assert_cluster_matrix(&planner, &dataset, gbs, run, &serial);
-    for r in &reports {
-        assert_eq!(r.iterations, serial.records.len(), "{}", r.topology);
+    // Planning fails a few iterations in; each topology must stop with
+    // exactly the serial failure and sweep its speculative blobs (every
+    // push taken or discarded: a shared check).
+    let sc = common::monster(1);
+    for out in sc.assert_cells(&matrix()) {
+        let r = out.cluster();
+        assert_eq!(r.iterations, sc.serial.records.len(), "{}", out.name);
         // The failing iteration's blob always lands (the failure is
         // encoded and pushed like any plan), so pushes strictly exceed
         // the executed records. Additional speculative pushes depend on
         // whether other workers finished their claims before teardown —
         // pure scheduling, not asserted (the old `>= iterations + 2`
-        // form was flaky for exactly that reason). What must hold is
-        // that every push was reconciled: taken or discarded, never
-        // leaked (occupancy==0 is asserted in the matrix helper).
-        assert!(
-            r.store.pushes as usize >= r.iterations + 1,
-            "{}: the failure blob must be pushed, got {} pushes for {} records",
-            r.topology,
-            r.store.pushes,
-            r.iterations
-        );
-        assert_eq!(
-            r.store.takes + r.store.discarded,
-            r.store.pushes,
-            "{}: every pushed blob is taken or discarded",
-            r.topology
-        );
+        // form was flaky for exactly that reason).
+        let (pushes, records) = (r.store.pushes as usize, r.iterations);
+        assert!(pushes > records, "{}: failure blob not pushed", out.name);
     }
 }
 
 #[test]
 fn zero_iteration_cap_produces_empty_report() {
-    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
-    let dataset = Dataset::flanv2(233, 200);
-    let run = RunConfig {
-        max_iterations: Some(0),
-        ..Default::default()
-    };
-    let serial = run_training(&planner, &dataset, gbs(16384), run);
-    let (report, stats) =
-        run_training_cluster(&planner, &dataset, gbs(16384), run, ClusterConfig::default());
-    serial.behavior_eq(&report).unwrap();
-    assert!(report.records.is_empty());
-    assert_eq!(stats.iterations, 0);
-    assert_eq!(stats.cluster_wall_us, 0.0);
+    let sc = common::scenario(1, (233, 200), 16384, common::run(0));
+    let out = sc.assert_cell(&zero_cap_cell());
+    assert!(out.report.records.is_empty());
+    assert_eq!(out.cluster().iterations, 0);
+    assert_eq!(out.cluster().cluster_wall_us, 0.0);
 }
 
 #[test]
 fn binary_codec_shrinks_the_wire_on_identical_behavior() {
-    // Same topology, both codecs: identical RunReports (pinned in the
-    // matrix), but the binary wire must carry at most half the bytes —
-    // the acceptance bar the fig09 bench enforces on the full workload.
-    let planner = DynaPipePlanner::new(cost_model(2, 1), PlannerConfig::default());
-    let dataset = Dataset::flanv2(239, 500);
-    let run = RunConfig {
-        max_iterations: Some(2),
-        ..Default::default()
-    };
-    let base = ClusterConfig {
-        planner_hosts: 1,
-        workers_per_host: 2,
-        executor_hosts: 1,
-        plan_ahead: 2,
-        codec: PlanCodec::Json,
-        ..Default::default()
-    };
-    let (ra, json) = run_training_cluster(&planner, &dataset, gbs(16384), run, base.clone());
-    let (rb, binary) = run_training_cluster(
-        &planner,
-        &dataset,
-        gbs(16384),
-        run,
-        ClusterConfig {
-            codec: PlanCodec::Binary,
-            ..base
-        },
-    );
-    ra.behavior_eq(&rb).unwrap();
+    // Same topology, both codecs: identical RunReports, but the binary
+    // wire must carry at most half the bytes — the acceptance bar the
+    // fig09 bench enforces on the full workload.
+    let sc = common::scenario(1, (239, 500), 16384, common::run(2));
+    let outs = sc.assert_cells(&json_binary_cells());
+    outs[0].report.behavior_eq(&outs[1].report).unwrap();
+    let (json, binary) = (outs[0].cluster(), outs[1].cluster());
     assert!(json.mean_blob_bytes > 0.0 && binary.mean_blob_bytes > 0.0);
+    let (binary, json) = (binary.mean_blob_bytes, json.mean_blob_bytes);
     assert!(
-        binary.mean_blob_bytes * 2.0 <= json.mean_blob_bytes,
-        "binary blob {} bytes must be at most half of JSON {}",
-        binary.mean_blob_bytes,
-        json.mean_blob_bytes
+        binary * 2.0 <= json,
+        "binary {binary} B over half of JSON {json} B"
     );
 }

@@ -1,7 +1,7 @@
 //! Property tests for store-shard routing ([`dynapipe_cluster::shard`])
 //! plus a small end-to-end check that the runtime's per-shard counters
 //! follow the same arithmetic across both placements and all three wire
-//! codecs.
+//! codecs (each cell also runs the shared checks of `common/mod.rs`).
 //!
 //! The properties the datacenter sweep leans on:
 //!
@@ -12,15 +12,11 @@
 //!   surviving assignments are bit-stable, which is what bounds churn
 //!   recovery to the dead host's share of the store.
 
-use dynapipe_cluster::{
-    run_training_cluster, ClusterConfig, ShardMap, StorePlacement,
-};
-use dynapipe_core::{run_training, DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
-use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, GlobalBatchConfig};
-use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+mod common;
+
+use common::Cell;
+use dynapipe_cluster::{ClusterConfig, ShardMap, StorePlacement};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 const PLACEMENTS: [StorePlacement; 2] = [StorePlacement::Single, StorePlacement::Sharded];
 
@@ -100,58 +96,44 @@ proptest! {
     }
 }
 
+/// Both placements × every codec on one 2-executor topology.
+fn placement_cells() -> Vec<Cell> {
+    let cells = PLACEMENTS.map(|placement| {
+        let config = ClusterConfig {
+            placement,
+            ..common::topology(1, 1, 2, 2)
+        };
+        common::cluster_per_codec(placement.label(), config)
+    });
+    cells.into_iter().flatten().collect()
+}
+
+#[test]
+fn matrix_covers_every_codec_and_keeps_its_cell_count() {
+    common::assert_codec_coverage(&placement_cells(), 6);
+}
+
 /// End-to-end: the runtime's per-shard counters follow the pure routing
 /// arithmetic — `blobs_stored` per shard is exactly the count of
 /// executed iterations `i` with `i % num_shards == shard` — across both
 /// placements and all three codecs (routing must be codec-blind).
 #[test]
 fn runtime_shard_counters_follow_the_routing_arithmetic() {
-    let planner = DynaPipePlanner::new(
-        Arc::new(CostModel::build(
-            HardwareModel::a100_cluster(),
-            ModelConfig::gpt_3_35b(),
-            ParallelConfig::new(2, 1, 2),
-            &ProfileOptions::coarse(),
-        )),
-        PlannerConfig::default(),
-    );
-    let dataset = Dataset::flanv2(373, 600);
-    let gbs = GlobalBatchConfig {
-        tokens_per_batch: 32768,
-        max_seq_len: 2048,
-    };
-    let run = RunConfig {
-        max_iterations: Some(4),
-        ..Default::default()
-    };
-    let serial = run_training(&planner, &dataset, gbs, run);
-    assert!(serial.feasible(), "{:?}", serial.failure);
-    for placement in PLACEMENTS {
-        for codec in PlanCodec::ALL {
-            let cfg = ClusterConfig {
-                planner_hosts: 1,
-                workers_per_host: 1,
-                executor_hosts: 2,
-                plan_ahead: 2,
-                codec,
-                placement,
-                ..Default::default()
-            };
-            let label = format!("{}/{}", placement.label(), codec.label());
-            let (report, stats) = run_training_cluster(&planner, &dataset, gbs, run, cfg);
-            serial
-                .behavior_eq(&report)
-                .unwrap_or_else(|e| panic!("{label}: diverged: {e}"));
-            let expect = ShardMap::new(placement, 2);
-            assert_eq!(stats.shards.len(), expect.num_shards(), "{label}");
-            for (s, stat) in stats.shards.iter().enumerate() {
-                let predicted = (0..stats.iterations).filter(|&i| expect.shard_of(i) == s).count();
-                assert_eq!(
-                    stat.blobs_stored as usize, predicted,
-                    "{label}: shard {s} must store exactly its routed iterations"
-                );
-                assert_eq!(stat.owner, expect.owner(s), "{label}: undisturbed ownership");
-            }
+    let sc = common::scenario(2, (373, 600), 32768, common::run(4)).clean();
+    for out in sc.assert_cells(&placement_cells()) {
+        let (stats, label) = (out.cluster(), &out.name);
+        let mut placement = PLACEMENTS.into_iter();
+        let placement = placement.find(|p| p.label() == stats.placement);
+        let expect = ShardMap::new(placement.expect("a matrix placement"), 2);
+        assert_eq!(stats.shards.len(), expect.num_shards(), "{label}");
+        for (s, stat) in stats.shards.iter().enumerate() {
+            let routed = (0..stats.iterations).filter(|&i| expect.shard_of(i) == s);
+            let (stored, routed) = (stat.blobs_stored as usize, routed.count());
+            assert_eq!(
+                stored, routed,
+                "{label}: shard {s} stores its routed iterations"
+            );
+            assert_eq!(stat.owner, expect.owner(s), "{label}: undisturbed owner");
         }
     }
 }

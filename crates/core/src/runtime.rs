@@ -57,7 +57,7 @@
 //!
 //! Both modes must produce bit-identical [`RunReport`]s (the
 //! serialization roundtrip is float-exact); the differential harness in
-//! `crates/core/tests/runtime_equivalence.rs` pins every scenario across
+//! `crates/cluster/tests/runtime_equivalence.rs` pins every scenario across
 //! serial driver × in-process × store-backed.
 //!
 //! # Determinism

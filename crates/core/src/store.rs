@@ -13,7 +13,7 @@
 //!   models a real process boundary: everything an executor needs must
 //!   survive encode/decode (pinned bit-exactly by
 //!   `tests/serialization.rs` and the differential harness in
-//!   `crates/core/tests/runtime_equivalence.rs`). The store is
+//!   `crates/cluster/tests/runtime_equivalence.rs`). The store is
 //!   **codec-agnostic**: a blob is `Vec<u8>` in and [`Arc<[u8]>`] out,
 //!   and the choice of wire encoding — self-describing JSON or the
 //!   length-prefixed binary codec — lives entirely in

@@ -485,15 +485,21 @@ fn flat_is_the_default_codec_and_every_suite_loops_all_codecs() {
         PlanCodec::Flat
     );
     // The default only picks the runtimes' codec; the equivalence suites
-    // keep pinning every codec against the serial oracle.
+    // keep pinning every codec against the serial oracle. Each suite pins
+    // its matrix with the shared harness's coverage check, which fails
+    // unless every codec runs among the suite's store-backed and cluster
+    // cells; this suite loops every codec itself.
     assert_eq!(
         PlanCodec::ALL,
         [PlanCodec::Json, PlanCodec::Binary, PlanCodec::Flat]
     );
+    let harness = include_str!("../crates/cluster/tests/common/mod.rs");
+    assert!(harness.contains("pub fn assert_codec_coverage("));
+    assert!(harness.contains("for codec in PlanCodec::ALL"));
     for (suite, source) in [
         (
             "runtime_equivalence",
-            include_str!("../crates/core/tests/runtime_equivalence.rs"),
+            include_str!("../crates/cluster/tests/runtime_equivalence.rs"),
         ),
         (
             "cluster_equivalence",
@@ -507,13 +513,17 @@ fn flat_is_the_default_codec_and_every_suite_loops_all_codecs() {
             "shard_routing",
             include_str!("../crates/cluster/tests/shard_routing.rs"),
         ),
-        ("serialization", include_str!("serialization.rs")),
+        (
+            "trace_reconciliation",
+            include_str!("../crates/cluster/tests/trace_reconciliation.rs"),
+        ),
     ] {
         assert!(
-            source.contains("for codec in PlanCodec::ALL"),
-            "{suite} no longer loops every codec"
+            source.contains("common::assert_codec_coverage(&"),
+            "{suite} no longer checks that its cells cover every codec"
         );
     }
+    assert!(include_str!("serialization.rs").contains("for codec in PlanCodec::ALL"));
 }
 
 #[test]

@@ -40,6 +40,12 @@ rustfmt --check --edition 2021 \
     crates/schedule/src/lib.rs \
     crates/bench/benches/dp_partitioner.rs \
     crates/cluster/src/report.rs \
+    crates/cluster/tests/common/mod.rs \
+    crates/cluster/tests/runtime_equivalence.rs \
+    crates/cluster/tests/cluster_equivalence.rs \
+    crates/cluster/tests/churn_equivalence.rs \
+    crates/cluster/tests/shard_routing.rs \
+    crates/cluster/tests/trace_reconciliation.rs \
     tests/serialization.rs
 
 echo "== build (release, -D warnings) =="
