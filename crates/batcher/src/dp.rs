@@ -405,6 +405,7 @@ pub struct DpSolveStats {
 }
 
 /// Snapshot the process-wide partitioner counters.
+// lint:allow(pub-uncalled): counter for the integration test `optimized_sweep_solves_under_a_quarter_of_the_candidates` (batcher/tests/solve_count.rs)
 pub fn dp_solve_stats() -> DpSolveStats {
     DpSolveStats {
         eq2_solves: EQ2_SOLVES.load(Ordering::Relaxed),
@@ -414,6 +415,7 @@ pub fn dp_solve_stats() -> DpSolveStats {
 impl DpSolveStats {
     /// Counter deltas since an earlier snapshot (saturating, so a
     /// snapshot pair taken out of order reads zero, not garbage).
+    // lint:allow(pub-uncalled): counter delta for the integration test `optimized_sweep_solves_under_a_quarter_of_the_candidates` (batcher/tests/solve_count.rs)
     pub fn since(&self, earlier: &DpSolveStats) -> DpSolveStats {
         DpSolveStats {
             eq2_solves: self.eq2_solves.saturating_sub(earlier.eq2_solves),
@@ -740,6 +742,7 @@ impl<'a> Partitioner<'a> {
     /// fused shape+cost table built per call, full candidate sweep, no
     /// parallelism, no pruning. Optimized paths must match its chosen
     /// objective value exactly.
+    // lint:allow(pub-uncalled): golden oracle for tests/golden_partition.rs `optimized_partitioner_matches_reference_on_gpt`/`_on_t5`
     pub fn partition_reference(&self, ordered: &[Sample]) -> Option<PartitionResult> {
         if ordered.is_empty() {
             return Some(Self::empty_result());
@@ -834,57 +837,6 @@ impl<'a> Partitioner<'a> {
         keys.dedup();
         keys.into_iter().map(|k| k as f64 * res).collect()
     }
-
-    /// Exhaustive optimal partition for tiny inputs (test oracle): tries
-    /// every contiguous split, ignoring the `t_max` sampling approximation.
-    pub fn brute_force(&self, ordered: &[Sample]) -> Option<(Micros, Vec<Range<usize>>)> {
-        let n = ordered.len();
-        if n == 0 {
-            return Some((0.0, vec![]));
-        }
-        assert!(n <= 16, "brute force is exponential; test-only");
-        let arch = self.cm.model.arch;
-        let c = self.cm.num_stages() as f64;
-        let dp_deg = self.config.dp_degree.max(1) as f64;
-        let mut best: Option<(Micros, Vec<Range<usize>>)> = None;
-        // Each bit in `mask` marks a split after position i.
-        for mask in 0u32..(1 << (n - 1)) {
-            let mut ranges = Vec::new();
-            let mut start = 0;
-            for i in 0..n {
-                let split = i == n - 1 || mask & (1 << i) != 0;
-                if split {
-                    ranges.push(start..i + 1);
-                    start = i + 1;
-                }
-            }
-            let mut ok = true;
-            let mut sum = 0.0;
-            let mut max_t: Micros = 0.0;
-            for r in &ranges {
-                let mb = MicroBatch::new(ordered[r.clone()].to_vec());
-                let shape = mb.shape(arch);
-                if r.len() > self.config.max_mb_samples
-                    || self.cm.mb_activation_max(&shape, self.config.recompute)
-                        > self.config.mb_memory_limit
-                {
-                    ok = false;
-                    break;
-                }
-                let t = self.cm.mb_time(&shape, self.config.recompute);
-                sum += t;
-                max_t = max_t.max(t);
-            }
-            if !ok {
-                continue;
-            }
-            let obj = (c - 1.0) * max_t + sum / dp_deg;
-            if best.as_ref().is_none_or(|(b, _)| obj < *b) {
-                best = Some((obj, ranges));
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -893,6 +845,59 @@ mod tests {
     use crate::ordering::sort_samples;
     use dynapipe_cost::ProfileOptions;
     use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+
+    impl Partitioner<'_> {
+        /// Exhaustive optimal partition for tiny inputs (test oracle): tries
+        /// every contiguous split, ignoring the `t_max` sampling approximation.
+        fn brute_force(&self, ordered: &[Sample]) -> Option<(Micros, Vec<Range<usize>>)> {
+            let n = ordered.len();
+            if n == 0 {
+                return Some((0.0, vec![]));
+            }
+            assert!(n <= 16, "brute force is exponential; test-only");
+            let arch = self.cm.model.arch;
+            let c = self.cm.num_stages() as f64;
+            let dp_deg = self.config.dp_degree.max(1) as f64;
+            let mut best: Option<(Micros, Vec<Range<usize>>)> = None;
+            // Each bit in `mask` marks a split after position i.
+            for mask in 0u32..(1 << (n - 1)) {
+                let mut ranges = Vec::new();
+                let mut start = 0;
+                for i in 0..n {
+                    let split = i == n - 1 || mask & (1 << i) != 0;
+                    if split {
+                        ranges.push(start..i + 1);
+                        start = i + 1;
+                    }
+                }
+                let mut ok = true;
+                let mut sum = 0.0;
+                let mut max_t: Micros = 0.0;
+                for r in &ranges {
+                    let mb = MicroBatch::new(ordered[r.clone()].to_vec());
+                    let shape = mb.shape(arch);
+                    if r.len() > self.config.max_mb_samples
+                        || self.cm.mb_activation_max(&shape, self.config.recompute)
+                            > self.config.mb_memory_limit
+                    {
+                        ok = false;
+                        break;
+                    }
+                    let t = self.cm.mb_time(&shape, self.config.recompute);
+                    sum += t;
+                    max_t = max_t.max(t);
+                }
+                if !ok {
+                    continue;
+                }
+                let obj = (c - 1.0) * max_t + sum / dp_deg;
+                if best.as_ref().is_none_or(|(b, _)| obj < *b) {
+                    best = Some((obj, ranges));
+                }
+            }
+            best
+        }
+    }
 
     fn cm(pp: usize) -> CostModel {
         CostModel::build(

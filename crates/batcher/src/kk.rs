@@ -97,8 +97,8 @@ pub fn karmarkar_karp(weights: &[Micros], k: usize) -> Vec<Vec<usize>> {
     heap.pop().expect("one tuple remains").parts
 }
 
-/// Maximum part sum of a partition — the quantity KK minimizes; exposed for
-/// tests and the replica-balancing quality metric.
+/// Maximum part sum of a partition — the quantity KK minimizes.
+// lint:allow(pub-uncalled): oracle for tests/properties.rs `kk_partition_is_exact_cover_and_balanced`
 pub fn max_part_sum(weights: &[Micros], parts: &[Vec<usize>]) -> Micros {
     parts
         .iter()

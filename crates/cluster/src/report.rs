@@ -249,6 +249,7 @@ impl ClusterReport {
             store_takes: self.store.takes,
             store_discarded: self.store.discarded,
             tickets_reissued: self.churn.tickets_reissued,
+            stale_completions: self.churn.stale_completions,
             churn_applied: self.churn.events_applied as u64,
         }
     }

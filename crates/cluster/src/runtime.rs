@@ -26,12 +26,13 @@
 //!   ([`dynapipe_sim::Link`]), so bursts of blobs queue instead of
 //!   teleporting.
 //! * **Executor hosts** — each data-parallel replica runs on host
-//!   `r % executor_hosts`. The replica engines are the same
-//!   [`execute_lowered`](dynapipe_core::runtime::execute_lowered) fold
-//!   as the serial driver (worst makespan, per-stage max peaks, stalls
-//!   summed in replica order), so the [`RunReport`] is bit-identical by
-//!   construction; the per-replica makespans are additionally grouped
-//!   per host to build each host's timeline.
+//!   `r % executor_hosts`. The executors call
+//!   [`execute_or_fail`](dynapipe_core::runtime::execute_or_fail), whose
+//!   [`execute_summarized`](dynapipe_core::runtime::execute_summarized)
+//!   is the serial driver's replica fold (worst makespan, per-stage max
+//!   peaks, stalls summed in replica order), so the [`RunReport`] is
+//!   bit-identical by construction; the per-replica makespans are
+//!   additionally grouped per host to build each host's timeline.
 //!
 //! # Code layout
 //!

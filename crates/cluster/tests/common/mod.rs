@@ -92,16 +92,24 @@ pub fn run(iterations: usize) -> RunConfig {
 /// planning fails mid-epoch. No truncation: the monster must reach the
 /// planner at full length.
 pub fn monster(dp: usize) -> Scenario {
+    monster_with(dynapipe(dp))
+}
+
+/// The monster sample's id, which is also its dataset position.
+pub const MONSTER_ID: u64 = 130;
+
+/// [`monster`] under any planner.
+pub fn monster_with(planner: impl IterationPlanner + 'static) -> Scenario {
     let mut dataset = Dataset::flanv2(109, 400);
-    dataset.samples[130] = Sample {
-        id: 130,
+    dataset.samples[MONSTER_ID as usize] = Sample {
+        id: MONSTER_ID,
         task: 0,
         input_len: 2_000_000,
         target_len: 512,
     };
     let mut gbs = gbs(16384);
     gbs.max_seq_len = 4_000_000;
-    let sc = Scenario::new(dynapipe(dp), dataset, gbs, run(20));
+    let sc = Scenario::new(planner, dataset, gbs, run(20));
     let (failed_at, failure) = (sc.serial.records.len(), &sc.serial.failure);
     assert!(failed_at > 0, "must fail mid-epoch, not at iteration 0");
     let placed = format!("iteration {failed_at}:");

@@ -13,10 +13,16 @@
 
 mod common;
 
-use common::{per_codec, Cell, Runtime, Scenario};
-use dynapipe_core::{PlanCodec, PlanDistribution, RunConfig, RuntimeConfig};
-use dynapipe_data::Dataset;
+use common::{per_codec, Cell, Runtime, Scenario, MONSTER_ID};
+use dynapipe_core::{
+    DynaPipePlanner, IterationPlan, IterationPlanner, PlanCodec, PlanDistribution, PlanError,
+    RunConfig, RuntimeConfig,
+};
+use dynapipe_cost::CostModel;
+use dynapipe_data::{Dataset, Sample};
 use dynapipe_sim::JitterConfig;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 const JITTER_SHAPES: [(usize, usize); 3] = [(1, 1), (2, 3), (6, 2)];
 const DP_SHAPES: [(usize, usize); 1] = [(3, 2)];
@@ -104,6 +110,60 @@ fn baseline_planners_run_pipelined_too() {
     sc.assert_cells(&shape_cells(&default_shape()));
 }
 
+/// Whether a later mini-batch has started planning, for [`HoldFailure`].
+#[derive(Default)]
+struct Gate {
+    /// (armed, a mini-batch past the monster's has started planning).
+    state: Mutex<(bool, bool)>,
+    started: Condvar,
+}
+
+impl Gate {
+    fn arm(&self, armed: bool) {
+        *self.state.lock().unwrap() = (armed, false);
+    }
+}
+
+/// Longest an armed [`HoldFailure`] holds the monster's mini-batch.
+const HOLD_LIMIT: Duration = Duration::from_secs(10);
+
+/// DynaPipe with the failing mini-batch held back: while armed, planning
+/// the monster's mini-batch waits, at most [`HOLD_LIMIT`], until a later
+/// mini-batch has started planning. A worker that started planning
+/// pushes its blob, so a speculative blob past the failure always exists
+/// by teardown, whichever codec and however the workers are scheduled.
+struct HoldFailure {
+    inner: DynaPipePlanner,
+    gate: Arc<Gate>,
+}
+
+impl IterationPlanner for HoldFailure {
+    fn plan(&self, minibatch: &[Sample]) -> Result<IterationPlan, PlanError> {
+        let first = minibatch.first().map_or(0, |s| s.id);
+        let mut state = self.gate.state.lock().unwrap();
+        if first > MONSTER_ID {
+            state.1 = true;
+            self.gate.started.notify_all();
+        } else if state.0 && minibatch.iter().any(|s| s.id == MONSTER_ID) {
+            let held = self
+                .gate
+                .started
+                .wait_timeout_while(state, HOLD_LIMIT, |s| !s.1);
+            state = held.unwrap().0;
+        }
+        drop(state);
+        self.inner.plan(minibatch)
+    }
+
+    fn cost_model(&self) -> &CostModel {
+        self.inner.cost_model()
+    }
+
+    fn label(&self) -> String {
+        self.inner.label()
+    }
+}
+
 #[test]
 fn failure_mid_epoch_stops_all_runtimes_at_the_same_iteration() {
     // Both pipelined runtimes have speculatively planned past the
@@ -111,18 +171,27 @@ fn failure_mid_epoch_stops_all_runtimes_at_the_same_iteration() {
     // plans and stop with exactly the serial driver's failure, records
     // and totals. Store-backed, the failure itself crosses the store as a
     // blob, and the speculative blobs past it are swept out.
-    let sc = common::monster(1);
+    let gate = Arc::new(Gate::default());
+    let sc = common::monster_with(HoldFailure {
+        inner: common::dynapipe(1),
+        gate: Arc::clone(&gate),
+    });
     let failed_at = sc.serial.records.len();
-    for out in sc.assert_cells(&shape_cells(&FAILURE_SHAPES)) {
+    for cell in shape_cells(&FAILURE_SHAPES) {
+        // Only a pool of ≥ 2 workers with a window ≥ 2 can plan past the
+        // held mini-batch; the gate stays disarmed for the others.
+        let Runtime::Pipelined(config) = &cell.runtime else {
+            unreachable!("shape cells are pipelined")
+        };
+        let wide = config.workers >= 2 && config.plan_ahead >= 2;
+        gate.arm(wide);
+        let out = sc.assert_cell(&cell);
         let stats = out.pipelined();
         // Speculative plans beyond the failure never become records.
         assert_eq!(stats.planning_us.len(), failed_at, "{}", out.name);
-        // With a window > 1 the speculative blobs past the failure really
-        // existed and were discarded rather than leaked. JSON cells only:
-        // with a faster codec, whether one lands before teardown is
-        // scheduling.
-        let wide_json = stats.codec == PlanCodec::Json && stats.plan_ahead > 1;
-        if let (Some(store), true) = (&stats.store, wide_json) {
+        // The speculative blobs past the failure really existed and were
+        // discarded rather than leaked, on every codec.
+        if let (Some(store), true) = (&stats.store, wide) {
             assert!(store.discarded > 0, "{}: nothing swept", out.name);
         }
     }

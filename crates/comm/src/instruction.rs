@@ -104,11 +104,6 @@ impl Instr {
             | Instr::CommWait { mb, .. } => *mb,
         }
     }
-
-    /// Whether this is a compute instruction.
-    pub fn is_compute(&self) -> bool {
-        matches!(self, Instr::ForwardPass { .. } | Instr::BackwardPass { .. })
-    }
 }
 
 impl std::fmt::Display for Instr {

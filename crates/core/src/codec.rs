@@ -1027,6 +1027,7 @@ impl FlatPlanRef {
     }
 
     /// Number of data-parallel replicas.
+    // lint:allow(pub-uncalled): oracle for tests/serialization.rs `flat_summary_equals_the_plans_bit_for_bit`
     pub fn num_replicas(&self) -> usize {
         self.replicas
     }

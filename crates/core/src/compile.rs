@@ -40,9 +40,8 @@ struct CostMemo {
 /// Memoized per `(shape, stage)` (and recompute mode where it matters)
 /// by default — bit-identical to the direct analytic evaluation, since a
 /// memo hit returns the very `f64`/`u64` the first evaluation produced
-/// (pinned by the unit tests below). Use [`GroundTruth::unmemoized`] for
-/// a reference instance that recomputes every query. Not `Sync`: one
-/// instance per lowering call.
+/// (pinned by the unit tests below against a memo-less instance that
+/// recomputes every query). Not `Sync`: one instance per lowering call.
 pub struct GroundTruth<'a> {
     cm: &'a CostModel,
     memo: Option<RefCell<CostMemo>>,
@@ -57,17 +56,6 @@ impl<'a> GroundTruth<'a> {
         GroundTruth {
             cm,
             memo: Some(RefCell::new(CostMemo::default())),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
-    }
-
-    /// A reference instance that recomputes every query — the oracle the
-    /// memo is pinned against.
-    pub fn unmemoized(cm: &'a CostModel) -> Self {
-        GroundTruth {
-            cm,
-            memo: None,
             hits: Cell::new(0),
             misses: Cell::new(0),
         }
@@ -270,6 +258,19 @@ mod tests {
     use dynapipe_cost::ProfileOptions;
     use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
     use dynapipe_schedule::{evaluate_schedule, one_f_one_b, ScheduleInput};
+
+    impl<'a> GroundTruth<'a> {
+        /// A reference instance that recomputes every query — the oracle
+        /// the memo is pinned against.
+        fn unmemoized(cm: &'a CostModel) -> Self {
+            GroundTruth {
+                cm,
+                memo: None,
+                hits: Cell::new(0),
+                misses: Cell::new(0),
+            }
+        }
+    }
 
     fn toy_plan(cm: &CostModel, m: usize) -> ExecutionPlan {
         let c = cm.num_stages();

@@ -1161,7 +1161,8 @@ pub fn run_planner_worker<T, D: std::ops::Deref<Target = Dataset>>(
 /// claim, arm a `TicketGuard` (given the store when the run is
 /// store-backed, so a panic in `produce` poisons it too), deliver what
 /// `produce` returns, disarm, then mark the completion with `bytes` = 1
-/// when the queue accepted it and 0 when it was stale or cancelled.
+/// when the queue accepted it, 0 when it was stale and 2 when the run
+/// was cancelled.
 pub fn serve_ticket<T>(
     queue: &PlanAheadQueue<T>,
     store: Option<&InstructionStore>,
@@ -1173,8 +1174,13 @@ pub fn serve_ticket<T>(
     let guard = TicketGuard::new(queue, store);
     let outcome = queue.complete(ticket.index, ticket.generation, produce());
     guard.disarm();
+    let bytes = match outcome {
+        CompleteOutcome::Stale => 0,
+        CompleteOutcome::Accepted => 1,
+        CompleteOutcome::Cancelled => 2,
+    };
     ctx.sink.mark(Span {
-        bytes: (outcome == CompleteOutcome::Accepted) as u64,
+        bytes,
         ..ctx.span(ticket, SpanKind::TicketComplete)
     });
 }
@@ -1322,9 +1328,6 @@ struct ClaimedIteration {
     blob_bytes: usize,
     /// Prefetcher wall-clock spent taking + decoding the blob (µs).
     deserialize_us: f64,
-    /// Bytes the engines execute zero-copy, straight over the fetched
-    /// wire blob ([`PlanCodec::Flat`] only; 0 otherwise).
-    flat_bytes: usize,
 }
 
 /// Record one executed iteration's `Sim`-domain spans on the ideal
@@ -1444,7 +1447,6 @@ fn fold_claimed(
         stats.serialize_us.push(claimed.serialize_us);
         stats.deserialize_us.push(claimed.deserialize_us);
         stats.blob_bytes.push(claimed.blob_bytes);
-        stats.flat_blob_bytes.push(claimed.flat_bytes);
     }
     record_iteration(
         report,
@@ -1499,11 +1501,6 @@ pub struct RuntimeStats {
     /// Wire codec the store-backed path used — the label under which
     /// `deserialize_us`/`blob_bytes` were measured (ignored in-process).
     pub codec: PlanCodec,
-    /// Per executed iteration: bytes the engines executed zero-copy,
-    /// straight over the fetched wire blob. Equal to `blob_bytes` under
-    /// [`PlanCodec::Flat`], all-zero under the tree codecs, empty
-    /// in-process.
-    pub flat_blob_bytes: Vec<usize>,
     /// Final instruction-store counters (store-backed mode only),
     /// captured after teardown — `occupancy`/`bytes` must be zero (no
     /// orphaned blobs) and `peak_occupancy ≤ plan_ahead` (window slots
@@ -1633,7 +1630,6 @@ pub fn run_training_pipelined_traced(
         deserialize_us: Vec::new(),
         blob_bytes: Vec::new(),
         codec: config.codec,
-        flat_blob_bytes: Vec::new(),
         store: None,
     };
 
@@ -1721,7 +1717,6 @@ pub fn run_training_pipelined_traced(
                             serialize_us,
                             blob_bytes,
                             deserialize_us: 0.0,
-                            flat_bytes: 0,
                         }
                     });
                     true
@@ -1768,11 +1763,6 @@ pub fn run_training_pipelined_traced(
                                 outcome: Some(outcome),
                                 ready_us: t0.elapsed().as_secs_f64() * 1e6,
                                 deserialize_us: take_us + decode_us,
-                                flat_bytes: if config.codec == PlanCodec::Flat {
-                                    planned.blob_bytes
-                                } else {
-                                    0
-                                },
                                 ..planned
                             };
                             if tx.send(Prefetched::Iteration(Box::new(claimed))).is_err() {

@@ -15,8 +15,9 @@
 //!   `tests/serialization.rs` and the differential harness in
 //!   `crates/cluster/tests/runtime_equivalence.rs`). The store is
 //!   **codec-agnostic**: a blob is `Vec<u8>` in and [`Arc<[u8]>`] out,
-//!   and the choice of wire encoding — self-describing JSON or the
-//!   length-prefixed binary codec — lives entirely in
+//!   and the choice of wire encoding — the default zero-copy Flat
+//!   codec, self-describing JSON or the length-prefixed binary codec —
+//!   lives entirely in
 //!   [`crate::codec::PlanCodec`], which [`StoredPlan::encode`] /
 //!   [`StoredPlan::decode`] take explicitly. Pusher and taker must agree
 //!   on the codec out of band (the runtime carries it in

@@ -56,7 +56,11 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
             codec: PlanCodec::Binary,
         },
     );
-    assert!(report.feasible(), "fixture must run clean: {:?}", report.failure);
+    assert!(
+        report.feasible(),
+        "fixture must run clean: {:?}",
+        report.failure
+    );
 
     // exec_sim_us: one simulated-iteration entry per executed iteration,
     // every one strictly positive (an iteration cannot take zero time).
@@ -73,10 +77,7 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
 
     // host_wall_us covers the whole run, so it must dominate the summed
     // executor host time (exec_host_us), which is measured inside it.
-    assert!(
-        stats.host_wall_us > 0.0,
-        "host wall-clock never measured"
-    );
+    assert!(stats.host_wall_us > 0.0, "host wall-clock never measured");
     assert!(
         stats.exec_host_us >= 0.0 && stats.exec_host_us <= stats.host_wall_us,
         "executor host time {} must fit inside the run's wall-clock {}",
@@ -87,7 +88,10 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
     // Store high-water marks: a store-backed run pushed real bytes, so
     // peak_bytes was set and must dominate the (post-teardown, zero)
     // steady-state byte counter.
-    let store = stats.store.as_ref().expect("store-backed run has store stats");
+    let store = stats
+        .store
+        .as_ref()
+        .expect("store-backed run has store stats");
     assert!(store.peak_bytes > 0, "peak_bytes never recorded a push");
     assert!(
         store.peak_bytes >= store.bytes,
@@ -98,21 +102,15 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
     assert_eq!(store.bytes, 0, "teardown must drain all bytes");
 
     // The stats carry the codec label their decode timings were measured
-    // under, and a tree-codec run never executes bytes zero-copy.
+    // under.
     assert_eq!(stats.codec, PlanCodec::Binary);
-    assert_eq!(stats.flat_blob_bytes.len(), iterations);
-    assert!(
-        stats.flat_blob_bytes.iter().all(|&b| b == 0),
-        "a binary-codec run must not report zero-copy flat bytes: {:?}",
-        stats.flat_blob_bytes
-    );
 }
 
 #[test]
-fn flat_codec_runs_report_zero_copy_bytes_per_iteration() {
+fn flat_codec_runs_report_blob_bytes_per_iteration() {
     // Under PlanCodec::Flat the engines execute straight over the wire
-    // blob, so every iteration's flat_blob_bytes must equal the blob it
-    // fetched — nonzero, and reconciling exactly with blob_bytes.
+    // blob, so the bytes executed zero-copy are `blob_bytes`: one
+    // nonzero entry per iteration.
     let planner = planner();
     let dataset = Dataset::flanv2(211, 400);
     let iterations = 3usize;
@@ -132,18 +130,17 @@ fn flat_codec_runs_report_zero_copy_bytes_per_iteration() {
             codec: PlanCodec::Flat,
         },
     );
-    assert!(report.feasible(), "fixture must run clean: {:?}", report.failure);
-    assert_eq!(stats.codec, PlanCodec::Flat);
-    assert_eq!(stats.flat_blob_bytes.len(), iterations);
-    assert_eq!(stats.blob_bytes.len(), iterations);
-    assert_eq!(
-        stats.flat_blob_bytes, stats.blob_bytes,
-        "every fetched flat blob is executed zero-copy, byte for byte"
-    );
     assert!(
-        stats.flat_blob_bytes.iter().all(|&b| b > 0),
+        report.feasible(),
+        "fixture must run clean: {:?}",
+        report.failure
+    );
+    assert_eq!(stats.codec, PlanCodec::Flat);
+    assert_eq!(stats.blob_bytes.len(), iterations);
+    assert!(
+        stats.blob_bytes.iter().all(|&b| b > 0),
         "flat blobs cannot be empty: {:?}",
-        stats.flat_blob_bytes
+        stats.blob_bytes
     );
     // The decode timings (validate-and-wrap plus the small plan-metadata
     // section) are still measured per iteration under this label.

@@ -1,5 +1,4 @@
-//! The pipeline iteration-time model of §4 (Eq. 1) and its hybrid
-//! data-parallel extension.
+//! The pipeline iteration-time model of §4 (Eq. 1).
 
 use dynapipe_model::Micros;
 
@@ -11,6 +10,7 @@ use dynapipe_model::Micros;
 /// The `(c-1)·max` term approximates the fill and drain ramps with the
 /// longest micro-batch (the exact ramp micro-batches depend on the schedule,
 /// which is not known at micro-batching time).
+// lint:allow(pub-uncalled): Eq. 1 oracle for dynapipe-schedule's timeline test `uniform_1f1b_matches_eq1_exactly`
 pub fn iteration_time(times: &[Micros], c: usize) -> Micros {
     if times.is_empty() {
         return 0.0;
@@ -18,18 +18,6 @@ pub fn iteration_time(times: &[Micros], c: usize) -> Micros {
     let max = times.iter().copied().fold(0.0, f64::max);
     let sum: Micros = times.iter().sum();
     (c as f64 - 1.0) * max + sum
-}
-
-/// The hybrid data+pipeline objective of §4: `(c-1)·max + (Σ t)/|D|`,
-/// the lower bound obtained when total micro-batch time divides evenly
-/// across `dp` data-parallel replicas.
-pub fn iteration_time_dp(times: &[Micros], c: usize, dp: usize) -> Micros {
-    if times.is_empty() {
-        return 0.0;
-    }
-    let max = times.iter().copied().fold(0.0, f64::max);
-    let sum: Micros = times.iter().sum();
-    (c as f64 - 1.0) * max + sum / dp as f64
 }
 
 #[cfg(test)]
@@ -49,19 +37,6 @@ mod tests {
     #[test]
     fn empty_is_zero() {
         assert_eq!(iteration_time(&[], 8), 0.0);
-        assert_eq!(iteration_time_dp(&[], 8, 2), 0.0);
-    }
-
-    #[test]
-    fn dp_divides_only_the_sum_term() {
-        let t = iteration_time_dp(&[10.0, 20.0, 30.0], 4, 2);
-        assert_eq!(t, 3.0 * 30.0 + 30.0);
-    }
-
-    #[test]
-    fn dp_one_equals_plain() {
-        let times = [5.0, 7.0, 3.0];
-        assert_eq!(iteration_time_dp(&times, 3, 1), iteration_time(&times, 3));
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub mod profile;
 
 pub use costmodel::{CostModel, ModePrices, ShapePricer};
 pub use grid::{grid_query_stats, Axis, GridQueryStats, GridSet, NdGrid};
-pub use iteration::{iteration_time, iteration_time_dp};
+pub use iteration::iteration_time;
 pub use profile::{ProfileDb, ProfileOptions};

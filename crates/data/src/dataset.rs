@@ -84,11 +84,6 @@ impl Dataset {
         LengthStats::from_lengths(self.samples.iter().map(|s| s.input_len))
     }
 
-    /// Statistics over combined (GPT-view) lengths.
-    pub fn gpt_stats(&self) -> LengthStats {
-        LengthStats::from_lengths(self.samples.iter().map(|s| s.gpt_len()))
-    }
-
     /// Histogram of input lengths in power-of-two buckets
     /// `[1,2), [2,4), ... [2^k, 2^{k+1})`, as (bucket upper bound, count).
     pub fn length_histogram(&self) -> Vec<(usize, usize)> {
@@ -230,7 +225,7 @@ mod tests {
         // Paper §2.1: naive padding of FLANv2 yields >80% padding. Check the
         // same property for full mini-batches of our mixture.
         let d = Dataset::flanv2(3, 4096);
-        let max = d.gpt_stats().max as u64;
+        let max = d.samples.iter().map(|s| s.gpt_len() as u64).max().unwrap();
         let padded = max * d.len() as u64;
         let actual: u64 = d.samples.iter().map(|s| s.gpt_len() as u64).sum();
         let pad_frac = 1.0 - actual as f64 / padded as f64;

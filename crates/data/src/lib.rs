@@ -15,17 +15,13 @@
 //! * [`dataset`] — dataset synthesis, length statistics and histograms.
 //! * [`minibatch`] — global-batch (mini-batch) assembly by token budget,
 //!   respecting the user's random sampling order as DynaPipe requires.
-//! * [`store`] — a compact binary on-disk format, the analogue of the
-//!   artifact's preprocessed Megatron `.bin`/`.idx` dataset.
 
 pub mod dataset;
 pub mod minibatch;
 pub mod sample;
-pub mod store;
 pub mod tasks;
 
 pub use dataset::{Dataset, LengthStats};
 pub use minibatch::{BatchStream, GlobalBatchConfig, GlobalBatchIter};
 pub use sample::Sample;
-pub use store::{load_dataset, save_dataset};
 pub use tasks::{TaskCategory, TaskSpec};

@@ -22,16 +22,6 @@ pub struct GlobalBatchConfig {
     pub max_seq_len: usize,
 }
 
-impl GlobalBatchConfig {
-    /// The paper's default: 65536-token global batches.
-    pub fn paper_default(max_seq_len: usize) -> Self {
-        GlobalBatchConfig {
-            tokens_per_batch: 65536,
-            max_seq_len,
-        }
-    }
-}
-
 /// Iterator yielding successive mini-batches from a dataset epoch.
 ///
 /// Samples are consumed in dataset order (which is already a random mixture
@@ -52,15 +42,6 @@ impl<'a> GlobalBatchIter<'a> {
             dataset,
             config,
             cursor: 0,
-        }
-    }
-
-    /// Fraction of the epoch consumed so far, in [0, 1].
-    pub fn progress(&self) -> f64 {
-        if self.dataset.is_empty() {
-            1.0
-        } else {
-            self.cursor as f64 / self.dataset.len() as f64
         }
     }
 }
@@ -151,23 +132,6 @@ impl<D: Deref<Target = Dataset>> BatchStream<D> {
         st.batches_issued += 1;
         Some((index, batch))
     }
-
-    /// Mini-batches handed out so far.
-    pub fn batches_issued(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .batches_issued
-    }
-
-    /// Fraction of the epoch consumed so far, in [0, 1].
-    pub fn progress(&self) -> f64 {
-        if self.dataset.is_empty() {
-            return 1.0;
-        }
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.cursor as f64 / self.dataset.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -215,7 +179,10 @@ mod tests {
     #[test]
     fn batches_preserve_dataset_order() {
         let d = dataset();
-        let cfg = GlobalBatchConfig::paper_default(8192);
+        let cfg = GlobalBatchConfig {
+            tokens_per_batch: 65536,
+            max_seq_len: 8192,
+        };
         let mut last_id = -1i64;
         for batch in GlobalBatchIter::new(&d, cfg) {
             for s in batch {
@@ -240,13 +207,16 @@ mod tests {
     }
 
     #[test]
-    fn progress_reaches_one() {
+    fn iterator_consumes_the_whole_epoch() {
         let d = dataset();
-        let cfg = GlobalBatchConfig::paper_default(2048);
+        let cfg = GlobalBatchConfig {
+            tokens_per_batch: 65536,
+            max_seq_len: 2048,
+        };
         let mut it = GlobalBatchIter::new(&d, cfg);
-        assert_eq!(it.progress(), 0.0);
+        assert_eq!(it.cursor, 0);
         while it.next().is_some() {}
-        assert!((it.progress() - 1.0).abs() < 1e-9);
+        assert_eq!(it.cursor, d.len());
     }
 
     #[test]
@@ -268,7 +238,7 @@ mod tests {
         }
         assert_eq!(via_iter, via_stream);
         assert!(stream.next_batch().is_none(), "exhausted stream stays dry");
-        assert!((stream.progress() - 1.0).abs() < 1e-9);
+        assert_eq!(stream.state.lock().unwrap().cursor, d.len());
     }
 
     #[test]
@@ -294,7 +264,10 @@ mod tests {
                     })
                 })
                 .collect();
-            handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         });
         pulled.sort_by_key(|(i, _)| *i);
         assert_eq!(pulled.len(), reference.len());
@@ -315,7 +288,7 @@ mod tests {
         let (idx, batch) = stream.next_batch().unwrap();
         assert_eq!(idx, 0);
         assert!(!batch.is_empty());
-        assert_eq!(stream.batches_issued(), 1);
+        assert_eq!(stream.state.lock().unwrap().batches_issued, 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! equivalence suites; this crate enforces it *statically*, before any
 //! test runs, by modeling every workspace file with a token-level
 //! lexer (no `syn`; the build environment is offline) and checking
-//! five rule families — nondeterminism sources, lock-order cycles,
-//! recovery-path panics, counter-reconciliation coverage, and `unsafe`
-//! blocks in behavior crates. See
+//! six rule families — nondeterminism sources, lock-order cycles,
+//! recovery-path panics, counter-reconciliation coverage, `unsafe`
+//! blocks in behavior crates, and public functions nothing calls. See
 //! `LINTS.md` at the workspace root for the full catalogue and the
 //! waiver syntax.
 
@@ -94,18 +94,22 @@ pub fn analyze_models(models: &[FileModel], cfg: &LintConfig) -> LintReport {
     }
     rules::check_lock_order(models, cfg, &mut report, &mut findings);
     rules::check_counter_coverage(models, cfg, &mut report, &mut findings);
+    rules::check_pub_uncalled(models, &mut findings);
 
     // --- Apply waivers. A waiver covers findings of its rule on its
     // own line or the line directly below (comment-above style). A
     // waiver with an empty reason covers nothing and is itself a
     // finding: the ledger must stay auditable. ---
-    let mut used = vec![false; {
-        let mut n = 0;
-        for fm in models {
-            n += fm.waivers.len();
+    let mut used = vec![
+        false;
+        {
+            let mut n = 0;
+            for fm in models {
+                n += fm.waivers.len();
+            }
+            n
         }
-        n
-    }];
+    ];
     let mut waiver_index: Vec<(usize, &FileModel, &model::Waiver)> = Vec::new();
     {
         let mut k = 0usize;

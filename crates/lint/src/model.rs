@@ -158,7 +158,9 @@ fn scan_structs(toks: &[Tok], close_of: &[usize]) -> Vec<StructDecl> {
             i += 1;
             continue;
         }
-        let Some(name_tok) = toks.get(i + 1) else { break };
+        let Some(name_tok) = toks.get(i + 1) else {
+            break;
+        };
         if name_tok.kind != TokKind::Ident {
             i += 1;
             continue;
@@ -353,7 +355,10 @@ fn scan_functions(toks: &[Tok], close_of: &[usize]) -> Vec<FnDecl> {
                     out.push(FnDecl {
                         name,
                         line,
-                        impl_ctx: impls.last().map(|(_, c)| c.clone()).filter(|c| !c.is_empty()),
+                        impl_ctx: impls
+                            .last()
+                            .map(|(_, c)| c.clone())
+                            .filter(|c| !c.is_empty()),
                         sig,
                         body_open: j,
                         body_close: close,
@@ -403,7 +408,9 @@ fn scan_waivers(comments: &[Comment]) -> Vec<Waiver> {
             continue;
         };
         let rest = &c.text[pos + "lint:allow(".len()..];
-        let Some(close) = rest.find(')') else { continue };
+        let Some(close) = rest.find(')') else {
+            continue;
+        };
         let rule = rest[..close].trim().to_string();
         let after = &rest[close + 1..];
         let reason = after

@@ -9,7 +9,8 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule id: `wall-clock`, `thread-id`, `hash-iter`, `lock-order`,
-    /// `recovery-panic`, `counter-unread`, `waiver-no-reason`.
+    /// `recovery-panic`, `counter-unread`, `unsafe-block`,
+    /// `pub-uncalled`, `waiver-no-reason`.
     pub rule: String,
     /// Workspace-relative path.
     pub file: String,
@@ -141,7 +142,11 @@ impl LintReport {
                 json_str(&f.reason)
             );
         }
-        s.push_str(if self.findings.is_empty() { "],\n" } else { "\n  ],\n" });
+        s.push_str(if self.findings.is_empty() {
+            "],\n"
+        } else {
+            "\n  ],\n"
+        });
         s.push_str("  \"waivers\": [");
         for (i, w) in self.waivers.iter().enumerate() {
             if i > 0 {
@@ -157,7 +162,11 @@ impl LintReport {
                 w.used
             );
         }
-        s.push_str(if self.waivers.is_empty() { "],\n" } else { "\n  ],\n" });
+        s.push_str(if self.waivers.is_empty() {
+            "],\n"
+        } else {
+            "\n  ],\n"
+        });
         s.push_str("  \"lock_graph\": {\n    \"locks\": [");
         for (i, l) in self.locks.iter().enumerate() {
             if i > 0 {
@@ -180,7 +189,11 @@ impl LintReport {
                 e.count
             );
         }
-        s.push_str(if self.edges.is_empty() { "],\n" } else { "\n    ],\n" });
+        s.push_str(if self.edges.is_empty() {
+            "],\n"
+        } else {
+            "\n    ],\n"
+        });
         s.push_str("    \"cycles\": [");
         for (i, c) in self.cycles.iter().enumerate() {
             if i > 0 {
@@ -211,7 +224,11 @@ impl LintReport {
                 referenced
             );
         }
-        s.push_str(if self.counters.is_empty() { "],\n" } else { "\n  ],\n" });
+        s.push_str(if self.counters.is_empty() {
+            "],\n"
+        } else {
+            "\n  ],\n"
+        });
         let _ = writeln!(
             s,
             "  \"summary\": {{\"findings\": {}, \"unwaived\": {}, \"waivers\": {}, \"cycles\": {}}}",

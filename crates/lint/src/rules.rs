@@ -1,4 +1,4 @@
-//! The four rule families.
+//! The rule families.
 //!
 //! 1. `wall-clock` / `thread-id` / `hash-iter` — nondeterminism sources
 //!    in behavior-affecting crates.
@@ -7,6 +7,8 @@
 //! 3. `recovery-panic` — `.unwrap()` / `.expect("")` inside
 //!    churn/re-issue/poison handling.
 //! 4. `counter-unread` — ledger counters never referenced by any test.
+//! 5. `unsafe-block` — any `unsafe` in behavior-affecting crates.
+//! 6. `pub-uncalled` — a `pub fn` that no non-test code calls.
 
 use crate::model::{FileModel, FnDecl};
 use crate::report::{Finding, LintReport, LockEdge};
@@ -20,6 +22,7 @@ pub const RULE_PANIC: &str = "recovery-panic";
 pub const RULE_COUNTER: &str = "counter-unread";
 pub const RULE_WAIVER: &str = "waiver-no-reason";
 pub const RULE_UNSAFE: &str = "unsafe-block";
+pub const RULE_UNCALLED: &str = "pub-uncalled";
 
 /// What the analyzer looks for and where. `workspace()` is the repo's
 /// instance; fixture tests construct their own.
@@ -61,7 +64,13 @@ impl LintConfig {
             .collect(),
             recovery_file_markers: vec!["churn".to_string()],
             recovery_keywords: [
-                "reissue", "abandon", "poison", "churn", "straggle", "recover", "rebalance",
+                "reissue",
+                "abandon",
+                "poison",
+                "churn",
+                "straggle",
+                "recover",
+                "rebalance",
                 "crash",
             ]
             .iter()
@@ -266,7 +275,8 @@ pub fn check_nondeterminism(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Find
                 format!(
                     "iteration over hash container `{}` (`.{}()`): order depends on \
                      RandomState and may leak into bytes or rollups",
-                    t.text, toks[i + 2].text
+                    t.text,
+                    toks[i + 2].text
                 ),
             );
         }
@@ -507,7 +517,9 @@ pub fn check_lock_order(
                     // Method / path / plain call.
                     let hint = if prev_dot && i >= 2 && toks[i - 2].is_ident("self") {
                         f.impl_ctx.clone()
-                    } else if prev_colon && i >= 3 && toks[i - 3].kind == crate::lexer::TokKind::Ident
+                    } else if prev_colon
+                        && i >= 3
+                        && toks[i - 3].kind == crate::lexer::TokKind::Ident
                     {
                         Some(toks[i - 3].text.clone())
                     } else {
@@ -527,29 +539,30 @@ pub fn check_lock_order(
     }
 
     // --- Fixpoint: close acquire sets over resolvable callees. ---
-    let resolve_callee = |hint: &Option<String>, name: &str, registry: &[FnInfo]| -> Option<usize> {
-        let matches: Vec<usize> = registry
-            .iter()
-            .enumerate()
-            .filter(|(_, fi)| fi.name == name)
-            .map(|(i, _)| i)
-            .collect();
-        if matches.is_empty() {
-            return None;
-        }
-        if let Some(h) = hint {
-            if let Some(&i) = matches
+    let resolve_callee =
+        |hint: &Option<String>, name: &str, registry: &[FnInfo]| -> Option<usize> {
+            let matches: Vec<usize> = registry
                 .iter()
-                .find(|&&i| registry[i].ctx.as_deref() == Some(h.as_str()))
-            {
-                return Some(i);
+                .enumerate()
+                .filter(|(_, fi)| fi.name == name)
+                .map(|(i, _)| i)
+                .collect();
+            if matches.is_empty() {
+                return None;
             }
-        }
-        if matches.len() == 1 && !GENERIC_METHOD_NAMES.contains(&name) {
-            return Some(matches[0]);
-        }
-        None
-    };
+            if let Some(h) = hint {
+                if let Some(&i) = matches
+                    .iter()
+                    .find(|&&i| registry[i].ctx.as_deref() == Some(h.as_str()))
+                {
+                    return Some(i);
+                }
+            }
+            if matches.len() == 1 && !GENERIC_METHOD_NAMES.contains(&name) {
+                return Some(matches[0]);
+            }
+            None
+        };
     for _ in 0..8 {
         let mut changed = false;
         for i in 0..registry.len() {
@@ -630,7 +643,8 @@ pub fn check_lock_order(
                 continue;
             }
             if t.is_ident("let") {
-                let if_while = i >= 1 && (toks[i - 1].is_ident("if") || toks[i - 1].is_ident("while"));
+                let if_while =
+                    i >= 1 && (toks[i - 1].is_ident("if") || toks[i - 1].is_ident("while"));
                 let mut j = i + 1;
                 let mut bound: Option<String> = None;
                 while j < f.body_close && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
@@ -673,12 +687,9 @@ pub fn check_lock_order(
                 if matches!(t.text.as_str(), "lock" | "read" | "write") && prev_dot && i >= 2 {
                     let recv = &toks[i - 2];
                     if recv.kind == crate::lexer::TokKind::Ident {
-                        if let Some(id) = resolve_lock(
-                            &recv.text,
-                            f.impl_ctx.as_deref(),
-                            &field_owners,
-                            &locals,
-                        ) {
+                        if let Some(id) =
+                            resolve_lock(&recv.text, f.impl_ctx.as_deref(), &field_owners, &locals)
+                        {
                             record_edges(&active, &id, t.line, &mut edges);
                             if let Some((var, d, _)) = &pending {
                                 active.push(ActiveGuard {
@@ -778,8 +789,7 @@ pub fn check_lock_order(
                 let succ = next[ni];
                 if let Some(pos) = path.iter().position(|&p| p == succ) {
                     // Cycle: path[pos..] + succ.
-                    let mut cyc: Vec<String> =
-                        path[pos..].iter().map(|s| s.to_string()).collect();
+                    let mut cyc: Vec<String> = path[pos..].iter().map(|s| s.to_string()).collect();
                     cyc.push(succ.to_string());
                     // Normalize: rotate so the smallest element leads.
                     let mut core = cyc[..cyc.len() - 1].to_vec();
@@ -794,10 +804,11 @@ pub fn check_lock_order(
                     norm.push(core[0].clone());
                     if seen_cycles.insert(norm.clone()) {
                         let closing = (path[path.len() - 1].to_string(), succ.to_string());
-                        let (file, line, _) = edges
-                            .get(&closing)
-                            .cloned()
-                            .unwrap_or((String::new(), 0, 0));
+                        let (file, line, _) =
+                            edges
+                                .get(&closing)
+                                .cloned()
+                                .unwrap_or((String::new(), 0, 0));
                         out.push(Finding {
                             rule: RULE_LOCK.to_string(),
                             file,
@@ -989,6 +1000,52 @@ pub fn check_counter_coverage(
                         reason: String::new(),
                     });
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Rule 6: public functions nothing calls.
+// ---------------------------------------------------------------------
+
+/// Rule 6 across all files: flag a non-test `pub fn` whose name occurs
+/// in no non-test code other than a `fn` definition or a `use …;` item
+/// (a re-export names a function without calling it). Matching is by
+/// bare name, so a name shared with any other call site counts as
+/// called: the rule can miss dead code, and flags live code only when
+/// its one reference is inside a string.
+pub fn check_pub_uncalled(models: &[FileModel], out: &mut Vec<Finding>) {
+    let mut called: BTreeSet<&str> = BTreeSet::new();
+    for fm in models {
+        let mut in_use = false;
+        for (i, t) in fm.toks.iter().enumerate() {
+            in_use = (in_use || t.is_ident("use")) && !t.is_punct(';');
+            let is_def = i >= 1 && fm.toks[i - 1].is_ident("fn");
+            if t.kind == crate::lexer::TokKind::Ident && !(in_use || is_def || fm.in_test(i)) {
+                called.insert(&t.text);
+            }
+        }
+    }
+    for fm in models {
+        for (i, w) in fm.toks.windows(3).enumerate() {
+            if w[0].is_ident("pub")
+                && w[1].is_ident("fn")
+                && !fm.in_test(i)
+                && !called.contains(w[2].text.as_str())
+            {
+                out.push(Finding {
+                    rule: RULE_UNCALLED.to_string(),
+                    file: fm.rel.clone(),
+                    line: w[2].line,
+                    message: format!(
+                        "`pub fn {}` is called from no non-test code: delete it, move it \
+                         into the tests that use it, or waive it naming the test that calls it",
+                        w[2].text
+                    ),
+                    waived: false,
+                    reason: String::new(),
+                });
             }
         }
     }

@@ -6,30 +6,30 @@ use dynapipe_lint::analyze_files;
 use dynapipe_lint::rules::LintConfig;
 use std::path::PathBuf;
 
-/// Analyze one fixture file under a fixture-scoped config. The rel path
-/// is rooted at `fix/` so the config markers are independent of the
-/// workspace layout.
-fn lint_fixture(name: &str) -> dynapipe_lint::report::LintReport {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
+/// Analyze fixture files together under a fixture-scoped config. Rel
+/// paths are rooted at `fix/` so the config markers are independent of
+/// the workspace layout.
+fn lint_fixtures(names: &[&str]) -> dynapipe_lint::report::LintReport {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let rels: Vec<String> = names.iter().map(|n| format!("fix/{n}")).collect();
     let cfg = LintConfig {
         behavior_markers: vec!["fix/".to_string()],
-        lock_files: vec![format!("fix/{name}")],
+        lock_files: rels.clone(),
         recovery_file_markers: Vec::new(),
         recovery_keywords: vec!["reissue".to_string()],
         recovery_calls: Vec::new(),
         counter_structs: vec!["FixtureChurn".to_string()],
     };
-    analyze_files(vec![(path, format!("fix/{name}"))], &cfg)
+    let files = names.iter().map(|n| dir.join(n)).zip(rels).collect();
+    analyze_files(files, &cfg)
+}
+
+fn lint_fixture(name: &str) -> dynapipe_lint::report::LintReport {
+    lint_fixtures(&[name])
 }
 
 fn rules_of(report: &dynapipe_lint::report::LintReport) -> Vec<String> {
-    report
-        .unwaived()
-        .iter()
-        .map(|f| f.rule.clone())
-        .collect()
+    report.unwaived().iter().map(|f| f.rule.clone()).collect()
 }
 
 fn count(rules: &[String], rule: &str) -> usize {
@@ -40,7 +40,11 @@ fn count(rules: &[String], rule: &str) -> usize {
 fn nondet_fixture_trips_every_rule1_pattern() {
     let report = lint_fixture("nondet.rs");
     let rules = rules_of(&report);
-    assert_eq!(count(&rules, "wall-clock"), 2, "Instant::now + SystemTime: {rules:?}");
+    assert_eq!(
+        count(&rules, "wall-clock"),
+        2,
+        "Instant::now + SystemTime: {rules:?}"
+    );
     assert_eq!(count(&rules, "thread-id"), 1, "thread::current: {rules:?}");
     assert_eq!(
         count(&rules, "hash-iter"),
@@ -159,6 +163,35 @@ fn unsafe_block_fixture_counts_exactly() {
     );
     assert_eq!(report.waivers.len(), 1, "{:?}", report.waivers);
     assert!(report.waivers[0].used);
+}
+
+#[test]
+fn pub_uncalled_fixture_flags_exactly_the_uncalled_fns() {
+    let report = lint_fixtures(&["pub_uncalled.rs", "pub_uncalled_caller.rs"]);
+    let unwaived = report.unwaived();
+    assert_eq!(
+        count(&rules_of(&report), "pub-uncalled"),
+        3,
+        "uncalled, pub-use-only and test-only; the cross-file call stays clean: {:?}",
+        report.findings
+    );
+    assert_eq!(unwaived.len(), 3, "{:?}", report.findings);
+    for name in ["never_called", "reexported_only", "called_from_tests_only"] {
+        assert!(
+            unwaived
+                .iter()
+                .any(|f| f.message.contains(&format!("`pub fn {name}`"))),
+            "{name} must be flagged: {:?}",
+            report.findings
+        );
+    }
+    assert!(
+        unwaived
+            .iter()
+            .all(|f| !f.message.contains("called_elsewhere")),
+        "a call from another file counts: {:?}",
+        report.findings
+    );
 }
 
 #[test]

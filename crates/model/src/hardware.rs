@@ -99,6 +99,7 @@ impl HardwareModel {
     }
 
     /// A deliberately small toy device for fast tests.
+    // lint:allow(pub-uncalled): device for dynapipe-sim's engine tests (`toy_config`, e.g. `single_device_runs_to_completion`)
     pub fn toy() -> Self {
         HardwareModel {
             peak_flops_per_us: 1e6,

@@ -184,16 +184,6 @@ impl StageLayout {
     pub fn stage(&self, s: usize) -> &StageAssignment {
         &self.stages[s]
     }
-
-    /// Maximum number of layers on any single stage (the pipeline's
-    /// per-stage compute is governed by the heaviest stage).
-    pub fn max_layers_per_stage(&self) -> usize {
-        self.stages
-            .iter()
-            .map(StageAssignment::total_layers)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -276,7 +266,7 @@ mod tests {
         assert_eq!(counts.iter().sum::<usize>(), 40);
         assert_eq!(counts[0], 3);
         assert_eq!(counts[15], 2);
-        assert_eq!(layout.max_layers_per_stage(), 3);
+        assert_eq!(counts.iter().max(), Some(&3));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! tensor shapes in its execution plans so executors never exchange shape
 //! metadata at runtime (§6) — [`MicroBatchShape`] is what gets embedded.
 
-use crate::config::ModelArch;
 use crate::parallel::StageKind;
 use crate::Bytes;
 use serde::{Deserialize, Serialize};
@@ -76,19 +75,6 @@ impl MicroBatchShape {
         };
         tokens * hidden_dim as u64 * ACT_DTYPE_BYTES
     }
-
-    /// Whether this shape is valid for the given architecture (GPT shapes
-    /// must have a zero decoder length; T5 shapes a positive one when they
-    /// contain samples).
-    pub fn valid_for(&self, arch: ModelArch) -> bool {
-        if self.batch_size == 0 {
-            return true;
-        }
-        match arch {
-            ModelArch::Gpt => self.dec_len == 0 && self.enc_len > 0,
-            ModelArch::T5 => self.enc_len > 0 && self.dec_len > 0,
-        }
-    }
 }
 
 impl std::fmt::Display for MicroBatchShape {
@@ -125,16 +111,6 @@ mod tests {
         assert_eq!(enc, 2 * 1000 * 1024 * ACT_DTYPE_BYTES);
         assert_eq!(dec, 2 * 1200 * 1024 * ACT_DTYPE_BYTES);
         assert!(dec > enc);
-    }
-
-    #[test]
-    fn validity_per_architecture() {
-        assert!(MicroBatchShape::gpt(1, 32).valid_for(ModelArch::Gpt));
-        assert!(!MicroBatchShape::gpt(1, 32).valid_for(ModelArch::T5));
-        assert!(MicroBatchShape::t5(1, 32, 8).valid_for(ModelArch::T5));
-        assert!(!MicroBatchShape::t5(1, 32, 8).valid_for(ModelArch::Gpt));
-        assert!(MicroBatchShape::empty().valid_for(ModelArch::Gpt));
-        assert!(MicroBatchShape::empty().valid_for(ModelArch::T5));
     }
 
     #[test]

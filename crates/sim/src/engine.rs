@@ -149,6 +149,7 @@ impl SimResult {
     /// program must meet against the shared-`Arc` original: engines over
     /// owned wire-decoded programs may not differ in any simulated bit.
     /// Returns a description of the first divergence.
+    // lint:allow(pub-uncalled): oracle for tests/serialization.rs `deserialized_programs_run_bit_identically_to_shared_arc`
     pub fn bit_eq(&self, other: &SimResult) -> Result<(), String> {
         fn f64_eq(name: &str, a: f64, b: f64) -> Result<(), String> {
             if a.to_bits() != b.to_bits() {

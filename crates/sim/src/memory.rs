@@ -96,11 +96,6 @@ impl MemoryTracker {
     pub fn limit(&self) -> Bytes {
         self.limit
     }
-
-    /// Live buffer count.
-    pub fn live_buffers(&self) -> usize {
-        self.live.len()
-    }
 }
 
 /// How the simulated allocator behaves.
@@ -230,7 +225,7 @@ mod tests {
         assert_eq!(err.requested, 30);
         assert_eq!(err.in_use, 80);
         assert_eq!(t.in_use(), 80, "failed alloc must not leak");
-        assert_eq!(t.live_buffers(), 1);
+        assert_eq!(t.live.len(), 1);
     }
 
     #[test]

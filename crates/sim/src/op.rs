@@ -181,17 +181,6 @@ impl DeviceProgram {
         self.ops.is_empty()
     }
 
-    /// Total planned compute time (ignores communication and stalls).
-    pub fn planned_compute_time(&self) -> Micros {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                SimOp::Compute { duration, .. } => *duration,
-                _ => 0.0,
-            })
-            .sum()
-    }
-
     /// Validate internal consistency: every `CommWait` tag has a prior
     /// `CommStart` on this device, no alloc id is freed before allocation
     /// or allocated twice.
@@ -445,7 +434,6 @@ mod tests {
             label: lbl(),
         });
         assert!(p.validate().is_ok());
-        assert_eq!(p.planned_compute_time(), 15.0);
     }
 
     #[test]

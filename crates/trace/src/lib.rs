@@ -59,7 +59,8 @@ pub enum SpanKind {
     /// Encode (+ store push) phase; `bytes` = encoded blob size.
     TicketEncode,
     /// Completion handed to the queue (instant; `generation` set;
-    /// `bytes` = 1 when the queue accepted it, 0 when it was stale).
+    /// `bytes` = 1 when the queue accepted it, 0 when it was stale, 2
+    /// when the run was cancelled). Bytes-0 count == `stale_completions`.
     TicketComplete,
     /// The queue re-issued a ticket (deadline expiry or claimant
     /// crash). One span per re-issue: Σ count == `tickets_reissued`.
@@ -247,6 +248,10 @@ pub struct TraceMeta {
     pub store_discarded: u64,
     /// Queue counter: tickets re-issued.
     pub tickets_reissued: u64,
+    /// Queue counter: completions discarded as stale (another attempt
+    /// completed the iteration first). Zero on single-host runs, which
+    /// never re-issue.
+    pub stale_completions: u64,
     /// Churn ledger: scripted events that took effect (ignored events
     /// record no span and do not count).
     pub churn_applied: u64,
@@ -565,6 +570,7 @@ impl Trace {
             ("store_take span count vs takes", self.of_kind(SpanKind::StoreTake).count() as u64, m.store_takes),
             ("store_discard span count vs discarded", self.of_kind(SpanKind::StoreDiscard).count() as u64, m.store_discarded),
             ("ticket_reissue span count vs tickets_reissued", self.of_kind(SpanKind::TicketReissue).count() as u64, m.tickets_reissued),
+            ("bytes-0 ticket_complete span count vs stale_completions", self.of_kind(SpanKind::TicketComplete).filter(|s| s.bytes == 0).count() as u64, m.stale_completions),
             ("churn_action span count vs events_applied", self.of_kind(SpanKind::ChurnAction).count() as u64, m.churn_applied),
         ];
         for (what, got, want) in checks {
@@ -703,6 +709,21 @@ mod tests {
         assert_eq!(t.counters.sim_spans, 0);
         t.validate().expect("capped trace is still well-formed");
         assert!(t.reconcile().is_err(), "dropped spans must fail reconciliation");
+    }
+
+    #[test]
+    fn stale_completions_reconcile_and_cancelled_ones_do_not_count() {
+        let sink = TraceSink::bounded(8);
+        for bytes in [1, 0, 2] {
+            sink.mark(Span {
+                bytes,
+                ..span(SpanKind::TicketComplete, ClockDomain::Host, 0.0, 0.0)
+            });
+        }
+        let mut t = sink.finish();
+        assert!(t.reconcile().is_err(), "an unledgered stale completion");
+        t.meta.stale_completions = 1;
+        t.reconcile().expect("one stale, the cancelled one not counted");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! Since the paper's substrate (32×A100 + Megatron-LM) is not available,
 //! this reproduction runs every experiment on a deterministic discrete-event
 //! cluster simulator with NCCL-faithful ordered channels, memory accounting
-//! and execution-time jitter; see `DESIGN.md` for the substitution table.
+//! and execution-time jitter; `ROADMAP.md` records what each substitute
+//! stands in for and what remains open.
 //!
 //! ## Crate map
 //!
@@ -76,8 +77,8 @@ pub mod prelude {
     pub use dynapipe_comm::{verify_deadlock_free, ExecutionPlan, Instr};
     pub use dynapipe_core::{
         run_training, run_training_pipelined, BaselineKind, BaselinePlanner, DynaPipePlanner,
-        InstructionStore, IterationPlanner, PlanDistribution, PlannerConfig, RunConfig,
-        RunReport, RuntimeConfig, ScheduleKind, StoredPlan,
+        InstructionStore, IterationPlanner, PlanDistribution, PlannerConfig, RunConfig, RunReport,
+        RuntimeConfig, ScheduleKind, StoredPlan,
     };
     pub use dynapipe_cost::{iteration_time, CostModel, ProfileOptions};
     pub use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};

@@ -46,7 +46,21 @@ rustfmt --check --edition 2021 \
     crates/cluster/tests/churn_equivalence.rs \
     crates/cluster/tests/shard_routing.rs \
     crates/cluster/tests/trace_reconciliation.rs \
-    tests/serialization.rs
+    tests/serialization.rs \
+    src/lib.rs \
+    crates/batcher/src/kk.rs \
+    crates/comm/src/instruction.rs \
+    crates/comm/src/plan.rs \
+    crates/core/tests/stats_reconciliation.rs \
+    crates/cost/src/iteration.rs \
+    crates/data/src/dataset.rs \
+    crates/data/src/lib.rs \
+    crates/data/src/minibatch.rs \
+    crates/lint/src/lib.rs \
+    crates/lint/src/rules.rs \
+    crates/lint/tests/fixtures.rs \
+    crates/model/src/hardware.rs \
+    crates/model/src/parallel.rs
 
 echo "== build (release, -D warnings) =="
 cargo build --release --workspace
