@@ -38,8 +38,6 @@ pub struct BenchOpts {
     pub dataset_samples: usize,
     /// Simulated training iterations per point.
     pub iters: usize,
-    /// Mini-batches used to score grid-search candidates.
-    pub probes: usize,
     /// Dataset seed.
     pub seed: u64,
     /// Include multi-node cluster sizes (16, 32 GPUs).
@@ -59,7 +57,6 @@ impl Default for BenchOpts {
         BenchOpts {
             dataset_samples: env_usize("DYNAPIPE_BENCH_SAMPLES", 3000),
             iters: env_usize("DYNAPIPE_BENCH_ITERS", 4),
-            probes: env_usize("DYNAPIPE_BENCH_PROBES", 1),
             seed: 20240422,
             full: std::env::var("DYNAPIPE_BENCH_FULL")
                 .map(|v| v == "1")
@@ -72,6 +69,9 @@ impl Default for BenchOpts {
 }
 
 impl BenchOpts {
+    /// Mini-batches used to score grid-search candidates.
+    pub const PROBES: usize = 1;
+
     /// Cluster sizes for the scaling figures.
     pub fn cluster_sizes(&self) -> Vec<usize> {
         if self.full {
@@ -234,7 +234,7 @@ pub fn eval_dynapipe(
     point: &Point,
     opts: &BenchOpts,
 ) -> Option<(PointResult, ParallelConfig)> {
-    let probes = probe_minibatches(dataset, point, opts.probes);
+    let probes = probe_minibatches(dataset, point, BenchOpts::PROBES);
     let scores = dynapipe_core::search_parallelism(
         hw,
         &point.model,
@@ -263,7 +263,7 @@ pub fn eval_packing(
     opts: &BenchOpts,
     fixed_parallel: Option<ParallelConfig>,
 ) -> Option<PointResult> {
-    let probes = probe_minibatches(dataset, point, opts.probes);
+    let probes = probe_minibatches(dataset, point, BenchOpts::PROBES);
     let candidates: Vec<ParallelConfig> = match fixed_parallel {
         Some(p) => vec![p],
         None => ParallelConfig::enumerate(point.num_gpus, hw.gpus_per_node),
@@ -327,7 +327,7 @@ pub fn eval_token_based(
     if !cm.is_feasible() {
         return None;
     }
-    let probes = probe_minibatches(dataset, point, opts.probes);
+    let probes = probe_minibatches(dataset, point, BenchOpts::PROBES);
     let mut best: Option<(f64, usize)> = None;
     for budget in [1024usize, 2048, 4096, 8192, 16384] {
         let planner = BaselinePlanner::new(
@@ -426,7 +426,6 @@ mod tests {
         let opts = BenchOpts {
             dataset_samples: 400,
             iters: 1,
-            probes: 1,
             seed: 1,
             full: false,
             smoke: false,

@@ -94,11 +94,6 @@ impl ChurnScript {
         self.events.is_empty()
     }
 
-    /// All scheduled events in push order.
-    pub fn events(&self) -> &[(usize, ChurnEvent)] {
-        &self.events
-    }
-
     /// Events due exactly at `iteration`, in push order.
     pub fn events_at(&self, iteration: usize) -> impl Iterator<Item = &ChurnEvent> {
         self.events
@@ -269,7 +264,13 @@ mod tests {
         let s = ChurnScript::new()
             .at(1, ChurnEvent::PlannerCrash { host: 0 })
             .at(1, ChurnEvent::PlannerJoin { workers: 2 })
-            .at(3, ChurnEvent::Straggle { host: 1, delay_ms: 5 });
+            .at(
+                3,
+                ChurnEvent::Straggle {
+                    host: 1,
+                    delay_ms: 5,
+                },
+            );
         assert!(!s.is_empty());
         assert_eq!(s.events_at(0).count(), 0);
         assert_eq!(s.events_at(1).count(), 2);
@@ -313,8 +314,14 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(m.activate_next(), Some(1));
-        assert!(joined.join().expect("joined waiter thread"), "activated host must wake true");
+        assert!(
+            joined.join().expect("joined waiter thread"),
+            "activated host must wake true"
+        );
         m.shutdown();
-        assert!(!stranded.join().expect("stranded waiter thread"), "shutdown must wake false");
+        assert!(
+            !stranded.join().expect("stranded waiter thread"),
+            "shutdown must wake false"
+        );
     }
 }

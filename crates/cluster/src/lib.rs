@@ -66,6 +66,6 @@ pub mod topology;
 
 pub use churn::{ChurnEvent, ChurnScript, Membership};
 pub use report::{ChurnStats, ClusterReport, ExecutorHostStats, PlannerHostStats, ShardStats};
-pub use runtime::{run_training_cluster, run_training_cluster_traced};
+pub use runtime::run_training_cluster_traced;
 pub use shard::{ShardMap, StorePlacement};
 pub use topology::ClusterConfig;

@@ -222,11 +222,6 @@ pub struct ClusterReport {
 }
 
 impl ClusterReport {
-    /// Hidden distribution time (µs): everything the timeline absorbed.
-    pub fn hidden_us(&self) -> f64 {
-        (self.total_planning_us + self.total_wire_us - self.exposed_us).max(0.0)
-    }
-
     /// The counter ledger a trace of this run must reconcile against —
     /// see `dynapipe_trace::Trace::reconcile` for the exact checks
     /// (byte sums, span counts, bitwise exposed-µs ledgers).

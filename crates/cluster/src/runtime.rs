@@ -826,29 +826,18 @@ impl<'c> ExecutorTimeline<'c> {
 }
 
 /// Run (a prefix of) one training epoch on the simulated multi-host
-/// cluster.
+/// cluster, recording spans into `sink`: ticket lifecycle, store traffic
+/// and churn actions as `Host`-domain spans, per-blob link transfers
+/// (push / fetch / restore, with the FIFO queue-wait split out), per-host
+/// exposure, and the executed iterations as `Sim`-domain spans on the
+/// ideal simulated timeline. Pass [`TraceSink::disabled`] to record
+/// nothing.
 ///
 /// The returned [`RunReport`] is bit-identical to
 /// [`dynapipe_core::run_training`] with the same arguments — any
 /// topology, codec or link speed (`RunReport::behavior_eq`; pinned by
 /// `tests/cluster_equivalence.rs`). The [`ClusterReport`] carries the
 /// per-host and wire accounting.
-pub fn run_training_cluster(
-    planner: &dyn IterationPlanner,
-    dataset: &Dataset,
-    gbs: GlobalBatchConfig,
-    run: RunConfig,
-    cluster: ClusterConfig,
-) -> (RunReport, ClusterReport) {
-    run_training_cluster_traced(planner, dataset, gbs, run, cluster, &TraceSink::disabled())
-}
-
-/// [`run_training_cluster`] with span recording into `sink`: ticket
-/// lifecycle, store traffic and churn actions as `Host`-domain spans,
-/// per-blob link transfers (push / fetch / restore, with the FIFO
-/// queue-wait split out), per-host exposure, and the executed
-/// iterations as `Sim`-domain spans on the ideal simulated timeline.
-/// With a disabled sink this *is* `run_training_cluster`.
 pub fn run_training_cluster_traced(
     planner: &dyn IterationPlanner,
     dataset: &Dataset,

@@ -16,6 +16,13 @@
 //!   behavior-pinned results, whatever carried the plans;
 //! * store hygiene: empty after teardown, `takes + discarded == pushes`,
 //!   peak occupancy within the plan-ahead window;
+//! * on pipelined cells, the per-iteration ledgers (one entry per
+//!   executed iteration, serde only when store-backed, a nonzero wire
+//!   hop), `pushes == takes == iterations` on a run that does not fail,
+//!   and the overlap claim: no planning is exposed after iteration 0,
+//!   and the training timeline is exactly Σ(exposed planning +
+//!   execution), so a pipelined run pays one iteration's planning where
+//!   the serial driver pays every iteration's;
 //! * on cluster cells, the wire-byte rule (`report.rs`: a byte counts
 //!   only when it crosses hosts) and the span-for-span ledger
 //!   (`TRACING.md`) against the live `ClusterReport`.
@@ -338,9 +345,8 @@ impl Scenario {
         }
         let (store, window) = match &stats {
             Stats::Pipelined(s) => {
-                let (resident, window) = (s.max_plans_resident, s.plan_ahead);
-                assert!(resident <= window, "{name}: {resident} plans resident");
-                (s.store.as_ref(), window)
+                assert_pipelined_ledgers(name, s, &report);
+                (s.store.as_ref(), s.plan_ahead)
             }
             Stats::Cluster(s) => {
                 assert_cluster_ledgers(name, s, &trace);
@@ -360,6 +366,59 @@ impl Scenario {
             trace,
         }
     }
+}
+
+/// The single-host runtime's per-iteration ledgers and overlap claim
+/// (module docs).
+fn assert_pipelined_ledgers(name: &str, s: &RuntimeStats, report: &RunReport) {
+    let (resident, window) = (s.max_plans_resident, s.plan_ahead);
+    assert!(resident <= window, "{name}: {resident} plans resident");
+    let iters = report.records.len();
+    let store_backed = s.distribution == PlanDistribution::StoreBacked;
+    let wire = if store_backed { iters } else { 0 };
+    let ledgers = [
+        ("planning_us", s.planning_us.len(), iters),
+        ("exec_sim_us", s.exec_sim_us.len(), iters),
+        ("exposed_us", s.exposed_us.len(), iters),
+        ("serialize_us", s.serialize_us.len(), wire),
+        ("deserialize_us", s.deserialize_us.len(), wire),
+        ("blob_bytes", s.blob_bytes.len(), wire),
+    ];
+    for (what, got, want) in ledgers {
+        assert_eq!(got, want, "{name}: {what} entries");
+    }
+    if store_backed && iters > 0 {
+        assert!(s.blob_bytes.iter().all(|&b| b > 0), "{name}: empty blob");
+        assert!(
+            s.serde_overhead_us() > 0.0,
+            "{name}: the wire hop is not free"
+        );
+    }
+    if let (Some(st), None) = (&s.store, &report.failure) {
+        let want = iters as u64;
+        assert_eq!((st.pushes, st.takes), (want, want), "{name}: pushes/takes");
+    }
+    let ratio = s.overlap_ratio();
+    assert!(
+        (0.0..=1.0).contains(&ratio),
+        "{name}: overlap ratio {ratio}"
+    );
+    // The overlap claim, exactly. Simulated execution (seconds per
+    // iteration) dwarfs host planning (milliseconds), so every plan after
+    // iteration 0 is ready before the virtual clock needs it: only
+    // iteration 0's planning is exposed, and the timeline is the in-order
+    // fold of exposure plus execution, bit for bit. A run of n iterations
+    // thus pays one iteration's planning where the serial driver pays n.
+    let late = s.exposed_us.iter().skip(1).position(|&e| e != 0.0);
+    assert_eq!(late, None, "{name}: planning exposed after iteration 0");
+    let steps = s.exposed_us.iter().zip(&s.exec_sim_us);
+    let timeline = steps.fold(0.0, |clock, (exposed, exec)| clock + exposed + exec);
+    let (wall, want) = (s.pipelined_wall_us, timeline);
+    assert_eq!(
+        wall.to_bits(),
+        want.to_bits(),
+        "{name}: timeline {wall} vs {want}"
+    );
 }
 
 /// The wire-byte rule and the span-for-span ledger, against the live

@@ -94,18 +94,6 @@ pub enum Instr {
     },
 }
 
-impl Instr {
-    /// Micro-batch this instruction concerns.
-    pub fn mb(&self) -> u32 {
-        match self {
-            Instr::ForwardPass { mb }
-            | Instr::BackwardPass { mb }
-            | Instr::CommStart { mb, .. }
-            | Instr::CommWait { mb, .. } => *mb,
-        }
-    }
-}
-
 impl std::fmt::Display for Instr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

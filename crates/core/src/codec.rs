@@ -120,9 +120,9 @@
 //! property suite in `tests/serialization.rs` pins all three codecs
 //! (cross-decode equal, re-encode bitwise, engine runs over decoded —
 //! or wrapped — programs bit-identical; the flat summary equals the one
-//! derived from the plan), and the `fig09_cluster` / `fig17_planahead`
-//! benches fail CI if Binary stops beating JSON on bytes or Flat's
-//! executor decode stops beating Binary's.
+//! derived from the plan; the executor decode reads no byte of the plan
+//! section), and the `fig09_cluster` bench fails CI if Binary stops
+//! beating JSON on bytes or Flat's arena bloats past 1.25× Binary's.
 
 use crate::driver::IterationSummary;
 use crate::planner::{IterationPlan, PlanError};

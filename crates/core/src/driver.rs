@@ -5,8 +5,8 @@
 //! simulate loop with no overlap, no speculation, and replicas simulated
 //! one by one. The production path is the pipelined plan-ahead runtime in
 //! [`crate::runtime`], which must stay bit-identical to this driver
-//! (enforced by [`RunReport::behavior_eq`] in tests and the
-//! `fig17_planahead` bench); both share the lowering and per-replica
+//! (enforced by [`RunReport::behavior_eq`] in the equivalence suites);
+//! both share the lowering and per-replica
 //! execution helpers there, so the simulated work is the same by
 //! construction — only the orchestration differs.
 

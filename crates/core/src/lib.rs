@@ -52,12 +52,10 @@ pub use planner::{
 };
 pub use runtime::{
     decode_executable, decode_for_execution, plan_lower_push_traced, record_sim_iteration,
-    run_training_pipelined, run_training_pipelined_traced, CompleteOutcome, DuplicatePush,
-    Executable, IterationExecution, PlanAheadQueue, PlanDistribution, QueueChurn,
-    ReplicaParallelism, ReplicaPrograms, RuntimeConfig, RuntimeStats, Ticket, TicketTraceCtx,
-    WaitOutcome,
+    run_training_pipelined_traced, CompleteOutcome, DuplicatePush, Executable, IterationExecution,
+    PlanAheadQueue, PlanDistribution, QueueChurn, ReplicaParallelism, ReplicaPrograms,
+    RuntimeConfig, RuntimeStats, Ticket, TicketTraceCtx, WaitOutcome,
 };
 pub use store::{
-    InstructionStore, PushOutcome, StoreError, StoreStats, StoredLowered,
-    StoredOutcome, StoredPlan,
+    InstructionStore, PushOutcome, StoreError, StoreStats, StoredLowered, StoredOutcome, StoredPlan,
 };

@@ -65,9 +65,6 @@ pub struct PlannerConfig {
     pub max_candidates: usize,
     /// Clusters for micro-batch reordering.
     pub reorder_clusters: usize,
-    /// Fraction of the activation budget the planner may use (head-room
-    /// against estimation error).
-    pub memory_safety: f64,
 }
 
 impl Default for PlannerConfig {
@@ -79,7 +76,6 @@ impl Default for PlannerConfig {
             max_mb_samples: 128,
             max_candidates: 96,
             reorder_clusters: 3,
-            memory_safety: DEFAULT_MEMORY_SAFETY,
         }
     }
 }
@@ -395,9 +391,9 @@ impl DynaPipePlanner {
     }
 
     /// The activation budget the planner works against (device memory minus
-    /// static state, scaled by the configured safety factor).
+    /// static state, scaled by [`DEFAULT_MEMORY_SAFETY`]).
     pub fn planning_budget(&self) -> Bytes {
-        (self.cm.min_activation_budget() as f64 * self.config.memory_safety) as Bytes
+        (self.cm.min_activation_budget() as f64 * DEFAULT_MEMORY_SAFETY) as Bytes
     }
 }
 

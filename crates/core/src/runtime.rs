@@ -70,8 +70,8 @@
 //! the same error string; speculatively planned later iterations are
 //! discarded. The produced [`RunReport`] matches the serial one in every
 //! field except the wall-clock `planning_time_us` measurements (see
-//! [`RunReport::behavior_eq`]), which is pinned by tests and enforced by
-//! the `fig17_planahead` bench.
+//! [`RunReport::behavior_eq`]), which is pinned by the equivalence suites
+//! in `crates/cluster/tests`.
 //!
 //! # Overlap accounting
 //!
@@ -83,10 +83,13 @@
 //! iteration's *simulated* duration, and a plan's readiness is its real
 //! host timestamp. An iteration's *exposed* planning time is how long the
 //! virtual clock must wait for its plan; everything else is *hidden*
-//! behind execution. `pipelined_wall_us` (virtual end time) versus
-//! `serial_wall_us` (Σ planning + Σ execution — the serial driver's
-//! timeline, where every microsecond of planning is exposed) quantifies
-//! the win; see [`RuntimeStats`]. The same methodology backs the existing
+//! behind execution. `pipelined_wall_us` (virtual end time) versus the
+//! serial driver's timeline (Σ planning + Σ execution, where every
+//! microsecond of planning is exposed) quantifies the win; see
+//! [`RuntimeStats`]. The equivalence suites check that no planning is
+//! exposed after iteration 0 and that `pipelined_wall_us` is exactly
+//! Σ(exposed planning + execution); `perfbench` reports the hidden share
+//! (`runtime.overlap_ratio`). The same methodology backs the
 //! `fig17_planning_time` bench's planning/iteration ratios.
 //!
 //! # Failure semantics: poison vs. re-issue
@@ -1459,10 +1462,9 @@ fn fold_claimed(
     true
 }
 
-/// Timing breakdown of a pipelined run — the data behind
-/// `fig17_planahead`'s rows and the paper's "planning is fully
-/// overlapped" argument. All `_us` values are microseconds; see the module docs for
-/// the training-timeline semantics.
+/// Timing breakdown of a pipelined run — the data behind the paper's
+/// "planning is fully overlapped" argument. All `_us` values are
+/// microseconds; see the module docs for the training-timeline semantics.
 #[derive(Debug, Clone)]
 pub struct RuntimeStats {
     /// Per executed iteration: worker time spent planning + lowering.
@@ -1543,12 +1545,6 @@ impl RuntimeStats {
         self.hidden_planning_us() / total
     }
 
-    /// The serial driver's training timeline for the same work:
-    /// every microsecond of planning exposed, then execution.
-    pub fn serial_wall_us(&self) -> f64 {
-        self.total_planning_us() + self.exec_sim_us.iter().sum::<f64>()
-    }
-
     /// The counter ledger a trace of this run must reconcile against
     /// (see `dynapipe_trace::Trace::reconcile`). The single-host runtime
     /// moves no wire bytes — the store-backed push is a local handoff —
@@ -1576,28 +1572,17 @@ impl RuntimeStats {
 }
 
 /// Run (a prefix of) one training epoch on the pipelined plan-ahead
-/// runtime.
+/// runtime, recording spans into `sink`: the ticket lifecycle and store
+/// traffic as `Host`-domain spans, the executed iterations as
+/// `Sim`-domain spans on the ideal simulated timeline (see
+/// [`record_sim_iteration`]). Pass [`TraceSink::disabled`] to record
+/// nothing.
 ///
 /// The produced [`RunReport`] is bit-identical to
 /// [`crate::driver::run_training`] with the same arguments, except for
 /// the wall-clock `planning_time_us` fields (see
 /// [`RunReport::behavior_eq`]); the accompanying [`RuntimeStats`] carries
 /// the overlap accounting.
-pub fn run_training_pipelined(
-    planner: &dyn IterationPlanner,
-    dataset: &Dataset,
-    gbs: GlobalBatchConfig,
-    run: RunConfig,
-    config: RuntimeConfig,
-) -> (RunReport, RuntimeStats) {
-    run_training_pipelined_traced(planner, dataset, gbs, run, config, &TraceSink::disabled())
-}
-
-/// [`run_training_pipelined`] with span recording into `sink`: the
-/// ticket lifecycle and store traffic as `Host`-domain spans, the
-/// executed iterations as `Sim`-domain spans on the ideal simulated
-/// timeline (see [`record_sim_iteration`]). With a disabled sink this
-/// *is* `run_training_pipelined` — the wrapper passes one.
 pub fn run_training_pipelined_traced(
     planner: &dyn IterationPlanner,
     dataset: &Dataset,
@@ -1939,38 +1924,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_report_matches_serial_driver() {
-        let cm = cost_model(2, 1);
-        let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
-        let dataset = Dataset::flanv2(31, 400);
-        let run = RunConfig {
-            max_iterations: Some(3),
-            ..Default::default()
-        };
-        let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, stats) = run_training_pipelined(
-            &planner,
-            &dataset,
-            gbs(),
-            run,
-            RuntimeConfig {
-                plan_ahead: 2,
-                workers: 2,
-                ..Default::default()
-            },
-        );
-        serial.behavior_eq(&pipelined).unwrap();
-        assert_eq!(stats.planning_us.len(), 3);
-        assert!(stats.max_plans_resident <= 2, "window must bound the queue");
-        assert!(stats.pipelined_wall_us > 0.0);
-        assert!(
-            stats.pipelined_wall_us <= stats.serial_wall_us(),
-            "plan-ahead can only remove planning from the timeline"
-        );
-        assert!((0.0..=1.0).contains(&stats.overlap_ratio()));
-    }
-
-    #[test]
     fn planner_worker_panic_propagates_instead_of_deadlocking() {
         // A panicking worker leaves its claimed ticket unfulfilled; the
         // queue must poison itself so the executor re-raises rather than
@@ -1997,7 +1950,14 @@ mod tests {
                 ..Default::default()
             };
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_training_pipelined(&planner, &dataset, gbs(), run, RuntimeConfig::default())
+                run_training_pipelined_traced(
+                    &planner,
+                    &dataset,
+                    gbs(),
+                    run,
+                    RuntimeConfig::default(),
+                    &TraceSink::disabled(),
+                )
             }))
             .is_err();
             let _ = tx.send(panicked);
@@ -2018,8 +1978,14 @@ mod tests {
             ..Default::default()
         };
         let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, stats) =
-            run_training_pipelined(&planner, &dataset, gbs(), run, RuntimeConfig::default());
+        let (pipelined, stats) = run_training_pipelined_traced(
+            &planner,
+            &dataset,
+            gbs(),
+            run,
+            RuntimeConfig::default(),
+            &TraceSink::disabled(),
+        );
         serial.behavior_eq(&pipelined).unwrap();
         assert!(pipelined.records.is_empty());
         assert_eq!(stats.total_planning_us(), 0.0);
@@ -2036,7 +2002,7 @@ mod tests {
             ..Default::default()
         };
         let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, _) = run_training_pipelined(
+        let (pipelined, _) = run_training_pipelined_traced(
             &planner,
             &dataset,
             gbs(),
@@ -2046,47 +2012,10 @@ mod tests {
                 workers: 2,
                 ..Default::default()
             },
+            &TraceSink::disabled(),
         );
         serial.behavior_eq(&pipelined).unwrap();
         assert!(!pipelined.records.is_empty());
-    }
-
-    #[test]
-    fn store_backed_run_matches_serial_and_accounts_the_store() {
-        let cm = cost_model(2, 1);
-        let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
-        let dataset = Dataset::flanv2(39, 400);
-        let run = RunConfig {
-            max_iterations: Some(3),
-            ..Default::default()
-        };
-        let serial = run_training(&planner, &dataset, gbs(), run);
-        let (pipelined, stats) = run_training_pipelined(
-            &planner,
-            &dataset,
-            gbs(),
-            run,
-            RuntimeConfig {
-                plan_ahead: 2,
-                workers: 2,
-                distribution: PlanDistribution::StoreBacked,
-                ..Default::default()
-            },
-        );
-        serial.behavior_eq(&pipelined).unwrap();
-        assert_eq!(stats.serialize_us.len(), 3);
-        assert_eq!(stats.deserialize_us.len(), 3);
-        assert!(stats.serde_overhead_us() > 0.0, "the wire hop is not free");
-        let store = stats.store.expect("store-backed runs snapshot the store");
-        assert_eq!(store.occupancy, 0, "no orphaned blobs");
-        assert_eq!(store.bytes, 0);
-        assert_eq!(store.pushes, 3);
-        assert_eq!(store.takes, 3);
-        assert!(
-            store.peak_occupancy <= 2,
-            "window slots bound store occupancy: {} > 2",
-            store.peak_occupancy
-        );
     }
 
     #[test]
@@ -2311,7 +2240,7 @@ mod tests {
                 ..Default::default()
             };
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_training_pipelined(
+                run_training_pipelined_traced(
                     &planner,
                     &dataset,
                     gbs(),
@@ -2320,6 +2249,7 @@ mod tests {
                         distribution: PlanDistribution::StoreBacked,
                         ..Default::default()
                     },
+                    &TraceSink::disabled(),
                 )
             }))
             .is_err();

@@ -7,8 +7,8 @@
 //! fails the build if one of these stops being referenced by a test.
 
 use dynapipe_core::{
-    run_training_pipelined, run_training_pipelined_traced, DynaPipePlanner, PlanCodec,
-    PlanDistribution, PlannerConfig, RunConfig, RuntimeConfig,
+    run_training_pipelined_traced, DynaPipePlanner, PlanCodec, PlanDistribution, PlannerConfig,
+    RunConfig, RuntimeConfig,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig};
@@ -44,7 +44,7 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
         max_iterations: Some(iterations),
         ..Default::default()
     };
-    let (report, stats) = run_training_pipelined(
+    let (report, stats) = run_training_pipelined_traced(
         &planner,
         &dataset,
         gbs(),
@@ -55,6 +55,7 @@ fn wall_clock_stats_reconcile_on_a_store_backed_run() {
             distribution: PlanDistribution::StoreBacked,
             codec: PlanCodec::Binary,
         },
+        &TraceSink::disabled(),
     );
     assert!(
         report.feasible(),
@@ -118,7 +119,7 @@ fn flat_codec_runs_report_blob_bytes_per_iteration() {
         max_iterations: Some(iterations),
         ..Default::default()
     };
-    let (report, stats) = run_training_pipelined(
+    let (report, stats) = run_training_pipelined_traced(
         &planner,
         &dataset,
         gbs(),
@@ -129,6 +130,7 @@ fn flat_codec_runs_report_blob_bytes_per_iteration() {
             distribution: PlanDistribution::StoreBacked,
             codec: PlanCodec::Flat,
         },
+        &TraceSink::disabled(),
     );
     assert!(
         report.feasible(),

@@ -1,7 +1,7 @@
 //! Per-file structural model built on top of the token stream:
 //! brace matching, struct/field declarations, type aliases, functions
-//! with their enclosing `impl` context, `#[cfg(test)]` regions, and
-//! the waiver ledger parsed from line comments.
+//! with their enclosing `impl` context, the items under `#[cfg(test)]`
+//! or `#[test]`, and the waiver ledger parsed from line comments.
 
 use crate::lexer::{lex, Comment, Tok, TokKind};
 use std::path::PathBuf;
@@ -62,10 +62,10 @@ pub struct FileModel {
     /// mentions `HashMap`/`HashSet`.
     pub hash_aliases: Vec<String>,
     pub functions: Vec<FnDecl>,
-    /// Token index from which code is under `#[cfg(test)]`.
-    /// Approximation: the conventional trailing `mod tests` means
-    /// everything from the attribute to end-of-file is test code.
-    pub test_from: Option<usize>,
+    /// Inclusive token ranges of the items (attributes included) that a
+    /// `#[cfg(test)]` or `#[test]` attribute covers; a `#![cfg(test)]`
+    /// inner attribute covers the whole file.
+    pub test_ranges: Vec<(usize, usize)>,
     /// True for files under a `tests/` directory.
     pub is_test_file: bool,
     pub waivers: Vec<Waiver>,
@@ -80,7 +80,7 @@ impl FileModel {
         let structs = scan_structs(&toks, &close_of);
         let hash_aliases = scan_hash_aliases(&toks);
         let functions = scan_functions(&toks, &close_of);
-        let test_from = scan_test_from(&toks);
+        let test_ranges = scan_test_ranges(&toks, &close_of);
         let is_test_file = rel.starts_with("tests/") || rel.contains("/tests/");
         let waivers = scan_waivers(&lexed.comments);
         FileModel {
@@ -92,16 +92,16 @@ impl FileModel {
             structs,
             hash_aliases,
             functions,
-            test_from,
+            test_ranges,
             is_test_file,
             waivers,
         }
     }
 
     /// True if the token at `idx` is inside test code: either the whole
-    /// file is a test file, or the token sits at/after `#[cfg(test)]`.
+    /// file is a test file, or the token sits in a test-only item.
     pub fn in_test(&self, idx: usize) -> bool {
-        self.is_test_file || self.test_from.map(|t| idx >= t).unwrap_or(false)
+        self.is_test_file || self.test_ranges.iter().any(|&(a, b)| a <= idx && idx <= b)
     }
 }
 
@@ -375,24 +375,53 @@ fn scan_functions(toks: &[Tok], close_of: &[usize]) -> Vec<FnDecl> {
     out
 }
 
-/// Find the first `#[cfg(test)]` attribute; everything from there on is
-/// treated as test code (trailing `mod tests` convention).
-fn scan_test_from(toks: &[Tok]) -> Option<usize> {
+/// The token ranges of test-only items: each `#[cfg(test)]` or
+/// `#[test]` attribute covers the item after it (further attributes
+/// included), up to the close of its first `{ … }` body or to its `;`.
+/// An inner `#![cfg(test)]` covers the whole file.
+fn scan_test_ranges(toks: &[Tok], close_of: &[usize]) -> Vec<(usize, usize)> {
+    // Literal tokens keep their quotes, so only code matches.
+    let texts = |at: usize, want: &[&str]| {
+        want.iter()
+            .enumerate()
+            .all(|(k, w)| toks.get(at + k).is_some_and(|t| t.text == *w))
+    };
+    let mut out = Vec::new();
     let mut i = 0usize;
-    while i + 6 < toks.len() {
-        if toks[i].is_punct('#')
-            && toks[i + 1].is_punct('[')
-            && toks[i + 2].is_ident("cfg")
-            && toks[i + 3].is_punct('(')
-            && toks[i + 4].is_ident("test")
-            && toks[i + 5].is_punct(')')
-            && toks[i + 6].is_punct(']')
-        {
-            return Some(i);
+    while i < toks.len() {
+        if texts(i, &["#", "!", "[", "cfg", "(", "test", ")", "]"]) {
+            return vec![(0, toks.len())];
         }
-        i += 1;
+        let attr_len = if texts(i, &["#", "[", "cfg", "(", "test", ")", "]"]) {
+            7
+        } else if texts(i, &["#", "[", "test", "]"]) {
+            4
+        } else {
+            i += 1;
+            continue;
+        };
+        // The item ends at its first `{ … }` body, or at a `;` outside
+        // brackets (`mod tests;`, `use …;`).
+        let mut j = i + attr_len;
+        let mut depth = 0i32;
+        while j < toks.len() {
+            let t = &toks[j];
+            if t.is_punct('(') || t.is_punct('[') {
+                depth += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                depth -= 1;
+            } else if t.is_punct('{') {
+                j = close_of[j].min(toks.len() - 1);
+                break;
+            } else if t.is_punct(';') && depth == 0 {
+                break;
+            }
+            j += 1;
+        }
+        out.push((i, j));
+        i = j + 1;
     }
-    None
+    out
 }
 
 /// Parse `lint:allow(<rule>): <reason>` out of line comments.

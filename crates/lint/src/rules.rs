@@ -209,7 +209,7 @@ pub fn check_nondeterminism(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Find
     };
     for i in 0..toks.len() {
         if fm.in_test(i) {
-            break;
+            continue;
         }
         let t = &toks[i];
         // Instant::now
@@ -934,7 +934,7 @@ pub fn check_unsafe_blocks(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Findi
     }
     for (i, t) in fm.toks.iter().enumerate() {
         if fm.in_test(i) {
-            break;
+            continue;
         }
         if t.is_ident("unsafe") {
             out.push(Finding {
@@ -1009,20 +1009,30 @@ pub fn check_counter_coverage(
 // Rule 6: public functions nothing calls.
 // ---------------------------------------------------------------------
 
-/// Rule 6 across all files: flag a non-test `pub fn` whose name occurs
-/// in no non-test code other than a `fn` definition or a `use …;` item
-/// (a re-export names a function without calling it). Matching is by
-/// bare name, so a name shared with any other call site counts as
-/// called: the rule can miss dead code, and flags live code only when
-/// its one reference is inside a string.
+/// Rule 6 across all files: flag a non-test `pub fn` that no non-test
+/// code uses. A use is a call (`name(`, `.name(`, `Type::name(`, or
+/// with a turbofish, `name::<T>(`) or a path (`Type::name`,
+/// `Self::name`, `module::name`), which may be a function pointer; `fn`
+/// definitions and `use …;` items are not uses (a re-export names a
+/// function without calling it). Matching is still by name, not by
+/// type, so a call of another function with the same name keeps a dead
+/// one alive; a field, local or parameter of that name does not.
 pub fn check_pub_uncalled(models: &[FileModel], out: &mut Vec<Finding>) {
     let mut called: BTreeSet<&str> = BTreeSet::new();
     for fm in models {
+        let toks = &fm.toks;
+        let punct = |i: usize, c: char| toks.get(i).is_some_and(|t| t.is_punct(c));
         let mut in_use = false;
-        for (i, t) in fm.toks.iter().enumerate() {
+        for (i, t) in toks.iter().enumerate() {
             in_use = (in_use || t.is_ident("use")) && !t.is_punct(';');
-            let is_def = i >= 1 && fm.toks[i - 1].is_ident("fn");
-            if t.kind == crate::lexer::TokKind::Ident && !(in_use || is_def || fm.in_test(i)) {
+            let is_def = i >= 1 && toks[i - 1].is_ident("fn");
+            if t.kind != crate::lexer::TokKind::Ident || in_use || is_def || fm.in_test(i) {
+                continue;
+            }
+            let turbofish = punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<');
+            let call = punct(i + 1, '(') || turbofish;
+            let path = i >= 2 && punct(i - 1, ':') && punct(i - 2, ':');
+            if call || path {
                 called.insert(&t.text);
             }
         }

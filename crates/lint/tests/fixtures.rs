@@ -148,8 +148,9 @@ fn unsafe_block_fixture_counts_exactly() {
     let rules = rules_of(&report);
     assert_eq!(
         count(&rules, "unsafe-block"),
-        2,
-        "the raw block and the unsafe fn; comment/string/test decoys stay silent: {rules:?}"
+        3,
+        "the raw block, the unsafe fn and the block after the test module; \
+         comment/string/test decoys stay silent: {rules:?}"
     );
     // The sanctioned block is covered by its reasoned waiver, and the
     // ledger records the waiver as used.
@@ -171,12 +172,19 @@ fn pub_uncalled_fixture_flags_exactly_the_uncalled_fns() {
     let unwaived = report.unwaived();
     assert_eq!(
         count(&rules_of(&report), "pub-uncalled"),
-        3,
-        "uncalled, pub-use-only and test-only; the cross-file call stays clean: {:?}",
+        5,
+        "uncalled, pub-use-only, test-only, name-shared-with-a-field and after-the-tests; \
+         the cross-file call and function pointer stay clean: {:?}",
         report.findings
     );
-    assert_eq!(unwaived.len(), 3, "{:?}", report.findings);
-    for name in ["never_called", "reexported_only", "called_from_tests_only"] {
+    assert_eq!(unwaived.len(), 5, "{:?}", report.findings);
+    for name in [
+        "never_called",
+        "reexported_only",
+        "called_from_tests_only",
+        "reading",
+        "after_the_tests",
+    ] {
         assert!(
             unwaived
                 .iter()
@@ -185,13 +193,13 @@ fn pub_uncalled_fixture_flags_exactly_the_uncalled_fns() {
             report.findings
         );
     }
-    assert!(
-        unwaived
-            .iter()
-            .all(|f| !f.message.contains("called_elsewhere")),
-        "a call from another file counts: {:?}",
-        report.findings
-    );
+    for name in ["called_elsewhere", "used_as_pointer"] {
+        assert!(
+            unwaived.iter().all(|f| !f.message.contains(name)),
+            "{name}: a call or path from another file counts: {:?}",
+            report.findings
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Fixture: `unsafe` in a behavior crate. Two real violations (a block
-//! and an `unsafe fn`), one waived block, plus decoys — the word in a
-//! comment, in a string literal, and in test code — that must all stay
-//! silent.
+//! Fixture: `unsafe` in a behavior crate. Three real violations (a
+//! block, an `unsafe fn`, and a block after the test module), one waived
+//! block, plus decoys — the word in a comment, in a string literal, and
+//! in test code — that must all stay silent.
 
 fn read_raw(bytes: &[u8]) -> u64 {
     // An unsafe idea discussed in a comment must not count.
@@ -30,4 +30,9 @@ mod tests {
         let x = unsafe { super::read_raw(&[0u8; 8]) };
         assert_eq!(x, 0);
     }
+}
+
+/// A trailing test module does not exempt what follows it.
+fn after_the_tests(bytes: &[u8]) -> u8 {
+    unsafe { *bytes.as_ptr() }
 }

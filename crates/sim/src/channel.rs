@@ -131,11 +131,6 @@ impl Channel {
         }
     }
 
-    /// Number of ops waiting on both sides.
-    pub fn pending(&self) -> usize {
-        self.low_queue.len() + self.high_queue.len()
-    }
-
     /// If both heads are present and compatible, pop them and return the
     /// transfer; error if they are incompatible; `Ok(None)` if a side is
     /// still missing.
@@ -221,7 +216,7 @@ mod tests {
         assert_eq!(t.src, 0);
         assert_eq!(t.dst, 1);
         assert_eq!(t.ready_at, 25.0, "transfer waits for the later post");
-        assert_eq!(ch.pending(), 0);
+        assert!(ch.low_queue.is_empty() && ch.high_queue.is_empty());
     }
 
     #[test]

@@ -68,7 +68,10 @@ impl std::fmt::Display for LinkModelError {
                 write!(f, "link latency must be finite and >= 0 µs, got {l}")
             }
             LinkModelError::InvalidOversubscription(o) => {
-                write!(f, "oversubscription factor must be finite and >= 1, got {o}")
+                write!(
+                    f,
+                    "oversubscription factor must be finite and >= 1, got {o}"
+                )
             }
             LinkModelError::EmptyRack => write!(f, "hosts_per_rack must be >= 1"),
         }
@@ -169,8 +172,6 @@ pub struct Link {
     busy_until_us: f64,
     /// Total bytes ever transmitted.
     bytes: u64,
-    /// Total transfers ever transmitted.
-    transfers: u64,
     /// Σ (arrival − start) across transfers: wire time including
     /// queueing, µs.
     wire_us: f64,
@@ -190,7 +191,6 @@ impl Link {
             model,
             busy_until_us: 0.0,
             bytes: 0,
-            transfers: 0,
             wire_us: 0.0,
         }
     }
@@ -215,7 +215,6 @@ impl Link {
         let arrival = begin + self.model.transfer_us(bytes);
         self.busy_until_us = arrival;
         self.bytes += bytes;
-        self.transfers += 1;
         self.wire_us += arrival - start_us;
         arrival
     }
@@ -223,11 +222,6 @@ impl Link {
     /// Total bytes transmitted so far.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Total transfers so far.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
     }
 
     /// Total wire time (transfer + queueing) accumulated so far, µs.
@@ -406,7 +400,6 @@ mod tests {
         // A transfer issued after the link idles starts immediately.
         assert_eq!(l.transmit(100.0, 10), 115.0);
         assert_eq!(l.bytes(), 30);
-        assert_eq!(l.transfers(), 3);
         // Wire time counts queueing: 15 + 30 + 15.
         assert_eq!(l.wire_us(), 60.0);
     }
@@ -423,7 +416,10 @@ mod tests {
             LinkModel::new(10.0, -1.0),
             Err(LinkModelError::NonPositiveBandwidth(-1.0))
         );
-        assert_eq!(LinkModel::new(10.0, f64::NAN), Err(LinkModelError::NanBandwidth));
+        assert_eq!(
+            LinkModel::new(10.0, f64::NAN),
+            Err(LinkModelError::NanBandwidth)
+        );
         assert_eq!(
             LinkModel::new(-1.0, 100.0),
             Err(LinkModelError::InvalidLatency(-1.0))

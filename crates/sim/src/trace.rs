@@ -35,13 +35,6 @@ pub struct TraceEvent {
     pub end: Micros,
 }
 
-impl TraceEvent {
-    /// Interval length.
-    pub fn duration(&self) -> Micros {
-        self.end - self.start
-    }
-}
-
 /// Render a compact ASCII Gantt chart of compute events, one row per
 /// device — a textual analogue of the paper's pipeline figures.
 ///
@@ -111,10 +104,5 @@ mod tests {
     #[test]
     fn gantt_empty_for_no_events() {
         assert_eq!(render_gantt(&[], 2, 10), "");
-    }
-
-    #[test]
-    fn duration_is_end_minus_start() {
-        assert_eq!(ev(0, TraceKind::Forward, 0, 10.0, 35.0).duration(), 25.0);
     }
 }

@@ -18,7 +18,8 @@
 
 use dynapipe_core::{
     compile_replica, decode_executable, runtime::replica_engine_config, CodecError, FlatPlanRef,
-    IterationSummary, PlanCodec, RunConfig, StoredLowered, StoredOutcome, StoredPlan,
+    IterationSummary, PlanCodec, ReplicaPrograms, RunConfig, StoredLowered, StoredOutcome,
+    StoredPlan,
 };
 use dynapipe_repro::prelude::*;
 use dynapipe_sim::{DeviceProgram, InstructionSource, OpLabel, SimOp};
@@ -473,6 +474,66 @@ fn flat_summary_stage_count_past_the_blob_is_rejected() {
             "stage count {bad} must be rejected at byte {at}"
         );
         assert!(decode_executable(PlanCodec::Flat, Arc::from(corrupt.as_slice())).is_err());
+    }
+}
+
+#[test]
+fn executor_decode_reads_no_byte_of_the_plan_section() {
+    let (cm, plan) = plan_one();
+    let programs = plan
+        .replicas
+        .iter()
+        .map(|r| compile_replica(&cm, &r.plan))
+        .collect();
+    let wire = StoredPlan {
+        iteration: 5,
+        outcome: StoredOutcome::Plan(StoredLowered {
+            plan: plan.clone(),
+            programs,
+        }),
+    }
+    .encode(PlanCodec::Flat);
+    // The header's plan_off (bytes 19..23) and plan_len (23..27) locate
+    // the section, which starts right after the summary (codec module
+    // docs: 35-byte header, 93 + 8 × stages summary bytes).
+    let u32_at = |at: usize| u32::from_le_bytes(wire[at..at + 4].try_into().unwrap()) as usize;
+    let (plan_off, plan_len) = (u32_at(19), u32_at(23));
+    assert_eq!(plan_off, 35 + 93 + 8 * cm.num_stages());
+    assert!(plan_len > 0 && plan_off + plan_len < wire.len());
+    let mut blanked = wire.clone();
+    blanked[plan_off..plan_off + plan_len].fill(0xFF);
+
+    // The plan section is gone: rebuilding the plan fails or differs.
+    let flat = FlatPlanRef::new(Arc::from(blanked.as_slice())).expect("still validates");
+    assert!(flat.plan().map_or(true, |p| p != plan), "the plan survived");
+
+    // The executor decode and the engines never read it.
+    let decode = |blob: &[u8]| match decode_executable(PlanCodec::Flat, Arc::from(blob)) {
+        Ok((5, Ok(executable))) => executable,
+        Ok((it, Ok(_))) => panic!("decoded iteration {it}"),
+        Ok((_, Err(e))) => panic!("encoded a plan, decoded failure {e}"),
+        Err(e) => panic!("executor decode failed: {e}"),
+    };
+    let (summary, replicas) = decode(&wire);
+    let (blanked_summary, blanked_replicas) = decode(&blanked);
+    assert_summary_bits(&blanked_summary, &summary);
+    assert_summary_bits(&summary, &IterationSummary::of(&plan));
+    assert_eq!(blanked_replicas.len(), replicas.len());
+    let run = RunConfig::default();
+    for (r, (intact, blank)) in replicas.into_iter().zip(blanked_replicas).enumerate() {
+        let engine = |programs| match programs {
+            ReplicaPrograms::Flat(view) => {
+                let config = replica_engine_config(&cm, &run, 5, r);
+                Engine::from_source(config, view)
+                    .run()
+                    .expect("replica runs")
+            }
+            ReplicaPrograms::Owned(_) => panic!("flat decodes to views over the blob"),
+        };
+        let (intact, blank) = (engine(intact), engine(blank));
+        intact
+            .bit_eq(&blank)
+            .unwrap_or_else(|e| panic!("replica {r} read the plan section: {e}"));
     }
 }
 

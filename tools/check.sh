@@ -24,7 +24,6 @@ rustfmt --check --edition 2021 \
     crates/sim/src/memory.rs \
     crates/sim/src/op.rs \
     crates/bench/src/bin/fig09_cluster.rs \
-    crates/bench/src/bin/fig17_planahead.rs \
     crates/bench/src/bin/fig17_planning_time.rs \
     crates/bench/src/bin/run_all.rs \
     crates/bench/src/lib.rs \
@@ -60,7 +59,16 @@ rustfmt --check --edition 2021 \
     crates/lint/src/rules.rs \
     crates/lint/tests/fixtures.rs \
     crates/model/src/hardware.rs \
-    crates/model/src/parallel.rs
+    crates/model/src/parallel.rs \
+    crates/lint/src/model.rs \
+    crates/data/src/tasks.rs \
+    crates/sim/src/channel.rs \
+    crates/sim/src/link.rs \
+    crates/sim/src/trace.rs \
+    crates/sim/src/lib.rs \
+    crates/cluster/src/churn.rs \
+    crates/cluster/src/lib.rs \
+    crates/core/src/lib.rs
 
 echo "== build (release, -D warnings) =="
 cargo build --release --workspace
