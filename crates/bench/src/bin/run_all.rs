@@ -13,14 +13,15 @@
 //! `DYNAPIPE_BENCH_SMOKE=1`) so CI can catch bin bit-rot — a binary that
 //! panics, diverges from its reference, or stops emitting its artifact —
 //! in minutes instead of a full regeneration run. `fig09_cluster` is the
-//! one bin that gates its results: its divergence checks over the
-//! topology × codec matrix (all three wire codecs, `flat` executing
-//! engines straight over the wire bytes), its blob-byte gates and its
-//! trace arm still run and still fail the sweep. None of its gates reads
-//! a host clock. After the figures, the sweep round-trips `fig09_cluster`'s exported span trace
-//! through `trace_report` (parse → validate → reconcile → critical
-//! path), so a trace that stops reconciling with the counters also fails
-//! the sweep.
+//! one bin that gates its results: the divergence checks over its
+//! datacenter sweep (every codec and store placement, churned cells
+//! included), the blob-byte and fan-out gates, and the check of its one
+//! traced cell still run at 3 hosts and still fail the sweep. None of
+//! its gates reads a host clock. After the figures, the sweep
+//! round-trips `fig09_cluster`'s exported span trace through
+//! `trace_report` (parse → validate → reconcile → critical path), so a
+//! trace that stops reconciling with the counters also fails the sweep.
+//! `tools/check.sh` runs this smoke sweep.
 //!
 //! The sibling binaries (`dynapipe-lint`, every figure bin and
 //! `trace_report`) run from the directory holding this executable. If any
@@ -127,7 +128,7 @@ fn main() {
             }
         }
     }
-    // Trace round-trip: fig09_cluster exported its trace arm to
+    // Trace round-trip: fig09_cluster exported its traced cell to
     // results/TRACE_cluster.json; `trace_report` re-parses it, replays
     // validation + counter reconciliation on the file (not the
     // in-memory copy), and recomputes the critical path from the spans

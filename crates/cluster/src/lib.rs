@@ -24,7 +24,7 @@
 //!   per executor host with iteration `i` owned by shard
 //!   `i % executor_hosts` ([`crate::shard`]) — at O(100) hosts the
 //!   single store host's egress concentrates the whole plan stream
-//!   while sharding spreads it, which `fig09_cluster`'s datacenter arm
+//!   while sharding spreads it, which `fig09_cluster`'s datacenter sweep
 //!   measures and gates on;
 //! * every [`dynapipe_core::StoredPlan`] blob crosses **modeled network
 //!   links** priced by a [`dynapipe_sim::Fabric`] host-pair matrix
@@ -38,7 +38,7 @@
 //!   ([`dynapipe_core::PlanCodec`]) becomes a measurable design choice;
 //! * per-host and per-shard counters roll up into a [`ClusterReport`]:
 //!   plans produced and bytes pushed per planner host, bytes fetched /
-//!   wire time / exposed-vs-hidden planning per executor host, bytes
+//!   wire time / exposed planning and overlap per executor host, bytes
 //!   stored and served per shard, the busiest single link's bytes, and
 //!   store counters — all under the wire-byte rule documented in
 //!   [`crate::report`] (a byte counts only when it crosses hosts).
@@ -55,8 +55,9 @@
 //! the serial driver's (`RunReport::behavior_eq`) — the wire and the
 //! churn can only move time around, never change what was trained.
 //! `tests/cluster_equivalence.rs` and `tests/churn_equivalence.rs`
-//! enforce this across the scenario matrices and the `fig09_cluster`
-//! bench exits nonzero on any divergence.
+//! enforce this across the scenario matrices (every cell through the
+//! one harness in `tests/common/mod.rs`), and the `fig09_cluster` bench
+//! exits nonzero on any divergence in its datacenter sweep.
 
 pub mod churn;
 pub mod report;

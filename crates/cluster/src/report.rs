@@ -1,5 +1,6 @@
 //! Per-host rollups of a cluster run — the data behind
-//! `fig09_cluster`'s artifact and gates.
+//! `fig09_cluster`'s artifact and byte gates, and the ledgers the test
+//! harness reconciles against the run's trace.
 //!
 //! # The wire-byte rule
 //!
@@ -66,10 +67,9 @@ pub struct ExecutorHostStats {
     /// training timeline (µs): its plan was not yet decoded when the
     /// previous iteration's gradient sync finished.
     pub exposed_us: f64,
-    /// Σ distribution-pipeline cost hidden behind execution on this
-    /// host's timeline (µs).
-    pub hidden_us: f64,
-    /// hidden / (hidden + exposed-able cost), in [0, 1].
+    /// Fraction of this host's distribution-pipeline cost (its share
+    /// of planning + lowering + serialize, plus its own fetch wire and
+    /// decode) hidden behind execution on its timeline, in [0, 1].
     pub overlap_ratio: f64,
     /// Σ simulated compute occupancy: this host's worst replica makespan
     /// per iteration (µs).
@@ -77,8 +77,8 @@ pub struct ExecutorHostStats {
 }
 
 /// What one store shard carried. One entry per shard (a single entry
-/// under [`crate::StorePlacement::Single`]); `fig09_cluster`'s datacenter arm
-/// gates on the spread these counters reveal — no sharded link may
+/// under [`crate::StorePlacement::Single`]); `fig09_cluster`'s datacenter
+/// sweep gates on the spread these counters reveal — no sharded link may
 /// carry what the single store host's egress does.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ShardStats {
@@ -109,9 +109,10 @@ pub struct ShardStats {
 }
 
 /// Churn and recovery counters of one elastic run. Recovery must be
-/// visible (counted) and bounded (the `fig09_cluster` churn arm gates
-/// on overhead) — but never behavioral: whatever these counters say,
-/// the paired `RunReport` is bit-identical to the undisturbed run's.
+/// visible (counted) — but never behavioral: whatever these counters
+/// say, the paired `RunReport` is bit-identical to the undisturbed
+/// run's, and its Sim timeline to the undisturbed twin's
+/// (`tests/churn_equivalence.rs`).
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct ChurnStats {
     /// Scripted events that took effect.
@@ -182,21 +183,16 @@ pub struct ClusterReport {
     /// End of the cluster training timeline (µs): simulated execution
     /// plus whatever distribution latency could not be hidden.
     pub cluster_wall_us: f64,
-    /// The serial driver's timeline for the same work (µs): every
-    /// microsecond of planning, encode and decode exposed, no wire.
-    pub serial_wall_us: f64,
     /// Σ simulated iteration time (µs).
     pub exec_sim_us: f64,
-    /// Σ host-side pipeline cost: planning + lowering + serialize +
-    /// decode (µs, real).
-    pub total_planning_us: f64,
     /// Σ simulated wire time across all hops (µs).
     pub total_wire_us: f64,
     /// Σ cluster-level exposed distribution latency (µs): how much later
     /// each iteration's gradient sync finished than it would have with
     /// all plans instantly available.
     pub exposed_us: f64,
-    /// Fraction of (pipeline cost + wire) hidden behind execution.
+    /// Fraction of (host pipeline cost — planning + lowering +
+    /// serialize + decode — plus wire) hidden behind execution.
     pub overlap_ratio: f64,
     /// Total wire bytes (pushes + fetches).
     pub wire_bytes: u64,
@@ -211,8 +207,6 @@ pub struct ClusterReport {
     pub flat_wire_bytes: u64,
     /// Σ encode + push time (µs, real).
     pub serialize_us: f64,
-    /// Real host wall-clock of the whole run (µs).
-    pub host_wall_us: f64,
     /// Final instruction-store counters (post-teardown: occupancy and
     /// bytes must be zero, peak ≤ window).
     pub store: StoreStats,

@@ -209,7 +209,7 @@ struct ClusterRun<'a> {
     worker_host: Vec<usize>,
     /// Churn counters the workers and the prefetcher bump.
     ledger: Mutex<ChurnStats>,
-    /// Run start, the clock of `pushed_at_us` and `host_wall_us`.
+    /// Run start, the clock of `pushed_at_us`.
     t0: Instant,
 }
 
@@ -233,7 +233,7 @@ impl<'a> ClusterRun<'a> {
             // take), so the capacity is a hard backstop, not an active gate.
             store: InstructionStore::with_capacity(cluster.plan_ahead),
             ledger: Mutex::default(),
-            // lint:allow(wall-clock): host wall-clock for ClusterReport.host_wall_us, excluded from behavior_eq
+            // lint:allow(wall-clock): run-start clock of each blob's pushed_at_us, which times only the link replay, excluded from behavior_eq
             t0: Instant::now(),
             cluster,
             sink,
@@ -581,6 +581,8 @@ struct ExecutorTimeline<'c> {
     interlinks: BTreeMap<(usize, usize), Link>,
     /// When the previous iteration's gradient sync ended (µs).
     sync_end: f64,
+    /// Σ planning + lowering of the executed iterations (µs, real).
+    planning_us: f64,
 }
 
 impl<'c> ExecutorTimeline<'c> {
@@ -590,6 +592,7 @@ impl<'c> ExecutorTimeline<'c> {
             uplinks: BTreeMap::new(),
             interlinks: BTreeMap::new(),
             sync_end: 0.0,
+            planning_us: 0.0,
         }
     }
 
@@ -795,7 +798,7 @@ impl<'c> ExecutorTimeline<'c> {
         out.exec_sim_us += exec.measured_time;
         out.serialize_us += meta.push.serialize_us;
         out.decode_us += decode_us * spans.iter().filter(|s| s.is_finite()).count() as f64;
-        out.total_planning_us += meta.push.plan_us + meta.push.lower_us;
+        self.planning_us += meta.push.plan_us + meta.push.lower_us;
         if cluster.codec == dynapipe_core::PlanCodec::Flat {
             // Every host that fetched a *remote* copy ran engines straight
             // over the wire bytes; the shard owner's local copy is host
@@ -912,11 +915,13 @@ pub fn run_training_cluster_traced(
             .into_inner()
             .unwrap_or_else(|e| e.into_inner())
     };
+    let planning_us = timeline.planning_us;
     timeline.finish(&mut out);
 
-    // Cluster totals. Host pipeline cost counts every host's decode (each
-    // fetching host burns its own CPU on its copy).
-    out.total_planning_us += out.serialize_us + out.decode_us;
+    // Cluster totals. Host pipeline cost (planning + lowering + serialize
+    // + decode) counts every host's decode (each fetching host burns its
+    // own CPU on its copy).
+    let total_planning_us = planning_us + (out.serialize_us + out.decode_us);
     let pushed: u64 = out.planner_hosts.iter().map(|h| h.bytes_pushed).sum();
     out.wire_bytes = pushed
         + out
@@ -929,8 +934,7 @@ pub fn run_training_cluster_traced(
     } else {
         0.0
     };
-    out.serial_wall_us = out.total_planning_us + out.exec_sim_us;
-    let to_hide = out.total_planning_us + out.total_wire_us;
+    let to_hide = total_planning_us + out.total_wire_us;
     out.overlap_ratio = if to_hide > 0.0 {
         (to_hide - out.exposed_us).max(0.0) / to_hide
     } else {
@@ -941,16 +945,11 @@ pub fn run_training_cluster_traced(
         // (planning + lowering + serialize, split evenly across hosts —
         // they all consume the same plans) plus its own fetch wire and
         // decode, minus what it actually had to wait out on its timeline.
-        let upstream = (out.total_planning_us - out.decode_us) / cluster.executor_hosts as f64;
+        let upstream = (total_planning_us - out.decode_us) / cluster.executor_hosts as f64;
         let total = upstream + eh.fetch_wire_us + eh.decode_us;
-        eh.hidden_us = (total - eh.exposed_us).max(0.0);
-        eh.overlap_ratio = if total > 0.0 {
-            eh.hidden_us / total
-        } else {
-            1.0
-        };
+        let hidden_us = (total - eh.exposed_us).max(0.0);
+        eh.overlap_ratio = if total > 0.0 { hidden_us / total } else { 1.0 };
     }
-    out.host_wall_us = shared.t0.elapsed().as_secs_f64() * 1e6;
     (report, out)
 }
 

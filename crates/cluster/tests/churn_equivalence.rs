@@ -102,11 +102,15 @@ fn straggle_cells() -> Vec<Cell> {
 }
 
 fn compound_cells() -> Vec<Cell> {
-    let mut config = topology(2, 1, 1, 3);
+    // One event of every class: a straggle, a crash of the straggling
+    // host, a join to replace it and an executor-host loss, dp 2 over
+    // two executor hosts.
+    let mut config = topology(2, 1, 2, 3);
     config.churn = ChurnScript::new()
         .at(1, straggle(1, 800))
         .at(2, PlannerCrash { host: 1 })
-        .at(3, PlannerJoin { workers: 1 });
+        .at(3, PlannerJoin { workers: 1 })
+        .at(3, ExecutorLoss { host: 1 });
     config.reissue_deadline = DEADLINE;
     cluster_per_codec("compound", config)
 }
@@ -305,15 +309,17 @@ fn straggler_reissue_recovers_bit_identically() {
 #[test]
 fn compound_churn_still_pins_behavior() {
     // Everything at once: a straggle, a crash of the straggling host, a
-    // join to replace it, under a live re-issue deadline — the stack of
-    // recoveries must still be invisible in the RunReport.
-    let sc = common::scenario(1, (353, 700), 16384, common::run(5)).clean();
+    // join to replace it and an executor-host loss, under a live
+    // re-issue deadline — the stack of recoveries must still be
+    // invisible in the RunReport.
+    let sc = common::scenario(2, (353, 1000), 32768, common::run(5)).clean();
     for out in sc.assert_cells(&compound_cells()) {
         let (c, label) = (&out.cluster().churn, &out.name);
         assert_eq!(out.cluster().iterations, 5, "{label}");
-        assert_eq!(c.events_applied, 3, "{label}");
+        assert_eq!(c.events_applied, 4, "{label}");
         let counts = (c.straggles, c.planner_crashes, c.planner_joins);
         assert_eq!(counts, (1, 1, 1), "{label}");
+        assert_eq!((c.executor_losses, c.replicas_moved), (1, 1), "{label}");
     }
 }
 

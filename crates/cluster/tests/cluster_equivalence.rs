@@ -7,19 +7,22 @@
 //! The matrix crosses topology shape (single-host, multi-planner,
 //! multi-executor), wire codec (JSON / binary / flat), store placement
 //! (single vs sharded), fabric (free, uniform, slow, rack-structured),
-//! jitter, dp>1, baselines, and a failure-mid-epoch run whose
-//! speculative blobs must be swept. Every cell also pins the wire-byte
-//! rule (see `report.rs`) and the Sim timeline of the in-process run;
-//! the shared checks live in `common/mod.rs`.
+//! jitter, dp>1, baselines, the T5 encoder-decoder, and a
+//! failure-mid-epoch run whose speculative blobs must be swept. Every
+//! cell also pins the wire-byte rule (see `report.rs`) and the Sim
+//! timeline of the in-process run; the shared checks live in
+//! `common/mod.rs`.
 
 mod common;
 
 use common::{cluster_per_codec, topology, Cell, Scenario};
 use dynapipe_cluster::{ClusterConfig, ClusterReport, StorePlacement};
-use dynapipe_core::{PlanCodec, RunConfig};
+use dynapipe_core::{DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
+use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Dataset;
-use dynapipe_model::HardwareModel;
+use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::{Fabric, JitterConfig, LinkModel};
+use std::sync::Arc;
 
 /// The topology × codec × placement × fabric matrix every scenario runs
 /// through.
@@ -90,12 +93,12 @@ fn json_binary_cells() -> Vec<Cell> {
 
 #[test]
 fn matrix_covers_every_codec_and_keeps_its_cell_count() {
-    // Four scenarios run the matrix; three tests run their own cells.
-    let mut cells: Vec<Cell> = (0..4).flat_map(|_| matrix()).collect();
+    // Five scenarios run the matrix; three tests run their own cells.
+    let mut cells: Vec<Cell> = (0..5).flat_map(|_| matrix()).collect();
     cells.extend(slow_link_cells());
     cells.push(zero_cap_cell());
     cells.extend(json_binary_cells());
-    common::assert_codec_coverage(&cells, 53);
+    common::assert_codec_coverage(&cells, 65);
 }
 
 #[test]
@@ -150,6 +153,34 @@ fn data_parallel_replicas_split_across_executor_hosts() {
         assert!(hosts[1].bytes_fetched > 0, "{name}");
         assert!(hosts[0].busy_us > 0.0);
         assert!(hosts[1].busy_us > 0.0);
+    }
+}
+
+#[test]
+fn t5_replicas_split_across_executor_hosts() {
+    // The paper's Fig. 9 T5 deployment (11B, dp2·tp4): encoder-decoder
+    // plans, whose shapes carry a decoder length GPT never sets, cross
+    // every topology, codec and placement of the matrix.
+    let cm = Arc::new(CostModel::build(
+        HardwareModel::a100_cluster(),
+        ModelConfig::t5_11b(),
+        ParallelConfig::new(2, 4, 1),
+        &ProfileOptions::coarse(),
+    ));
+    let planner = DynaPipePlanner::new(cm, PlannerConfig::default());
+    let (dataset, gbs) = (Dataset::flanv2(241, 600), common::gbs(32768));
+    let sc = Scenario::new(planner, dataset, gbs, common::run(3)).clean();
+    for out in sc.assert_cells(&matrix()) {
+        let r = out.cluster();
+        assert_eq!(r.iterations, 3, "{}", out.name);
+        // Each replica runs on exactly one host, whatever the host count.
+        let mut replicas: Vec<usize> = r
+            .executor_hosts
+            .iter()
+            .flat_map(|h| h.replicas.clone())
+            .collect();
+        replicas.sort_unstable();
+        assert_eq!(replicas, [0, 1], "{}", out.name);
     }
 }
 
@@ -226,7 +257,7 @@ fn zero_iteration_cap_produces_empty_report() {
 fn binary_codec_shrinks_the_wire_on_identical_behavior() {
     // Same topology, both codecs: identical RunReports, but the binary
     // wire must carry at most half the bytes — the acceptance bar the
-    // fig09 bench enforces on the full workload.
+    // fig09 bench enforces on its datacenter sweep.
     let sc = common::scenario(1, (239, 500), 16384, common::run(2));
     let outs = sc.assert_cells(&json_binary_cells());
     outs[0].report.behavior_eq(&outs[1].report).unwrap();

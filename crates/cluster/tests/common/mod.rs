@@ -14,15 +14,19 @@
 //! * `validate` and `reconcile` on the cell's trace, and `sim_eq` to the
 //!   reference trace: the Sim timeline is a pure function of the
 //!   behavior-pinned results, whatever carried the plans;
+//! * the stats carry the cell's codec;
 //! * store hygiene: empty after teardown, `takes + discarded == pushes`,
-//!   peak occupancy within the plan-ahead window;
+//!   peak occupancy within the plan-ahead window, and a nonzero byte
+//!   high-water mark once anything was pushed;
 //! * on pipelined cells, the per-iteration ledgers (one entry per
-//!   executed iteration, serde only when store-backed, a nonzero wire
-//!   hop), `pushes == takes == iterations` on a run that does not fail,
-//!   and the overlap claim: no planning is exposed after iteration 0,
-//!   and the training timeline is exactly Σ(exposed planning +
-//!   execution), so a pipelined run pays one iteration's planning where
-//!   the serial driver pays every iteration's;
+//!   executed iteration, every simulated time positive, serde only when
+//!   store-backed, a nonzero wire hop), `pushes == takes == iterations`
+//!   on a run that does not fail, each iteration's ticket spans timed by
+//!   the very clock reads of the counters they shadow (plan + lower =
+//!   `planning_us`, encode = `serialize_us`), and the overlap claim: no
+//!   planning is exposed after iteration 0, and the training timeline is
+//!   exactly Σ(exposed planning + execution), so a pipelined run pays one
+//!   iteration's planning where the serial driver pays every iteration's;
 //! * on cluster cells, the wire-byte rule (`report.rs`: a byte counts
 //!   only when it crosses hosts) and the span-for-span ledger
 //!   (`TRACING.md`) against the live `ClusterReport`.
@@ -343,12 +347,18 @@ impl Scenario {
             sim_eq(&reference.trace, &trace)
                 .unwrap_or_else(|e| panic!("{name}: Sim timeline diverged from in-process: {e}"));
         }
+        let codec = match &cell.runtime {
+            Runtime::Pipelined(c) => c.codec,
+            Runtime::Cluster(c) => c.codec,
+        };
         let (store, window) = match &stats {
             Stats::Pipelined(s) => {
-                assert_pipelined_ledgers(name, s, &report);
+                assert_eq!(s.codec, codec, "{name}: stats codec");
+                assert_pipelined_ledgers(name, s, &report, &trace);
                 (s.store.as_ref(), s.plan_ahead)
             }
             Stats::Cluster(s) => {
+                assert_eq!(s.codec, codec.label(), "{name}: stats codec");
                 assert_cluster_ledgers(name, s, &trace);
                 (Some(&s.store), s.plan_ahead)
             }
@@ -358,6 +368,8 @@ impl Scenario {
             assert_eq!(st.takes + st.discarded, st.pushes, "{name}: pushes leaked");
             let peak = st.peak_occupancy;
             assert!(peak <= window.max(1), "{name}: store peak {peak} > window");
+            let pushed = st.pushes > 0;
+            assert_eq!(st.peak_bytes > 0, pushed, "{name}: peak_bytes");
         }
         Outcome {
             name: name.to_string(),
@@ -370,7 +382,7 @@ impl Scenario {
 
 /// The single-host runtime's per-iteration ledgers and overlap claim
 /// (module docs).
-fn assert_pipelined_ledgers(name: &str, s: &RuntimeStats, report: &RunReport) {
+fn assert_pipelined_ledgers(name: &str, s: &RuntimeStats, report: &RunReport, trace: &Trace) {
     let (resident, window) = (s.max_plans_resident, s.plan_ahead);
     assert!(resident <= window, "{name}: {resident} plans resident");
     let iters = report.records.len();
@@ -386,6 +398,35 @@ fn assert_pipelined_ledgers(name: &str, s: &RuntimeStats, report: &RunReport) {
     ];
     for (what, got, want) in ledgers {
         assert_eq!(got, want, "{name}: {what} entries");
+    }
+    let idle = s.exec_sim_us.iter().position(|&t| t <= 0.0);
+    assert_eq!(idle, None, "{name}: an iteration took no simulated time");
+    let engines_ran = s.exec_host_us > 0.0;
+    assert_eq!(engines_ran, iters > 0, "{name}: exec_host_us");
+    // Each phase reads the clock once for both its counter and its span,
+    // so the two agree to rounding; a span timed by separate clock reads
+    // drifts from its counter by ~1e-4 relative.
+    let span_us = |kind: SpanKind, it: usize| -> f64 {
+        let spans: Vec<_> = trace
+            .of_kind(kind)
+            .filter(|x| x.iteration == it as i64)
+            .collect();
+        assert_eq!(spans.len(), 1, "{name}: {kind:?} spans of iteration {it}");
+        spans[0].end_us - spans[0].start_us
+    };
+    let agree = |span: f64, counter: f64, it: usize, what: &str| {
+        let close = (span - counter).abs() <= 1e-9 * counter;
+        assert!(
+            close,
+            "{name}: iteration {it} {what}: span {span} vs {counter} µs"
+        );
+    };
+    for (it, &planning) in s.planning_us.iter().enumerate() {
+        let plan_lower = span_us(SpanKind::TicketPlan, it) + span_us(SpanKind::TicketLower, it);
+        agree(plan_lower, planning, it, "plan + lower");
+        if let Some(&encode) = s.serialize_us.get(it) {
+            agree(span_us(SpanKind::TicketEncode, it), encode, it, "encode");
+        }
     }
     if store_backed && iters > 0 {
         assert!(s.blob_bytes.iter().all(|&b| b > 0), "{name}: empty blob");

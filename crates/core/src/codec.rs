@@ -121,8 +121,9 @@
 //! (cross-decode equal, re-encode bitwise, engine runs over decoded —
 //! or wrapped — programs bit-identical; the flat summary equals the one
 //! derived from the plan; the executor decode reads no byte of the plan
-//! section), and the `fig09_cluster` bench fails CI if Binary stops
-//! beating JSON on bytes or Flat's arena bloats past 1.25× Binary's.
+//! section), and the `fig09_cluster` bench, summing blob bytes over its
+//! datacenter sweep, fails CI if Binary stops beating JSON on bytes by
+//! half or Flat's arena bloats past 1.25× Binary's.
 
 use crate::driver::IterationSummary;
 use crate::planner::{IterationPlan, PlanError};
@@ -1528,8 +1529,9 @@ mod tests {
 
     #[test]
     fn flat_bytes_stay_close_to_binary() {
-        // The acceptance gate in fig09_cluster enforces this on the real
-        // workload; this is the unit-level canary on a miniature plan.
+        // The acceptance gate in fig09_cluster enforces this over its
+        // datacenter sweep; this is the unit-level canary on a miniature
+        // plan.
         let plan = flat_fixture();
         let flat = plan.encode(PlanCodec::Flat).len();
         let binary = plan.encode(PlanCodec::Binary).len();

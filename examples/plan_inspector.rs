@@ -4,15 +4,17 @@
 //! instruction stream using the paper's instruction names (`ForwardPass`,
 //! `SendActStart`, `WaitRecvAct`, …), shows that plans serialize to JSON
 //! (they travel through the instruction store in the real system), executes
-//! the plan on the simulator, and writes a Chrome/Perfetto trace of its
-//! engine ops (one track per device) to `results/plan_inspector_trace.json`.
+//! the plan and its JSON round-trip on the simulator — their Sim timelines
+//! must match bit for bit (`sim_eq`) — and writes a Chrome/Perfetto trace
+//! of its engine ops (one track per device) to
+//! `results/plan_inspector_trace.json`.
 //!
 //! Run with: `cargo run --release --example plan_inspector`
 
 use dynapipe_comm::ExecutionPlan;
 use dynapipe_core::{compile_replica, record_sim_iteration, IterationExecution};
 use dynapipe_repro::prelude::*;
-use dynapipe_trace::{chrome::to_chrome_trace, TraceSink};
+use dynapipe_trace::{chrome::to_chrome_trace, sim_eq, TraceSink};
 use std::sync::Arc;
 
 fn main() {
@@ -65,11 +67,27 @@ fn main() {
         replica.plan.num_instructions()
     );
 
-    // Execute on the simulator with tracing and export a Chrome trace.
-    let programs = compile_replica(&cm, &replica.plan);
-    let mut cfg = EngineConfig::unbounded(cm.hw.clone(), cm.num_stages());
-    cfg.record_trace = true;
-    let result = Engine::new(cfg, programs).run().expect("plan executes");
+    // Execute on the simulator with tracing. The runtimes' engine-op
+    // adapter turns the simulator's trace into `EngineOp` spans on the
+    // Sim timeline.
+    let simulate = |plan: &ExecutionPlan| {
+        let mut cfg = EngineConfig::unbounded(cm.hw.clone(), cm.num_stages());
+        cfg.record_trace = true;
+        let programs = compile_replica(&cm, plan);
+        let result = Engine::new(cfg, programs).run().expect("plan executes");
+        let exec = IterationExecution {
+            measured_time: result.makespan,
+            peak_memory: result.peak_memory.clone(),
+            allocator_stall_us: result.allocator_stats.iter().map(|s| s.stall_us).sum(),
+            host_wall_us: result.host_wall_us,
+            replica_makespans: vec![result.makespan],
+            replica_traces: vec![result.trace.clone()],
+        };
+        let sink = TraceSink::bounded(1 << 20);
+        record_sim_iteration(&sink, 0, &exec, &mut 0.0);
+        (result, sink.finish())
+    };
+    let (result, sim) = simulate(&replica.plan);
     println!(
         "simulated: makespan {:.1} ms, utilization {:.0}%, peak memory {:?} MB",
         result.makespan / 1e3,
@@ -80,19 +98,10 @@ fn main() {
             .map(|b| b / 1_000_000)
             .collect::<Vec<_>>()
     );
-    // The runtimes' engine-op adapter turns the simulator's trace into
-    // `EngineOp` spans on the Sim timeline.
-    let exec = IterationExecution {
-        measured_time: result.makespan,
-        peak_memory: result.peak_memory,
-        allocator_stall_us: result.allocator_stats.iter().map(|s| s.stall_us).sum(),
-        host_wall_us: result.host_wall_us,
-        replica_makespans: vec![result.makespan],
-        replica_traces: vec![result.trace],
-    };
-    let sink = TraceSink::bounded(1 << 20);
-    record_sim_iteration(&sink, 0, &exec, &mut 0.0);
-    let trace = to_chrome_trace(&sink.finish());
+    // The deserialized plan runs to the same Sim timeline, bit for bit.
+    sim_eq(&sim, &simulate(&back).1).expect("the decoded plan simulates identically");
+    println!("decoded plan: Sim timeline bit-identical");
+    let trace = to_chrome_trace(&sim);
     std::fs::create_dir_all("results").ok();
     let path = "results/plan_inspector_trace.json";
     std::fs::write(path, trace).expect("write trace");
