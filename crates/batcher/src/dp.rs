@@ -23,13 +23,16 @@
 //!    under **every** [`RecomputeMode`] at once: it locates each shape's
 //!    grid coordinates once and, in that one visit, evaluates the
 //!    forward, backward, and every mode's `recompute_extra` and
-//!    `activation` grids ([`dynapipe_cost::ShapePricer::price_every_mode`]).
+//!    `activation` grids ([`dynapipe_cost::ShapePricer::price_every_mode`],
+//!    which prices the two halves of the shapes on two threads).
 //!
 //! Each mode's partition then only compares the priced activation against
-//! its memory limit and scatters the times over the dense `(end, width)`
-//! grid. The §7 recompute sweep in the planner builds both passes once per
-//! mini-batch and runs only that per mode, instead of recomputing shapes,
-//! re-locating coordinates and re-walking the grids `|modes|` times.
+//! its memory limit, giving one time per distinct shape (`+∞` where the
+//! shape does not fit), and the Eq. 2 recurrence reads each slice's time
+//! through its shape id. No per-mode `(end, width)` table is built. The §7
+//! recompute sweep in the planner builds both passes once per mini-batch
+//! and runs only that per mode, instead of recomputing shapes, re-locating
+//! coordinates and re-walking the grids `|modes|` times.
 //!
 //! The outer `t_max` sweep is an exact bound-driven search that skips most
 //! Eq. 2 solves. It rests on one property: the minimum sum `S(t)` is
@@ -41,9 +44,9 @@
 //! search returns the same partition as the full sweep in
 //! [`Partitioner::partition_reference`], including its smallest-`t_max`
 //! tie-break; see `Partitioner::sweep_tmax` and the equivalence tests.
-//! The partitioner itself is single-threaded: planning parallelism lives
-//! one level up, in the planner's §7 sweep, which runs the recompute
-//! modes' partitions concurrently.
+//! Past the pricing pass the partitioner is single-threaded: the rest of
+//! the planning parallelism lives one level up, in the planner's §7 sweep,
+//! which runs the recompute modes' partitions concurrently.
 //!
 //! Memory awareness: micro-batches whose estimated activation footprint
 //! exceeds the per-micro-batch limit are excluded from the recurrence, so
@@ -375,9 +378,8 @@ impl SliceFwdCosts {
     }
 }
 
-/// Per-(end, width) slice costs for one recomputation mode, stored densely
-/// for the DP inner loop — one mode's column of the pricing pass,
-/// scattered over the slices.
+/// The reference's dense per-(end, width) slice table for one
+/// recomputation mode (see [`Partitioner::partition_reference`]).
 struct SliceCosts {
     /// `time[(j-1) * width + k]` = t(M over samples `j-1-k .. j`).
     time: Vec<Micros>,
@@ -388,8 +390,35 @@ struct SliceCosts {
 }
 
 impl SliceCosts {
-    fn idx(&self, end: usize, k: usize) -> usize {
-        (end - 1) * self.width + k
+    /// Run Eq. 2 for one `t_max` over the dense table, skipping every
+    /// slice that does not fit the memory limit; returns (`f(N)`, split
+    /// back-pointers) or `None` if no feasible partition exists under the
+    /// bound.
+    fn solve(&self, t_max: Micros) -> Option<(Micros, Vec<usize>)> {
+        EQ2_SOLVES.fetch_add(1, Ordering::Relaxed);
+        let n = self.n;
+        let mut f = vec![f64::INFINITY; n + 1];
+        let mut back = vec![usize::MAX; n + 1];
+        f[0] = 0.0;
+        for end in 1..=n {
+            for k in 0..self.width.min(end) {
+                let idx = (end - 1) * self.width + k;
+                if !self.feasible[idx] {
+                    continue;
+                }
+                let t = self.time[idx];
+                if t > t_max {
+                    continue;
+                }
+                let start = end - 1 - k;
+                let cand = f[start] + t;
+                if cand < f[end] {
+                    f[end] = cand;
+                    back[end] = start;
+                }
+            }
+        }
+        f[n].is_finite().then_some((f[n], back))
     }
 }
 
@@ -490,49 +519,23 @@ impl<'a> Partitioner<'a> {
     }
 
     /// This partitioner's column of the pricing pass: `t(M)` per distinct
-    /// shape under its recompute mode (`f64::INFINITY` where infeasible)
-    /// and whether the shape fits its memory limit — bit-identical to
+    /// shape under its recompute mode where the shape fits its memory
+    /// limit, `f64::INFINITY` where it does not — bit-identical to
     /// per-shape `mb_time`/`mb_activation_max` calls.
-    fn price_shapes(&self, fwd: &SliceFwdCosts) -> (Vec<Micros>, Vec<bool>) {
+    fn price_shapes(&self, fwd: &SliceFwdCosts) -> Vec<Micros> {
         let limit = self.config.mb_memory_limit;
         let mode = self.config.recompute;
-        let feasible: Vec<bool> = fwd
-            .prices
-            .activation(mode)
-            .iter()
-            .map(|&a| a <= limit)
-            .collect();
-        let time = fwd
-            .prices
+        fwd.prices
             .time(mode)
             .iter()
-            .zip(&feasible)
-            .map(|(&t, &ok)| if ok { t } else { f64::INFINITY })
-            .collect();
-        (time, feasible)
+            .zip(fwd.prices.activation(mode))
+            .map(|(&t, &a)| if a <= limit { t } else { f64::INFINITY })
+            .collect()
     }
 
-    /// Scatter per-distinct-shape costs onto the dense `(end, width)` grid.
-    fn scatter(shapes: &SliceShapes, shape_time: &[Micros], shape_feasible: &[bool]) -> SliceCosts {
-        let mut time = vec![f64::INFINITY; shapes.cell.len()];
-        let mut feasible = vec![false; shapes.cell.len()];
-        for (idx, &id) in shapes.cell.iter().enumerate() {
-            if id != NO_SHAPE {
-                time[idx] = shape_time[id as usize];
-                feasible[idx] = shape_feasible[id as usize];
-            }
-        }
-        SliceCosts {
-            time,
-            feasible,
-            width: shapes.width,
-            n: shapes.n,
-        }
-    }
-
-    /// Collect candidate `t_max` values: every feasible time rounded up to
-    /// the resolution, deduplicated, ascending — the same list
-    /// [`Partitioner::reference_candidates`] builds by sort + dedup.
+    /// Collect candidate `t_max` values: every finite (feasible) time
+    /// rounded up to the resolution, deduplicated, ascending — the same
+    /// list [`Partitioner::reference_candidates`] builds by sort + dedup.
     ///
     /// Every key `⌈t / res⌉` lies between the keys of the smallest and
     /// largest feasible time, a range of at most `max_candidates + 2`
@@ -540,13 +543,11 @@ impl<'a> Partitioner<'a> {
     /// range marks the present keys in one pass. The input is the
     /// distinct shapes' times: every slice cell takes its shape's time, so
     /// the key set is the cells'.
-    fn candidates(&self, time: &[Micros], feasible: &[bool]) -> Vec<Micros> {
+    fn candidates(&self, time: &[Micros]) -> Vec<Micros> {
         let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-        for (&t, &f) in time.iter().zip(feasible) {
-            if f {
-                lo = lo.min(t);
-                hi = hi.max(t);
-            }
+        for &t in time.iter().filter(|t| t.is_finite()) {
+            lo = lo.min(t);
+            hi = hi.max(t);
         }
         if !lo.is_finite() {
             return Vec::new();
@@ -561,10 +562,8 @@ impl<'a> Partitioner<'a> {
         let key = |t: Micros| (t / res).ceil() as u64;
         let k_lo = key(lo);
         let mut present = vec![false; (key(hi) - k_lo + 1) as usize];
-        for (&t, &f) in time.iter().zip(feasible) {
-            if f {
-                present[(key(t) - k_lo) as usize] = true;
-            }
+        for &t in time.iter().filter(|t| t.is_finite()) {
+            present[(key(t) - k_lo) as usize] = true;
         }
         (k_lo..)
             .zip(present)
@@ -573,21 +572,30 @@ impl<'a> Partitioner<'a> {
             .collect()
     }
 
-    /// Run Eq. 2 for one `t_max`; returns (`f(N)`, split back-pointers) or
-    /// `None` if no feasible partition exists under the bound.
-    fn solve_for_tmax(&self, table: &SliceCosts, t_max: Micros) -> Option<(Micros, Vec<usize>)> {
+    /// Run Eq. 2 for one `t_max`, reading each slice's time through its
+    /// shape id (`time` is [`Partitioner::price_shapes`]'s column); returns
+    /// (`f(N)`, split back-pointers) or `None` if no feasible partition
+    /// exists under the bound.
+    ///
+    /// A slice that does not fit the memory limit is priced `+∞`, and
+    /// `t_max` is a finite candidate, so `t > t_max` skips it exactly
+    /// where the reference's feasibility check does; every other slice
+    /// takes the same `+` and `<` in the same order.
+    fn solve_for_tmax(
+        shapes: &SliceShapes,
+        time: &[Micros],
+        t_max: Micros,
+    ) -> Option<(Micros, Vec<usize>)> {
         EQ2_SOLVES.fetch_add(1, Ordering::Relaxed);
-        let n = table.n;
+        let n = shapes.n;
         let mut f = vec![f64::INFINITY; n + 1];
         let mut back = vec![usize::MAX; n + 1];
         f[0] = 0.0;
         for end in 1..=n {
-            for k in 0..table.width.min(end) {
-                let idx = table.idx(end, k);
-                if !table.feasible[idx] {
-                    continue;
-                }
-                let t = table.time[idx];
+            // Cells `k < min(width, end)` of a row all lie in the domain.
+            let row = &shapes.cell[(end - 1) * shapes.width..][..shapes.width.min(end)];
+            for (k, &id) in row.iter().enumerate() {
+                let t = time[id as usize];
                 if t > t_max {
                     continue;
                 }
@@ -599,11 +607,7 @@ impl<'a> Partitioner<'a> {
                 }
             }
         }
-        if f[n].is_finite() {
-            Some((f[n], back))
-        } else {
-            None
-        }
+        f[n].is_finite().then_some((f[n], back))
     }
 
     fn backtrace(back: &[usize], n: usize) -> Vec<Range<usize>> {
@@ -638,12 +642,17 @@ impl<'a> Partitioner<'a> {
     ///
     /// The search is serial on purpose: the planner parallelizes one
     /// level up, across the §7 recompute modes.
-    fn sweep_tmax(&self, table: &SliceCosts, candidates: &[Micros]) -> Option<Vec<usize>> {
+    fn sweep_tmax(
+        &self,
+        shapes: &SliceShapes,
+        time: &[Micros],
+        candidates: &[Micros],
+    ) -> Option<Vec<usize>> {
         let c = self.cm.num_stages() as f64;
         let dp_deg = self.config.dp_degree.max(1) as f64;
         let objective = |t_max: Micros, sum: Micros| (c - 1.0) * t_max + sum / dp_deg;
         let (_, back) = search_tmax(candidates, objective, |i| {
-            self.solve_for_tmax(table, candidates[i])
+            Self::solve_for_tmax(shapes, time, candidates[i])
         })?;
         Some(back)
     }
@@ -730,18 +739,17 @@ impl<'a> Partitioner<'a> {
         );
         debug_assert_eq!(shapes.arch(), self.cm.model.arch);
         debug_assert_eq!(fwd.prices.len(), shapes.distinct.len());
-        let (shape_time, shape_feasible) = self.price_shapes(fwd);
-        let candidates = self.candidates(&shape_time, &shape_feasible);
-        let table = Self::scatter(shapes, &shape_time, &shape_feasible);
-        let back = self.sweep_tmax(&table, &candidates)?;
+        let time = self.price_shapes(fwd);
+        let candidates = self.candidates(&time);
+        let back = self.sweep_tmax(shapes, &time, &candidates)?;
         Some(self.finish(ordered, &back))
     }
 
     /// Reference implementation retained for equivalence testing and
     /// speed-up measurement: the original single-pass serial algorithm —
-    /// fused shape+cost table built per call, full candidate sweep, no
-    /// parallelism, no pruning. Optimized paths must match its chosen
-    /// objective value exactly.
+    /// fused shape+cost table built per call, dense and masked, a full
+    /// candidate sweep with its own Eq. 2 loop, no parallelism, no
+    /// pruning. Optimized paths must match its chosen partition exactly.
     // lint:allow(pub-uncalled): golden oracle for tests/golden_partition.rs `optimized_partitioner_matches_reference_on_gpt`/`_on_t5`
     pub fn partition_reference(&self, ordered: &[Sample]) -> Option<PartitionResult> {
         if ordered.is_empty() {
@@ -792,7 +800,7 @@ impl<'a> Partitioner<'a> {
         let dp_deg = self.config.dp_degree.max(1) as f64;
         let mut best: Option<(Micros, Vec<usize>, Micros)> = None;
         for &t_max in &candidates {
-            let Some((sum, back)) = self.solve_for_tmax(&table, t_max) else {
+            let Some((sum, back)) = table.solve(t_max) else {
                 continue;
             };
             let obj = (c - 1.0) * t_max + sum / dp_deg;
@@ -842,7 +850,7 @@ impl<'a> Partitioner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::sort_samples;
+    use crate::ordering::{sort_samples, OrderingStrategy};
     use dynapipe_cost::ProfileOptions;
     use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 
@@ -987,30 +995,66 @@ mod tests {
 
     #[test]
     fn pruned_sweep_matches_reference_exactly() {
-        // The bound-driven search must never change the selected
-        // partition: compare against the retained serial
-        // full-sweep reference across mini-batch sizes, pipeline depths,
-        // dp degrees and memory limits (tight limits exercise infeasible
-        // candidates inside the sweep).
-        for (pp, n, seed, dp_degree) in
-            [(2, 30, 1, 1), (4, 60, 2, 1), (16, 80, 3, 4), (8, 50, 4, 2)]
-        {
-            let cm = cm(pp);
+        // Neither the bound-driven search nor the sweep's reads through
+        // shape ids may change the selected partition: compare against the
+        // retained serial full-sweep reference across architectures,
+        // mini-batch sizes, pipeline depths, dp degrees, every recompute
+        // mode and a loose and a tight memory limit (tight limits exercise
+        // infeasible candidates inside the sweep). Inputs come sorted,
+        // unsorted and TSP-ordered. A sorted GPT row keeps one extent
+        // group; in the other two the running extents rise along a row, so
+        // its cells take shape ids from several groups.
+        let (sort, tsp) = (Some(OrderingStrategy::Sort), Some(OrderingStrategy::Tsp));
+        let inputs = [
+            (ModelArch::Gpt, 2, 30, 1, 1, sort),
+            (ModelArch::Gpt, 4, 60, 2, 1, sort),
+            (ModelArch::Gpt, 16, 80, 3, 4, sort),
+            (ModelArch::Gpt, 8, 50, 4, 2, sort),
+            (ModelArch::Gpt, 4, 60, 5, 1, None),
+            (ModelArch::Gpt, 8, 50, 6, 2, tsp),
+            (ModelArch::T5, 4, 50, 7, 1, sort),
+            (ModelArch::T5, 4, 60, 8, 1, None),
+            (ModelArch::T5, 2, 40, 12, 4, tsp),
+        ];
+        for (arch, pp, n, seed, dp_degree, ordering) in inputs {
+            let (cm, tight_shape) = match arch {
+                ModelArch::Gpt => (cm(pp), MicroBatchShape::gpt(4, 6200)),
+                ModelArch::T5 => (t5_cm(pp), MicroBatchShape::t5(4, 6200, 180)),
+            };
             let mut samples = mixed(n, seed);
-            sort_samples(cm.model.arch, &mut samples);
-            let limit = cm.mb_activation_max(&MicroBatchShape::gpt(4, 6200), RecomputeMode::None);
-            for mb_memory_limit in [Bytes::MAX / 4, limit] {
-                let mut cfg = DpConfig::new(mb_memory_limit);
-                cfg.dp_degree = dp_degree;
-                let p = Partitioner::new(&cm, cfg);
-                let fast = p.partition(&samples).unwrap();
-                let reference = p.partition_reference(&samples).unwrap();
-                assert_eq!(
-                    fast.ranges, reference.ranges,
-                    "pp={pp} n={n} seed={seed}: pruning changed the partition"
-                );
-                assert_eq!(fast.est_iteration_time, reference.est_iteration_time);
-                assert_eq!(fast.t_max, reference.t_max);
+            if let Some(ordering) = ordering {
+                ordering.apply(arch, &mut samples);
+            }
+            if ordering != sort {
+                let mut sorted = samples.clone();
+                sort_samples(arch, &mut sorted);
+                assert_ne!(samples, sorted, "{arch:?} seed={seed}: input is sorted");
+            }
+            let tight = cm.mb_activation_max(&tight_shape, RecomputeMode::None);
+            let shapes = SliceShapes::build(arch, &samples, DpConfig::new(0).max_mb_samples);
+            let fwd = SliceFwdCosts::build(&cm, &shapes);
+            assert!(
+                fwd.prices
+                    .activation(RecomputeMode::None)
+                    .iter()
+                    .any(|&a| a > tight),
+                "{arch:?} seed={seed}: the tight limit excludes no slice"
+            );
+            for mb_memory_limit in [Bytes::MAX / 4, tight] {
+                for recompute in RecomputeMode::ALL {
+                    let mut cfg = DpConfig::new(mb_memory_limit);
+                    cfg.dp_degree = dp_degree;
+                    cfg.recompute = recompute;
+                    let p = Partitioner::new(&cm, cfg);
+                    let reference = p.partition_reference(&samples);
+                    assert!(reference.is_some(), "every single sample fits");
+                    assert_eq!(
+                        p.partition_with_context(&shapes, &fwd, &samples),
+                        reference,
+                        "{arch:?} {ordering:?} pp={pp} n={n} seed={seed} \
+                         limit={mb_memory_limit} {recompute:?}: partition diverged"
+                    );
+                }
             }
         }
     }
@@ -1122,7 +1166,7 @@ mod tests {
         ];
         for (name, res, cap, time, feasible) in cases {
             let p = partitioner(res, cap);
-            let bucketed = p.candidates(&time, &feasible);
+            let bucketed = p.candidates(&time);
             let reference = p.reference_candidates(&time, &feasible);
             assert_eq!(
                 bucketed.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
@@ -1177,9 +1221,9 @@ mod tests {
     fn price_shapes_matches_scalar_pricing_under_every_limit() {
         // Each mode's column of the one pricing pass must price every
         // distinct shape exactly as the scalar path does: `cm.mb_time` bit
-        // for bit where `cm.mb_activation_max` fits the limit, infinity and
-        // infeasible where it does not — on GPT and T5, under a loose, a
-        // tight and a zero limit.
+        // for bit where `cm.mb_activation_max` fits the limit, infinity where
+        // it does not — on GPT and T5, under a loose, a tight and a zero
+        // limit.
         for cm in [cm(4), t5_cm(4)] {
             let mut samples = mixed(40, 7);
             sort_samples(cm.model.arch, &mut samples);
@@ -1192,12 +1236,11 @@ mod tests {
                 for (m, mode) in RecomputeMode::ALL.into_iter().enumerate() {
                     let mut cfg = DpConfig::new(limit);
                     cfg.recompute = mode;
-                    let (time, feasible) = Partitioner::new(&cm, cfg).price_shapes(&fwd);
+                    let time = Partitioner::new(&cm, cfg).price_shapes(&fwd);
                     assert_eq!(time.len(), distinct.len());
                     for (i, s) in distinct.iter().enumerate() {
                         let case = format!("{:?} {mode:?} limit {limit} shape {i}", cm.model.arch);
                         let fits = cm.mb_activation_max(s, mode) <= limit;
-                        assert_eq!(feasible[i], fits, "{case}: feasibility diverged");
                         let expect = if fits {
                             cm.mb_time(s, mode)
                         } else {

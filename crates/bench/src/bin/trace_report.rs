@@ -86,9 +86,17 @@ fn main() {
     println!(
         "  run: {} [{} codec={} placement={}] {} iterations, {} spans ({} sim / {} host)",
         m.label,
-        if m.topology.is_empty() { "single-host" } else { &m.topology },
+        if m.topology.is_empty() {
+            "single-host"
+        } else {
+            &m.topology
+        },
         if m.codec.is_empty() { "-" } else { &m.codec },
-        if m.placement.is_empty() { "-" } else { &m.placement },
+        if m.placement.is_empty() {
+            "-"
+        } else {
+            &m.placement
+        },
         m.iterations,
         trace.spans.len(),
         trace.counters.sim_spans,
@@ -126,8 +134,7 @@ fn main() {
                 // The host whose plan copy became available last bounds
                 // the iteration start on the hybrid timeline.
                 if row.bound_host < 0
-                    || s.end_us
-                        > iter_wait_end(&trace.spans, s.iteration, row.bound_host)
+                    || s.end_us > iter_wait_end(&trace.spans, s.iteration, row.bound_host)
                 {
                     row.bound_host = s.lane;
                 }
@@ -257,9 +264,7 @@ fn main() {
 fn iter_wait_end(spans: &[Span], iteration: i64, lane: i64) -> f64 {
     spans
         .iter()
-        .filter(|s| {
-            s.kind == SpanKind::ExposedWait && s.iteration == iteration && s.lane == lane
-        })
+        .filter(|s| s.kind == SpanKind::ExposedWait && s.iteration == iteration && s.lane == lane)
         .map(|s| s.end_us)
         .fold(f64::NEG_INFINITY, f64::max)
 }

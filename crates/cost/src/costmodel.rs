@@ -420,27 +420,63 @@ impl<'a> ShapePricer<'a> {
     /// read in that one visit (a [`GridSet`]), with nothing stored per
     /// point. The stage folds keep the scalar path's operand order:
     /// `layers × (bwd + recompute)` per side, then the LM head's backward.
+    ///
+    /// The two halves of `shapes` are priced under one [`rayon::join`],
+    /// each through its own grid sets and straight into its half of the
+    /// pre-sized output columns. The calling thread allocates both the
+    /// columns and both halves' grid sets, so the helper thread allocates
+    /// no output (a helper that built and appended its own chunk grew the
+    /// process's peak RSS). Every shape is priced on its own, so the split
+    /// changes no bit.
     pub fn price_every_mode(&self, shapes: &[MicroBatchShape]) -> ModePrices {
         let n = shapes.len();
-        let mut enc_set = self.any_enc.then(|| self.enc.grid_set(shapes));
-        let mut dec_set = self.any_dec.then(|| self.dec.grid_set(shapes));
-        let max_target = shapes.iter().map(|s| self.target_tokens(s)).max();
-        let mut lm = GridSet::new([self.lm_head_fwd], [max_target.unwrap_or(0), 0, 0]);
         let mut prices = ModePrices {
-            time: std::array::from_fn(|_| Vec::with_capacity(n)),
-            activation: std::array::from_fn(|_| Vec::with_capacity(n)),
+            time: std::array::from_fn(|_| vec![0.0; n]),
+            activation: std::array::from_fn(|_| vec![0; n]),
         };
-        for shape in shapes {
+        let mid = n.div_ceil(2);
+        let (shapes_lo, shapes_hi) = shapes.split_at(mid);
+        let (time_lo, time_hi) = split_columns(&mut prices.time, mid);
+        let (act_lo, act_hi) = split_columns(&mut prices.activation, mid);
+        let (sets_lo, sets_hi) = (self.grid_sets(shapes_lo), self.grid_sets(shapes_hi));
+        rayon::join(
+            || self.price_run(sets_lo, shapes_lo, time_lo, act_lo),
+            || self.price_run(sets_hi, shapes_hi, time_hi, act_hi),
+        );
+        prices
+    }
+
+    /// The grid sets a run of `shapes` is priced through, their memos
+    /// sized to the coordinates the run reaches.
+    fn grid_sets(&self, shapes: &[MicroBatchShape]) -> RunSets<'a> {
+        let max_target = shapes.iter().map(|s| self.target_tokens(s)).max();
+        RunSets {
+            enc: self.any_enc.then(|| self.enc.grid_set(shapes)),
+            dec: self.any_dec.then(|| self.dec.grid_set(shapes)),
+            lm: GridSet::new([self.lm_head_fwd], [max_target.unwrap_or(0), 0, 0]),
+        }
+    }
+
+    /// Price `shapes` through `sets` into element `i` of every mode's
+    /// `time` and `activation` column.
+    fn price_run(
+        &self,
+        mut sets: RunSets<'a>,
+        shapes: &[MicroBatchShape],
+        time: [&mut [Micros]; NUM_MODES],
+        activation: [&mut [Bytes]; NUM_MODES],
+    ) {
+        for (i, shape) in shapes.iter().enumerate() {
             if shape.batch_size == 0 {
                 for m in 0..NUM_MODES {
-                    prices.time[m].push(0.0);
-                    prices.activation[m].push(0);
+                    time[m][i] = 0.0;
+                    activation[m][i] = 0;
                 }
                 continue;
             }
-            let enc = self.enc.values(&mut enc_set, shape);
-            let dec = self.dec.values(&mut dec_set, shape);
-            let [lm] = lm.query(self.target_tokens(shape), 0, 0);
+            let enc = self.enc.values(&mut sets.enc, shape);
+            let dec = self.dec.values(&mut sets.dec, shape);
+            let [lm] = sets.lm.query(self.target_tokens(shape), 0, 0);
             let lm_bwd = self.backward_ratio * lm;
             let enc_bwd: [f64; NUM_MODES] = std::array::from_fn(|m| enc[BWD] + enc[RECOMPUTE + m]);
             let dec_bwd: [f64; NUM_MODES] = std::array::from_fn(|m| dec[BWD] + dec[RECOMPUTE + m]);
@@ -484,12 +520,36 @@ impl<'a> ShapePricer<'a> {
                 }
             }
             for m in 0..NUM_MODES {
-                prices.time[m].push(fwd_max + bwd_max[m]);
-                prices.activation[m].push(act_max[m]);
+                time[m][i] = fwd_max + bwd_max[m];
+                activation[m][i] = act_max[m];
             }
         }
-        prices
     }
+}
+
+/// The grid sets one run of shapes is priced through (see
+/// [`ShapePricer::price_every_mode`]): each layer side's, absent when no
+/// stage has layers of that side, and the LM head's.
+struct RunSets<'a> {
+    enc: Option<GridSet<'a, LAYER_GRIDS>>,
+    dec: Option<GridSet<'a, LAYER_GRIDS>>,
+    lm: GridSet<'a, 1>,
+}
+
+/// Split every mode's column at `mid` into its `..mid` and `mid..` halves.
+fn split_columns<T>(
+    columns: &mut [Vec<T>; NUM_MODES],
+    mid: usize,
+) -> ([&mut [T]; NUM_MODES], [&mut [T]; NUM_MODES]) {
+    let mut hi: [&mut [T]; NUM_MODES] = Default::default();
+    let mut halves = columns.iter_mut().zip(&mut hi);
+    let lo = std::array::from_fn(|_| {
+        let (column, hi) = halves.next().expect("one column per mode");
+        let (l, h) = column.split_at_mut(mid);
+        *hi = h;
+        l
+    });
+    (lo, hi)
 }
 
 #[cfg(test)]
@@ -601,7 +661,9 @@ mod tests {
         // per-shape methods exactly — this is the contract the DP
         // partitioner's cost pass relies on. GPT's above-range shape takes
         // the LM-head axis past the direct memo's range; the empty shape
-        // prices to zero.
+        // prices to zero. Prefixes of 0, 1, 5 and 6 shapes are priced
+        // under caps 1 and 2, so the two-half split meets empty and
+        // uneven halves, serially and in parallel.
         for cm in [gpt_cm(4), t5_cm(4)] {
             let shapes: Vec<MicroBatchShape> = match cm.model.arch {
                 ModelArch::Gpt => vec![
@@ -621,24 +683,39 @@ mod tests {
                     MicroBatchShape::t5(64, 100_000, 9000), // above-range
                 ],
             };
-            let prices = cm.shape_pricer().price_every_mode(&shapes);
-            assert_eq!(prices.len(), shapes.len());
-            for mode in RecomputeMode::ALL {
-                for (i, s) in shapes.iter().enumerate() {
-                    let (t, act) = (prices.time(mode)[i], prices.activation(mode)[i]);
-                    let case = format!("{:?} mode {mode:?} shape {i}", cm.model.arch);
-                    assert_eq!(
-                        t.to_bits(),
-                        cm.mb_time(s, mode).to_bits(),
-                        "{case}: t(M) diverged"
-                    );
-                    assert_eq!(
-                        act,
-                        cm.mb_activation_max(s, mode),
-                        "{case}: activation diverged"
-                    );
-                    if s.batch_size == 0 {
-                        assert_eq!((t, act), (0.0, 0), "{case}");
+            for (len, threads) in [0, 1, 5, shapes.len()]
+                .into_iter()
+                .flat_map(|len| [(len, 1), (len, 2)])
+            {
+                let table = &shapes[..len];
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let prices = pool.install(|| cm.shape_pricer().price_every_mode(table));
+                assert_eq!(prices.len(), len);
+                for mode in RecomputeMode::ALL {
+                    assert_eq!(prices.time(mode).len(), len);
+                    assert_eq!(prices.activation(mode).len(), len);
+                    for (i, s) in table.iter().enumerate() {
+                        let (t, act) = (prices.time(mode)[i], prices.activation(mode)[i]);
+                        let case = format!(
+                            "{:?} {len} shapes on {threads} threads, mode {mode:?} shape {i}",
+                            cm.model.arch
+                        );
+                        assert_eq!(
+                            t.to_bits(),
+                            cm.mb_time(s, mode).to_bits(),
+                            "{case}: t(M) diverged"
+                        );
+                        assert_eq!(
+                            act,
+                            cm.mb_activation_max(s, mode),
+                            "{case}: activation diverged"
+                        );
+                        if s.batch_size == 0 {
+                            assert_eq!((t, act), (0.0, 0), "{case}");
+                        }
                     }
                 }
             }

@@ -38,7 +38,10 @@ fn main() -> ExitCode {
     let json_path = root.join("LINT_report.json");
     match std::fs::write(&json_path, report.to_json()) {
         Ok(()) => println!("wrote {}", json_path.display()),
-        Err(e) => eprintln!("dynapipe-lint: could not write {}: {e}", json_path.display()),
+        Err(e) => eprintln!(
+            "dynapipe-lint: could not write {}: {e}",
+            json_path.display()
+        ),
     }
 
     if report.unwaived().is_empty() {

@@ -35,6 +35,11 @@ pub fn adaptive_schedule(input: &ScheduleInput) -> Schedule {
     // All micro-batches are initially ready on the first stage (line 3).
     sf[0].extend(0..m);
 
+    // Ops unlocked during a cycle (N^f_j, N^b_j), emptied into the ready
+    // buffers at its end; allocated once, `drain` keeps their capacity.
+    let mut nf: Vec<Vec<usize>> = vec![Vec::new(); c];
+    let mut nb: Vec<Vec<usize>> = vec![Vec::new(); c];
+
     let mut guard = 0usize;
     let guard_max = 4 * (m + 1) * (c + 1) + 16;
     while sf.iter().any(|q| !q.is_empty()) || sb.iter().any(|q| !q.is_empty()) {
@@ -43,9 +48,6 @@ pub fn adaptive_schedule(input: &ScheduleInput) -> Schedule {
             guard <= guard_max,
             "adaptive schedule failed to converge (memory limit below a single micro-batch?)"
         );
-        // Ops unlocked during this cycle (N^f_j, N^b_j).
-        let mut nf: Vec<Vec<usize>> = vec![Vec::new(); c];
-        let mut nb: Vec<Vec<usize>> = vec![Vec::new(); c];
         for j in 0..c {
             // Backward first (line 7).
             if let Some(i) = sb[j].pop_front() {

@@ -1,7 +1,7 @@
-//! Offline stand-in for `rayon`: the data-parallel iterator subset the
-//! planning hot path uses (`par_iter` on slices, `into_par_iter` on
-//! ranges and vectors, `map`/`filter_map`/`collect`/`for_each`), executed
-//! on `std::thread::scope`.
+//! Offline stand-in for `rayon`: the data-parallel subset the planning
+//! hot path uses (`par_iter` on slices, `into_par_iter` on ranges and
+//! vectors, `map`/`filter_map`/`collect`/`for_each`, and [`join`]),
+//! executed on `std::thread::scope`.
 //!
 //! Scheduling is **dynamic claiming**: a parallel call with `T` threads
 //! spawns `T − 1` scoped workers and the calling thread works alongside
@@ -25,11 +25,11 @@
 //!   thread capped.
 //!
 //! There is deliberately no persistent pool: a scoped spawn + join
-//! measures ~30 µs on a 2-vCPU x86-64 VM, and the planner makes one
-//! parallel call per plan (its §7 recompute-mode sweep, several
-//! milliseconds of work), so the spawn is well under 1% of a plan and a
-//! pool's parking, wake-up and shutdown logic would buy nothing
-//! measurable.
+//! measures ~30 µs on a 2-vCPU x86-64 VM, and the planner makes two
+//! parallel calls per plan (a `join` over the halves of the pricing pass
+//! and its §7 recompute-mode sweep, each a millisecond or more of work),
+//! so the spawns stay a few percent of a plan at most and a pool's
+//! parking, wake-up and shutdown logic would buy nothing measurable.
 //!
 //! Thread count defaults to `std::thread::available_parallelism`, tunable
 //! via the `RAYON_NUM_THREADS` environment variable like real rayon.
@@ -124,6 +124,36 @@ where
         .into_iter()
         .map(|u| u.expect("every index is claimed exactly once"))
         .collect()
+}
+
+/// Run `oper_a` and `oper_b`, potentially in parallel, and return both
+/// results in argument order, like `rayon::join`.
+///
+/// With more than one thread, `oper_b` runs on one scoped helper thread
+/// while the calling thread runs `oper_a`; under a cap of 1 both run on the
+/// calling thread, `oper_a` first. Either way each side holds one slot, so
+/// parallel calls nested inside either closure run serially. A panic on
+/// either side propagates once both sides have finished.
+pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let serial = current_num_threads() == 1;
+    let _cap = CapGuard::set(1);
+    if serial {
+        return (oper_a(), oper_b());
+    }
+    std::thread::scope(|s| {
+        let b = s.spawn(|| {
+            let _cap = CapGuard::set(1);
+            oper_b()
+        });
+        let a = oper_a();
+        (a, b.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+    })
 }
 
 /// A bounded worker pool: `install` caps the parallelism of everything the
@@ -544,6 +574,80 @@ mod tests {
         });
         assert!(ran_on.contains(&caller), "the caller evaluated no item");
         assert_ne!(ran_on[0], ran_on[1]);
+    }
+
+    #[test]
+    fn join_runs_each_side_once_and_returns_in_argument_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let (a_runs, b_runs) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let (a, b) = pool.install(|| {
+                join(
+                    || {
+                        a_runs.fetch_add(1, Ordering::SeqCst);
+                        "a"
+                    },
+                    || {
+                        b_runs.fetch_add(1, Ordering::SeqCst);
+                        vec![1u8, 2]
+                    },
+                )
+            });
+            assert_eq!((a, b), ("a", vec![1u8, 2]), "threads={threads}");
+            assert_eq!(a_runs.load(Ordering::SeqCst), 1, "threads={threads}");
+            assert_eq!(b_runs.load(Ordering::SeqCst), 1, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_side() {
+        use std::panic::catch_unwind;
+        for threads in [1, 2] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let left = catch_unwind(|| join(|| panic!("left"), || 1));
+                let right = catch_unwind(|| join(|| 1, || panic!("right")));
+                for (side, r) in [("left", left), ("right", right)] {
+                    let msg = *r.expect_err(side).downcast::<&str>().unwrap();
+                    assert_eq!(msg, side, "threads={threads}");
+                }
+                assert_eq!(current_num_threads(), threads, "join leaked its cap");
+            });
+        }
+    }
+
+    #[test]
+    fn join_runs_nested_parallel_calls_serially() {
+        // Inside either side a nested par_iter sees one thread and runs
+        // every item on that side's own thread.
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let side = || {
+            let me = std::thread::current().id();
+            let ran_on: Vec<std::thread::ThreadId> = (0..16usize)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            (current_num_threads(), ran_on.iter().all(|&id| id == me))
+        };
+        let (a, b) = pool.install(|| join(side, side));
+        assert_eq!(a, (1, true), "left side ran nested work in parallel");
+        assert_eq!(b, (1, true), "right side ran nested work in parallel");
+    }
+
+    #[test]
+    fn join_under_a_cap_of_one_runs_both_sides_on_the_caller() {
+        let caller = std::thread::current().id();
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let id = || std::thread::current().id();
+        let (a, b) = pool.install(|| join(id, id));
+        assert_eq!((a, b), (caller, caller));
     }
 
     #[test]

@@ -437,8 +437,7 @@ impl<'a> Parser<'a> {
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("bad \\u escape"))?,
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
                                 16,
                             )
                             .map_err(|_| self.err("bad \\u escape"))?;
@@ -462,8 +461,8 @@ impl<'a> Parser<'a> {
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\')
                         .unwrap_or(rest.len());
-                    let s = std::str::from_utf8(&rest[..run])
-                        .map_err(|_| self.err("invalid utf-8"))?;
+                    let s =
+                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
                     out.push_str(s);
                     self.pos += run;
                 }

@@ -433,8 +433,16 @@ fn sim_key(s: &Span) -> (SpanKind, i64, i64, u64, u64, u64, u64, u64, i64, i64) 
 /// churn. Host spans are ignored, exactly as `behavior_eq` ignores
 /// wall-clock stats.
 pub fn sim_eq(a: &Trace, b: &Trace) -> Result<(), String> {
-    let sa: Vec<&Span> = a.spans.iter().filter(|s| s.domain == ClockDomain::Sim).collect();
-    let sb: Vec<&Span> = b.spans.iter().filter(|s| s.domain == ClockDomain::Sim).collect();
+    let sa: Vec<&Span> = a
+        .spans
+        .iter()
+        .filter(|s| s.domain == ClockDomain::Sim)
+        .collect();
+    let sb: Vec<&Span> = b
+        .spans
+        .iter()
+        .filter(|s| s.domain == ClockDomain::Sim)
+        .collect();
     if sa.len() != sb.len() {
         return Err(format!(
             "sim span count diverges: {} vs {}",
@@ -563,15 +571,53 @@ impl Trace {
         }
         let m = &self.meta;
         let checks: &[(&str, u64, u64)] = &[
-            ("Σ link_push bytes vs bytes_pushed", self.bytes_of(SpanKind::LinkPush), m.bytes_pushed),
-            ("Σ link_fetch bytes vs bytes_fetched", self.bytes_of(SpanKind::LinkFetch), m.bytes_fetched),
-            ("Σ link_restore bytes vs refetch_bytes", self.bytes_of(SpanKind::LinkRestore), m.refetch_bytes),
-            ("store_push span count vs pushes", self.of_kind(SpanKind::StorePush).count() as u64, m.store_pushes),
-            ("store_take span count vs takes", self.of_kind(SpanKind::StoreTake).count() as u64, m.store_takes),
-            ("store_discard span count vs discarded", self.of_kind(SpanKind::StoreDiscard).count() as u64, m.store_discarded),
-            ("ticket_reissue span count vs tickets_reissued", self.of_kind(SpanKind::TicketReissue).count() as u64, m.tickets_reissued),
-            ("bytes-0 ticket_complete span count vs stale_completions", self.of_kind(SpanKind::TicketComplete).filter(|s| s.bytes == 0).count() as u64, m.stale_completions),
-            ("churn_action span count vs events_applied", self.of_kind(SpanKind::ChurnAction).count() as u64, m.churn_applied),
+            (
+                "Σ link_push bytes vs bytes_pushed",
+                self.bytes_of(SpanKind::LinkPush),
+                m.bytes_pushed,
+            ),
+            (
+                "Σ link_fetch bytes vs bytes_fetched",
+                self.bytes_of(SpanKind::LinkFetch),
+                m.bytes_fetched,
+            ),
+            (
+                "Σ link_restore bytes vs refetch_bytes",
+                self.bytes_of(SpanKind::LinkRestore),
+                m.refetch_bytes,
+            ),
+            (
+                "store_push span count vs pushes",
+                self.of_kind(SpanKind::StorePush).count() as u64,
+                m.store_pushes,
+            ),
+            (
+                "store_take span count vs takes",
+                self.of_kind(SpanKind::StoreTake).count() as u64,
+                m.store_takes,
+            ),
+            (
+                "store_discard span count vs discarded",
+                self.of_kind(SpanKind::StoreDiscard).count() as u64,
+                m.store_discarded,
+            ),
+            (
+                "ticket_reissue span count vs tickets_reissued",
+                self.of_kind(SpanKind::TicketReissue).count() as u64,
+                m.tickets_reissued,
+            ),
+            (
+                "bytes-0 ticket_complete span count vs stale_completions",
+                self.of_kind(SpanKind::TicketComplete)
+                    .filter(|s| s.bytes == 0)
+                    .count() as u64,
+                m.stale_completions,
+            ),
+            (
+                "churn_action span count vs events_applied",
+                self.of_kind(SpanKind::ChurnAction).count() as u64,
+                m.churn_applied,
+            ),
         ];
         for (what, got, want) in checks {
             if got != want {
@@ -699,7 +745,12 @@ mod tests {
     fn capacity_drops_are_counted_not_kept() {
         let sink = TraceSink::bounded(2);
         for i in 0..5 {
-            sink.record(span(SpanKind::StorePush, ClockDomain::Host, i as f64, i as f64));
+            sink.record(span(
+                SpanKind::StorePush,
+                ClockDomain::Host,
+                i as f64,
+                i as f64,
+            ));
         }
         let t = sink.finish();
         assert_eq!(t.spans.len(), 2);
@@ -708,7 +759,10 @@ mod tests {
         assert_eq!(t.counters.host_spans, 2);
         assert_eq!(t.counters.sim_spans, 0);
         t.validate().expect("capped trace is still well-formed");
-        assert!(t.reconcile().is_err(), "dropped spans must fail reconciliation");
+        assert!(
+            t.reconcile().is_err(),
+            "dropped spans must fail reconciliation"
+        );
     }
 
     #[test]
@@ -723,7 +777,8 @@ mod tests {
         let mut t = sink.finish();
         assert!(t.reconcile().is_err(), "an unledgered stale completion");
         t.meta.stale_completions = 1;
-        t.reconcile().expect("one stale, the cancelled one not counted");
+        t.reconcile()
+            .expect("one stale, the cancelled one not counted");
     }
 
     #[test]
@@ -742,7 +797,12 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_sim_bits() {
         let sink = TraceSink::bounded(16);
-        sink.record(span(SpanKind::IterExec, ClockDomain::Sim, 0.1 + 0.2, 1e9 / 3.0));
+        sink.record(span(
+            SpanKind::IterExec,
+            ClockDomain::Sim,
+            0.1 + 0.2,
+            1e9 / 3.0,
+        ));
         let t = sink.finish();
         let text = serde_json::to_string_pretty(&t).expect("serialize");
         let back: Trace = serde_json::from_str(&text).expect("parse");

@@ -67,18 +67,23 @@ rustfmt --check --edition 2021 \
     crates/sim/src/lib.rs \
     crates/cluster/src/churn.rs \
     crates/cluster/src/lib.rs \
-    crates/core/src/lib.rs
+    crates/core/src/lib.rs \
+    crates/shims/rayon/src/lib.rs \
+    crates/schedule/src/adaptive.rs \
+    crates/trace/src/lib.rs \
+    crates/bench/src/bin/trace_report.rs \
+    crates/shims/serde/src/value.rs \
+    crates/shims/rand/src/lib.rs \
+    crates/lint/src/main.rs
 
 echo "== build (release, -D warnings) =="
 cargo build --release --workspace
 
-echo "== dynapipe-lint =="
-cargo run --release -p dynapipe-lint
-
-# One capped iteration of every figure bin: fig09_cluster's gates and the
-# trace_report round-trip of its exported trace fail the check. The bins
-# write only under results/ (gitignored).
-echo "== figure bins (smoke) =="
+# `run_all` runs dynapipe-lint first and fails on any unwaived finding,
+# then one capped iteration of every figure bin: fig09_cluster's gates and
+# the trace_report round-trip of its exported trace fail the check. The
+# bins write only under results/ (gitignored).
+echo "== lint + figure bins (smoke) =="
 cargo run --release --offline -p dynapipe-bench --bin run_all -- --smoke
 
 echo "== tests (workspace) =="
