@@ -10,7 +10,8 @@
 //!   every object repeats its field names and every `f64` costs up to 17
 //!   digits of shortest-roundtrip text.
 //! * [`PlanCodec::Binary`] — the length-prefixed binary encoding of the
-//!   same self-describing [`Value`] data model. Every string and array is
+//!   same self-describing [`Value`] data model, written node by node as
+//!   the `Serialize` walk emits it. Every string and array is
 //!   length-prefixed (no delimiters, no escaping), integers are LEB128
 //!   varints (signed values zigzag-encoded), and `f64`s are their raw
 //!   little-endian bit patterns — exact by construction, including
@@ -113,17 +114,24 @@
 //! out-of-bounds read; accessors on a successfully validated blob are
 //! in-bounds by construction.
 //!
-//! The tree codecs route through [`Value`], so *what* is encoded is
-//! decided once by the `Serialize` impls; the codec only decides *how
-//! bytes are laid out*. Flat encodes [`crate::store::StoredPlan`]
-//! structurally instead (handled by `StoredPlan::encode`/`decode`). The
-//! property suite in `tests/serialization.rs` pins all three codecs
-//! (cross-decode equal, re-encode bitwise, engine runs over decoded —
-//! or wrapped — programs bit-identical; the flat summary equals the one
-//! derived from the plan; the executor decode reads no byte of the plan
-//! section), and the `fig09_cluster` bench, summing blob bytes over its
-//! datacenter sweep, fails CI if Binary stops beating JSON on bytes by
-//! half or Flat's arena bloats past 1.25× Binary's.
+//! The tree codecs encode by streaming: a value's `Serialize` walk calls
+//! the codec's [`serde::Writer`] once per node of the [`Value`] data
+//! model (the Binary encoder here, the shim's JSON renderer for JSON), and
+//! no `Value` tree is built. So *what* is encoded is decided once by the
+//! `Serialize` impls, and the codec only decides *how bytes are laid
+//! out*; a typed value and its `to_value()` tree encode to the same bytes.
+//! Decoding goes the other way through the tree. Flat encodes
+//! [`crate::store::StoredPlan`] structurally instead (handled by
+//! `StoredPlan::encode`/`decode`); its plan section is the Binary
+//! encoder's stream of the plan. The property suite in
+//! `tests/serialization.rs` pins all three codecs (cross-decode equal,
+//! re-encode bitwise, engine runs over decoded — or wrapped — programs
+//! bit-identical; the flat summary equals the one derived from the plan;
+//! the executor decode reads no byte of the plan section; the blobs of
+//! fixed plans hash to pinned constants), and the `fig09_cluster` bench,
+//! summing blob bytes over its datacenter sweep, fails CI if Binary stops
+//! beating JSON on bytes by half or Flat's arena bloats past 1.25×
+//! Binary's.
 
 use crate::driver::IterationSummary;
 use crate::planner::{IterationPlan, PlanError};
@@ -133,7 +141,7 @@ use dynapipe_model::RecomputeMode;
 use dynapipe_sim::{
     AllocsRef, CommDir, DeviceProgram, FreesRef, InstructionSource, OpLabel, OpView, SimOp,
 };
-use serde::{Error, Value};
+use serde::{Error, Serialize, Value, Writer};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -149,7 +157,7 @@ pub enum PlanCodec {
     Binary,
     /// Fixed-width LE arena executed in place by typed accessors; see
     /// module docs. Encodes [`crate::store::StoredPlan`] structurally
-    /// rather than through the [`Value`] tree. The default.
+    /// rather than as a [`Value`] data model. The default.
     #[default]
     Flat,
 }
@@ -167,16 +175,19 @@ impl PlanCodec {
         }
     }
 
-    /// Render a [`Value`] tree to wire bytes. Deterministic: the bytes
-    /// are a pure function of the tree. Tree codecs only —
-    /// [`PlanCodec::Flat`] lays out `StoredPlan` structurally and has no
-    /// `Value` rendering; `StoredPlan::encode` dispatches before this.
-    pub fn encode_value(&self, v: &Value) -> Vec<u8> {
+    /// Render a serializable value to wire bytes in a tree codec, by
+    /// streaming its `Serialize` walk into the codec's writer (no
+    /// [`Value`] tree is built). Deterministic: the bytes are a pure
+    /// function of the walk, so a typed value and its `to_value()` tree
+    /// encode identically. Tree codecs only — [`PlanCodec::Flat`] lays
+    /// out `StoredPlan` structurally; `StoredPlan::encode` dispatches
+    /// before this.
+    pub fn encode<T: Serialize + ?Sized>(&self, v: &T) -> Vec<u8> {
         match self {
-            PlanCodec::Json => v.to_json().into_bytes(),
+            PlanCodec::Json => serde::value::render_json(v, None).into_bytes(),
             PlanCodec::Binary => {
                 let mut enc = BinaryEncoder::new();
-                enc.value(v);
+                v.serialize(&mut enc);
                 enc.out
             }
             PlanCodec::Flat => unreachable!(
@@ -186,7 +197,7 @@ impl PlanCodec {
     }
 
     /// Rebuild a [`Value`] tree from wire bytes produced by
-    /// [`PlanCodec::encode_value`] with the *same* codec. A blob from
+    /// [`PlanCodec::encode`] with the *same* codec. A blob from
     /// another codec fails loudly (each codec's magic byte is invalid as
     /// a first byte of the others, and JSON text never starts with
     /// either magic), never silently misparses.
@@ -277,42 +288,52 @@ impl BinaryEncoder {
             self.out.extend_from_slice(s.as_bytes());
         }
     }
+}
 
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.out.push(T_NULL),
-            Value::Bool(false) => self.out.push(T_FALSE),
-            Value::Bool(true) => self.out.push(T_TRUE),
-            Value::U64(u) => {
-                self.out.push(T_U64);
-                self.varint(*u);
-            }
-            Value::I64(i) => {
-                // Zigzag: small magnitudes of either sign stay short.
-                self.out.push(T_I64);
-                self.varint(((i << 1) ^ (i >> 63)) as u64);
-            }
-            Value::F64(f) => {
-                self.out.push(T_F64);
-                self.out.extend_from_slice(&f.to_bits().to_le_bytes());
-            }
-            Value::Str(s) => self.string(s),
-            Value::Array(items) => {
-                self.out.push(T_ARRAY);
-                self.varint(items.len() as u64);
-                for item in items {
-                    self.value(item);
-                }
-            }
-            Value::Object(entries) => {
-                self.out.push(T_OBJECT);
-                self.varint(entries.len() as u64);
-                for (k, v) in entries {
-                    self.string(k);
-                    self.value(v);
-                }
-            }
-        }
+/// The encoder is the sink of a `Serialize` walk: each writer call is one
+/// node of the layout above, so a typed value and its [`Value`] tree
+/// encode to the same bytes.
+impl Writer for BinaryEncoder {
+    fn null(&mut self) {
+        self.out.push(T_NULL);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.out.push(if b { T_TRUE } else { T_FALSE });
+    }
+
+    fn u64(&mut self, u: u64) {
+        self.out.push(T_U64);
+        self.varint(u);
+    }
+
+    fn i64(&mut self, i: i64) {
+        // Zigzag: small magnitudes of either sign stay short.
+        self.out.push(T_I64);
+        self.varint(((i << 1) ^ (i >> 63)) as u64);
+    }
+
+    fn f64(&mut self, f: f64) {
+        self.out.push(T_F64);
+        self.out.extend_from_slice(&f.to_bits().to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.string(s);
+    }
+
+    fn array(&mut self, len: usize) {
+        self.out.push(T_ARRAY);
+        self.varint(len as u64);
+    }
+
+    fn object(&mut self, len: usize) {
+        self.out.push(T_OBJECT);
+        self.varint(len as u64);
+    }
+
+    fn key(&mut self, k: &str) {
+        self.string(k);
     }
 }
 
@@ -577,15 +598,10 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
             StoredOutcome::Plan(lowered) => (
                 1,
                 encode_summary(&IterationSummary::of(&lowered.plan)),
-                PlanCodec::Binary.encode_value(&serde::Serialize::to_value(&lowered.plan)),
+                PlanCodec::Binary.encode(&lowered.plan),
                 &lowered.programs,
             ),
-            StoredOutcome::Failed(e) => (
-                0,
-                Vec::new(),
-                PlanCodec::Binary.encode_value(&serde::Serialize::to_value(e)),
-                &[],
-            ),
+            StoredOutcome::Failed(e) => (0, Vec::new(), PlanCodec::Binary.encode(e), &[]),
         };
     let plan_off = FLAT_HEADER + summary.len();
     let dir_off = plan_off + plan_bytes.len();
@@ -1218,7 +1234,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(v: &Value) -> Value {
-        let blob = PlanCodec::Binary.encode_value(v);
+        let blob = PlanCodec::Binary.encode(v);
         PlanCodec::Binary.decode_value(&blob).expect("decodes")
     }
 
@@ -1312,9 +1328,9 @@ mod tests {
                 ("label".into(), Value::Str("Compute".into())),
             ]),
         ]);
-        let blob = PlanCodec::Binary.encode_value(&v);
+        let blob = PlanCodec::Binary.encode(&v);
         let back = PlanCodec::Binary.decode_value(&blob).unwrap();
-        assert_eq!(PlanCodec::Binary.encode_value(&back), blob);
+        assert_eq!(PlanCodec::Binary.encode(&back), blob);
     }
 
     #[test]
@@ -1325,8 +1341,8 @@ mod tests {
                 .map(|_| Value::Str("a-reasonably-long-key".into()))
                 .collect(),
         );
-        let b1 = PlanCodec::Binary.encode_value(&once).len();
-        let b64 = PlanCodec::Binary.encode_value(&many).len();
+        let b1 = PlanCodec::Binary.encode(&once).len();
+        let b64 = PlanCodec::Binary.encode(&many).len();
         // 63 back-references cost ~2 bytes each, not 21+.
         assert!(
             b64 < b1 + 63 * 3,
@@ -1337,8 +1353,8 @@ mod tests {
     #[test]
     fn codec_mismatch_fails_loudly() {
         let v = Value::Object(vec![("k".into(), Value::U64(1))]);
-        let json = PlanCodec::Json.encode_value(&v);
-        let binary = PlanCodec::Binary.encode_value(&v);
+        let json = PlanCodec::Json.encode(&v);
+        let binary = PlanCodec::Binary.encode(&v);
         assert!(PlanCodec::Binary.decode_value(&json).is_err());
         assert!(PlanCodec::Json.decode_value(&binary).is_err());
     }
@@ -1346,7 +1362,7 @@ mod tests {
     #[test]
     fn truncated_and_corrupt_blobs_error_cleanly() {
         let v = Value::Array(vec![Value::Str("abc".into()), Value::U64(7)]);
-        let blob = PlanCodec::Binary.encode_value(&v);
+        let blob = PlanCodec::Binary.encode(&v);
         for cut in 0..blob.len() {
             assert!(
                 PlanCodec::Binary.decode_value(&blob[..cut]).is_err(),
@@ -1561,8 +1577,8 @@ mod tests {
             )])
         };
         let tree = Value::Array((0..32).map(|i| op(1234.5678 + i as f64, i)).collect());
-        let json = PlanCodec::Json.encode_value(&tree).len();
-        let binary = PlanCodec::Binary.encode_value(&tree).len();
+        let json = PlanCodec::Json.encode(&tree).len();
+        let binary = PlanCodec::Binary.encode(&tree).len();
         assert!(
             binary * 2 <= json,
             "binary {binary} bytes must be at most half of JSON {json}"

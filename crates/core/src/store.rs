@@ -501,7 +501,7 @@ impl StoredPlan {
     pub fn encode(&self, codec: crate::codec::PlanCodec) -> Vec<u8> {
         match codec {
             crate::codec::PlanCodec::Flat => crate::codec::encode_flat(self),
-            tree => tree.encode_value(&serde::Serialize::to_value(self)),
+            tree => tree.encode(self),
         }
     }
 

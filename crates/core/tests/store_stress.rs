@@ -14,7 +14,7 @@
 use dynapipe_core::{InstructionStore, StoreError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Generous bound: real waits are microseconds; reaching this means the
 /// store lost a wakeup or deadlocked.
@@ -22,6 +22,14 @@ const WAIT: Duration = Duration::from_secs(60);
 
 fn blob_for(key: usize) -> Vec<u8> {
     format!("{{\"iteration\":{key},\"payload\":\"plan-{key}\"}}").into_bytes()
+}
+
+/// The smallest key not yet taken (`taken.len()` once every key is).
+fn smallest_untaken(taken: &[AtomicUsize]) -> usize {
+    taken
+        .iter()
+        .position(|count| count.load(Ordering::SeqCst) == 0)
+        .unwrap_or(taken.len())
 }
 
 #[test]
@@ -38,15 +46,15 @@ fn pushers_and_takers_interleave_without_loss_or_deadlock() {
         store.push(key, blob_for(key)).unwrap();
     }
     // Threads claim keys from shared counters, so the key→thread
-    // interleaving is scheduler-driven and different every run, while
-    // push/take order stays roughly ascending — the same coupling the
-    // plan-ahead window enforces, which is what makes backpressure
-    // deadlock-free: the smallest still-wanted key is always either
-    // stored or about to be, so takers always progress and free slots.
-    // (A pusher racing arbitrarily far ahead of the consumers — fixed
-    // per-thread striding — can legitimately wedge any finite-capacity
-    // keyed store; the runtime's window accounting exists to prevent
-    // exactly that.)
+    // interleaving is scheduler-driven and different every run. Pushers
+    // keep to a window, as both runtimes' plan-ahead windows do: key `k`
+    // is pushed only once `k < low + CAPACITY`, where `low` is the
+    // smallest key not yet taken. Every stored key then lies in
+    // `[low, low + CAPACITY)`, so while key `low` is unpushed at most
+    // `CAPACITY - 1` other keys hold slots and its pusher always finds
+    // one: takers always progress and free slots. Without the window a
+    // pusher of `low` can be preempted while later keys fill every slot,
+    // and the store wedges (takers wait on `low`, its pusher on a slot).
     let push_next = Arc::new(AtomicUsize::new(CAPACITY));
     let take_next = Arc::new(AtomicUsize::new(0));
     let taken: Vec<AtomicUsize> = (0..KEYS).map(|_| AtomicUsize::new(0)).collect();
@@ -55,10 +63,19 @@ fn pushers_and_takers_interleave_without_loss_or_deadlock() {
         for _ in 0..PUSHERS {
             let store = store.clone();
             let push_next = push_next.clone();
+            let taken = taken.clone();
             s.spawn(move || loop {
                 let key = push_next.fetch_add(1, Ordering::SeqCst);
                 if key >= KEYS {
                     return;
+                }
+                let deadline = Instant::now() + WAIT;
+                while key >= smallest_untaken(&taken) + CAPACITY {
+                    assert!(
+                        Instant::now() < deadline,
+                        "push {key}: the window never reached it"
+                    );
+                    std::thread::sleep(Duration::from_micros(50));
                 }
                 store
                     .push_blocking(key, blob_for(key), WAIT)

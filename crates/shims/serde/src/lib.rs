@@ -1,12 +1,18 @@
 //! Offline stand-in for the `serde` crate.
 //!
 //! The build environment has no network access, so this workspace vendors a
-//! minimal serde-compatible surface: the `Serialize`/`Deserialize` traits
-//! (routed through a self-describing [`Value`] data model instead of
-//! serde's visitor machinery), the derive macros (re-exported from the
-//! sibling `serde_derive` shim), and impls for the std types this workspace
-//! serializes. `serde_json` in this workspace is a thin text layer over
-//! [`Value`].
+//! minimal serde-compatible surface: the `Serialize`/`Deserialize` traits,
+//! the derive macros (re-exported from the sibling `serde_derive` shim), and
+//! impls for the std types this workspace serializes.
+//!
+//! Serialization streams: [`Serialize::serialize`] walks a value once and
+//! emits it as a sequence of [`Writer`] calls (scalars, and `array`/`object`
+//! headers that carry their length up front), so an encoder can write bytes
+//! without an intermediate tree. [`Serialize::to_value`] runs the same walk
+//! into a writer that builds the self-describing [`Value`] data model, and
+//! [`value::render_json`] into one that writes JSON text. Deserialization
+//! reads a [`Value`]. `serde_json` in this workspace is a thin layer over
+//! `render_json` and the [`Value`] parser.
 //!
 //! Float round-trips are exact: `f64` serializes via Rust's
 //! shortest-round-trip formatting, so `parse(format(x)) == x` bit-for-bit
@@ -37,10 +43,43 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves into the [`Value`] data model.
+/// The sink a [`Serialize`] walk writes into: one call per node of the
+/// data model, in document order. A container announces its length first:
+/// `array(len)` is followed by exactly `len` values, and `object(len)` by
+/// exactly `len` entries, each a [`Writer::key`] and then one value.
+pub trait Writer {
+    /// A null (`None`, a unit struct).
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, b: bool);
+    /// An unsigned integer.
+    fn u64(&mut self, u: u64);
+    /// A signed integer.
+    fn i64(&mut self, i: i64);
+    /// A float (non-finite values included).
+    fn f64(&mut self, f: f64);
+    /// A string (a unit enum variant is its name).
+    fn str(&mut self, s: &str);
+    /// The start of an array of `len` values.
+    fn array(&mut self, len: usize);
+    /// The start of an object of `len` entries.
+    fn object(&mut self, len: usize);
+    /// The key of the next object entry; its value follows.
+    fn key(&mut self, k: &str);
+}
+
+/// Types that can write themselves into a [`Writer`].
 pub trait Serialize {
-    /// Convert to the self-describing data model.
-    fn to_value(&self) -> Value;
+    /// Emit `self` as a sequence of writer calls.
+    fn serialize<W: Writer>(&self, w: &mut W);
+
+    /// Convert to the self-describing data model: the same walk as
+    /// [`Serialize::serialize`], into a tree-building writer.
+    fn to_value(&self) -> Value {
+        let mut tree = value::TreeWriter::default();
+        self.serialize(&mut tree);
+        tree.finish()
+    }
 }
 
 /// Types that can be rebuilt from the [`Value`] data model.
@@ -56,8 +95,8 @@ fn unexpected(want: &str, got: &Value) -> Error {
 macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
+            fn serialize<W: Writer>(&self, w: &mut W) {
+                w.u64(*self as u64)
             }
         }
         impl Deserialize for $t {
@@ -77,8 +116,8 @@ macro_rules! impl_uint {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::I64(*self as i64)
+            fn serialize<W: Writer>(&self, w: &mut W) {
+                w.i64(*self as i64)
             }
         }
         impl Deserialize for $t {
@@ -100,8 +139,8 @@ impl_uint!(u8, u16, u32, u64, usize);
 impl_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.f64(*self)
     }
 }
 
@@ -124,8 +163,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.f64(*self as f64)
     }
 }
 
@@ -136,8 +175,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.bool(*self)
     }
 }
 
@@ -151,8 +190,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.str(self)
     }
 }
 
@@ -166,8 +205,8 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.str(self)
     }
 }
 
@@ -184,8 +223,8 @@ impl Deserialize for &'static str {
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 
@@ -199,20 +238,23 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.array(self.len());
+        for item in self {
+            item.serialize(w);
+        }
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        self.as_slice().serialize(w)
     }
 }
 
@@ -226,8 +268,8 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        self.as_slice().serialize(w)
     }
 }
 
@@ -240,10 +282,10 @@ impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<W: Writer>(&self, w: &mut W) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
@@ -258,11 +300,12 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for std::ops::Range<T> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("end".to_string(), self.end.to_value()),
-        ])
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.object(2);
+        w.key("start");
+        self.start.serialize(w);
+        w.key("end");
+        self.end.serialize(w);
     }
 }
 
@@ -281,8 +324,9 @@ impl<T: Deserialize> Deserialize for std::ops::Range<T> {
 macro_rules! impl_tuple {
     ($($idx:tt : $t:ident),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
+            fn serialize<W: Writer>(&self, w: &mut W) {
+                w.array([$($idx),+].len());
+                $(self.$idx.serialize(w);)+
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -338,14 +382,16 @@ fn key_from_str<K: Deserialize>(s: &str) -> Result<K, Error> {
 }
 
 impl<K: Serialize, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (key_to_string(k), v.to_value()))
-            .collect();
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        let mut entries: Vec<(String, &V)> =
+            self.iter().map(|(k, v)| (key_to_string(k), v)).collect();
         // Deterministic output regardless of hash order.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
+        w.object(entries.len());
+        for (k, v) in entries {
+            w.key(&k);
+            v.serialize(w);
+        }
     }
 }
 
@@ -367,12 +413,12 @@ where
 }
 
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (key_to_string(k), v.to_value()))
-                .collect(),
-        )
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        w.object(self.len());
+        for (k, v) in self {
+            w.key(&key_to_string(k));
+            v.serialize(w);
+        }
     }
 }
 
@@ -389,6 +435,25 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for std::collections::BTr
 }
 
 impl Serialize for Value {
+    fn serialize<W: Writer>(&self, w: &mut W) {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::U64(u) => w.u64(*u),
+            Value::I64(i) => w.i64(*i),
+            Value::F64(f) => w.f64(*f),
+            Value::Str(s) => w.str(s),
+            Value::Array(items) => items.serialize(w),
+            Value::Object(entries) => {
+                w.object(entries.len());
+                for (k, v) in entries {
+                    w.key(k);
+                    v.serialize(w);
+                }
+            }
+        }
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }

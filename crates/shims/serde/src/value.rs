@@ -1,5 +1,8 @@
 //! The self-describing data model shared by the `serde` and `serde_json`
-//! shims, plus JSON text rendering and parsing.
+//! shims, the writer that builds it from a `Serialize` walk, and JSON text
+//! rendering and parsing.
+
+use std::fmt::Write as _;
 
 /// Ordered map used for JSON objects (insertion order preserved).
 pub type Map = Vec<(String, Value)>;
@@ -130,84 +133,264 @@ impl Value {
 
     /// Render as compact JSON text.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        self.write_json(&mut s, None, 0);
-        s
+        render_json(self, None)
     }
 
     /// Render as indented JSON text.
     pub fn to_json_pretty(&self) -> String {
-        let mut s = String::new();
-        self.write_json(&mut s, Some(2), 0);
-        s
+        render_json(self, Some(2))
+    }
+}
+
+/// A container under construction, with its announced length. An
+/// object's entry is pushed at its key, with a null value that the next
+/// finished value replaces.
+enum Open {
+    Array(Vec<Value>, usize),
+    Object(Map, usize),
+}
+
+/// The [`crate::Writer`] behind `Serialize::to_value`: it assembles the
+/// [`Value`] tree the writer calls describe. A container closes when its
+/// announced number of entries has arrived.
+#[derive(Default)]
+pub(crate) struct TreeWriter {
+    open: Vec<Open>,
+    root: Option<Value>,
+}
+
+impl TreeWriter {
+    /// The finished tree. Panics if the walk left a container unfilled.
+    pub(crate) fn finish(self) -> Value {
+        assert!(self.open.is_empty(), "serialize left a container open");
+        self.root.expect("serialize wrote no value")
     }
 
-    fn write_json(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::U64(u) => out.push_str(&u.to_string()),
-            Value::I64(i) => out.push_str(&i.to_string()),
-            Value::F64(f) => {
-                if f.is_finite() {
-                    // Shortest round-trip formatting: parses back exactly.
-                    out.push_str(&format!("{f:?}"));
-                } else if f.is_nan() {
-                    out.push_str("\"NaN\"");
-                } else if *f > 0.0 {
-                    out.push_str("\"inf\"");
-                } else {
-                    out.push_str("\"-inf\"");
-                }
+    /// Attach a finished value to the innermost open container, and
+    /// close the container if that filled it.
+    fn put(&mut self, v: Value) {
+        let full = match self.open.last_mut() {
+            Some(Open::Array(items, len)) => {
+                items.push(v);
+                items.len() == *len
             }
-            Value::Str(s) => write_escaped(out, s),
-            Value::Array(items) => {
-                write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                    items[i].write_json(out, indent, depth + 1);
-                });
+            Some(Open::Object(entries, len)) => {
+                entries.last_mut().expect("object value before its key").1 = v;
+                entries.len() == *len
             }
-            Value::Object(entries) => {
-                write_seq(out, indent, depth, '{', '}', entries.len(), |out, i| {
-                    let (k, v) = &entries[i];
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write_json(out, indent, depth + 1);
-                });
+            None => {
+                self.root = Some(v);
+                false
             }
+        };
+        if full {
+            self.close();
+        }
+    }
+
+    fn close(&mut self) {
+        let v = match self.open.pop() {
+            Some(Open::Array(items, _)) => Value::Array(items),
+            Some(Open::Object(entries, _)) => Value::Object(entries),
+            None => unreachable!("only an open container fills"),
+        };
+        self.put(v);
+    }
+}
+
+impl crate::Writer for TreeWriter {
+    fn null(&mut self) {
+        self.put(Value::Null)
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.put(Value::Bool(b))
+    }
+
+    fn u64(&mut self, u: u64) {
+        self.put(Value::U64(u))
+    }
+
+    fn i64(&mut self, i: i64) {
+        self.put(Value::I64(i))
+    }
+
+    fn f64(&mut self, f: f64) {
+        self.put(Value::F64(f))
+    }
+
+    fn str(&mut self, s: &str) {
+        self.put(Value::Str(s.to_string()))
+    }
+
+    fn array(&mut self, len: usize) {
+        if len == 0 {
+            self.put(Value::Array(Vec::new()));
+        } else {
+            self.open.push(Open::Array(Vec::with_capacity(len), len));
+        }
+    }
+
+    fn object(&mut self, len: usize) {
+        if len == 0 {
+            self.put(Value::Object(Map::new()));
+        } else {
+            self.open.push(Open::Object(Map::with_capacity(len), len));
+        }
+    }
+
+    fn key(&mut self, k: &str) {
+        match self.open.last_mut() {
+            Some(Open::Object(entries, _)) => entries.push((k.to_string(), Value::Null)),
+            _ => panic!("object key {k:?} outside an object"),
         }
     }
 }
 
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
+/// Render `v` as JSON text, compact or indented by `indent` spaces per
+/// level, straight from its `Serialize` walk (no [`Value`] tree). Non-finite
+/// floats become the tagged strings `"NaN"`, `"inf"` and `"-inf"`.
+pub fn render_json<T: crate::Serialize + ?Sized>(v: &T, indent: Option<usize>) -> String {
+    let mut w = JsonWriter {
+        out: String::new(),
+        indent,
+        open: Vec::new(),
+        after_key: false,
+    };
+    v.serialize(&mut w);
+    w.out
+}
+
+/// An open JSON container: its announced length, the entries written so
+/// far, and its closing bracket.
+struct JsonOpen {
     len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
+    done: usize,
+    close: char,
+}
+
+/// The [`crate::Writer`] behind [`render_json`].
+struct JsonWriter {
+    out: String,
+    indent: Option<usize>,
+    open: Vec<JsonOpen>,
+    /// A key was just written; its value takes no separator.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// Start an array item or an object entry: a comma after the first,
+    /// and in indented output a new line.
+    fn begin(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
         }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (depth + 1)));
+        if let Some(open) = self.open.last() {
+            if open.done > 0 {
+                self.out.push(',');
+            }
+            self.newline(self.open.len());
         }
-        item(out, i);
     }
-    if len > 0 {
-        if let Some(w) = indent {
-            out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * depth));
+
+    /// A value is complete: count it, and close every container it fills.
+    fn end(&mut self) {
+        while let Some(open) = self.open.last_mut() {
+            open.done += 1;
+            if open.done < open.len {
+                return;
+            }
+            let close = open.close;
+            self.open.pop();
+            self.newline(self.open.len());
+            self.out.push(close);
         }
     }
-    out.push(close);
+
+    fn newline(&mut self, depth: usize) {
+        if let Some(w) = self.indent {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat(' ').take(w * depth));
+        }
+    }
+
+    fn scalar(&mut self, text: std::fmt::Arguments) {
+        self.begin();
+        self.out
+            .write_fmt(text)
+            .expect("writing to a String cannot fail");
+        self.end();
+    }
+
+    fn container(&mut self, len: usize, open: char, close: char) {
+        self.begin();
+        self.out.push(open);
+        if len == 0 {
+            self.out.push(close);
+            self.end();
+        } else {
+            self.open.push(JsonOpen {
+                len,
+                done: 0,
+                close,
+            });
+        }
+    }
+}
+
+impl crate::Writer for JsonWriter {
+    fn null(&mut self) {
+        self.scalar(format_args!("null"));
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.scalar(format_args!("{b}"));
+    }
+
+    fn u64(&mut self, u: u64) {
+        self.scalar(format_args!("{u}"));
+    }
+
+    fn i64(&mut self, i: i64) {
+        self.scalar(format_args!("{i}"));
+    }
+
+    fn f64(&mut self, f: f64) {
+        if f.is_finite() {
+            // Shortest round-trip formatting: parses back exactly.
+            self.scalar(format_args!("{f:?}"));
+        } else if f.is_nan() {
+            self.str("NaN");
+        } else if f > 0.0 {
+            self.str("inf");
+        } else {
+            self.str("-inf");
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.begin();
+        write_escaped(&mut self.out, s);
+        self.end();
+    }
+
+    fn array(&mut self, len: usize) {
+        self.container(len, '[', ']');
+    }
+
+    fn object(&mut self, len: usize) {
+        self.container(len, '{', '}');
+    }
+
+    fn key(&mut self, k: &str) {
+        self.begin();
+        write_escaped(&mut self.out, k);
+        self.out.push(':');
+        if self.indent.is_some() {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+    }
 }
 
 fn write_escaped(out: &mut String, s: &str) {

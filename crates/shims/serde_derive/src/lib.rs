@@ -5,6 +5,13 @@
 //! plus its fields or variants, and the generated impls are assembled as
 //! source text and re-parsed into a token stream.
 //!
+//! `Serialize` gets one body per type, `serialize`, which streams the
+//! value into a `serde::Writer` (a struct with named fields is an object
+//! of its fields, a unit enum variant is its name, any other variant a
+//! one-entry object from its name to its fields); `to_value` is the
+//! trait's provided method over the same walk. `Deserialize` reads the
+//! `serde::Value` tree that walk describes.
+//!
 //! Supported shapes (everything this workspace derives on):
 //! plain structs with named fields, unit structs, tuple structs, and enums
 //! whose variants are unit, tuple, or struct-like. Generic type parameters
@@ -218,83 +225,71 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     }
 }
 
-fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Named(fs) => {
-                    let mut s = String::from("::serde::Value::Object(vec![");
-                    for f in fs {
-                        s.push_str(&format!(
-                            "({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})),"
-                        ));
-                    }
-                    s.push_str("])");
-                    s
-                }
-                Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let mut s = String::from("::serde::Value::Array(vec![");
-                    for i in 0..*n {
-                        s.push_str(&format!("::serde::Serialize::to_value(&self.{i}),"));
-                    }
-                    s.push_str("])");
-                    s
-                }
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
+/// Writer calls for `fields`, each bound to `bind(field)`: an object for
+/// named fields, an array for two or more tuple fields, the field itself
+/// for a newtype, and null for a unit.
+fn serialize_fields(fields: &Fields, bind: impl Fn(&str) -> String) -> String {
+    let field = |f: &str| format!("::serde::Serialize::serialize({}, __w);", bind(f));
+    match fields {
+        Fields::Unit => "__w.null();".to_string(),
+        Fields::Named(fs) => {
+            let mut s = format!("__w.object({});", fs.len());
+            for f in fs {
+                s.push_str(&format!("__w.key({f:?});{}", field(f)));
+            }
+            s
         }
+        Fields::Tuple(1) => field("0"),
+        Fields::Tuple(n) => {
+            let mut s = format!("__w.array({n});");
+            for i in 0..*n {
+                s.push_str(&field(&i.to_string()));
+            }
+            s
+        }
+    }
+}
+
+fn gen_serialize(item: &Item) -> String {
+    let body = match item {
+        Item::Struct { fields, .. } => serialize_fields(fields, |f| format!("&self.{f}")),
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for (v, fields) in variants {
-                match fields {
-                    Fields::Unit => arms.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::Str({v:?}.to_string()),\n"
-                    )),
-                    Fields::Named(fs) => {
-                        let binds = fs.join(", ");
-                        let mut inner = String::from("::serde::Value::Object(vec![");
-                        for f in fs {
-                            inner.push_str(&format!(
-                                "({f:?}.to_string(), ::serde::Serialize::to_value({f})),"
-                            ));
-                        }
-                        inner.push_str("])");
-                        arms.push_str(&format!(
-                            "{name}::{v} {{ {binds} }} => ::serde::Value::Object(vec![({v:?}.to_string(), {inner})]),\n"
-                        ));
+                // A unit variant is its name; any other is a one-entry
+                // object from the name to its fields.
+                let (pattern, inner) = match fields {
+                    Fields::Unit => {
+                        arms.push_str(&format!("{name}::{v} => __w.str({v:?}),\n"));
+                        continue;
                     }
+                    Fields::Named(fs) => (
+                        format!("{name}::{v} {{ {} }}", fs.join(", ")),
+                        serialize_fields(fields, str::to_string),
+                    ),
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let inner = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let mut s = String::from("::serde::Value::Array(vec![");
-                            for b in &binds {
-                                s.push_str(&format!("::serde::Serialize::to_value({b}),"));
-                            }
-                            s.push_str("])");
-                            s
-                        };
-                        arms.push_str(&format!(
-                            "{name}::{v}({}) => ::serde::Value::Object(vec![({v:?}.to_string(), {inner})]),\n",
-                            binds.join(", ")
-                        ));
+                        (
+                            format!("{name}::{v}({})", binds.join(", ")),
+                            serialize_fields(fields, |i| format!("__f{i}")),
+                        )
                     }
-                }
+                };
+                arms.push_str(&format!(
+                    "{pattern} => {{ __w.object(1); __w.key({v:?}); {inner} }}\n"
+                ));
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n\
-                 }}"
-            )
+            format!("match self {{ {arms} }}")
         }
-    }
+    };
+    let name = match item {
+        Item::Struct { name, .. } | Item::Enum { name, .. } => name,
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize<__W: ::serde::Writer>(&self, __w: &mut __W) {{ {body} }}\n\
+         }}"
+    )
 }
 
 fn named_fields_from_obj(prefix: &str, fs: &[String], src: &str) -> String {

@@ -1,7 +1,7 @@
-//! Offline stand-in for `serde_json`, layered on the `serde` shim's
-//! [`Value`] data model: `to_string`/`to_string_pretty` render a
-//! [`serde::Serialize`] type's `Value` as JSON text, `from_str` parses text
-//! back into a `Value` and rebuilds the type.
+//! Offline stand-in for `serde_json`, layered on the `serde` shim:
+//! `to_string`/`to_string_pretty` render a [`serde::Serialize`] type as
+//! JSON text straight from its `Serialize` walk, and `from_str` parses text
+//! into the shim's [`Value`] data model and rebuilds the type.
 
 pub use serde::value::parse_json;
 pub use serde::{Error, Map, Value};
@@ -11,12 +11,12 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serialize `value` as compact JSON text.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(value.to_value().to_json())
+    Ok(serde::value::render_json(value, None))
 }
 
 /// Serialize `value` as indented JSON text.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String> {
-    Ok(value.to_value().to_json_pretty())
+    Ok(serde::value::render_json(value, Some(2)))
 }
 
 /// Parse JSON text into `T`.

@@ -417,7 +417,7 @@ proptest! {
             ops: vec![SimOp::compute(f, OpLabel::new(0, 0, false))],
         };
         for codec in [PlanCodec::Json, PlanCodec::Binary] {
-            let wire = codec.encode_value(&serde::Serialize::to_value(&program));
+            let wire = codec.encode(&program);
             let value = codec.decode_value(&wire).expect("program decodes");
             let back: DeviceProgram = serde::Deserialize::from_value(&value).unwrap();
             match &back.ops[0] {
@@ -620,5 +620,410 @@ fn lower_case_probe_is_usually_feasible() {
             lower_case(idx, 0, samples.clone()).is_some(),
             "planner {idx} must lower the probe mini-batch"
         );
+    }
+}
+
+/// FNV-1a, 64-bit: a fixed, dependency-free fingerprint of a wire blob.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The wire bytes of fixed plans are pinned by hash, per codec: a change
+/// to how a `Serialize` impl or an encoder walks a plan (node order,
+/// string-interning order, map-key order) changes a hash even where
+/// every round trip still holds. Covers a planned outcome from each
+/// shared planner on one fixed mini-batch, `empty_plan()` and a failed
+/// outcome. `planning_time_us` is host-timed, so it is zeroed first.
+#[test]
+fn wire_bytes_of_fixed_plans_are_pinned() {
+    let minibatch: Vec<Sample> = Dataset::flanv2(5, 40)
+        .samples
+        .iter()
+        .take(16)
+        .map(|s| s.truncated(768))
+        .collect();
+    let mut cases: Vec<(String, StoredPlan)> = shared_planners()
+        .iter()
+        .enumerate()
+        .map(|(idx, planner)| {
+            let mut plan = planner.plan_iteration(&minibatch).expect("feasible");
+            plan.planning_time_us = 0.0;
+            let programs = plan
+                .replicas
+                .iter()
+                .map(|r| compile_replica(&planner.cm, &r.plan))
+                .collect();
+            let outcome = StoredOutcome::Plan(StoredLowered { plan, programs });
+            (
+                format!("planner {idx}"),
+                StoredPlan {
+                    iteration: 7,
+                    outcome,
+                },
+            )
+        })
+        .collect();
+    cases.push((
+        "empty".to_string(),
+        StoredPlan {
+            iteration: 0,
+            outcome: StoredOutcome::Plan(StoredLowered {
+                plan: empty_plan(),
+                programs: Vec::new(),
+            }),
+        },
+    ));
+    cases.push((
+        "failed".to_string(),
+        StoredPlan {
+            iteration: 3,
+            outcome: StoredOutcome::Failed(dynapipe_core::PlanError::Infeasible(
+                "no mode fits".to_string(),
+            )),
+        },
+    ));
+    // (json, binary, flat) per case, in `cases` order.
+    const PINNED: [(u64, u64, u64); 6] = [
+        (
+            0xda5e_653c_4063_58e8,
+            0xc473_7a54_cea1_cf5c,
+            0x57dd_184d_5526_f39c,
+        ),
+        (
+            0x5b90_117b_d645_cadd,
+            0x8a98_b51b_8dc1_a5af,
+            0x02d9_ff36_5157_7473,
+        ),
+        (
+            0x3c44_cb25_ab40_155e,
+            0x4ea6_1807_5225_75b5,
+            0xc7e1_08a1_a179_a84e,
+        ),
+        (
+            0xd6bd_23e9_3944_7256,
+            0xcfc9_3fb6_ace8_2608,
+            0x347d_a712_fba5_3801,
+        ),
+        (
+            0x347b_bbbc_a41e_1dc0,
+            0xac04_b1a1_4dc8_06f3,
+            0xe5ee_8237_ffad_0ff8,
+        ),
+        (
+            0xe23d_5867_8080_b818,
+            0x935b_5e89_46fd_8304,
+            0x35cd_fe5c_bb19_70c8,
+        ),
+    ];
+    let actual: Vec<(u64, u64, u64)> = cases
+        .iter()
+        .map(|(_, stored)| {
+            let h = |codec| fnv1a64(&stored.encode(codec));
+            (h(PlanCodec::Json), h(PlanCodec::Binary), h(PlanCodec::Flat))
+        })
+        .collect();
+    for ((name, _), (got, want)) in cases.iter().zip(actual.iter().zip(&PINNED)) {
+        assert_eq!(
+            got, want,
+            "{name}: wire hashes moved; all cases now {actual:#x?}"
+        );
+    }
+}
+
+/// Every shape a `Serialize` walk hands its writer, with the `Value` tree
+/// the derive and the shim's impls have always built for it, written out
+/// by hand. Each shape must build exactly that tree, and each tree codec
+/// must encode the typed value to the same bytes as that tree.
+mod writer_shapes {
+    use dynapipe_core::PlanCodec;
+    use serde::{Serialize, Value};
+    use std::collections::{BTreeMap, HashMap};
+
+    #[derive(Serialize)]
+    struct UnitStruct;
+
+    #[derive(Serialize)]
+    struct Newtype(u32);
+
+    #[derive(Serialize)]
+    struct Pair(i64, f64);
+
+    #[derive(Serialize)]
+    struct Named {
+        a: u8,
+        b: String,
+        c: Option<u16>,
+        d: Vec<Vec<i32>>,
+    }
+
+    #[derive(Serialize)]
+    enum Shape {
+        Unit,
+        Newtype(i32),
+        Tuple(u8, bool),
+        Struct { x: f64, y: Option<String> },
+    }
+
+    /// A JSON-shaped fixture for the text pins below.
+    #[derive(Serialize)]
+    struct Doc {
+        a: u8,
+        b: String,
+        c: Option<u16>,
+        d: Vec<Vec<i32>>,
+        e: (f64, f64, f64),
+        m: BTreeMap<i32, bool>,
+        h: HashMap<u32, String>,
+        r: std::ops::Range<usize>,
+        s: Vec<Shape>,
+        u: Vec<u8>,
+    }
+
+    fn s(x: &str) -> Value {
+        Value::Str(x.to_string())
+    }
+
+    fn obj(entries: Vec<(&str, Value)>) -> Value {
+        Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// `to_value()` builds `want` (variant for variant, floats by their
+    /// `Debug` text, so `-0.0` and NaN count), and both tree codecs
+    /// stream the typed value to the bytes of its tree.
+    fn check<T: Serialize + ?Sized>(typed: &T, want: Value) {
+        let tree = typed.to_value();
+        assert_eq!(format!("{tree:?}"), format!("{want:?}"));
+        for codec in [PlanCodec::Json, PlanCodec::Binary] {
+            assert_eq!(
+                codec.encode(typed),
+                codec.encode(&want),
+                "{} bytes of {want:?}",
+                codec.label()
+            );
+        }
+    }
+
+    #[test]
+    fn structs_and_enum_variants_build_todays_trees() {
+        check(&UnitStruct, Value::Null);
+        check(&Newtype(7), Value::U64(7));
+        check(
+            &Pair(-3, 2.5),
+            Value::Array(vec![Value::I64(-3), Value::F64(2.5)]),
+        );
+        check(
+            &Named {
+                a: 1,
+                b: "x".to_string(),
+                c: None,
+                d: vec![vec![-1, 2], vec![]],
+            },
+            obj(vec![
+                ("a", Value::U64(1)),
+                ("b", s("x")),
+                ("c", Value::Null),
+                (
+                    "d",
+                    Value::Array(vec![
+                        Value::Array(vec![Value::I64(-1), Value::I64(2)]),
+                        Value::Array(vec![]),
+                    ]),
+                ),
+            ]),
+        );
+        check(&Shape::Unit, s("Unit"));
+        check(&Shape::Newtype(-5), obj(vec![("Newtype", Value::I64(-5))]));
+        check(
+            &Shape::Tuple(3, true),
+            obj(vec![(
+                "Tuple",
+                Value::Array(vec![Value::U64(3), Value::Bool(true)]),
+            )]),
+        );
+        check(
+            &Shape::Struct {
+                x: -0.0,
+                y: Some("q".to_string()),
+            },
+            obj(vec![(
+                "Struct",
+                obj(vec![("x", Value::F64(-0.0)), ("y", s("q"))]),
+            )]),
+        );
+    }
+
+    #[test]
+    fn std_shapes_build_todays_trees() {
+        check(&None::<u8>, Value::Null);
+        check(&Some(4u8), Value::U64(4));
+        check(
+            &vec![vec![1u64], vec![], vec![2, 3]],
+            Value::Array(vec![
+                Value::Array(vec![Value::U64(1)]),
+                Value::Array(vec![]),
+                Value::Array(vec![Value::U64(2), Value::U64(3)]),
+            ]),
+        );
+        check(
+            &[7u16, 8, 9],
+            Value::Array(vec![Value::U64(7), Value::U64(8), Value::U64(9)]),
+        );
+        check(&(1u8,), Value::Array(vec![Value::U64(1)]));
+        check(
+            &(1u8, -2i16),
+            Value::Array(vec![Value::U64(1), Value::I64(-2)]),
+        );
+        check(
+            &(true, 'c', "str"),
+            Value::Array(vec![Value::Bool(true), s("c"), s("str")]),
+        );
+        check(
+            &(f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0f64),
+            Value::Array(vec![
+                Value::F64(f64::NAN),
+                Value::F64(f64::INFINITY),
+                Value::F64(f64::NEG_INFINITY),
+                Value::F64(-0.0),
+            ]),
+        );
+        check(
+            &(2usize..5),
+            obj(vec![("start", Value::U64(2)), ("end", Value::U64(5))]),
+        );
+        check(
+            &[i64::MIN, -1, 0],
+            Value::Array(vec![Value::I64(i64::MIN), Value::I64(-1), Value::I64(0)]),
+        );
+        check(&-1i8, Value::I64(-1));
+        check(&u64::MAX, Value::U64(u64::MAX));
+        check(&1.5f32, Value::F64(1.5));
+    }
+
+    #[test]
+    fn maps_write_their_keys_in_order() {
+        // Inserted out of order; the tree sorts the keys as strings, so
+        // "10" < "100" < "9", whatever the hash order.
+        let mut h = HashMap::new();
+        for k in [100u32, 9, 10] {
+            h.insert(k, k % 7);
+        }
+        check(
+            &h,
+            obj(vec![
+                ("10", Value::U64(3)),
+                ("100", Value::U64(2)),
+                ("9", Value::U64(2)),
+            ]),
+        );
+        let mut named = HashMap::new();
+        named.insert("b".to_string(), -1.0f64);
+        named.insert("a".to_string(), f64::NAN);
+        check(
+            &named,
+            obj(vec![("a", Value::F64(f64::NAN)), ("b", Value::F64(-1.0))]),
+        );
+        // A BTreeMap keeps its own (numeric) order.
+        let b: BTreeMap<i32, bool> = [(3, false), (-1, true)].into_iter().collect();
+        check(
+            &b,
+            obj(vec![("-1", Value::Bool(true)), ("3", Value::Bool(false))]),
+        );
+    }
+
+    fn doc() -> Doc {
+        let mut h = HashMap::new();
+        h.insert(100u32, "a\"b\\c\n\t\u{1}é".to_string());
+        h.insert(9, String::new());
+        h.insert(10, "x".to_string());
+        Doc {
+            a: 1,
+            b: "x".to_string(),
+            c: None,
+            d: vec![vec![-1, 2], vec![]],
+            e: (f64::NAN, f64::INFINITY, -0.0),
+            m: [(-1, true), (3, false)].into_iter().collect(),
+            h,
+            r: 2..5,
+            s: vec![
+                Shape::Unit,
+                Shape::Newtype(-5),
+                Shape::Tuple(3, true),
+                Shape::Struct {
+                    x: 1e-7,
+                    y: Some("q".to_string()),
+                },
+            ],
+            u: vec![],
+        }
+    }
+
+    /// JSON text, compact and indented, as the tree renderer has always
+    /// written it: escapes, non-finite floats, empty containers, sorted
+    /// hash-map keys.
+    #[test]
+    fn json_text_is_pinned() {
+        let doc = doc();
+        let compact = r#"{"a":1,"b":"x","c":null,"d":[[-1,2],[]],"e":["NaN","inf",-0.0],"m":{"-1":true,"3":false},"h":{"10":"x","100":"a\"b\\c\n\t\u0001é","9":""},"r":{"start":2,"end":5},"s":["Unit",{"Newtype":-5},{"Tuple":[3,true]},{"Struct":{"x":1e-7,"y":"q"}}],"u":[]}"#;
+        let pretty = r#"{
+  "a": 1,
+  "b": "x",
+  "c": null,
+  "d": [
+    [
+      -1,
+      2
+    ],
+    []
+  ],
+  "e": [
+    "NaN",
+    "inf",
+    -0.0
+  ],
+  "m": {
+    "-1": true,
+    "3": false
+  },
+  "h": {
+    "10": "x",
+    "100": "a\"b\\c\n\t\u0001é",
+    "9": ""
+  },
+  "r": {
+    "start": 2,
+    "end": 5
+  },
+  "s": [
+    "Unit",
+    {
+      "Newtype": -5
+    },
+    {
+      "Tuple": [
+        3,
+        true
+      ]
+    },
+    {
+      "Struct": {
+        "x": 1e-7,
+        "y": "q"
+      }
+    }
+  ],
+  "u": []
+}"#;
+        assert_eq!(serde_json::to_string(&doc).unwrap(), compact);
+        assert_eq!(doc.to_value().to_json(), compact);
+        assert_eq!(serde_json::to_string_pretty(&doc).unwrap(), pretty);
+        assert_eq!(doc.to_value().to_json_pretty(), pretty);
+        assert_eq!(PlanCodec::Json.encode(&doc), compact.as_bytes());
     }
 }

@@ -73,6 +73,9 @@ rustfmt --check --edition 2021 \
     crates/trace/src/lib.rs \
     crates/bench/src/bin/trace_report.rs \
     crates/shims/serde/src/value.rs \
+    crates/shims/serde/src/lib.rs \
+    crates/shims/serde_derive/src/lib.rs \
+    crates/shims/serde_json/src/lib.rs \
     crates/shims/rand/src/lib.rs \
     crates/lint/src/main.rs
 
