@@ -9,7 +9,7 @@ use dynapipe_data::Dataset;
 
 fn main() {
     let opts = BenchOpts::default();
-    let n = opts.dataset_samples.max(100_000);
+    let n = 100_000;
     println!("Fig. 1b — input sequence length distribution ({n} samples)\n");
     let dataset = Dataset::flanv2(opts.seed, n);
     let hist = dataset.length_histogram();

@@ -15,8 +15,8 @@
 //! One traced cell — the sharded placement, binary codec, losing host 0,
 //! at 3 hosts with engine traces on — is exported to
 //! `results/TRACE_cluster.json` plus a Chrome trace-event rendering;
-//! `run_all --smoke` round-trips the export through `trace_report`,
-//! which recomputes the critical path from the spans.
+//! `run_all` round-trips the export through `trace_report`, which
+//! recomputes the critical path from the spans.
 //!
 //! Writes `results/fig09_cluster.json` — the sweep, per-host lists
 //! capped — and **exits nonzero** if
@@ -110,16 +110,11 @@ const DC_HOSTS_PER_RACK: usize = 8;
 const DC_OVERSUBSCRIPTION: f64 = 4.0;
 
 /// Executor-host counts for the datacenter sweep — O(100) hosts at the
-/// top end. `run_all --smoke` caps the sweep to one toy size; it must
-/// stay ≥ 3 hosts so the fan-out gate (sharded busiest link strictly
-/// below the single store host's downlink) is still meaningful.
-fn datacenter_host_counts(opts: &BenchOpts) -> Vec<usize> {
-    if opts.smoke {
-        vec![3]
-    } else {
-        vec![8, 32, 96]
-    }
-}
+/// top end.
+const DC_HOST_COUNTS: [usize; 3] = [8, 32, 96];
+
+/// Simulated iterations per run, the traced cell's included.
+const ITERS: usize = 3;
 
 /// GPT 3.35B at `dp = hosts`, pp=2: the runtime clamps executor hosts to
 /// the data-parallel degree, and pp=2 keeps the per-host model small.
@@ -143,15 +138,13 @@ fn gbs(hosts: usize) -> GlobalBatchConfig {
 }
 
 /// Two single-worker planner hosts feeding `hosts` executor hosts. The
-/// churned variant loses a store-shard owner at iteration 1 (iteration 0
-/// on a 1-iteration smoke run) — host 0 itself under the sharded
-/// placement, host 1 under the single one, whose store host is
-/// protected. Recovery must stay behavior-identical: the survivors
-/// re-own the dead host's shards and re-fetch its in-flight blobs from a
-/// surviving peer.
+/// churned variant loses a store-shard owner at iteration 1 — host 0
+/// itself under the sharded placement, host 1 under the single one,
+/// whose store host is protected. Recovery must stay behavior-identical:
+/// the survivors re-own the dead host's shards and re-fetch its in-flight
+/// blobs from a surviving peer.
 fn deployment(
     hosts: usize,
-    iters: usize,
     codec: PlanCodec,
     placement: StorePlacement,
     fabric: Fabric,
@@ -161,7 +154,6 @@ fn deployment(
         StorePlacement::Sharded => 0,
         StorePlacement::Single => 1,
     };
-    let at = 1usize.min(iters.saturating_sub(1));
     ClusterConfig {
         planner_hosts: 2,
         workers_per_host: 1,
@@ -171,7 +163,7 @@ fn deployment(
         placement,
         fabric,
         churn: if churned {
-            ChurnScript::new().at(at, ChurnEvent::ExecutorLoss { host: lost })
+            ChurnScript::new().at(1, ChurnEvent::ExecutorLoss { host: lost })
         } else {
             ChurnScript::new()
         },
@@ -179,10 +171,9 @@ fn deployment(
     }
 }
 
-fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
-    let iters = opts.capped(3, 1);
+fn run_datacenter(dataset: &Dataset) -> Vec<DatacenterPoint> {
     let run = RunConfig {
-        max_iterations: Some(iters),
+        max_iterations: Some(ITERS),
         ..Default::default()
     };
     let fabric = ClusterConfig::datacenter_fabric(
@@ -190,7 +181,7 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
         DC_HOSTS_PER_RACK,
         DC_OVERSUBSCRIPTION,
     );
-    datacenter_host_counts(opts)
+    DC_HOST_COUNTS
         .into_iter()
         .map(|hosts| {
             let (planner, gbs) = (planner(hosts), gbs(hosts));
@@ -200,7 +191,7 @@ fn run_datacenter(dataset: &Dataset, opts: &BenchOpts) -> Vec<DatacenterPoint> {
                 // Every codec undisturbed, then the churned binary cell.
                 let churns = PlanCodec::ALL.map(|codec| (codec, false));
                 for (codec, churned) in churns.into_iter().chain([(PlanCodec::Binary, true)]) {
-                    let cfg = deployment(hosts, iters, codec, placement, fabric.clone(), churned);
+                    let cfg = deployment(hosts, codec, placement, fabric.clone(), churned);
                     let sink = TraceSink::disabled();
                     let (report, stats) =
                         run_training_cluster_traced(&planner, dataset, gbs, run, cfg, &sink);
@@ -233,25 +224,25 @@ const TRACE_CAP: usize = 65536;
 /// restore-hop spans, with engine traces on so the Sim timeline carries
 /// per-op spans. Returns the trace once it matches its serial oracle,
 /// validates and reconciles exactly against the run's own counters.
-fn run_traced_cell(dataset: &Dataset, opts: &BenchOpts) -> Result<Trace, String> {
-    let (hosts, iters) = (3, opts.capped(3, 1));
+fn run_traced_cell(dataset: &Dataset) -> Result<Trace, String> {
+    let hosts = 3;
     let (planner, gbs) = (planner(hosts), gbs(hosts));
     let run = RunConfig {
-        max_iterations: Some(iters),
+        max_iterations: Some(ITERS),
         record_trace: true,
         ..Default::default()
     };
     let serial = run_training(&planner, dataset, gbs, run);
     let (codec, placement) = (PlanCodec::Binary, StorePlacement::Sharded);
     let fabric = ClusterConfig::default().fabric;
-    let cfg = deployment(hosts, iters, codec, placement, fabric, true);
+    let cfg = deployment(hosts, codec, placement, fabric, true);
     let label = "sharded/binary+loss";
     let sink = TraceSink::bounded(TRACE_CAP);
     let (report, stats) = run_training_cluster_traced(&planner, dataset, gbs, run, cfg, &sink);
     let mut trace = sink.finish();
     trace.meta = stats.trace_meta(&format!("fig09 {label}"));
     println!(
-        "\n  traced cell {label} — {hosts} executor hosts, {iters} iteration(s): {} spans, \
+        "\n  traced cell {label} — {hosts} executor hosts, {ITERS} iteration(s): {} spans, \
          {} Sim spans",
         trace.spans.len(),
         trace.counters.sim_spans
@@ -276,8 +267,7 @@ struct Artifact {
 }
 
 fn main() {
-    let opts = BenchOpts::default();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples_at_least(6000));
+    let dataset = Dataset::flanv2(BenchOpts::default().seed, 6000);
     println!(
         "fig09 cluster — GPT 3.35B pp2, dp = executor hosts, racks of {DC_HOSTS_PER_RACK}, \
          {DC_OVERSUBSCRIPTION}x oversubscribed cross-rack, {} thread(s)\n",
@@ -287,7 +277,7 @@ fn main() {
         "  {:>5} {:>8} {:>7} {:>6} | {:>9} {:>13} {:>13}",
         "hosts", "store", "codec", "churn", "blob (KB)", "max link (KB)", "fetched (KB)"
     );
-    let datacenter = run_datacenter(&dataset, &opts);
+    let datacenter = run_datacenter(&dataset);
     for p in &datacenter {
         for c in &p.cells {
             println!(
@@ -304,15 +294,14 @@ fn main() {
     }
 
     let mut failures = Vec::new();
-    match run_traced_cell(&dataset, &opts) {
+    match run_traced_cell(&dataset) {
         Ok(trace) => {
             write_json("TRACE_cluster", &trace);
-            let _ = std::fs::create_dir_all("results");
             match std::fs::write("results/TRACE_cluster_chrome.json", to_chrome_trace(&trace)) {
                 Ok(()) => println!(
                     "  -> results/TRACE_cluster_chrome.json (load in Perfetto or chrome://tracing)"
                 ),
-                Err(e) => eprintln!("warning: could not write chrome trace: {e}"),
+                Err(e) => failures.push(format!("chrome trace not written: {e}")),
             }
         }
         Err(e) => failures.push(format!("traced cell not exported: {e}")),
@@ -339,7 +328,7 @@ fn main() {
     }
 
     // Gates 2 and 3, the codec A/B: blob bytes are exact and
-    // deterministic, so these hold in smoke runs too.
+    // deterministic.
     let blob_bytes = PlanCodec::ALL.map(|codec| {
         let cells = datacenter.iter().flat_map(|p| &p.cells);
         let mine = cells.filter(|c| !c.churned && c.stats.codec == codec.label());

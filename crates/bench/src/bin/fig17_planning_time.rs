@@ -6,7 +6,8 @@
 //!     CPU cores needed to fully overlap planning with training.
 //!
 //! The store-backed worker-pool planner (§3) that overlaps this planning
-//! with execution is `fig17_planahead`'s subject.
+//! with execution is the subject of the cluster runtime's equivalence
+//! suites and of the repo benchmark (`perfbench`).
 
 use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
 use dynapipe_core::{DynaPipePlanner, PlannerConfig};
@@ -25,7 +26,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 fn main() {
     let opts = BenchOpts::default();
     let hw = HardwareModel::a100_cluster();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples_at_least(6000));
+    let dataset = Dataset::flanv2(opts.seed, 6000);
     let mut out = Vec::new();
     println!("Fig. 17 — execution planning time\n");
     println!(

@@ -8,20 +8,18 @@
 //! under `results/` (gitignored); host performance is measured by the
 //! repo benchmark (`perfbench`), not here.
 //!
-//! `--smoke` runs one capped iteration of every bench bin (tiny dataset,
-//! one simulated iteration, workload floors dropped via
-//! `DYNAPIPE_BENCH_SMOKE=1`) so CI can catch bin bit-rot — a binary that
-//! panics, diverges from its reference, or stops emitting its artifact —
-//! in minutes instead of a full regeneration run. `fig09_cluster` is the
-//! one bin that gates its results: the divergence checks over its
+//! There is one run mode, at full size: CI catches bin bit-rot — a
+//! binary that panics, diverges from its reference, or stops emitting
+//! its artifact (every bin exits nonzero when it cannot write one) — by
+//! running every bin exactly as a regeneration does. `fig09_cluster` is
+//! the one bin that gates its results: the divergence checks over its
 //! datacenter sweep (every codec and store placement, churned cells
 //! included), the blob-byte and fan-out gates, and the check of its one
-//! traced cell still run at 3 hosts and still fail the sweep. None of
-//! its gates reads a host clock. After the figures, the sweep
-//! round-trips `fig09_cluster`'s exported span trace through
-//! `trace_report` (parse → validate → reconcile → critical path), so a
-//! trace that stops reconciling with the counters also fails the sweep.
-//! `tools/check.sh` runs this smoke sweep.
+//! traced cell fail the sweep. None of its gates reads a host clock.
+//! After the figures, the sweep round-trips `fig09_cluster`'s exported
+//! span trace through `trace_report` (parse → validate → reconcile →
+//! critical path), so a trace that stops reconciling with the counters
+//! also fails the sweep. `tools/check.sh` runs this sweep.
 //!
 //! The sibling binaries (`dynapipe-lint`, every figure bin and
 //! `trace_report`) run from the directory holding this executable. If any
@@ -36,12 +34,9 @@ use std::process::Command;
 const FIGURES: &[&str] = &[
     "fig01_dataset",
     "fig03_layer_time",
-    "fig04_packing_vs_dynamic",
     "fig05_microbatching_sweep",
     "fig07_noise_robustness",
-    "fig13_seqlen_scaling",
-    "fig14_gbs_scaling",
-    "fig15_padding_efficiency",
+    "throughput_sweep",
     "fig16_ablation",
     "fig09_cluster",
     "fig17_planning_time",
@@ -84,14 +79,10 @@ fn ensure_siblings_built(dir: &Path) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let exe = std::env::current_exe().expect("current exe");
     let dir = exe.parent().expect("exe dir");
     ensure_siblings_built(dir);
     let mut failures = Vec::new();
-    if smoke {
-        println!("run_all --smoke: one capped iteration per bin\n");
-    }
     // The static-analysis gate runs first: if the determinism contract
     // is broken at the source level, figure regeneration is meaningless.
     // The lint binary is a workspace sibling, built into the same dir.
@@ -109,14 +100,7 @@ fn main() {
     }
     for name in FIGURES {
         println!("\n================ {name} ================\n");
-        let mut cmd = Command::new(dir.join(name));
-        if smoke {
-            cmd.env("DYNAPIPE_BENCH_SMOKE", "1")
-                .env("DYNAPIPE_BENCH_SAMPLES", "400")
-                .env("DYNAPIPE_BENCH_ITERS", "1");
-        }
-        let status = cmd.status();
-        match status {
+        match Command::new(dir.join(name)).status() {
             Ok(s) if s.success() => {}
             Ok(s) => {
                 eprintln!("{name} exited with {s}");

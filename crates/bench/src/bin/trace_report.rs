@@ -18,9 +18,9 @@
 //!    per-link occupancy table.
 //!
 //! Exit codes: 1 unreadable/malformed file, 2 validation failure,
-//! 3 reconciliation failure, 4 critical-path disagreement. `run_all
-//! --smoke` round-trips the cluster bench's trace through this binary,
-//! so a divergence fails the tier-1 suite.
+//! 3 reconciliation failure, 4 critical-path disagreement. `run_all`
+//! round-trips the cluster bench's trace through this binary, so a
+//! divergence fails `tools/check.sh`.
 
 use dynapipe_trace::{ClockDomain, Span, SpanKind, Trace};
 use std::collections::BTreeMap;

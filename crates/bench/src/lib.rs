@@ -4,20 +4,13 @@
 //! simulated cluster. This library centralizes the experiment mechanics:
 //! evaluated systems (DynaPipe, MLM+DS packing with its own grid search,
 //! MLM+DS (C) on DynaPipe's parallelism, token-based micro-batching),
-//! per-point grid searches, environment-variable knobs, and JSON result
+//! per-point grid searches, the one environment knob, and JSON result
 //! output under `results/`.
 //!
-//! Knobs (environment variables):
-//!
-//! * `DYNAPIPE_BENCH_SAMPLES` — dataset size per point (default 3000).
-//! * `DYNAPIPE_BENCH_ITERS` — simulated iterations per point (default 4).
-//! * `DYNAPIPE_BENCH_FULL=1` — run all cluster sizes {4, 8, 16, 32} for
-//!   Figs. 13/14 instead of the single-node {4, 8} default (mirroring the
-//!   paper's artifact, where one p4d node regenerates Fig. 13 (a)(b)(e)(f)).
-//! * `DYNAPIPE_BENCH_SMOKE=1` — smoke mode: bins drop their workload
-//!   floors (dataset minimums, fixed probe counts) so a capped
-//!   one-iteration pass finishes quickly. Set by `run_all --smoke`, which
-//!   runs every bench binary this way to catch bin bit-rot cheaply.
+//! One knob (environment variable): `DYNAPIPE_BENCH_FULL=1` runs all
+//! cluster sizes {4, 8, 16, 32} for Figs. 13/14 instead of the
+//! single-node {4, 8} default (mirroring the paper's artifact, where one
+//! p4d node regenerates Fig. 13 (a)(b)(e)(f)).
 
 use dynapipe_batcher::OrderingStrategy;
 use dynapipe_core::{
@@ -31,7 +24,8 @@ use dynapipe_sim::AllocatorMode;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Harness options, read from the environment with sane defaults.
+/// Harness options: fixed workload sizes plus the `DYNAPIPE_BENCH_FULL`
+/// opt-in.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchOpts {
     /// Samples in the synthetic dataset per experiment point.
@@ -42,26 +36,15 @@ pub struct BenchOpts {
     pub seed: u64,
     /// Include multi-node cluster sizes (16, 32 GPUs).
     pub full: bool,
-    /// Smoke mode: minimal workloads, used by `run_all --smoke`.
-    pub smoke: bool,
 }
 
 impl Default for BenchOpts {
     fn default() -> Self {
-        let env_usize = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         BenchOpts {
-            dataset_samples: env_usize("DYNAPIPE_BENCH_SAMPLES", 3000),
-            iters: env_usize("DYNAPIPE_BENCH_ITERS", 4),
+            dataset_samples: 3000,
+            iters: 4,
             seed: 20240422,
             full: std::env::var("DYNAPIPE_BENCH_FULL")
-                .map(|v| v == "1")
-                .unwrap_or(false),
-            smoke: std::env::var("DYNAPIPE_BENCH_SMOKE")
                 .map(|v| v == "1")
                 .unwrap_or(false),
         }
@@ -78,26 +61,6 @@ impl BenchOpts {
             vec![4, 8, 16, 32]
         } else {
             vec![4, 8]
-        }
-    }
-
-    /// Dataset size with a per-bin floor — bins whose workload draws many
-    /// 65k-token mini-batches (the Fig. 9/17 bins) apply their floor
-    /// here; smoke mode drops it so `run_all --smoke` stays cheap.
-    pub fn dataset_samples_at_least(&self, floor: usize) -> usize {
-        if self.smoke {
-            self.dataset_samples
-        } else {
-            self.dataset_samples.max(floor)
-        }
-    }
-
-    /// A count capped in smoke mode (e.g. probe mini-batches, iterations).
-    pub fn capped(&self, normal: usize, smoke: usize) -> usize {
-        if self.smoke {
-            smoke
-        } else {
-            normal
         }
     }
 }
@@ -173,7 +136,7 @@ impl PointResult {
 }
 
 /// One experiment point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// The model under training.
     pub model: ModelConfig,
@@ -300,6 +263,46 @@ pub fn eval_packing(
     None
 }
 
+/// DynaPipe against both packing baselines at one point: the three
+/// systems of Figs. 4 and 13–15.
+#[derive(Debug, Clone)]
+pub struct Comparison {
+    /// DynaPipe at its grid-searched parallelism.
+    pub dynapipe: Option<PointResult>,
+    /// MLM+DS: packing with its own grid-searched parallelism and
+    /// micro-batch size.
+    pub mlm_ds: Option<PointResult>,
+    /// MLM+DS (C): packing pinned to DynaPipe's parallelism (`None` when
+    /// DynaPipe has no feasible one).
+    pub mlm_ds_c: Option<PointResult>,
+}
+
+impl Comparison {
+    /// The packing column of Figs. 4 and 15: MLM+DS (C), since the paper
+    /// compares under the same settings, falling back to MLM+DS.
+    pub fn packing(&self) -> Option<&PointResult> {
+        self.mlm_ds_c.as_ref().or(self.mlm_ds.as_ref())
+    }
+}
+
+/// Evaluate DynaPipe, MLM+DS and MLM+DS (C) at one point.
+pub fn compare(
+    hw: &HardwareModel,
+    dataset: &Dataset,
+    point: &Point,
+    opts: &BenchOpts,
+) -> Comparison {
+    let dyna = eval_dynapipe(hw, dataset, point, opts);
+    let mlm_ds_c = dyna
+        .as_ref()
+        .and_then(|&(_, parallel)| eval_packing(hw, dataset, point, opts, Some(parallel)));
+    Comparison {
+        dynapipe: dyna.map(|(r, _)| r),
+        mlm_ds: eval_packing(hw, dataset, point, opts, None),
+        mlm_ds_c,
+    }
+}
+
 fn packing_kind(point: &Point, mb_size: usize) -> BaselineKind {
     BaselineKind::Packing {
         max_seq_len: point.max_seq_len,
@@ -392,20 +395,24 @@ pub fn run_point(
     )
 }
 
-/// Write a JSON result file under `results/`.
+/// Write a JSON result file under `results/`. Exits the process nonzero
+/// if the artifact cannot be written, so `run_all` sees a bin that stops
+/// emitting it.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("  -> results/{name}.json");
-            }
+    let path = format!("results/{name}.json");
+    let written = serde_json::to_string_pretty(value)
+        .map_err(|e| e.to_string())
+        .and_then(|s| {
+            std::fs::create_dir_all("results")
+                .and_then(|()| std::fs::write(&path, s))
+                .map_err(|e| e.to_string())
+        });
+    match written {
+        Ok(()) => println!("  -> {path}"),
+        Err(e) => {
+            eprintln!("error: could not write {path}: {e}");
+            std::process::exit(1);
         }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
     }
 }
 
@@ -428,7 +435,6 @@ mod tests {
             iters: 1,
             seed: 1,
             full: false,
-            smoke: false,
         };
         let hw = HardwareModel::a100_cluster();
         let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
@@ -438,9 +444,13 @@ mod tests {
             max_seq_len: 1024,
             gbs_tokens: 16384,
         };
-        let (dyna, parallel) = eval_dynapipe(&hw, &dataset, &point, &opts).expect("feasible");
+        let c = compare(&hw, &dataset, &point, &opts);
+        let dyna = c.dynapipe.as_ref().expect("feasible");
         assert!(dyna.throughput > 0.0);
-        let packing = eval_packing(&hw, &dataset, &point, &opts, Some(parallel));
-        assert!(packing.is_some());
+        assert!(c.mlm_ds.is_some());
+        // Figs. 4 and 15 read MLM+DS (C) as packing at DynaPipe's settings.
+        let pinned = c.mlm_ds_c.as_ref().expect("MLM+DS (C) feasible");
+        assert_eq!(pinned.parallel, dyna.parallel);
+        assert_eq!(c.packing().map(|r| &r.parallel), Some(&dyna.parallel));
     }
 }

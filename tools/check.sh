@@ -26,6 +26,7 @@ rustfmt --check --edition 2021 \
     crates/bench/src/bin/fig09_cluster.rs \
     crates/bench/src/bin/fig17_planning_time.rs \
     crates/bench/src/bin/run_all.rs \
+    crates/bench/src/bin/throughput_sweep.rs \
     crates/bench/src/lib.rs \
     crates/batcher/src/dp.rs \
     crates/batcher/tests/solve_count.rs \
@@ -83,11 +84,12 @@ echo "== build (release, -D warnings) =="
 cargo build --release --workspace
 
 # `run_all` runs dynapipe-lint first and fails on any unwaived finding,
-# then one capped iteration of every figure bin: fig09_cluster's gates and
-# the trace_report round-trip of its exported trace fail the check. The
-# bins write only under results/ (gitignored).
-echo "== lint + figure bins (smoke) =="
-cargo run --release --offline -p dynapipe-bench --bin run_all -- --smoke
+# then every figure bin at full size: a bin that panics or cannot write its
+# artifact, fig09_cluster's gates and the trace_report round-trip of its
+# exported trace fail the check. The bins write only under results/
+# (gitignored).
+echo "== lint + figure bins =="
+cargo run --release --offline -p dynapipe-bench --bin run_all
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
