@@ -44,6 +44,17 @@
 //! search returns the same partition as the full sweep in
 //! [`Partitioner::partition_reference`], including its smallest-`t_max`
 //! tie-break; see `Partitioner::sweep_tmax` and the equivalence tests.
+//!
+//! Each Eq. 2 solve also stops early within a row. Once per partition, the
+//! sweep records each row's *rising run*: the leading cells whose slice
+//! times do not decrease. A solve that meets a slice over `t_max` inside
+//! that run skips to the run's end, because every later cell of the run is
+//! at least as slow and would be skipped anyway; past the run it tests
+//! every cell. On the profiled cost grids the run covers the whole row, so
+//! a solve reads only the cells up to each row's first over-bound slice,
+//! but the cut is exact whatever the prices (see
+//! `Partitioner::solve_for_tmax`).
+//!
 //! Past the pricing pass the partitioner is single-threaded: the rest of
 //! the planning parallelism lives one level up, in the planner's §7 sweep,
 //! which runs the recompute modes' partitions concurrently.
@@ -504,6 +515,18 @@ fn search_tmax<P>(
     Some((best_idx, best))
 }
 
+/// `x.ceil() as u64` without a libm call: truncate, then step up when the
+/// truncation dropped a fraction. Equal for every `x`, saturation, signs
+/// and NaN included.
+fn ceil_u64(x: f64) -> u64 {
+    let q = x as u64;
+    if (q as f64) < x {
+        q.saturating_add(1)
+    } else {
+        q
+    }
+}
+
 impl<'a> Partitioner<'a> {
     /// Partitioner over `cm` with `config`.
     pub fn new(cm: &'a CostModel, config: DpConfig) -> Self {
@@ -559,7 +582,7 @@ impl<'a> Partitioner<'a> {
         if (hi - lo) / res > cap as f64 {
             res = (hi - lo) / cap as f64;
         }
-        let key = |t: Micros| (t / res).ceil() as u64;
+        let key = |t: Micros| ceil_u64(t / res);
         let k_lo = key(lo);
         let mut present = vec![false; (key(hi) - k_lo + 1) as usize];
         for &t in time.iter().filter(|t| t.is_finite()) {
@@ -572,6 +595,31 @@ impl<'a> Partitioner<'a> {
             .collect()
     }
 
+    /// Per row of the slice table, the length of its leading run of
+    /// non-decreasing slice times (`time` is
+    /// [`Partitioner::price_shapes`]'s column). Rows extend their slice
+    /// leftwards with running-max extents, so on the profiled cost grids
+    /// the run covers the whole row; nothing relies on that.
+    fn rising_runs(shapes: &SliceShapes, time: &[Micros]) -> Vec<u16> {
+        (1..=shapes.n)
+            .map(|end| {
+                let row = &shapes.cell[(end - 1) * shapes.width..][..shapes.width.min(end)];
+                let mut prev = f64::NEG_INFINITY;
+                let run = row
+                    .iter()
+                    .take_while(|&&id| {
+                        let t = time[id as usize];
+                        let rising = prev <= t;
+                        prev = t;
+                        rising
+                    })
+                    .count();
+                // `SliceShapes::build` caps the width at `u16::MAX`.
+                run as u16
+            })
+            .collect()
+    }
+
     /// Run Eq. 2 for one `t_max`, reading each slice's time through its
     /// shape id (`time` is [`Partitioner::price_shapes`]'s column); returns
     /// (`f(N)`, split back-pointers) or `None` if no feasible partition
@@ -581,9 +629,15 @@ impl<'a> Partitioner<'a> {
     /// `t_max` is a finite candidate, so `t > t_max` skips it exactly
     /// where the reference's feasibility check does; every other slice
     /// takes the same `+` and `<` in the same order.
+    ///
+    /// Within a row's rising run ([`Partitioner::rising_runs`]) the first
+    /// slice over `t_max` ends the run's scan: every later slice of the
+    /// run is at least as slow, so the reference skips it too. Past the
+    /// run every slice is tested, as the reference does.
     fn solve_for_tmax(
         shapes: &SliceShapes,
         time: &[Micros],
+        rising: &[u16],
         t_max: Micros,
     ) -> Option<(Micros, Vec<usize>)> {
         EQ2_SOLVES.fetch_add(1, Ordering::Relaxed);
@@ -594,17 +648,28 @@ impl<'a> Partitioner<'a> {
         for end in 1..=n {
             // Cells `k < min(width, end)` of a row all lie in the domain.
             let row = &shapes.cell[(end - 1) * shapes.width..][..shapes.width.min(end)];
-            for (k, &id) in row.iter().enumerate() {
-                let t = time[id as usize];
-                if t > t_max {
-                    continue;
-                }
+            let (run, rest) = row.split_at(rising[end - 1] as usize);
+            let mut relax = |k: usize, t: Micros| {
                 let start = end - 1 - k;
                 let cand = f[start] + t;
                 if cand < f[end] {
                     f[end] = cand;
                     back[end] = start;
                 }
+            };
+            for (k, &id) in run.iter().enumerate() {
+                let t = time[id as usize];
+                if t > t_max {
+                    break;
+                }
+                relax(k, t);
+            }
+            for (k, &id) in rest.iter().enumerate() {
+                let t = time[id as usize];
+                if t > t_max {
+                    continue;
+                }
+                relax(run.len() + k, t);
             }
         }
         f[n].is_finite().then_some((f[n], back))
@@ -648,11 +713,15 @@ impl<'a> Partitioner<'a> {
         time: &[Micros],
         candidates: &[Micros],
     ) -> Option<Vec<usize>> {
+        if candidates.is_empty() {
+            return None;
+        }
+        let rising = Self::rising_runs(shapes, time);
         let c = self.cm.num_stages() as f64;
         let dp_deg = self.config.dp_degree.max(1) as f64;
         let objective = |t_max: Micros, sum: Micros| (c - 1.0) * t_max + sum / dp_deg;
         let (_, back) = search_tmax(candidates, objective, |i| {
-            Self::solve_for_tmax(shapes, time, candidates[i])
+            Self::solve_for_tmax(shapes, time, &rising, candidates[i])
         })?;
         Some(back)
     }
@@ -792,25 +861,28 @@ impl<'a> Partitioner<'a> {
             width,
             n,
         };
+        let back = self.reference_sweep(&table)?;
+        Some(self.finish(ordered, &back))
+    }
+
+    /// The reference's outer sweep over its dense table: solve every
+    /// candidate and keep the first lowest objective.
+    fn reference_sweep(&self, table: &SliceCosts) -> Option<Vec<usize>> {
         let candidates = self.reference_candidates(&table.time, &table.feasible);
-        if candidates.is_empty() {
-            return None;
-        }
         let c = self.cm.num_stages() as f64;
         let dp_deg = self.config.dp_degree.max(1) as f64;
-        let mut best: Option<(Micros, Vec<usize>, Micros)> = None;
+        let mut best: Option<(Micros, Vec<usize>)> = None;
         for &t_max in &candidates {
             let Some((sum, back)) = table.solve(t_max) else {
                 continue;
             };
             let obj = (c - 1.0) * t_max + sum / dp_deg;
             match &best {
-                Some((b, _, _)) if *b <= obj => {}
-                _ => best = Some((obj, back, t_max)),
+                Some((b, _)) if *b <= obj => {}
+                _ => best = Some((obj, back)),
             }
         }
-        let (_, back, _) = best?;
-        Some(self.finish(ordered, &back))
+        best.map(|(_, back)| back)
     }
 
     /// The reference's candidate `t_max` values: every feasible slice
@@ -1056,6 +1128,131 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ceil_u64_matches_ceil_then_cast() {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            0.25,
+            1.0,
+            1.5,
+            4503599627370495.5,
+            9007199254740991.0,
+            9007199254740992.0,
+            9.223372036854776e18,
+            1.8446744073709552e19,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        // Quotients like the candidate keys': slice times over resolutions.
+        for i in 0..4000u32 {
+            let t = 17.0 + i as f64 * 13.37;
+            for res in [5.0, 0.001, 3.3, 61.17] {
+                xs.push(t / res);
+            }
+            xs.push(i as f64);
+            xs.push(f64::from_bits(
+                (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 2,
+            ));
+        }
+        for x in xs {
+            assert_eq!(ceil_u64(x), x.ceil() as u64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn row_cut_matches_the_reference_on_rows_that_dip() {
+        // The profiled cost grids give rows whose slice times never fall,
+        // so this test prices the shapes itself: along a row, times rise
+        // with the batch size, dip every 9th sample and are `+∞` (over the
+        // memory limit) every 13th, between finite cells. At every
+        // candidate the Eq. 2 solve with the row cut must match the
+        // reference's dense-table solve over the same prices, and the
+        // pruned sweep the reference's full sweep.
+        let cm = cm(4);
+        let price = |sh: &MicroBatchShape| {
+            let b = sh.batch_size;
+            let t = 20.0 + (b * sh.enc_len) as f64 * 0.01;
+            match (b % 13, b % 9) {
+                (12, _) => f64::INFINITY,
+                (_, 8) => t * 0.4,
+                _ => t,
+            }
+        };
+        for (n, seed, width, dp_degree, sorted) in [
+            (40, 21, 256, 1, true),
+            (60, 22, 32, 2, true),
+            (70, 23, 24, 1, false),
+            (50, 24, 40, 4, false),
+        ] {
+            let mut samples = mixed(n, seed);
+            if sorted {
+                sort_samples(ModelArch::Gpt, &mut samples);
+            }
+            let shapes = SliceShapes::build(ModelArch::Gpt, &samples, width);
+            let time: Vec<Micros> = shapes.distinct_shapes().iter().map(price).collect();
+            let rising = Partitioner::rising_runs(&shapes, &time);
+            let w = shapes.width;
+            let row_len = |end: usize| w.min(end);
+            assert!(
+                (1..=n).any(|end| (rising[end - 1] as usize) < row_len(end)),
+                "seed={seed}: no row dips"
+            );
+            assert!(
+                (1..=n).any(|end| {
+                    let row = &shapes.cell[(end - 1) * w..][..row_len(end)];
+                    row.windows(2).any(|p| {
+                        time[p[0] as usize].is_infinite() && time[p[1] as usize].is_finite()
+                    })
+                }),
+                "seed={seed}: no row holds a +inf cell before a finite one"
+            );
+            let dense: Vec<Micros> = shapes
+                .cell
+                .iter()
+                .map(|&id| match id {
+                    NO_SHAPE => f64::INFINITY,
+                    id => time[id as usize],
+                })
+                .collect();
+            let table = SliceCosts {
+                feasible: dense.iter().map(|t| t.is_finite()).collect(),
+                time: dense,
+                width: w,
+                n,
+            };
+            let mut cfg = DpConfig::new(Bytes::MAX);
+            cfg.dp_degree = dp_degree;
+            let p = Partitioner::new(&cm, cfg);
+            let candidates = p.candidates(&time);
+            assert_eq!(
+                candidates,
+                p.reference_candidates(&table.time, &table.feasible),
+                "seed={seed}"
+            );
+            for &t_max in &candidates {
+                assert_eq!(
+                    Partitioner::solve_for_tmax(&shapes, &time, &rising, t_max),
+                    table.solve(t_max),
+                    "seed={seed} t_max={t_max}: Eq. 2 solve diverged"
+                );
+            }
+            let reference = p.reference_sweep(&table);
+            assert!(reference.is_some(), "seed={seed}: no partition");
+            assert_eq!(
+                p.sweep_tmax(&shapes, &time, &candidates),
+                reference,
+                "seed={seed}: sweep diverged"
+            );
         }
     }
 

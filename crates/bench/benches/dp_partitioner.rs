@@ -1,11 +1,12 @@
 //! Criterion bench: the DP micro-batch partitioner (§4) — the dominant
 //! term in Fig. 17's planning time — across mini-batch sizes and `t_max`
-//! candidate budgets (the resolution ablation).
+//! candidate budgets (the resolution ablation), plus the pricing pass and
+//! one mode's partition of a Fig. 17 mini-batch in isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dynapipe_batcher::{sort_samples, DpConfig, Partitioner, SliceFwdCosts};
 use dynapipe_cost::{CostModel, ProfileOptions};
-use dynapipe_data::{Dataset, Sample};
+use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 
@@ -139,6 +140,41 @@ fn bench_partitioner(c: &mut Criterion) {
                     }
                 }
                 total_mbs
+            })
+        });
+    }
+
+    // One mode's partition of one Fig. 17 mini-batch (the first 65k-token
+    // batch at max sequence length 4096, as the planner orders and windows
+    // it), with the shared passes built outside the loop: what one mode's
+    // `dp.partition_ms.*` covers, i.e. the limit check, the candidate keys
+    // and the Eq. 2 solves.
+    let mut fig17 = GlobalBatchIter::new(
+        &Dataset::flanv2(20240422, 6000),
+        GlobalBatchConfig {
+            tokens_per_batch: 65536,
+            max_seq_len: 4096,
+        },
+    )
+    .next()
+    .expect("the dataset holds a mini-batch");
+    sort_samples(cm.model.arch, &mut fig17);
+    let mut cfg = DpConfig::new(cm.min_activation_budget());
+    cfg.max_mb_samples = 128;
+    let shapes = Partitioner::new(&cm, cfg).shape_pass(&fig17);
+    let fwd = SliceFwdCosts::build(&cm, &shapes);
+    for mode in RecomputeMode::ALL {
+        let p = Partitioner::new(
+            &cm,
+            DpConfig {
+                recompute: mode,
+                ..cfg
+            },
+        );
+        group.bench_function(BenchmarkId::new("partition_one_mode", mode.label()), |b| {
+            b.iter(|| {
+                p.partition_with_context(&shapes, &fwd, std::hint::black_box(&fig17))
+                    .map(|r| r.num_micro_batches())
             })
         });
     }

@@ -7,9 +7,15 @@
 //! clusters, schedule with 1F1B or the memory-aware adaptive schedule (§5),
 //! plan communication (§6), and verify the result deadlock-free.
 //!
-//! The §7 sweep is split in two. *Scoring* runs every mode, in parallel,
-//! as far as its estimated iteration time: partition, balance, schedule
-//! and evaluate. *Finishing* plans communication and verifies, and runs
+//! The §7 sweep is split in two. *Scoring* runs every mode as far as its
+//! estimated iteration time: partition, balance, schedule and evaluate.
+//! It runs as FIFO tasks on the rayon pool (`rayon::scope_fifo`): one
+//! task per mode partitions and balances, then queues one task per
+//! replica to schedule and evaluate it, so the threads share the replicas
+//! of every mode instead of each running whole modes. Each task writes
+//! its own result slot, and the modes are assembled in mode and replica
+//! order, so the plan does not depend on the thread count or on which
+//! thread ran what. *Finishing* plans communication and verifies, and runs
 //! only for the mode the planner keeps: modes are finished in (estimate,
 //! mode index) order until one verifies. That is the plan that finishing
 //! every mode and folding them in mode order would give, and on failure
@@ -30,9 +36,8 @@ use dynapipe_schedule::{
     adaptive_schedule, evaluate_schedule, one_f_one_b, reorder_with_schedule, ReorderConfig,
     Schedule, ScheduleInput, Timeline,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Which pipeline schedule the planner emits.
@@ -186,6 +191,14 @@ struct ScoredMode {
     actual_tokens: u64,
 }
 
+/// One recomputation mode partitioned and balanced: the parts of a
+/// [`ScoredMode`] that do not depend on scheduling its replicas.
+struct PartitionedMode {
+    padding: PaddingStats,
+    num_micro_batches: usize,
+    actual_tokens: u64,
+}
+
 /// One replica's schedule, scored: what [`plan_replica`] builds before it
 /// plans communication.
 struct ScoredReplica {
@@ -269,15 +282,17 @@ impl DynaPipePlanner {
         // recomputation to unlock larger micro-batches is a net win, so
         // "first feasible" would be wrong.
         //
-        // Score, then finish: the modes are scored independently on the
-        // rayon pool, each reading the context's shared shape and pricing
-        // passes; after the join only the chosen mode plans communication
-        // and verifies (the next best if it fails; see `finish_best`).
+        // Score, then finish: the modes are scored on the rayon pool, each
+        // reading the context's shared shape and pricing passes; after the
+        // sweep only the chosen mode plans communication and verifies (the
+        // next best if it fails; see `finish_best`).
         let ctx = self.plan_context(&samples, budget);
-        let scores: Vec<Result<(Micros, ScoredMode), String>> = RecomputeMode::ALL
-            .par_iter()
-            .map(|&mode| {
-                self.score_mode(&ctx, mode)
+        let scores: Vec<Result<(Micros, ScoredMode), String>> = self
+            .score_modes(&ctx, &RecomputeMode::ALL)
+            .into_iter()
+            .zip(RecomputeMode::ALL)
+            .map(|(scored, mode)| {
+                scored
                     .map(|s| (s.est_iteration_time, s))
                     .map_err(|e| format!("{} recomputation: {e}", mode.label()))
             })
@@ -320,14 +335,100 @@ impl DynaPipePlanner {
         budget: Bytes,
         mode: RecomputeMode,
     ) -> Result<IterationPlan, String> {
-        let scored = self.score_mode(&self.plan_context(ordered, budget), mode)?;
-        finish_mode(&self.cm, scored)
+        let ctx = self.plan_context(ordered, budget);
+        let scored = self.score_modes(&ctx, &[mode]).pop();
+        finish_mode(&self.cm, scored.expect("one mode, one score")?)
     }
 
-    /// Score one recomputation mode against a shared [`PlanContext`]:
-    /// partition (re-pricing nothing: the context priced every mode),
-    /// balance across replicas, and schedule and evaluate each replica.
-    fn score_mode(&self, ctx: &PlanContext<'_>, mode: RecomputeMode) -> Result<ScoredMode, String> {
+    /// Score each of `modes` against a shared [`PlanContext`], as FIFO
+    /// tasks on the rayon pool: a mode's task partitions (re-pricing
+    /// nothing: the context priced every mode) and balances across
+    /// replicas, then spawns one task per replica to schedule and evaluate
+    /// it. With three equal modes on two threads, the thread that finishes
+    /// its first partition picks up the third mode, then both share the
+    /// replica tasks, where a task per mode would leave one thread idle
+    /// for about a whole mode.
+    ///
+    /// Results come back in `modes` order, each task writing its own slot.
+    /// A mode reports its partitioning error, or else its first failing
+    /// replica's error in replica order: what scoring the replicas one
+    /// after another and stopping at the first error reports.
+    fn score_modes(
+        &self,
+        ctx: &PlanContext<'_>,
+        modes: &[RecomputeMode],
+    ) -> Vec<Result<ScoredMode, String>> {
+        let cm = &*self.cm;
+        let dp = cm.parallel.dp.max(1);
+        let partitions: Vec<OnceLock<Result<PartitionedMode, String>>> =
+            modes.iter().map(|_| OnceLock::new()).collect();
+        let replicas: Vec<Vec<OnceLock<Result<ScoredReplica, String>>>> = modes
+            .iter()
+            .map(|_| (0..dp).map(|_| OnceLock::new()).collect())
+            .collect();
+        rayon::scope_fifo(|s| {
+            for ((&mode, partition), slots) in modes.iter().zip(&partitions).zip(&replicas) {
+                s.spawn_fifo(move |s| {
+                    let partitioned = self.partition_mode(ctx, mode).map(|(part, groups)| {
+                        debug_assert_eq!(groups.len(), slots.len());
+                        for (shapes, slot) in groups.into_iter().zip(slots) {
+                            s.spawn_fifo(move |_| {
+                                let scored = score_replica(
+                                    cm,
+                                    &shapes,
+                                    mode,
+                                    self.config.schedule,
+                                    ctx.budget,
+                                    self.config.reorder_clusters,
+                                );
+                                let _ = slot.set(scored);
+                            });
+                        }
+                        part
+                    });
+                    let _ = partition.set(partitioned);
+                });
+            }
+        });
+        let dp_sync_time = dp_sync_time(cm);
+        let ran = "every task of the sweep ran";
+        modes
+            .iter()
+            .zip(partitions)
+            .zip(replicas)
+            .map(|((&mode, partition), slots)| {
+                let part = partition.into_inner().expect(ran)?;
+                let replicas = slots
+                    .into_iter()
+                    .map(|slot| slot.into_inner().expect(ran))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let est_iteration_time = replicas
+                    .iter()
+                    .map(|r| r.timeline.times.makespan)
+                    .fold(0.0, f64::max)
+                    + dp_sync_time;
+                Ok(ScoredMode {
+                    recompute: mode,
+                    replicas,
+                    est_iteration_time,
+                    dp_sync_time,
+                    padding: part.padding,
+                    num_micro_batches: part.num_micro_batches,
+                    actual_tokens: part.actual_tokens,
+                })
+            })
+            .collect()
+    }
+
+    /// Partition the context's samples under one recomputation mode and
+    /// balance the micro-batches across data-parallel replicas: the
+    /// mode's summary and each replica's micro-batch shapes, in replica
+    /// order.
+    fn partition_mode(
+        &self,
+        ctx: &PlanContext<'_>,
+        mode: RecomputeMode,
+    ) -> Result<(PartitionedMode, Vec<Vec<MicroBatchShape>>), String> {
         let cm = &*self.cm;
         let ordered = ctx.ordered;
         let budget = ctx.budget;
@@ -353,41 +454,21 @@ impl DynaPipePlanner {
             .partition_with_context(&ctx.shapes, &ctx.fwd, ordered)
             .ok_or_else(|| "no feasible micro-batch split".to_string())?;
         // Balance micro-batches across data-parallel replicas.
-        let groups = karmarkar_karp(&partition.mb_times, cm.parallel.dp);
-        let replicas = groups
-            .iter()
-            .map(|group| {
-                let mut idx = group.clone();
+        let groups = karmarkar_karp(&partition.mb_times, cm.parallel.dp)
+            .into_iter()
+            .map(|mut idx| {
                 idx.sort_unstable();
-                let shapes: Vec<MicroBatchShape> = idx
-                    .iter()
+                idx.iter()
                     .map(|&i| partition.micro_batches[i].shape(cm.model.arch))
-                    .collect();
-                score_replica(
-                    cm,
-                    &shapes,
-                    mode,
-                    self.config.schedule,
-                    budget,
-                    self.config.reorder_clusters,
-                )
+                    .collect()
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let dp_sync_time = dp_sync_time(cm);
-        let est_iteration_time = replicas
-            .iter()
-            .map(|r| r.timeline.times.makespan)
-            .fold(0.0, f64::max)
-            + dp_sync_time;
-        Ok(ScoredMode {
-            recompute: mode,
-            replicas,
-            est_iteration_time,
-            dp_sync_time,
+            .collect();
+        let summary = PartitionedMode {
             padding: PaddingStats::from_micro_batches(&partition.micro_batches, cm.model.arch),
             num_micro_batches: partition.num_micro_batches(),
             actual_tokens: ordered.iter().map(|s| s.total_tokens() as u64).sum(),
-        })
+        };
+        Ok((summary, groups))
     }
 
     /// The activation budget the planner works against (device memory minus
@@ -731,6 +812,124 @@ mod tests {
                         assert_eq!(finished.last(), Some(&m), "{modes:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// `f` under a pool of each width the sweep's tests compare.
+    fn under_caps<R>(f: impl Fn() -> R) -> Vec<R> {
+        [1, 2, 4]
+            .map(|t| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(t).build();
+                pool.unwrap().install(&f)
+            })
+            .into()
+    }
+
+    #[test]
+    fn plan_iteration_is_identical_under_every_thread_count() {
+        // The sweep's tasks land on threads in a different order per run
+        // and per width; the plan must not depend on it.
+        let t5 = Arc::new(CostModel::build(
+            HardwareModel::a100_cluster(),
+            ModelConfig::t5_11b(),
+            ParallelConfig::new(1, 4, 2),
+            &ProfileOptions::coarse(),
+        ));
+        let cases = [
+            ("GPT dp1", planner(4, 1), minibatch(96)),
+            ("GPT dp2", planner(2, 2), minibatch(128)),
+            (
+                "T5",
+                DynaPipePlanner::new(t5, PlannerConfig::default()),
+                Dataset::flanv2(29, 300)
+                    .samples
+                    .iter()
+                    .map(|s| s.truncated(512))
+                    .collect(),
+            ),
+        ];
+        for (label, p, batch) in cases {
+            let plans = under_caps(|| {
+                let mut plan = p.plan_iteration(&batch).unwrap();
+                plan.planning_time_us = 0.0;
+                plan
+            });
+            assert_eq!(plans[0].replicas.len(), p.cm.parallel.dp, "{label}");
+            assert_eq!(plans[1], plans[0], "{label}: 2 threads");
+            assert_eq!(plans[2], plans[0], "{label}: 4 threads");
+        }
+    }
+
+    #[test]
+    fn a_mode_failing_past_replica_0_reports_its_first_failing_replica() {
+        // A per-layer overhead this large makes the partitioner pack short
+        // samples into few big micro-batches, and a budget far above the
+        // device's lets 1F1B's in-flight micro-batches overflow a stage.
+        // In the first case replica 0 schedules and replica 1 does not; in
+        // the second both fail, and replica 0's error is the one reported.
+        let samples = |short: usize, long: usize| -> Vec<Sample> {
+            let mut v: Vec<Sample> = (0..short + long)
+                .map(|i| Sample {
+                    id: i as u64,
+                    task: 0,
+                    input_len: if i < short {
+                        30 + (i * 7) % 50
+                    } else {
+                        1500 + (i * 131) % 500
+                    },
+                    target_len: if i < short { 5 + i % 9 } else { 100 },
+                })
+                .collect();
+            dynapipe_batcher::sort_samples(dynapipe_model::ModelArch::Gpt, &mut v);
+            v
+        };
+        let cases = [
+            (1e3, samples(256, 4), [true, false]),
+            (1e4, samples(200, 8), [false, false]),
+        ];
+        for (overhead, batch, replica_ok) in cases {
+            let mut hw = HardwareModel::a100_cluster();
+            hw.layer_overhead_us = overhead;
+            let cm = Arc::new(CostModel::build(
+                hw,
+                ModelConfig::gpt_3_35b(),
+                ParallelConfig::new(2, 1, 2),
+                &ProfileOptions::coarse(),
+            ));
+            let cfg = PlannerConfig {
+                schedule: ScheduleKind::OneFOneB,
+                ..Default::default()
+            };
+            let p = DynaPipePlanner::new(cm, cfg);
+            let budget = p.planning_budget() * 64;
+            let mode = RecomputeMode::None;
+            // Score the replicas one after another, as a serial sweep would.
+            let (_, groups) = p
+                .partition_mode(&p.plan_context(&batch, budget), mode)
+                .unwrap();
+            let serial: Vec<Result<ScoredReplica, String>> = groups
+                .iter()
+                .map(|g| score_replica(&p.cm, g, mode, cfg.schedule, budget, cfg.reorder_clusters))
+                .collect();
+            assert_eq!(
+                serial.iter().map(Result::is_ok).collect::<Vec<_>>(),
+                replica_ok
+            );
+            let errs: Vec<String> = serial.into_iter().filter_map(Result::err).collect();
+            if let [a, b] = &errs[..] {
+                assert_ne!(a, b, "the replicas' errors do not tell them apart");
+            }
+            let first_err = errs[0].clone();
+            for (t, got) in [1, 2, 4].iter().zip(under_caps(|| {
+                p.plan_with_mode(&batch, budget, mode)
+                    .map(|plan| plan.num_micro_batches)
+            })) {
+                assert_eq!(
+                    got,
+                    Err(first_err.clone()),
+                    "overhead {overhead}, {t} threads"
+                );
             }
         }
     }

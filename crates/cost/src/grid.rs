@@ -114,10 +114,20 @@ impl Axis {
             let frac = (x - v[lo]) as f64 / (v[lo + 1] - v[lo]) as f64;
             return (lo, frac);
         }
-        // partition_point: first index with value > x, so idx-1 brackets x.
-        let hi = v.partition_point(|&p| p <= x);
-        let lo = hi - 1;
-        let frac = (x - v[lo]) as f64 / (v[hi] - v[lo]) as f64;
+        // Now `v[0] < x < last`, and the strictly increasing axis has one
+        // bracket `v[lo] <= x < v[lo + 1]`. On a power-of-two axis it is
+        // `x`'s bit length less the first sample's: try that guess, and
+        // binary-search for the bracket when the guess misses it.
+        let bits = |u: usize| usize::BITS - u.leading_zeros();
+        let guess = ((bits(x) - bits(v[0])) as usize).min(v.len() - 2);
+        let lo = if v[guess] <= x && x < v[guess + 1] {
+            guess
+        } else {
+            // partition_point: first index with value > x, so idx-1
+            // brackets x.
+            v.partition_point(|&p| p <= x) - 1
+        };
+        let frac = (x - v[lo]) as f64 / (v[lo + 1] - v[lo]) as f64;
         (lo, frac)
     }
 }
@@ -420,6 +430,35 @@ impl NdGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn locate_matches_a_binary_search_for_every_small_coordinate() {
+        // The bit-length guess is only a shortcut: on every axis shape,
+        // every coordinate up to 2^20 must get the bracket and fraction
+        // the binary search alone gives.
+        let search = |a: &Axis, x: usize| {
+            let v = &a.values;
+            if x <= v[0] || a.is_degenerate() {
+                return (0, 0.0);
+            }
+            let lo = (v.partition_point(|&p| p <= x) - 1).min(v.len() - 2);
+            (lo, (x - v[lo]) as f64 / (v[lo + 1] - v[lo]) as f64)
+        };
+        let axes = [
+            Axis::pow2(1, 256),
+            Axis::pow2(16, 65536),
+            Axis::pow2(128, 1 << 19),
+            Axis::pow2(1, 1),
+            Axis::new(vec![0, 1, 2, 4, 8, 16]),
+            Axis::new(vec![3, 5, 6, 7, 100, 129, 4095, 4096, 5000, 1 << 18]),
+            Axis::singleton(),
+        ];
+        for a in &axes {
+            for x in 0..=1usize << 20 {
+                assert_eq!(a.locate(x), search(a, x), "axis {:?} x={x}", a.values);
+            }
+        }
+    }
 
     #[test]
     fn locate_brackets_and_clamps() {

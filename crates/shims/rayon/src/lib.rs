@@ -1,7 +1,7 @@
 //! Offline stand-in for `rayon`: the data-parallel subset the planning
 //! hot path uses (`par_iter` on slices, `into_par_iter` on ranges and
-//! vectors, `map`/`filter_map`/`collect`/`for_each`, and [`join`]),
-//! executed on `std::thread::scope`.
+//! vectors, `map`/`filter_map`/`collect`/`for_each`, [`join`], and
+//! [`scope_fifo`]), executed on `std::thread::scope`.
 //!
 //! Scheduling is **dynamic claiming**: a parallel call with `T` threads
 //! spawns `T − 1` scoped workers and the calling thread works alongside
@@ -10,7 +10,10 @@
 //! themselves — with three items of cost `6, 5, 2` on two threads, one
 //! thread runs the `6` while the other runs `5` and then `2`, where
 //! contiguous chunking would pair `6 + 5` on one thread and leave the
-//! other idle after `2`.
+//! other idle after `2`. [`scope_fifo`] claims the same way from a queue
+//! rather than a counter, so a running task can queue more work: its
+//! threads pop tasks in spawn order until the queue is empty and no task
+//! is left running.
 //!
 //! Semantics match rayon where it matters for the planner:
 //! * results are returned in input order regardless of thread count or
@@ -26,10 +29,11 @@
 //!
 //! There is deliberately no persistent pool: a scoped spawn + join
 //! measures ~30 µs on a 2-vCPU x86-64 VM, and the planner makes two
-//! parallel calls per plan (a `join` over the halves of the pricing pass
-//! and its §7 recompute-mode sweep, each a millisecond or more of work),
-//! so the spawns stay a few percent of a plan at most and a pool's
-//! parking, wake-up and shutdown logic would buy nothing measurable.
+//! parallel calls per plan, each spawning `T − 1` helpers (a `join` over
+//! the halves of the pricing pass, then a `scope_fifo` for its §7
+//! recompute-mode sweep, each a millisecond or more of work), so the
+//! spawns stay a few percent of a plan at most and a pool's parking,
+//! wake-up and shutdown logic would buy nothing measurable.
 //!
 //! Thread count defaults to `std::thread::available_parallelism`, tunable
 //! via the `RAYON_NUM_THREADS` environment variable like real rayon.
@@ -154,6 +158,117 @@ where
         let a = oper_a();
         (a, b.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
     })
+}
+
+/// A task of a [`ScopeFifo`].
+type FifoTask<'scope> = Box<dyn FnOnce(&ScopeFifo<'scope>) + Send + 'scope>;
+
+/// What the threads of a [`scope_fifo`] share: the task queue, how many
+/// tasks (the scope's own `op` included) are still running, and the first
+/// panic any of them raised.
+struct FifoState<'scope> {
+    queue: std::collections::VecDeque<FifoTask<'scope>>,
+    running: usize,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+/// A scope whose tasks run in the order they were spawned, like
+/// `rayon::ScopeFifo`. Created by [`scope_fifo`].
+pub struct ScopeFifo<'scope> {
+    state: std::sync::Mutex<FifoState<'scope>>,
+    /// Signalled when a task is queued or the scope's work runs out.
+    wake: std::sync::Condvar,
+}
+
+impl<'scope> ScopeFifo<'scope> {
+    /// Queue `body` behind every task spawned before it. It runs before
+    /// [`scope_fifo`] returns, on the caller or on one of the scope's
+    /// helper threads, and may spawn further tasks.
+    pub fn spawn_fifo<BODY>(&self, body: BODY)
+    where
+        BODY: FnOnce(&ScopeFifo<'scope>) + Send + 'scope,
+    {
+        self.lock().queue.push_back(Box::new(body));
+        self.wake.notify_one();
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, FifoState<'scope>> {
+        // A task's panic is caught before it can poison the lock.
+        self.state.lock().expect("scope_fifo state lock poisoned")
+    }
+
+    /// Run `f` as one of the scope's running tasks, keeping its panic.
+    fn run(&self, f: impl FnOnce()) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let mut st = self.lock();
+        st.running -= 1;
+        if let Err(e) = result {
+            st.panic.get_or_insert(e);
+        }
+        if st.running == 0 && st.queue.is_empty() {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Pop and run tasks until the queue is empty and no task is running,
+    /// so none can spawn more.
+    fn work(&self) {
+        let _cap = CapGuard::set(1);
+        let mut st = self.lock();
+        loop {
+            if let Some(task) = st.queue.pop_front() {
+                st.running += 1;
+                drop(st);
+                self.run(|| task(self));
+                st = self.lock();
+            } else if st.running == 0 {
+                return;
+            } else {
+                st = self.wake.wait(st).expect("scope_fifo state lock poisoned");
+            }
+        }
+    }
+}
+
+/// Run `op` with a [`ScopeFifo`] and return its result once every task it
+/// spawned, directly or from another task, has run, like
+/// `rayon::scope_fifo`.
+///
+/// With `T` threads, `T − 1` scoped helpers and the calling thread pop one
+/// shared queue in spawn order; the caller joins them once `op` returns.
+/// Under a cap of 1 no thread is spawned: `op` runs, then every task in
+/// spawn order, all on the caller. `op` and every task hold one slot, so
+/// parallel calls nested in them run serially. A panic in `op` or a task
+/// propagates once every task has run and every helper has stopped.
+pub fn scope_fifo<'scope, OP, R>(op: OP) -> R
+where
+    OP: FnOnce(&ScopeFifo<'scope>) -> R + Send,
+    R: Send,
+{
+    let helpers = current_num_threads().saturating_sub(1);
+    let _cap = CapGuard::set(1);
+    let scope = ScopeFifo {
+        state: std::sync::Mutex::new(FifoState {
+            queue: std::collections::VecDeque::new(),
+            // `op` counts as running until it returns, so helpers that
+            // find the queue empty wait for what it spawns.
+            running: 1,
+            panic: None,
+        }),
+        wake: std::sync::Condvar::new(),
+    };
+    let mut result = None;
+    std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| scope.work());
+        }
+        scope.run(|| result = Some(op(&scope)));
+        scope.work();
+    });
+    if let Some(e) = scope.lock().panic.take() {
+        std::panic::resume_unwind(e);
+    }
+    result.expect("op returned without panicking")
 }
 
 /// A bounded worker pool: `install` caps the parallelism of everything the
@@ -648,6 +763,150 @@ mod tests {
         let id = || std::thread::current().id();
         let (a, b) = pool.install(|| join(id, id));
         assert_eq!((a, b), (caller, caller));
+    }
+
+    #[test]
+    fn scope_fifo_runs_every_task_once_including_tasks_spawned_by_tasks() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            // 8 root tasks, each spawning 3 children, each spawning one
+            // grandchild: 8 · (1 + 3 + 3) runs, each slot bumped once.
+            let runs: Vec<AtomicUsize> = (0..8 * 7).map(|_| AtomicUsize::new(0)).collect();
+            let runs = &runs;
+            let out = pool.install(|| {
+                scope_fifo(|s| {
+                    for r in 0..8 {
+                        s.spawn_fifo(move |s| {
+                            runs[r * 7].fetch_add(1, Ordering::SeqCst);
+                            for c in 0..3 {
+                                s.spawn_fifo(move |s| {
+                                    runs[r * 7 + 1 + c].fetch_add(1, Ordering::SeqCst);
+                                    s.spawn_fifo(move |_| {
+                                        runs[r * 7 + 4 + c].fetch_add(1, Ordering::SeqCst);
+                                    });
+                                });
+                            }
+                        });
+                    }
+                    "op result"
+                })
+            });
+            assert_eq!(out, "op result", "threads={threads}");
+            for (i, n) in runs.iter().enumerate() {
+                assert_eq!(n.load(Ordering::SeqCst), 1, "threads={threads} task {i}");
+            }
+            pool.install(|| assert_eq!(current_num_threads(), threads));
+        }
+    }
+
+    #[test]
+    fn scope_fifo_under_a_cap_of_one_runs_in_spawn_order_on_the_caller() {
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        let log = Mutex::new(Vec::new());
+        let log = &log;
+        let push = move |tag: &'static str| {
+            assert_eq!(std::thread::current().id(), caller, "{tag} left the caller");
+            log.lock().unwrap().push(tag);
+        };
+        pool.install(|| {
+            scope_fifo(|s| {
+                s.spawn_fifo(move |s| {
+                    push("a");
+                    s.spawn_fifo(move |_| push("a.child"));
+                });
+                s.spawn_fifo(move |_| push("b"));
+                push("op");
+                s.spawn_fifo(move |_| push("c"));
+            })
+        });
+        // `op` runs to its end first; then the queue in spawn order, with
+        // a's child behind the tasks queued before it.
+        assert_eq!(*log.lock().unwrap(), ["op", "a", "b", "c", "a.child"]);
+    }
+
+    #[test]
+    fn scope_fifo_propagates_a_panic_from_a_root_or_nested_task() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2, 4] {
+            let pool = ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for nested in [false, true] {
+                let others = AtomicUsize::new(0);
+                let others = &others;
+                pool.install(|| {
+                    let r = catch_unwind(AssertUnwindSafe(|| {
+                        scope_fifo(|s| {
+                            s.spawn_fifo(move |s| {
+                                if nested {
+                                    s.spawn_fifo(|_| panic!("nested task"));
+                                } else {
+                                    panic!("root task");
+                                }
+                            });
+                            for _ in 0..6 {
+                                s.spawn_fifo(move |_| {
+                                    others.fetch_add(1, Ordering::SeqCst);
+                                });
+                            }
+                        })
+                    }));
+                    let msg = *r
+                        .expect_err("the panic was lost")
+                        .downcast::<&str>()
+                        .unwrap();
+                    let want = if nested { "nested task" } else { "root task" };
+                    assert_eq!(msg, want, "threads={threads}");
+                    // The scope returned only after every other task ran.
+                    assert_eq!(others.load(Ordering::SeqCst), 6, "threads={threads}");
+                    assert_eq!(current_num_threads(), threads, "scope_fifo leaked its cap");
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn scope_fifo_runs_nested_parallel_calls_serially() {
+        use std::sync::Mutex;
+        // Inside a task, join and par_iter see one thread and run on the
+        // task's own thread.
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let seen = Mutex::new(Vec::new());
+        let seen = &seen;
+        let check = move || {
+            let me = std::thread::current().id();
+            let ran_on: Vec<std::thread::ThreadId> = (0..16usize)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            let (a, b) = join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            let serial = ran_on.iter().all(|&id| id == me) && a == me && b == me;
+            seen.lock().unwrap().push((current_num_threads(), serial));
+        };
+        pool.install(|| {
+            scope_fifo(|s| {
+                for _ in 0..8 {
+                    s.spawn_fifo(move |s| {
+                        check();
+                        s.spawn_fifo(move |_| check());
+                    });
+                }
+            })
+        });
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 16);
+        assert!(seen.iter().all(|&x| x == (1, true)), "{seen:?}");
     }
 
     #[test]
