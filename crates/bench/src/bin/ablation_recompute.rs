@@ -6,18 +6,16 @@
 //! best mode depends on the workload's memory pressure, and picking it
 //! dynamically gets the best of every regime.
 
-use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
-use dynapipe_core::{driver::simulate_iteration, DynaPipePlanner, PlannerConfig, RunConfig};
+use dynapipe_bench::{probe_minibatches, run_point, write_json, Point, DATASET_SAMPLES, SEED};
+use dynapipe_core::{probe_throughput, DynaPipePlanner, PlannerConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Dataset;
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig, RecomputeMode};
-use dynapipe_sim::AllocatorMode;
 use std::sync::Arc;
 
 fn main() {
-    let opts = BenchOpts::default();
     let hw = HardwareModel::a100_cluster();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
+    let dataset = Dataset::flanv2(SEED, DATASET_SAMPLES);
     let mut out = Vec::new();
     println!("Ablation — recomputation modes (tokens/s; forced vs dynamic)\n");
     println!(
@@ -35,12 +33,6 @@ fn main() {
             &ProfileOptions::default(),
         ));
         let planner = DynaPipePlanner::new(cm.clone(), PlannerConfig::default());
-        let run = RunConfig {
-            max_iterations: None,
-            jitter: None,
-            allocator: AllocatorMode::PreAllocatedPool,
-            record_trace: false,
-        };
         for msl in [512usize, 2048, 8192] {
             let point = Point {
                 model,
@@ -50,36 +42,15 @@ fn main() {
             };
             let probes = probe_minibatches(&dataset, &point, 2);
             let budget = planner.planning_budget();
-            let mut forced = Vec::new();
-            for mode in RecomputeMode::ALL {
-                let mut tokens = 0u64;
-                let mut time = 0.0;
-                let mut ok = true;
-                for (i, mb) in probes.iter().enumerate() {
-                    let mut samples = mb.clone();
+            let forced = RecomputeMode::ALL.map(|mode| {
+                probe_throughput(&cm, &probes, |mb| {
+                    let mut samples = mb.to_vec();
                     dynapipe_batcher::sort_samples(cm.model.arch, &mut samples);
-                    match planner
-                        .plan_with_mode(&samples, budget, mode)
-                        .ok()
-                        .and_then(|p| {
-                            simulate_iteration(&cm, &p, &run, i)
-                                .ok()
-                                .map(|(t, _, _)| (p.actual_tokens, t))
-                        }) {
-                        Some((tok, t)) => {
-                            tokens += tok;
-                            time += t;
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                forced.push((ok && time > 0.0).then(|| tokens as f64 / (time / 1e6)));
-            }
+                    planner.plan_with_mode(&samples, budget, mode)
+                })
+            });
             // Dynamic selection via the normal path.
-            let report = run_point(&planner, &dataset, &point, &opts);
+            let report = run_point(&planner, &dataset, &point);
             let dynamic = report.feasible().then(|| report.throughput());
             let picks: String = report
                 .records

@@ -4,14 +4,13 @@
 //! mixture and the per-task means the calibration targets (CNN/DailyMail
 //! ≈ 977.73, MNLI ≈ 51.59).
 
-use dynapipe_bench::{write_json, BenchOpts};
+use dynapipe_bench::{write_json, SEED};
 use dynapipe_data::Dataset;
 
 fn main() {
-    let opts = BenchOpts::default();
     let n = 100_000;
     println!("Fig. 1b — input sequence length distribution ({n} samples)\n");
-    let dataset = Dataset::flanv2(opts.seed, n);
+    let dataset = Dataset::flanv2(SEED, n);
     let hist = dataset.length_histogram();
     let max_count = hist.iter().map(|&(_, c)| c).max().unwrap_or(1) as f64;
     println!("{:>8} | {:>8} | log-scale", "< length", "count");

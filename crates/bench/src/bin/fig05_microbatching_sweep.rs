@@ -4,7 +4,7 @@
 //! Reproduces the motivation that the baselines' knobs matter a lot, OOM at
 //! the large end, and even their best settings lose to the DP split.
 
-use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
+use dynapipe_bench::{run_point, write_json, Point, DATASET_SAMPLES, SEED};
 use dynapipe_core::{BaselineKind, BaselinePlanner, DynaPipePlanner, PlannerConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Dataset;
@@ -12,9 +12,8 @@ use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use std::sync::Arc;
 
 fn main() {
-    let opts = BenchOpts::default();
     let hw = HardwareModel::a100_cluster();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
+    let dataset = Dataset::flanv2(SEED, DATASET_SAMPLES);
     let mut out = Vec::new();
     for (name, model, parallel, msls) in [
         (
@@ -30,8 +29,19 @@ fn main() {
             vec![512, 2048, 4096],
         ),
     ] {
-        let _ = probe_minibatches; // (grid search not needed: fixed parallelism)
         println!("=== Fig. 5 ({name}, {parallel}) ===");
+        let cm = Arc::new(CostModel::build(
+            hw.clone(),
+            model,
+            parallel,
+            &ProfileOptions::default(),
+        ));
+        if !cm.is_feasible() {
+            println!("  deployment infeasible\n");
+            continue;
+        }
+        // DP solution (the normalizer).
+        let dyna = DynaPipePlanner::new(cm.clone(), PlannerConfig::default());
         for &msl in &msls {
             let point = Point {
                 model,
@@ -39,19 +49,7 @@ fn main() {
                 max_seq_len: msl,
                 gbs_tokens: 65536,
             };
-            let cm = Arc::new(CostModel::build(
-                hw.clone(),
-                model,
-                parallel,
-                &ProfileOptions::default(),
-            ));
-            if !cm.is_feasible() {
-                println!("  msl {msl}: deployment infeasible");
-                continue;
-            }
-            // DP solution (the normalizer).
-            let dyna = DynaPipePlanner::new(cm.clone(), PlannerConfig::default());
-            let dp_report = run_point(&dyna, &dataset, &point, &opts);
+            let dp_report = run_point(&dyna, &dataset, &point);
             let Some(dp_tps) = dp_report.feasible().then(|| dp_report.throughput()) else {
                 println!("  msl {msl}: DP solution infeasible");
                 continue;
@@ -66,7 +64,7 @@ fn main() {
                         ordering: dynapipe_batcher::OrderingStrategy::Sort,
                     },
                 );
-                let r = run_point(&p, &dataset, &point, &opts);
+                let r = run_point(&p, &dataset, &point);
                 let norm = r.feasible().then(|| r.throughput() / dp_tps);
                 print!(
                     " {budget}:{}",
@@ -82,7 +80,7 @@ fn main() {
             print!("  msl {msl:>5} fixed-size :");
             for mbs in [1usize, 2, 4, 8, 16, 32, 64] {
                 let p = BaselinePlanner::new(cm.clone(), BaselineKind::FixedSize { mb_size: mbs });
-                let r = run_point(&p, &dataset, &point, &opts);
+                let r = run_point(&p, &dataset, &point);
                 let norm = r.feasible().then(|| r.throughput() / dp_tps);
                 print!(
                     " {mbs}:{}",

@@ -45,7 +45,7 @@
 //! script among them) are the cluster crate's test suites, which check
 //! every run through one harness.
 
-use dynapipe_bench::{write_json, BenchOpts};
+use dynapipe_bench::{write_json, SEED};
 use dynapipe_cluster::{
     run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig, ClusterReport,
     StorePlacement,
@@ -393,7 +393,7 @@ fn split_host_timed(datacenter: &[DatacenterPoint]) -> (Vec<Value>, Vec<Value>) 
 }
 
 fn main() {
-    let dataset = Dataset::flanv2(BenchOpts::default().seed, 6000);
+    let dataset = Dataset::flanv2(SEED, 6000);
     println!(
         "fig09 cluster — GPT 3.35B pp2, dp = executor hosts, racks of {DC_HOSTS_PER_RACK}, \
          {DC_OVERSUBSCRIPTION}x oversubscribed cross-rack, {} thread(s)\n",

@@ -11,7 +11,9 @@
 //!     normalized to 1F1B.
 
 use dynapipe_batcher::OrderingStrategy;
-use dynapipe_bench::{eval_packing, eval_token_based, run_point, write_json, BenchOpts, Point};
+use dynapipe_bench::{
+    eval_packing, eval_token_based, run_point, write_json, Point, DATASET_SAMPLES, SEED,
+};
 use dynapipe_core::{DynaPipePlanner, PlannerConfig, ScheduleKind};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Dataset;
@@ -19,9 +21,8 @@ use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use std::sync::Arc;
 
 fn main() {
-    let opts = BenchOpts::default();
     let hw = HardwareModel::a100_cluster();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
+    let dataset = Dataset::flanv2(SEED, DATASET_SAMPLES);
     let mut out = Vec::new();
 
     // ----- (a) micro-batching methods ------------------------------------
@@ -47,13 +48,13 @@ fn main() {
         );
         out.push(serde_json::json!({"part": "a", "method": label, "throughput": tps}));
     };
-    let mlm = eval_packing(&hw, &dataset, &point, &opts, Some(parallel));
+    let mlm = eval_packing(&hw, &dataset, &point, &[parallel]);
     row("MLM+DS", mlm.map(|r| r.throughput));
     for (label, ordering) in [
         ("TB (S)", OrderingStrategy::Sort),
         ("TB (T)", OrderingStrategy::Tsp),
     ] {
-        let r = eval_token_based(&hw, &dataset, &point, &opts, parallel, ordering);
+        let r = eval_token_based(&hw, &dataset, &point, parallel, ordering);
         row(label, r.map(|x| x.throughput));
     }
     for (label, ordering) in [
@@ -65,7 +66,7 @@ fn main() {
             ..Default::default()
         };
         let planner = DynaPipePlanner::new(cm.clone(), cfg);
-        let r = run_point(&planner, &dataset, &point, &opts);
+        let r = run_point(&planner, &dataset, &point);
         row(label, r.feasible().then(|| r.throughput()));
     }
 
@@ -96,7 +97,7 @@ fn main() {
                 ..Default::default()
             };
             let planner = DynaPipePlanner::new(cm.clone(), cfg);
-            let r = run_point(&planner, &dataset, &point, &opts);
+            let r = run_point(&planner, &dataset, &point);
             r.feasible().then(|| r.throughput())
         };
         let onefb = tput(ScheduleKind::OneFOneB);

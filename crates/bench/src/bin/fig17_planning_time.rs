@@ -9,7 +9,7 @@
 //! with execution is the subject of the cluster runtime's equivalence
 //! suites and of the repo benchmark (`perfbench`).
 
-use dynapipe_bench::{probe_minibatches, run_point, write_json, BenchOpts, Point};
+use dynapipe_bench::{probe_minibatches, run_point, write_json, Point, SEED};
 use dynapipe_core::{DynaPipePlanner, PlannerConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Dataset;
@@ -24,9 +24,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let opts = BenchOpts::default();
     let hw = HardwareModel::a100_cluster();
-    let dataset = Dataset::flanv2(opts.seed, 6000);
+    let dataset = Dataset::flanv2(SEED, 6000);
     let mut out = Vec::new();
     println!("Fig. 17 — execution planning time\n");
     println!(
@@ -60,7 +59,7 @@ fn main() {
                 .collect();
             times.sort_by(f64::total_cmp);
             // Measure the simulated iteration time for the ratio.
-            let report = run_point(&planner, &dataset, &point, &opts);
+            let report = run_point(&planner, &dataset, &point);
             let iter_ms = if report.records.is_empty() {
                 f64::NAN
             } else {

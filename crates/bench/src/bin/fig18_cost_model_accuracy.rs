@@ -2,7 +2,7 @@
 //! models — planner estimates vs simulator measurements across experiment
 //! settings, reported as mean percentage error per model family.
 
-use dynapipe_bench::{run_point, write_json, BenchOpts, Point};
+use dynapipe_bench::{run_point, write_json, Point, DATASET_SAMPLES, SEED};
 use dynapipe_core::{DynaPipePlanner, PlannerConfig};
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Dataset;
@@ -10,9 +10,8 @@ use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use std::sync::Arc;
 
 fn main() {
-    let opts = BenchOpts::default();
     let hw = HardwareModel::a100_cluster();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
+    let dataset = Dataset::flanv2(SEED, DATASET_SAMPLES);
     let mut out = Vec::new();
     println!("Fig. 18 — cost-model prediction accuracy\n");
     for (name, model, parallels) in [
@@ -52,7 +51,7 @@ fn main() {
                     max_seq_len: msl,
                     gbs_tokens: gbs,
                 };
-                let report = run_point(&planner, &dataset, &point, &opts);
+                let report = run_point(&planner, &dataset, &point);
                 for r in &report.records {
                     time_pairs.push((r.est_time, r.measured_time));
                     mem_pairs.push((

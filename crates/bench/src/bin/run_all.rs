@@ -8,7 +8,8 @@
 //! under `results/` (gitignored); host performance is measured by the
 //! repo benchmark (`perfbench`), not here.
 //!
-//! There is one run mode, at full size: CI catches bin bit-rot — a
+//! There is one run mode, at full size (Figs. 13 and 14 on 4 to 32 GPUs,
+//! where DynaPipe's winners pipeline): CI catches bin bit-rot — a
 //! binary that panics, diverges from its reference, or stops emitting
 //! its artifact (every bin exits nonzero when it cannot write one) — by
 //! running every bin exactly as a regeneration does. `fig09_cluster` is

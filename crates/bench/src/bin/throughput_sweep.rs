@@ -13,9 +13,8 @@
 //!
 //! Fig. 13 sweeps the maximum sequence length at GBS 65536 tokens and
 //! Fig. 14 the global batch size at max length 2048, for each Table 1
-//! model and cluster size. By default only the single-node rows (4 and 8
-//! GPUs — Fig. 13 a/b/e/f, matching the paper's artifact) run; set
-//! `DYNAPIPE_BENCH_FULL=1` for all cluster sizes. Figs. 4 and 15 are the
+//! model on every cluster size (4, 8, 16 and 32 GPUs): the multi-node
+//! sizes are where DynaPipe's winners pipeline. Figs. 4 and 15 are the
 //! 8-GPU rows (GPT 6.7B, T5 11B) of the same two sweeps, with packing read
 //! as MLM+DS (C), falling back to MLM+DS. Each distinct (model, GPUs, max
 //! length, GBS) point is evaluated once, so the max length 2048 / GBS
@@ -26,12 +25,17 @@
 //! and `results/fig15_padding_efficiency.json`.
 
 use dynapipe_batcher::{MicroBatch, PaddingStats};
-use dynapipe_bench::{compare, fmt_tps, write_json, BenchOpts, Comparison, Point, PointResult};
+use dynapipe_bench::{
+    compare, fmt_tps, write_json, Comparison, Point, PointResult, DATASET_SAMPLES, SEED,
+};
 use dynapipe_data::{Dataset, Sample};
 use dynapipe_model::{HardwareModel, ModelArch, ModelConfig};
 use serde_json::{json, Value};
 
 const ARCHS: [ModelArch; 2] = [ModelArch::Gpt, ModelArch::T5];
+
+/// The cluster sizes of Table 1 and Figs. 13 and 14.
+const CLUSTER_SIZES: [usize; 4] = [4, 8, 16, 32];
 
 /// Figs. 4 and 15 run on one 8-GPU node: GPT 6.7B and T5 11B.
 const NODE_GPUS: usize = 8;
@@ -76,7 +80,6 @@ impl Axis {
 struct Sweep<'a> {
     hw: HardwareModel,
     dataset: &'a Dataset,
-    opts: BenchOpts,
     evaluated: Vec<(Point, Comparison)>,
 }
 
@@ -94,7 +97,7 @@ impl Sweep<'_> {
         let i = match self.evaluated.iter().position(|(p, _)| *p == point) {
             Some(i) => i,
             None => {
-                let c = compare(&self.hw, self.dataset, &point, &self.opts);
+                let c = compare(&self.hw, self.dataset, &point);
                 self.evaluated.push((point, c));
                 self.evaluated.len() - 1
             }
@@ -111,7 +114,7 @@ fn scaling(sweep: &mut Sweep, axis: Axis) -> Vec<Value> {
     };
     let mut out = Vec::new();
     for arch in ARCHS {
-        for gpus in sweep.opts.cluster_sizes() {
+        for gpus in CLUSTER_SIZES {
             let name = arch.name();
             println!(
                 "=== Fig. {fig} — {name} ({:.2}B) on {gpus} GPUs, {fixed} ===",
@@ -256,17 +259,15 @@ fn fig15(sweep: &mut Sweep) -> Vec<Value> {
 }
 
 fn main() {
-    let opts = BenchOpts::default();
-    let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
+    let dataset = Dataset::flanv2(SEED, DATASET_SAMPLES);
     let mut sweep = Sweep {
         hw: HardwareModel::a100_cluster(),
         dataset: &dataset,
-        opts,
         evaluated: Vec::new(),
     };
 
     println!("Table 1 — model configurations");
-    for gpus in opts.cluster_sizes() {
+    for gpus in CLUSTER_SIZES {
         let g = table1(ModelArch::Gpt, gpus);
         let t = table1(ModelArch::T5, gpus);
         println!(

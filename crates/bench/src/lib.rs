@@ -2,68 +2,31 @@
 //!
 //! Each `figNN_*` binary reproduces one table/figure of the paper on the
 //! simulated cluster. This library centralizes the experiment mechanics:
-//! evaluated systems (DynaPipe, MLM+DS packing with its own grid search,
-//! MLM+DS (C) on DynaPipe's parallelism, token-based micro-batching),
-//! per-point grid searches, the one environment knob, and JSON result
-//! output under `results/`.
-//!
-//! One knob (environment variable): `DYNAPIPE_BENCH_FULL=1` runs all
-//! cluster sizes {4, 8, 16, 32} for Figs. 13/14 instead of the
-//! single-node {4, 8} default (mirroring the paper's artifact, where one
-//! p4d node regenerates Fig. 13 (a)(b)(e)(f)).
+//! the fixed workload sizes, the evaluated systems (DynaPipe, MLM+DS
+//! packing with its own grid search, MLM+DS (C) on DynaPipe's parallelism,
+//! token-based micro-batching), their grid searches through
+//! [`dynapipe_core::search_parallelism`], and JSON result output under
+//! `results/`. There is one run mode: every bin runs at the sizes below.
 
 use dynapipe_batcher::OrderingStrategy;
 use dynapipe_core::{
-    driver::simulate_iteration, run_training, BaselineKind, BaselinePlanner, DynaPipePlanner,
-    IterationPlanner, PlannerConfig, RunConfig, RunReport,
+    run_training, search_parallelism, BaselineKind, BaselinePlanner, CandidateScore,
+    DynaPipePlanner, IterationPlanner, PlannerConfig, RunConfig, RunReport,
 };
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter, Sample};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
-use dynapipe_sim::AllocatorMode;
 use serde::Serialize;
 use std::sync::Arc;
 
-/// Harness options: fixed workload sizes plus the `DYNAPIPE_BENCH_FULL`
-/// opt-in.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchOpts {
-    /// Samples in the synthetic dataset per experiment point.
-    pub dataset_samples: usize,
-    /// Simulated training iterations per point.
-    pub iters: usize,
-    /// Dataset seed.
-    pub seed: u64,
-    /// Include multi-node cluster sizes (16, 32 GPUs).
-    pub full: bool,
-}
-
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            dataset_samples: 3000,
-            iters: 4,
-            seed: 20240422,
-            full: std::env::var("DYNAPIPE_BENCH_FULL")
-                .map(|v| v == "1")
-                .unwrap_or(false),
-        }
-    }
-}
-
-impl BenchOpts {
-    /// Mini-batches used to score grid-search candidates.
-    pub const PROBES: usize = 1;
-
-    /// Cluster sizes for the scaling figures.
-    pub fn cluster_sizes(&self) -> Vec<usize> {
-        if self.full {
-            vec![4, 8, 16, 32]
-        } else {
-            vec![4, 8]
-        }
-    }
-}
+/// Dataset seed.
+pub const SEED: u64 = 20240422;
+/// Samples in the synthetic dataset per experiment point.
+pub const DATASET_SAMPLES: usize = 3000;
+/// Simulated training iterations per point.
+pub const ITERS: usize = 4;
+/// Mini-batches used to score grid-search candidates.
+pub const PROBES: usize = 1;
 
 /// The outcome of one (system, experiment-point) evaluation.
 #[derive(Debug, Clone, Serialize)]
@@ -161,106 +124,70 @@ pub fn probe_minibatches(dataset: &Dataset, point: &Point, n: usize) -> Vec<Vec<
     .collect()
 }
 
-fn profile_opts() -> ProfileOptions {
-    ProfileOptions::default()
-}
-
-/// Jitter-free run configuration for grid-search probe simulation.
-fn probe_run() -> RunConfig {
-    RunConfig {
-        max_iterations: None,
-        jitter: None,
-        allocator: AllocatorMode::PreAllocatedPool,
-        record_trace: false,
-    }
-}
-
-/// Simulated throughput of `planner` over `probes` (None on any failure).
-fn probe_throughput(planner: &dyn IterationPlanner, probes: &[Vec<Sample>]) -> Option<f64> {
-    let run = probe_run();
-    let mut tokens = 0u64;
-    let mut time = 0.0;
-    for (i, mb) in probes.iter().enumerate() {
-        let plan = planner.plan(mb).ok()?;
-        let (measured, _, _) = simulate_iteration(planner.cost_model(), &plan, &run, i).ok()?;
-        tokens += plan.actual_tokens;
-        time += measured;
-    }
-    (time > 0.0).then(|| tokens as f64 / time)
-}
-
-/// Grid-search DynaPipe's parallelism, then run it. Returns the point
-/// result and the winning parallelism (for the MLM+DS (C) comparison).
-pub fn eval_dynapipe(
+/// Rank `planners` at each of `candidates` by simulated throughput over
+/// the point's probe mini-batches.
+fn rank<P, F>(
     hw: &HardwareModel,
     dataset: &Dataset,
     point: &Point,
-    opts: &BenchOpts,
-) -> Option<(PointResult, ParallelConfig)> {
-    let probes = probe_minibatches(dataset, point, BenchOpts::PROBES);
-    let scores = dynapipe_core::search_parallelism(
+    candidates: &[ParallelConfig],
+    planners: F,
+) -> Vec<CandidateScore<P>>
+where
+    P: IterationPlanner + Send,
+    F: Fn(Arc<CostModel>) -> Vec<P> + Sync,
+{
+    let probes = probe_minibatches(dataset, point, PROBES);
+    search_parallelism(
         hw,
         &point.model,
-        point.num_gpus,
+        candidates,
         &probes,
-        PlannerConfig::default(),
-        &profile_opts(),
-    );
-    for cand in scores {
-        let planner = DynaPipePlanner::new(cand.cost_model.clone(), PlannerConfig::default());
-        let report = run_point(&planner, dataset, point, opts);
-        if let Some(r) = PointResult::from_report(&report, cand.parallel) {
-            return Some((r, cand.parallel));
-        }
-    }
-    None
+        &ProfileOptions::default(),
+        planners,
+    )
 }
 
-/// Grid-search the packing baseline (parallelism × micro-batch size) and
-/// run the winner. Pass `fixed_parallel` to pin the parallelism (the
-/// paper's "MLM+DS (C)" variant).
+/// Run the ranked candidates in order until one completes; returns its
+/// result and parallelism.
+fn run_ranked<'a, P: IterationPlanner + 'a>(
+    ranked: impl IntoIterator<Item = &'a CandidateScore<P>>,
+    dataset: &Dataset,
+    point: &Point,
+) -> Option<(PointResult, ParallelConfig)> {
+    ranked.into_iter().find_map(|c| {
+        let report = run_point(&c.planner, dataset, point);
+        PointResult::from_report(&report, c.parallel).map(|r| (r, c.parallel))
+    })
+}
+
+/// The packing baseline at each micro-batch size MLM+DS searches.
+fn packing_planners(point: &Point) -> impl Fn(Arc<CostModel>) -> Vec<BaselinePlanner> + Sync {
+    let (max_seq_len, max_target_len) = (point.max_seq_len, (point.max_seq_len / 4).max(64));
+    move |cm| {
+        [1, 2, 4]
+            .map(|mb_size| {
+                let kind = BaselineKind::Packing {
+                    max_seq_len,
+                    max_target_len,
+                    mb_size,
+                };
+                BaselinePlanner::new(cm.clone(), kind)
+            })
+            .into()
+    }
+}
+
+/// Grid-search the packing baseline (each of `candidates` × micro-batch
+/// size) and run the winner. Fig. 16a pins one parallelism.
 pub fn eval_packing(
     hw: &HardwareModel,
     dataset: &Dataset,
     point: &Point,
-    opts: &BenchOpts,
-    fixed_parallel: Option<ParallelConfig>,
+    candidates: &[ParallelConfig],
 ) -> Option<PointResult> {
-    let probes = probe_minibatches(dataset, point, BenchOpts::PROBES);
-    let candidates: Vec<ParallelConfig> = match fixed_parallel {
-        Some(p) => vec![p],
-        None => ParallelConfig::enumerate(point.num_gpus, hw.gpus_per_node),
-    };
-    let mut scored: Vec<(f64, Arc<CostModel>, ParallelConfig, usize)> = Vec::new();
-    for parallel in candidates {
-        if !parallel.fits_model(&point.model) {
-            continue;
-        }
-        let cm = Arc::new(CostModel::build(
-            hw.clone(),
-            point.model,
-            parallel,
-            &profile_opts(),
-        ));
-        if !cm.is_feasible() {
-            continue;
-        }
-        for mb_size in [1usize, 2, 4] {
-            let planner = BaselinePlanner::new(cm.clone(), packing_kind(point, mb_size));
-            if let Some(tps) = probe_throughput(&planner, &probes) {
-                scored.push((tps, cm.clone(), parallel, mb_size));
-            }
-        }
-    }
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-    for (_, cm, parallel, mb_size) in scored {
-        let planner = BaselinePlanner::new(cm, packing_kind(point, mb_size));
-        let report = run_point(&planner, dataset, point, opts);
-        if let Some(r) = PointResult::from_report(&report, parallel) {
-            return Some(r);
-        }
-    }
-    None
+    let ranked = rank(hw, dataset, point, candidates, packing_planners(point));
+    run_ranked(&ranked, dataset, point).map(|(r, _)| r)
 }
 
 /// DynaPipe against both packing baselines at one point: the three
@@ -285,29 +212,27 @@ impl Comparison {
     }
 }
 
-/// Evaluate DynaPipe, MLM+DS and MLM+DS (C) at one point.
-pub fn compare(
-    hw: &HardwareModel,
-    dataset: &Dataset,
-    point: &Point,
-    opts: &BenchOpts,
-) -> Comparison {
-    let dyna = eval_dynapipe(hw, dataset, point, opts);
-    let mlm_ds_c = dyna
-        .as_ref()
-        .and_then(|&(_, parallel)| eval_packing(hw, dataset, point, opts, Some(parallel)));
+/// Evaluate DynaPipe, MLM+DS and MLM+DS (C) at one point, each at its
+/// best grid-searched candidate that completes.
+///
+/// Packing is ranked once. MLM+DS (C) is that ranking filtered to
+/// DynaPipe's parallelism: the search's stable sort gives it the order a
+/// search pinned to that parallelism would.
+pub fn compare(hw: &HardwareModel, dataset: &Dataset, point: &Point) -> Comparison {
+    let candidates = ParallelConfig::enumerate(point.num_gpus, hw.gpus_per_node);
+    let dynapipe = rank(hw, dataset, point, &candidates, |cm| {
+        vec![DynaPipePlanner::new(cm, PlannerConfig::default())]
+    });
+    let dynapipe = run_ranked(&dynapipe, dataset, point);
+    let packing = rank(hw, dataset, point, &candidates, packing_planners(point));
+    let mlm_ds_c = dynapipe.as_ref().and_then(|&(_, parallel)| {
+        let pinned = packing.iter().filter(|c| c.parallel == parallel);
+        run_ranked(pinned, dataset, point)
+    });
     Comparison {
-        dynapipe: dyna.map(|(r, _)| r),
-        mlm_ds: eval_packing(hw, dataset, point, opts, None),
-        mlm_ds_c,
-    }
-}
-
-fn packing_kind(point: &Point, mb_size: usize) -> BaselineKind {
-    BaselineKind::Packing {
-        max_seq_len: point.max_seq_len,
-        max_target_len: (point.max_seq_len / 4).max(64),
-        mb_size,
+        dynapipe: dynapipe.map(|(r, _)| r),
+        mlm_ds: run_ranked(&packing, dataset, point).map(|(r, _)| r),
+        mlm_ds_c: mlm_ds_c.map(|(r, _)| r),
     }
 }
 
@@ -317,7 +242,6 @@ pub fn eval_token_based(
     hw: &HardwareModel,
     dataset: &Dataset,
     point: &Point,
-    opts: &BenchOpts,
     parallel: ParallelConfig,
     ordering: OrderingStrategy,
 ) -> Option<PointResult> {
@@ -325,12 +249,12 @@ pub fn eval_token_based(
         hw.clone(),
         point.model,
         parallel,
-        &profile_opts(),
+        &ProfileOptions::default(),
     ));
     if !cm.is_feasible() {
         return None;
     }
-    let probes = probe_minibatches(dataset, point, BenchOpts::PROBES);
+    let probes = probe_minibatches(dataset, point, PROBES);
     let mut best: Option<(f64, usize)> = None;
     for budget in [1024usize, 2048, 4096, 8192, 16384] {
         let planner = BaselinePlanner::new(
@@ -370,17 +294,12 @@ pub fn eval_token_based(
             ordering,
         },
     );
-    let report = run_point(&planner, dataset, point, opts);
+    let report = run_point(&planner, dataset, point);
     PointResult::from_report(&report, parallel)
 }
 
 /// Run a planner on one point with the harness run configuration.
-pub fn run_point(
-    planner: &dyn IterationPlanner,
-    dataset: &Dataset,
-    point: &Point,
-    opts: &BenchOpts,
-) -> RunReport {
+pub fn run_point(planner: &dyn IterationPlanner, dataset: &Dataset, point: &Point) -> RunReport {
     run_training(
         planner,
         dataset,
@@ -389,7 +308,7 @@ pub fn run_point(
             max_seq_len: point.max_seq_len,
         },
         RunConfig {
-            max_iterations: Some(opts.iters),
+            max_iterations: Some(ITERS),
             ..Default::default()
         },
     )
@@ -430,21 +349,15 @@ mod tests {
 
     #[test]
     fn harness_smoke_gpt_4gpu() {
-        let opts = BenchOpts {
-            dataset_samples: 400,
-            iters: 1,
-            seed: 1,
-            full: false,
-        };
         let hw = HardwareModel::a100_cluster();
-        let dataset = Dataset::flanv2(opts.seed, opts.dataset_samples);
+        let dataset = Dataset::flanv2(SEED, 400);
         let point = Point {
             model: ModelConfig::gpt_3_35b(),
             num_gpus: 4,
             max_seq_len: 1024,
             gbs_tokens: 16384,
         };
-        let c = compare(&hw, &dataset, &point, &opts);
+        let c = compare(&hw, &dataset, &point);
         let dyna = c.dynapipe.as_ref().expect("feasible");
         assert!(dyna.throughput > 0.0);
         assert!(c.mlm_ds.is_some());

@@ -1,16 +1,22 @@
 //! 3D-parallelism grid search (§8 "Baselines").
 //!
 //! The paper grid-searches power-of-two (dp, tp, pp) combinations (tp
-//! intra-node) for every system and reports the best. Scoring a candidate
-//! plans a few sample mini-batches and then *simulates* them briefly: the
-//! planner's timeline estimate models communication as pure dependency
-//! delay, but deep comm-bound pipelines additionally serialize transfers on
-//! each device-pair channel — only the simulator sees that, and ranking by
+//! intra-node) for every system and compares each system at its best.
+//! Every system's search here is one [`search_parallelism`] call over a
+//! planner family: DynaPipe ranks one planner per parallelism, the packing
+//! baseline one per micro-batch size, and a pinned baseline passes a
+//! single parallelism.
+//!
+//! Scoring a candidate plans a few sample mini-batches and then
+//! *simulates* them ([`probe_throughput`]): the planner's timeline
+//! estimate models communication as pure dependency delay, but deep
+//! comm-bound pipelines additionally serialize transfers on each
+//! device-pair channel — only the simulator sees that, and ranking by
 //! estimate alone would over-sell deep pipeline parallelism for
 //! short-sequence T5 workloads.
 
-use crate::driver::{simulate_iteration, RunConfig};
-use crate::planner::{DynaPipePlanner, PlannerConfig};
+use crate::driver::{simulate_iteration, IterationPlanner, RunConfig};
+use crate::planner::IterationPlan;
 use dynapipe_cost::{CostModel, ProfileOptions};
 use dynapipe_data::Sample;
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
@@ -18,73 +24,28 @@ use dynapipe_sim::AllocatorMode;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Score of one parallelism candidate.
+/// Score of one (parallelism, planner) candidate.
 #[derive(Debug, Clone)]
-pub struct CandidateScore {
-    /// The candidate configuration.
+pub struct CandidateScore<P> {
+    /// The candidate's parallelism.
     pub parallel: ParallelConfig,
-    /// Estimated throughput (tokens/s) over the probe mini-batches.
-    pub est_throughput: f64,
-    /// The cost model built for the candidate (reusable for the real run).
-    pub cost_model: Arc<CostModel>,
+    /// Simulated throughput (tokens/s) of the planner over the probe
+    /// mini-batches ([`probe_throughput`]).
+    pub sim_throughput: f64,
+    /// The planner, on the cost model built for `parallel` (reusable for
+    /// the real run).
+    pub planner: P,
 }
 
-/// Evaluate every feasible (dp, tp, pp) combination for `num_gpus` GPUs and
-/// return candidates sorted by descending estimated throughput.
-///
-/// Candidates are independent — each builds its own cost model, plans the
-/// probes and simulates them — so they are scored in parallel on the rayon
-/// pool. The final ranking is deterministic: a stable sort on throughput
-/// keeps enumeration order among ties, matching the serial search.
-///
-/// `probe_minibatches` should be a handful of representative mini-batches;
-/// infeasible candidates (static state over budget, or no feasible plan)
-/// are dropped.
-pub fn search_parallelism(
-    hw: &HardwareModel,
-    model: &ModelConfig,
-    num_gpus: usize,
-    probe_minibatches: &[Vec<Sample>],
-    planner_config: PlannerConfig,
-    profile_opts: &ProfileOptions,
-) -> Vec<CandidateScore> {
-    let candidates = ParallelConfig::enumerate(num_gpus, hw.gpus_per_node);
-    let mut out: Vec<CandidateScore> = candidates
-        .par_iter()
-        .filter_map(|&parallel| {
-            score_candidate(
-                hw,
-                model,
-                parallel,
-                probe_minibatches,
-                planner_config,
-                profile_opts,
-            )
-        })
-        .collect();
-    out.sort_by(|a, b| b.est_throughput.total_cmp(&a.est_throughput));
-    out
-}
-
-/// Score one (dp, tp, pp) candidate; `None` when it is infeasible or any
-/// probe fails to plan or simulate.
-fn score_candidate(
-    hw: &HardwareModel,
-    model: &ModelConfig,
-    parallel: ParallelConfig,
-    probe_minibatches: &[Vec<Sample>],
-    planner_config: PlannerConfig,
-    profile_opts: &ProfileOptions,
-) -> Option<CandidateScore> {
-    if !parallel.fits_model(model) {
-        return None;
-    }
-    let cm = Arc::new(CostModel::build(hw.clone(), *model, parallel, profile_opts));
-    if !cm.is_feasible() {
-        return None;
-    }
-    let planner = DynaPipePlanner::new(cm.clone(), planner_config);
-    let probe_run = RunConfig {
+/// Simulated throughput (tokens/s) of `plan` over `probes`: each probe
+/// mini-batch is planned, then simulated on `cm` without jitter. `None`
+/// when any probe fails to plan or simulate.
+pub fn probe_throughput<E>(
+    cm: &CostModel,
+    probes: &[Vec<Sample>],
+    plan: impl Fn(&[Sample]) -> Result<IterationPlan, E>,
+) -> Option<f64> {
+    const PROBE_RUN: RunConfig = RunConfig {
         max_iterations: None,
         jitter: None,
         allocator: AllocatorMode::PreAllocatedPool,
@@ -92,25 +53,78 @@ fn score_candidate(
     };
     let mut tokens = 0u64;
     let mut time_us = 0.0f64;
-    for (i, mb) in probe_minibatches.iter().enumerate() {
-        let plan = planner.plan_iteration(mb).ok()?;
-        let (measured, _, _) = simulate_iteration(&cm, &plan, &probe_run, i).ok()?;
-        tokens += plan.actual_tokens;
+    for (i, mb) in probes.iter().enumerate() {
+        let planned = plan(mb).ok()?;
+        let (measured, _, _) = simulate_iteration(cm, &planned, &PROBE_RUN, i).ok()?;
+        tokens += planned.actual_tokens;
         time_us += measured;
     }
-    if time_us <= 0.0 {
-        return None;
-    }
-    Some(CandidateScore {
-        parallel,
-        est_throughput: tokens as f64 / (time_us / 1e6),
-        cost_model: cm,
-    })
+    (time_us > 0.0).then(|| tokens as f64 / (time_us / 1e6))
+}
+
+/// Score every (parallelism, planner) pair — each of `candidates` that
+/// fits `model` and whose cost model is feasible, with each planner
+/// `planners` builds on that cost model — and return them sorted by
+/// descending simulated throughput.
+///
+/// Cost models are built, and pairs scored, in parallel on the rayon
+/// pool. The ranking is deterministic: a stable sort on throughput keeps
+/// enumeration order (candidate, then planner) among ties, matching a
+/// serial search. Filtering the ranking to one parallelism therefore
+/// gives the same order as a search pinned to it.
+///
+/// `probes` should be a handful of representative mini-batches; pairs
+/// that fail to plan or simulate a probe are dropped.
+pub fn search_parallelism<P, F>(
+    hw: &HardwareModel,
+    model: &ModelConfig,
+    candidates: &[ParallelConfig],
+    probes: &[Vec<Sample>],
+    profile_opts: &ProfileOptions,
+    planners: F,
+) -> Vec<CandidateScore<P>>
+where
+    P: IterationPlanner + Send,
+    F: Fn(Arc<CostModel>) -> Vec<P> + Sync,
+{
+    let families: Vec<Vec<(ParallelConfig, P)>> = candidates
+        .par_iter()
+        .map(|&parallel| {
+            if !parallel.fits_model(model) {
+                return Vec::new();
+            }
+            let cm = Arc::new(CostModel::build(hw.clone(), *model, parallel, profile_opts));
+            if !cm.is_feasible() {
+                return Vec::new();
+            }
+            planners(cm).into_iter().map(|p| (parallel, p)).collect()
+        })
+        .collect();
+    let pairs: Vec<(ParallelConfig, P)> = families.into_iter().flatten().collect();
+    let scores: Vec<Option<f64>> = pairs
+        .par_iter()
+        .map(|(_, p)| probe_throughput(p.cost_model(), probes, |mb| p.plan(mb)))
+        .collect();
+    let mut out: Vec<CandidateScore<P>> = pairs
+        .into_iter()
+        .zip(scores)
+        .filter_map(|((parallel, planner), score)| {
+            Some(CandidateScore {
+                parallel,
+                sim_throughput: score?,
+                planner,
+            })
+        })
+        .collect();
+    out.sort_by(|a, b| b.sim_throughput.total_cmp(&a.sim_throughput));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{BaselineKind, BaselinePlanner};
+    use crate::planner::{DynaPipePlanner, PlannerConfig};
     use dynapipe_data::{Dataset, GlobalBatchConfig, GlobalBatchIter};
 
     fn probes(n: usize, msl: usize) -> Vec<Vec<Sample>> {
@@ -126,6 +140,65 @@ mod tests {
         .collect()
     }
 
+    fn dynapipe(cm: Arc<CostModel>) -> Vec<DynaPipePlanner> {
+        vec![DynaPipePlanner::new(cm, PlannerConfig::default())]
+    }
+
+    /// The packing baseline at each micro-batch size the harness searches.
+    fn packing(cm: Arc<CostModel>) -> Vec<BaselinePlanner> {
+        [1, 2, 4]
+            .map(|mb_size| {
+                let kind = BaselineKind::Packing {
+                    max_seq_len: 2048,
+                    max_target_len: 512,
+                    mb_size,
+                };
+                BaselinePlanner::new(cm.clone(), kind)
+            })
+            .into()
+    }
+
+    /// Search 4-GPU GPT-3.35B at max length 2048 over `candidates`.
+    fn search<P, F>(candidates: &[ParallelConfig], planners: F) -> Vec<CandidateScore<P>>
+    where
+        P: IterationPlanner + Send,
+        F: Fn(Arc<CostModel>) -> Vec<P> + Sync,
+    {
+        search_parallelism(
+            &HardwareModel::a100_cluster(),
+            &ModelConfig::gpt_3_35b(),
+            candidates,
+            &probes(1, 2048),
+            &ProfileOptions::coarse(),
+            planners,
+        )
+    }
+
+    fn all_4gpu() -> Vec<ParallelConfig> {
+        ParallelConfig::enumerate(4, HardwareModel::a100_cluster().gpus_per_node)
+    }
+
+    /// Each candidate's parallelism, planner and throughput bits.
+    fn ranking<P: IterationPlanner>(scores: &[CandidateScore<P>]) -> Vec<(String, String, u64)> {
+        scores
+            .iter()
+            .map(|s| {
+                let label = s.planner.label();
+                (s.parallel.to_string(), label, s.sim_throughput.to_bits())
+            })
+            .collect()
+    }
+
+    /// `f` under a pool of 1, 2 and 4 threads.
+    fn under_caps<R>(f: impl Fn() -> R) -> Vec<R> {
+        [1, 2, 4]
+            .map(|t| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(t).build();
+                pool.unwrap().install(&f)
+            })
+            .into()
+    }
+
     #[test]
     fn search_returns_ranked_feasible_candidates() {
         let hw = HardwareModel::a100_cluster();
@@ -133,10 +206,10 @@ mod tests {
         let scores = search_parallelism(
             &hw,
             &model,
-            4,
+            &ParallelConfig::enumerate(4, hw.gpus_per_node),
             &probes(2, 2048),
-            PlannerConfig::default(),
             &ProfileOptions::coarse(),
+            dynapipe,
         );
         assert!(
             !scores.is_empty(),
@@ -144,11 +217,11 @@ mod tests {
         );
         for s in &scores {
             assert_eq!(s.parallel.num_gpus(), 4);
-            assert!(s.est_throughput > 0.0);
+            assert!(s.sim_throughput > 0.0);
         }
         assert!(scores
             .windows(2)
-            .all(|w| w[0].est_throughput >= w[1].est_throughput));
+            .all(|w| w[0].sim_throughput >= w[1].sim_throughput));
     }
 
     #[test]
@@ -157,18 +230,48 @@ mod tests {
         // all) candidates should be infeasible.
         let hw = HardwareModel::a100_cluster();
         let model = ModelConfig::gpt_29b();
-        let all = ParallelConfig::enumerate(4, hw.gpus_per_node).len();
+        let all = ParallelConfig::enumerate(4, hw.gpus_per_node);
         let scores = search_parallelism(
             &hw,
             &model,
-            4,
+            &all,
             &probes(1, 1024),
-            PlannerConfig::default(),
             &ProfileOptions::coarse(),
+            dynapipe,
         );
         assert!(
-            scores.len() < all,
+            scores.len() < all.len(),
             "29B params cannot fit every 4-GPU layout"
         );
+    }
+
+    #[test]
+    fn ranking_is_identical_under_every_thread_count() {
+        // Cost models and pairs are scored on the pool in a different
+        // order per width; neither the order nor a score may move.
+        let all = all_4gpu();
+        for runs in [
+            under_caps(|| ranking(&search(&all, dynapipe))),
+            under_caps(|| ranking(&search(&all, packing))),
+        ] {
+            assert!(!runs[0].is_empty());
+            assert!(runs.iter().all(|r| *r == runs[0]), "{runs:#?}");
+        }
+    }
+
+    #[test]
+    fn filtered_ranking_equals_a_pinned_search() {
+        // MLM+DS (C) reads packing's ranking at DynaPipe's parallelism
+        // instead of searching that one parallelism again.
+        let all = all_4gpu();
+        let parallel = search(&all, dynapipe)[0].parallel;
+        let packing_all = search(&all, packing);
+        let filtered: Vec<_> = packing_all
+            .into_iter()
+            .filter(|s| s.parallel == parallel)
+            .collect();
+        let pinned = search(&[parallel], packing);
+        assert!(!pinned.is_empty(), "packing must run at {parallel}");
+        assert_eq!(ranking(&filtered), ranking(&pinned));
     }
 }

@@ -45,7 +45,7 @@ pub use compile::{compile_replica, compile_replica_with, GroundTruth};
 pub use driver::{
     run_training, IterationPlanner, IterationRecord, IterationSummary, RunConfig, RunReport,
 };
-pub use gridsearch::{search_parallelism, CandidateScore};
+pub use gridsearch::{probe_throughput, search_parallelism, CandidateScore};
 pub use planner::{
     DynaPipePlanner, IterationPlan, PlanContext, PlanError, PlannerConfig, ReplicaPlan,
     ScheduleKind,

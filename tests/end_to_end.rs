@@ -251,18 +251,17 @@ fn grid_search_prefers_feasible_high_throughput_configs() {
     )
     .take(2)
     .collect();
+    let hw = HardwareModel::a100_cluster();
     let scores = dynapipe_core::search_parallelism(
-        &HardwareModel::a100_cluster(),
+        &hw,
         &ModelConfig::gpt_3_35b(),
-        4,
+        &ParallelConfig::enumerate(4, hw.gpus_per_node),
         &probes,
-        PlannerConfig::default(),
         &ProfileOptions::coarse(),
+        |cm| vec![DynaPipePlanner::new(cm, PlannerConfig::default())],
     );
     assert!(!scores.is_empty());
     // The winner must be runnable end to end.
-    let best = &scores[0];
-    let planner = DynaPipePlanner::new(best.cost_model.clone(), PlannerConfig::default());
-    let report = run(&planner, &dataset, 2048, 2);
+    let report = run(&scores[0].planner, &dataset, 2048, 2);
     assert!(report.feasible(), "{:?}", report.failure);
 }
