@@ -24,7 +24,7 @@
 //!    grid coordinates once and, in that one visit, evaluates the
 //!    forward, backward, and every mode's `recompute_extra` and
 //!    `activation` grids ([`dynapipe_cost::ShapePricer::price_every_mode`],
-//!    which prices the two halves of the shapes on two threads).
+//!    on two threads that claim chunks of the shapes from one cursor).
 //!
 //! Each mode's partition then only compares the priced activation against
 //! its memory limit, giving one time per distinct shape (`+∞` where the
@@ -57,7 +57,11 @@
 //!
 //! Past the pricing pass the partitioner is single-threaded: the rest of
 //! the planning parallelism lives one level up, in the planner's §7 sweep,
-//! which runs the recompute modes' partitions concurrently.
+//! which runs the recompute modes' partitions concurrently. The sweep can
+//! give up on a mode mid-search ([`Partitioner::partition_until`]): the
+//! search's first solve, at the largest candidate, is the least `Σ t(M)`
+//! of any split, and the search offers it to a `stop` test before each
+//! later solve, which the sweep answers with its Eq. 2 bound.
 //!
 //! Memory awareness: micro-batches whose estimated activation footprint
 //! exceeds the per-micro-batch limit are excluded from the recurrence, so
@@ -387,6 +391,14 @@ impl SliceFwdCosts {
             prices: cm.shape_pricer().price_every_mode(&shapes.distinct),
         }
     }
+
+    /// Whether one stage is the slowest, forward and backward, of every
+    /// slice shape under every mode (see
+    /// [`dynapipe_cost::ModePrices::one_stage_dominates`]): then any
+    /// partition's `Σ t(M)` is that stage's busy time.
+    pub fn one_stage_dominates(&self) -> bool {
+        self.prices.one_stage_dominates()
+    }
 }
 
 /// The reference's dense per-(end, width) slice table for one
@@ -463,6 +475,10 @@ impl DpSolveStats {
     }
 }
 
+/// A [`Partitioner::partition_until`] search that its `stop` test ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stopped;
+
 /// Exact bound-driven search over ascending `candidates`: the index that
 /// minimizes `objective(t_max, sum)`, the smallest such index on ties,
 /// with its solve payload; `None` when no candidate is feasible.
@@ -474,19 +490,30 @@ impl DpSolveStats {
 /// bound on the objective of every `i < j`, and the search only bisects
 /// runs of unsolved candidates whose bound can still beat the incumbent.
 /// Each candidate is solved at most once.
+///
+/// The first solve, at the largest candidate, gives the least sum of any
+/// feasible split. Before each later solve the search passes that sum to
+/// `stop`, and ends with [`Stopped`] once `stop` returns `true`; a search
+/// that needs no later solve never calls it.
 fn search_tmax<P>(
     candidates: &[Micros],
     objective: impl Fn(Micros, Micros) -> Micros,
     mut solve: impl FnMut(usize) -> Option<(Micros, P)>,
-) -> Option<(usize, P)> {
-    let last = candidates.len().checked_sub(1)?;
+    mut stop: impl FnMut(Micros) -> bool,
+) -> Result<Option<(usize, P)>, Stopped> {
+    let Some(last) = candidates.len().checked_sub(1) else {
+        return Ok(None);
+    };
     // The largest bound admits every feasible slice: if it has no
     // partition, no candidate has one.
-    let (sum, payload) = solve(last)?;
-    let (mut best_obj, mut best_idx, mut best) = (objective(candidates[last], sum), last, payload);
+    let Some((least_sum, payload)) = solve(last) else {
+        return Ok(None);
+    };
+    let (mut best_obj, mut best_idx, mut best) =
+        (objective(candidates[last], least_sum), last, payload);
     // Runs `lo..hi` of unsolved candidates, each bounded by the sum solved
     // at `hi`.
-    let mut gaps: Vec<(usize, usize, Micros)> = vec![(0, last, sum)];
+    let mut gaps: Vec<(usize, usize, Micros)> = vec![(0, last, least_sum)];
     // Depth first, lower runs first; the order changes how many solves
     // run, never the result.
     while let Some((lo, hi, s)) = gaps.pop() {
@@ -503,6 +530,9 @@ fn search_tmax<P>(
         }
         let mid = lo + (live - 1) / 2;
         gaps.push((mid + 1, hi, s));
+        if stop(least_sum) {
+            return Err(Stopped);
+        }
         // If `mid` is infeasible, so is everything below it.
         if let Some((sum, payload)) = solve(mid) {
             let obj = objective(candidates[mid], sum);
@@ -512,7 +542,7 @@ fn search_tmax<P>(
             gaps.push((lo, mid, sum));
         }
     }
-    Some((best_idx, best))
+    Ok(Some((best_idx, best)))
 }
 
 /// `x.ceil() as u64` without a libm call: truncate, then step up when the
@@ -706,24 +736,29 @@ impl<'a> Partitioner<'a> {
     /// partition, the mini-batch has none.
     ///
     /// The search is serial on purpose: the planner parallelizes one
-    /// level up, across the §7 recompute modes.
+    /// level up, across the §7 recompute modes. `stop` is
+    /// [`search_tmax`]'s.
     fn sweep_tmax(
         &self,
         shapes: &SliceShapes,
         time: &[Micros],
         candidates: &[Micros],
-    ) -> Option<Vec<usize>> {
+        stop: impl FnMut(Micros) -> bool,
+    ) -> Result<Option<Vec<usize>>, Stopped> {
         if candidates.is_empty() {
-            return None;
+            return Ok(None);
         }
         let rising = Self::rising_runs(shapes, time);
         let c = self.cm.num_stages() as f64;
         let dp_deg = self.config.dp_degree.max(1) as f64;
         let objective = |t_max: Micros, sum: Micros| (c - 1.0) * t_max + sum / dp_deg;
-        let (_, back) = search_tmax(candidates, objective, |i| {
-            Self::solve_for_tmax(shapes, time, &rising, candidates[i])
-        })?;
-        Some(back)
+        let found = search_tmax(
+            candidates,
+            objective,
+            |i| Self::solve_for_tmax(shapes, time, &rising, candidates[i]),
+            stop,
+        )?;
+        Ok(found.map(|(_, back)| back))
     }
 
     /// Assemble the final result from chosen split back-pointers.
@@ -798,8 +833,28 @@ impl<'a> Partitioner<'a> {
         fwd: &SliceFwdCosts,
         ordered: &[Sample],
     ) -> Option<PartitionResult> {
+        let never = |_| false;
+        let done = self.partition_until(shapes, fwd, ordered, never);
+        done.expect("a search that never stops runs to the end")
+    }
+
+    /// [`Partitioner::partition_with_context`] that can give up: the
+    /// `t_max` search's first Eq. 2 solve, at the largest candidate, gives
+    /// `S`, the least `Σ t(M)` of any split that fits the memory limit,
+    /// and before each later solve the search calls `stop(S)`, ending with
+    /// [`Stopped`] once it returns `true`. The §7 sweep stops a mode's
+    /// search once `S` proves that the mode cannot beat one already
+    /// scored. A search that is not stopped returns exactly what
+    /// `partition_with_context` returns.
+    pub fn partition_until(
+        &self,
+        shapes: &SliceShapes,
+        fwd: &SliceFwdCosts,
+        ordered: &[Sample],
+        stop: impl FnMut(Micros) -> bool,
+    ) -> Result<Option<PartitionResult>, Stopped> {
         if ordered.is_empty() {
-            return Some(Self::empty_result());
+            return Ok(Some(Self::empty_result()));
         }
         debug_assert_eq!(shapes.num_samples(), ordered.len());
         debug_assert_eq!(
@@ -810,8 +865,8 @@ impl<'a> Partitioner<'a> {
         debug_assert_eq!(fwd.prices.len(), shapes.distinct.len());
         let time = self.price_shapes(fwd);
         let candidates = self.candidates(&time);
-        let back = self.sweep_tmax(shapes, &time, &candidates)?;
-        Some(self.finish(ordered, &back))
+        let back = self.sweep_tmax(shapes, &time, &candidates, stop)?;
+        Ok(back.map(|back| self.finish(ordered, &back)))
     }
 
     /// Reference implementation retained for equivalence testing and
@@ -1249,8 +1304,8 @@ mod tests {
             let reference = p.reference_sweep(&table);
             assert!(reference.is_some(), "seed={seed}: no partition");
             assert_eq!(
-                p.sweep_tmax(&shapes, &time, &candidates),
-                reference,
+                p.sweep_tmax(&shapes, &time, &candidates, |_| false),
+                Ok(reference),
                 "seed={seed}: sweep diverged"
             );
         }
@@ -1595,10 +1650,17 @@ mod tests {
         let (candidates, sums) = synthetic_sweep(steps, infeasible, stages, dp);
         let objective = |t: Micros, sum: Micros| (stages - 1.0) * t + sum / dp;
         let mut solved = vec![0u32; candidates.len()];
-        let found = search_tmax(&candidates, objective, |i| {
-            solved[i] += 1;
-            sums[i].map(|sum| (sum, i))
-        });
+        let never = |_| false;
+        let found = search_tmax(
+            &candidates,
+            objective,
+            |i| {
+                solved[i] += 1;
+                sums[i].map(|sum| (sum, i))
+            },
+            never,
+        )
+        .map_err(|Stopped| "a search that never stops stopped".to_string())?;
         let expect = exhaustive_argmin(&candidates, &sums, objective);
         let case = format!("sums {sums:?}, c={stages}, dp={dp}");
         if found.map(|(i, _)| i) != expect {
@@ -1615,6 +1677,57 @@ mod tests {
             return Err(format!("{case}: a candidate was solved twice: {solved:?}"));
         }
         Ok(())
+    }
+
+    #[test]
+    fn search_tmax_stops_before_the_solve_its_test_refuses() {
+        // `stop` sees only the first solve's sum (the least), once before
+        // each later solve: stopped at its k-th call, the search has run
+        // exactly k + 1 solves; never stopped, it calls `stop` once per
+        // later solve and returns the full search's choice.
+        let steps = [2, 0, 3, 1, 5, 2, 0, 4, 2, 3, 1, 2];
+        let (candidates, sums) = synthetic_sweep(&steps, 2, 4.0, 2.0);
+        let objective = |t: Micros, sum: Micros| 3.0 * t + sum / 2.0;
+        let least = sums.last().copied().flatten().unwrap();
+        let run = |stop_at: usize| {
+            let (mut solves, mut calls) = (0, 0);
+            let found = search_tmax(
+                &candidates,
+                objective,
+                |i| {
+                    solves += 1;
+                    sums[i].map(|sum| (sum, i))
+                },
+                |s| {
+                    assert_eq!(s, least, "stop sees the first solve's sum");
+                    calls += 1;
+                    calls > stop_at
+                },
+            );
+            (found, solves, calls)
+        };
+        let (full, solves, calls) = run(usize::MAX);
+        assert_eq!(
+            full.unwrap().map(|(i, _)| i),
+            exhaustive_argmin(&candidates, &sums, objective)
+        );
+        assert!(solves > 2, "the sweep needs several solves");
+        assert_eq!(calls, solves - 1);
+        for k in 0..calls {
+            let (found, solves, calls) = run(k);
+            assert_eq!(found, Err(Stopped), "stopped at call {k}");
+            assert_eq!((solves, calls), (k + 1, k + 1));
+        }
+        // An infeasible largest candidate ends the search before any
+        // `stop` call.
+        let (_, sums) = synthetic_sweep(&steps, steps.len() + 1, 4.0, 2.0);
+        let found = search_tmax(
+            &candidates,
+            objective,
+            |i| sums[i].map(|s| (s, i)),
+            |_| panic!("no later solve to stop"),
+        );
+        assert_eq!(found, Ok(None));
     }
 
     #[test]

@@ -10,17 +10,29 @@ use dynapipe_model::Micros;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// A partial solution: k per-part sums with their item sets, kept sorted
-/// by descending sum.
+/// A partial solution: k parts, each its sum and its items, kept sorted by
+/// descending sum.
 #[derive(Debug, Clone)]
 struct Tuple {
-    sums: Vec<Micros>,
-    parts: Vec<Vec<usize>>,
+    parts: Vec<(Micros, Vec<usize>)>,
 }
 
 impl Tuple {
     fn spread(&self) -> Micros {
-        self.sums[0] - self.sums[self.sums.len() - 1]
+        self.parts[0].0 - self.parts[self.parts.len() - 1].0
+    }
+
+    /// Merge `other` into `self`: pair `self`'s largest sums with
+    /// `other`'s smallest, each merged part `self`'s items then `other`'s,
+    /// then re-sort by descending sum (stably, so equal sums keep their
+    /// pairing order). Moves `other`'s items; allocates only when a part
+    /// outgrows its capacity.
+    fn merge(&mut self, mut other: Tuple) {
+        for (mine, theirs) in self.parts.iter_mut().zip(other.parts.iter_mut().rev()) {
+            mine.0 += theirs.0;
+            mine.1.append(&mut theirs.1);
+        }
+        self.parts.sort_by(|x, y| y.0.total_cmp(&x.0));
     }
 }
 
@@ -64,37 +76,18 @@ pub fn karmarkar_karp(weights: &[Micros], k: usize) -> Vec<Vec<usize>> {
         .iter()
         .enumerate()
         .map(|(i, &w)| {
-            let mut sums = vec![0.0; k];
-            let mut parts = vec![Vec::new(); k];
-            sums[0] = w;
-            parts[0].push(i);
-            Tuple { sums, parts }
+            let mut parts = vec![(0.0, Vec::new()); k];
+            parts[0] = (w, vec![i]);
+            Tuple { parts }
         })
         .collect();
     while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
-        // Pair a's largest with b's smallest to level the sums.
-        let mut sums = vec![0.0; k];
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for i in 0..k {
-            let j = k - 1 - i;
-            sums[i] = a.sums[i] + b.sums[j];
-            let mut items = a.parts[i].clone();
-            items.extend_from_slice(&b.parts[j]);
-            parts[i] = items;
-        }
-        // Re-sort by descending sum (keep parts aligned).
-        let mut order: Vec<usize> = (0..k).collect();
-        order.sort_by(|&x, &y| sums[y].total_cmp(&sums[x]));
-        let sums = order.iter().map(|&i| sums[i]).collect();
-        let parts = order
-            .iter()
-            .map(|&i| std::mem::take(&mut parts[i]))
-            .collect();
-        heap.push(Tuple { sums, parts });
+        let mut a = heap.pop().expect("len > 1");
+        a.merge(heap.pop().expect("len > 1"));
+        heap.push(a);
     }
-    heap.pop().expect("one tuple remains").parts
+    let last = heap.pop().expect("one tuple remains");
+    last.parts.into_iter().map(|(_, items)| items).collect()
 }
 
 /// Maximum part sum of a partition — the quantity KK minimizes.
@@ -109,6 +102,106 @@ pub fn max_part_sum(weights: &[Micros], parts: &[Vec<usize>]) -> Micros {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The merge as it was first written, kept as the oracle of
+    /// [`karmarkar_karp`]: each merge builds fresh sums and fresh parts,
+    /// cloning `a`'s items, then re-sorts through an index order.
+    fn karmarkar_karp_reference(weights: &[Micros], k: usize) -> Vec<Vec<usize>> {
+        #[derive(Debug, Clone)]
+        struct Tuple {
+            sums: Vec<Micros>,
+            parts: Vec<Vec<usize>>,
+        }
+        impl Tuple {
+            fn spread(&self) -> Micros {
+                self.sums[0] - self.sums[self.sums.len() - 1]
+            }
+        }
+        impl PartialEq for Tuple {
+            fn eq(&self, other: &Self) -> bool {
+                self.spread() == other.spread()
+            }
+        }
+        impl Eq for Tuple {}
+        impl PartialOrd for Tuple {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Tuple {
+            fn cmp(&self, other: &Self) -> Ordering {
+                self.spread().total_cmp(&other.spread())
+            }
+        }
+        assert!(k > 0, "cannot partition into zero parts");
+        if weights.is_empty() {
+            return vec![Vec::new(); k];
+        }
+        if k == 1 {
+            return vec![(0..weights.len()).collect()];
+        }
+        let mut heap: BinaryHeap<Tuple> = weights
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let mut sums = vec![0.0; k];
+                let mut parts = vec![Vec::new(); k];
+                sums[0] = w;
+                parts[0].push(i);
+                Tuple { sums, parts }
+            })
+            .collect();
+        while heap.len() > 1 {
+            let a = heap.pop().expect("len > 1");
+            let b = heap.pop().expect("len > 1");
+            let mut sums = vec![0.0; k];
+            let mut parts: Vec<Vec<usize>> = vec![Vec::new(); k];
+            for i in 0..k {
+                let j = k - 1 - i;
+                sums[i] = a.sums[i] + b.sums[j];
+                let mut items = a.parts[i].clone();
+                items.extend_from_slice(&b.parts[j]);
+                parts[i] = items;
+            }
+            let mut order: Vec<usize> = (0..k).collect();
+            order.sort_by(|&x, &y| sums[y].total_cmp(&sums[x]));
+            let sums = order.iter().map(|&i| sums[i]).collect();
+            let parts = order
+                .iter()
+                .map(|&i| std::mem::take(&mut parts[i]))
+                .collect();
+            heap.push(Tuple { sums, parts });
+        }
+        heap.pop().expect("one tuple remains").parts
+    }
+
+    #[test]
+    fn merging_in_place_matches_the_reference_groups() {
+        // Random weights drawn from a few values, so spreads and part sums
+        // tie often: ties are where a changed heap or sort order would
+        // show. Every part's items, in order, must match.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for k in [1, 2, 4, 32] {
+            for len in [0, 1, 2, 3, 5, 8, 31, 33, 64, 200] {
+                for distinct in [1, 3, 7, 1000] {
+                    let w: Vec<Micros> = (0..len)
+                        .map(|_| (1 + next(distinct)) as f64 * 2.5)
+                        .collect();
+                    assert_eq!(
+                        karmarkar_karp(&w, k),
+                        karmarkar_karp_reference(&w, k),
+                        "k={k} weights {w:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn partition_is_exact_cover() {

@@ -31,7 +31,7 @@ pub use baselines::{
 };
 pub use dp::{
     dp_solve_stats, DpConfig, DpSolveStats, PartitionResult, Partitioner, SliceFwdCosts,
-    SliceShapes,
+    SliceShapes, Stopped,
 };
 pub use kk::karmarkar_karp;
 pub use metrics::{padding_efficiency, PaddingStats};

@@ -149,15 +149,15 @@ where
 }
 
 /// Run the ranked candidates in order until one completes; returns its
-/// result and parallelism.
+/// position among them and its result.
 fn run_ranked<'a, P: IterationPlanner + 'a>(
     ranked: impl IntoIterator<Item = &'a CandidateScore<P>>,
     dataset: &Dataset,
     point: &Point,
-) -> Option<(PointResult, ParallelConfig)> {
-    ranked.into_iter().find_map(|c| {
+) -> Option<(usize, PointResult)> {
+    ranked.into_iter().enumerate().find_map(|(i, c)| {
         let report = run_point(&c.planner, dataset, point);
-        PointResult::from_report(&report, c.parallel).map(|r| (r, c.parallel))
+        PointResult::from_report(&report, c.parallel).map(|r| (i, r))
     })
 }
 
@@ -187,7 +187,7 @@ pub fn eval_packing(
     candidates: &[ParallelConfig],
 ) -> Option<PointResult> {
     let ranked = rank(hw, dataset, point, candidates, packing_planners(point));
-    run_ranked(&ranked, dataset, point).map(|(r, _)| r)
+    run_ranked(&ranked, dataset, point).map(|(_, r)| r)
 }
 
 /// DynaPipe against both packing baselines at one point: the three
@@ -217,22 +217,30 @@ impl Comparison {
 ///
 /// Packing is ranked once. MLM+DS (C) is that ranking filtered to
 /// DynaPipe's parallelism: the search's stable sort gives it the order a
-/// search pinned to that parallelism would.
+/// search pinned to that parallelism would. Runs are deterministic, and
+/// every candidate ranked above MLM+DS's winner failed in MLM+DS's run,
+/// so MLM+DS (C) is that winner when it sits at DynaPipe's parallelism,
+/// and otherwise the first filtered candidate below it that completes.
 pub fn compare(hw: &HardwareModel, dataset: &Dataset, point: &Point) -> Comparison {
     let candidates = ParallelConfig::enumerate(point.num_gpus, hw.gpus_per_node);
-    let dynapipe = rank(hw, dataset, point, &candidates, |cm| {
+    let ranked = rank(hw, dataset, point, &candidates, |cm| {
         vec![DynaPipePlanner::new(cm, PlannerConfig::default())]
     });
-    let dynapipe = run_ranked(&dynapipe, dataset, point);
+    let dynapipe = run_ranked(&ranked, dataset, point).map(|(i, r)| (r, ranked[i].parallel));
     let packing = rank(hw, dataset, point, &candidates, packing_planners(point));
+    let mlm_ds = run_ranked(&packing, dataset, point);
     let mlm_ds_c = dynapipe.as_ref().and_then(|&(_, parallel)| {
-        let pinned = packing.iter().filter(|c| c.parallel == parallel);
-        run_ranked(pinned, dataset, point)
+        let (won, result) = mlm_ds.as_ref()?;
+        if packing[*won].parallel == parallel {
+            return Some(result.clone());
+        }
+        let pinned = packing[won + 1..].iter().filter(|c| c.parallel == parallel);
+        run_ranked(pinned, dataset, point).map(|(_, r)| r)
     });
     Comparison {
         dynapipe: dynapipe.map(|(r, _)| r),
-        mlm_ds: run_ranked(&packing, dataset, point).map(|(r, _)| r),
-        mlm_ds_c: mlm_ds_c.map(|(r, _)| r),
+        mlm_ds: mlm_ds.map(|(_, r)| r),
+        mlm_ds_c,
     }
 }
 

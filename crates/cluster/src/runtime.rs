@@ -281,12 +281,14 @@ impl<'a> ClusterRun<'a> {
         run_planner_worker(&self.queue, stream, w, threads, |ticket| {
             // A crash takes effect at the claim boundary: the dead host's
             // worker hands the ticket straight back for the survivors.
-            // The abandon bumps the queue's `reissued` counter, so it
-            // records a re-issue span like the crash sweep (lane = the
-            // dead host).
+            // An abandon that re-queues bumps the queue's `reissued`
+            // counter, so it records a re-issue span like the crash sweep
+            // (lane = the dead host). If the sweep re-queued the ticket
+            // first, the abandon does nothing and records nothing.
             if !self.membership.is_alive(host) {
-                self.queue.abandon(ticket.index, w);
-                self.mark_reissue(ticket.index as i64, host as i64);
+                if self.queue.abandon(ticket.index, w) {
+                    self.mark_reissue(ticket.index as i64, host as i64);
+                }
                 return false;
             }
             // A scripted straggle delays this host's next attempt

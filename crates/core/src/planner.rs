@@ -7,25 +7,41 @@
 //! clusters, schedule with 1F1B or the memory-aware adaptive schedule (§5),
 //! plan communication (§6), and verify the result deadlock-free.
 //!
-//! The §7 sweep is split in two. *Scoring* runs every mode as far as its
-//! estimated iteration time: partition, balance, schedule and evaluate.
-//! It runs as FIFO tasks on the rayon pool (`rayon::scope_fifo`): one
-//! task per mode partitions and balances, then queues one task per
-//! replica to schedule and evaluate it, so the threads share the replicas
-//! of every mode instead of each running whole modes. Each task writes
-//! its own result slot, and the modes are assembled in mode and replica
-//! order, so the plan does not depend on the thread count or on which
-//! thread ran what. *Finishing* plans communication and verifies, and runs
-//! only for the mode the planner keeps: modes are finished in (estimate,
-//! mode index) order until one verifies. That is the plan that finishing
-//! every mode and folding them in mode order would give, and on failure
-//! the same error, except that a mode is not finished once a replica of it
-//! fails to score: such a mode reports the scoring error even if an
-//! earlier replica of it would not have finished.
+//! The §7 sweep runs in three steps: score, bound, finish.
+//!
+//! *Scoring* runs a mode as far as its estimated iteration time:
+//! partition, balance, schedule and evaluate. It runs as FIFO tasks on the
+//! rayon pool (`rayon::scope_fifo`): one task per mode partitions and
+//! balances, then queues its replicas, and one task per replica schedules
+//! and evaluates one, claiming the queued replica of the mode with the
+//! lowest bound first. The threads share the replicas of every mode
+//! instead of each running whole modes. Results land in per-mode slots and
+//! are assembled in mode and replica order, so the plan does not depend on
+//! the thread count or on which thread ran what.
+//!
+//! *Bounding* drops modes that cannot win. Once a mode is fully scored,
+//! its estimate is the sweep's `best` if lowest, and a mode is dropped as
+//! soon as an exact lower bound on its estimate lies strictly above
+//! `best`: the Eq. 2 bound stops its partition's `t_max` search between
+//! solves (only where one stage is the slowest of every shape, so never on
+//! T5), and the replica bound (`dynapipe_schedule::makespan_lower_bound`)
+//! keeps its replicas from being scheduled. A dropped mode carries no
+//! estimate, only that bound. Which modes are dropped depends on timing;
+//! the lowest estimate is never dropped.
+//!
+//! *Finishing* plans communication and verifies, one pool task per
+//! replica, and runs only for the mode the planner keeps: the lowest
+//! scored estimate, the lower mode index on ties, which is the lowest of
+//! all. If it fails to finish, the dropped modes are scored and modes are
+//! finished in (estimate, mode index) order until one verifies. That is
+//! the plan that finishing every mode and folding them in mode order would
+//! give, and on failure the same error, except that a mode is not
+//! finished once a replica of it fails to score: such a mode reports the
+//! scoring error even if an earlier replica of it would not have finished.
 
 use dynapipe_batcher::{
     karmarkar_karp, DpConfig, OrderingStrategy, PaddingStats, Partitioner, SliceFwdCosts,
-    SliceShapes,
+    SliceShapes, Stopped,
 };
 use dynapipe_comm::{plan_communication, verify_deadlock_free, ExecutionPlan, PlanInputs};
 use dynapipe_cost::CostModel;
@@ -33,11 +49,11 @@ use dynapipe_data::Sample;
 use dynapipe_model::memory::RecomputeMode;
 use dynapipe_model::{Bytes, MicroBatchShape, Micros};
 use dynapipe_schedule::{
-    adaptive_schedule, evaluate_schedule, one_f_one_b, reorder_with_schedule, ReorderConfig,
-    Schedule, ScheduleInput, Timeline,
+    adaptive_schedule, evaluate_schedule, makespan_lower_bound, one_f_one_b, reorder_with_schedule,
+    ReorderConfig, Schedule, ScheduleInput, Timeline,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Which pipeline schedule the planner emits.
@@ -209,6 +225,171 @@ struct ScoredReplica {
     peaks: Vec<Bytes>,
 }
 
+/// Relative slack of the §7 sweep's bound tests: a mode is dropped only
+/// when `bound × (1 − BOUND_SLACK) > best`.
+///
+/// A bound and the estimate it bounds are computed from the same
+/// durations by different rounded sums. A sum of `n` nonnegative terms is
+/// within `n · 2^-53` of its exact value, relatively, and `min`/`max` are
+/// exact; the estimate's longest chain adds at most `4 · m · c` terms for
+/// `m` micro-batches on `c` stages, the replica bound about `2m + 4c`, and
+/// the Eq. 2 bound's sum at most one per sample. The sweep prunes only
+/// when a plan's samples `n` (which bound its micro-batches) keep
+/// `n · (4c + 2)` under [`MAX_BOUND_TERMS`] = 2^22, so both sides move by
+/// less than `2^22 · 2^-53 = 2^-31` each, and `BOUND_SLACK` = 10^-9 >
+/// 2 · 2^-31 covers them: a dropped mode's exact estimate, and its
+/// computed one, lie strictly above `best`.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// Rounded additions a bound test's slack covers (see [`BOUND_SLACK`]).
+const MAX_BOUND_TERMS: usize = 1 << 22;
+
+/// The lower bounds on a mode's estimate the §7 sweep drops modes with
+/// (see `DynaPipePlanner::score_modes`).
+struct Bounds {
+    /// Gradient sync time every mode's estimate adds.
+    dp_sync_time: Micros,
+    /// Data-parallel degree `|D|`.
+    dp: f64,
+    /// Whether [`BOUND_SLACK`] covers the plan's rounding.
+    prune: bool,
+    /// Whether the Eq. 2 bound holds: one stage is the slowest of every
+    /// slice shape ([`SliceFwdCosts::one_stage_dominates`]).
+    eq2: bool,
+}
+
+impl Bounds {
+    fn new(cm: &CostModel, ctx: &PlanContext<'_>) -> Bounds {
+        let prune = ctx.ordered.len() * (4 * cm.num_stages() + 2) < MAX_BOUND_TERMS;
+        Bounds {
+            dp_sync_time: dp_sync_time(cm),
+            dp: cm.parallel.dp.max(1) as f64,
+            prune,
+            eq2: prune && ctx.fwd.one_stage_dominates(),
+        }
+    }
+
+    /// Whether a mode whose estimate is at least `bound` (up to rounding)
+    /// lies strictly above `best`.
+    fn rules_out(&self, bound: Micros, best: Micros) -> bool {
+        self.prune && bound * (1.0 - BOUND_SLACK) > best
+    }
+
+    /// The Eq. 2 bound's test. `least_sum` is the least `Σ t(M)` of any
+    /// split ([`Partitioner::partition_until`]'s `S`). The mode's split
+    /// sums to at least that, so one of its `|D|` replicas gets at least
+    /// `S / |D|` of it. Where one stage is the slowest of every shape, a
+    /// micro-batch's `t(M)` is that stage's forward plus backward, and the
+    /// stage runs them all in sequence, so that replica's makespan is at
+    /// least `S / |D|` and the estimate at least `S / |D| + dp_sync_time`.
+    fn rules_out_split(&self, least_sum: Micros, best: Micros) -> bool {
+        self.eq2 && self.rules_out(least_sum / self.dp + self.dp_sync_time, best)
+    }
+
+    /// The replica bound of a partitioned mode: its replicas' largest
+    /// [`makespan_lower_bound`] plus the gradient sync, a bound on the
+    /// estimate under any schedule and reorder the planner picks.
+    fn of_replicas<'i>(&self, inputs: impl Iterator<Item = &'i ScheduleInput>) -> Micros {
+        let bound = inputs.fold(0.0, |b: Micros, input| b.max(makespan_lower_bound(input)));
+        bound + self.dp_sync_time
+    }
+}
+
+/// The state the tasks of one §7 sweep share, behind one lock.
+struct SweepState {
+    /// The lowest estimate of a fully scored mode; `+∞` until one is.
+    best: Micros,
+    /// Replicas queued for scoring and not yet claimed.
+    queue: Vec<ReplicaWork>,
+    /// Per mode of the sweep, in its order.
+    modes: Vec<ModeState>,
+}
+
+/// What the sweep knows of one mode.
+struct ModeState {
+    /// Its partition's summary, or why it has none; `None` until then.
+    partition: Option<Result<PartitionedMode, String>>,
+    /// Each replica's score, once scored.
+    replicas: Vec<Option<Result<ScoredReplica, String>>>,
+    /// Whether a bound ruled the mode out.
+    dropped: bool,
+}
+
+/// One partitioned replica waiting to be scheduled and evaluated.
+struct ReplicaWork {
+    /// Index of its mode in the sweep.
+    mode: usize,
+    replica: usize,
+    /// Its mode's replica bound ([`Bounds::of_replicas`]).
+    bound: Micros,
+    shapes: Vec<MicroBatchShape>,
+    input: ScheduleInput,
+}
+
+impl ReplicaWork {
+    /// The order replica tasks claim in: lowest mode bound, then mode
+    /// index, then replica index.
+    fn claim_order(&self, other: &ReplicaWork) -> std::cmp::Ordering {
+        self.bound
+            .total_cmp(&other.bound)
+            .then(self.mode.cmp(&other.mode))
+            .then(self.replica.cmp(&other.replica))
+    }
+}
+
+/// A mode's estimated iteration time: its slowest replica's makespan plus
+/// the gradient sync.
+fn estimate<'r>(
+    replicas: impl IntoIterator<Item = &'r ScoredReplica>,
+    dp_sync_time: Micros,
+) -> Micros {
+    replicas
+        .into_iter()
+        .map(|r| r.timeline.times.makespan)
+        .fold(0.0, f64::max)
+        + dp_sync_time
+}
+
+/// §7's choice after a sweep that may have dropped modes: what
+/// [`finish_best`] over every mode scored would choose.
+///
+/// `swept` holds one entry per mode in mode order: `None` for a mode the
+/// sweep dropped, else what `finish_best` takes. A mode is dropped only
+/// when its estimate lies strictly above some scored mode's, so the
+/// lowest scored estimate (the lower mode index on ties) is the lowest of
+/// all, and `finish_best` would finish that mode first: this finishes it.
+/// If it fails, `score_dropped` scores every dropped mode, and
+/// `finish_best` runs over all modes with the failed one's finishing
+/// error in its slot, which is where `finish_best` would have gone next.
+fn finish_pruned<S, P, E>(
+    mut swept: Vec<Option<Result<(Micros, S), E>>>,
+    mut finish: impl FnMut(S) -> Result<P, E>,
+    mut score_dropped: impl FnMut(usize) -> Result<(Micros, S), E>,
+) -> Result<P, Option<E>> {
+    let lowest = swept
+        .iter()
+        .enumerate()
+        .filter_map(|(m, s)| match s {
+            Some(Ok((est, _))) => Some((*est, m)),
+            _ => None,
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0));
+    if let Some((_, m)) = lowest {
+        if let Some(Ok((_, payload))) = swept[m].take() {
+            match finish(payload) {
+                Ok(plan) => return Ok(plan),
+                Err(e) => swept[m] = Some(Err(e)),
+            }
+        }
+    }
+    let scores = swept
+        .into_iter()
+        .enumerate()
+        .map(|(m, s)| s.unwrap_or_else(|| score_dropped(m)))
+        .collect();
+    finish_best(scores, finish)
+}
+
 /// §7's choice over scored modes: finish modes in ascending estimate, the
 /// lower mode index first on equal estimates, until one finishes.
 ///
@@ -282,24 +463,31 @@ impl DynaPipePlanner {
         // recomputation to unlock larger micro-batches is a net win, so
         // "first feasible" would be wrong.
         //
-        // Score, then finish: the modes are scored on the rayon pool, each
-        // reading the context's shared shape and pricing passes; after the
-        // sweep only the chosen mode plans communication and verifies (the
-        // next best if it fails; see `finish_best`).
+        // Score, bound, finish: the modes are scored on the rayon pool,
+        // each reading the context's shared shape and pricing passes, and
+        // a mode whose bound exceeds a scored estimate is dropped; after
+        // the sweep only the chosen mode plans communication and verifies
+        // (see `finish_pruned` for what happens if it fails).
         let ctx = self.plan_context(&samples, budget);
-        let scores: Vec<Result<(Micros, ScoredMode), String>> = self
+        let score = |scored: Result<ScoredMode, String>, mode: RecomputeMode| {
+            scored
+                .map(|s| (s.est_iteration_time, s))
+                .map_err(|e| format!("{} recomputation: {e}", mode.label()))
+        };
+        let swept = self
             .score_modes(&ctx, &RecomputeMode::ALL)
             .into_iter()
             .zip(RecomputeMode::ALL)
-            .map(|(scored, mode)| {
-                scored
-                    .map(|s| (s.est_iteration_time, s))
-                    .map_err(|e| format!("{} recomputation: {e}", mode.label()))
-            })
+            .map(|(scored, mode)| scored.map(|s| score(s, mode)))
             .collect();
-        let chosen = finish_best(scores, |scored| {
+        let finish = |scored: ScoredMode| {
             let label = scored.recompute.label();
             finish_mode(cm, scored).map_err(|e| format!("{label} recomputation: {e}"))
+        };
+        let chosen = finish_pruned(swept, finish, |m| {
+            let mode = RecomputeMode::ALL[m];
+            let scored = self.score_modes(&ctx, &[mode]).pop().flatten();
+            score(scored.expect("a sweep of one mode drops none"), mode)
         });
         match chosen {
             Ok(mut plan) => {
@@ -336,99 +524,191 @@ impl DynaPipePlanner {
         mode: RecomputeMode,
     ) -> Result<IterationPlan, String> {
         let ctx = self.plan_context(ordered, budget);
-        let scored = self.score_modes(&ctx, &[mode]).pop();
-        finish_mode(&self.cm, scored.expect("one mode, one score")?)
+        let scored = self.score_modes(&ctx, &[mode]).pop().flatten();
+        finish_mode(&self.cm, scored.expect("a sweep of one mode drops none")?)
     }
 
     /// Score each of `modes` against a shared [`PlanContext`], as FIFO
-    /// tasks on the rayon pool: a mode's task partitions (re-pricing
-    /// nothing: the context priced every mode) and balances across
-    /// replicas, then spawns one task per replica to schedule and evaluate
-    /// it. With three equal modes on two threads, the thread that finishes
-    /// its first partition picks up the third mode, then both share the
-    /// replica tasks, where a task per mode would leave one thread idle
-    /// for about a whole mode.
+    /// tasks on the rayon pool, dropping the modes a bound proves cannot
+    /// win (`None`).
     ///
-    /// Results come back in `modes` order, each task writing its own slot.
+    /// A mode's task partitions (re-pricing nothing: the context priced
+    /// every mode), balances across replicas and builds each replica's
+    /// [`ScheduleInput`], then queues the replicas' work and one task per
+    /// replica. A replica task claims the queued replica of the lowest
+    /// mode bound (then mode, then replica index), so the modes likely to
+    /// win are scored first, and schedules and evaluates it. With three
+    /// equal modes on two threads, the thread that finishes its first
+    /// partition picks up the third mode, then both share the replica
+    /// tasks, where a task per mode would leave one thread idle for about
+    /// a whole mode.
+    ///
+    /// Once a mode is fully scored its estimate is the sweep's `best` if
+    /// it is the lowest yet, and a mode whose estimate a bound puts
+    /// strictly above `best` is dropped (see [`Bounds::rules_out`]): its
+    /// partition's `t_max` search stops at its next solve (the Eq. 2
+    /// bound), or its replicas are not queued or not scored (the replica
+    /// bound). Which modes are dropped depends on timing; the ones left
+    /// never do, and the lowest estimate is never dropped.
+    ///
+    /// Results come back in `modes` order, assembled from per-mode slots.
     /// A mode reports its partitioning error, or else its first failing
     /// replica's error in replica order: what scoring the replicas one
-    /// after another and stopping at the first error reports.
+    /// after another and stopping at the first error reports. A sweep of
+    /// one mode drops nothing.
     fn score_modes(
         &self,
         ctx: &PlanContext<'_>,
         modes: &[RecomputeMode],
-    ) -> Vec<Result<ScoredMode, String>> {
+    ) -> Vec<Option<Result<ScoredMode, String>>> {
         let cm = &*self.cm;
         let dp = cm.parallel.dp.max(1);
-        let partitions: Vec<OnceLock<Result<PartitionedMode, String>>> =
-            modes.iter().map(|_| OnceLock::new()).collect();
-        let replicas: Vec<Vec<OnceLock<Result<ScoredReplica, String>>>> = modes
-            .iter()
-            .map(|_| (0..dp).map(|_| OnceLock::new()).collect())
-            .collect();
+        let bounds = Bounds::new(cm, ctx);
+        let state = Mutex::new(SweepState {
+            best: f64::INFINITY,
+            queue: Vec::new(),
+            modes: modes
+                .iter()
+                .map(|_| ModeState {
+                    partition: None,
+                    replicas: (0..dp).map(|_| None).collect(),
+                    dropped: false,
+                })
+                .collect(),
+        });
+        let (bounds, shared) = (&bounds, &state);
+        let lock = || shared.lock().expect("a sweep task panicked");
         rayon::scope_fifo(|s| {
-            for ((&mode, partition), slots) in modes.iter().zip(&partitions).zip(&replicas) {
+            for (m, &mode) in modes.iter().enumerate() {
                 s.spawn_fifo(move |s| {
-                    let partitioned = self.partition_mode(ctx, mode).map(|(part, groups)| {
-                        debug_assert_eq!(groups.len(), slots.len());
-                        for (shapes, slot) in groups.into_iter().zip(slots) {
-                            s.spawn_fifo(move |_| {
-                                let scored = score_replica(
-                                    cm,
-                                    &shapes,
-                                    mode,
-                                    self.config.schedule,
-                                    ctx.budget,
-                                    self.config.reorder_clusters,
-                                );
-                                let _ = slot.set(scored);
-                            });
-                        }
-                        part
-                    });
-                    let _ = partition.set(partitioned);
+                    let stop = |least_sum| bounds.rules_out_split(least_sum, lock().best);
+                    let Ok(partitioned) = self.partition_mode(ctx, mode, stop) else {
+                        lock().modes[m].dropped = true;
+                        return;
+                    };
+                    let Some((part, groups)) = partitioned else {
+                        let e = "no feasible micro-batch split".to_string();
+                        lock().modes[m].partition = Some(Err(e));
+                        return;
+                    };
+                    debug_assert_eq!(groups.len(), dp);
+                    let work: Vec<(Vec<MicroBatchShape>, ScheduleInput)> = groups
+                        .into_iter()
+                        .map(|shapes| {
+                            let input = schedule_input_for(cm, &shapes, mode, ctx.budget);
+                            (shapes, input)
+                        })
+                        .collect();
+                    let bound = bounds.of_replicas(work.iter().map(|(_, input)| input));
+                    let mut st = lock();
+                    if bounds.rules_out(bound, st.best) {
+                        st.modes[m].dropped = true;
+                        return;
+                    }
+                    st.modes[m].partition = Some(Ok(part));
+                    let queued = work.into_iter().enumerate();
+                    st.queue
+                        .extend(queued.map(|(replica, (shapes, input))| ReplicaWork {
+                            mode: m,
+                            replica,
+                            bound,
+                            shapes,
+                            input,
+                        }));
+                    drop(st);
+                    for _ in 0..dp {
+                        s.spawn_fifo(move |_| self.score_claimed(shared, bounds));
+                    }
                 });
             }
         });
-        let dp_sync_time = dp_sync_time(cm);
+        let st = state.into_inner().expect("a sweep task panicked");
         let ran = "every task of the sweep ran";
-        modes
-            .iter()
-            .zip(partitions)
-            .zip(replicas)
-            .map(|((&mode, partition), slots)| {
-                let part = partition.into_inner().expect(ran)?;
-                let replicas = slots
-                    .into_iter()
-                    .map(|slot| slot.into_inner().expect(ran))
-                    .collect::<Result<Vec<_>, _>>()?;
-                let est_iteration_time = replicas
-                    .iter()
-                    .map(|r| r.timeline.times.makespan)
-                    .fold(0.0, f64::max)
-                    + dp_sync_time;
-                Ok(ScoredMode {
-                    recompute: mode,
-                    replicas,
-                    est_iteration_time,
-                    dp_sync_time,
-                    padding: part.padding,
-                    num_micro_batches: part.num_micro_batches,
-                    actual_tokens: part.actual_tokens,
-                })
+        st.modes
+            .into_iter()
+            .zip(modes)
+            .map(|(ms, &mode)| {
+                if ms.dropped {
+                    return None;
+                }
+                let scored = ms.partition.expect(ran).and_then(|part| {
+                    let replicas = ms
+                        .replicas
+                        .into_iter()
+                        .map(|r| r.expect(ran))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    Ok(ScoredMode {
+                        recompute: mode,
+                        est_iteration_time: estimate(&replicas, bounds.dp_sync_time),
+                        replicas,
+                        dp_sync_time: bounds.dp_sync_time,
+                        padding: part.padding,
+                        num_micro_batches: part.num_micro_batches,
+                        actual_tokens: part.actual_tokens,
+                    })
+                });
+                Some(scored)
             })
             .collect()
+    }
+
+    /// One replica task of [`DynaPipePlanner::score_modes`]: claim the
+    /// queued replica of the lowest mode bound and, unless its mode is
+    /// dropped or now ruled out, schedule and evaluate it. The task that
+    /// completes a mode's scores offers the mode's estimate as the
+    /// sweep's best.
+    fn score_claimed(&self, state: &Mutex<SweepState>, bounds: &Bounds) {
+        let lock = || state.lock().expect("a sweep task panicked");
+        let work = {
+            let mut st = lock();
+            let next = (0..st.queue.len())
+                .min_by(|&a, &b| st.queue[a].claim_order(&st.queue[b]))
+                .expect("one queued replica per replica task");
+            let work = st.queue.swap_remove(next);
+            let best = st.best;
+            let ms = &mut st.modes[work.mode];
+            if ms.dropped || bounds.rules_out(work.bound, best) {
+                ms.dropped = true;
+                return;
+            }
+            work
+        };
+        let scored = score_input(
+            &self.cm,
+            work.shapes,
+            work.input,
+            self.config.schedule,
+            self.config.reorder_clusters,
+        );
+        let mut st = lock();
+        let ms = &mut st.modes[work.mode];
+        ms.replicas[work.replica] = Some(scored);
+        if ms.dropped {
+            return;
+        }
+        // `None` until every replica is scored, and if one failed.
+        let scored: Option<Vec<&ScoredReplica>> = ms
+            .replicas
+            .iter()
+            .map(|r| r.as_ref()?.as_ref().ok())
+            .collect();
+        if let Some(replicas) = scored {
+            let est = estimate(replicas, bounds.dp_sync_time);
+            st.best = st.best.min(est);
+        }
     }
 
     /// Partition the context's samples under one recomputation mode and
     /// balance the micro-batches across data-parallel replicas: the
     /// mode's summary and each replica's micro-batch shapes, in replica
-    /// order.
+    /// order; `None` when no split fits the memory limit. `stop` is
+    /// [`Partitioner::partition_until`]'s.
     fn partition_mode(
         &self,
         ctx: &PlanContext<'_>,
         mode: RecomputeMode,
-    ) -> Result<(PartitionedMode, Vec<Vec<MicroBatchShape>>), String> {
+        stop: impl FnMut(Micros) -> bool,
+    ) -> Result<Option<(PartitionedMode, Vec<Vec<MicroBatchShape>>)>, Stopped> {
         let cm = &*self.cm;
         let ordered = ctx.ordered;
         let budget = ctx.budget;
@@ -450,9 +730,10 @@ impl DynaPipePlanner {
             probe_stop_divisor: DpConfig::PROBE_STOP_DIVISOR,
         };
         let partitioner = Partitioner::new(cm, dp_cfg);
-        let partition = partitioner
-            .partition_with_context(&ctx.shapes, &ctx.fwd, ordered)
-            .ok_or_else(|| "no feasible micro-batch split".to_string())?;
+        let partitioned = partitioner.partition_until(&ctx.shapes, &ctx.fwd, ordered, stop)?;
+        let Some(partition) = partitioned else {
+            return Ok(None);
+        };
         // Balance micro-batches across data-parallel replicas.
         let groups = karmarkar_karp(&partition.mb_times, cm.parallel.dp)
             .into_iter()
@@ -468,7 +749,7 @@ impl DynaPipePlanner {
             num_micro_batches: partition.num_micro_batches(),
             actual_tokens: ordered.iter().map(|s| s.total_tokens() as u64).sum(),
         };
-        Ok((summary, groups))
+        Ok(Some((summary, groups)))
     }
 
     /// The activation budget the planner works against (device memory minus
@@ -548,6 +829,17 @@ fn score_replica(
     reorder_clusters: usize,
 ) -> Result<ScoredReplica, String> {
     let input = schedule_input_for(cm, shapes, mode, budget);
+    score_input(cm, shapes.to_vec(), input, kind, reorder_clusters)
+}
+
+/// [`score_replica`] from the replica's built [`schedule_input_for`].
+fn score_input(
+    cm: &CostModel,
+    shapes: Vec<MicroBatchShape>,
+    input: ScheduleInput,
+    kind: ScheduleKind,
+    reorder_clusters: usize,
+) -> Result<ScoredReplica, String> {
     // The reorder search builds and evaluates the winning order's
     // schedule; keep it rather than build it again. With no winner the
     // identity order is scheduled below, as the search reports it.
@@ -570,7 +862,7 @@ fn score_replica(
                 ScheduleKind::OneFOneB => one_f_one_b(shapes.len(), cm.num_stages()),
                 ScheduleKind::Adaptive { .. } => adaptive_schedule(&input),
             };
-            (input, shapes.to_vec(), schedule, None)
+            (input, shapes, schedule, None)
         }
     };
     // Memory feasibility: the adaptive schedule honours limits by
@@ -630,13 +922,12 @@ fn finish_replica(
 }
 
 /// Finish a scored mode: plan communication for and verify every replica,
-/// in order.
+/// one pool task per replica; on failure, the first failing replica's
+/// error in replica order.
 fn finish_mode(cm: &CostModel, scored: ScoredMode) -> Result<IterationPlan, String> {
     let mode = scored.recompute;
-    let replicas = scored
-        .replicas
+    let replicas = in_tasks(scored.replicas, |r| finish_replica(cm, r, mode))
         .into_iter()
-        .map(|r| finish_replica(cm, r, mode))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(IterationPlan {
         replicas,
@@ -648,6 +939,28 @@ fn finish_mode(cm: &CostModel, scored: ScoredMode) -> Result<IterationPlan, Stri
         actual_tokens: scored.actual_tokens,
         planning_time_us: 0.0,
     })
+}
+
+/// `f` of every item, in item order: one FIFO task per item on the rayon
+/// pool, or inline for a single item (no helper thread to start).
+fn in_tasks<T: Send, U: Send + Sync>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+    if items.len() < 2 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<OnceLock<U>> = items.iter().map(|_| OnceLock::new()).collect();
+    let f = &f;
+    rayon::scope_fifo(|s| {
+        for (item, slot) in items.into_iter().zip(&slots) {
+            s.spawn_fifo(move |_| {
+                let _ = slot.set(f(item));
+            });
+        }
+    });
+    let ran = "every task of the scope ran";
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect(ran))
+        .collect()
 }
 
 /// Data-parallel gradient synchronization time for the deployment.
@@ -672,7 +985,7 @@ mod tests {
     use super::*;
     use dynapipe_cost::ProfileOptions;
     use dynapipe_data::Dataset;
-    use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
+    use dynapipe_model::{HardwareModel, ModelArch, ModelConfig, ParallelConfig};
 
     fn planner(pp: usize, dp: usize) -> DynaPipePlanner {
         // GPT-3.35B fits comfortably in these small test deployments
@@ -802,18 +1115,97 @@ mod tests {
             for b in kinds {
                 for c in kinds {
                     let modes = [a, b, c];
+                    let fold = mode_order_fold(&modes);
                     let (chosen, finished) = run_finish_best(&modes);
-                    assert_eq!(chosen, mode_order_fold(&modes), "{modes:?}");
-                    let mut once = finished.clone();
-                    once.sort_unstable();
-                    once.dedup();
-                    assert_eq!(once.len(), finished.len(), "{modes:?}: finished twice");
-                    if let Ok(m) = chosen {
-                        assert_eq!(finished.last(), Some(&m), "{modes:?}");
+                    assert_eq!(chosen, fold, "{modes:?}");
+                    assert_finished_once(&modes, &chosen, &finished);
+                    // Every set of modes the sweep may drop: each strictly
+                    // above a mode it keeps scored, or failing to score
+                    // where a kept mode scored. The winner may fail to
+                    // finish; then the dropped modes are scored.
+                    for mask in 0..1u32 << modes.len() {
+                        let dropped: Vec<bool> =
+                            (0..modes.len()).map(|m| mask & 1 << m != 0).collect();
+                        if !droppable(&modes, &dropped) {
+                            continue;
+                        }
+                        let case = format!("{modes:?} dropping {dropped:?}");
+                        let (chosen, finished, rescored) = run_finish_pruned(&modes, &dropped);
+                        assert_eq!(chosen, fold, "{case}");
+                        assert_finished_once(&modes, &chosen, &finished);
+                        assert!(rescored.iter().all(|&m| dropped[m]), "{case}: {rescored:?}");
+                        let first_finishes = finished
+                            .first()
+                            .is_some_and(|&m| matches!(modes[m], Scored(_, true)));
+                        assert!(!first_finishes || rescored.is_empty(), "{case}");
                     }
                 }
             }
         }
+    }
+
+    /// Each mode finished at most once, the chosen one last.
+    fn assert_finished_once(
+        modes: &[Synthetic],
+        chosen: &Result<usize, Option<String>>,
+        finished: &[usize],
+    ) {
+        let mut once = finished.to_vec();
+        once.sort_unstable();
+        once.dedup();
+        assert_eq!(once.len(), finished.len(), "{modes:?}: finished twice");
+        if let Ok(m) = chosen {
+            assert_eq!(finished.last(), Some(m), "{modes:?}");
+        }
+    }
+
+    /// Whether a sweep may drop the `dropped` modes: each lies strictly
+    /// above a kept scored mode, or fails to score while one is kept.
+    fn droppable(modes: &[Synthetic], dropped: &[bool]) -> bool {
+        let kept_best = (0..modes.len())
+            .filter(|&m| !dropped[m])
+            .filter_map(|m| match modes[m] {
+                Synthetic::Scored(est, _) => Some(est),
+                Synthetic::ScoreFails => None,
+            })
+            .fold(f64::INFINITY, f64::min);
+        (0..modes.len())
+            .filter(|&m| dropped[m])
+            .all(|m| match modes[m] {
+                Synthetic::Scored(est, _) => est > kept_best,
+                Synthetic::ScoreFails => kept_best.is_finite(),
+            })
+    }
+
+    /// Run `finish_pruned` over synthetic modes with `dropped` dropped:
+    /// the choice, the modes finished in order, and the dropped modes
+    /// scored afterwards.
+    fn run_finish_pruned(
+        modes: &[Synthetic],
+        dropped: &[bool],
+    ) -> (Result<usize, Option<String>>, Vec<usize>, Vec<usize>) {
+        let all = synthetic_scores(modes);
+        let swept = all
+            .iter()
+            .zip(dropped)
+            .map(|(s, &d)| (!d).then(|| s.clone()))
+            .collect();
+        let (mut finished, mut rescored) = (Vec::new(), Vec::new());
+        let chosen = finish_pruned(
+            swept,
+            |m| {
+                finished.push(m);
+                match modes[m] {
+                    Synthetic::Scored(_, true) => Ok(m),
+                    _ => Err(format!("mode {m} does not finish")),
+                }
+            },
+            |m| {
+                rescored.push(m);
+                all[m].clone()
+            },
+        );
+        (chosen, finished, rescored)
     }
 
     /// `f` under a pool of each width the sweep's tests compare.
@@ -826,19 +1218,57 @@ mod tests {
             .into()
     }
 
-    #[test]
-    fn plan_iteration_is_identical_under_every_thread_count() {
-        // The sweep's tasks land on threads in a different order per run
-        // and per width; the plan must not depend on it.
+    /// `plan_iteration` as it was before the sweep dropped modes: every
+    /// mode scored in full on its own, then `finish_best` over all.
+    fn unpruned_plan(p: &DynaPipePlanner, batch: &[Sample]) -> Result<IterationPlan, String> {
+        let mut samples = batch.to_vec();
+        p.config.ordering.apply(p.cm.model.arch, &mut samples);
+        let ctx = p.plan_context(&samples, p.planning_budget());
+        let label = |mode: RecomputeMode, e| format!("{} recomputation: {e}", mode.label());
+        let scores = RecomputeMode::ALL
+            .map(|mode| {
+                let scored = p.score_modes(&ctx, &[mode]).pop().flatten().unwrap();
+                scored
+                    .map(|s| (s.est_iteration_time, s))
+                    .map_err(|e| label(mode, e))
+            })
+            .into();
+        finish_best(scores, |s| {
+            let mode = s.recompute;
+            finish_mode(&p.cm, s).map_err(|e| label(mode, e))
+        })
+        .map_err(|e| e.unwrap())
+    }
+
+    /// The cases the sweep's equality tests plan: GPT dp1 and dp2 on the
+    /// coarse profile (whose largest micro-batches extrapolate past it)
+    /// and on the full one (every shape within it, so the Eq. 2 bound
+    /// applies), T5 (whose slowest stage differs per shape), and 1F1B.
+    fn sweep_cases() -> Vec<(&'static str, DynaPipePlanner, Vec<Sample>)> {
+        let full = |pp: usize, dp: usize| {
+            let cm = CostModel::build(
+                HardwareModel::a100_cluster(),
+                ModelConfig::gpt_3_35b(),
+                ParallelConfig::new(dp, 1, pp),
+                &ProfileOptions::default(),
+            );
+            DynaPipePlanner::new(Arc::new(cm), PlannerConfig::default())
+        };
         let t5 = Arc::new(CostModel::build(
             HardwareModel::a100_cluster(),
             ModelConfig::t5_11b(),
             ParallelConfig::new(1, 4, 2),
             &ProfileOptions::coarse(),
         ));
-        let cases = [
+        let one_f_one_b = PlannerConfig {
+            schedule: ScheduleKind::OneFOneB,
+            ..Default::default()
+        };
+        vec![
             ("GPT dp1", planner(4, 1), minibatch(96)),
             ("GPT dp2", planner(2, 2), minibatch(128)),
+            ("GPT dp1 full profile", full(4, 1), minibatch(96)),
+            ("GPT dp2 full profile", full(2, 2), minibatch(128)),
             (
                 "T5",
                 DynaPipePlanner::new(t5, PlannerConfig::default()),
@@ -848,17 +1278,99 @@ mod tests {
                     .map(|s| s.truncated(512))
                     .collect(),
             ),
-        ];
-        for (label, p, batch) in cases {
+            (
+                "GPT dp2 1F1B",
+                DynaPipePlanner::new(planner(2, 2).cm, one_f_one_b),
+                minibatch(64),
+            ),
+        ]
+    }
+
+    #[test]
+    fn plan_iteration_is_identical_under_every_thread_count() {
+        // The sweep's tasks land on threads in a different order per run
+        // and per width, and which modes it drops varies with them; the
+        // plan must not depend on it, and must be the plan of the sweep
+        // that drops nothing.
+        for (label, p, batch) in sweep_cases() {
+            let mut unpruned = unpruned_plan(&p, &batch).unwrap();
+            unpruned.planning_time_us = 0.0;
             let plans = under_caps(|| {
                 let mut plan = p.plan_iteration(&batch).unwrap();
                 plan.planning_time_us = 0.0;
                 plan
             });
             assert_eq!(plans[0].replicas.len(), p.cm.parallel.dp, "{label}");
-            assert_eq!(plans[1], plans[0], "{label}: 2 threads");
-            assert_eq!(plans[2], plans[0], "{label}: 4 threads");
+            assert_eq!(plans[0], unpruned, "{label}: 1 thread");
+            assert_eq!(plans[1], unpruned, "{label}: 2 threads");
+            assert_eq!(plans[2], unpruned, "{label}: 4 threads");
         }
+    }
+
+    #[test]
+    fn the_sweep_drops_modes_and_keeps_the_winner() {
+        // On one thread the sweep partitions every mode before scoring
+        // any replica, then scores the lowest bound's replicas first, so
+        // which modes the replica bound drops is fixed. A dropped mode's
+        // estimate lies above the kept winner's.
+        let mut dropped = 0;
+        for (label, p, batch) in sweep_cases() {
+            let mut samples = batch.clone();
+            p.config.ordering.apply(p.cm.model.arch, &mut samples);
+            let ctx = p.plan_context(&samples, p.planning_budget());
+            let one = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+            let swept = one
+                .unwrap()
+                .install(|| p.score_modes(&ctx, &RecomputeMode::ALL));
+            let kept = swept
+                .iter()
+                .flatten()
+                .filter_map(|s| s.as_ref().ok())
+                .map(|s| s.est_iteration_time)
+                .fold(f64::INFINITY, f64::min);
+            for (s, mode) in swept.iter().zip(RecomputeMode::ALL) {
+                if s.is_none() {
+                    dropped += 1;
+                    let alone = p.score_modes(&ctx, &[mode]).pop().flatten().unwrap();
+                    if let Ok(alone) = alone {
+                        assert!(alone.est_iteration_time > kept, "{label} {mode:?}");
+                    }
+                }
+            }
+        }
+        assert!(dropped > 0, "no case exercises a dropped mode");
+    }
+
+    #[test]
+    fn eq2_bound_holds_on_gpt_and_is_not_applied_to_t5() {
+        // The least `Σ t(M)` the partitioner's first solve finds, over
+        // `|D|`, plus the sync, never rules out a mode against its own
+        // estimate. T5's encoder and decoder stages each lack the other's
+        // layers, so no stage is the slowest of every shape there.
+        let mut checked = 0;
+        for (label, p, batch) in sweep_cases() {
+            let mut samples = batch.clone();
+            p.config.ordering.apply(p.cm.model.arch, &mut samples);
+            let ctx = p.plan_context(&samples, p.planning_budget());
+            let bounds = Bounds::new(&p.cm, &ctx);
+            if p.cm.model.arch == ModelArch::T5 {
+                assert!(!bounds.eq2, "{label}");
+            }
+            for mode in RecomputeMode::ALL {
+                let mut least_sum = None;
+                let _ = p.partition_mode(&ctx, mode, |s| {
+                    least_sum = Some(s);
+                    true
+                });
+                let scored = p.score_modes(&ctx, &[mode]).pop().flatten().unwrap();
+                if let (Some(s), Ok(scored)) = (least_sum, scored) {
+                    let est = scored.est_iteration_time;
+                    assert!(!bounds.rules_out(s / bounds.dp + bounds.dp_sync_time, est));
+                    checked += usize::from(bounds.eq2);
+                }
+            }
+        }
+        assert!(checked >= 6, "{checked} GPT modes checked");
     }
 
     #[test]
@@ -906,7 +1418,8 @@ mod tests {
             let mode = RecomputeMode::None;
             // Score the replicas one after another, as a serial sweep would.
             let (_, groups) = p
-                .partition_mode(&p.plan_context(&batch, budget), mode)
+                .partition_mode(&p.plan_context(&batch, budget), mode, |_| false)
+                .unwrap()
                 .unwrap();
             let serial: Vec<Result<ScoredReplica, String>> = groups
                 .iter()

@@ -960,20 +960,22 @@ impl<T> PlanAheadQueue<T> {
     /// re-queued for the surviving workers under a fresh generation.
     /// No-op unless `owner` still holds the current attempt — a crashed
     /// worker whose ticket was already re-issued to (and claimed by) a
-    /// healthy worker must not invalidate that live attempt.
-    pub fn abandon(&self, index: usize, owner: usize) {
+    /// healthy worker must not invalidate that live attempt. Returns
+    /// whether the ticket was re-queued (and counted as re-issued).
+    pub fn abandon(&self, index: usize, owner: usize) -> bool {
         let mut st = self.lock();
         let Some(e) = st.inflight.get_mut(&index) else {
-            return; // completed concurrently — nothing to hand back
+            return false; // completed concurrently — nothing to hand back
         };
         if e.queued || e.owner != owner {
-            return;
+            return false;
         }
         e.generation += 1;
         e.queued = true;
         st.reissue_queue.push_back(index);
         st.churn.reissued += 1;
         self.cv.notify_all();
+        true
     }
 
     /// Re-issue every in-flight ticket whose current holder satisfies
@@ -2111,10 +2113,10 @@ mod tests {
         let queue: PlanAheadQueue<u32> = PlanAheadQueue::new(2, 1);
 
         let t0 = queue.claim(&stream, 0).expect("fresh ticket");
-        queue.abandon(t0.index, 0);
-        queue.abandon(t0.index, 9); // wrong owner: must not double-queue
-                                    // The cap is exhausted, but the abandoned ticket is in flight:
-                                    // the claim must serve it rather than draining the pool.
+        assert!(queue.abandon(t0.index, 0));
+        assert!(!queue.abandon(t0.index, 9)); // wrong owner: must not double-queue
+                                              // The cap is exhausted, but the abandoned ticket is in flight:
+                                              // the claim must serve it rather than draining the pool.
         let t1 = queue.claim(&stream, 1).expect("abandoned ticket re-served");
         assert_eq!((t1.index, t1.generation), (0, 1));
         // The dead original owner's late abandon must not invalidate the
@@ -2136,6 +2138,9 @@ mod tests {
         let c = queue.claim(&stream, 2).expect("worker 2 ticket");
         // Workers 0 and 1 lived on the host that just died.
         assert_eq!(queue.reissue_claimed_by(|w| w < 2), 2);
+        // A dead worker that notices the crash only now finds its ticket
+        // already re-queued: its abandon re-issues nothing.
+        assert!(!queue.abandon(a.index, 0));
         // Their tickets come back in index order, generation bumped.
         let r0 = queue.claim(&stream, 2).expect("re-issued");
         let r1 = queue.claim(&stream, 2).expect("re-issued");

@@ -236,26 +236,30 @@ impl CostModel {
                 decoder_coords: kind == LayerKind::T5Decoder,
             }
         };
+        let stages = self
+            .distinct_stages
+            .iter()
+            .fold(Vec::new(), |mut terms, &s| {
+                let st = self.layout.stage(s);
+                let t = StageTerms {
+                    encoder_layers: st.encoder_layers,
+                    decoder_layers: st.decoder_layers,
+                    has_lm_head: st.has_lm_head,
+                };
+                if !terms.contains(&t) {
+                    terms.push(t);
+                }
+                terms
+            });
         ShapePricer {
+            dominant_stage: stages
+                .iter()
+                .any(|top| stages.iter().all(|st| st.within(top))),
+            stages,
             enc: resolve(ek),
             dec: resolve(dk),
             lm_head_fwd: &self.db.lm_head_fwd,
             backward_ratio: self.hw.backward_ratio,
-            stages: self
-                .distinct_stages
-                .iter()
-                .fold(Vec::new(), |mut terms, &s| {
-                    let st = self.layout.stage(s);
-                    let t = StageTerms {
-                        encoder_layers: st.encoder_layers,
-                        decoder_layers: st.decoder_layers,
-                        has_lm_head: st.has_lm_head,
-                    };
-                    if !terms.contains(&t) {
-                        terms.push(t);
-                    }
-                    terms
-                }),
             gpt_target: matches!(self.model.arch, ModelArch::Gpt),
             any_enc: self
                 .distinct_stages
@@ -306,20 +310,6 @@ impl<'a> LayerGrids<'a> {
         }
     }
 
-    /// A grid set over every grid of the layer kind, its memos sized to
-    /// the coordinates `shapes` reach.
-    fn grid_set(&self, shapes: &[MicroBatchShape]) -> GridSet<'a, LAYER_GRIDS> {
-        let max = |f: &dyn Fn(&MicroBatchShape) -> usize| shapes.iter().map(f).max().unwrap_or(0);
-        GridSet::new(
-            self.grids,
-            [
-                max(&|s| s.batch_size),
-                max(&|s| self.coords(s).0),
-                max(&|s| self.coords(s).1),
-            ],
-        )
-    }
-
     /// Every grid's value at `shape`'s point, read through `set`; zeros
     /// when the side has no layers (no set), as in the scalar path.
     fn values(
@@ -347,6 +337,18 @@ struct StageTerms {
     has_lm_head: bool,
 }
 
+impl StageTerms {
+    /// Whether every term of `self` is also one of `top`, at least as
+    /// many times: with nonnegative terms, `top`'s forward and backward
+    /// times are then at least `self`'s, bit for bit (rounded `×` by a
+    /// nonnegative value and rounded `+` are monotone).
+    fn within(&self, top: &StageTerms) -> bool {
+        self.encoder_layers <= top.encoder_layers
+            && self.decoder_layers <= top.decoder_layers
+            && (!self.has_lm_head || top.has_lm_head)
+    }
+}
+
 /// A resolved pricing view over a [`CostModel`] for tables of
 /// [`MicroBatchShape`]s (see [`CostModel::shape_pricer`] and
 /// [`ShapePricer::price_every_mode`]).
@@ -356,6 +358,9 @@ pub struct ShapePricer<'a> {
     lm_head_fwd: &'a NdGrid,
     backward_ratio: f64,
     stages: Vec<StageTerms>,
+    /// Whether one stage's terms dominate every stage's
+    /// ([`StageTerms::within`]).
+    dominant_stage: bool,
     gpt_target: bool,
     any_enc: bool,
     any_dec: bool,
@@ -373,6 +378,8 @@ pub struct ModePrices {
     time: [Vec<Micros>; NUM_MODES],
     /// Per mode, per shape: worst-case activation bytes.
     activation: [Vec<Bytes>; NUM_MODES],
+    /// See [`ModePrices::one_stage_dominates`].
+    one_stage_dominates: bool,
 }
 
 impl ModePrices {
@@ -396,6 +403,19 @@ impl ModePrices {
     /// [`CostModel::mb_activation_max`].
     pub fn activation(&self, mode: RecomputeMode) -> &[Bytes] {
         &self.activation[ProfileDb::mode_index(mode)]
+    }
+
+    /// Whether one stage has both the largest forward and the largest
+    /// backward time of every priced shape under every mode, so that each
+    /// shape's `t(M)` is exactly that stage's `stage_fwd + stage_bwd`. It
+    /// holds when one stage's layer counts and LM head dominate every
+    /// other stage's (GPT with even layer splits; never T5, whose encoder
+    /// and decoder stages each lack the other's layers) and every time
+    /// term the table reads is nonnegative, which the table's reach
+    /// shows: nonnegative samples, no extrapolation. `false` does not mean
+    /// no stage dominates, only that it was not shown.
+    pub fn one_stage_dominates(&self) -> bool {
+        self.one_stage_dominates
     }
 }
 
@@ -421,39 +441,100 @@ impl<'a> ShapePricer<'a> {
     /// point. The stage folds keep the scalar path's operand order:
     /// `layers × (bwd + recompute)` per side, then the LM head's backward.
     ///
-    /// The two halves of `shapes` are priced under one [`rayon::join`],
-    /// each through its own grid sets and straight into its half of the
-    /// pre-sized output columns. The calling thread allocates both the
-    /// columns and both halves' grid sets, so the helper thread allocates
-    /// no output (a helper that built and appended its own chunk grew the
-    /// process's peak RSS). Every shape is priced on its own, so the split
-    /// changes no bit.
+    /// Both sides of one [`rayon::join`] price the table: each claims the
+    /// next `PRICE_CHUNK` shapes from one shared cursor, prices them
+    /// through its own grid sets straight into that chunk of the pre-sized
+    /// output columns, and claims again until no chunk is left. A side that
+    /// starts late (a spawned helper can start half a millisecond after
+    /// the join) then costs only the chunks it did not take, where fixed
+    /// halves made the caller wait for it. The calling thread allocates the
+    /// columns and both sides' grid sets, so the helper thread allocates no
+    /// output (a helper that built and appended its own chunk grew the
+    /// process's peak RSS). Every shape is priced on its own, so which side
+    /// claims which chunk changes no bit.
     pub fn price_every_mode(&self, shapes: &[MicroBatchShape]) -> ModePrices {
         let n = shapes.len();
         let mut prices = ModePrices {
             time: std::array::from_fn(|_| vec![0.0; n]),
             activation: std::array::from_fn(|_| vec![0; n]),
+            one_stage_dominates: false,
         };
-        let mid = n.div_ceil(2);
-        let (shapes_lo, shapes_hi) = shapes.split_at(mid);
-        let (time_lo, time_hi) = split_columns(&mut prices.time, mid);
-        let (act_lo, act_hi) = split_columns(&mut prices.activation, mid);
-        let (sets_lo, sets_hi) = (self.grid_sets(shapes_lo), self.grid_sets(shapes_hi));
+        let cursor = std::sync::Mutex::new(ChunkCursor {
+            shapes: shapes.chunks(PRICE_CHUNK),
+            time: prices.time.each_mut().map(|c| c.chunks_mut(PRICE_CHUNK)),
+            activation: prices
+                .activation
+                .each_mut()
+                .map(|c| c.chunks_mut(PRICE_CHUNK)),
+        });
+        let reach = self.reach(shapes);
+        prices.one_stage_dominates = self.dominant_stage && self.nonnegative_within(&reach);
+        let (sets_a, sets_b) = (self.grid_sets(&reach), self.grid_sets(&reach));
         rayon::join(
-            || self.price_run(sets_lo, shapes_lo, time_lo, act_lo),
-            || self.price_run(sets_hi, shapes_hi, time_hi, act_hi),
+            || self.price_claimed(sets_a, &cursor),
+            || self.price_claimed(sets_b, &cursor),
         );
         prices
     }
 
-    /// The grid sets a run of `shapes` is priced through, their memos
-    /// sized to the coordinates the run reaches.
-    fn grid_sets(&self, shapes: &[MicroBatchShape]) -> RunSets<'a> {
-        let max_target = shapes.iter().map(|s| self.target_tokens(s)).max();
+    /// The largest coordinate `shapes` reach on each grid's axes.
+    fn reach(&self, shapes: &[MicroBatchShape]) -> Reach {
+        let mut reach = Reach {
+            enc: [0; 3],
+            dec: [0; 3],
+            lm: [0; 3],
+        };
+        for s in shapes {
+            for (r, side) in [(&mut reach.enc, &self.enc), (&mut reach.dec, &self.dec)] {
+                let (q, kv) = side.coords(s);
+                *r = [r[0].max(s.batch_size), r[1].max(q), r[2].max(kv)];
+            }
+            reach.lm[0] = reach.lm[0].max(self.target_tokens(s));
+        }
+        reach
+    }
+
+    /// Whether every time term pricing reads up to `reach` is
+    /// nonnegative: the forward, backward and recompute grids of each
+    /// side with layers, and the LM head's, sampled nonnegative and
+    /// queried within their axes ([`NdGrid::nonnegative_within`]), and a
+    /// nonnegative backward ratio.
+    fn nonnegative_within(&self, reach: &Reach) -> bool {
+        let side = |used: bool, grids: &LayerGrids, reach: [usize; 3]| {
+            !used
+                || grids.grids[..ACT]
+                    .iter()
+                    .all(|g| g.nonnegative_within(reach))
+        };
+        self.backward_ratio >= 0.0
+            && side(self.any_enc, &self.enc, reach.enc)
+            && side(self.any_dec, &self.dec, reach.dec)
+            && self.lm_head_fwd.nonnegative_within(reach.lm)
+    }
+
+    /// Claim chunks from `cursor` and price them through `sets` until none
+    /// is left.
+    fn price_claimed(&self, mut sets: RunSets<'a>, cursor: &std::sync::Mutex<ChunkCursor<'_>>) {
+        loop {
+            let chunk = cursor.lock().expect("pricing cursor poisoned").next();
+            let Some((shapes, time, activation)) = chunk else {
+                return;
+            };
+            self.price_run(&mut sets, shapes, time, activation);
+        }
+    }
+
+    /// The grid sets a table is priced through, their memos sized to the
+    /// coordinates it reaches.
+    fn grid_sets(&self, reach: &Reach) -> RunSets<'a> {
         RunSets {
-            enc: self.any_enc.then(|| self.enc.grid_set(shapes)),
-            dec: self.any_dec.then(|| self.dec.grid_set(shapes)),
-            lm: GridSet::new([self.lm_head_fwd], [max_target.unwrap_or(0), 0, 0]),
+            enc: self
+                .any_enc
+                .then(|| GridSet::new(self.enc.grids, reach.enc)),
+            dec: self
+                .any_dec
+                .then(|| GridSet::new(self.dec.grids, reach.dec)),
+            lm: GridSet::new([self.lm_head_fwd], reach.lm),
         }
     }
 
@@ -461,7 +542,7 @@ impl<'a> ShapePricer<'a> {
     /// `time` and `activation` column.
     fn price_run(
         &self,
-        mut sets: RunSets<'a>,
+        sets: &mut RunSets<'a>,
         shapes: &[MicroBatchShape],
         time: [&mut [Micros]; NUM_MODES],
         activation: [&mut [Bytes]; NUM_MODES],
@@ -527,6 +608,14 @@ impl<'a> ShapePricer<'a> {
     }
 }
 
+/// The largest coordinate a table of shapes reaches on each axis of the
+/// encoder-side, decoder-side and LM-head grids.
+struct Reach {
+    enc: [usize; 3],
+    dec: [usize; 3],
+    lm: [usize; 3],
+}
+
 /// The grid sets one run of shapes is priced through (see
 /// [`ShapePricer::price_every_mode`]): each layer side's, absent when no
 /// stage has layers of that side, and the LM head's.
@@ -536,20 +625,37 @@ struct RunSets<'a> {
     lm: GridSet<'a, 1>,
 }
 
-/// Split every mode's column at `mid` into its `..mid` and `mid..` halves.
-fn split_columns<T>(
-    columns: &mut [Vec<T>; NUM_MODES],
-    mid: usize,
-) -> ([&mut [T]; NUM_MODES], [&mut [T]; NUM_MODES]) {
-    let mut hi: [&mut [T]; NUM_MODES] = Default::default();
-    let mut halves = columns.iter_mut().zip(&mut hi);
-    let lo = std::array::from_fn(|_| {
-        let (column, hi) = halves.next().expect("one column per mode");
-        let (l, h) = column.split_at_mut(mid);
-        *hi = h;
-        l
-    });
-    (lo, hi)
+/// Shapes per chunk a side of [`ShapePricer::price_every_mode`] claims:
+/// small enough that a late side leaves little to wait for (a plan prices
+/// 6,000–17,000 distinct shapes), large enough that a claim's lock is
+/// noise next to pricing the chunk.
+const PRICE_CHUNK: usize = 256;
+
+/// The shared cursor of [`ShapePricer::price_every_mode`]: the shapes and
+/// every output column, cut into `PRICE_CHUNK`-sized chunks that are
+/// handed out in order.
+struct ChunkCursor<'s> {
+    shapes: std::slice::Chunks<'s, MicroBatchShape>,
+    time: [std::slice::ChunksMut<'s, Micros>; NUM_MODES],
+    activation: [std::slice::ChunksMut<'s, Bytes>; NUM_MODES],
+}
+
+/// One claimed chunk: its shapes and every mode's output chunk.
+type Chunk<'s> = (
+    &'s [MicroBatchShape],
+    [&'s mut [Micros]; NUM_MODES],
+    [&'s mut [Bytes]; NUM_MODES],
+);
+
+impl<'s> ChunkCursor<'s> {
+    /// The next unclaimed chunk, if any.
+    fn next(&mut self) -> Option<Chunk<'s>> {
+        let shapes = self.shapes.next()?;
+        let column = "every column has the shapes' chunks";
+        let time = self.time.each_mut().map(|c| c.next().expect(column));
+        let activation = self.activation.each_mut().map(|c| c.next().expect(column));
+        Some((shapes, time, activation))
+    }
 }
 
 #[cfg(test)]
@@ -661,11 +767,12 @@ mod tests {
         // per-shape methods exactly — this is the contract the DP
         // partitioner's cost pass relies on. GPT's above-range shape takes
         // the LM-head axis past the direct memo's range; the empty shape
-        // prices to zero. Prefixes of 0, 1, 5 and 6 shapes are priced
-        // under caps 1 and 2, so the two-half split meets empty and
-        // uneven halves, serially and in parallel.
-        for cm in [gpt_cm(4), t5_cm(4)] {
-            let shapes: Vec<MicroBatchShape> = match cm.model.arch {
+        // prices to zero. Prefixes of 0, 1, 5 and 6 shapes and of one
+        // chunk less one, exactly one chunk and one chunk plus one are
+        // priced under caps 1, 2 and 4, so the claimed chunks meet empty,
+        // partial and single-shape tails, serially and in parallel.
+        for cm in [gpt_cm(4), t5_cm(4), gpt_cm(3)] {
+            let mut shapes: Vec<MicroBatchShape> = match cm.model.arch {
                 ModelArch::Gpt => vec![
                     MicroBatchShape::gpt(1, 37),
                     MicroBatchShape::gpt(3, 900),
@@ -683,9 +790,26 @@ mod tests {
                     MicroBatchShape::t5(64, 100_000, 9000), // above-range
                 ],
             };
-            for (len, threads) in [0, 1, 5, shapes.len()]
+            let fixed = shapes.len();
+            shapes.extend((fixed..=PRICE_CHUNK).map(|i| {
+                let (b, s) = (1 + i % 23, 16 + (i * 37) % 2000);
+                match cm.model.arch {
+                    ModelArch::Gpt => MicroBatchShape::gpt(b, s),
+                    ModelArch::T5 => MicroBatchShape::t5(b, s, 8 + s / 5),
+                }
+            }));
+            let lens = [
+                0,
+                1,
+                5,
+                fixed,
+                PRICE_CHUNK - 1,
+                PRICE_CHUNK,
+                PRICE_CHUNK + 1,
+            ];
+            for (len, threads) in lens
                 .into_iter()
-                .flat_map(|len| [(len, 1), (len, 2)])
+                .flat_map(|len| [(len, 1), (len, 2), (len, 4)])
             {
                 let table = &shapes[..len];
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -717,6 +841,51 @@ mod tests {
                             assert_eq!((t, act), (0.0, 0), "{case}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_stage_dominates_only_where_one_stage_prices_every_shape() {
+        // GPT on 4 stages splits its 32 layers evenly and the last stage
+        // adds the LM head; on 3 stages the LM-head stage has fewer
+        // layers; T5's encoder and decoder stages each lack the other's
+        // layers. A shape past the profiled range extrapolates, which
+        // could turn a term negative, so it withdraws the claim. Where
+        // domination is claimed, each shape's `t(M)` is one stage's
+        // forward plus backward, bit for bit.
+        let in_range: Vec<MicroBatchShape> = (1..200)
+            .map(|i| MicroBatchShape::gpt(1 + i % 17, 8 + (i * 53) % 4096))
+            .chain([MicroBatchShape::empty()])
+            .collect();
+        let mut past_range = in_range.clone();
+        past_range.push(MicroBatchShape::gpt(64, 100_000));
+        let cases = [
+            (gpt_cm(4), &in_range, true),
+            (gpt_cm(4), &past_range, false),
+            (gpt_cm(3), &in_range, false),
+            (t5_cm(4), &in_range, false),
+        ];
+        for (cm, shapes, dominates) in cases {
+            let table: Vec<MicroBatchShape> = match cm.model.arch {
+                ModelArch::Gpt => shapes.clone(),
+                ModelArch::T5 => shapes
+                    .iter()
+                    .map(|s| MicroBatchShape::t5(s.batch_size, s.enc_len, 64))
+                    .collect(),
+            };
+            let prices = cm.shape_pricer().price_every_mode(&table);
+            let case = format!("{:?}, {} shapes", cm.layout, table.len());
+            assert_eq!(prices.one_stage_dominates(), dominates, "{case}");
+            if !dominates {
+                continue;
+            }
+            let last = cm.num_stages() - 1;
+            for mode in RecomputeMode::ALL {
+                for (s, t) in table.iter().zip(prices.time(mode)) {
+                    let stage = cm.stage_fwd(last, s) + cm.stage_bwd(last, s, mode);
+                    assert_eq!(t.to_bits(), stage.to_bits(), "{case}: {s:?} {mode:?}");
                 }
             }
         }

@@ -378,6 +378,23 @@ pub struct NdGrid {
 }
 
 impl NdGrid {
+    /// Whether every query with coordinates up to `reach` per axis is
+    /// nonnegative: no sample is negative, and no coordinate passes its
+    /// axis's last sample (where a query extrapolates), degenerate axes
+    /// aside. Such a query lerps nonnegative values with fractions in
+    /// `[0, 1]`, and `a + (b − a)·t` then stays nonnegative in rounded
+    /// arithmetic: `b − a` and its product with `t` round to no less than
+    /// `−a`.
+    pub fn nonnegative_within(&self, reach: [usize; 3]) -> bool {
+        let covered = |axis: &Axis, x: usize| {
+            axis.is_degenerate() || x <= *axis.values.last().expect("non-empty")
+        };
+        covered(&self.a0, reach[0])
+            && covered(&self.a1, reach[1])
+            && covered(&self.a2, reach[2])
+            && self.data.iter().all(|&v| v >= 0.0)
+    }
+
     /// Build a grid by evaluating `f` at every sample point.
     pub fn build(
         a0: Axis,
@@ -658,5 +675,37 @@ mod tests {
             |b, _, _| b as f64,
         );
         let _ = GridSet::new([&g1, &g2], [0; 3]);
+    }
+
+    #[test]
+    fn nonnegative_within_needs_nonnegative_samples_and_no_extrapolation() {
+        let axes = || (Axis::pow2(1, 8), Axis::pow2(16, 64), Axis::singleton());
+        let (a0, a1, a2) = axes();
+        let rising = NdGrid::build(a0, a1, a2, |b, s, _| (b * s) as f64);
+        assert!(rising.nonnegative_within([8, 64, 0]));
+        // A degenerate axis never extrapolates, whatever the coordinate.
+        assert!(rising.nonnegative_within([8, 64, 1 << 20]));
+        assert!(!rising.nonnegative_within([9, 64, 0]));
+        assert!(!rising.nonnegative_within([8, 65, 0]));
+        let (a0, a1, a2) = axes();
+        let dipping = NdGrid::build(a0, a1, a2, |b, s, _| {
+            b as f64 - (s == 32) as u8 as f64 * 2.0
+        });
+        assert!(!dipping.nonnegative_within([1, 16, 0]));
+        // Every in-range query of a nonnegative grid is nonnegative, down
+        // to the lerps between a sample and zero.
+        let (a0, a1, a2) = axes();
+        let sparse = NdGrid::build(
+            a0,
+            a1,
+            a2,
+            |b, s, _| if (b + s) % 3 == 0 { 1e-300 } else { 0.0 },
+        );
+        assert!(sparse.nonnegative_within([8, 64, 0]));
+        for b in 0..=8 {
+            for s in 0..=64 {
+                assert!(sparse.query(b, s, 0) >= 0.0, "({b}, {s})");
+            }
+        }
     }
 }

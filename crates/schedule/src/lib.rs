@@ -31,5 +31,5 @@ pub use adaptive::adaptive_schedule;
 pub use onefb::one_f_one_b;
 pub use reorder::{reorder_micro_batches, reorder_with_schedule, ReorderConfig, Reordered};
 pub use safety::min_steady_safety_stock;
-pub use timeline::{evaluate_schedule, OpTimes, Timeline};
+pub use timeline::{evaluate_schedule, makespan_lower_bound, OpTimes, Timeline};
 pub use types::{Schedule, ScheduleInput, ScheduledOp};

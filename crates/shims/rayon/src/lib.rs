@@ -27,13 +27,18 @@
 //!   persistent pool, restored by a drop guard so a panic cannot leave a
 //!   thread capped.
 //!
-//! There is deliberately no persistent pool: a scoped spawn + join
-//! measures ~30 µs on a 2-vCPU x86-64 VM, and the planner makes two
-//! parallel calls per plan, each spawning `T − 1` helpers (a `join` over
-//! the halves of the pricing pass, then a `scope_fifo` for its §7
-//! recompute-mode sweep, each a millisecond or more of work), so the
-//! spawns stay a few percent of a plan at most and a pool's parking,
-//! wake-up and shutdown logic would buy nothing measurable.
+//! There is deliberately no persistent pool: every parallel call spawns
+//! its `T − 1` helpers. The spawn's own cost is small (a scoped spawn +
+//! join measured 39–49 µs on a 2-vCPU x86-64 VM), but a helper can *start*
+//! late: inside a loaded planner, the pricing pass's `join` helper began
+//! on average 0.48 ms after the join on the `short-store` benchmark
+//! workload and 0.11 ms on `fig17-gpt`, against about 1.5 ms of pricing.
+//! So the planner's parallel calls do not hand a helper a fixed share of
+//! the work: the pricing pass's two sides claim chunks from one cursor,
+//! and the §7 recompute-mode sweep and its finishing are `scope_fifo`
+//! tasks any thread claims, so a late helper costs only the work it did
+//! not take. A pool's parking, wake-up and shutdown logic would shave the
+//! start latency, at the price of threads that outlive every call.
 //!
 //! Thread count defaults to `std::thread::available_parallelism`, tunable
 //! via the `RAYON_NUM_THREADS` environment variable like real rayon.

@@ -39,4 +39,15 @@ cp perfbench/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" perfbench/Cargo.lock; rm -f "$lock_backup"' EXIT
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# The benchmark's exact gates, on every workload: 2 s traced runs check
+# each repetition `behavior_eq` to the serial driver, the layer replay's
+# plan equal to `plan_iteration`'s, and the runtime trace through
+# `validate` and `reconcile` with no span dropped. A failed gate exits
+# nonzero. Host timings are not gated here.
+echo "== perfbench gates (--trace 1, 2 s per workload) =="
+for workload in fig17-gpt short-store dc32-sharded; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 2 --trace 1 >/dev/null
+done
+
 echo "check.sh: all gates passed"
