@@ -360,11 +360,6 @@ impl SliceShapes {
         self.distinct.len()
     }
 
-    /// The distinct padded slice shapes (for diagnostics and benches).
-    pub fn distinct_shapes(&self) -> &[MicroBatchShape] {
-        &self.distinct
-    }
-
     /// The architecture the shapes were padded for.
     pub fn arch(&self) -> ModelArch {
         self.arch
@@ -1254,7 +1249,7 @@ mod tests {
                 sort_samples(ModelArch::Gpt, &mut samples);
             }
             let shapes = SliceShapes::build(ModelArch::Gpt, &samples, width);
-            let time: Vec<Micros> = shapes.distinct_shapes().iter().map(price).collect();
+            let time: Vec<Micros> = shapes.distinct.iter().map(price).collect();
             let rising = Partitioner::rising_runs(&shapes, &time);
             let w = shapes.width;
             let row_len = |end: usize| w.min(end);
@@ -1481,7 +1476,7 @@ mod tests {
             sort_samples(cm.model.arch, &mut samples);
             let shapes = SliceShapes::build(cm.model.arch, &samples, 16);
             let fwd = SliceFwdCosts::build(&cm, &shapes);
-            let distinct = shapes.distinct_shapes();
+            let distinct = &shapes.distinct;
             let tight = cm.mb_activation_max(&distinct[distinct.len() / 2], RecomputeMode::None);
             for limit in [Bytes::MAX / 4, tight, 0] {
                 let mut infeasible = [0usize; 3];

@@ -18,10 +18,9 @@
 //! `run_all` round-trips the export through `trace_report`, which
 //! recomputes the critical path from the spans.
 //!
-//! Writes `results/fig09_cluster.json` — the sweep, per-host lists
-//! capped, with every field that follows host timing moved under one
-//! `host_timed` key (see [`HOST_TIMED`]), so two runs differ only there —
-//! and **exits nonzero** if
+//! Writes `results/fig09_cluster.json` — the sweep as [`CellRow`]s,
+//! per-host lists capped, holding only what seed and config determine, so
+//! two runs write the same bytes — and **exits nonzero** if
 //!
 //! 1. any datacenter cell — every host count × codec × placement,
 //!    churned cells included — diverges from its serial oracle
@@ -47,7 +46,7 @@
 
 use dynapipe_bench::{write_json, SEED};
 use dynapipe_cluster::{
-    run_training_cluster_traced, ChurnEvent, ChurnScript, ClusterConfig, ClusterReport,
+    run_training_cluster_traced, ChurnEvent, ChurnScript, ChurnStats, ClusterConfig, ClusterReport,
     StorePlacement,
 };
 use dynapipe_core::{run_training, DynaPipePlanner, PlanCodec, PlannerConfig, RunConfig};
@@ -56,29 +55,23 @@ use dynapipe_data::{Dataset, GlobalBatchConfig};
 use dynapipe_model::{HardwareModel, ModelConfig, ParallelConfig};
 use dynapipe_sim::Fabric;
 use dynapipe_trace::{chrome::to_chrome_trace, Trace, TraceSink};
-use serde::{Map, Serialize, Value};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// One cell of the datacenter sweep: a placement × codec deployment at
 /// one executor-host count over the rack-structured fabric, optionally
 /// with a scripted shard-owner loss.
-#[derive(Clone, Serialize)]
 struct DatacenterCell {
     churned: bool,
-    /// The full report; the artifact's copy is [`DatacenterPoint::truncated`].
+    /// The full report; the gates read it, the artifact a [`CellRow`].
     stats: ClusterReport,
     /// Σ `bytes_fetched` over every executor host.
     bytes_fetched: u64,
-    /// Entries cut from `stats.executor_hosts` / `stats.shards` (zero
-    /// until truncated).
-    executor_hosts_omitted: usize,
-    shards_omitted: usize,
     divergence: Option<String>,
 }
 
 /// The datacenter sweep at one executor-host count, with its own serial
 /// oracle (the workload changes with `dp = host count`).
-#[derive(Clone, Serialize)]
 struct DatacenterPoint {
     hosts: usize,
     iterations: usize,
@@ -87,109 +80,134 @@ struct DatacenterPoint {
 }
 
 /// Per-host entries kept per datacenter cell in the artifact. The
-/// O(100)-host sweep would otherwise serialize every `ExecutorHostStats`
-/// and `ShardStats` of every cell (~28k lines of artifact); the cell's
-/// totals plus the first few hosts as a sample are enough to read it.
+/// O(100)-host sweep would otherwise serialize every executor host and
+/// shard of every cell (~28k lines of artifact); the first few hosts as a
+/// sample are enough to read it.
 const DC_HOST_JSON_CAP: usize = 8;
 
-impl DatacenterPoint {
-    /// A copy for the artifact, with each cell's per-host lists cut to
-    /// [`DC_HOST_JSON_CAP`] entries. The gates read the full point.
-    fn truncated(&self) -> DatacenterPoint {
-        let mut p = self.clone();
-        for c in &mut p.cells {
-            let s = &mut c.stats;
-            c.executor_hosts_omitted = s.executor_hosts.len().saturating_sub(DC_HOST_JSON_CAP);
-            c.shards_omitted = s.shards.len().saturating_sub(DC_HOST_JSON_CAP);
-            s.executor_hosts.truncate(DC_HOST_JSON_CAP);
-            s.shards.truncate(DC_HOST_JSON_CAP);
+/// The artifact's view of a [`DatacenterPoint`].
+#[derive(Serialize)]
+struct PointRow {
+    hosts: usize,
+    iterations: usize,
+    serial_feasible: bool,
+    cells: Vec<CellRow>,
+}
+
+/// The artifact's view of a [`DatacenterCell`]: what seed and config
+/// determine, per-host lists cut to [`DC_HOST_JSON_CAP`] entries. The
+/// report's other fields follow the host: real-time `*_us` clocks and the
+/// overlap and exposure they feed, which planner host planned which
+/// iteration, the store's peaks, and the byte and wire-time counts (a JSON
+/// blob carries the host-timed `planning_time_us` digits, and link queues
+/// order by push time).
+#[derive(Serialize)]
+struct CellRow {
+    churned: bool,
+    stats: StatsRow,
+    executor_hosts_omitted: usize,
+    shards_omitted: usize,
+    divergence: Option<String>,
+}
+
+#[derive(Serialize)]
+struct StatsRow {
+    topology: String,
+    codec: String,
+    placement: String,
+    fabric: String,
+    plan_ahead: usize,
+    iterations: usize,
+    executor_hosts: Vec<ExecutorRow>,
+    shards: Vec<ShardRow>,
+    exec_sim_us: f64,
+    flat_wire_bytes: u64,
+    store: StoreRow,
+    churn: ChurnStats,
+}
+
+#[derive(Serialize)]
+struct ExecutorRow {
+    host: usize,
+    replicas: Vec<usize>,
+    busy_us: f64,
+}
+
+#[derive(Serialize)]
+struct ShardRow {
+    shard: usize,
+    owner: usize,
+    blobs_stored: u64,
+    refetched_blobs: u64,
+    refetch_bytes: u64,
+}
+
+/// The store's end-of-run counts (its peaks follow the host).
+#[derive(Serialize)]
+struct StoreRow {
+    occupancy: usize,
+    bytes: u64,
+    pushes: u64,
+    takes: u64,
+    discarded: u64,
+}
+
+impl PointRow {
+    fn of(p: &DatacenterPoint) -> Self {
+        PointRow {
+            hosts: p.hosts,
+            iterations: p.iterations,
+            serial_feasible: p.serial_feasible,
+            cells: p.cells.iter().map(CellRow::of).collect(),
         }
-        p
     }
 }
 
-/// The fields of a serialized [`DatacenterCell`] that follow the host
-/// rather than the seed and config: host clocks (`*_us` measured in real
-/// time, and the overlap and exposure they feed), which planner host
-/// planned which iteration, the store's peaks, and the byte and wire-time
-/// counts. Bytes are exact under the binary and flat codecs, but a JSON
-/// blob carries the host-timed `planning_time_us` digits and link queues
-/// order by push time, so these fields move for every codec. A path is
-/// dotted; a `[]` segment applies the rest to every element of a list.
-const HOST_TIMED: &[&str] = &[
-    "bytes_fetched",
-    "stats.planner_hosts",
-    "stats.executor_hosts[].bytes_fetched",
-    "stats.executor_hosts[].fetch_wire_us",
-    "stats.executor_hosts[].decode_us",
-    "stats.executor_hosts[].exposed_us",
-    "stats.executor_hosts[].overlap_ratio",
-    "stats.shards[].bytes_pushed",
-    "stats.shards[].bytes_served",
-    "stats.shards[].push_wire_us",
-    "stats.shards[].fetch_wire_us",
-    "stats.max_link_bytes",
-    "stats.cluster_wall_us",
-    "stats.total_wire_us",
-    "stats.exposed_us",
-    "stats.overlap_ratio",
-    "stats.wire_bytes",
-    "stats.mean_blob_bytes",
-    "stats.decode_us",
-    "stats.serialize_us",
-    "stats.store.peak_occupancy",
-    "stats.store.peak_bytes",
-];
-
-/// The entry `key` of object `v`, inserted as `init()` if absent.
-fn entry<'v>(v: &'v mut Value, key: &str, init: impl FnOnce() -> Value) -> &'v mut Value {
-    let Value::Object(map) = v else {
-        panic!("`{key}` looked up in a non-object");
-    };
-    let i = match map.iter().position(|(k, _)| k == key) {
-        Some(i) => i,
-        None => {
-            map.push((key.to_string(), init()));
-            map.len() - 1
+impl CellRow {
+    fn of(c: &DatacenterCell) -> Self {
+        let s = &c.stats;
+        let executor_hosts = s.executor_hosts.iter().take(DC_HOST_JSON_CAP);
+        let shards = s.shards.iter().take(DC_HOST_JSON_CAP);
+        CellRow {
+            churned: c.churned,
+            stats: StatsRow {
+                topology: s.topology.clone(),
+                codec: s.codec.clone(),
+                placement: s.placement.clone(),
+                fabric: s.fabric.clone(),
+                plan_ahead: s.plan_ahead,
+                iterations: s.iterations,
+                executor_hosts: executor_hosts
+                    .map(|h| ExecutorRow {
+                        host: h.host,
+                        replicas: h.replicas.clone(),
+                        busy_us: h.busy_us,
+                    })
+                    .collect(),
+                shards: shards
+                    .map(|h| ShardRow {
+                        shard: h.shard,
+                        owner: h.owner,
+                        blobs_stored: h.blobs_stored,
+                        refetched_blobs: h.refetched_blobs,
+                        refetch_bytes: h.refetch_bytes,
+                    })
+                    .collect(),
+                exec_sim_us: s.exec_sim_us,
+                flat_wire_bytes: s.flat_wire_bytes,
+                store: StoreRow {
+                    occupancy: s.store.occupancy,
+                    bytes: s.store.bytes,
+                    pushes: s.store.pushes,
+                    takes: s.store.takes,
+                    discarded: s.store.discarded,
+                },
+                churn: s.churn.clone(),
+            },
+            executor_hosts_omitted: s.executor_hosts.len().saturating_sub(DC_HOST_JSON_CAP),
+            shards_omitted: s.shards.len().saturating_sub(DC_HOST_JSON_CAP),
+            divergence: c.divergence.clone(),
         }
-    };
-    &mut map[i].1
-}
-
-/// Move the field at the [`HOST_TIMED`] `path` out of `from` into the same
-/// place in `to`, creating objects and lists there on the way. Panics if
-/// `from` lacks the field, so a renamed report field cannot slip out of
-/// the split unnoticed.
-fn move_field(from: &mut Value, to: &mut Value, path: &[&str]) {
-    let missing = || -> Value { panic!("fig09 artifact has no field {path:?}") };
-    match path {
-        [] => {}
-        [leaf] => {
-            let value = std::mem::replace(entry(from, leaf, missing), Value::Null);
-            let Value::Object(map) = from else {
-                unreachable!("entry found the field")
-            };
-            map.retain(|(k, _)| k != leaf);
-            *entry(to, leaf, || Value::Null) = value;
-        }
-        [seg, rest @ ..] => match seg.strip_suffix("[]") {
-            Some(key) => {
-                let Value::Array(items) = entry(from, key, missing) else {
-                    panic!("fig09 artifact field `{key}` is not a list");
-                };
-                let blank = vec![Value::Object(Map::new()); items.len()];
-                let Value::Array(out) = entry(to, key, || Value::Array(blank)) else {
-                    unreachable!("created as a list")
-                };
-                for (item, o) in items.iter_mut().zip(out) {
-                    move_field(item, o, rest);
-                }
-            }
-            None => {
-                let t = entry(to, seg, || Value::Object(Map::new()));
-                move_field(entry(from, seg, missing), t, rest);
-            }
-        },
     }
 }
 
@@ -285,8 +303,6 @@ fn run_datacenter(dataset: &Dataset) -> Vec<DatacenterPoint> {
                     cells.push(DatacenterCell {
                         churned,
                         bytes_fetched: stats.executor_hosts.iter().map(|h| h.bytes_fetched).sum(),
-                        executor_hosts_omitted: 0,
-                        shards_omitted: 0,
                         stats,
                         divergence: serial.behavior_eq(&report).err(),
                     });
@@ -348,48 +364,7 @@ fn run_traced_cell(dataset: &Dataset) -> Result<Trace, String> {
 struct Artifact {
     dc_hosts_per_rack: usize,
     dc_oversubscription: f64,
-    /// The sweep, per-host lists capped, without its [`HOST_TIMED`]
-    /// fields: a function of seed and config.
-    datacenter: Vec<Value>,
-    host_timed: HostTimed,
-}
-
-/// Everything in the artifact that follows host timing.
-#[derive(Serialize)]
-struct HostTimed {
-    /// Σ mean blob bytes per codec over the sweep's undisturbed cells.
-    blob_bytes: Vec<(&'static str, f64)>,
-    /// Each datacenter cell's [`HOST_TIMED`] fields, in sweep order, under
-    /// its `cell` label.
-    cells: Vec<Value>,
-}
-
-/// The artifact's view of the sweep: points truncated to
-/// [`DC_HOST_JSON_CAP`] hosts with each cell's [`HOST_TIMED`] fields
-/// moved out, and those fields per cell.
-fn split_host_timed(datacenter: &[DatacenterPoint]) -> (Vec<Value>, Vec<Value>) {
-    let mut timed = Vec::new();
-    let points = datacenter
-        .iter()
-        .map(|p| {
-            let mut point = serde_json::to_value(&p.truncated());
-            let Value::Array(cells) = entry(&mut point, "cells", || Value::Null) else {
-                panic!("a datacenter point's cells are not a list");
-            };
-            for (cell, c) in cells.iter_mut().zip(&p.cells) {
-                let churn = if c.churned { "+loss" } else { "" };
-                let (placement, codec) = (&c.stats.placement, &c.stats.codec);
-                let label = format!("{}h {placement}/{codec}{churn}", p.hosts);
-                let mut out = Value::Object(vec![("cell".into(), Value::Str(label))]);
-                for path in HOST_TIMED {
-                    move_field(cell, &mut out, &path.split('.').collect::<Vec<_>>());
-                }
-                timed.push(out);
-            }
-            point
-        })
-        .collect();
-    (points, timed)
+    datacenter: Vec<PointRow>,
 }
 
 fn main() {
@@ -515,17 +490,12 @@ fn main() {
         }
     }
 
-    let (points, cells) = split_host_timed(&datacenter);
     write_json(
         "fig09_cluster",
         &Artifact {
             dc_hosts_per_rack: DC_HOSTS_PER_RACK,
             dc_oversubscription: DC_OVERSUBSCRIPTION,
-            datacenter: points,
-            host_timed: HostTimed {
-                blob_bytes: blob_bytes.to_vec(),
-                cells,
-            },
+            datacenter: datacenter.iter().map(PointRow::of).collect(),
         },
     );
     for f in &failures {

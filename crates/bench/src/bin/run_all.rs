@@ -6,7 +6,10 @@
 //!
 //! The bins reproduce paper figures on simulated time and write only
 //! under `results/` (gitignored); host performance is measured by the
-//! repo benchmark (`perfbench`), not here.
+//! repo benchmark (`perfbench`), not here. Every artifact except
+//! `fig17_planning_time.json` (planning latency) and the `TRACE_cluster*`
+//! exports (Host-domain span clocks) is byte-identical from run to run;
+//! `tools/check.sh` runs the sweep twice and compares them.
 //!
 //! There is one run mode, at full size (Figs. 13 and 14 on 4 to 32 GPUs,
 //! where DynaPipe's winners pipeline): CI catches bin bit-rot — a

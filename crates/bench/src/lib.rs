@@ -7,6 +7,11 @@
 //! token-based micro-batching), their grid searches through
 //! [`dynapipe_core::search_parallelism`], and JSON result output under
 //! `results/`. There is one run mode: every bin runs at the sizes below.
+//!
+//! A [`PointResult`] holds simulated quantities only, so every artifact
+//! built from it is a function of seed and config. Host time is measured
+//! by the repo benchmark (`perfbench`); of the figures only
+//! `fig17_planning_time` reports it.
 
 use dynapipe_batcher::OrderingStrategy;
 use dynapipe_core::{
@@ -41,8 +46,6 @@ pub struct PointResult {
     pub encoder_efficiency: f64,
     /// Decoder-side padding efficiency.
     pub decoder_efficiency: f64,
-    /// Mean planning time per iteration (µs).
-    pub mean_planning_us: f64,
     /// Mean iteration time (µs).
     pub mean_iteration_us: f64,
     /// Iteration-time estimation MAPE.
@@ -53,8 +56,6 @@ pub struct PointResult {
     pub time_pairs: Vec<(f64, f64)>,
     /// Per-iteration (estimated, measured) worst-stage peak memory (bytes).
     pub memory_pairs: Vec<(u64, u64)>,
-    /// Raw per-iteration planning times (µs).
-    pub planning_times_us: Vec<f64>,
 }
 
 impl PointResult {
@@ -69,12 +70,6 @@ impl PointResult {
             padding_efficiency: report.padding.efficiency(),
             encoder_efficiency: report.padding.encoder_efficiency(),
             decoder_efficiency: report.padding.decoder_efficiency(),
-            mean_planning_us: report
-                .records
-                .iter()
-                .map(|r| r.planning_time_us)
-                .sum::<f64>()
-                / n,
             mean_iteration_us: report.records.iter().map(|r| r.measured_time).sum::<f64>() / n,
             time_mape: report.time_mape(),
             memory_mape: report.memory_mape(),
@@ -93,7 +88,6 @@ impl PointResult {
                     )
                 })
                 .collect(),
-            planning_times_us: report.records.iter().map(|r| r.planning_time_us).collect(),
         })
     }
 }
@@ -253,57 +247,18 @@ pub fn eval_token_based(
     parallel: ParallelConfig,
     ordering: OrderingStrategy,
 ) -> Option<PointResult> {
-    let cm = Arc::new(CostModel::build(
-        hw.clone(),
-        point.model,
-        parallel,
-        &ProfileOptions::default(),
-    ));
-    if !cm.is_feasible() {
-        return None;
-    }
-    let probes = probe_minibatches(dataset, point, PROBES);
-    let mut best: Option<(f64, usize)> = None;
-    for budget in [1024usize, 2048, 4096, 8192, 16384] {
-        let planner = BaselinePlanner::new(
-            cm.clone(),
-            BaselineKind::TokenBased {
-                token_budget: budget,
-                ordering,
-            },
-        );
-        let mut tokens = 0u64;
-        let mut time = 0.0;
-        let mut ok = true;
-        for mb in &probes {
-            match planner.plan_iteration(mb) {
-                Ok(plan) => {
-                    tokens += plan.actual_tokens;
-                    time += plan.est_iteration_time;
-                }
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok && time > 0.0 {
-            let tps = tokens as f64 / time;
-            if best.is_none_or(|(b, _)| tps > b) {
-                best = Some((tps, budget));
-            }
-        }
-    }
-    let (_, budget) = best?;
-    let planner = BaselinePlanner::new(
-        cm,
-        BaselineKind::TokenBased {
-            token_budget: budget,
-            ordering,
-        },
-    );
-    let report = run_point(&planner, dataset, point);
-    PointResult::from_report(&report, parallel)
+    let ranked = rank(hw, dataset, point, &[parallel], |cm| {
+        [1024, 2048, 4096, 8192, 16384]
+            .map(|token_budget| {
+                let kind = BaselineKind::TokenBased {
+                    token_budget,
+                    ordering,
+                };
+                BaselinePlanner::new(cm.clone(), kind)
+            })
+            .into()
+    });
+    run_ranked(&ranked, dataset, point).map(|(_, r)| r)
 }
 
 /// Run a planner on one point with the harness run configuration.
@@ -373,5 +328,17 @@ mod tests {
         let pinned = c.mlm_ds_c.as_ref().expect("MLM+DS (C) feasible");
         assert_eq!(pinned.parallel, dyna.parallel);
         assert_eq!(c.packing().map(|r| &r.parallel), Some(&dyna.parallel));
+        // Token-based micro-batching at DynaPipe's parallelism, as Fig. 16
+        // runs it, under both orderings.
+        let parallel = ParallelConfig::enumerate(4, hw.gpus_per_node)
+            .into_iter()
+            .find(|p| p.to_string() == dyna.parallel)
+            .expect("DynaPipe's parallelism is a candidate");
+        for ordering in [OrderingStrategy::Sort, OrderingStrategy::Tsp] {
+            let tb = eval_token_based(&hw, &dataset, &point, parallel, ordering);
+            let tb = tb.unwrap_or_else(|| panic!("TB ({ordering:?}) infeasible"));
+            assert!(tb.throughput > 0.0, "TB ({ordering:?})");
+            assert_eq!(tb.parallel, dyna.parallel);
+        }
     }
 }

@@ -18,6 +18,7 @@
 //!
 //! [`RunReport`]: dynapipe_core::RunReport
 
+use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -56,14 +57,16 @@ pub enum ChurnEvent {
         /// Executor host index.
         host: usize,
     },
-    /// Planner host `host` straggles: its next claim is delayed by a
-    /// fixed `delay_ms` before planning starts (one-shot). With a
-    /// re-issue deadline configured the executor detects the stall and
-    /// re-issues the ticket to a healthy worker; first-completion-wins
-    /// keeps the outcome identical either way.
+    /// A planner straggles on ticket `it + plan_ahead` for the keyed
+    /// iteration `it`: whichever worker claims that ticket's first
+    /// attempt (generation 0) waits a fixed `delay_ms` before planning
+    /// starts (one-shot). The window cannot have handed that ticket out
+    /// when the event applies, so the straggle always lands; a target at
+    /// or past the iteration cap is ignored. With a re-issue deadline
+    /// configured the executor detects the stall and re-issues the
+    /// ticket to a healthy worker; first-completion-wins keeps the
+    /// outcome identical either way.
     Straggle {
-        /// Planner host index.
-        host: usize,
         /// Fixed injected delay in milliseconds (deterministic, not
         /// sampled).
         delay_ms: u64,
@@ -130,9 +133,9 @@ enum HostState {
 
 struct MembershipState {
     hosts: Vec<HostState>,
-    /// One-shot straggle delay per host, armed by the script and taken
-    /// by the host's next claiming worker.
-    straggle: Vec<Option<Duration>>,
+    /// One-shot straggle delays by ticket, armed by the script and taken
+    /// by the worker claiming that ticket's first attempt.
+    straggles: BTreeMap<usize, Duration>,
     shutdown: bool,
 }
 
@@ -162,7 +165,7 @@ impl Membership {
         hosts.extend(std::iter::repeat(HostState::Pending).take(pending));
         Membership {
             state: Mutex::new(MembershipState {
-                straggle: vec![None; hosts.len()],
+                straggles: BTreeMap::new(),
                 hosts,
                 shutdown: false,
             }),
@@ -229,21 +232,19 @@ impl Membership {
         self.lock().hosts[host] == HostState::Active
     }
 
-    /// Arm a one-shot straggle delay on `host`. Returns `false` if the
-    /// host is not active.
-    pub fn straggle(&self, host: usize, delay: Duration) -> bool {
-        let mut st = self.lock();
-        if host >= st.hosts.len() || st.hosts[host] != HostState::Active {
-            return false;
-        }
-        st.straggle[host] = Some(delay);
-        true
+    /// Arm a one-shot straggle delay on ticket `index`.
+    pub fn straggle(&self, index: usize, delay: Duration) {
+        self.lock().straggles.insert(index, delay);
     }
 
-    /// Take the pending straggle delay for `host`, if armed (one-shot:
-    /// the first claiming worker pays it).
-    pub fn take_straggle(&self, host: usize) -> Option<Duration> {
-        self.lock().straggle[host].take()
+    /// Take the straggle delay armed on ticket `index`, if this claim is
+    /// its first attempt (`generation` 0; a re-issued attempt never
+    /// straggles). One-shot.
+    pub fn take_straggle(&self, index: usize, generation: u64) -> Option<Duration> {
+        if generation != 0 {
+            return None;
+        }
+        self.lock().straggles.remove(&index)
     }
 
     /// Release every parked worker (end of run): pending hosts never
@@ -264,13 +265,7 @@ mod tests {
         let s = ChurnScript::new()
             .at(1, ChurnEvent::PlannerCrash { host: 0 })
             .at(1, ChurnEvent::PlannerJoin { workers: 2 })
-            .at(
-                3,
-                ChurnEvent::Straggle {
-                    host: 1,
-                    delay_ms: 5,
-                },
-            );
+            .at(3, ChurnEvent::Straggle { delay_ms: 5 });
         assert!(!s.is_empty());
         assert_eq!(s.events_at(0).count(), 0);
         assert_eq!(s.events_at(1).count(), 2);
@@ -293,11 +288,12 @@ mod tests {
         assert!(m.crash(1));
         assert!(!m.crash(2), "last survivor must be protected");
         assert!(m.is_alive(2));
-        // Straggles only arm on live hosts, and are one-shot.
-        assert!(!m.straggle(0, Duration::from_millis(5)));
-        assert!(m.straggle(2, Duration::from_millis(5)));
-        assert_eq!(m.take_straggle(2), Some(Duration::from_millis(5)));
-        assert_eq!(m.take_straggle(2), None);
+        // Straggles hit only their ticket's first attempt, once.
+        m.straggle(4, Duration::from_millis(5));
+        assert_eq!(m.take_straggle(3, 0), None);
+        assert_eq!(m.take_straggle(4, 1), None, "re-issued attempt");
+        assert_eq!(m.take_straggle(4, 0), Some(Duration::from_millis(5)));
+        assert_eq!(m.take_straggle(4, 0), None);
     }
 
     #[test]

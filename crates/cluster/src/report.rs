@@ -24,7 +24,7 @@ use dynapipe_core::StoreStats;
 use serde::Serialize;
 
 /// What one planner host contributed.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PlannerHostStats {
     /// Host index in the planner pool.
     pub host: usize,
@@ -46,7 +46,7 @@ pub struct PlannerHostStats {
 }
 
 /// What one executor host saw.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecutorHostStats {
     /// Host index among the executors.
     pub host: usize,
@@ -80,7 +80,7 @@ pub struct ExecutorHostStats {
 /// under [`crate::StorePlacement::Single`]); `fig09_cluster`'s datacenter
 /// sweep gates on the spread these counters reveal — no sharded link may
 /// carry what the single store host's egress does.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardStats {
     /// Shard index (iteration `i` routes to shard `i % num_shards`).
     pub shard: usize,
@@ -118,7 +118,7 @@ pub struct ChurnStats {
     /// Scripted events that took effect.
     pub events_applied: usize,
     /// Scripted events ignored as invalid (dead/unknown host, last
-    /// survivor, store host).
+    /// survivor, store host, a straggle on a ticket past the cap).
     pub events_ignored: usize,
     /// Planner hosts crashed.
     pub planner_crashes: usize,
@@ -155,7 +155,7 @@ pub struct ChurnStats {
 /// [`dynapipe_core::RunReport`] carries the training behavior (and must
 /// be bit-identical to the serial driver's); this report carries where
 /// the time and the bytes went.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusterReport {
     /// Topology label, e.g. `"2p×1w→2e"`.
     pub topology: String,

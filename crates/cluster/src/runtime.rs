@@ -243,12 +243,12 @@ impl<'a> ClusterRun<'a> {
 
     /// Record a churn action: the event class in `generation` (0 crash /
     /// 1 join / 2 straggle / 3 executor loss), the affected host in
-    /// `lane`.
-    fn mark_churn(&self, class: u64, host: usize, it: usize) {
+    /// `lane` (-1 for a straggle: whoever claims its ticket).
+    fn mark_churn(&self, class: u64, lane: i64, it: usize) {
         self.sink.mark(Span {
             kind: SpanKind::ChurnAction,
             iteration: it as i64,
-            lane: host as i64,
+            lane,
             generation: class,
             ..Span::default()
         });
@@ -291,10 +291,13 @@ impl<'a> ClusterRun<'a> {
                 }
                 return false;
             }
-            // A scripted straggle delays this host's next attempt
+            // A scripted straggle delays its ticket's first attempt
             // *before* planning starts — the window the executor's
             // re-issue deadline is built to detect.
-            if let Some(delay) = self.membership.take_straggle(host) {
+            if let Some(delay) = self
+                .membership
+                .take_straggle(ticket.index, ticket.generation)
+            {
                 std::thread::sleep(delay);
             }
             let ctx = TicketTraceCtx {
@@ -458,7 +461,7 @@ impl<'r, 'a> Prefetcher<'r, 'a> {
                 if run.membership.crash(*host) {
                     led.events_applied += 1;
                     led.planner_crashes += 1;
-                    run.mark_churn(0, *host, it);
+                    run.mark_churn(0, *host as i64, it);
                     // Everything the dead host's workers held goes back
                     // to the survivors.
                     let n = run
@@ -477,19 +480,21 @@ impl<'r, 'a> Prefetcher<'r, 'a> {
                 if let Some(joined) = run.membership.activate_next() {
                     led.events_applied += 1;
                     led.planner_joins += 1;
-                    run.mark_churn(1, joined, it);
+                    run.mark_churn(1, joined as i64, it);
                 } else {
                     led.events_ignored += 1;
                 }
             }
-            ChurnEvent::Straggle { host, delay_ms } => {
-                if run
-                    .membership
-                    .straggle(*host, Duration::from_millis(*delay_ms))
-                {
+            ChurnEvent::Straggle { delay_ms } => {
+                // Only window slots below `it` are released, so no worker
+                // can have claimed this ticket yet.
+                let ticket = it + cluster.plan_ahead;
+                if ticket < run.cap {
+                    run.membership
+                        .straggle(ticket, Duration::from_millis(*delay_ms));
                     led.events_applied += 1;
                     led.straggles += 1;
-                    run.mark_churn(2, *host, it);
+                    run.mark_churn(2, -1, it);
                 } else {
                     led.events_ignored += 1;
                 }
@@ -515,7 +520,7 @@ impl<'r, 'a> Prefetcher<'r, 'a> {
                 self.executor_alive[*host] = false;
                 led.events_applied += 1;
                 led.executor_losses += 1;
-                run.mark_churn(3, *host, it);
+                run.mark_churn(3, *host as i64, it);
                 // Re-place the lost host's replicas round-robin onto the
                 // survivors; their plans re-distribute from the store over
                 // the survivors' own downlinks from here on.

@@ -25,8 +25,8 @@ use dynapipe_core::PlanCodec;
 use std::time::Duration;
 use ChurnEvent::{ExecutorLoss, PlannerCrash, PlannerJoin};
 
-fn straggle(host: usize, delay_ms: u64) -> ChurnEvent {
-    ChurnEvent::Straggle { host, delay_ms }
+fn straggle(delay_ms: u64) -> ChurnEvent {
+    ChurnEvent::Straggle { delay_ms }
 }
 
 fn crash_cells() -> Vec<Cell> {
@@ -90,24 +90,24 @@ fn shard_host0_cell() -> Cell {
 const DEADLINE: Option<Duration> = Some(Duration::from_millis(60));
 
 fn straggle_cells() -> Vec<Cell> {
-    // Host 1's next claim sleeps 1.5 s before planning; the executor's
-    // 60 ms deadline detects the stall and re-issues the ticket to host
-    // 0. Both attempts eventually complete: first wins, the duplicate
-    // blob is discarded at the store door and the duplicate completion
-    // discarded as stale.
+    // Ticket 2's first claimant sleeps 1.5 s before planning; the
+    // executor's 60 ms deadline detects the stall and re-issues the
+    // ticket to the other host. Both attempts eventually complete: first
+    // wins, the duplicate blob is discarded at the store door and the
+    // duplicate completion discarded as stale.
     let mut config = topology(2, 1, 1, 2);
-    config.churn = ChurnScript::new().at(0, straggle(1, 1500));
+    config.churn = ChurnScript::new().at(0, straggle(1500));
     config.reissue_deadline = DEADLINE;
     cluster_per_codec("straggle", config)
 }
 
 fn compound_cells() -> Vec<Cell> {
-    // One event of every class: a straggle, a crash of the straggling
-    // host, a join to replace it and an executor-host loss, dp 2 over
+    // One event of every class: a straggle on ticket 4, a planner-host
+    // crash, a join to replace it and an executor-host loss, dp 2 over
     // two executor hosts.
     let mut config = topology(2, 1, 2, 3);
     config.churn = ChurnScript::new()
-        .at(1, straggle(1, 800))
+        .at(1, straggle(800))
         .at(2, PlannerCrash { host: 1 })
         .at(3, PlannerJoin { workers: 1 })
         .at(3, ExecutorLoss { host: 1 });
@@ -280,9 +280,6 @@ fn sharded_placement_survives_losing_host_zero() {
 
 #[test]
 fn straggler_reissue_recovers_bit_identically() {
-    // Enough iterations that the straggling host is guaranteed to claim
-    // a ticket after its delay is armed (the arm races the first claims,
-    // but not five of them).
     let sc = common::scenario(1, (347, 1000), 16384, common::run(5)).clean();
     for out in sc.assert_cells(&straggle_cells()) {
         let (c, label) = (&out.cluster().churn, &out.name);
@@ -308,8 +305,8 @@ fn straggler_reissue_recovers_bit_identically() {
 
 #[test]
 fn compound_churn_still_pins_behavior() {
-    // Everything at once: a straggle, a crash of the straggling host, a
-    // join to replace it and an executor-host loss, under a live
+    // Everything at once: a straggle, a planner-host crash, a join to
+    // replace it and an executor-host loss, under a live
     // re-issue deadline — the stack of recoveries must still be
     // invisible in the RunReport.
     let sc = common::scenario(2, (353, 1000), 32768, common::run(5)).clean();

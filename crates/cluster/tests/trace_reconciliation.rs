@@ -21,21 +21,15 @@ mod common;
 
 use common::Cell;
 use dynapipe_cluster::{ChurnEvent, ChurnScript, ClusterConfig, StorePlacement};
-use dynapipe_trace::SpanKind::{StoreDiscard, StorePush, TicketComplete};
+use dynapipe_trace::SpanKind::{StoreDiscard, StorePush, TicketComplete, TicketReissue};
 use std::time::Duration;
 
 fn reconciliation_cells() -> Vec<Cell> {
-    // A straggle long enough for the 60 ms deadline to re-issue, then a
-    // shard-owner loss whose in-flight blob must be restored from a
-    // surviving peer.
+    // A straggle on ticket 3 (iteration 0 + the window) long enough for
+    // the 60 ms deadline to re-issue, then a shard-owner loss whose
+    // in-flight blob must be restored from a surviving peer.
     let churn = ChurnScript::new()
-        .at(
-            0,
-            ChurnEvent::Straggle {
-                host: 1,
-                delay_ms: 1500,
-            },
-        )
+        .at(0, ChurnEvent::Straggle { delay_ms: 1500 })
         .at(2, ChurnEvent::ExecutorLoss { host: 1 });
     let config = ClusterConfig {
         placement: StorePlacement::Sharded,
@@ -60,6 +54,11 @@ fn churned_sharded_run_reconciles_span_for_span() {
         assert!(
             churn.tickets_reissued >= 1,
             "{label}: scenario must re-issue"
+        );
+        // The straggled ticket is iteration 0 + `plan_ahead`.
+        assert!(
+            trace.of_kind(TicketReissue).any(|s| s.iteration == 3),
+            "{label}: the straggled ticket 3 must re-issue"
         );
         assert!(churn.executor_losses == 1, "{label}");
 

@@ -92,7 +92,8 @@ pub enum SpanKind {
     /// carries the exact ledger quantity added to `exposed_us` /
     /// `RuntimeStats::exposed_us`.
     ExposedPlanning,
-    /// A churn-script event took effect (instant; `lane` = host).
+    /// A churn-script event took effect (instant; `lane` = host, -1 for
+    /// a straggle).
     ChurnAction,
     /// Sim: one replica's execution interval for one iteration
     /// (`lane` = replica, duration = that replica's makespan).

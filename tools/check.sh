@@ -21,13 +21,27 @@ cargo build --release --workspace
 echo "== lint + figure bins =="
 cargo run --release --offline -p dynapipe-bench --bin run_all
 
+# Every figure artifact is a function of seed and config, so a second
+# sweep must write the same bytes. fig17_planning_time.json and the
+# TRACE_cluster*.json exports are left out: their subject is host time
+# (planning latency, Host-domain span clocks).
+echo "== figure artifacts are deterministic (second run_all, cmp) =="
+first_run=target/check-first-run
+rm -rf "$first_run"
+mkdir -p "$first_run"
+cp results/*.json "$first_run"/
+cargo run --release --offline --quiet -p dynapipe-bench --bin run_all >/dev/null
+for artifact in "$first_run"/*.json; do
+    name="$(basename "$artifact")"
+    case "$name" in
+    fig17_planning_time.json | TRACE_cluster*.json) continue ;;
+    esac
+    cmp "$artifact" "results/$name"
+done
+rm -rf "$first_run"
+
 echo "== tests (workspace) =="
 cargo test -q --workspace
-
-# The workspace build above compiles no bench target; build them so a
-# change to the crates' API cannot break a bench unnoticed.
-echo "== build benches (no run) =="
-cargo bench --offline --no-run -p dynapipe-bench
 
 # perfbench/ is its own workspace, so the builds above never compile it;
 # build it here so a change to the crates' public API cannot break the
