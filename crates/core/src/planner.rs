@@ -942,7 +942,7 @@ fn finish_mode(cm: &CostModel, scored: ScoredMode) -> Result<IterationPlan, Stri
 }
 
 /// `f` of every item, in item order: one FIFO task per item on the rayon
-/// pool, or inline for a single item (no helper thread to start).
+/// pool, or inline for a single item (no helper to wake for it).
 fn in_tasks<T: Send, U: Send + Sync>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
     if items.len() < 2 {
         return items.into_iter().map(f).collect();

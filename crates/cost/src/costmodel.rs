@@ -445,9 +445,10 @@ impl<'a> ShapePricer<'a> {
     /// next `PRICE_CHUNK` shapes from one shared cursor, prices them
     /// through its own grid sets straight into that chunk of the pre-sized
     /// output columns, and claims again until no chunk is left. A side that
-    /// starts late (a spawned helper can start half a millisecond after
-    /// the join) then costs only the chunks it did not take, where fixed
-    /// halves made the caller wait for it. The calling thread allocates the
+    /// starts late (a parked pool helper still starts up to about a tenth
+    /// of a millisecond after the join; see the rayon shim's doc) then
+    /// costs only the chunks it did not take, where fixed halves made the
+    /// caller wait for it. The calling thread allocates the
     /// columns and both sides' grid sets, so the helper thread allocates no
     /// output (a helper that built and appended its own chunk grew the
     /// process's peak RSS). Every shape is priced on its own, so which side

@@ -9,7 +9,8 @@
 //! lexer (no `syn`; the build environment is offline) and checking
 //! six rule families — nondeterminism sources, lock-order cycles,
 //! recovery-path panics, counter-reconciliation coverage, `unsafe`
-//! blocks in behavior crates, and public functions nothing calls. See
+//! blocks in behavior crates and the vendored shims (which no other rule
+//! sees), and public functions nothing calls. See
 //! `LINTS.md` at the workspace root for the full catalogue and the
 //! waiver syntax.
 
@@ -23,13 +24,13 @@ use report::{Finding, LintReport, WaiverEntry};
 use rules::{LintConfig, RULE_WAIVER};
 use std::path::{Path, PathBuf};
 
-/// Directories never scanned: build output, VCS, vendored shims (third
-/// party by construction), and the lint's own known-violation fixtures.
+/// Directories never scanned: build output, VCS, and the lint's own
+/// known-violation fixtures. The vendored shims are scanned, but only for
+/// `unsafe` and waivers (`LintConfig::vendored_markers`).
 fn excluded(rel: &str) -> bool {
     rel.starts_with("target/")
         || rel.contains("/target/")
         || rel.starts_with(".git/")
-        || rel.starts_with("crates/shims/")
         || rel.starts_with("crates/lint/tests/fixtures/")
 }
 
@@ -66,13 +67,19 @@ pub fn collect_sources(root: &Path) -> Vec<(PathBuf, String)> {
 /// Analyze an explicit set of files (used by the fixture tests).
 pub fn analyze_files(files: Vec<(PathBuf, String)>, cfg: &LintConfig) -> LintReport {
     let mut models = Vec::new();
+    let mut vendored = Vec::new();
     for (path, rel) in files {
         let Ok(src) = std::fs::read_to_string(&path) else {
             continue;
         };
-        models.push(FileModel::build(path, rel, &src));
+        let fm = FileModel::build(path, rel, &src);
+        if cfg.is_vendored(&fm.rel) {
+            vendored.push(fm);
+        } else {
+            models.push(fm);
+        }
     }
-    analyze_models(&models, cfg)
+    analyze_models(&models, &vendored, cfg)
 }
 
 /// Analyze the whole workspace under `root`.
@@ -80,10 +87,16 @@ pub fn analyze_workspace(root: &Path, cfg: &LintConfig) -> LintReport {
     analyze_files(collect_sources(root), cfg)
 }
 
-/// Run all rules over prebuilt models, then apply waivers.
-pub fn analyze_models(models: &[FileModel], cfg: &LintConfig) -> LintReport {
+/// Run all rules over prebuilt models, then apply waivers. `vendored`
+/// files meet only the `unsafe-block` rule: no other rule looks at them,
+/// and their calls keep no workspace function alive.
+pub fn analyze_models(
+    models: &[FileModel],
+    vendored: &[FileModel],
+    cfg: &LintConfig,
+) -> LintReport {
     let mut report = LintReport {
-        files_scanned: models.len(),
+        files_scanned: models.len() + vendored.len(),
         ..LintReport::default()
     };
     let mut findings: Vec<Finding> = Vec::new();
@@ -92,9 +105,13 @@ pub fn analyze_models(models: &[FileModel], cfg: &LintConfig) -> LintReport {
         rules::check_recovery_panics(fm, cfg, &mut findings);
         rules::check_unsafe_blocks(fm, cfg, &mut findings);
     }
+    for fm in vendored {
+        rules::check_unsafe_blocks(fm, cfg, &mut findings);
+    }
     rules::check_lock_order(models, cfg, &mut report, &mut findings);
     rules::check_counter_coverage(models, cfg, &mut report, &mut findings);
     rules::check_pub_uncalled(models, &mut findings);
+    let models: Vec<&FileModel> = models.iter().chain(vendored).collect();
 
     // --- Apply waivers. A waiver covers findings of its rule on its
     // own line or the line directly below (comment-above style). A
@@ -104,7 +121,7 @@ pub fn analyze_models(models: &[FileModel], cfg: &LintConfig) -> LintReport {
         false;
         {
             let mut n = 0;
-            for fm in models {
+            for fm in &models {
                 n += fm.waivers.len();
             }
             n
@@ -113,7 +130,7 @@ pub fn analyze_models(models: &[FileModel], cfg: &LintConfig) -> LintReport {
     let mut waiver_index: Vec<(usize, &FileModel, &model::Waiver)> = Vec::new();
     {
         let mut k = 0usize;
-        for fm in models {
+        for &fm in &models {
             for w in &fm.waivers {
                 waiver_index.push((k, fm, w));
                 k += 1;

@@ -7,7 +7,8 @@
 //! 3. `recovery-panic` — `.unwrap()` / `.expect("")` inside
 //!    churn/re-issue/poison handling.
 //! 4. `counter-unread` — ledger counters never referenced by any test.
-//! 5. `unsafe-block` — any `unsafe` in behavior-affecting crates.
+//! 5. `unsafe-block` — any `unsafe` in behavior-affecting crates or the
+//!    vendored shims.
 //! 6. `pub-uncalled` — a `pub fn` that no non-test code calls.
 
 use crate::model::{FileModel, FnDecl};
@@ -40,6 +41,9 @@ pub struct LintConfig {
     pub recovery_calls: Vec<String>,
     /// Struct names whose fields are audited counters (rule 4).
     pub counter_structs: Vec<String>,
+    /// Rel-path prefixes of vendored stand-ins for published crates: only
+    /// rule 5 and the waiver ledger see them.
+    pub vendored_markers: Vec<String>,
 }
 
 impl LintConfig {
@@ -100,11 +104,17 @@ impl LintConfig {
             .iter()
             .map(|s| s.to_string())
             .collect(),
+            vendored_markers: vec!["crates/shims/".to_string()],
         }
     }
 
     fn is_behavior(&self, rel: &str) -> bool {
         self.behavior_markers.iter().any(|m| rel.starts_with(m))
+    }
+
+    /// Whether `rel` is vendored code (see `vendored_markers`).
+    pub(crate) fn is_vendored(&self, rel: &str) -> bool {
+        self.vendored_markers.iter().any(|m| rel.starts_with(m))
     }
 
     fn is_lock_file(&self, rel: &str) -> bool {
@@ -914,10 +924,11 @@ pub fn check_recovery_panics(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Fin
 }
 
 // ---------------------------------------------------------------------
-// Rule 5: no `unsafe` in behavior crates.
+// Rule 5: no unwaived `unsafe` in behavior crates or the shims.
 // ---------------------------------------------------------------------
 
-/// Rule 5 over one file: flag every `unsafe` token in a behavior crate.
+/// Rule 5 over one file: flag every `unsafe` token in a behavior crate or
+/// a vendored shim.
 ///
 /// The zero-copy flat codec is specified as safe code — explicit
 /// little-endian byte reads behind bounds-checked accessors — precisely
@@ -928,10 +939,23 @@ pub fn check_recovery_panics(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Fin
 /// comments and keeps string contents out of ident tokens, so prose
 /// mentioning "unsafe" never trips this rule; the waiver syntax
 /// (`lint:allow(unsafe-block): <why>`) applies as usual.
+///
+/// The shims are flagged too: the runtimes run on them, so an `unsafe` in
+/// the rayon shim's pool is as much a part of every run as one in the
+/// codec. There a waiver whose reason states why the block is sound is
+/// the expected outcome.
 pub fn check_unsafe_blocks(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    if !cfg.is_behavior(&fm.rel) || fm.is_test_file {
+    let vendored = cfg.is_vendored(&fm.rel);
+    if !(vendored || cfg.is_behavior(&fm.rel)) || fm.is_test_file {
         return;
     }
+    let message = if vendored {
+        "`unsafe` in a vendored shim: the runtimes run on it, so state why it is sound \
+         in a `lint:allow(unsafe-block)` waiver"
+    } else {
+        "`unsafe` in a behavior-affecting crate: the wire formats and engines are \
+         specified as safe code so corrupt blobs can never become undefined behavior"
+    };
     for (i, t) in fm.toks.iter().enumerate() {
         if fm.in_test(i) {
             continue;
@@ -941,10 +965,7 @@ pub fn check_unsafe_blocks(fm: &FileModel, cfg: &LintConfig, out: &mut Vec<Findi
                 rule: RULE_UNSAFE.to_string(),
                 file: fm.rel.clone(),
                 line: t.line,
-                message: "`unsafe` in a behavior-affecting crate: the wire formats and \
-                          engines are specified as safe code so corrupt blobs can never \
-                          become undefined behavior"
-                    .to_string(),
+                message: message.to_string(),
                 waived: false,
                 reason: String::new(),
             });

@@ -19,6 +19,7 @@ fn lint_fixtures(names: &[&str]) -> dynapipe_lint::report::LintReport {
         recovery_keywords: vec!["reissue".to_string()],
         recovery_calls: Vec::new(),
         counter_structs: vec!["FixtureChurn".to_string()],
+        vendored_markers: vec!["fix/vendored_".to_string()],
     };
     let files = names.iter().map(|n| dir.join(n)).zip(rels).collect();
     analyze_files(files, &cfg)
@@ -164,6 +165,46 @@ fn unsafe_block_fixture_counts_exactly() {
     );
     assert_eq!(report.waivers.len(), 1, "{:?}", report.waivers);
     assert!(report.waivers[0].used);
+}
+
+#[test]
+fn vendored_fixture_meets_only_the_unsafe_rule() {
+    let report = lint_fixtures(&[
+        "vendored_unsafe.rs",
+        "pub_uncalled.rs",
+        "pub_uncalled_caller.rs",
+    ]);
+    let vendored: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.file == "fix/vendored_unsafe.rs")
+        .collect();
+    assert_eq!(vendored.len(), 2, "{vendored:?}");
+    assert!(
+        vendored.iter().all(|f| f.rule == "unsafe-block"),
+        "{vendored:?}"
+    );
+    assert_eq!(
+        vendored.iter().filter(|f| f.waived).count(),
+        1,
+        "the waived block is covered, the raw one is not: {vendored:?}"
+    );
+    assert!(
+        report
+            .waivers
+            .iter()
+            .any(|w| w.file == "fix/vendored_unsafe.rs" && w.used),
+        "the vendored waiver is in the ledger: {:?}",
+        report.waivers
+    );
+    // The vendored call of `never_called` keeps it flagged.
+    assert_eq!(
+        count(&rules_of(&report), "pub-uncalled"),
+        5,
+        "{:?}",
+        report.findings
+    );
+    assert_eq!(report.files_scanned, 3);
 }
 
 #[test]

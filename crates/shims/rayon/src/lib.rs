@@ -1,15 +1,16 @@
 //! Offline stand-in for `rayon`: the data-parallel subset the planning
 //! hot path uses (`par_iter` on slices, `into_par_iter` on ranges and
 //! vectors, `map`/`filter_map`/`collect`/`for_each`, [`join`], and
-//! [`scope_fifo`]), executed on `std::thread::scope`.
+//! [`scope_fifo`]), executed on one process-wide pool of parked helper
+//! threads.
 //!
 //! Scheduling is **dynamic claiming**: a parallel call with `T` threads
-//! spawns `T − 1` scoped workers and the calling thread works alongside
-//! them; every thread takes the next unclaimed index from one shared
-//! atomic counter until none is left. Uneven items therefore balance by
-//! themselves — with three items of cost `6, 5, 2` on two threads, one
-//! thread runs the `6` while the other runs `5` and then `2`, where
-//! contiguous chunking would pair `6 + 5` on one thread and leave the
+//! asks the pool for `T − 1` helpers and the calling thread works
+//! alongside them; every thread takes the next unclaimed index from one
+//! shared atomic counter until none is left. Uneven items therefore
+//! balance by themselves — with three items of cost `6, 5, 2` on two
+//! threads, one thread runs the `6` while the other runs `5` and then `2`,
+//! where contiguous chunking would pair `6 + 5` on one thread and leave the
 //! other idle after `2`. [`scope_fifo`] claims the same way from a queue
 //! rather than a counter, so a running task can queue more work: its
 //! threads pop tasks in spawn order until the queue is empty and no task
@@ -18,33 +19,49 @@
 //! Semantics match rayon where it matters for the planner:
 //! * results are returned in input order regardless of thread count or
 //!   which thread claimed which index (each thread keeps its
-//!   `(index, result)` pairs and they are placed by index at the join);
+//!   `(index, result)` pairs and they are placed by index at the end);
 //! * closures run exactly once per element;
 //! * `ThreadPool::install` bounds the worker count for the enclosed call,
-//!   and nested parallel calls inside a worker — or inside the calling
+//!   and nested parallel calls inside a helper — or inside the calling
 //!   thread while it works — run serially, so total concurrency never
-//!   exceeds the bound. Both are a thread-local cap rather than a
-//!   persistent pool, restored by a drop guard so a panic cannot leave a
-//!   thread capped.
+//!   exceeds the bound. Both are a thread-local cap, restored by a drop
+//!   guard so a panic cannot leave a thread capped.
 //!
-//! There is deliberately no persistent pool: every parallel call spawns
-//! its `T − 1` helpers. The spawn's own cost is small (a scoped spawn +
-//! join measured 39–49 µs on a 2-vCPU x86-64 VM), but a helper can *start*
-//! late: inside a loaded planner, the pricing pass's `join` helper began
-//! on average 0.48 ms after the join on the `short-store` benchmark
-//! workload and 0.11 ms on `fig17-gpt`, against about 1.5 ms of pricing.
-//! So the planner's parallel calls do not hand a helper a fixed share of
-//! the work: the pricing pass's two sides claim chunks from one cursor,
-//! and the §7 recompute-mode sweep and its finishing are `scope_fifo`
-//! tasks any thread claims, so a late helper costs only the work it did
-//! not take. A pool's parking, wake-up and shutdown logic would shave the
-//! start latency, at the price of threads that outlive every call.
+//! **The pool.** Helper threads are spawned on demand, park between
+//! calls and never exit. A call posts itself for its `T − 1` helpers, and
+//! each idle helper joins the oldest call still short of helpers. When
+//! fewer helpers are idle and not yet promised to another call, the call
+//! spawns the shortfall, so it gets as many helpers as a spawn per call
+//! gave it, no call waits for a helper it cannot get, and the pool grows
+//! only to the peak number of helpers wanted at once. A call is open
+//! while its caller works: helpers join only then, and once the caller's
+//! own share returns the call closes and the caller waits only for the
+//! helpers already inside. A helper's panic resumes on the caller.
 //!
-//! Thread count defaults to `std::thread::available_parallelism`, tunable
-//! via the `RAYON_NUM_THREADS` environment variable like real rayon.
+//! A parked helper still starts late, only less so. Inside a loaded
+//! planner, the pricing pass's `join` helper began on average 0.06–0.12 ms
+//! after the join on the `short-store` benchmark workload and 0.03 ms on
+//! `fig17-gpt`, where a helper spawned per call began 0.41–0.69 ms and
+//! 0.79–1.53 ms after it (per-run means of 2,000 or more joins, four 15 s
+//! runs per side on `short-store` and two on `fig17-gpt`, 2-vCPU x86-64
+//! VM; in up to 5% of the joins no helper had come when `oper_a` returned,
+//! and the caller ran `oper_b`). Pricing takes well under a millisecond
+//! there. So the
+//! planner's parallel calls do not hand a helper a fixed share of the
+//! work: the pricing pass's two sides claim chunks from one cursor, and
+//! the §7 recompute-mode sweep and its finishing are `scope_fifo` tasks
+//! any thread claims, so a late helper costs only the work it did not
+//! take.
+//!
+//! Thread count defaults to `std::thread::available_parallelism`, or to
+//! the `RAYON_NUM_THREADS` environment variable like real rayon; either
+//! is read once, at the first parallel call.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
@@ -60,16 +77,18 @@ pub fn current_num_threads() -> usize {
     if cap > 0 {
         return cap;
     }
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// Sets this thread's `POOL_CAP` and restores the previous value on drop,
@@ -92,6 +111,211 @@ impl Drop for CapGuard {
     }
 }
 
+type Panic = Box<dyn Any + Send>;
+
+/// Helper threads shared by every parallel call of the process.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a call is posted; idle helpers wait on it.
+    posted: Condvar,
+    /// Signalled when the last helper leaves a closed call; its caller
+    /// waits on it.
+    left: Condvar,
+}
+
+struct PoolState {
+    /// Calls posted and not yet closed and left, oldest first.
+    calls: Vec<Call>,
+    /// Identity of the next call posted.
+    next_id: u64,
+    /// Helper threads inside no call, those spawned but not started
+    /// included. At least the sum of every call's `wanted`.
+    idle: usize,
+    /// Helper threads ever spawned.
+    #[cfg(test)]
+    spawned: usize,
+}
+
+/// A posted call, as its helpers see it.
+struct Call {
+    id: u64,
+    /// The work each helper runs, borrowed from the caller's frame with its
+    /// lifetime erased (see [`Pool::run`]).
+    work: &'static (dyn Fn() + Sync),
+    /// Helpers the call still waits for; 0 once it closes.
+    wanted: usize,
+    /// Whether the caller is still running its own share.
+    open: bool,
+    /// Helpers running `work`.
+    inside: usize,
+    /// The first panic a helper raised in `work`.
+    panic: Option<Panic>,
+}
+
+static POOL: Pool = Pool::new();
+
+/// The pool this thread's parallel calls post to.
+fn pool() -> &'static Pool {
+    #[cfg(test)]
+    if let Some(own) = tests::OWN_POOL.with(Cell::get) {
+        return own;
+    }
+    &POOL
+}
+
+impl Pool {
+    const fn new() -> Pool {
+        Pool {
+            state: Mutex::new(PoolState {
+                calls: Vec::new(),
+                next_id: 0,
+                idle: 0,
+                #[cfg(test)]
+                spawned: 0,
+            }),
+            posted: Condvar::new(),
+            left: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // Nothing panics while holding the lock, and `run` must not unwind
+        // before its helpers leave, so a poisoned lock is taken as is.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run `own` on the calling thread while up to `helpers` pool threads
+    /// each run `work`, and return `own`'s result once every helper that
+    /// joined has left. A panic of `own` resumes first, else the first of
+    /// the helpers'.
+    fn run<R>(
+        &'static self,
+        helpers: usize,
+        work: &(dyn Fn() + Sync),
+        own: impl FnOnce() -> R,
+    ) -> R {
+        if helpers == 0 {
+            return own();
+        }
+        // SAFETY: `work` is read only while this call borrows it. `post`
+        // stores it in this call's entry; a helper copies it out only while
+        // the call is open and counts itself `inside` until its copy is
+        // spent; `close` removes the entry only once the call is closed and
+        // no helper is inside. Between `post` and `close` nothing unwinds
+        // out of this function (`catch_unwind` holds a panic of `own` or
+        // of a spawn until `close` returns, and the lock is taken even when
+        // poisoned), so no thread reads `work` after it goes out of scope.
+        // lint:allow(unsafe-block): the caller catches its own panic and neither returns nor unwinds until every helper has left, so no helper reads the borrowed work after the borrow ends
+        let work = unsafe {
+            std::mem::transmute::<&(dyn Fn() + Sync + '_), &'static (dyn Fn() + Sync)>(work)
+        };
+        let (id, spawn) = self.post(helpers, work);
+        let own = catch_unwind(AssertUnwindSafe(|| {
+            for _ in 0..spawn {
+                self.spawn_helper();
+            }
+            own()
+        }));
+        let helper_panic = self.close(id);
+        match (own, helper_panic) {
+            (Ok(r), None) => r,
+            (Err(e), _) | (Ok(_), Some(e)) => resume_unwind(e),
+        }
+    }
+
+    /// Post a call for `helpers` helpers and wake as many idle ones.
+    /// Returns the call's id and how many helpers the caller must spawn:
+    /// those the idle helpers not promised to other calls fall short of.
+    fn post(&self, helpers: usize, work: &'static (dyn Fn() + Sync)) -> (u64, usize) {
+        let mut st = self.lock();
+        let promised: usize = st.calls.iter().map(|c| c.wanted).sum();
+        let spawn = helpers.saturating_sub(st.idle.saturating_sub(promised));
+        st.idle += spawn;
+        #[cfg(test)]
+        {
+            st.spawned += spawn;
+        }
+        let id = st.next_id;
+        st.next_id += 1;
+        st.calls.push(Call {
+            id,
+            work,
+            wanted: helpers,
+            open: true,
+            inside: 0,
+            panic: None,
+        });
+        drop(st);
+        for _ in spawn..helpers {
+            self.posted.notify_one();
+        }
+        (id, spawn)
+    }
+
+    /// Start one helper thread, counted in `idle` by `post`. It is never
+    /// joined: it lives as long as the process, and `help` catches every
+    /// panic of the work it runs and hands it to that work's caller.
+    fn spawn_helper(&'static self) {
+        let spawned = std::thread::Builder::new()
+            .name("rayon-shim-helper".to_string())
+            .spawn(move || self.help());
+        if let Err(e) = spawned {
+            self.lock().idle -= 1;
+            panic!("cannot spawn a rayon shim helper thread: {e}");
+        }
+    }
+
+    /// A helper thread's life: join the oldest call short of helpers, run
+    /// its work, and park when no call wants a helper.
+    fn help(&self) {
+        let mut st = self.lock();
+        loop {
+            let Some(call) = st.calls.iter_mut().find(|c| c.wanted > 0) else {
+                st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            call.wanted -= 1;
+            call.inside += 1;
+            let (id, work) = (call.id, call.work);
+            st.idle -= 1;
+            drop(st);
+            let result = catch_unwind(AssertUnwindSafe(work));
+            st = self.lock();
+            st.idle += 1;
+            let i = Self::index(&st, id);
+            let call = &mut st.calls[i];
+            call.inside -= 1;
+            if let Err(e) = result {
+                call.panic.get_or_insert(e);
+            }
+            if !call.open && call.inside == 0 {
+                self.left.notify_all();
+            }
+        }
+    }
+
+    /// Close call `id` to helpers that have not joined, wait until every
+    /// helper inside has left, and return the first panic they raised.
+    fn close(&self, id: u64) -> Option<Panic> {
+        let mut st = self.lock();
+        let i = Self::index(&st, id);
+        st.calls[i].open = false;
+        st.calls[i].wanted = 0;
+        while st.calls[Self::index(&st, id)].inside > 0 {
+            st = self.left.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        let i = Self::index(&st, id);
+        st.calls.remove(i).panic
+    }
+
+    fn index(st: &PoolState, id: u64) -> usize {
+        st.calls
+            .iter()
+            .position(|c| c.id == id)
+            .expect("a call stays posted until its caller closes it")
+    }
+}
+
 /// Evaluate `f(0..n)` in parallel, preserving index order in the output.
 fn run_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
@@ -103,7 +327,7 @@ where
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let work = || {
+    let claim = || {
         // Real rayon runs nested parallel work on the same bounded pool.
         // The shim's equivalent: each of the T threads holds one slot, so
         // nested par_iter calls inside `f` run serially rather than
@@ -118,17 +342,23 @@ where
             done.push((i, f(i)));
         }
     };
+    let helped = Mutex::new(Vec::new());
+    let lock = "a helper's claims are pushed whole";
+    let own = pool().run(
+        threads - 1,
+        &|| {
+            let done = claim();
+            helped.lock().expect(lock).push(done);
+        },
+        claim,
+    );
     let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(n).collect();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
-        let mut parts = vec![work()];
-        for w in workers {
-            parts.push(w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        for (i, u) in parts.into_iter().flatten() {
-            slots[i] = Some(u);
-        }
-    });
+    for (i, u) in own
+        .into_iter()
+        .chain(helped.into_inner().expect(lock).into_iter().flatten())
+    {
+        slots[i] = Some(u);
+    }
     slots
         .into_iter()
         .map(|u| u.expect("every index is claimed exactly once"))
@@ -138,11 +368,13 @@ where
 /// Run `oper_a` and `oper_b`, potentially in parallel, and return both
 /// results in argument order, like `rayon::join`.
 ///
-/// With more than one thread, `oper_b` runs on one scoped helper thread
-/// while the calling thread runs `oper_a`; under a cap of 1 both run on the
-/// calling thread, `oper_a` first. Either way each side holds one slot, so
-/// parallel calls nested inside either closure run serially. A panic on
-/// either side propagates once both sides have finished.
+/// With more than one thread, the calling thread runs `oper_a` while
+/// `oper_b` waits for a pool helper; if none has taken it by the time
+/// `oper_a` returns, the caller runs it too. Under a cap of 1 both run on
+/// the calling thread, `oper_a` first. Either way each side holds one slot,
+/// so parallel calls nested inside either closure run serially. A panic of
+/// `oper_a` propagates once a helper running `oper_b` has finished; a
+/// panic of `oper_b` propagates once `oper_a` has returned.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -155,14 +387,29 @@ where
     if serial {
         return (oper_a(), oper_b());
     }
-    std::thread::scope(|s| {
-        let b = s.spawn(|| {
-            let _cap = CapGuard::set(1);
-            oper_b()
-        });
-        let a = oper_a();
-        (a, b.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-    })
+    let oper_b = Mutex::new(Some(oper_b));
+    let helped = Mutex::new(None);
+    let lock = "join's locks are held only to move a value";
+    let a = pool().run(
+        1,
+        &|| {
+            let b = oper_b.lock().expect(lock).take();
+            if let Some(b) = b {
+                let _cap = CapGuard::set(1);
+                let rb = b();
+                *helped.lock().expect(lock) = Some(rb);
+            }
+        },
+        oper_a,
+    );
+    let b = match oper_b.into_inner().expect(lock) {
+        Some(b) => b(),
+        None => helped
+            .into_inner()
+            .expect(lock)
+            .expect("the helper that took oper_b returned"),
+    };
+    (a, b)
 }
 
 /// A task of a [`ScopeFifo`].
@@ -174,15 +421,15 @@ type FifoTask<'scope> = Box<dyn FnOnce(&ScopeFifo<'scope>) + Send + 'scope>;
 struct FifoState<'scope> {
     queue: std::collections::VecDeque<FifoTask<'scope>>,
     running: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    panic: Option<Panic>,
 }
 
 /// A scope whose tasks run in the order they were spawned, like
 /// `rayon::ScopeFifo`. Created by [`scope_fifo`].
 pub struct ScopeFifo<'scope> {
-    state: std::sync::Mutex<FifoState<'scope>>,
+    state: Mutex<FifoState<'scope>>,
     /// Signalled when a task is queued or the scope's work runs out.
-    wake: std::sync::Condvar,
+    wake: Condvar,
 }
 
 impl<'scope> ScopeFifo<'scope> {
@@ -197,14 +444,14 @@ impl<'scope> ScopeFifo<'scope> {
         self.wake.notify_one();
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FifoState<'scope>> {
+    fn lock(&self) -> MutexGuard<'_, FifoState<'scope>> {
         // A task's panic is caught before it can poison the lock.
         self.state.lock().expect("scope_fifo state lock poisoned")
     }
 
     /// Run `f` as one of the scope's running tasks, keeping its panic.
     fn run(&self, f: impl FnOnce()) {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let result = catch_unwind(AssertUnwindSafe(f));
         let mut st = self.lock();
         st.running -= 1;
         if let Err(e) = result {
@@ -239,12 +486,12 @@ impl<'scope> ScopeFifo<'scope> {
 /// spawned, directly or from another task, has run, like
 /// `rayon::scope_fifo`.
 ///
-/// With `T` threads, `T − 1` scoped helpers and the calling thread pop one
-/// shared queue in spawn order; the caller joins them once `op` returns.
-/// Under a cap of 1 no thread is spawned: `op` runs, then every task in
-/// spawn order, all on the caller. `op` and every task hold one slot, so
-/// parallel calls nested in them run serially. A panic in `op` or a task
-/// propagates once every task has run and every helper has stopped.
+/// With `T` threads, `T − 1` pool helpers and the calling thread pop one
+/// shared queue in spawn order, the caller once `op` returns. Under a cap
+/// of 1 no helper is asked for: `op` runs, then every task in spawn order,
+/// all on the caller. `op` and every task hold one slot, so parallel calls
+/// nested in them run serially. A panic in `op` or a task propagates once
+/// every task has run and every helper has left.
 pub fn scope_fifo<'scope, OP, R>(op: OP) -> R
 where
     OP: FnOnce(&ScopeFifo<'scope>) -> R + Send,
@@ -253,25 +500,23 @@ where
     let helpers = current_num_threads().saturating_sub(1);
     let _cap = CapGuard::set(1);
     let scope = ScopeFifo {
-        state: std::sync::Mutex::new(FifoState {
+        state: Mutex::new(FifoState {
             queue: std::collections::VecDeque::new(),
             // `op` counts as running until it returns, so helpers that
             // find the queue empty wait for what it spawns.
             running: 1,
             panic: None,
         }),
-        wake: std::sync::Condvar::new(),
+        wake: Condvar::new(),
     };
-    let mut result = None;
-    std::thread::scope(|s| {
-        for _ in 0..helpers {
-            s.spawn(|| scope.work());
-        }
+    let result = pool().run(helpers, &|| scope.work(), || {
+        let mut result = None;
         scope.run(|| result = Some(op(&scope)));
         scope.work();
+        result
     });
     if let Some(e) = scope.lock().panic.take() {
-        std::panic::resume_unwind(e);
+        resume_unwind(e);
     }
     result.expect("op returned without panicking")
 }
@@ -560,6 +805,200 @@ where
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    thread_local! {
+        /// A pool of the test's own that this thread's parallel calls post
+        /// to instead of the process-wide one, so concurrently running
+        /// tests cannot add helpers to it.
+        pub(super) static OWN_POOL: Cell<Option<&'static Pool>> = const { Cell::new(None) };
+    }
+
+    /// Run `f` at a cap of 2 with this thread's parallel calls posted to
+    /// `pool`.
+    fn at_cap_2_on<R>(pool: &'static Pool, f: impl FnOnce() -> R) -> R {
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                OWN_POOL.with(|p| p.set(None));
+            }
+        }
+        OWN_POOL.with(|p| p.set(Some(pool)));
+        let _restore = Restore;
+        let cap2 = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        cap2.install(f)
+    }
+
+    fn new_pool() -> &'static Pool {
+        Box::leak(Box::new(Pool::new()))
+    }
+
+    fn spawned(pool: &Pool) -> usize {
+        pool.lock().spawned
+    }
+
+    /// Two items that each wait at `barrier`, so with a barrier of 2 the
+    /// call completes only once a helper runs one of them; returns the
+    /// thread of each.
+    fn on_two_threads(barrier: &Barrier) -> Vec<ThreadId> {
+        (0..2usize)
+            .into_par_iter()
+            .map(|_| {
+                barrier.wait();
+                std::thread::current().id()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_pool_spawns_only_up_to_the_peak_concurrent_demand() {
+        let pool = new_pool();
+        at_cap_2_on(pool, || {
+            for i in 0..250usize {
+                assert_eq!(join(|| i, || i + 1), (i, i + 1));
+                let out: Vec<usize> = (0..8usize).into_par_iter().map(|x| x * i).collect();
+                assert_eq!(out, (0..8).map(|x| x * i).collect::<Vec<_>>());
+                // These two wait for their helper to join, so it leaves
+                // each just before the next call posts.
+                let both = Barrier::new(2);
+                let wait = |r| {
+                    both.wait();
+                    r
+                };
+                assert_eq!(join(|| wait(i), || wait(i + 1)), (i, i + 1));
+                let ids = on_two_threads(&Barrier::new(2));
+                assert_ne!(ids[0], ids[1]);
+            }
+        });
+        assert_eq!(
+            spawned(pool),
+            1,
+            "one caller at a cap of 2 never wants more than one helper"
+        );
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_helper_and_their_results() {
+        let pool = new_pool();
+        // Every item of a round's four calls waits for the other seven, so
+        // a round completes only if each call has its own helper at once.
+        let rounds: Vec<Barrier> = (0..100).map(|_| Barrier::new(8)).collect();
+        let rounds = &rounds;
+        let caller = |k: usize| {
+            at_cap_2_on(pool, || {
+                for (i, all) in rounds.iter().enumerate() {
+                    let ids = on_two_threads(all);
+                    assert_ne!(ids[0], ids[1], "caller {k}");
+                    assert_eq!(join(|| k * i, || k + i), (k * i, k + i));
+                    let out: Vec<usize> = (0..32usize).into_par_iter().map(|x| x ^ k).collect();
+                    assert_eq!(out, (0..32).map(|x| x ^ k).collect::<Vec<_>>());
+                }
+            })
+        };
+        std::thread::scope(|s| {
+            for k in 1..4 {
+                s.spawn(move || caller(k));
+            }
+            caller(0);
+        });
+        assert!(
+            (1..=4).contains(&spawned(pool)),
+            "4 callers at a cap of 2 want at most 4 helpers at once: {}",
+            spawned(pool)
+        );
+    }
+
+    #[test]
+    fn a_helper_panic_resumes_on_the_caller_and_the_pool_serves_the_next_call() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let pool = new_pool();
+        let caller = std::thread::current().id();
+        at_cap_2_on(pool, || {
+            let both = Barrier::new(2);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                (0..2usize).into_par_iter().for_each(|_| {
+                    both.wait();
+                    if std::thread::current().id() != caller {
+                        panic!("helper item");
+                    }
+                })
+            }));
+            let msg = *r.expect_err("lost").downcast::<&str>().unwrap();
+            assert_eq!(msg, "helper item");
+            // `oper_a` waits for `oper_b` to start, so a helper runs it.
+            let both = Barrier::new(2);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                join(
+                    || both.wait(),
+                    || {
+                        both.wait();
+                        panic!("helper side")
+                    },
+                )
+            }));
+            let msg = *r.expect_err("lost").downcast::<&str>().unwrap();
+            assert_eq!(msg, "helper side");
+            assert_eq!(current_num_threads(), 2, "a helper panic leaked the cap");
+            let ids = on_two_threads(&Barrier::new(2));
+            assert!(ids.contains(&caller) && ids[0] != ids[1], "{ids:?}");
+        });
+        assert_eq!(spawned(pool), 1, "the helper outlived its panics");
+    }
+
+    #[test]
+    fn the_caller_returns_only_after_its_helper_leaves() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pool = new_pool();
+        let (returned, helper_sees) = mpsc::channel::<()>();
+        let helper_done = &AtomicBool::new(false);
+        let both = &Barrier::new(2);
+        at_cap_2_on(pool, || {
+            join(
+                || {
+                    both.wait();
+                },
+                move || {
+                    both.wait();
+                    // A caller that returned now would signal before
+                    // this wait ends.
+                    let early = helper_sees.recv_timeout(Duration::from_millis(200));
+                    helper_done.store(early.is_err(), Ordering::SeqCst);
+                },
+            )
+        });
+        let done = helper_done.load(Ordering::SeqCst);
+        let _ = returned.send(());
+        assert!(done, "join returned while its helper was inside oper_b");
+    }
+
+    #[test]
+    fn join_runs_oper_b_exactly_once_under_contention() {
+        let pool = new_pool();
+        // `oper_a` returns at once, so the caller closes the call while
+        // its helper may be taking `oper_b`.
+        let contend = || {
+            at_cap_2_on(pool, || {
+                for i in 0..2000usize {
+                    let runs = AtomicUsize::new(0);
+                    let (a, b) = join(
+                        || i,
+                        || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            i + 1
+                        },
+                    );
+                    assert_eq!((a, b, runs.load(Ordering::SeqCst)), (i, i + 1, 1));
+                }
+            })
+        };
+        std::thread::scope(|s| {
+            s.spawn(contend);
+            contend();
+        });
+    }
 
     #[test]
     fn map_collect_preserves_order() {

@@ -43,6 +43,11 @@ rm -rf "$first_run"
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+# The rayon shim's pool hands borrowed work to threads that outlive each
+# call; run its race tests optimized as well.
+echo "== rayon shim tests (release) =="
+cargo test -q --release -p rayon
+
 # perfbench/ is its own workspace, so the builds above never compile it;
 # build it here so a change to the crates' public API cannot break the
 # benchmark unnoticed. Building re-resolves its lock file, which is kept
