@@ -1075,6 +1075,37 @@ mod tests {
     }
 
     #[test]
+    fn a_micro_batch_using_exactly_the_memory_limit_fits() {
+        // The memory check admits an activation equal to the limit, in the
+        // reference and in the optimized partitioner: with the limit at
+        // the largest single sample's activation every sample still fits
+        // alone, and one byte less leaves that sample no micro-batch.
+        for cm in [cm(4), t5_cm(4)] {
+            let arch = cm.model.arch;
+            let samples = mixed(40, 3);
+            let alone = |s: &Sample| match arch {
+                ModelArch::Gpt => MicroBatchShape::gpt(1, s.gpt_len().max(1)),
+                ModelArch::T5 => MicroBatchShape::t5(1, s.input_len.max(1), s.target_len.max(1)),
+            };
+            let limit = samples
+                .iter()
+                .map(|s| cm.mb_activation_max(&alone(s), RecomputeMode::None))
+                .max()
+                .unwrap();
+            let p = Partitioner::new(&cm, DpConfig::new(limit));
+            let reference = p.partition_reference(&samples);
+            assert!(
+                reference.is_some(),
+                "{arch:?}: the largest sample fits at the limit"
+            );
+            assert_eq!(p.partition(&samples), reference, "{arch:?}");
+            let p = Partitioner::new(&cm, DpConfig::new(limit - 1));
+            assert_eq!(p.partition_reference(&samples), None, "{arch:?}");
+            assert_eq!(p.partition(&samples), None, "{arch:?}");
+        }
+    }
+
+    #[test]
     fn partition_covers_all_samples_in_order() {
         let cm = cm(4);
         let mut samples = mixed(60, 1);

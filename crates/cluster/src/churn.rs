@@ -29,7 +29,7 @@ pub enum ChurnEvent {
     /// Planner host `host` dies: its workers stop claiming, and every
     /// ticket they hold is re-issued to the survivors under a fresh
     /// generation. Crashing the last live planner host is ignored
-    /// (counted in [`ChurnStats::events_ignored`]) — a cluster with no
+    /// (counted in [`crate::ChurnStats::events_ignored`]) — a cluster with no
     /// planner is a different failure class (fail-stop poison), not
     /// churn.
     PlannerCrash {

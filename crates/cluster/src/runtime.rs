@@ -27,7 +27,7 @@
 //!   teleporting.
 //! * **Executor hosts** — each data-parallel replica runs on host
 //!   `r % executor_hosts`. The executors call
-//!   [`execute_or_fail`](dynapipe_core::runtime::execute_or_fail), whose
+//!   [`execute_or_fail`], whose
 //!   [`execute_summarized`](dynapipe_core::runtime::execute_summarized)
 //!   is the serial driver's replica fold (worst makespan, per-stage max
 //!   peaks, stalls summed in replica order), so the [`RunReport`] is

@@ -248,19 +248,55 @@ const T_STR_REF: u8 = 7;
 const T_ARRAY: u8 = 8;
 const T_OBJECT: u8 = 9;
 
+/// The Binary writer: appends the layout above to `out`, interning every
+/// string.
+///
+/// Interning resolves a string to its table id through `hints` first, then
+/// the `interned` map. A `Serialize` walk passes most keys and enum tags
+/// as the same `&'static str` every time (a plan's field and variant
+/// names), so a slot table indexed by the string's address and length
+/// answers nearly every lookup: a `short-store` plan interns about 12,900
+/// strings, and about 40 of them go to the map (its 38 distinct strings'
+/// first sightings and a few more) where every one did. A hint only
+/// nominates an id; it is taken when the slot's address and length match
+/// and the id's interned text equals the string byte for byte, so a
+/// string freed and reallocated at the same address with other content
+/// goes to the map like any miss. Ids are assigned by the map alone, in
+/// first-seen order, so the bytes are those a map-only encoder writes.
 struct BinaryEncoder {
     out: Vec<u8>,
     interned: BTreeMap<String, u64>,
+    /// Interned strings by id.
+    texts: Vec<Box<str>>,
+    /// `(address, length, id)` of the last string resolved in each slot;
+    /// `HINT_SLOTS` long (empty disables hints).
+    hints: Vec<(usize, usize, u64)>,
 }
+
+/// Slots of [`BinaryEncoder`]'s hint table (a power of two). A plan names
+/// a few dozen distinct static strings.
+const HINT_SLOTS: usize = 256;
+
+/// Slots a string's hint may occupy, from its home slot on: with a few
+/// dozen strings in 256 slots some two share a home slot in most
+/// processes, and without a second slot the pair would evict each other's
+/// hint on every alternation.
+const HINT_PROBES: usize = 4;
 
 impl BinaryEncoder {
     fn new() -> Self {
-        let mut out = Vec::with_capacity(256);
+        BinaryEncoder::appending(Vec::with_capacity(256))
+    }
+
+    /// An encoder that begins a Binary blob at the end of `out`.
+    fn appending(mut out: Vec<u8>) -> Self {
         out.push(MAGIC);
         out.push(VERSION);
         BinaryEncoder {
             out,
             interned: BTreeMap::new(),
+            texts: Vec::new(),
+            hints: vec![(0, 0, 0); HINT_SLOTS],
         }
     }
 
@@ -277,15 +313,51 @@ impl BinaryEncoder {
     }
 
     fn string(&mut self, s: &str) {
-        if let Some(&id) = self.interned.get(s) {
-            self.out.push(T_STR_REF);
-            self.varint(id);
-        } else {
-            let id = self.interned.len() as u64;
-            self.interned.insert(s.to_string(), id);
-            self.out.push(T_STR);
-            self.varint(s.len() as u64);
-            self.out.extend_from_slice(s.as_bytes());
+        let key = (s.as_ptr() as usize, s.len());
+        // Multiply-shift over the address and length: the top bits pick
+        // the first slot of the string's probe window.
+        let mixed = (key.0 ^ key.1.rotate_left(48)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let home = mixed >> (usize::BITS - HINT_SLOTS.trailing_zeros());
+        // The slot a miss records its hint in: the window's slot holding
+        // this address and length, else its first empty slot, else home.
+        let mut slot = home;
+        for probe in 0..HINT_PROBES {
+            let i = (home + probe) % HINT_SLOTS;
+            match self.hints.get(i) {
+                Some(&(addr, len, id)) if (addr, len) == key => {
+                    if *self.texts[id as usize] == *s {
+                        self.out.push(T_STR_REF);
+                        self.varint(id);
+                        return;
+                    }
+                    slot = i;
+                    break;
+                }
+                Some(&(0, _, _)) => {
+                    slot = i;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        let id = match self.interned.get(s) {
+            Some(&id) => {
+                self.out.push(T_STR_REF);
+                self.varint(id);
+                id
+            }
+            None => {
+                let id = self.interned.len() as u64;
+                self.interned.insert(s.to_string(), id);
+                self.texts.push(s.into());
+                self.out.push(T_STR);
+                self.varint(s.len() as u64);
+                self.out.extend_from_slice(s.as_bytes());
+                id
+            }
+        };
+        if let Some(hint) = self.hints.get_mut(slot) {
+            *hint = (key.0, key.1, id);
         }
     }
 }
@@ -592,37 +664,59 @@ fn pack_loc(off: usize, count: usize) -> u64 {
 /// Lay a [`StoredPlan`] out as a flat arena. Deterministic: the bytes
 /// are a pure function of the plan (side tables are emitted in record
 /// order), so re-encoding a decoded blob is bit-identical.
+///
+/// The plan section is streamed by the Binary encoder straight into the
+/// arena after the summary, and its length and the directory offset that
+/// follows it are patched into the header afterwards. Every section but
+/// the plan's has a size known up front; the buffer reserves those plus
+/// one record's width per instruction for the plan section, which takes
+/// 23–29 bytes per instruction on the benchmark's workloads, so the
+/// arena is allocated once.
 pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
-    let (tag, summary, plan_bytes, programs): (u8, Vec<u8>, Vec<u8>, &[Vec<DeviceProgram>]) =
-        match &plan.outcome {
-            StoredOutcome::Plan(lowered) => (
-                1,
-                encode_summary(&IterationSummary::of(&lowered.plan)),
-                PlanCodec::Binary.encode(&lowered.plan),
-                &lowered.programs,
-            ),
-            StoredOutcome::Failed(e) => (0, Vec::new(), PlanCodec::Binary.encode(e), &[]),
-        };
-    let plan_off = FLAT_HEADER + summary.len();
-    let dir_off = plan_off + plan_bytes.len();
+    let (tag, programs): (u8, &[Vec<DeviceProgram>]) = match &plan.outcome {
+        StoredOutcome::Plan(lowered) => (1, &lowered.programs),
+        StoredOutcome::Failed(_) => (0, &[]),
+    };
     let total_devs: usize = programs.iter().map(|r| r.len()).sum();
-    let recs_off = dir_off + 4 * programs.len() + 8 * total_devs;
-    let total_ops: usize = programs.iter().flatten().map(|p| p.ops.len()).sum();
-    let side_off = recs_off + FLAT_REC * total_ops;
+    let ops = || programs.iter().flatten().flat_map(|p| &p.ops);
+    let total_ops = ops().count();
+    let side_len: usize = ops()
+        .map(|op| match op {
+            SimOp::Compute { allocs, frees, .. } => 16 * allocs.len() + 8 * frees.len(),
+            _ => 0,
+        })
+        .sum();
+    let after_plan = 4 * programs.len() + 8 * total_devs + FLAT_REC * total_ops + side_len;
 
-    let mut out = Vec::with_capacity(side_off + 64);
+    let mut out =
+        Vec::with_capacity(FLAT_HEADER + FLAT_SUMMARY + FLAT_REC * total_ops + after_plan);
     out.push(FLAT_MAGIC);
     out.push(FLAT_VERSION);
     out.push(tag);
     put_u64(&mut out, 0); // total_len, patched at the end
     put_u64(&mut out, plan.iteration as u64);
-    put_u32(&mut out, as_u32(plan_off, "plan offset"));
-    put_u32(&mut out, as_u32(plan_bytes.len(), "plan length"));
+    put_u32(&mut out, 0); // plan_off ┐
+    put_u32(&mut out, 0); // plan_len │ patched once the plan
     put_u32(&mut out, as_u32(programs.len(), "replica count"));
-    put_u32(&mut out, as_u32(dir_off, "directory offset"));
+    put_u32(&mut out, 0); // dir_off  ┘ section is written
     debug_assert_eq!(out.len(), FLAT_HEADER);
-    out.extend_from_slice(&summary);
-    out.extend_from_slice(&plan_bytes);
+    if let StoredOutcome::Plan(lowered) = &plan.outcome {
+        encode_summary(&mut out, &IterationSummary::of(&lowered.plan));
+    }
+    let plan_off = out.len();
+    let mut enc = BinaryEncoder::appending(out);
+    match &plan.outcome {
+        StoredOutcome::Plan(lowered) => lowered.plan.serialize(&mut enc),
+        StoredOutcome::Failed(e) => e.serialize(&mut enc),
+    }
+    let mut out = enc.out;
+    let dir_off = out.len();
+    out[19..23].copy_from_slice(&as_u32(plan_off, "plan offset").to_le_bytes());
+    out[23..27].copy_from_slice(&as_u32(dir_off - plan_off, "plan length").to_le_bytes());
+    out[31..35].copy_from_slice(&as_u32(dir_off, "directory offset").to_le_bytes());
+    out.reserve_exact(after_plan);
+    let recs_off = dir_off + 4 * programs.len() + 8 * total_devs;
+    let side_off = recs_off + FLAT_REC * total_ops;
 
     // Directory: device counts, then (ops_off, ops_count) replica-major.
     for replica in programs {
@@ -642,8 +736,8 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
     debug_assert_eq!(out.len(), recs_off);
 
     // Records, with side tables accumulated for the arena's tail.
-    let mut side: Vec<u8> = Vec::new();
-    for op in programs.iter().flatten().flat_map(|p| &p.ops) {
+    let mut side: Vec<u8> = Vec::with_capacity(side_len);
+    for op in ops() {
         let (kind, label, a, b, c) = match op {
             SimOp::Compute {
                 duration,
@@ -700,19 +794,19 @@ pub fn encode_flat(plan: &StoredPlan) -> Vec<u8> {
     out
 }
 
-/// The summary section of a planned outcome (see the module docs).
-fn encode_summary(s: &IterationSummary) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FLAT_SUMMARY + 8 * s.est_peak_memory.len());
+/// Append the summary section of a planned outcome (see the module docs).
+fn encode_summary(out: &mut Vec<u8>, s: &IterationSummary) {
+    let start = out.len();
     let mode = RecomputeMode::ALL
         .iter()
         .position(|&m| m == s.recompute)
         .expect("RecomputeMode::ALL lists every mode");
     out.push(mode as u8);
-    put_u64(&mut out, s.est_iteration_time.to_bits());
-    put_u64(&mut out, s.dp_sync_time.to_bits());
-    put_u64(&mut out, s.planning_time_us.to_bits());
-    put_u64(&mut out, s.num_micro_batches as u64);
-    put_u64(&mut out, s.actual_tokens);
+    put_u64(out, s.est_iteration_time.to_bits());
+    put_u64(out, s.dp_sync_time.to_bits());
+    put_u64(out, s.planning_time_us.to_bits());
+    put_u64(out, s.num_micro_batches as u64);
+    put_u64(out, s.actual_tokens);
     let p = &s.padding;
     for v in [
         p.actual_tokens,
@@ -722,14 +816,13 @@ fn encode_summary(s: &IterationSummary) -> Vec<u8> {
         p.dec_actual,
         p.dec_padded,
     ] {
-        put_u64(&mut out, v);
+        put_u64(out, v);
     }
-    put_u32(&mut out, as_u32(s.est_peak_memory.len(), "stage count"));
-    debug_assert_eq!(out.len(), FLAT_SUMMARY);
+    put_u32(out, as_u32(s.est_peak_memory.len(), "stage count"));
+    debug_assert_eq!(out.len() - start, FLAT_SUMMARY);
     for &peak in &s.est_peak_memory {
-        put_u64(&mut out, peak);
+        put_u64(out, peak);
     }
-    out
 }
 
 /// A validated flat blob: the zero-copy decode result.
@@ -1331,6 +1424,56 @@ mod tests {
         let blob = PlanCodec::Binary.encode(&v);
         let back = PlanCodec::Binary.decode_value(&blob).unwrap();
         assert_eq!(PlanCodec::Binary.encode(&back), blob);
+    }
+
+    #[test]
+    fn hinted_interning_writes_a_map_only_encoders_bytes() {
+        // A hint is keyed by a string's address and length, so keys built
+        // in one buffer rewritten in place, or in `String`s freed and
+        // reallocated, reach the encoder at an address an earlier,
+        // different key had. They must get their own ids: the bytes must
+        // be those of an encoder whose every lookup goes to the map.
+        struct ReusedKeys;
+        impl Serialize for ReusedKeys {
+            fn serialize<W: Writer>(&self, w: &mut W) {
+                use std::fmt::Write as _;
+                let mut buf = String::with_capacity(8);
+                let mut rewritten = |w: &mut W, i: usize| {
+                    buf.clear();
+                    write!(buf, "key{i:02}").unwrap();
+                    w.key(&buf);
+                    w.str(&buf);
+                };
+                w.array(4);
+                w.object(40);
+                (0..40).for_each(|i| rewritten(w, i));
+                w.object(40);
+                for i in 0..40 {
+                    let fresh = format!("fresh{i:02}");
+                    w.key(&fresh);
+                    w.u64(i as u64);
+                }
+                // Repeats, now resolved through the map by content.
+                w.object(40);
+                (0..40).rev().for_each(|i| rewritten(w, i));
+                w.object(2);
+                w.key("static");
+                w.str("static");
+                w.key("key07");
+                w.str("fresh07");
+            }
+        }
+        let hinted = PlanCodec::Binary.encode(&ReusedKeys);
+        let mut map_only = BinaryEncoder {
+            hints: Vec::new(),
+            ..BinaryEncoder::new()
+        };
+        ReusedKeys.serialize(&mut map_only);
+        assert_eq!(hinted, map_only.out);
+        assert_eq!(
+            PlanCodec::Binary.decode_value(&hinted).unwrap(),
+            ReusedKeys.to_value()
+        );
     }
 
     #[test]

@@ -27,11 +27,51 @@ use std::collections::HashMap;
 /// few distinct shapes, and every shape appears once per forward and
 /// once per backward per stage), so each analytic formula is evaluated
 /// once per distinct key instead of once per instruction.
+///
+/// The tables hash their keys with [`MemoHasher`], not the standard
+/// library's SipHash: a key is five or six machine words, and the memo is
+/// only ever probed by key, never iterated, so the hash decides which
+/// bucket a key lands in and nothing else — no cost and no plan byte. A
+/// `short-store` lowering makes about 1,100 lookups; each now hashes a
+/// word with one multiply-xor-shift round where SipHash-1-3 ran a
+/// compression round per word and three finalization rounds per key.
 #[derive(Default)]
 struct CostMemo {
-    fwd: HashMap<(usize, MicroBatchShape), Micros>,
-    bwd: HashMap<(usize, MicroBatchShape, RecomputeMode), Micros>,
-    act: HashMap<(usize, MicroBatchShape, RecomputeMode), Bytes>,
+    fwd: MemoMap<(usize, MicroBatchShape), Micros>,
+    bwd: MemoMap<(usize, MicroBatchShape, RecomputeMode), Micros>,
+    act: MemoMap<(usize, MicroBatchShape, RecomputeMode), Bytes>,
+}
+
+/// A [`CostMemo`] table.
+type MemoMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<MemoHasher>>;
+
+/// A multiply-xor hasher over machine words (a splitmix64 finalizer per
+/// word, like the DP partitioner's extent hasher). A memo key's fields
+/// are `usize`s and a fieldless enum, which `derive(Hash)` writes as
+/// words.
+#[derive(Default)]
+struct MemoHasher(u64);
+
+impl std::hash::Hasher for MemoHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut z = self.0 ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
 }
 
 /// Ground-truth per-stage costs used when lowering (the "real" execution
@@ -70,7 +110,7 @@ impl<'a> GroundTruth<'a> {
     where
         K: std::hash::Hash + Eq + Copy,
         V: Copy,
-        F: Fn(&mut CostMemo) -> &mut HashMap<K, V>,
+        F: Fn(&mut CostMemo) -> &mut MemoMap<K, V>,
         G: Fn() -> V,
     {
         let Some(memo) = &self.memo else {

@@ -987,6 +987,38 @@ mod tests {
     use dynapipe_data::Dataset;
     use dynapipe_model::{HardwareModel, ModelArch, ModelConfig, ParallelConfig};
 
+    #[test]
+    fn dp_sync_crosses_nodes_only_past_one_node() {
+        // Replicas on exactly one node's GPUs synchronize over the node's
+        // links; one more node's worth puts the sync on the network.
+        let hw = HardwareModel::a100_cluster();
+        let node = hw.gpus_per_node;
+        for (dp, spans_nodes) in [(2, false), (4, true)] {
+            let cm = CostModel::build(
+                hw.clone(),
+                ModelConfig::gpt_3_35b(),
+                ParallelConfig::new(dp, 1, node / 2),
+                &ProfileOptions::coarse(),
+            );
+            assert_eq!(cm.parallel.num_gpus() > node, spans_nodes);
+            let sync = |spans: bool| {
+                (0..cm.num_stages())
+                    .map(|j| {
+                        let params = cm.mem.stage_params(&cm.model, cm.layout.stage(j), 1);
+                        cm.hw.dp_gradient_sync_time(params, dp, spans)
+                    })
+                    .fold(0.0, f64::max)
+            };
+            assert_ne!(sync(false), sync(true), "dp={dp}");
+            assert_eq!(
+                dp_sync_time(&cm).to_bits(),
+                sync(spans_nodes).to_bits(),
+                "dp={dp} on {} GPUs",
+                cm.parallel.num_gpus()
+            );
+        }
+    }
+
     fn planner(pp: usize, dp: usize) -> DynaPipePlanner {
         // GPT-3.35B fits comfortably in these small test deployments
         // (6.7B at tp=1 genuinely exceeds 40 GB of model state per stage).

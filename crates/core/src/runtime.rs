@@ -243,7 +243,7 @@ fn lower_owned(cm: &CostModel, plan: &IterationPlan) -> Vec<Vec<DeviceProgram>> 
         .collect()
 }
 
-/// [`lower_owned`] with each replica's programs shared behind an `Arc`,
+/// `lower_owned` with each replica's programs shared behind an `Arc`,
 /// ready for the engines that run them.
 pub fn lower_replicas(cm: &CostModel, plan: &IterationPlan) -> Vec<Arc<Vec<DeviceProgram>>> {
     lower_owned(cm, plan).into_iter().map(Arc::new).collect()
@@ -750,7 +750,7 @@ struct QueueState<T> {
 
 /// The bounded plan-ahead queue between a planner pool and an in-order
 /// executor, generic over the planned payload `T` (this runtime's
-/// [`ClaimedIteration`]; the cluster layer's host-annotated receipt).
+/// `ClaimedIteration`; the cluster layer's host-annotated receipt).
 /// Claiming a ticket pulls the matching mini-batch from the
 /// stream under the queue lock, so ticket order always equals stream
 /// order; the window condition `next_ticket < next_consume + plan_ahead`

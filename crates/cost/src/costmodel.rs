@@ -6,7 +6,7 @@
 //! of Eq. 1 (taken on the bottleneck stage), activation memory per stage,
 //! and the per-stage activation budget left after static model state.
 
-use crate::grid::{GridSet, NdGrid};
+use crate::grid::{GridReader, GridSet, NdGrid};
 use crate::profile::{ProfileDb, ProfileOptions};
 use dynapipe_model::config::{ModelArch, ModelConfig};
 use dynapipe_model::hardware::{HardwareModel, LayerKind};
@@ -252,9 +252,10 @@ impl CostModel {
                 terms
             });
         ShapePricer {
-            dominant_stage: stages
+            dominant: stages
                 .iter()
-                .any(|top| stages.iter().all(|st| st.within(top))),
+                .copied()
+                .find(|top| stages.iter().all(|st| st.within(top))),
             stages,
             enc: resolve(ek),
             dec: resolve(dk),
@@ -310,17 +311,18 @@ impl<'a> LayerGrids<'a> {
         }
     }
 
-    /// Every grid's value at `shape`'s point, read through `set`; zeros
-    /// when the side has no layers (no set), as in the scalar path.
+    /// Every grid's value at `shape`'s point, read through `reader`;
+    /// zeros when the side has no layers (no reader), as in the scalar
+    /// path.
     fn values(
         &self,
-        set: &mut Option<GridSet<'a, LAYER_GRIDS>>,
+        reader: &mut Option<GridReader<'_, 'a, LAYER_GRIDS>>,
         shape: &MicroBatchShape,
     ) -> [f64; LAYER_GRIDS] {
-        match set {
-            Some(set) => {
+        match reader {
+            Some(reader) => {
                 let (q, kv) = self.coords(shape);
-                set.query(shape.batch_size, q, kv)
+                reader.query(shape.batch_size, q, kv)
             }
             None => [0.0; LAYER_GRIDS],
         }
@@ -330,7 +332,7 @@ impl<'a> LayerGrids<'a> {
 /// The layer counts of a stage, as pricing sees them. A pricer keeps one
 /// per distinct value: stages with equal terms price to the same bits, and
 /// a repeated value never changes a max over stages.
-#[derive(PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 struct StageTerms {
     encoder_layers: usize,
     decoder_layers: usize,
@@ -358,9 +360,9 @@ pub struct ShapePricer<'a> {
     lm_head_fwd: &'a NdGrid,
     backward_ratio: f64,
     stages: Vec<StageTerms>,
-    /// Whether one stage's terms dominate every stage's
-    /// ([`StageTerms::within`]).
-    dominant_stage: bool,
+    /// The stage whose terms every stage's are within
+    /// ([`StageTerms::within`]), if one is.
+    dominant: Option<StageTerms>,
     gpt_target: bool,
     any_enc: bool,
     any_dec: bool,
@@ -438,21 +440,40 @@ impl<'a> ShapePricer<'a> {
     /// is located once per side and every grid of the side — forward,
     /// backward, and each mode's `recompute_extra` and `activation` — is
     /// read in that one visit (a [`GridSet`]), with nothing stored per
-    /// point. The stage folds keep the scalar path's operand order:
+    /// point. A side's set keeps the axis-0 lerps of every batch size the
+    /// table reaches, so a GPT shape's 8-lane query runs 16 lane-lerps
+    /// where `trilinear` runs 32, and the LM head's token axis reads two
+    /// samples and locates its coordinate with a multiply by an exact
+    /// power-of-two reciprocal (see [`GridSet`]; both bit-identical).
+    ///
+    /// A stage's prices fold in the scalar path's operand order:
     /// `layers × (bwd + recompute)` per side, then the LM head's backward.
+    /// When one stage's terms dominate every stage's
+    /// (`StageTerms::within`) and every value a shape's fold reads is
+    /// `>= 0` — checked per shape, so a NaN, a negative sample or a
+    /// negative extrapolation past the profiled range takes the full fold
+    /// — only that stage is priced: the max over stages is its value, bit
+    /// for bit, by the monotonicity argument on `ShapeTerms::nonnegative`.
+    /// GPT on `pp` stages with an even layer split has two distinct stage
+    /// terms (layers alone, layers plus the LM head), so it folds 1 stage
+    /// instead of 2; T5's encoder and decoder stages never dominate each
+    /// other and always take the full fold.
     ///
     /// Both sides of one [`rayon::join`] price the table: each claims the
     /// next `PRICE_CHUNK` shapes from one shared cursor, prices them
-    /// through its own grid sets straight into that chunk of the pre-sized
-    /// output columns, and claims again until no chunk is left. A side that
-    /// starts late (a parked pool helper still starts up to about a tenth
-    /// of a millisecond after the join; see the rayon shim's doc) then
-    /// costs only the chunks it did not take, where fixed halves made the
-    /// caller wait for it. The calling thread allocates the
-    /// columns and both sides' grid sets, so the helper thread allocates no
-    /// output (a helper that built and appended its own chunk grew the
-    /// process's peak RSS). Every shape is priced on its own, so which side
-    /// claims which chunk changes no bit.
+    /// through its own readers of the shared grid sets straight into that
+    /// chunk of the pre-sized output columns, and claims again until no
+    /// chunk is left. A side that starts late (a parked pool helper still
+    /// starts up to about a tenth of a millisecond after the join; see the
+    /// rayon shim's doc) then costs only the chunks it did not take, where
+    /// fixed halves made the caller wait for it. The calling thread
+    /// allocates the columns, the grid sets with their row tables (one
+    /// table per set, read by both sides) and both sides' readers, so the
+    /// helper thread allocates no table and no output (a helper that built
+    /// and appended its own chunk grew the process's peak RSS); only its
+    /// memos' lists of located coordinates grow as it meets new ones.
+    /// Every shape is priced on its own, so which side claims which chunk
+    /// changes no bit.
     pub fn price_every_mode(&self, shapes: &[MicroBatchShape]) -> ModePrices {
         let n = shapes.len();
         let mut prices = ModePrices {
@@ -469,11 +490,12 @@ impl<'a> ShapePricer<'a> {
                 .map(|c| c.chunks_mut(PRICE_CHUNK)),
         });
         let reach = self.reach(shapes);
-        prices.one_stage_dominates = self.dominant_stage && self.nonnegative_within(&reach);
-        let (sets_a, sets_b) = (self.grid_sets(&reach), self.grid_sets(&reach));
+        prices.one_stage_dominates = self.dominant.is_some() && self.nonnegative_within(&reach);
+        let sets = self.grid_sets(&reach);
+        let (readers_a, readers_b) = (sets.readers(), sets.readers());
         rayon::join(
-            || self.price_claimed(sets_a, &cursor),
-            || self.price_claimed(sets_b, &cursor),
+            || self.price_claimed(readers_a, &cursor),
+            || self.price_claimed(readers_b, &cursor),
         );
         prices
     }
@@ -513,20 +535,24 @@ impl<'a> ShapePricer<'a> {
             && self.lm_head_fwd.nonnegative_within(reach.lm)
     }
 
-    /// Claim chunks from `cursor` and price them through `sets` until none
-    /// is left.
-    fn price_claimed(&self, mut sets: RunSets<'a>, cursor: &std::sync::Mutex<ChunkCursor<'_>>) {
+    /// Claim chunks from `cursor` and price them through `readers` until
+    /// none is left.
+    fn price_claimed(
+        &self,
+        mut readers: RunReaders<'_, 'a>,
+        cursor: &std::sync::Mutex<ChunkCursor<'_>>,
+    ) {
         loop {
             let chunk = cursor.lock().expect("pricing cursor poisoned").next();
             let Some((shapes, time, activation)) = chunk else {
                 return;
             };
-            self.price_run(&mut sets, shapes, time, activation);
+            self.price_run(&mut readers, shapes, time, activation);
         }
     }
 
-    /// The grid sets a table is priced through, their memos sized to the
-    /// coordinates it reaches.
+    /// The grid sets a table is priced through, their row tables and
+    /// memos sized to the coordinates it reaches.
     fn grid_sets(&self, reach: &Reach) -> RunSets<'a> {
         RunSets {
             enc: self
@@ -539,11 +565,11 @@ impl<'a> ShapePricer<'a> {
         }
     }
 
-    /// Price `shapes` through `sets` into element `i` of every mode's
+    /// Price `shapes` through `readers` into element `i` of every mode's
     /// `time` and `activation` column.
     fn price_run(
         &self,
-        sets: &mut RunSets<'a>,
+        readers: &mut RunReaders<'_, 'a>,
         shapes: &[MicroBatchShape],
         time: [&mut [Micros]; NUM_MODES],
         activation: [&mut [Bytes]; NUM_MODES],
@@ -556,56 +582,119 @@ impl<'a> ShapePricer<'a> {
                 }
                 continue;
             }
-            let enc = self.enc.values(&mut sets.enc, shape);
-            let dec = self.dec.values(&mut sets.dec, shape);
-            let [lm] = sets.lm.query(self.target_tokens(shape), 0, 0);
-            let lm_bwd = self.backward_ratio * lm;
-            let enc_bwd: [f64; NUM_MODES] = std::array::from_fn(|m| enc[BWD] + enc[RECOMPUTE + m]);
-            let dec_bwd: [f64; NUM_MODES] = std::array::from_fn(|m| dec[BWD] + dec[RECOMPUTE + m]);
-            // Same operand values and division order as `stage_activation`
-            // (integer division must not be re-associated).
-            let input = shape.padded_tokens() * self.hidden_act_bytes / self.tp;
-            // One walk of the stages folds `t_f` and every mode's `t_b` and
-            // activation, each in the scalar methods' operand order.
-            let mut fwd_max = 0.0f64;
-            let mut bwd_max = [0.0f64; NUM_MODES];
-            let mut act_max: [Bytes; NUM_MODES] = [0; NUM_MODES];
-            for st in &self.stages {
-                let (e, d) = (st.encoder_layers as f64, st.decoder_layers as f64);
-                let mut fwd = 0.0;
-                if st.encoder_layers > 0 {
-                    fwd += e * enc[FWD];
-                }
-                if st.decoder_layers > 0 {
-                    fwd += d * dec[FWD];
-                }
-                if st.has_lm_head {
-                    fwd += lm;
-                }
-                fwd_max = fwd_max.max(fwd);
-                for m in 0..NUM_MODES {
-                    let mut bwd = 0.0;
-                    let mut bytes = 0.0f64;
-                    if st.encoder_layers > 0 {
-                        bwd += e * enc_bwd[m];
-                        bytes += e * enc[ACT + m];
-                    }
-                    if st.decoder_layers > 0 {
-                        bwd += d * dec_bwd[m];
-                        bytes += d * dec[ACT + m];
-                    }
-                    if st.has_lm_head {
-                        bwd += lm_bwd;
-                    }
-                    bwd_max[m] = bwd_max[m].max(bwd);
-                    act_max[m] = act_max[m].max(bytes as Bytes + input);
-                }
-            }
+            let enc = self.enc.values(&mut readers.enc, shape);
+            let dec = self.dec.values(&mut readers.dec, shape);
+            let [lm] = readers.lm.query(self.target_tokens(shape), 0, 0);
+            let terms = ShapeTerms {
+                enc_fwd: enc[FWD],
+                dec_fwd: dec[FWD],
+                lm,
+                enc_bwd: std::array::from_fn(|m| enc[BWD] + enc[RECOMPUTE + m]),
+                dec_bwd: std::array::from_fn(|m| dec[BWD] + dec[RECOMPUTE + m]),
+                lm_bwd: self.backward_ratio * lm,
+                enc_act: std::array::from_fn(|m| enc[ACT + m]),
+                dec_act: std::array::from_fn(|m| dec[ACT + m]),
+                // Same operand values and division order as
+                // `stage_activation` (integer division must not be
+                // re-associated).
+                input: shape.padded_tokens() * self.hidden_act_bytes / self.tp,
+            };
+            let (fwd_max, bwd_max, act_max) = match self.dominant {
+                Some(top) if terms.nonnegative() => terms.stage(top),
+                _ => self.stages.iter().fold(
+                    (0.0f64, [0.0f64; NUM_MODES], [0; NUM_MODES]),
+                    |(fwd_max, bwd_max, act_max), &st| {
+                        let (fwd, bwd, act) = terms.stage(st);
+                        (
+                            fwd_max.max(fwd),
+                            std::array::from_fn(|m| bwd_max[m].max(bwd[m])),
+                            std::array::from_fn(|m| act_max[m].max(act[m])),
+                        )
+                    },
+                ),
+            };
             for m in 0..NUM_MODES {
                 time[m][i] = fwd_max + bwd_max[m];
                 activation[m][i] = act_max[m];
             }
         }
+    }
+}
+
+/// The grid values one shape's stage prices are folded from: per layer
+/// side, the forward time, every mode's backward-plus-recompute time and
+/// activation bytes; the LM head's forward and backward time; and the
+/// retained stage input.
+struct ShapeTerms {
+    enc_fwd: f64,
+    dec_fwd: f64,
+    lm: f64,
+    enc_bwd: [f64; NUM_MODES],
+    dec_bwd: [f64; NUM_MODES],
+    lm_bwd: f64,
+    enc_act: [f64; NUM_MODES],
+    dec_act: [f64; NUM_MODES],
+    input: Bytes,
+}
+
+impl ShapeTerms {
+    /// Stage `st`'s forward time and every mode's backward time and
+    /// activation bytes, in the scalar methods' operand order:
+    /// `layers × value` per side, then the LM head.
+    #[inline]
+    fn stage(&self, st: StageTerms) -> (f64, [f64; NUM_MODES], [Bytes; NUM_MODES]) {
+        let (e, d) = (st.encoder_layers as f64, st.decoder_layers as f64);
+        let mut fwd = 0.0;
+        if st.encoder_layers > 0 {
+            fwd += e * self.enc_fwd;
+        }
+        if st.decoder_layers > 0 {
+            fwd += d * self.dec_fwd;
+        }
+        if st.has_lm_head {
+            fwd += self.lm;
+        }
+        let mut bwd = [0.0; NUM_MODES];
+        let mut act = [0; NUM_MODES];
+        for m in 0..NUM_MODES {
+            let mut bytes = 0.0f64;
+            if st.encoder_layers > 0 {
+                bwd[m] += e * self.enc_bwd[m];
+                bytes += e * self.enc_act[m];
+            }
+            if st.decoder_layers > 0 {
+                bwd[m] += d * self.dec_bwd[m];
+                bytes += d * self.dec_act[m];
+            }
+            if st.has_lm_head {
+                bwd[m] += self.lm_bwd;
+            }
+            act[m] = bytes as Bytes + self.input;
+        }
+        (fwd, bwd, act)
+    }
+
+    /// Whether every value [`ShapeTerms::stage`] reads is `>= 0` (false on
+    /// a NaN). Then a stage whose terms are within another's
+    /// ([`StageTerms::within`]) prices to no more than it, term by term:
+    /// each sum starts at `+0`, a missing term is a nonnegative addend the
+    /// larger stage has, and rounded `+` and `×` by a nonnegative value
+    /// are monotone; `as Bytes` and the `+ input` are monotone too. So
+    /// the dominant stage's forward time, backward times and activations
+    /// are each the max over stages, and every one is `+0` or above, so a
+    /// fold from `0` returns those very bits.
+    #[inline]
+    fn nonnegative(&self) -> bool {
+        // Non-short-circuit `&`: sixteen compares and no branch.
+        let mut ok =
+            (self.enc_fwd >= 0.0) & (self.dec_fwd >= 0.0) & (self.lm >= 0.0) & (self.lm_bwd >= 0.0);
+        for m in 0..NUM_MODES {
+            ok &= (self.enc_bwd[m] >= 0.0)
+                & (self.dec_bwd[m] >= 0.0)
+                & (self.enc_act[m] >= 0.0)
+                & (self.dec_act[m] >= 0.0);
+        }
+        ok
     }
 }
 
@@ -617,13 +706,31 @@ struct Reach {
     lm: [usize; 3],
 }
 
-/// The grid sets one run of shapes is priced through (see
+/// The grid sets a table of shapes is priced through (see
 /// [`ShapePricer::price_every_mode`]): each layer side's, absent when no
 /// stage has layers of that side, and the LM head's.
 struct RunSets<'a> {
     enc: Option<GridSet<'a, LAYER_GRIDS>>,
     dec: Option<GridSet<'a, LAYER_GRIDS>>,
     lm: GridSet<'a, 1>,
+}
+
+impl<'a> RunSets<'a> {
+    /// A reader of every set, for one side of the pricing `join`.
+    fn readers(&self) -> RunReaders<'_, 'a> {
+        RunReaders {
+            enc: self.enc.as_ref().map(GridSet::reader),
+            dec: self.dec.as_ref().map(GridSet::reader),
+            lm: self.lm.reader(),
+        }
+    }
+}
+
+/// One side's readers of a table's [`RunSets`].
+struct RunReaders<'s, 'a> {
+    enc: Option<GridReader<'s, 'a, LAYER_GRIDS>>,
+    dec: Option<GridReader<'s, 'a, LAYER_GRIDS>>,
+    lm: GridReader<'s, 'a, 1>,
 }
 
 /// Shapes per chunk a side of [`ShapePricer::price_every_mode`] claims:
@@ -761,6 +868,22 @@ mod tests {
         );
     }
 
+    /// GPT on 4 stages, whose LM-head stage dominates, with the LM head's
+    /// profile sample at `tokens` replaced by `value`.
+    fn gpt_cm_with_lm_head_sample(tokens: usize, value: f64) -> CostModel {
+        let mut cm = gpt_cm(4);
+        let old = cm.db.lm_head_fwd.clone();
+        cm.db.lm_head_fwd =
+            NdGrid::build(old.a0.clone(), old.a1.clone(), old.a2.clone(), |t, _, _| {
+                if t == tokens {
+                    value
+                } else {
+                    old.query(t, 0, 0)
+                }
+            });
+        cm
+    }
+
     #[test]
     fn batched_pricing_bit_identical_to_scalar_across_modes() {
         // One table of shapes, priced under every recomputation mode in
@@ -772,7 +895,37 @@ mod tests {
         // chunk less one, exactly one chunk and one chunk plus one are
         // priced under caps 1, 2 and 4, so the claimed chunks meet empty,
         // partial and single-shape tails, serially and in parallel.
-        for cm in [gpt_cm(4), t5_cm(4), gpt_cm(3)] {
+        //
+        // GPT on 4 stages prices a shape through its dominant (LM-head)
+        // stage alone when every term is nonnegative. Two constructed
+        // profiles break that where it matters: a negative LM-head sample
+        // at 2048 tokens (the 2,700-token shapes interpolate to below
+        // zero), and a zero top sample, down from the one before, so the
+        // above-range shape extrapolates below zero. There the LM-head
+        // stage is slower than a layers-only stage, and only the full
+        // fold over stages prices the shape right (checked below).
+        let top_tokens = *gpt_cm(4).db.lm_head_fwd.a0.values.last().unwrap();
+        let negative_sample = gpt_cm_with_lm_head_sample(2048, -1e9);
+        let negative_past_top = gpt_cm_with_lm_head_sample(top_tokens, 0.0);
+        for (cm, shape) in [
+            (&negative_sample, MicroBatchShape::gpt(3, 900)),
+            (&negative_past_top, MicroBatchShape::gpt(64, 100_000)),
+        ] {
+            let last = cm.num_stages() - 1;
+            let mode = RecomputeMode::None;
+            let dominant = cm.stage_fwd(last, &shape) + cm.stage_bwd(last, &shape, mode);
+            assert!(
+                dominant < cm.mb_time(&shape, mode),
+                "{shape:?}: the LM-head stage must not be the slowest"
+            );
+        }
+        for cm in [
+            gpt_cm(4),
+            t5_cm(4),
+            gpt_cm(3),
+            negative_sample,
+            negative_past_top,
+        ] {
             let mut shapes: Vec<MicroBatchShape> = match cm.model.arch {
                 ModelArch::Gpt => vec![
                     MicroBatchShape::gpt(1, 37),

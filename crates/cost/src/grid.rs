@@ -8,9 +8,10 @@
 //! Besides the scalar [`NdGrid::query`], a [`GridSet`] serves many points
 //! against grids that share their axes (the forward, backward, recompute
 //! and activation profiles of one layer kind): it locates each point once,
-//! small coordinates once per distinct value, and reads every grid of the
-//! set in that one visit. It is bit-identical to calling `query` per point
-//! on each grid.
+//! small coordinates once per distinct value, keeps the axis-0 lerps of
+//! each batch size it has seen, and reads every grid of the set in that
+//! one visit. It is bit-identical to calling `query` per point on each
+//! grid.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,8 +112,7 @@ impl Axis {
         let last = *v.last().expect("non-empty");
         if x >= last {
             let lo = v.len() - 2;
-            let frac = (x - v[lo]) as f64 / (v[lo + 1] - v[lo]) as f64;
-            return (lo, frac);
+            return (lo, segment_fraction(x - v[lo], v[lo + 1] - v[lo]));
         }
         // Now `v[0] < x < last`, and the strictly increasing axis has one
         // bracket `v[lo] <= x < v[lo + 1]`. On a power-of-two axis it is
@@ -127,18 +127,28 @@ impl Axis {
             // brackets x.
             v.partition_point(|&p| p <= x) - 1
         };
-        let frac = (x - v[lo]) as f64 / (v[lo + 1] - v[lo]) as f64;
-        (lo, frac)
+        (lo, segment_fraction(x - v[lo], v[lo + 1] - v[lo]))
     }
 }
 
-/// One query point resolved against a set of axes: the flat data offsets
-/// of the cell's eight corners and the interpolation fraction per axis —
-/// what [`NdGrid::query`] derives per call. The offsets hold on every grid
-/// sharing the axes, because they fix the data layout.
-struct LocatedCell {
-    corners: [u32; 8],
-    f: [f64; 3],
+/// `offset / width` as `f64`, the fraction of a segment `width` wide.
+///
+/// A power-of-two width multiplies by its reciprocal instead of dividing:
+/// `2^-k` is a double, and scaling a double by a power of two is exact
+/// unless the result is subnormal, which a numerator of at least 1 over a
+/// width below `2^64` cannot reach (and a zero numerator gives zero both
+/// ways). So the product is the quotient bit for bit. Every axis
+/// [`Axis::pow2`] builds has only power-of-two segments; the LM head's
+/// token axis, whose coordinates are too wide to memoize, locates every
+/// query through here.
+#[inline]
+fn segment_fraction(offset: usize, width: usize) -> f64 {
+    if width.is_power_of_two() {
+        let reciprocal = f64::from_bits((1023 - u64::from(width.trailing_zeros())) << 52);
+        offset as f64 * reciprocal
+    } else {
+        offset as f64 / width as f64
+    }
 }
 
 /// Flat data offsets of the eight corners of the cell with lower indices
@@ -177,10 +187,10 @@ fn trilinear(v: [f64; 8], f: [f64; 3]) -> f64 {
 
 /// [`Axis::locate`] for one grid set, memoized when the coordinates are
 /// small: up to [`DIRECT_MEMO_MAX`], each distinct coordinate is located
-/// once through a direct-index slot table. A wider axis (an LM head's
-/// token counts reach 128 × 4096) calls `Axis::locate` per point: one
-/// short binary search is cheaper than hashing the coordinate into a
-/// memo. Duplicate coordinates are allowed on both paths.
+/// once through a direct-index slot table. A wider axis calls
+/// `Axis::locate` per point: one short search is cheaper than hashing the
+/// coordinate into a memo. Duplicate coordinates are allowed on both
+/// paths.
 struct AxisMemo<'a> {
     axis: &'a Axis,
     located: Vec<(u32, f64)>,
@@ -207,90 +217,82 @@ impl<'a> AxisMemo<'a> {
         }
     }
 
-    fn locate(&mut self, x: usize) -> (u32, f64) {
+    fn locate(&mut self, x: usize) -> (usize, f64) {
         // Degenerate axes (singletons) always resolve to (0, 0.0); skip
         // the memo entirely.
         if self.axis.is_degenerate() {
             return (0, 0.0);
         }
         if x >= self.slots.len() {
-            let (i, f) = self.axis.locate(x);
-            return (i as u32, f);
+            return self.axis.locate(x);
         }
         let slot = self.slots[x];
         if slot != 0 {
-            return self.located[slot as usize - 1];
+            let (i, f) = self.located[slot as usize - 1];
+            return (i as usize, f);
         }
         let (i, f) = self.axis.locate(x);
         self.located.push((i as u32, f));
         self.slots[x] = self.located.len() as u32;
-        (i as u32, f)
+        (i, f)
     }
 }
 
-/// Locates points against three axes through one [`AxisMemo`] each.
-struct Locator<'a> {
-    memos: [AxisMemo<'a>; 3],
-    lens: [usize; 3],
-}
+/// Most samples a grid set's row table holds (4 MiB at 8 lanes); batch
+/// sizes past it are served from a reader's scratch row.
+const ROW_TABLE_CELLS: usize = 1 << 16;
 
-impl<'a> Locator<'a> {
-    /// A locator over `axes` whose memos cover coordinates up to `max`
-    /// (larger ones are located unmemoized).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a grid over the axes has more samples than a `u32`
-    /// offset addresses.
-    fn new(axes: [&'a Axis; 3], max: [usize; 3]) -> Self {
-        let lens = axes.map(Axis::len);
-        assert!(
-            lens[0] * lens[1] * lens[2] <= u32::MAX as usize,
-            "grid too large for 32-bit cell offsets"
-        );
-        Locator {
-            memos: [0, 1, 2].map(|k| AxisMemo::new(axes[k], max[k])),
-            lens,
-        }
-    }
-
-    fn cell(&mut self, p: (usize, usize, usize)) -> LocatedCell {
-        let (i0, f0) = self.memos[0].locate(p.0);
-        let (i1, f1) = self.memos[1].locate(p.1);
-        let (i2, f2) = self.memos[2].locate(p.2);
-        let i = [i0 as usize, i1 as usize, i2 as usize];
-        let j = [0, 1, 2].map(|k| (i[k] + 1).min(self.lens[k] - 1));
-        LocatedCell {
-            corners: corner_offsets(i, j, self.lens[1], self.lens[2]).map(|o| o as u32),
-            f: [f0, f1, f2],
-        }
-    }
-}
-
-/// `N` grids over the same axes, queried together: one query locates its
-/// point once and reads each corner's values for all grids side by side,
-/// interpolating them lane by lane. Values are bit-identical to
-/// [`NdGrid::query`] on each grid.
+/// `N` grids over the same axes, queried together through
+/// [`GridReader`]s: one query locates its point once and reads each
+/// corner's values for all grids side by side, interpolating them lane by
+/// lane. Values are bit-identical to [`NdGrid::query`] on each grid.
 ///
-/// A set memoizes coordinate location but keeps no per-point state: it
-/// suits a stream of points each queried once, such as the rows of an
-/// already-deduplicated shape table.
+/// **Rows.** The first step of `trilinear` lerps along axis 0 at every
+/// corner, and its operands are two samples that depend only on the
+/// axis-0 coordinate `x0` (a batch size) and the corner's axis-1/2
+/// indices. A set holds one *row* per batch size up to `max[0]`: those
+/// axis-0 lerps at every axis-1/2 sample a coordinate up to `max`
+/// brackets with. A query reads its cell's axis-1/2 corners from the row
+/// and runs only the lerps along axes 1 and 2 — the same operands in the
+/// same order, so the same bits. On a 2-D grid (GPT's layer profiles)
+/// that is 2 lerps per lane where `trilinear` runs 4 (with 8 lanes, 16
+/// lane-lerps instead of 32); on a 3-D grid (T5's decoder), 3 where it
+/// runs 7. A shape table queries each batch size for many sequence
+/// lengths, so a row costs one pass per batch size, made when the set is
+/// built. The set is read-only after that: every reader of one set, on
+/// any thread, shares its one table.
+///
+/// A coordinate past the table (axis 0 past `max[0]` or the cell cap,
+/// axes 1 and 2 past what `max` reaches) gets a full row computed into
+/// its reader's scratch row for that one query.
+///
+/// **Lines.** A set whose axes 1 and 2 are both degenerate (the LM head's
+/// token axis) has no table: a row would be the one lerp between two
+/// samples, and a table indexed by token count would be far larger than
+/// the work it saves. Its query locates `x0` and reads those two samples
+/// only, then runs the two lerps a degenerate axis still costs (a lerp by
+/// `0` is not the identity on `-0`, infinities and NaN).
 pub struct GridSet<'g, const N: usize> {
-    locator: Locator<'g>,
+    axes: [&'g Axis; 3],
+    /// Samples per axis.
+    lens: [usize; 3],
     /// `data[offset][g]` is grid `g`'s sample at flat offset `offset`.
     data: Vec<[f64; N]>,
-    /// Whether axis 1 is degenerate: its upper corners are its lower ones.
-    flat1: bool,
-    /// Whether axis 2 is degenerate.
-    flat2: bool,
-    /// Points queried, added to the process-wide count when the set is
-    /// dropped.
-    queried: u64,
+    /// Axis-1 and axis-2 samples a table row holds: every index a
+    /// coordinate up to `max` brackets with.
+    row_dims: [usize; 2],
+    /// Row `x0` at `x0 · row_dims[0] · row_dims[1]`; empty on a line.
+    rows: Vec<[f64; N]>,
+    /// Rows in the table: batch sizes `0..row_count`.
+    row_count: usize,
+    /// The coordinates readers memoize up to.
+    max: [usize; 3],
 }
 
 impl<'g, const N: usize> GridSet<'g, N> {
-    /// A set over `grids`, memoizing coordinates up to `max` per axis
-    /// (larger coordinates are located unmemoized).
+    /// A set over `grids` whose row table covers coordinates up to `max`
+    /// per axis, and whose readers memoize coordinates up to `max` (larger
+    /// ones are located unmemoized).
     ///
     /// # Panics
     ///
@@ -303,53 +305,136 @@ impl<'g, const N: usize> GridSet<'g, N> {
                 .all(|g| (&g.a0, &g.a1, &g.a2) == (&first.a0, &first.a1, &first.a2)),
             "grids of a set must share their axes"
         );
+        let axes = [&first.a0, &first.a1, &first.a2];
+        let lens = axes.map(Axis::len);
+        let data: Vec<[f64; N]> = (0..first.data.len())
+            .map(|o| std::array::from_fn(|g| grids[g].data[o]))
+            .collect();
+        // A coordinate brackets with its located index and the next one.
+        let reached = |k: usize| (axes[k].locate(max[k]).0 + 2).min(lens[k]);
+        let row_dims = [reached(1), reached(2)];
+        let width = row_dims[0] * row_dims[1];
+        let row_count = if lens[1] * lens[2] == 1 {
+            0
+        } else {
+            (max[0] + 1).min(ROW_TABLE_CELLS / width)
+        };
+        let mut rows = vec![[0.0; N]; row_count * width];
+        for (x0, row) in rows.chunks_exact_mut(width).enumerate() {
+            fill_row(axes[0], &data, lens, x0, row_dims, row);
+        }
         GridSet {
-            locator: Locator::new([&first.a0, &first.a1, &first.a2], max),
-            data: (0..first.data.len())
-                .map(|o| std::array::from_fn(|g| grids[g].data[o]))
-                .collect(),
-            flat1: first.a1.is_degenerate(),
-            flat2: first.a2.is_degenerate(),
-            queried: 0,
+            axes,
+            lens,
+            data,
+            row_dims,
+            rows,
+            row_count,
+            max,
         }
     }
 
+    /// A reader of the set, with its own coordinate memos and scratch
+    /// row: one per thread that queries the set.
+    pub fn reader(&self) -> GridReader<'_, 'g, N> {
+        GridReader {
+            set: self,
+            memos: [1, 2].map(|k| AxisMemo::new(self.axes[k], self.max[k])),
+            scratch: vec![[0.0; N]; self.lens[1] * self.lens[2]],
+            queried: 0,
+        }
+    }
+}
+
+/// One thread's access to a [`GridSet`]: its memos of axes 1 and 2 and a
+/// scratch row. It keeps no per-point state, so it suits a stream of
+/// points each queried once, such as the rows of an already-deduplicated
+/// shape table.
+pub struct GridReader<'s, 'g, const N: usize> {
+    set: &'s GridSet<'g, N>,
+    memos: [AxisMemo<'g>; 2],
+    /// A full row (every axis-1/2 sample), for queries the table does not
+    /// cover.
+    scratch: Vec<[f64; N]>,
+    /// Points queried, added to the process-wide count when the reader is
+    /// dropped.
+    queried: u64,
+}
+
+impl<const N: usize> GridReader<'_, '_, N> {
     /// Every grid's interpolated value at `(x0, x1, x2)`, in the order
     /// the grids were given.
     ///
-    /// Each lane runs [`trilinear`]'s operations in its order. On a
-    /// degenerate axis the upper corners are the lower ones, so the lerps
-    /// that would repeat an earlier lerp on the same operands reuse its
-    /// result instead — the same bits, computed once.
+    /// Each lane runs `trilinear`'s operations in its order, its axis-0
+    /// lerps read from `x0`'s row. On a degenerate axis 2 the upper
+    /// corners are the lower ones, so the axis-1 lerp that would repeat
+    /// the first on the same operands reuses its result instead — the
+    /// same bits, computed once.
     #[inline]
     pub fn query(&mut self, x0: usize, x1: usize, x2: usize) -> [f64; N] {
         self.queried += 1;
-        let c = self.locator.cell((x0, x1, x2));
-        let v = |k: usize| &self.data[c.corners[k] as usize];
-        let [f0, f1, f2] = c.f;
-        let c00 = lerp_lanes(v(0), v(1), f0);
-        let c10 = if self.flat1 {
-            c00
+        let set = self.set;
+        if set.lens[1] * set.lens[2] == 1 {
+            // A line: `trilinear` with both trailing fractions 0.
+            let (i0, f0) = set.axes[0].locate(x0);
+            let j0 = (i0 + 1).min(set.lens[0] - 1);
+            let c00 = lerp_lanes(&set.data[i0], &set.data[j0], f0);
+            let c0 = lerp_lanes(&c00, &c00, 0.0);
+            return lerp_lanes(&c0, &c0, 0.0);
+        }
+        let (i1, f1) = self.memos[0].locate(x1);
+        let (i2, f2) = self.memos[1].locate(x2);
+        let j1 = (i1 + 1).min(set.lens[1] - 1);
+        let j2 = (i2 + 1).min(set.lens[2] - 1);
+        let [w1, w2] = set.row_dims;
+        let (row, stride) = if j1 < w1 && j2 < w2 && x0 < set.row_count {
+            (&set.rows[x0 * w1 * w2..(x0 + 1) * w1 * w2], w2)
         } else {
-            lerp_lanes(v(2), v(3), f0)
+            let dims = [set.lens[1], set.lens[2]];
+            fill_row(
+                set.axes[0],
+                &set.data,
+                set.lens,
+                x0,
+                dims,
+                &mut self.scratch,
+            );
+            (&self.scratch[..], dims[1])
         };
-        let c0 = lerp_lanes(&c00, &c10, f1);
-        let c1 = if self.flat2 {
+        let at = |a: usize, b: usize| &row[a * stride + b];
+        let c0 = lerp_lanes(at(i1, i2), at(j1, i2), f1);
+        let c1 = if j2 == i2 {
             c0
         } else {
-            let c01 = lerp_lanes(v(4), v(5), f0);
-            let c11 = if self.flat1 {
-                c01
-            } else {
-                lerp_lanes(v(6), v(7), f0)
-            };
-            lerp_lanes(&c01, &c11, f1)
+            lerp_lanes(at(i1, j2), at(j1, j2), f1)
         };
         lerp_lanes(&c0, &c1, f2)
     }
 }
 
-impl<const N: usize> Drop for GridSet<'_, N> {
+/// Write into `row` the axis-0 lerps at `x0` over the first `dims`
+/// axis-1/2 samples of `data` (a grid with `lens` samples per axis), in
+/// axis-1-major order: entry `(a, b)` is `trilinear`'s first-step lerp at
+/// the corner with axis-1 index `a` and axis-2 index `b`.
+fn fill_row<const N: usize>(
+    a0: &Axis,
+    data: &[[f64; N]],
+    lens: [usize; 3],
+    x0: usize,
+    dims: [usize; 2],
+    row: &mut [[f64; N]],
+) {
+    let (i0, f0) = a0.locate(x0);
+    let j0 = (i0 + 1).min(lens[0] - 1);
+    let at = |x0: usize, a: usize, b: usize| &data[(x0 * lens[1] + a) * lens[2] + b];
+    for a in 0..dims[0] {
+        for b in 0..dims[1] {
+            row[a * dims[1] + b] = lerp_lanes(at(i0, a, b), at(j0, a, b), f0);
+        }
+    }
+}
+
+impl<const N: usize> Drop for GridReader<'_, '_, N> {
     fn drop(&mut self) {
         BATCH_CELLS.fetch_add(self.queried, Ordering::Relaxed);
     }
@@ -473,6 +558,28 @@ mod tests {
         for a in &axes {
             for x in 0..=1usize << 20 {
                 assert_eq!(a.locate(x), search(a, x), "axis {:?} x={x}", a.values);
+            }
+        }
+    }
+
+    #[test]
+    fn segment_fraction_equals_the_division() {
+        // Power-of-two widths multiply by the reciprocal; the product must
+        // be the quotient's bits, numerators past 2^53 (rounded when
+        // converted) included.
+        let offsets = (0..64u32)
+            .flat_map(|k| [1usize << k, (1usize << k) - 1, (1usize << k) + 1])
+            .chain([0, 3, 37, 12_345, usize::MAX, (1 << 53) + 1, 999_999_937]);
+        for width in (0..64u32)
+            .map(|k| 1usize << k)
+            .chain([3, 6, 1000, usize::MAX])
+        {
+            for offset in offsets.clone() {
+                assert_eq!(
+                    segment_fraction(offset, width).to_bits(),
+                    (offset as f64 / width as f64).to_bits(),
+                    "{offset} / {width}"
+                );
             }
         }
     }
@@ -639,14 +746,17 @@ mod tests {
                 (70_000, 100, 33),
                 (3, 100_000, 33),
             ];
-            // Memos sized to the other coordinates, and sized below some
-            // (coordinates past a memo locate unmemoized); each set queried
-            // twice over so the second pass reads the memos.
-            for max in [[64, 1000, 4000], [4, 50, 20]] {
-                let mut set = GridSet::new([&grids[0], &grids[1], &grids[2]], max);
+            // Memos and row tables sized to the other coordinates, sized
+            // below some (coordinates past a memo locate unmemoized, and
+            // past the row table read the scratch row), and a row table cut
+            // by its cell cap; each set queried twice over so the second
+            // pass reads the memos.
+            for max in [[64, 1000, 4000], [4, 50, 20], [1 << 20, 1000, 4000]] {
+                let set = GridSet::new([&grids[0], &grids[1], &grids[2]], max);
+                let mut reader = set.reader();
                 for _ in 0..2 {
                     for p in &points {
-                        for (g, v) in grids.iter().zip(set.query(p.0, p.1, p.2)) {
+                        for (g, v) in grids.iter().zip(reader.query(p.0, p.1, p.2)) {
                             assert_eq!(
                                 v.to_bits(),
                                 g.query(p.0, p.1, p.2).to_bits(),

@@ -20,6 +20,6 @@ pub mod iteration;
 pub mod profile;
 
 pub use costmodel::{CostModel, ModePrices, ShapePricer};
-pub use grid::{grid_query_stats, Axis, GridQueryStats, GridSet, NdGrid};
+pub use grid::{grid_query_stats, Axis, GridQueryStats, GridReader, GridSet, NdGrid};
 pub use iteration::iteration_time;
 pub use profile::{ProfileDb, ProfileOptions};

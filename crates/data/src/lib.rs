@@ -11,7 +11,7 @@
 //!
 //! * [`tasks`] — the task registry: categories, mixture weights and
 //!   log-normal length distributions per task family.
-//! * [`sample`] — the [`Sample`](sample::Sample) record (lengths only).
+//! * [`sample`] — the [`sample::Sample`] record (lengths only).
 //! * [`dataset`] — dataset synthesis, length statistics and histograms.
 //! * [`minibatch`] — global-batch (mini-batch) assembly by token budget,
 //!   respecting the user's random sampling order as DynaPipe requires.

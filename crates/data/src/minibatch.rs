@@ -98,7 +98,7 @@ struct StreamState {
 /// needs multiple workers pulling successive mini-batches from one shared
 /// epoch without materializing it up front. `BatchStream` provides that:
 /// each [`BatchStream::next_batch`] call atomically assembles the next
-/// mini-batch (through the same [`assemble_batch`] core the iterator uses,
+/// mini-batch (through the same `assemble_batch` core the iterator uses,
 /// so the produced sequence is identical) and tags it with its iteration
 /// index. Only one mini-batch is resident per call — the epoch is never
 /// collected into memory.

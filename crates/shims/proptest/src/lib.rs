@@ -188,7 +188,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a range or an exact length,
+    /// Length specification for [`vec()`]: a range or an exact length,
     /// mirroring proptest's `Into<SizeRange>` argument.
     pub trait IntoSizeRange {
         /// Convert to a half-open range.

@@ -21,15 +21,15 @@
 //!
 //! | Crate | Role |
 //! |---|---|
-//! | [`model`](dynapipe_model) | Table 1 model configs, 3D parallelism, analytic A100 hardware & memory formulas |
-//! | [`data`](dynapipe_data) | synthetic FLANv2-like multi-task dataset |
-//! | [`sim`](dynapipe_sim) | discrete-event cluster simulator (the "testbed") |
-//! | [`cost`](dynapipe_cost) | profiling-grid + interpolation cost models |
-//! | [`batcher`](dynapipe_batcher) | sample ordering, DP partitioner, Karmarkar–Karp, baselines |
-//! | [`schedule`](dynapipe_schedule) | 1F1B, memory-aware adaptive schedule, reordering |
-//! | [`comm`](dynapipe_comm) | pipeline instructions, communication planning, deadlock verification |
-//! | [`core`](dynapipe_core) | planner, executor binding, training driver, grid search |
-//! | [`cluster`](dynapipe_cluster) | simulated multi-host Fig. 9 deployment (planner hosts → store → executor hosts) |
+//! | [`model`] | Table 1 model configs, 3D parallelism, analytic A100 hardware & memory formulas |
+//! | [`data`] | synthetic FLANv2-like multi-task dataset |
+//! | [`sim`] | discrete-event cluster simulator (the "testbed") |
+//! | [`cost`] | profiling-grid + interpolation cost models |
+//! | [`batcher`] | sample ordering, DP partitioner, Karmarkar–Karp, baselines |
+//! | [`schedule`] | 1F1B, memory-aware adaptive schedule, reordering |
+//! | [`comm`] | pipeline instructions, communication planning, deadlock verification |
+//! | [`core`] | planner, executor binding, training driver, grid search |
+//! | [`cluster`] | simulated multi-host Fig. 9 deployment (planner hosts → store → executor hosts) |
 //!
 //! ## Quickstart
 //!

@@ -214,10 +214,10 @@ proptest! {
         // Random axes (sorted, deduplicated; a single sample makes an axis
         // degenerate), random sample data, random query points including
         // below-range (clamping) and above-range (extrapolating)
-        // coordinates, and random memo bounds (coordinates past one locate
-        // unmemoized): a grid set, the batched path pricing runs, must
-        // reproduce the scalar `NdGrid::query` of each of its grids bit
-        // for bit.
+        // coordinates, and random memo and row-table bounds (coordinates
+        // past one locate unmemoized or read a scratch row): a grid set's
+        // reader, the batched path pricing runs, must reproduce the scalar
+        // `NdGrid::query` of each of its grids bit for bit.
         let axis = |mut v: Vec<usize>| {
             v.sort_unstable();
             v.dedup();
@@ -230,9 +230,10 @@ proptest! {
                 k * ca * x0 as f64 + cb * (x1 as f64).sqrt() + cc * (x0 * x2) as f64
             })
         });
-        let mut set = GridSet::new([&grids[0], &grids[1], &grids[2]], [memo.0, memo.1, memo.2]);
+        let set = GridSet::new([&grids[0], &grids[1], &grids[2]], [memo.0, memo.1, memo.2]);
+        let mut reader = set.reader();
         for p in &points {
-            let values = set.query(p.0, p.1, p.2);
+            let values = reader.query(p.0, p.1, p.2);
             for (g, v) in grids.iter().zip(values) {
                 let scalar = g.query(p.0, p.1, p.2);
                 prop_assert!(

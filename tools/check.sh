@@ -13,6 +13,10 @@ cargo fmt --all --check
 echo "== build (release, -D warnings) =="
 cargo build --release --workspace
 
+# Broken, private or redundant intra-doc links fail like compiler warnings.
+echo "== rustdoc (-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # `run_all` runs dynapipe-lint first and fails on any unwaived finding,
 # then every figure bin at full size: a bin that panics or cannot write its
 # artifact, fig09_cluster's gates and the trace_report round-trip of its
